@@ -317,46 +317,35 @@ fn ablation() {
     save("ablation.csv", &csv);
 }
 
+/// Every sub-command, in the order `all` (and any selection) runs them.
+const COMMANDS: &[(&str, fn())] = &[
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("table1", table1),
+    ("timing", timing),
+    ("ablation", ablation),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = |a: &str| a == "all" || COMMANDS.iter().any(|(name, _)| *name == a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        eprintln!("repro: unknown sub-command {bad:?}");
+        eprintln!("usage: repro [all | {}]...", names.join(" | "));
+        std::process::exit(2);
+    }
     let run_all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |k: &str| run_all || args.iter().any(|a| a == k);
     let t0 = Instant::now();
-    if want("fig2") {
-        fig2();
-        println!();
-    }
-    if want("fig3") {
-        fig3();
-        println!();
-    }
-    if want("fig4") {
-        fig4();
-        println!();
-    }
-    if want("fig5") {
-        fig5();
-        println!();
-    }
-    if want("fig6") {
-        fig6();
-        println!();
-    }
-    if want("fig7") {
-        fig7();
-        println!();
-    }
-    if want("table1") {
-        table1();
-        println!();
-    }
-    if want("timing") {
-        timing();
-        println!();
-    }
-    if want("ablation") {
-        ablation();
-        println!();
+    for (name, run) in COMMANDS {
+        if run_all || args.iter().any(|a| a == name) {
+            run();
+            println!();
+        }
     }
     println!("repro finished in {:?}", t0.elapsed());
 }

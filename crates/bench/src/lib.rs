@@ -1,8 +1,8 @@
 //! # strato-bench — experiment harness
 //!
 //! Shared machinery for regenerating every table and figure of the paper's
-//! evaluation (Section 7). The `repro` binary drives it; Criterion benches
-//! measure enumeration, SCA and engine micro-performance.
+//! evaluation (Section 7). The `repro` binary drives it; performance is
+//! measured by the `benchmark/` package, which also calls [`rank_sweep`].
 //!
 //! The central routine is [`rank_sweep`], the experiment design behind
 //! Figures 5–7: *"We sort the resulting plans in ascending order by their

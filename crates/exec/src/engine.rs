@@ -9,14 +9,16 @@
 //!   *logical* plan (default strategies, no shipping). Deterministic; the
 //!   oracle the plan-equivalence test harness uses.
 //! * [`execute`] — full physical execution of a [`strato_core::PhysPlan`]
-//!   with `dop` partitions, streamed as a task graph over a fixed worker
-//!   pool (see [`crate::pipeline`]).
+//!   with `dop` partitions, streamed as a task graph over a worker pool
+//!   (see [`crate::pipeline`]).
 //!
-//! The `_with` variants take [`ExecOptions`] to tune batch size, worker
-//! count, channel capacity, Map fusion, or to enable wire-format
-//! validation on hash-partition shipping.
+//! Each call runs on an [`EngineRuntime`] private to it; the runtime's
+//! methods of the same names share one pool between calls. The `_with`
+//! variants take [`ExecOptions`] to tune batch size, channel capacity, Map
+//! fusion, combining, memory budget or tracing.
 
 use crate::pipeline::{self, ExecOptions};
+use crate::runtime::EngineRuntime;
 use crate::stats::ExecStats;
 use std::collections::HashMap;
 use strato_core::PhysPlan;
@@ -36,8 +38,8 @@ pub enum ExecError {
     MissingInput(String),
     /// A UDF failed to execute (step limit or binding bug).
     Udf(String, InterpError),
-    /// Wire-format validation failed (only with
-    /// [`ExecOptions::validate_wire`]).
+    /// A record did not survive the wire-format round trip that the
+    /// Partition ship checks in debug builds.
     Wire(String),
     /// Disk IO on the spill path failed (writing, reading or decoding a
     /// spill file of the out-of-core subsystem, see [`crate::spill`]).
@@ -83,8 +85,7 @@ pub fn execute_logical_with(
     inputs: &Inputs,
     opts: &ExecOptions,
 ) -> Result<(DataSet, ExecStats), ExecError> {
-    let compiled = pipeline::compile_logical(plan, &plan.root);
-    pipeline::run(plan, &compiled, inputs, 1, opts, None)
+    EngineRuntime::private(0).execute_logical_with(plan, inputs, opts)
 }
 
 /// Executes a physical plan with `dop` partitions. Every `stage ×
@@ -139,7 +140,8 @@ pub fn execute_with(
     opts: &ExecOptions,
 ) -> Result<(DataSet, ExecStats), ExecError> {
     let compiled = pipeline::compile_physical(&phys.root, opts.combine);
-    pipeline::run(plan, &compiled, inputs, dop, opts, None)
+    let rt = pipeline::private_runtime(plan, &compiled, dop, opts);
+    pipeline::run(plan, &compiled, inputs, dop, opts, &rt)
 }
 
 #[cfg(test)]
@@ -214,7 +216,7 @@ mod tests {
 
     /// Widens a data set into global layout the way the scan stage does.
     fn widen(plan: &Plan, src: usize, ds: &DataSet) -> Vec<Record> {
-        pipeline::widen(ds, &plan.ctx.sources[src].attrs, plan.ctx.width())
+        crate::testutil::widen(ds, &plan.ctx.sources[src].attrs, plan.ctx.width())
     }
 
     #[test]
@@ -267,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_and_wire_validation_agree_with_defaults() {
+    fn batch_size_one_agrees_with_defaults() {
         let plan = sum_plan();
         let props = PropTable::build(&plan, PropertyMode::Sca);
         let phys = best_physical(&plan, &props, &CostWeights::default(), 3);
@@ -279,12 +281,11 @@ mod tests {
         let (reference, ref_stats) = execute(&plan, &phys, &inputs, 3).unwrap();
         let opts = ExecOptions {
             batch_size: 1,
-            validate_wire: true,
             ..ExecOptions::default()
         };
         let (out, stats) = execute_with(&plan, &phys, &inputs, 3, &opts).unwrap();
         assert_eq!(reference, out);
-        // Shipping accounting is independent of batch size and validation.
+        // Shipping accounting is independent of batch size.
         assert_eq!(ref_stats.snapshot().2, stats.snapshot().2);
         assert_eq!(ref_stats.snapshot().3, stats.snapshot().3);
     }
@@ -376,16 +377,16 @@ mod tests {
 
         let _guard = silence_panics();
 
-        // Inline single-worker path.
+        // Inline: the private runtime of a dop = 1 call has no threads.
         let err = execute_logical(&plan, &inputs).unwrap_err();
-        // Pooled path, parallel partitions.
+        // Pooled, parallel partitions.
         let props = PropTable::build(&plan, PropertyMode::Sca);
         let phys = best_physical(&plan, &props, &CostWeights::default(), 2);
-        let opts = ExecOptions {
+        let rt = EngineRuntime::new(crate::runtime::RuntimeOptions {
             workers: Some(2),
-            ..ExecOptions::default()
-        };
-        let pooled = execute_with(&plan, &phys, &inputs, 2, &opts).unwrap_err();
+            ..Default::default()
+        });
+        let pooled = rt.execute(&plan, &phys, &inputs, 2).unwrap_err();
         drop(_guard);
 
         match err {

@@ -14,13 +14,13 @@
 //!   nested loops, sort-merge co-group);
 //! * `ship` (private) — per-batch routing between
 //!   partitions: forward, hash repartition (no serialization on the hot
-//!   path; bytes accounted via `encoded_len`, with opt-in wire validation)
-//!   and `Arc`-shared broadcast;
+//!   path; bytes accounted via `encoded_len`, wire round trip checked in
+//!   debug builds) and `Arc`-shared broadcast;
 //! * [`pipeline`] — lowers `(Plan, PhysPlan)` to a stage tree, fuses
 //!   adjacent Forward-shipped Maps, flattens to one task per
-//!   `stage × partition`, and schedules the tasks cooperatively on
-//!   [`ExecOptions::workers`] threads with bounded-channel backpressure;
-//!   the **same** lowering and operators serve both entry points. Worker
+//!   `stage × partition`, and schedules the tasks cooperatively on an
+//!   [`EngineRuntime`]'s workers with bounded-channel backpressure; the
+//!   **same** lowering and operators serve both entry points. Worker
 //!   panics are contained per task and surfaced as [`ExecError::Panic`].
 //! * [`spill`] — out-of-core execution: blocking operators register their
 //!   buffered state with a shared per-execution [`MemoryGovernor`]
@@ -28,12 +28,11 @@
 //!   under pressure, flush it to sorted runs on disk, finishing via a
 //!   loser-tree k-way merge; the pre-ship combiner instead flushes its
 //!   partials downstream Hadoop-style.
-//! * [`runtime`] — the shared engine runtime: one process-wide
+//! * [`runtime`] — the engine runtime every execution runs on: one
 //!   [`EngineRuntime`] worker pool scheduling tasks from all in-flight
 //!   queries round-robin (per-query fairness), and one [`GlobalMemory`]
 //!   budget that per-query governors carve their grants from. The
-//!   single-query entry points below are the `runtime = None` special
-//!   case of the same scheduler — there is no second executor.
+//!   single-query entry points below build a runtime private to the call.
 //! * [`trace`] — opt-in end-to-end query tracing
 //!   ([`ExecOptions::trace`]): a lock-light per-worker span recorder fed
 //!   by the pipeline, ship, spill and runtime layers, rendered as Chrome
@@ -69,7 +68,7 @@ pub mod stats;
 pub mod trace;
 
 pub use engine::{execute, execute_logical, execute_logical_with, execute_with, ExecError, Inputs};
-pub use pipeline::{BatchLayout, ExecOptions};
+pub use pipeline::ExecOptions;
 pub use profile::{profile, profile_hints, sample_inputs, OpProfile};
 pub use runtime::{EngineRuntime, RuntimeOptions, RuntimeSnapshot};
 pub use spill::{GlobalMemory, MemoryGovernor, MemoryGrant};
@@ -80,6 +79,23 @@ pub use trace::{explain_analyze, HistoSnapshot, LatencyHisto, Span, TraceRecorde
 #[cfg(test)]
 pub(crate) mod testutil {
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
+    use strato_record::{AttrId, DataSet, Record};
+
+    /// Widens source records to global layout the way the scan stage
+    /// does: field `i` of the source goes to its global attribute
+    /// position.
+    pub(crate) fn widen(records: &DataSet, attrs: &[AttrId], width: usize) -> Vec<Record> {
+        records
+            .iter()
+            .map(|r| {
+                let mut out = Record::nulls(width);
+                for (i, &a) in attrs.iter().enumerate() {
+                    out.set_field(a.index(), r.field(i).clone());
+                }
+                out
+            })
+            .collect()
+    }
 
     /// In-place `Σ field` — the canonical *combinable* reduce UDF (fold
     /// written back to the field it was read from).

@@ -370,7 +370,7 @@ mod tests {
             .iter()
             .map(|r| Record::from_values(r.iter().map(|&v| Value::Int(v))))
             .collect();
-        crate::pipeline::widen(&ds, &plan.ctx.sources[src].attrs, plan.ctx.width())
+        crate::testutil::widen(&ds, &plan.ctx.sources[src].attrs, plan.ctx.width())
     }
 
     fn ctx<'a>(stats: &'a ExecStats, gov: &'a MemoryGovernor) -> OpCtx<'a> {

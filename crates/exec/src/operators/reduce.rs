@@ -271,7 +271,7 @@ mod tests {
             ])]
             .into_iter()
             .collect();
-            crate::pipeline::widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width())
+            crate::testutil::widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width())
                 .pop()
                 .unwrap()
         };
@@ -320,7 +320,7 @@ mod tests {
         let ds: DataSet = (0..48i64)
             .map(|i| Record::from_values([Value::Int(i % 5), Value::Int(i)]))
             .collect();
-        let input = crate::pipeline::widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width());
+        let input = crate::testutil::widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width());
 
         // Reference: unbounded in-memory grouping.
         let ref_stats = ExecStats::new();

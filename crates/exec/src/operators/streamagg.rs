@@ -327,7 +327,7 @@ mod tests {
             .iter()
             .map(|&(k, v)| Record::from_values([Value::Int(k), Value::Int(v)]))
             .collect();
-        crate::pipeline::widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width())
+        crate::testutil::widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width())
     }
 
     fn ctx<'a>(stats: &'a ExecStats, gov: &'a MemoryGovernor) -> OpCtx<'a> {
@@ -434,7 +434,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let input = crate::pipeline::widen(&ds, &src.attrs, plan.ctx.width());
+            let input = crate::testutil::widen(&ds, &src.attrs, plan.ctx.width());
             let s1 = ExecStats::new();
             let g1 = MemoryGovernor::unbounded();
             let buffered = apply_single(

@@ -23,10 +23,10 @@
 //! per-batch and producer stages overlap consumer stages, instead of the
 //! old materialize-everything-then-ship barrier.
 //!
-//! Tasks are *cooperatively* scheduled onto a fixed pool of
-//! [`ExecOptions::workers`] threads (morsel style): a task never blocks a
-//! worker. It yields when its inputs are momentarily empty (re-queued when
-//! a batch arrives) or when a downstream channel is at
+//! Tasks are *cooperatively* scheduled onto the worker pool of an
+//! [`EngineRuntime`] (morsel style): a task never blocks a worker. It
+//! yields when its inputs are momentarily empty (re-queued when a batch
+//! arrives) or when a downstream channel is at
 //! [`ExecOptions::channel_capacity`] (re-queued when the consumer drains —
 //! this is the backpressure that bounds in-flight memory). Because the
 //! graph is a tree whose sink never blocks, a full channel always implies
@@ -47,18 +47,13 @@
 //! internally, so operator semantics — and the equivalence oracle — are
 //! unchanged; only the transport is streaming.
 //!
-//! ## Standalone vs shared-runtime execution
+//! ## One driver
 //!
-//! The scheduler above is **one** code path with two drivers. Standalone
-//! (`runtime = None`), the driver spins up its own scoped worker pool —
-//! exactly the historic behavior. On a shared
-//! [`EngineRuntime`], the execution
-//! instead *registers* its ready queue with the process-wide pool
-//! (through the `runtime::QueryTasks` trait) and the same task-step
-//! function runs on the shared workers, interleaved round-robin with
-//! every other in-flight query. Task order within a query, operator
-//! semantics, and results are identical either way — the single-query
-//! path is a special case of the shared one, not a second executor.
+//! Every run registers its ready queue with an [`EngineRuntime`] (through
+//! the `runtime::QueryTasks` trait) whose workers take one task step per
+//! pick, round-robin across in-flight queries. The standalone entry
+//! points ([`crate::execute_with`] and friends) build a runtime private
+//! to the call (`private_runtime`).
 //!
 //! Reduces whose UDF the static analysis proved **combinable** escape the
 //! buffering: the optimizer may mark them (`PhysNode::combine`) and this
@@ -74,7 +69,6 @@ use crate::engine::{ExecError, Inputs};
 use crate::operators::{self, OpCtx, Operator};
 use crate::runtime::{EngineRuntime, QueryTasks, RtShared};
 use crate::ship::{Outbound, Router};
-use crate::spill::MemoryGovernor;
 use crate::stats::ExecStats;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -86,25 +80,6 @@ use strato_core::{LocalStrategy, PhysNode, Ship};
 use strato_dataflow::{NodeKind, Pact, Plan, PlanNode};
 use strato_ir::interp::Interp;
 use strato_record::{BatchBuilder, DataSet, Record, RecordBatch};
-
-/// How batches are laid out on the engine's scan and shuffle hot paths.
-///
-/// Purely an execution knob: results, ship accounting and UDF-call stats
-/// are byte-identical under either layout (the equivalence suite sweeps
-/// it as an axis). `RowView` is the escape hatch that reproduces the
-/// historic row-at-a-time engine exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchLayout {
-    /// Scans emit row-major batches of owned [`Record`]s; every operator
-    /// and router works record-at-a-time.
-    RowView,
-    /// Scans build column-major batches ([`strato_record::ColumnBatch`])
-    /// with the widen step fused into column construction, and the
-    /// Partition router / Map / StreamAgg hot paths run their vectorized
-    /// columnar kernels.
-    #[default]
-    ColumnarNative,
-}
 
 /// Tuning knobs of one execution. The defaults reproduce production
 /// behavior; tests sweep them.
@@ -125,22 +100,6 @@ pub enum BatchLayout {
 pub struct ExecOptions {
     /// Target records per batch flowing between operators.
     pub batch_size: usize,
-    /// When set, hash-partition shipping round-trips every record through
-    /// the wire format and verifies the decode — the seed engine's
-    /// serialization check, now opt-in (off the hot path).
-    pub validate_wire: bool,
-    /// Worker threads driving the task graph. `None` picks the machine's
-    /// available parallelism for parallel runs and `1` for `dop = 1` runs
-    /// (which then execute inline on the calling thread, keeping the
-    /// logical oracle deterministic and allocation-light). Always clamped
-    /// to the number of tasks.
-    ///
-    /// **Runtime-scoped semantics**: on a shared
-    /// [`EngineRuntime`] this knob is
-    /// ignored — the runtime's fixed pool
-    /// ([`RuntimeOptions::workers`](crate::runtime::RuntimeOptions))
-    /// drives every query it runs.
-    pub workers: Option<usize>,
     /// Bound of each inter-task channel, in batches. Full channels park
     /// the producer task (backpressure); capacity 1 forces strict
     /// lock-step streaming.
@@ -156,38 +115,33 @@ pub struct ExecOptions {
     /// (results must be byte-identical either way, only shipped volume
     /// changes).
     pub combine: bool,
-    /// Memory budget in bytes shared by all blocking operators of the
-    /// execution ([`crate::spill::MemoryGovernor`]). When buffered state
-    /// exceeds it, operators shed to sorted runs on disk (the combiner
-    /// flushes partials downstream instead) and finish via k-way merge —
-    /// results are byte-identical, only memory and disk traffic change.
-    /// `None` disables governance entirely. The default equals the cost
-    /// model's [`strato_core::cost::CostWeights::mem_budget`], so the
-    /// optimizer's spill charges describe what this engine actually does.
-    ///
-    /// **Runtime-scoped semantics**: on a shared
-    /// [`EngineRuntime`] this becomes a
-    /// *cap* on the slice the query may carve from the runtime's global
-    /// [`GlobalMemory`](crate::spill::GlobalMemory) pool — the actual
-    /// budget is `min(mem_budget, pool remainder)`, and `None` claims the
-    /// whole remainder.
+    /// Cap, in bytes, on the [`MemoryGrant`](crate::spill::MemoryGrant)
+    /// this execution carves from its runtime's
+    /// [`GlobalMemory`](crate::spill::GlobalMemory) pool: the grant is
+    /// `min(mem_budget, pool remainder)`, and `None` claims the whole
+    /// remainder. The pool of a standalone call's private runtime is
+    /// unbounded, so there the grant is exactly `mem_budget` (`None` =
+    /// ungoverned). All blocking operators of the execution charge the
+    /// grant ([`crate::spill::MemoryGovernor`]); when buffered state
+    /// exceeds it they shed to sorted runs on disk (the combiner flushes
+    /// partials downstream instead) and finish via k-way merge — results
+    /// are byte-identical, only memory and disk traffic change. The
+    /// default equals the cost model's
+    /// [`strato_core::cost::CostWeights::mem_budget`], so the optimizer's
+    /// spill charges describe what this engine actually does.
     pub mem_budget: Option<u64>,
     /// Parent directory for the execution's scoped spill directory
     /// (`None` = the OS temp dir). The scoped directory is created lazily
     /// on first spill and removed when the execution ends — on success,
     /// error and contained worker panic alike.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Batch layout on the scan/shuffle hot paths (see [`BatchLayout`]).
-    /// Columnar by default; `RowView` reproduces the row-at-a-time engine.
-    pub layout: BatchLayout,
     /// Span recorder for end-to-end query tracing
     /// ([`crate::trace::TraceRecorder`]). `None` (the default) disables
     /// tracing entirely: every instrumentation point reduces to one
     /// `Option` check, so the untraced hot path stays unmeasurably close
-    /// to a build without the subsystem (pinned by the `engine_trace`
-    /// bench group). When set, the execution records task-step,
-    /// ship/scatter, spill-run, k-way-merge and memory-grant spans into
-    /// the recorder's bounded per-worker ring buffers.
+    /// to a build without the subsystem. When set, the execution records
+    /// task-step, ship/scatter, spill-run, k-way-merge and memory-grant
+    /// spans into the recorder's bounded per-worker ring buffers.
     pub trace: Option<std::sync::Arc<crate::trace::TraceRecorder>>,
 }
 
@@ -195,14 +149,11 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             batch_size: RecordBatch::DEFAULT_SIZE,
-            validate_wire: false,
-            workers: None,
             channel_capacity: 8,
             fuse_maps: true,
             combine: true,
             mem_budget: Some(strato_core::cost::DEFAULT_MEM_BUDGET_BYTES),
             spill_dir: None,
-            layout: BatchLayout::default(),
             trace: None,
         }
     }
@@ -298,25 +249,6 @@ pub(crate) fn compile_physical(node: &PhysNode, combine: bool) -> Stage {
             }
         }
     }
-}
-
-/// Widens source records to global layout: field `i` of the source goes to
-/// its global attribute position.
-pub(crate) fn widen(
-    records: &DataSet,
-    attrs: &[strato_record::AttrId],
-    width: usize,
-) -> Vec<Record> {
-    records
-        .iter()
-        .map(|r| {
-            let mut out = Record::nulls(width);
-            for (i, &a) in attrs.iter().enumerate() {
-                out.set_field(a.index(), r.field(i).clone());
-            }
-            out
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -530,19 +462,9 @@ enum SendRes {
     Abort,
 }
 
-/// Who to tell when this execution's ready queue grows: the execution's
-/// own scoped worker pool, or the shared runtime pool it registered with.
-enum Notify {
-    /// Standalone execution: workers of this execution sleep on `Sched::cv`.
-    Local,
-    /// Registered with a shared [`EngineRuntime`]: pool workers sleep on
-    /// the runtime's condvar; `Sched::cv` only carries the end-of-run
-    /// signal to the submitter parked in `wait_done`.
-    Runtime(Arc<RtShared>),
-}
-
 struct Sched<'e> {
     core: Mutex<Core>,
+    /// End-of-run signal to the submitter parked in `wait_done`.
     cv: Condvar,
     capacity: usize,
     /// Root output: unbounded, so the sink task never blocks (this is what
@@ -550,9 +472,11 @@ struct Sched<'e> {
     sink: Mutex<Vec<Arc<RecordBatch>>>,
     stats: &'e ExecStats,
     /// Mirror of `core.ready.len()`, readable without the core lock — the
-    /// shared pool's workers scan it to pick the next query fairly.
+    /// pool's workers scan it to pick the next query fairly.
     ready_hint: AtomicUsize,
-    notify: Notify,
+    /// The pool this execution is registered with; its workers sleep on
+    /// the runtime's condvar.
+    rt: &'e RtShared,
     /// Span recorder when this execution is traced (`None` = tracing off,
     /// see [`ExecOptions::trace`]).
     trace: Option<Arc<crate::trace::TraceRecorder>>,
@@ -568,30 +492,18 @@ impl Sched<'_> {
     /// error, or `live` funnels through here.
     fn publish(&self, core: &mut Core, woke: usize, done: bool) {
         if core.error.is_some() {
-            // Aborting: drop everything queued so shared-pool workers stop
+            // Aborting: drop everything queued so pool workers stop
             // picking tasks that would only yield again (task states stay
             // as they are; `wake` on an unqueued Ready task is a no-op and
             // the whole graph is torn down once the submitter returns).
             core.ready.clear();
         }
         self.ready_hint.store(core.ready.len(), Ordering::Release);
-        match &self.notify {
-            Notify::Local => {
-                if done || core.error.is_some() || woke > 1 {
-                    self.cv.notify_all();
-                } else if woke == 1 {
-                    self.cv.notify_one();
-                }
-            }
-            Notify::Runtime(rt) => {
-                if woke > 0 && core.error.is_none() {
-                    rt.poke();
-                }
-                if done || core.error.is_some() {
-                    // Release the submitter blocked in `wait_done`.
-                    self.cv.notify_all();
-                }
-            }
+        if done || core.error.is_some() {
+            // Release the submitter blocked in `wait_done`.
+            self.cv.notify_all();
+        } else if woke > 0 {
+            self.rt.poke();
         }
     }
 
@@ -697,16 +609,10 @@ struct Port {
 }
 
 enum Work<'a> {
-    /// Produce a source partition's widened records, one batch at a time.
-    Scan {
-        it: std::vec::IntoIter<Record>,
-        batch_size: usize,
-    },
-    /// Columnar scan: widen this partition's share of the source rows
-    /// (indices `start, start + stride, …` — the same round-robin split
-    /// as the row scan) straight into column builders, one batch at a
-    /// time. The widen step runs *inside* the task, so at `dop = n` the
-    /// formerly serial widen parallelizes n ways.
+    /// Scan: widen this partition's round-robin share of the source rows
+    /// (indices `next, next + stride, …`) straight into column builders,
+    /// one batch at a time. The widen step runs *inside* the task, so at
+    /// `dop = n` it parallelizes n ways.
     ColScan {
         rows: &'a [Record],
         /// Next source row of this partition.
@@ -785,15 +691,6 @@ fn step(body: &mut TaskBody<'_>, sched: &Sched<'_>) -> Result<StepOutcome, ExecE
         // 2. Produce the next output batches into `scratch`.
         let mut produced_final = false;
         match &mut body.work {
-            Work::Scan { it, batch_size } => {
-                let n = (*batch_size).min(it.len());
-                if n == 0 {
-                    produced_final = true;
-                } else {
-                    let recs: Vec<Record> = it.by_ref().take(n).collect();
-                    scratch.push(Arc::new(RecordBatch::from_records(recs)));
-                }
-            }
             Work::ColScan {
                 rows,
                 next,
@@ -895,10 +792,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One in-flight execution: the scheduler core plus every task body.
-/// Standalone runs drive it with a scoped worker pool
-/// ([`ExecState::worker_loop`]); runs on a shared [`EngineRuntime`]
-/// register it with the pool instead (the [`QueryTasks`] impl) — both
-/// paths execute task steps through the same [`ExecState::run_task`].
+/// [`EngineRuntime::run_query`] registers it with the pool (the
+/// [`QueryTasks`] impl), whose workers execute its task steps through
+/// [`ExecState::run_task`].
 struct ExecState<'a> {
     sched: Sched<'a>,
     bodies: Vec<Mutex<TaskBody<'a>>>,
@@ -909,7 +805,7 @@ impl ExecState<'_> {
     /// out of a step become [`ExecError::Panic`] carrying the operator
     /// name; elapsed time is attributed to the task's own operator slot —
     /// `self.sched.stats` belongs to exactly one query, so attribution
-    /// stays per-query even when shared-pool workers interleave queries.
+    /// stays per-query even when pool workers interleave queries.
     fn run_task(&self, t: usize) {
         // Only the worker that moved `t` to Running touches its body, so
         // this lock is uncontended; it exists to make the borrow safe.
@@ -944,33 +840,6 @@ impl ExecState<'_> {
                     message: panic_message(payload),
                 },
             ),
-        }
-    }
-
-    /// One worker of a standalone run's scoped pool: pop a ready task, run
-    /// a step, repeat until the run drains or fails.
-    fn worker_loop(&self) {
-        loop {
-            let t = {
-                let mut core = self.sched.core.lock().unwrap();
-                loop {
-                    if core.error.is_some() {
-                        return;
-                    }
-                    if let Some(t) = core.ready.pop_front() {
-                        core.state[t] = TState::Running;
-                        self.sched
-                            .ready_hint
-                            .store(core.ready.len(), Ordering::Release);
-                        break t;
-                    }
-                    if core.live == 0 {
-                        return;
-                    }
-                    core = self.sched.cv.wait(core).unwrap();
-                }
-            };
-            self.run_task(t);
         }
     }
 }
@@ -1013,16 +882,37 @@ impl QueryTasks for ExecState<'_> {
 // Driver: build bodies, run the pool, gather the sink.
 // ---------------------------------------------------------------------------
 
-/// Runs a compiled stage tree to completion and gathers the root's
-/// output — standalone (`runtime = None`, a scoped worker pool per run)
-/// or registered with a shared [`EngineRuntime`] pool.
+/// The runtime private to one standalone call: an unbounded memory pool
+/// (so [`ExecOptions::mem_budget`] is the grant) and, at `dop > 1`, one
+/// thread per core up to the number of tasks. At `dop = 1` it has no
+/// threads and the calling thread drives the run — the logical oracle
+/// stays inline and deterministic.
+pub(crate) fn private_runtime(
+    plan: &Plan,
+    root: &Stage,
+    dop: usize,
+    opts: &ExecOptions,
+) -> EngineRuntime {
+    if dop <= 1 {
+        return EngineRuntime::private(0);
+    }
+    let tasks = TaskGraph::build(plan, root, dop, opts.fuse_maps)
+        .stages
+        .len()
+        * dop;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    EngineRuntime::private(cores.min(tasks))
+}
+
+/// Runs a compiled stage tree to completion on `runtime`'s pool and
+/// gathers the root's output.
 pub(crate) fn run(
     plan: &Plan,
     root: &Stage,
     inputs: &Inputs,
     dop: usize,
     opts: &ExecOptions,
-    runtime: Option<&EngineRuntime>,
+    runtime: &EngineRuntime,
 ) -> Result<(DataSet, ExecStats), ExecError> {
     let stats = ExecStats::with_ops(plan.ctx.ops.len());
     let out = run_streaming(plan, root, inputs, dop, opts, &stats, runtime)?;
@@ -1039,28 +929,18 @@ pub(crate) fn run_streaming(
     dop: usize,
     opts: &ExecOptions,
     stats: &ExecStats,
-    runtime: Option<&EngineRuntime>,
+    runtime: &EngineRuntime,
 ) -> Result<DataSet, ExecError> {
     let dop = dop.max(1);
     let graph = TaskGraph::build(plan, root, dop, opts.fuse_maps);
     let n_tasks = graph.stages.len() * dop;
 
-    // The execution's shared memory budget — carved out of the runtime's
-    // global pool when running on one, standalone otherwise. Declared
-    // before the task bodies (which borrow it) so it is dropped after
-    // them — its scoped spill directory disappears (and its grant returns
-    // to the pool) on every exit path, including a worker panic surfaced
-    // as `ExecError::Panic`.
-    let gov = {
-        let mut gov = match runtime {
-            Some(rt) => rt.governor_for(opts),
-            None => MemoryGovernor::with_budget_in(opts.mem_budget, opts.spill_dir.clone()),
-        };
-        // Spill-run and merge spans land in the same recorder as the task
-        // spans of the operators that triggered them.
-        gov.set_trace(opts.trace.clone());
-        gov
-    };
+    // The execution's memory grant, carved out of the runtime's pool.
+    // Declared before the task bodies (which borrow it) so it is dropped
+    // after them — its scoped spill directory disappears and its grant
+    // returns to the pool on every exit path, including a worker panic
+    // surfaced as `ExecError::Panic`.
+    let gov = runtime.governor_for(opts);
 
     // Channel table: consumer stage × port × partition, ids matching the
     // `chan_base` ranges assigned at graph build.
@@ -1086,57 +966,35 @@ pub(crate) fn run_streaming(
     // Task bodies: one per (stage, partition).
     let mut bodies: Vec<Mutex<TaskBody<'_>>> = Vec::with_capacity(n_tasks);
     for (sid, s) in graph.stages.iter().enumerate() {
-        // Row-layout scans widen + split once per stage, then hand
-        // partitions out. Columnar scans instead fuse the widen into
-        // in-task column building: each partition walks its stride of the
-        // *source* rows, so the widen itself parallelizes across dop.
-        // Source rows plus the global-attr -> source-column map.
-        type ColScanSrc<'s> = (&'s [Record], Arc<Vec<Option<usize>>>);
-        let mut scan_parts: Vec<Vec<Record>> = Vec::new();
-        let mut col_scan: Option<ColScanSrc<'_>> = None;
-        if let FlatKind::Scan(src_id) = &s.kind {
-            let src = &plan.ctx.sources[*src_id];
-            let ds = inputs
-                .get(&src.name)
-                .ok_or_else(|| ExecError::MissingInput(src.name.clone()))?;
-            if opts.layout == BatchLayout::ColumnarNative {
+        // Scans share one global-attr -> source-column map per stage;
+        // each partition walks its stride of the source rows.
+        let scan_src = match &s.kind {
+            FlatKind::Scan(src_id) => {
+                let src = &plan.ctx.sources[*src_id];
+                let ds = inputs
+                    .get(&src.name)
+                    .ok_or_else(|| ExecError::MissingInput(src.name.clone()))?;
                 let mut map = vec![None; plan.ctx.width()];
                 for (i, a) in src.attrs.iter().enumerate() {
                     map[a.index()] = Some(i);
                 }
-                col_scan = Some((ds.records(), Arc::new(map)));
-            } else {
-                let wide = widen(ds, &src.attrs, plan.ctx.width());
-                // Round-robin initial placement, as a scan over splits
-                // would.
-                scan_parts = (0..dop).map(|_| Vec::new()).collect();
-                for (i, r) in wide.into_iter().enumerate() {
-                    scan_parts[i % dop].push(r);
-                }
+                Some((ds.records(), Arc::new(map)))
             }
-        }
-        let mut scan_parts = scan_parts.into_iter();
+            _ => None,
+        };
 
         for p in 0..dop {
             let id = sid * dop + p;
             let (work, name, op_id) = match &s.kind {
                 FlatKind::Scan(src_id) => {
-                    let work = match &col_scan {
-                        Some((rows, map)) => Work::ColScan {
-                            rows,
-                            next: p,
-                            stride: dop,
-                            map: Arc::clone(map),
-                            builder: BatchBuilder::new(plan.ctx.width()),
-                            batch_size: opts.batch_size.max(1),
-                        },
-                        None => Work::Scan {
-                            it: scan_parts
-                                .next()
-                                .expect("one split per partition")
-                                .into_iter(),
-                            batch_size: opts.batch_size.max(1),
-                        },
+                    let (rows, map) = scan_src.as_ref().expect("set for scan stages");
+                    let work = Work::ColScan {
+                        rows,
+                        next: p,
+                        stride: dop,
+                        map: Arc::clone(map),
+                        builder: BatchBuilder::new(plan.ctx.width()),
+                        batch_size: opts.batch_size.max(1),
                     };
                     (work, plan.ctx.sources[*src_id].name.as_str(), None)
                 }
@@ -1225,7 +1083,6 @@ pub(crate) fn run_streaming(
                                 op_id,
                                 key,
                                 opts.batch_size,
-                                opts.validate_wire,
                             ))),
                             (base..base + dop).collect(),
                         ),
@@ -1263,55 +1120,22 @@ pub(crate) fn run_streaming(
             sink: Mutex::new(Vec::new()),
             stats,
             ready_hint: AtomicUsize::new(n_tasks),
-            notify: match runtime {
-                Some(rt) => Notify::Runtime(rt.shared_handle()),
-                None => Notify::Local,
-            },
+            rt: runtime.shared(),
             trace: opts.trace.clone(),
             dop,
         },
         bodies,
     };
 
-    match runtime {
-        Some(rt) => {
-            // Shared pool: register, let the runtime's workers interleave
-            // this query's steps with every other in-flight query, wait
-            // for the drain. `opts.workers` is runtime-scoped and ignored.
-            rt.run_query(&state);
-        }
-        None => {
-            let workers = opts
-                .workers
-                .unwrap_or_else(|| {
-                    if dop == 1 {
-                        1
-                    } else {
-                        std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(1)
-                    }
-                })
-                .clamp(1, n_tasks.max(1));
-
-            if workers == 1 {
-                // Inline: no threads at all. Same code path, deterministic
-                // order.
-                state.worker_loop();
-            } else {
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| state.worker_loop());
-                    }
-                });
-            }
-        }
-    }
+    // Register, let the runtime's workers interleave this query's steps
+    // with every other in-flight query, wait for the drain.
+    runtime.run_query(&state);
 
     let core = state.sched.core.into_inner().unwrap();
     if let Some(e) = core.error {
         return Err(e);
     }
+    assert_eq!(core.live, 0, "run_query returned before the run drained");
     let mut all = Vec::new();
     for b in state.sched.sink.into_inner().unwrap() {
         all.extend(operators::take_records(b));
@@ -1417,8 +1241,9 @@ mod tests {
             fuse_maps: false,
             ..ExecOptions::default()
         };
-        let (out_f, st_f) = run(&plan, &compiled, &inputs, 1, &fused_opts, None).unwrap();
-        let (out_u, st_u) = run(&plan, &compiled, &inputs, 1, &unfused_opts, None).unwrap();
+        let inline = EngineRuntime::private(0);
+        let (out_f, st_f) = run(&plan, &compiled, &inputs, 1, &fused_opts, &inline).unwrap();
+        let (out_u, st_u) = run(&plan, &compiled, &inputs, 1, &unfused_opts, &inline).unwrap();
         assert_eq!(out_f, out_u);
         // Fusion changes transport, not semantics: identical UDF call and
         // emit counts, globally and per operator.
@@ -1473,8 +1298,9 @@ mod tests {
             combine: false,
             ..ExecOptions::default()
         };
-        let (out_on, st_on) = run(&plan, &with, &inputs, 4, &on, None).unwrap();
-        let (out_off, st_off) = run(&plan, &without, &inputs, 4, &off, None).unwrap();
+        let rt = private_runtime(&plan, &with, 4, &on);
+        let (out_on, st_on) = run(&plan, &with, &inputs, 4, &on, &rt).unwrap();
+        let (out_off, st_off) = run(&plan, &without, &inputs, 4, &off, &rt).unwrap();
         assert_eq!(out_on.sorted(), out_off.sorted(), "byte-identical bags");
         let (shipped_on, shipped_off) = (st_on.snapshot().2, st_off.snapshot().2);
         assert!(
@@ -1501,18 +1327,29 @@ mod tests {
         let rows: Vec<Vec<i64>> = (0..64).map(|i| vec![i % 7, i]).collect();
         let rows_ref: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let inputs = inputs_for(&plan, &rows_ref);
-        let (reference, ref_stats) =
-            run(&plan, &compiled, &inputs, 1, &ExecOptions::default(), None).unwrap();
+        let inline = EngineRuntime::private(0);
+        let (reference, ref_stats) = run(
+            &plan,
+            &compiled,
+            &inputs,
+            1,
+            &ExecOptions::default(),
+            &inline,
+        )
+        .unwrap();
         for workers in [1usize, 2, 4] {
+            let rt = EngineRuntime::new(crate::runtime::RuntimeOptions {
+                workers: Some(workers),
+                ..Default::default()
+            });
             for capacity in [1usize, 8] {
                 for batch_size in [1usize, 1024] {
                     let opts = ExecOptions {
                         batch_size,
-                        workers: Some(workers),
                         channel_capacity: capacity,
                         ..ExecOptions::default()
                     };
-                    let (out, stats) = run(&plan, &compiled, &inputs, 1, &opts, None).unwrap();
+                    let (out, stats) = run(&plan, &compiled, &inputs, 1, &opts, &rt).unwrap();
                     assert_eq!(
                         out, reference,
                         "workers={workers} capacity={capacity} batch={batch_size}"

@@ -20,6 +20,7 @@
 
 use crate::engine::{ExecError, Inputs};
 use crate::pipeline::{self, ExecOptions};
+use crate::runtime::EngineRuntime;
 use crate::stats::ExecStats;
 use strato_dataflow::{CostHints, Plan};
 use strato_record::DataSet;
@@ -106,7 +107,8 @@ pub fn profile(plan: &Plan, inputs: &Inputs) -> Result<Vec<OpProfile>, ExecError
         ..ExecOptions::default()
     };
     let stats = ExecStats::for_profiling(plan.ctx.ops.len());
-    pipeline::run_streaming(plan, &compiled, inputs, 1, &opts, &stats, None)?;
+    let rt = EngineRuntime::private(0);
+    pipeline::run_streaming(plan, &compiled, inputs, 1, &opts, &stats, &rt)?;
     Ok(stats
         .op_snapshots()
         .into_iter()

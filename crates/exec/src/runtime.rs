@@ -1,11 +1,10 @@
 //! The shared engine runtime: one worker pool and one memory budget for
 //! all concurrent executions of a process.
 //!
-//! Without a runtime, every call to [`crate::execute_with`] spins up its
-//! own worker pool and owns a private memory budget — N concurrent
-//! queries oversubscribe the machine N-fold. [`EngineRuntime`] inverts
-//! that: the pool is created **once**, queries *register* with it, and
-//! the same fixed set of workers drives every in-flight execution.
+//! The pool is created **once**, queries *register* with it, and the
+//! same fixed set of workers drives every in-flight execution. (A
+//! standalone [`crate::execute_with`] call builds a runtime private to
+//! the call — N concurrent ones oversubscribe the machine N-fold.)
 //!
 //! ## Fair scheduling
 //!
@@ -15,10 +14,7 @@
 //! cooperative task step per pick: a heavy query with hundreds of ready
 //! tasks gets exactly one step before the cursor moves on to the next
 //! query with work, so it can never starve a light neighbor. Within a
-//! query, the task order is the execution's own scheduler queue —
-//! identical to the standalone path, which is why results stay
-//! byte-identical (the single-query path is literally the shared path
-//! with one slot).
+//! query, the task order is the execution's own scheduler queue.
 //!
 //! ## Hierarchical memory
 //!
@@ -64,11 +60,10 @@ use strato_record::DataSet;
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
     /// Worker threads in the shared pool. `None` picks the machine's
-    /// available parallelism. Per-query `ExecOptions::workers` is ignored
-    /// on a runtime — the pool's size governs everything it runs.
+    /// available parallelism.
     pub workers: Option<usize>,
     /// The machine-wide memory budget all queries share
-    /// ([`GlobalMemory`]). Per-query `ExecOptions::mem_budget` becomes a
+    /// ([`GlobalMemory`]). Per-query `ExecOptions::mem_budget` is a
     /// *cap* on the slice a query may carve from this pool. `None` =
     /// unbounded pool (each query's own cap applies unchanged). Defaults
     /// to [`strato_core::cost::DEFAULT_GLOBAL_MEM_BUDGET_BYTES`].
@@ -240,6 +235,17 @@ impl EngineRuntime {
                     .unwrap_or(1)
             })
             .max(1);
+        Self::start(workers, opts.mem_budget, opts.spill_dir)
+    }
+
+    /// The runtime of one standalone call: `workers` threads (zero =
+    /// [`EngineRuntime::run_query`] drives the query on the calling
+    /// thread) and an unbounded memory pool.
+    pub(crate) fn private(workers: usize) -> EngineRuntime {
+        Self::start(workers, None, None)
+    }
+
+    fn start(workers: usize, mem_budget: Option<u64>, spill_dir: Option<PathBuf>) -> EngineRuntime {
         let shared = Arc::new(RtShared {
             sched: Mutex::new(RtSched {
                 slots: Vec::new(),
@@ -248,7 +254,7 @@ impl EngineRuntime {
                 recent: VecDeque::new(),
             }),
             cv: Condvar::new(),
-            memory: GlobalMemory::new(opts.mem_budget),
+            memory: GlobalMemory::new(mem_budget),
             workers,
             busy: AtomicUsize::new(0),
             tasks_run: AtomicU64::new(0),
@@ -267,7 +273,7 @@ impl EngineRuntime {
             .collect();
         EngineRuntime {
             shared,
-            spill_dir: opts.spill_dir,
+            spill_dir,
             handles,
         }
     }
@@ -310,7 +316,7 @@ impl EngineRuntime {
     }
 
     /// Builds one execution's governor by carving its grant out of the
-    /// shared pool (capped by the query's own `mem_budget`).
+    /// pool (capped by the query's own `mem_budget`).
     pub(crate) fn governor_for(&self, opts: &ExecOptions) -> MemoryGovernor {
         let base = opts.spill_dir.clone().or_else(|| self.spill_dir.clone());
         let t0 = Instant::now();
@@ -326,12 +332,16 @@ impl EngineRuntime {
                 vec![("granted_bytes", grant.bytes().unwrap_or(0))],
             );
         }
-        MemoryGovernor::with_grant(grant, base)
+        let mut gov = MemoryGovernor::with_grant(grant, base);
+        // Spill-run and merge spans land in the same recorder as the task
+        // spans of the operators that triggered them.
+        gov.set_trace(opts.trace.clone());
+        gov
     }
 
-    /// Handle for the pipeline's wakeup path.
-    pub(crate) fn shared_handle(&self) -> Arc<RtShared> {
-        Arc::clone(&self.shared)
+    /// The pool state the pipeline's wake-up path pokes.
+    pub(crate) fn shared(&self) -> &RtShared {
+        &self.shared
     }
 
     /// Registers `query` with the pool, blocks until it drains, then
@@ -339,6 +349,15 @@ impl EngineRuntime {
     /// only choreographs scheduling.
     pub(crate) fn run_query(&self, query: &(dyn QueryTasks + '_)) {
         let query_id = self.shared.queries_started.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.handles.is_empty() {
+            // No pool to register with: drive the query on the calling
+            // thread. With a single driver a task that yields has always
+            // made its producer or consumer ready, so the queue runs dry
+            // only when the run has drained or failed.
+            while query.run_one() {}
+            self.shared.queries_finished.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         let pin = Arc::new(SlotPin::default());
         // SAFETY: the erased reference is only reachable through the slot
         // table. Before this function returns (and with it the borrow of
@@ -416,7 +435,7 @@ impl EngineRuntime {
         opts: &ExecOptions,
     ) -> Result<(DataSet, ExecStats), ExecError> {
         let compiled = pipeline::compile_physical(&phys.root, opts.combine);
-        pipeline::run(plan, &compiled, inputs, dop, opts, Some(self))
+        pipeline::run(plan, &compiled, inputs, dop, opts, self)
     }
 
     /// [`crate::execute_logical`] on the shared pool.
@@ -436,7 +455,7 @@ impl EngineRuntime {
         opts: &ExecOptions,
     ) -> Result<(DataSet, ExecStats), ExecError> {
         let compiled = pipeline::compile_logical(plan, &plan.root);
-        pipeline::run(plan, &compiled, inputs, 1, opts, Some(self))
+        pipeline::run(plan, &compiled, inputs, 1, opts, self)
     }
 }
 

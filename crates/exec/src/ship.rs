@@ -9,11 +9,11 @@
 //! overlaps the local work of both producer and consumer stages.
 //!
 //! Byte accounting uses [`Record::encoded_len`] — the same approximation
-//! the cost model optimizes against — instead of serializing every record;
-//! the opt-in [`crate::ExecOptions::validate_wire`] mode additionally
-//! round-trips each hash-partitioned record through the wire format and
-//! asserts the decode reproduces the original, preserving the seed
-//! engine's serialization check for tests and debugging.
+//! the cost model optimizes against — instead of serializing every record.
+//! Debug builds additionally round-trip each hash-partitioned record
+//! through the wire format and check the decode reproduces the original,
+//! so every debug test run exercises the serialization and release never
+//! pays for it.
 //!
 //! Accounting rule (see [`ExecStats::add_shipped`]):
 //!
@@ -76,7 +76,7 @@ pub(crate) enum Router<'a> {
         /// first columnar batch).
         col_builders: Vec<Option<BatchBuilder>>,
         batch_size: usize,
-        validate: bool,
+        /// Scratch for the debug-build wire round trip.
         buf: BytesMut,
         /// Scratch: the per-row hash column of the batch being routed.
         hashes: Vec<u64>,
@@ -106,7 +106,6 @@ impl<'a> Router<'a> {
         op: Option<usize>,
         key: &'a [AttrId],
         batch_size: usize,
-        validate: bool,
     ) -> Self {
         Router::Partition {
             first,
@@ -117,7 +116,6 @@ impl<'a> Router<'a> {
             builders: (0..dop).map(|_| Vec::new()).collect(),
             col_builders: (0..dop).map(|_| None).collect(),
             batch_size: batch_size.max(1),
-            validate,
             buf: BytesMut::new(),
             hashes: Vec::new(),
             row_bytes: Vec::new(),
@@ -156,7 +154,6 @@ impl<'a> Router<'a> {
                 builders,
                 col_builders,
                 batch_size,
-                validate,
                 buf,
                 hashes,
                 row_bytes,
@@ -175,7 +172,7 @@ impl<'a> Router<'a> {
                         cb.key_hash_into(key_idx, hashes);
                         cb.row_encoded_lens(row_bytes);
                         let bytes: u64 = row_bytes.iter().map(|&b| b as u64).sum();
-                        if *validate {
+                        if cfg!(debug_assertions) {
                             for row in 0..n {
                                 validate_roundtrip(&cb.row_record(row), buf)?;
                             }
@@ -249,7 +246,7 @@ impl<'a> Router<'a> {
                     for r in crate::operators::take_records(batch) {
                         records += 1;
                         bytes += r.encoded_len() as u64;
-                        if *validate {
+                        if cfg!(debug_assertions) {
                             validate_roundtrip(&r, buf)?;
                         }
                         let p = (crate::operators::key_hash(&r, key) as usize) % *dop;
@@ -379,7 +376,7 @@ mod tests {
         let stats = ExecStats::new();
         let key = [AttrId(0)];
         let mut out = Outbound::new();
-        let mut r = Router::partition(10, 4, Some(0), &key, 1024, false);
+        let mut r = Router::partition(10, 4, Some(0), &key, 1024);
         r.route(batch(&[1, 2, 3]), &mut out, &stats).unwrap();
         r.route(batch(&[1, 4]), &mut out, &stats).unwrap();
         r.finish(&mut out);
@@ -407,7 +404,7 @@ mod tests {
         let key = [AttrId(0)];
         let mut out = Outbound::new();
         // Same key → same destination; batch_size 2 → flush every 2 records.
-        let mut r = Router::partition(0, 2, Some(0), &key, 2, false);
+        let mut r = Router::partition(0, 2, Some(0), &key, 2);
         r.route(batch(&[7, 7, 7, 7, 7]), &mut out, &stats).unwrap();
         assert_eq!(out.len(), 2, "two full batches flushed eagerly");
         r.finish(&mut out);
@@ -445,11 +442,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_wire_mode_roundtrips_cleanly() {
+    fn every_value_kind_survives_the_debug_wire_roundtrip() {
         let stats = ExecStats::new();
         let key = [AttrId(0)];
         let mut out = Outbound::new();
-        let mut r = Router::partition(0, 2, None, &key, 1024, true);
+        let mut r = Router::partition(0, 2, None, &key, 1024);
         r.route(
             Arc::new(
                 [Record::from_values([

@@ -8,10 +8,9 @@
 //!   [`GlobalMemory::carve`] hands out a [`MemoryGrant`] — a slice of the
 //!   not-yet-granted budget, capped by the query's own `mem_budget` —
 //!   which returns to the pool when dropped.
-//! * [`MemoryGovernor`] is the per-execution tracker the operators charge.
-//!   Built [`MemoryGovernor::with_grant`], its budget *is* the grant and
-//!   its resident bytes mirror up into the pool's gauges; built standalone
-//!   ([`MemoryGovernor::with_budget_in`]), it behaves exactly as before.
+//! * [`MemoryGovernor`] is the per-execution tracker the operators charge
+//!   ([`MemoryGovernor::with_grant`]): its budget *is* the grant and its
+//!   resident bytes mirror up into the pool's gauges.
 //!
 //! Pressure is strictly per-query: [`MemoryGovernor::over_budget`]
 //! compares an execution's own resident bytes against its own grant, so a
@@ -66,7 +65,7 @@ impl GlobalMemory {
     /// every batch it buffers, which is slow but correct, and its grant
     /// grows back to normal once earlier queries finish and return theirs.
     /// On an unbounded pool the grant is simply `cap` (`None` = the
-    /// execution runs ungoverned, exactly as without a runtime).
+    /// execution runs ungoverned).
     pub fn carve(self: &Arc<Self>, cap: Option<u64>) -> MemoryGrant {
         let bytes = match self.budget {
             None => cap,
@@ -193,8 +192,6 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 /// the governor drops.
 #[derive(Debug)]
 pub struct MemoryGovernor {
-    /// `None` = unbounded (never spills).
-    budget: Option<u64>,
     /// Bytes currently buffered across all operators of the execution.
     resident: AtomicU64,
     /// Lazily created scoped directory holding this execution's runs.
@@ -203,11 +200,11 @@ pub struct MemoryGovernor {
     base: Option<PathBuf>,
     /// Names run files uniquely within the directory.
     run_seq: AtomicU64,
-    /// The pool grant this governor's budget was carved from, when the
-    /// execution runs on a shared runtime. Held here so the grant returns
-    /// to the pool exactly when the governor drops; resident bytes mirror
-    /// into the pool's gauges through it.
-    grant: Option<MemoryGrant>,
+    /// The pool grant that is this governor's budget (`None` bytes =
+    /// unbounded, never spills). Held here so the grant returns to the
+    /// pool exactly when the governor drops; resident bytes mirror into
+    /// the pool's gauges through it.
+    grant: MemoryGrant,
     /// Span recorder when the owning execution is traced: run writes and
     /// k-way merges record spill spans here (`None` = tracing off).
     trace: Option<Arc<crate::trace::TraceRecorder>>,
@@ -219,24 +216,10 @@ impl MemoryGovernor {
         Self::with_budget(None)
     }
 
-    /// A governor enforcing `budget` bytes (`None` = unbounded), spilling
-    /// into the OS temp directory.
+    /// A governor enforcing `budget` bytes (`None` = unbounded) against a
+    /// pool of its own, spilling into the OS temp directory.
     pub fn with_budget(budget: Option<u64>) -> Self {
-        Self::with_budget_in(budget, None)
-    }
-
-    /// [`MemoryGovernor::with_budget`] with an explicit parent directory
-    /// for the scoped spill directory (`None` = OS temp dir).
-    pub fn with_budget_in(budget: Option<u64>, base: Option<PathBuf>) -> Self {
-        MemoryGovernor {
-            budget,
-            resident: AtomicU64::new(0),
-            dir: Mutex::new(None),
-            base,
-            run_seq: AtomicU64::new(0),
-            grant: None,
-            trace: None,
-        }
+        Self::with_grant(GlobalMemory::new(None).carve(budget), None)
     }
 
     /// A governor whose budget is a [`MemoryGrant`] carved from a shared
@@ -248,12 +231,11 @@ impl MemoryGovernor {
     /// [`over_budget`]: MemoryGovernor::over_budget
     pub fn with_grant(grant: MemoryGrant, base: Option<PathBuf>) -> Self {
         MemoryGovernor {
-            budget: grant.bytes(),
             resident: AtomicU64::new(0),
             dir: Mutex::new(None),
             base,
             run_seq: AtomicU64::new(0),
-            grant: Some(grant),
+            grant,
             trace: None,
         }
     }
@@ -276,24 +258,22 @@ impl MemoryGovernor {
     /// accounting entirely when unbounded.
     #[inline]
     pub fn bounded(&self) -> bool {
-        self.budget.is_some()
+        self.grant.bytes.is_some()
     }
 
     /// Registers `bytes` of newly buffered operator state.
     #[inline]
     pub fn grant(&self, bytes: u64) {
-        if self.budget.is_some() {
+        if self.grant.bytes.is_some() {
             self.resident.fetch_add(bytes, Ordering::Relaxed);
-            if let Some(g) = &self.grant {
-                g.pool.add_resident(bytes);
-            }
+            self.grant.pool.add_resident(bytes);
         }
     }
 
     /// Releases `bytes` of operator state (spilled, flushed or emitted).
     #[inline]
     pub fn release(&self, bytes: u64) {
-        if self.budget.is_some() {
+        if self.grant.bytes.is_some() {
             // Saturating: a release can race a concurrent grant's visibility,
             // and clamping beats wrapping to u64::MAX (permanent pressure).
             // The pool mirror subtracts what was actually subtracted here,
@@ -305,9 +285,7 @@ impl MemoryGovernor {
                     freed = v.min(bytes);
                     Some(v - freed)
                 });
-            if let Some(g) = &self.grant {
-                g.pool.sub_resident(freed);
-            }
+            self.grant.pool.sub_resident(freed);
         }
     }
 
@@ -315,7 +293,7 @@ impl MemoryGovernor {
     /// signal for every buffering operator to shed its state.
     #[inline]
     pub fn over_budget(&self) -> bool {
-        match self.budget {
+        match self.grant.bytes {
             Some(b) => self.resident.load(Ordering::Relaxed) > b,
             None => false,
         }
@@ -369,11 +347,9 @@ impl Drop for MemoryGovernor {
         // square the pool's resident gauge so an aborted query cannot leave
         // phantom bytes pinned against everyone else's headroom. (The grant
         // itself returns via its own drop, which runs after this body.)
-        if let Some(g) = &self.grant {
-            let leftover = self.resident.load(Ordering::Relaxed);
-            if leftover > 0 {
-                g.pool.sub_resident(leftover);
-            }
+        let leftover = self.resident.load(Ordering::Relaxed);
+        if leftover > 0 {
+            self.grant.pool.sub_resident(leftover);
         }
     }
 }

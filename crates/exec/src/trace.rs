@@ -16,9 +16,7 @@
 //! Tracing is **opt-in per execution** through
 //! [`ExecOptions::trace`](crate::ExecOptions): when the option is `None`
 //! (the default), every instrumentation point is a single
-//! `Option` check — no clock reads, no allocation, no locking. The
-//! `engine_trace` bench group pins that the disabled path stays within
-//! noise of the pre-tracing engine.
+//! `Option` check — no clock reads, no allocation, no locking.
 //!
 //! Span sources threaded through the engine:
 //!
@@ -27,7 +25,7 @@
 //! * **ship/scatter** routing of produced batches,
 //! * **spill run writes** and **k-way merges** (including multi-pass
 //!   compaction) of the out-of-core machinery,
-//! * **memory-grant** carving on the shared
+//! * **memory-grant** carving on the
 //!   [`EngineRuntime`](crate::EngineRuntime),
 //! * and, server-side, admission wait / plan compile / optimize spans.
 //!

@@ -368,14 +368,6 @@ fn decode_options(options: Option<&Json>) -> Result<(usize, ExecOptions, bool), 
                 as u64,
         );
     }
-    if let Some(v) = o.get("workers") {
-        exec.workers = Some(
-            v.as_i64()
-                .filter(|w| *w >= 1)
-                .ok_or_else(|| bad("\"workers\" must be a positive integer"))?
-                .min(MAX_DOP as i64) as usize,
-        );
-    }
     if let Some(v) = o.get("trace") {
         trace = v
             .as_bool()

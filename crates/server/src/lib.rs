@@ -10,9 +10,8 @@
 //!   of [`strato_dataflow::spec`] — optimizes it with the full
 //!   enumerate-and-cost optimizer, executes it on the worker pool
 //!   honoring the request's execution options (`dop`, `batch`,
-//!   `combine`, `mem_budget`, `workers`), and streams result rows back
-//!   as a chunked JSON response that closes with the run's execution
-//!   statistics.
+//!   `combine`, `mem_budget`), and streams result rows back as a chunked
+//!   JSON response that closes with the run's execution statistics.
 //! * **`GET /metrics`** exposes cumulative server and execution counters
 //!   in Prometheus text format, down to per-operator series.
 //! * **`GET /healthz`** is a liveness probe.

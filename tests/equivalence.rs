@@ -11,7 +11,9 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use strato::core::{enumerate_all, Optimizer, PropTable};
 use strato::dataflow::{CostHints, Plan, ProgramBuilder, PropertyMode, SourceDef};
-use strato::exec::{execute, execute_logical, execute_with, BatchLayout, ExecOptions, Inputs};
+use strato::exec::{
+    execute, execute_logical, execute_with, EngineRuntime, ExecOptions, Inputs, RuntimeOptions,
+};
 use strato::ir::{BinOp, FuncBuilder, Function, UdfKind, UnOp};
 use strato::record::{DataSet, Record, RecordBatch, Value};
 
@@ -136,6 +138,16 @@ fn random_ds(rng: &mut StdRng, rows: usize, widths: usize, key_domain: i64) -> D
 
 /// Enumerates all plans in both property modes and asserts every
 /// alternative produces the same bag as the original order.
+/// A runtime with `workers` pool threads and an unbounded memory pool, so
+/// `ExecOptions::mem_budget` is the grant — as on a standalone call.
+fn runtime(workers: usize) -> EngineRuntime {
+    EngineRuntime::new(RuntimeOptions {
+        workers: Some(workers),
+        mem_budget: None,
+        spill_dir: None,
+    })
+}
+
 fn assert_all_plans_equivalent(plan: &Plan, inputs: &Inputs, min_expected_plans: usize) {
     let (reference, _) = execute_logical(plan, inputs).expect("reference execution");
     for mode in [PropertyMode::Sca, PropertyMode::Manual] {
@@ -480,11 +492,10 @@ fn physical_plans_agree_with_logical_for_every_alternative() {
 #[test]
 fn physical_agrees_with_logical_across_dop_and_batch_size() {
     // The operator runtime must be invariant under the degree of
-    // parallelism, the batch boundaries, AND the batch layout. Sweep
-    // dop ∈ {1, 2, 4, 8} × batch size ∈ {1, default} × layout ∈
-    // {row-view, columnar-native} over a join + filter + reduce plan,
-    // with wire validation enabled so the opt-in round-trip check also
-    // runs on both layouts.
+    // parallelism and the batch boundaries. Sweep dop ∈ {1, 2, 4, 8} ×
+    // batch size ∈ {1, default} over a join + filter + reduce plan (the
+    // Partition ship's wire round-trip check runs too: tests are debug
+    // builds).
     let mut p = ProgramBuilder::new();
     let l = p.source(SourceDef::new("l", &["lk", "lv"], 50));
     let r = p.source(SourceDef::new("r", &["rk"], 20).with_unique_key(&[0]));
@@ -515,21 +526,16 @@ fn physical_agrees_with_logical_across_dop_and_batch_size() {
         let report = opt.optimize(&plan);
         let best = &report.ranked[0];
         for batch_size in [1usize, RecordBatch::DEFAULT_SIZE] {
-            for layout in [BatchLayout::RowView, BatchLayout::ColumnarNative] {
-                let opts = ExecOptions {
-                    batch_size,
-                    validate_wire: true,
-                    layout,
-                    ..ExecOptions::default()
-                };
-                let (out, _) = execute_with(&best.plan, &best.phys, &inputs, dop, &opts).unwrap();
-                if let Err(diff) = reference.bag_diff(&out) {
-                    panic!(
-                        "divergence at dop={dop} batch_size={batch_size} layout={layout:?}:\n{}\n\
-                         diff: {diff}",
-                        best.phys.render(&best.plan)
-                    );
-                }
+            let opts = ExecOptions {
+                batch_size,
+                ..ExecOptions::default()
+            };
+            let (out, _) = execute_with(&best.plan, &best.phys, &inputs, dop, &opts).unwrap();
+            if let Err(diff) = reference.bag_diff(&out) {
+                panic!(
+                    "divergence at dop={dop} batch_size={batch_size}:\n{}\ndiff: {diff}",
+                    best.phys.render(&best.plan)
+                );
             }
         }
     }
@@ -539,8 +545,8 @@ fn physical_agrees_with_logical_across_dop_and_batch_size() {
 fn streaming_runtime_invariant_under_workers_and_channel_capacity() {
     // The worker-pool scheduler must be a pure transport change: for every
     // dop × batch-size point of the existing sweep, sweeping the pool size
-    // and the channel bound (workers ∈ {1, 2, num_cpus} × capacity ∈
-    // {1, 8}, wire validation on) must reproduce the oracle's output bag
+    // and the channel bound (runtime workers ∈ {1, 2, num_cpus} × capacity
+    // ∈ {1, 8}) must reproduce the oracle's output bag
     // AND the exact shipped-record/byte accounting of the reference
     // configuration — shipping charges per record, so backpressure and
     // scheduling interleavings must never change the totals.
@@ -580,47 +586,40 @@ fn streaming_runtime_invariant_under_workers_and_channel_capacity() {
         // Shipping reference for this dop: the default configuration.
         let (_, ref_stats) = execute(&best.plan, &best.phys, &inputs, dop).unwrap();
         let (_, _, ref_shipped, ref_bytes, _) = ref_stats.snapshot();
-        for batch_size in [1usize, RecordBatch::DEFAULT_SIZE] {
-            for &w in &workers {
+        for &w in &workers {
+            let rt = runtime(w);
+            for batch_size in [1usize, RecordBatch::DEFAULT_SIZE] {
                 for capacity in [1usize, 8] {
                     // Memory axis: unbounded vs a budget far below the
                     // working set. Spilling is operator-internal, so even
-                    // the ship accounting must not move. The layout axis
-                    // rides along: row-view and columnar-native runs must
-                    // reproduce the SAME shipped-record/byte totals as the
-                    // (columnar) reference — the layout is a pure
-                    // execution knob, invisible in results and accounting.
+                    // the ship accounting must not move.
                     for mem_budget in [None, Some(64u64)] {
-                        for layout in [BatchLayout::RowView, BatchLayout::ColumnarNative] {
-                            let opts = ExecOptions {
-                                batch_size,
-                                validate_wire: true,
-                                workers: Some(w),
-                                channel_capacity: capacity,
-                                mem_budget,
-                                layout,
-                                ..ExecOptions::default()
-                            };
-                            let (out, stats) =
-                                execute_with(&best.plan, &best.phys, &inputs, dop, &opts).unwrap();
-                            let tag = format!(
-                                "dop={dop} batch={batch_size} workers={w} capacity={capacity} \
-                                 budget={mem_budget:?} layout={layout:?}"
-                            );
-                            if let Err(diff) = reference.bag_diff(&out) {
-                                panic!("divergence at {tag}:\ndiff: {diff}");
+                        let opts = ExecOptions {
+                            batch_size,
+                            channel_capacity: capacity,
+                            mem_budget,
+                            ..ExecOptions::default()
+                        };
+                        let (out, stats) = rt
+                            .execute_with(&best.plan, &best.phys, &inputs, dop, &opts)
+                            .unwrap();
+                        let tag = format!(
+                            "dop={dop} batch={batch_size} workers={w} capacity={capacity} \
+                             budget={mem_budget:?}"
+                        );
+                        if let Err(diff) = reference.bag_diff(&out) {
+                            panic!("divergence at {tag}:\ndiff: {diff}");
+                        }
+                        let (_, _, shipped, bytes, _) = stats.snapshot();
+                        assert_eq!(shipped, ref_shipped, "shipped records at {tag}");
+                        assert_eq!(bytes, ref_bytes, "shipped bytes at {tag}");
+                        let (_, _, spill_runs) = stats.spill_snapshot();
+                        match mem_budget {
+                            Some(_) => {
+                                assert!(spill_runs > 0, "tiny budget must spill at {tag}")
                             }
-                            let (_, _, shipped, bytes, _) = stats.snapshot();
-                            assert_eq!(shipped, ref_shipped, "shipped records at {tag}");
-                            assert_eq!(bytes, ref_bytes, "shipped bytes at {tag}");
-                            let (_, _, spill_runs) = stats.spill_snapshot();
-                            match mem_budget {
-                                Some(_) => {
-                                    assert!(spill_runs > 0, "tiny budget must spill at {tag}")
-                                }
-                                None => {
-                                    assert_eq!(spill_runs, 0, "unbounded must not spill at {tag}")
-                                }
+                            None => {
+                                assert_eq!(spill_runs, 0, "unbounded must not spill at {tag}")
                             }
                         }
                     }
@@ -671,6 +670,7 @@ fn combiner_axis_is_byte_identical_and_strictly_cuts_shipping() {
             dop,
         );
         assert!(phys.root.combine, "optimizer must pick the combiner");
+        let runtimes = [1usize, 2].map(|w| (w, runtime(w)));
         let mut shipped_at: [Option<(u64, u64)>; 2] = [None, None];
         // 32 bytes sits below even a two-partial StreamAgg table (~22
         // bytes per 2-int partial), so every partition that holds at
@@ -681,19 +681,17 @@ fn combiner_axis_is_byte_identical_and_strictly_cuts_shipping() {
         for mem_budget in [None, Some(32u64)] {
             for combine in [false, true] {
                 for batch_size in [1usize, 1024] {
-                    for workers in [1usize, 2] {
+                    for (workers, rt) in &runtimes {
                         for capacity in [1usize, 8] {
                             let opts = ExecOptions {
                                 batch_size,
-                                validate_wire: true,
-                                workers: Some(workers),
                                 channel_capacity: capacity,
                                 combine,
                                 mem_budget,
                                 ..ExecOptions::default()
                             };
                             let (out, stats) =
-                                execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
+                                rt.execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
                             let tag = format!(
                                 "dop={dop} combine={combine} batch={batch_size} \
                                  workers={workers} capacity={capacity} budget={mem_budget:?}"
@@ -805,17 +803,16 @@ fn partition_ship_stats_are_exact_on_a_known_plan() {
             &strato::core::cost::CostWeights::default(),
             dop,
         );
-        for batch_size in [1usize, RecordBatch::DEFAULT_SIZE] {
-            for workers in [1usize, 3] {
+        for workers in [1usize, 3] {
+            let rt = runtime(workers);
+            for batch_size in [1usize, RecordBatch::DEFAULT_SIZE] {
                 for capacity in [1usize, 8] {
                     let opts = ExecOptions {
                         batch_size,
-                        validate_wire: false,
-                        workers: Some(workers),
                         channel_capacity: capacity,
                         ..ExecOptions::default()
                     };
-                    let (_, stats) = execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
+                    let (_, stats) = rt.execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
                     let (_, _, shipped, bytes, _) = stats.snapshot();
                     let tag =
                         format!("dop={dop} batch={batch_size} workers={workers} cap={capacity}");
@@ -969,7 +966,6 @@ fn every_blocking_operator_spills_under_a_tiny_budget_without_changing_results()
             );
             for mem_budget in [None, Some(64u64)] {
                 let opts = ExecOptions {
-                    validate_wire: true,
                     mem_budget,
                     ..ExecOptions::default()
                 };

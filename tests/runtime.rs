@@ -4,7 +4,8 @@
 //! The central guarantees, pinned here:
 //!
 //! * every concurrently submitted query is **byte-identical** to the same
-//!   query run serially (standalone pool) and to the logical oracle —
+//!   query run serially (a standalone call on its private runtime) and to
+//!   the logical oracle —
 //!   sharing workers and memory is invisible in results,
 //! * the global pool bounds resident memory: grants are carved from one
 //!   budget, so the peak resident bytes across all queries stay within
@@ -70,8 +71,8 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
         ..ExecOptions::default()
     };
 
-    // Serial references: the standalone engine (its own pool, its own
-    // budget) and the single-partition logical oracle.
+    // Serial references: standalone calls (each on its private runtime)
+    // and the single-partition logical oracle.
     let references: Vec<DataSet> = queries
         .iter()
         .map(|(plan, phys, inputs)| {
@@ -88,14 +89,16 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
         ..RuntimeOptions::default()
     });
 
-    // All K queries in flight at once on the shared pool.
+    // All K queries in flight at once on the shared pool (the barrier
+    // keeps an early thread from finishing before the last one starts).
+    let start = std::sync::Barrier::new(K);
     let results: Vec<(DataSet, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = queries
             .iter()
             .map(|(plan, phys, inputs)| {
-                let opts = &opts;
-                let rt = &rt;
+                let (opts, rt, start) = (&opts, &rt, &start);
                 scope.spawn(move || {
+                    start.wait();
                     let (out, stats) = rt
                         .execute_with(plan, phys, inputs, 2, opts)
                         .expect("concurrent run");

@@ -335,6 +335,33 @@ fn protocol_errors_map_to_4xx() {
 }
 
 #[test]
+fn unknown_option_keys_are_ignored() {
+    // `"workers"` used to be a request option; the pool size is the
+    // server's. A body that still carries it — even a value the old range
+    // check refused — is answered exactly like one without.
+    let handle = boot(2, 2);
+    let query = |options: &str| {
+        let body = format!(
+            r#"{{"flow": {{"op": {{"name": "sum", "kind": "reduce", "key": [0],
+                                 "udf": {{"fn": "fold", "op": "sum", "field": 1}}}},
+                         "inputs": [{{"source": {{"name": "s", "fields": ["k", "v"],
+                                                "est_rows": 4}}}}]}},
+                "inputs": {{"s": [[1, 10], [2, 5], [1, -3], [2, 7]]}},
+                "options": {options}}}"#
+        );
+        let r = client::post_json(handle.addr(), "/v1/query", &body).expect("query");
+        assert_eq!(r.status, 200, "{options}: {}", r.text());
+        let doc = Json::parse(&r.text()).expect("response is JSON");
+        doc.get("rows").expect("rows member").to_string()
+    };
+    let plain = query(r#"{"dop": 2}"#);
+    assert_eq!(plain, "[[1,7],[2,12]]");
+    assert_eq!(query(r#"{"dop": 2, "workers": 3}"#), plain);
+    assert_eq!(query(r#"{"dop": 2, "workers": 0}"#), plain);
+    handle.shutdown();
+}
+
+#[test]
 fn traced_query_returns_trace_explain_and_history() {
     let handle = boot(2, 2);
     let addr = handle.addr();

@@ -8,7 +8,10 @@ use strato::core::cost::CostWeights;
 use strato::core::physical::best_physical;
 use strato::core::{PhysPlan, PropTable};
 use strato::dataflow::{CostHints, Plan, ProgramBuilder, PropertyMode, SourceDef};
-use strato::exec::{execute_with, explain_analyze, ExecOptions, Inputs, Span, TraceRecorder};
+use strato::exec::{
+    execute_logical_with, execute_with, explain_analyze, EngineRuntime, ExecOptions, Inputs,
+    RuntimeOptions, Span, TraceRecorder,
+};
 use strato::record::{DataSet, Record, Value};
 use strato::server::json::Json;
 use strato::workloads::udfs;
@@ -206,4 +209,46 @@ fn explain_analyze_reports_estimates_against_actuals() {
     // The estimator knew the distinct-key count, so the aggregate's
     // cardinality error is an honest finite factor.
     assert!(!report.contains("Δrows=inf"), "{report}");
+}
+
+#[test]
+fn standalone_calls_are_the_same_executor_on_a_private_runtime() {
+    let (plan, phys, inputs) = grouped_sum(600);
+    let traced = || {
+        let recorder = TraceRecorder::new(1);
+        let opts = ExecOptions {
+            trace: Some(recorder.clone()),
+            ..ExecOptions::default()
+        };
+        (recorder, opts)
+    };
+    let categories = |recorder: &TraceRecorder| -> std::collections::BTreeSet<&'static str> {
+        recorder.spans().iter().map(|(_, s)| s.cat).collect()
+    };
+
+    // dop = 4: a standalone call and an explicit runtime do the same work
+    // and leave the same kinds of spans (the private runtime carves a
+    // memory grant like any other).
+    let (standalone_rec, opts) = traced();
+    let (standalone, standalone_stats) = execute_with(&plan, &phys, &inputs, 4, &opts).unwrap();
+    let (shared_rec, opts) = traced();
+    let rt = EngineRuntime::new(RuntimeOptions {
+        workers: Some(2),
+        ..RuntimeOptions::default()
+    });
+    let (shared, shared_stats) = rt.execute_with(&plan, &phys, &inputs, 4, &opts).unwrap();
+    assert_eq!(standalone, shared);
+    assert_eq!(standalone_stats.totals(), shared_stats.totals());
+    assert_eq!(categories(&standalone_rec), categories(&shared_rec));
+    assert!(categories(&standalone_rec).contains("mem"));
+
+    // dop = 1: the private runtime has no threads. Every span — the
+    // caller's memory-grant carve and each task step — sits on one lane,
+    // i.e. was recorded by the calling thread.
+    let (inline_rec, opts) = traced();
+    execute_logical_with(&plan, &inputs, &opts).unwrap();
+    let spans = inline_rec.spans();
+    assert!(spans.iter().any(|(_, s)| s.cat == "task"));
+    assert!(spans.iter().any(|(_, s)| s.cat == "mem"));
+    assert!(spans.iter().all(|(lane, _)| *lane == spans[0].0));
 }
