@@ -65,9 +65,8 @@ pub enum LocalStrategy {
 }
 
 impl LocalStrategy {
-    /// The algorithm a PACT runs when no physical optimization chose one —
-    /// the lowering hook the execution runtime's compile step uses for
-    /// logical (oracle) plans.
+    /// The algorithm a PACT runs when no physical optimization chose one
+    /// (see [`PhysPlan::logical`]).
     pub fn default_for(pact: &Pact) -> LocalStrategy {
         match pact {
             Pact::Map => LocalStrategy::Pipe,
@@ -148,6 +147,32 @@ pub struct PhysPlan {
 }
 
 impl PhysPlan {
+    /// A logical plan *is* a physical plan with default strategies: every
+    /// ship [`Ship::Forward`], every operator its PACT's
+    /// [`LocalStrategy::default_for`], no combiners — what the execution
+    /// engine runs (on one partition) as the semantics oracle. Costs are
+    /// left at zero: nothing was chosen, so nothing was priced.
+    pub fn logical(plan: &Plan) -> PhysPlan {
+        fn lower(plan: &Plan, node: &Arc<PlanNode>) -> PhysNode {
+            PhysNode {
+                logical: node.clone(),
+                ships: vec![Ship::Forward; node.children.len()],
+                local: match node.kind {
+                    NodeKind::Source(_) => LocalStrategy::Pipe,
+                    NodeKind::Op(o) => LocalStrategy::default_for(&plan.ctx.ops[o].pact),
+                },
+                combine: false,
+                children: node.children.iter().map(|c| lower(plan, c)).collect(),
+                est: estimate(plan, node),
+                cost: 0.0,
+            }
+        }
+        PhysPlan {
+            root: lower(plan, &plan.root),
+            total_cost: 0.0,
+        }
+    }
+
     /// Renders the plan.
     pub fn render(&self, plan: &Plan) -> String {
         let mut s = String::new();
@@ -781,6 +806,25 @@ mod tests {
         // Write + read: every byte beyond the budget is charged twice at the
         // disk rate.
         assert_eq!(just_over, 2.0 * 1024.0 * w.disk);
+    }
+
+    #[test]
+    fn logical_plan_carries_default_strategies_and_no_shipping() {
+        let mut p = ProgramBuilder::new();
+        let l = p.source(SourceDef::new("l", &["k", "v"], 100));
+        let r = p.source(SourceDef::new("r", &["k2"], 10));
+        let j = p.match_("j", &[0], &[0], join_udf(2, 1), CostHints::default(), l, r);
+        let g = p.reduce("g", &[0], sum_inplace(3, 1), CostHints::default(), j);
+        let plan = p.finish(g).unwrap().bind().unwrap();
+        let phys = PhysPlan::logical(&plan);
+        let (reduce, join) = (&phys.root, &phys.root.children[0]);
+        assert_eq!(reduce.local, LocalStrategy::HashGroup);
+        assert!(!reduce.combine, "the oracle never combines");
+        assert_eq!(reduce.ships, vec![Ship::Forward]);
+        assert_eq!(join.local, LocalStrategy::HashJoinBuildLeft);
+        assert_eq!(join.ships, vec![Ship::Forward, Ship::Forward]);
+        assert_eq!(join.children.len(), 2);
+        assert_eq!(reduce.est.rows, estimate(&plan, &plan.root).rows);
     }
 
     #[test]

@@ -2,23 +2,21 @@
 //!
 //! The actual runtime lives in [`crate::operators`] (one physical operator
 //! per PACT), `crate::ship` (data movement between partitions) and
-//! [`crate::pipeline`] (plan lowering + the batch driver). Both entry
-//! points here lower to that same runtime:
+//! [`crate::pipeline`] (plan lowering + the batch driver):
 //!
-//! * [`execute_logical`] — single-partition reference execution of a
-//!   *logical* plan (default strategies, no shipping). Deterministic; the
+//! * [`execute`] — execution of a [`strato_core::PhysPlan`] with `dop`
+//!   partitions, streamed as a task graph over a worker pool (see
+//!   [`crate::pipeline`]).
+//! * [`execute_logical`] — the same call on [`PhysPlan::logical`]
+//!   (default strategies, no shipping) at `dop = 1`. Deterministic; the
 //!   oracle the plan-equivalence test harness uses.
-//! * [`execute`] — full physical execution of a [`strato_core::PhysPlan`]
-//!   with `dop` partitions, streamed as a task graph over a worker pool
-//!   (see [`crate::pipeline`]).
 //!
-//! Each call runs on an [`EngineRuntime`] private to it; the runtime's
-//! methods of the same names share one pool between calls. The `_with`
-//! variants take [`ExecOptions`] to tune batch size, channel capacity, Map
-//! fusion, combining, memory budget or tracing.
+//! Each call runs on an [`EngineRuntime`](crate::EngineRuntime) private
+//! to it; the runtime's methods of the same names share one pool between
+//! calls. The `_with` variants take [`ExecOptions`] to tune batch size,
+//! channel capacity, Map fusion, combining, memory budget or tracing.
 
 use crate::pipeline::{self, ExecOptions};
-use crate::runtime::EngineRuntime;
 use crate::stats::ExecStats;
 use std::collections::HashMap;
 use strato_core::PhysPlan;
@@ -85,7 +83,7 @@ pub fn execute_logical_with(
     inputs: &Inputs,
     opts: &ExecOptions,
 ) -> Result<(DataSet, ExecStats), ExecError> {
-    EngineRuntime::private(0).execute_logical_with(plan, inputs, opts)
+    execute_with(plan, &PhysPlan::logical(plan), inputs, 1, opts)
 }
 
 /// Executes a physical plan with `dop` partitions. Every `stage ×
@@ -139,18 +137,16 @@ pub fn execute_with(
     dop: usize,
     opts: &ExecOptions,
 ) -> Result<(DataSet, ExecStats), ExecError> {
-    let compiled = pipeline::compile_physical(&phys.root, opts.combine);
-    let rt = pipeline::private_runtime(plan, &compiled, dop, opts);
-    pipeline::run(plan, &compiled, inputs, dop, opts, &rt)
+    pipeline::run(plan, &phys.root, inputs, dop, opts, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_single, OpCtx};
+    use crate::operators::apply_chunked;
+    use crate::runtime::EngineRuntime;
     use strato_core::{cost::CostWeights, physical::best_physical, LocalStrategy, PropTable};
     use strato_dataflow::{CostHints, ProgramBuilder, PropertyMode, SourceDef};
-    use strato_ir::interp::Interp;
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
     use strato_record::{Record, Value};
 
@@ -236,7 +232,7 @@ mod tests {
             .map(|r| (r.field(0).as_int().unwrap(), r.field(2).as_int().unwrap()))
             .collect();
         assert_eq!(sums, vec![(1, 30), (2, 5)]);
-        let (calls, ..) = stats.snapshot();
+        let calls = stats.totals().udf_calls;
         // 5 map calls + 2 reduce groups.
         assert_eq!(calls, 7);
     }
@@ -263,7 +259,8 @@ mod tests {
         let (logical, _) = execute_logical(&plan, &inputs).unwrap();
         let (physical, stats) = execute(&plan, &phys, &inputs, 4).unwrap();
         assert_eq!(logical, physical, "physical must agree with logical");
-        let (_, _, shipped, bytes, _) = stats.snapshot();
+        let t = stats.totals();
+        let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
         assert!(shipped > 0, "reduce must repartition");
         assert!(bytes > 0);
     }
@@ -286,8 +283,14 @@ mod tests {
         let (out, stats) = execute_with(&plan, &phys, &inputs, 3, &opts).unwrap();
         assert_eq!(reference, out);
         // Shipping accounting is independent of batch size.
-        assert_eq!(ref_stats.snapshot().2, stats.snapshot().2);
-        assert_eq!(ref_stats.snapshot().3, stats.snapshot().3);
+        assert_eq!(
+            ref_stats.totals().records_shipped,
+            stats.totals().records_shipped
+        );
+        assert_eq!(
+            ref_stats.totals().bytes_shipped,
+            stats.totals().bytes_shipped
+        );
     }
 
     #[test]
@@ -439,7 +442,7 @@ mod tests {
         // Sanity half: without the panicking map, this budget really does
         // spill — so the panic run below had spill files to clean up.
         let (_, stats) = execute_logical_with(&build(false), &inputs, &opts).unwrap();
-        assert!(stats.spill_snapshot().2 > 0, "budget must force spills");
+        assert!(stats.totals().spill_runs > 0, "budget must force spills");
         let emptied = |base: &std::path::Path| std::fs::read_dir(base).unwrap().next().is_none();
         assert!(emptied(&base), "successful run removed its directory");
 
@@ -480,9 +483,9 @@ mod tests {
         assert_eq!(out, out2);
     }
 
-    #[test]
-    fn cogroup_execution_covers_both_domains() {
-        // CoGroup UDF: emit one record with key-side count difference.
+    /// `l(k) ⋈ r(k2)` co-grouped on the key; the UDF emits one record per
+    /// group carrying the sides' count difference.
+    fn cogroup_plan() -> (Plan, Inputs) {
         let mut b = FuncBuilder::new("cg", UdfKind::CoGroup, vec![1, 1]);
         let nl = b.group_count(0);
         let nr = b.group_count(1);
@@ -500,6 +503,12 @@ mod tests {
         let mut inputs = Inputs::new();
         inputs.insert("l".into(), ds(&[&[1], &[1], &[2]]));
         inputs.insert("r".into(), ds(&[&[2], &[3]]));
+        (plan, inputs)
+    }
+
+    #[test]
+    fn cogroup_execution_covers_both_domains() {
+        let (plan, inputs) = cogroup_plan();
         let (out, _) = execute_logical(&plan, &inputs).unwrap();
         // Keys 1, 2, 3 → three groups.
         assert_eq!(out.len(), 3);
@@ -512,65 +521,141 @@ mod tests {
         assert_eq!(diffs, vec![-1, 0, 2]);
     }
 
+    /// What one operator instance produced and observed.
+    #[derive(Debug, PartialEq)]
+    struct Applied {
+        out: Vec<Record>,
+        udf_calls: u64,
+        distinct_keys: u64,
+    }
+
+    /// The budgets of the finish-path sweep: ungoverned, spill every
+    /// batch, and spill now and then.
+    const BUDGETS: [Option<u64>; 3] = [None, Some(0), Some(256)];
+
+    /// Drives the plan's last operator over materialized inputs, two
+    /// records per batch, under `mem_budget` with profiling detail on.
     fn apply(
         plan: &Plan,
-        op_name: &str,
         strategy: LocalStrategy,
-        inputs: Vec<Vec<Record>>,
-    ) -> Vec<Record> {
-        let stats = ExecStats::new();
-        let gov = crate::spill::MemoryGovernor::unbounded();
-        let ctx = OpCtx {
-            interp: Interp::default(),
-            stats: &stats,
-            gov: &gov,
-            batch_size: 64,
-            op_id: 0,
-        };
-        let op = plan.ctx.ops.iter().find(|o| o.name == op_name).unwrap();
-        apply_single(op, strategy, inputs, ctx).unwrap()
+        inputs: &[Vec<Record>],
+        mem_budget: Option<u64>,
+    ) -> Applied {
+        let stats = ExecStats::for_profiling(1);
+        let gov = crate::spill::MemoryGovernor::with_budget(mem_budget);
+        let ctx = crate::testutil::ctx(&stats, &gov);
+        let op = plan.ctx.ops.last().unwrap();
+        let out = apply_chunked(op, strategy, inputs, 2, ctx).unwrap();
+        if mem_budget == Some(0) {
+            let runs = stats.totals().spill_runs;
+            assert!(runs > 1, "{strategy:?} must spill every batch: {runs}");
+        }
+        Applied {
+            out,
+            udf_calls: stats.totals().udf_calls,
+            distinct_keys: stats.op_snapshots()[0].distinct_keys,
+        }
     }
 
     #[test]
     fn sort_strategies_agree_with_hash() {
         let plan = sum_plan();
-        let mut inputs = Inputs::new();
-        inputs.insert(
-            "s".into(),
-            ds(&[&[5, 1], &[5, 2], &[4, 3], &[4, 4], &[1, 9]]),
-        );
-        let wide = widen(&plan, 0, inputs.get("s").unwrap());
-        let hash = apply(&plan, "sum", LocalStrategy::HashGroup, vec![wide.clone()]);
-        let sort = apply(&plan, "sum", LocalStrategy::SortGroup, vec![wide]);
-        // Same bag — and same canonical group order, record for record.
-        assert_eq!(hash, sort);
+        let mut rows = ds(&[&[5, 1], &[5, 2], &[4, 3], &[4, 4], &[1, 9], &[4, 0]]);
+        rows.push(Record::from_values([Value::Null, Value::Int(7)]));
+        let wide = vec![widen(&plan, 0, &rows)];
+        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, None);
+        assert_eq!((reference.udf_calls, reference.distinct_keys), (4, 4));
+        // Same bag — and same canonical group order, record for record —
+        // whichever algorithm groups and however many runs feed it.
+        for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
+            for budget in BUDGETS {
+                let got = apply(&plan, strategy, &wide, budget);
+                assert_eq!(got, reference, "{strategy:?} at {budget:?}");
+            }
+        }
     }
 
     #[test]
-    fn sort_merge_join_agrees_with_hash_join() {
+    fn stream_agg_agrees_with_hash_grouping() {
+        let mut p = ProgramBuilder::new();
+        let s = p.source(SourceDef::new("s", &["k", "v"], 8));
+        let udf = crate::testutil::sum_inplace(2, 1);
+        let r = p.reduce("agg", &[0], udf, CostHints::default(), s);
+        let plan = p.finish(r).unwrap().bind().unwrap();
+        let mut rows = ds(&[&[3, 10], &[1, 1], &[3, -4], &[2, 7], &[1, 5], &[3, 9]]);
+        rows.push(Record::from_values([Value::Null, Value::Int(7)]));
+        let wide = vec![widen(&plan, 0, &rows)];
+        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, None);
+        assert_eq!((reference.udf_calls, reference.distinct_keys), (4, 4));
+        for budget in BUDGETS {
+            let got = apply(&plan, LocalStrategy::StreamAgg, &wide, budget);
+            assert_eq!(got, reference, "StreamAgg at {budget:?}");
+        }
+    }
+
+    #[test]
+    fn merge_join_agrees_with_hash_join() {
         let mut p = ProgramBuilder::new();
         let l = p.source(SourceDef::new("l", &["k", "v"], 10));
         let r = p.source(SourceDef::new("r", &["k2"], 5));
         let j = p.match_("j", &[0], &[0], join_udf(2, 1), CostHints::default(), l, r);
         let plan = p.finish(j).unwrap().bind().unwrap();
-        let left = widen(&plan, 0, &ds(&[&[1, 10], &[2, 20], &[2, 21], &[3, 30]]));
-        let right = widen(&plan, 1, &ds(&[&[2], &[2], &[3]]));
-        let h = apply(
-            &plan,
-            "j",
+        let mut left = ds(&[&[1, 10], &[2, 20], &[2, 21], &[3, 30]]);
+        left.push(Record::from_values([Value::Null, Value::Int(40)]));
+        left.push(Record::from_values([Value::Null, Value::Int(41)]));
+        let mut right = ds(&[&[2], &[2], &[3], &[7]]);
+        right.push(Record::from_values([Value::Null]));
+        let sides = vec![widen(&plan, 0, &left), widen(&plan, 1, &right)];
+
+        let smj = apply(&plan, LocalStrategy::SortMergeJoin, &sides, None);
+        assert_eq!(smj.out.len(), 5); // k2: 2×2 pairs, k3: 1 pair.
+                                      // Keys 1, 2, 3 — and the null keys, counted once.
+        assert_eq!((smj.udf_calls, smj.distinct_keys), (5, 4));
+        for strategy in [
+            LocalStrategy::SortMergeJoin,
             LocalStrategy::HashJoinBuildLeft,
-            vec![left.clone(), right.clone()],
-        );
-        let hr = apply(
-            &plan,
-            "j",
             LocalStrategy::HashJoinBuildRight,
-            vec![left.clone(), right.clone()],
-        );
-        let smj = apply(&plan, "j", LocalStrategy::SortMergeJoin, vec![left, right]);
-        let hd = DataSet::from_records(h);
-        assert_eq!(hd, DataSet::from_records(hr));
-        assert_eq!(hd, DataSet::from_records(smj));
-        assert_eq!(hd.len(), 5); // k2: 2×2 pairs, k3: 1 pair.
+        ] {
+            for budget in BUDGETS {
+                let got = apply(&plan, strategy, &sides, budget);
+                let tag = format!("{strategy:?} at {budget:?}");
+                // One walk: the sort-merge sequence is reproduced exactly
+                // by SortMergeJoin at any budget and by every spilled join.
+                if strategy == LocalStrategy::SortMergeJoin || budget == Some(0) {
+                    assert_eq!(got, smj, "{tag}");
+                }
+                // The hash joins pair in probe order: same bag.
+                assert_eq!(
+                    DataSet::from_records(got.out),
+                    DataSet::from_records(smj.out.clone()),
+                    "{tag}"
+                );
+                assert_eq!(
+                    (got.udf_calls, got.distinct_keys),
+                    (smj.udf_calls, smj.distinct_keys),
+                    "{tag}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cogroup_walk_is_the_same_at_every_budget() {
+        let (plan, _) = cogroup_plan();
+        let mut left = ds(&[&[1], &[1], &[2], &[9]]);
+        left.push(Record::from_values([Value::Null]));
+        let right = ds(&[&[2], &[3], &[9], &[9]]);
+        let sides = vec![widen(&plan, 0, &left), widen(&plan, 1, &right)];
+        let strategy = LocalStrategy::CoGroupSortMerge;
+        let reference = apply(&plan, strategy, &sides, None);
+        // Keys null, 1, 2, 3, 9 → five groups; four of them on the left.
+        assert_eq!((reference.udf_calls, reference.distinct_keys), (5, 4));
+        for budget in BUDGETS {
+            assert_eq!(
+                apply(&plan, strategy, &sides, budget),
+                reference,
+                "CoGroup at {budget:?}"
+            );
+        }
     }
 }

@@ -10,24 +10,27 @@
 //! * [`operators`] — one physical [`operators::Operator`]
 //!   (open / push-batch / finish) per PACT, covering the ship-independent
 //!   local strategies (pipelined map — optionally a fused map chain —
-//!   hash/sort grouping, hash join with build side, sort-merge join, block
-//!   nested loops, sort-merge co-group);
+//!   hash grouping and hash join in memory, block nested loops, and one
+//!   sort-based finish per blocking operator for sort grouping, sort-merge
+//!   join, co-grouping and everything that spilled);
 //! * `ship` (private) — per-batch routing between
 //!   partitions: forward, hash repartition (no serialization on the hot
 //!   path; bytes accounted via `encoded_len`, wire round trip checked in
 //!   debug builds) and `Arc`-shared broadcast;
-//! * [`pipeline`] — lowers `(Plan, PhysPlan)` to a stage tree, fuses
-//!   adjacent Forward-shipped Maps, flattens to one task per
-//!   `stage × partition`, and schedules the tasks cooperatively on an
-//!   [`EngineRuntime`]'s workers with bounded-channel backpressure; the
-//!   **same** lowering and operators serve both entry points. Worker
+//! * [`pipeline`] — flattens a [`strato_core::PhysPlan`] into one task per
+//!   `stage × partition`, fusing adjacent Forward-shipped Maps and
+//!   splicing in pre-ship combiners, and schedules the tasks cooperatively
+//!   on an [`EngineRuntime`]'s workers with bounded-channel backpressure;
+//!   the **same** lowering and operators serve both entry points. Worker
 //!   panics are contained per task and surfaced as [`ExecError::Panic`].
-//! * [`spill`] — out-of-core execution: blocking operators register their
-//!   buffered state with a shared per-execution [`MemoryGovernor`]
-//!   ([`ExecOptions::mem_budget`], default = the cost model's budget) and,
-//!   under pressure, flush it to sorted runs on disk, finishing via a
-//!   loser-tree k-way merge; the pre-ship combiner instead flushes its
-//!   partials downstream Hadoop-style.
+//! * [`spill`] — out-of-core execution: blocking operators keep their
+//!   buffered state in governed run buffers charged to a shared
+//!   per-execution [`MemoryGovernor`] ([`ExecOptions::mem_budget`],
+//!   default = the cost model's budget) and, under pressure, shed it as
+//!   sorted runs on disk; their sort-based finish merges the in-memory
+//!   tail with however many runs exist (a loser-tree k-way merge), so an
+//!   in-memory run is simply the zero-run case. The pre-ship combiner
+//!   instead flushes its partials downstream Hadoop-style.
 //! * [`runtime`] — the engine runtime every execution runs on: one
 //!   [`EngineRuntime`] worker pool scheduling tasks from all in-flight
 //!   queries round-robin (per-query fairness), and one [`GlobalMemory`]
@@ -42,11 +45,12 @@
 //!
 //! Two entry points (plus their [`EngineRuntime`] counterparts):
 //!
-//! * [`execute_logical`] — single-partition reference execution of a
-//!   *logical* plan (no strategies). Deterministic and simple; this is the
-//!   oracle the plan-equivalence test harness uses.
-//! * [`execute`] — full physical execution of a [`strato_core::PhysPlan`]
-//!   with `dop` partitions streamed across the worker pool.
+//! * [`execute`] — execution of a [`strato_core::PhysPlan`] with `dop`
+//!   partitions streamed across the worker pool.
+//! * [`execute_logical`] — the same on [`strato_core::PhysPlan::logical`]
+//!   (a *logical* plan with default strategies and no shipping) on one
+//!   partition. Deterministic and simple; this is the oracle the
+//!   plan-equivalence test harness uses.
 //!
 //! ## Semantics notes
 //!
@@ -78,8 +82,22 @@ pub use trace::{explain_analyze, HistoSnapshot, LatencyHisto, Span, TraceRecorde
 /// Shared IR builders for this crate's test modules.
 #[cfg(test)]
 pub(crate) mod testutil {
+    use crate::operators::OpCtx;
+    use crate::{ExecStats, MemoryGovernor};
+    use strato_ir::interp::Interp;
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
     use strato_record::{AttrId, DataSet, Record};
+
+    /// The context of a lone operator (slot 0) charging `stats` and `gov`.
+    pub(crate) fn ctx<'a>(stats: &'a ExecStats, gov: &'a MemoryGovernor) -> OpCtx<'a> {
+        OpCtx {
+            interp: Interp::default(),
+            stats,
+            gov,
+            batch_size: 64,
+            op_id: 0,
+        }
+    }
 
     /// Widens source records to global layout the way the scan stage
     /// does: field `i` of the source goes to its global attribute

@@ -1,115 +1,36 @@
-//! The CoGroup operator: sort-merge co-grouping over both key domains,
-//! spilling each side to sorted runs under memory pressure.
+//! The CoGroup operator: sort-merge co-grouping over both key domains.
 
-use super::{canonical_cmp, key_cmp2, records_bytes, run_len, take_records, OpCtx, Operator};
+use super::{take_records, OpCtx, Operator};
 use crate::engine::ExecError;
-use crate::spill::merge::external_group_stream;
-use crate::spill::SortedRun;
-use std::cmp::Ordering;
+use crate::spill::{next_key_groups, RunBuffer};
 use std::sync::Arc;
 use strato_dataflow::BoundOp;
 use strato_ir::interp::Invocation;
-use strato_record::{Record, RecordBatch};
+use strato_record::RecordBatch;
 
-/// Blocking CoGroup: buffers both inputs, sorts each side canonically by
-/// its key, and merge-walks the two sorted runs. One UDF invocation per
-/// key of the *combined* active domain — a key present on only one side
-/// still forms a group, with an empty slice for the absent side.
+/// Blocking CoGroup: buffers each input in a `RunBuffer` (null keys are
+/// kept — they group like any other key) and, at `finish`, walks the two
+/// buffers' key-group streams in lock-step. One UDF invocation per key of
+/// the *combined* active domain — a key present on only one side still
+/// forms a group, with an empty slice for the absent side.
 ///
-/// Both side buffers register with the [`MemoryGovernor`]: under pressure
-/// each side is shed to a canonically key-sorted on-disk run (null keys
-/// are kept — they group like any other key), and `finish` merge-walks
-/// two *external* group streams instead of two in-memory sorted vectors.
-/// The walk order — ascending combined key domain — is identical either
-/// way.
-///
-/// [`MemoryGovernor`]: crate::spill::MemoryGovernor
+/// Under memory pressure both sides shed to sorted runs; the walk merges
+/// whatever runs exist (none, when nothing spilled), so the walk order —
+/// ascending combined key domain — does not depend on the budget.
 pub struct CoGroupOp<'a> {
     op: &'a BoundOp,
     ctx: OpCtx<'a>,
-    sides: [Vec<Record>; 2],
-    /// Governor-granted bytes per buffered side.
-    side_bytes: [u64; 2],
-    /// Sorted runs spilled per side (usually empty).
-    runs: [Vec<SortedRun>; 2],
+    sides: [RunBuffer<'a>; 2],
 }
 
 impl<'a> CoGroupOp<'a> {
     pub(crate) fn new(op: &'a BoundOp, ctx: OpCtx<'a>) -> Self {
+        let side = |s: usize| RunBuffer::new(&ctx, &op.key_attrs[s], false);
         CoGroupOp {
             op,
             ctx,
-            sides: [Vec::new(), Vec::new()],
-            side_bytes: [0, 0],
-            runs: [Vec::new(), Vec::new()],
+            sides: [side(0), side(1)],
         }
-    }
-
-    /// Sheds one side's buffer to a canonically sorted on-disk run.
-    fn spill_side(&mut self, side: usize) -> Result<(), ExecError> {
-        let key = &self.op.key_attrs[side];
-        self.sides[side].sort_unstable_by(|a, b| canonical_cmp(a, b, key));
-        let run = self.ctx.gov.write_sorted_run(&self.sides[side])?;
-        self.ctx
-            .stats
-            .add_spill(self.ctx.op_id, run.records(), run.bytes());
-        self.runs[side].push(run);
-        self.sides[side].clear();
-        self.ctx.gov.release(self.side_bytes[side]);
-        self.side_bytes[side] = 0;
-        Ok(())
-    }
-
-    /// Merge-walk over two external group streams — the out-of-core twin
-    /// of the in-memory walk in [`Operator::finish`].
-    fn finish_external(&mut self, emitted: &mut Vec<Record>) -> Result<u64, ExecError> {
-        let (kl, kr) = (&self.op.key_attrs[0], &self.op.key_attrs[1]);
-        let mut streams = Vec::with_capacity(2);
-        for side in 0..2 {
-            let key = &self.op.key_attrs[side];
-            let tail = std::mem::take(&mut self.sides[side]);
-            self.ctx.gov.release(self.side_bytes[side]);
-            self.side_bytes[side] = 0;
-            streams.push(external_group_stream(
-                self.ctx.gov,
-                std::mem::take(&mut self.runs[side]),
-                tail,
-                key,
-            )?);
-        }
-        let (mut right_s, mut left_s) = (streams.pop().unwrap(), streams.pop().unwrap());
-        let empty: [Record; 0] = [];
-        let mut left_keys = 0u64;
-        loop {
-            let ord = match (left_s.peek(), right_s.peek()) {
-                (None, None) => break,
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (Some(l), Some(r)) => key_cmp2(l, kl, r, kr),
-            };
-            let lg = if ord.is_gt() {
-                None
-            } else {
-                left_s.next_group()?
-            };
-            let rg = if ord.is_lt() {
-                None
-            } else {
-                right_s.next_group()?
-            };
-            self.ctx.call(
-                self.op,
-                Invocation::CoGroup(
-                    lg.as_deref().unwrap_or(&empty),
-                    rg.as_deref().unwrap_or(&empty),
-                ),
-                emitted,
-            )?;
-            if lg.is_some() {
-                left_keys += 1;
-            }
-        }
-        Ok(left_keys)
     }
 }
 
@@ -120,87 +41,36 @@ impl Operator for CoGroupOp<'_> {
         batch: Arc<RecordBatch>,
         _out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
-        let start = self.sides[port].len();
-        self.sides[port].extend(take_records(batch));
-        if self.ctx.gov.bounded() {
-            let bytes = records_bytes(&self.sides[port][start..]);
-            self.side_bytes[port] += bytes;
-            self.ctx.gov.grant(bytes);
-            if self.ctx.gov.over_budget() {
-                for side in 0..2 {
-                    if !self.sides[side].is_empty() {
-                        self.spill_side(side)?;
-                    }
-                }
+        self.sides[port].push(take_records(batch));
+        if self.ctx.gov.over_budget() {
+            for side in &mut self.sides {
+                side.spill()?;
             }
         }
         Ok(())
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        if self.runs.iter().any(|r| !r.is_empty()) {
-            let mut emitted = Vec::new();
-            let left_keys = self.finish_external(&mut emitted)?;
-            if self.ctx.stats.detail() {
-                self.ctx
-                    .stats
-                    .add_op_distinct_keys(self.ctx.op_id, left_keys);
-            }
-            self.ctx.emit(emitted, out);
-            return Ok(());
-        }
         let (kl, kr) = (&self.op.key_attrs[0], &self.op.key_attrs[1]);
-        let [mut left, mut right] = std::mem::take(&mut self.sides);
-        left.sort_unstable_by(|a, b| canonical_cmp(a, b, kl));
-        right.sort_unstable_by(|a, b| canonical_cmp(a, b, kr));
+        let [left, right] = &mut self.sides;
+        let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
         let mut emitted = Vec::new();
-        let empty: [Record; 0] = [];
         let mut left_keys = 0u64;
-        let (mut i, mut j) = (0, 0);
-        while i < left.len() || j < right.len() {
-            // Which side's next key is smaller (exhausted side = greater)?
-            let ord = if i == left.len() {
-                Ordering::Greater
-            } else if j == right.len() {
-                Ordering::Less
-            } else {
-                key_cmp2(&left[i], kl, &right[j], kr)
-            };
-            let li = if ord.is_gt() {
-                0
-            } else {
-                run_len(&left, i, kl)
-            };
-            let rj = if ord.is_lt() {
-                0
-            } else {
-                run_len(&right, j, kr)
-            };
+        while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
+            left_keys += lg.is_some() as u64;
             self.ctx.call(
                 self.op,
-                Invocation::CoGroup(
-                    if li > 0 { &left[i..i + li] } else { &empty },
-                    if rj > 0 { &right[j..j + rj] } else { &empty },
-                ),
+                Invocation::CoGroup(lg.as_deref().unwrap_or(&[]), rg.as_deref().unwrap_or(&[])),
                 &mut emitted,
             )?;
-            if li > 0 {
-                left_keys += 1;
-            }
-            i += li;
-            j += rj;
         }
         if self.ctx.stats.detail() {
-            // Profiling observation: distinct input-0 keys (the left runs
-            // of the merge walk; null keys group like any other).
+            // Profiling observation: distinct input-0 keys (the left groups
+            // of the walk; null keys group like any other).
             self.ctx
                 .stats
                 .add_op_distinct_keys(self.ctx.op_id, left_keys);
         }
-        self.ctx
-            .gov
-            .release(self.side_bytes[0] + self.side_bytes[1]);
-        self.side_bytes = [0, 0];
         self.ctx.emit(emitted, out);
         Ok(())
     }

@@ -1,13 +1,9 @@
-//! The Match operator: equi-join with hash or sort-merge algorithms,
-//! degrading to external sort-merge under memory pressure.
+//! The Match operator: equi-join by in-memory hash join, or by one
+//! sort-merge walk over two governed `RunBuffer`s.
 
-use super::{
-    canonical_cmp, key_cmp, key_cmp2, key_has_null, key_hash, take_records, OpCtx, Operator,
-};
+use super::{key_cmp, key_cmp2, key_has_null, key_hash, take_records, OpCtx, Operator};
 use crate::engine::ExecError;
-use crate::spill::merge::external_group_stream;
-use crate::spill::SortedRun;
-use std::cmp::Ordering;
+use crate::spill::{next_key_groups, RunBuffer};
 use std::sync::Arc;
 use strato_core::LocalStrategy;
 use strato_dataflow::BoundOp;
@@ -18,152 +14,91 @@ use strato_record::{Record, RecordBatch};
 /// Blocking equi-join: buffers both sides as shared batches and joins at
 /// `finish`. Null join keys match nothing (SQL flavour).
 ///
-/// All algorithms operate on *borrowed* records — buffered batches are
-/// never deep-copied, which makes a broadcast build side genuinely
-/// zero-copy per partition.
+/// Arriving batches are buffered as-is — never deep-copied — which makes
+/// a broadcast build side genuinely zero-copy per partition, and the hash
+/// joins run over *borrowed* records.
 ///
 /// Both sides register with the [`MemoryGovernor`]: under pressure each
-/// buffered side is written out as a key-sorted run (null-keyed records
-/// are dropped at spill time — they can never match) and, once anything
-/// spilled, `finish` joins by **external sort-merge** regardless of the
-/// requested in-memory algorithm. Pair order then differs from a hash
-/// join's probe order, but the output *bag* — the engine's equivalence
-/// contract for joins — is identical.
+/// side's uniquely held batches move into that side's null-dropping
+/// `RunBuffer` and are shed as a key-sorted run. There is one sort-based
+/// finish — move what is still buffered into the two run buffers and walk
+/// their key-group streams in lock-step, pairing matching groups — serving
+/// [`LocalStrategy::SortMergeJoin`] always and the hash strategies once
+/// pressure shed anything. Pair order then differs from a hash join's probe
+/// order, but the output *bag* — the engine's equivalence contract for
+/// joins — is identical.
 ///
 /// [`MemoryGovernor`]: crate::spill::MemoryGovernor
 pub struct MatchOp<'a> {
     op: &'a BoundOp,
+    /// A hash join or `SortMergeJoin` (see [`super::build`]).
     strategy: LocalStrategy,
     ctx: OpCtx<'a>,
     /// Buffered batches per side, each with the bytes it was granted for
     /// (a shared broadcast batch is charged a per-holder share, see
     /// [`Operator::push`]).
     sides: [Vec<(Arc<RecordBatch>, u64)>; 2],
-    /// Total governor-granted bytes per buffered side.
-    side_bytes: [u64; 2],
-    /// Key-sorted runs spilled per side (usually empty).
-    runs: [Vec<SortedRun>; 2],
-    /// Whether a null-keyed input-0 record was seen (dropped at spill
-    /// time; the profiling distinct-keys observation counts nulls as one
-    /// key, so the external path must remember them).
-    left_had_null: bool,
+    /// Per side: what left `sides` for the sort-based finish.
+    bufs: [RunBuffer<'a>; 2],
 }
 
 impl<'a> MatchOp<'a> {
     pub(crate) fn new(op: &'a BoundOp, strategy: LocalStrategy, ctx: OpCtx<'a>) -> Self {
+        let buf = |s: usize| RunBuffer::new(&ctx, &op.key_attrs[s], true);
         MatchOp {
             op,
             strategy,
             ctx,
             sides: [Vec::new(), Vec::new()],
-            side_bytes: [0, 0],
-            runs: [Vec::new(), Vec::new()],
-            left_had_null: false,
+            bufs: [buf(0), buf(1)],
         }
     }
 
-    /// Sheds one buffered side's **uniquely held** batches to a key-sorted
-    /// on-disk run, dropping null-keyed records (they match nothing).
+    /// Moves one side's buffered batches — only the **uniquely held**
+    /// ones when `unique_only` — into its run buffer.
     ///
     /// Batches still shared with other partitions (a broadcast build side)
-    /// stay buffered: spilling a deep copy would free no memory — the
-    /// allocation lives until every holder drops it — while multiplying
-    /// disk writes by the fan-out. A kept batch becomes spillable once the
-    /// other partitions release theirs.
-    fn spill_side(&mut self, side: usize) -> Result<(), ExecError> {
-        let key = &self.op.key_attrs[side];
-        let mut records: Vec<Record> = Vec::new();
-        let mut kept: Vec<(Arc<RecordBatch>, u64)> = Vec::new();
-        let mut released = 0u64;
-        for (b, charge) in self.sides[side].drain(..) {
-            if Arc::strong_count(&b) == 1 {
-                released += charge;
-                records.extend(take_records(b));
+    /// are not worth spilling: a deep copy on disk would free no memory —
+    /// the allocation lives until every holder drops it — while
+    /// multiplying disk writes by the fan-out. A kept batch becomes
+    /// spillable once the other partitions release theirs.
+    fn move_to_buffer(&mut self, side: usize, unique_only: bool) {
+        for (b, charge) in std::mem::take(&mut self.sides[side]) {
+            if unique_only && Arc::strong_count(&b) > 1 {
+                self.sides[side].push((b, charge));
             } else {
-                kept.push((b, charge));
+                self.ctx.gov.release(charge);
+                self.bufs[side].push(take_records(b));
             }
         }
-        self.sides[side] = kept;
-        if records.is_empty() {
-            return Ok(());
-        }
-        let had_null = records.iter().any(|r| key_has_null(r, key));
-        if side == 0 {
-            self.left_had_null |= had_null;
-        }
-        records.retain(|r| !key_has_null(r, key));
-        records.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
-        let run = self.ctx.gov.write_sorted_run(&records)?;
-        self.ctx
-            .stats
-            .add_spill(self.ctx.op_id, run.records(), run.bytes());
-        self.runs[side].push(run);
-        self.ctx.gov.release(released);
-        self.side_bytes[side] -= released;
-        Ok(())
     }
 
-    /// External sort-merge join: each side's runs merge with its sorted
-    /// in-memory remainder, and the two group streams walk in key
-    /// lockstep, pairing matching groups.
-    fn finish_external(&mut self, emitted: &mut Vec<Record>) -> Result<(), ExecError> {
-        let (kl, kr) = (&self.op.key_attrs[0], &self.op.key_attrs[1]);
-        let mut streams = Vec::with_capacity(2);
-        let mut left_keys = 0u64;
+    /// The sort-based finish: lock-step walk over both sides' key-group
+    /// streams, one UDF call per pair of each matching group.
+    fn merge_join(&mut self, emitted: &mut Vec<Record>) -> Result<(), ExecError> {
         for side in 0..2 {
-            let key = &self.op.key_attrs[side];
-            let mut tail: Vec<Record> = Vec::new();
-            for (b, _) in self.sides[side].drain(..) {
-                tail.extend(take_records(b));
-            }
-            let had_null = tail.iter().any(|r| key_has_null(r, key));
-            if side == 0 {
-                self.left_had_null |= had_null;
-            }
-            tail.retain(|r| !key_has_null(r, key));
-            self.ctx.gov.release(self.side_bytes[side]);
-            self.side_bytes[side] = 0;
-            streams.push(external_group_stream(
-                self.ctx.gov,
-                std::mem::take(&mut self.runs[side]),
-                tail,
-                key,
-            )?);
+            self.move_to_buffer(side, false);
         }
-        let (mut right_s, mut left_s) = (streams.pop().unwrap(), streams.pop().unwrap());
-        loop {
-            let ord = match (left_s.peek(), right_s.peek()) {
-                (None, None) => break,
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (Some(l), Some(r)) => key_cmp2(l, kl, r, kr),
-            };
-            match ord {
-                Ordering::Less => {
-                    left_s.next_group()?;
-                    left_keys += 1;
-                }
-                Ordering::Greater => {
-                    right_s.next_group()?;
-                }
-                Ordering::Equal => {
-                    let lg = left_s.next_group()?.expect("peeked");
-                    let rg = right_s.next_group()?.expect("peeked");
-                    left_keys += 1;
-                    for a in &lg {
-                        for b in &rg {
-                            self.ctx.call(self.op, Invocation::Pair(a, b), emitted)?;
-                        }
+        let (kl, kr) = (&self.op.key_attrs[0], &self.op.key_attrs[1]);
+        let [left, right] = &mut self.bufs;
+        // Distinct input-0 keys, with nulls counted as one key (the
+        // profiler's rule — the join itself dropped them on entry).
+        let mut left_keys = left.saw_null_key() as u64;
+        let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
+        while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
+            left_keys += lg.is_some() as u64;
+            if let (Some(lg), Some(rg)) = (lg, rg) {
+                for a in &lg {
+                    for b in &rg {
+                        self.ctx.call(self.op, Invocation::Pair(a, b), emitted)?;
                     }
                 }
             }
         }
         if self.ctx.stats.detail() {
-            // Match the in-memory observation rule: distinct input-0 keys
-            // with nulls counted as one key.
             self.ctx
                 .stats
-                .add_op_distinct_keys(self.ctx.op_id, left_keys + self.left_had_null as u64);
+                .add_op_distinct_keys(self.ctx.op_id, left_keys);
         }
         Ok(())
     }
@@ -209,54 +144,6 @@ fn hash_join(
     Ok(())
 }
 
-/// Sort-merge join over borrowed records.
-fn sort_merge_join(
-    op: &BoundOp,
-    ctx: &OpCtx<'_>,
-    left: &[&Record],
-    right: &[&Record],
-    out: &mut Vec<Record>,
-) -> Result<(), ExecError> {
-    let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
-    let mut l: Vec<&Record> = left
-        .iter()
-        .copied()
-        .filter(|r| !key_has_null(r, kl))
-        .collect();
-    let mut r: Vec<&Record> = right
-        .iter()
-        .copied()
-        .filter(|x| !key_has_null(x, kr))
-        .collect();
-    l.sort_unstable_by(|a, b| key_cmp(a, b, kl).then_with(|| a.cmp(b)));
-    r.sort_unstable_by(|a, b| key_cmp(a, b, kr).then_with(|| a.cmp(b)));
-    let (mut i, mut j) = (0, 0);
-    while i < l.len() && j < r.len() {
-        match key_cmp2(l[i], kl, r[j], kr) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                let mut i2 = i;
-                while i2 < l.len() && key_cmp(l[i], l[i2], kl).is_eq() {
-                    i2 += 1;
-                }
-                let mut j2 = j;
-                while j2 < r.len() && key_cmp(r[j], r[j2], kr).is_eq() {
-                    j2 += 1;
-                }
-                for &a in &l[i..i2] {
-                    for &b in &r[j..j2] {
-                        ctx.call(op, Invocation::Pair(a, b), out)?;
-                    }
-                }
-                i = i2;
-                j = j2;
-            }
-        }
-    }
-    Ok(())
-}
-
 impl Operator for MatchOp<'_> {
     fn push(
         &mut self,
@@ -280,24 +167,25 @@ impl Operator for MatchOp<'_> {
             // batches are unshared and charge in full.
             let share = Arc::strong_count(&batch).max(1) as u64;
             charge = (batch.encoded_len() as u64).div_ceil(share);
-            self.side_bytes[port] += charge;
             self.ctx.gov.grant(charge);
         }
         self.sides[port].push((batch, charge));
         if self.ctx.gov.over_budget() {
             for side in 0..2 {
-                if !self.sides[side].is_empty() {
-                    self.spill_side(side)?;
-                }
+                self.move_to_buffer(side, true);
+                self.bufs[side].spill()?;
             }
         }
         Ok(())
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        if self.runs.iter().any(|r| !r.is_empty()) {
-            let mut emitted = Vec::new();
-            self.finish_external(&mut emitted)?;
+        let mut emitted = Vec::new();
+        // A buffer that was fed holds part of its side, even when every
+        // record it was handed had a null key and nothing reached disk.
+        let fed = |b: &RunBuffer<'_>| b.spilled() || b.saw_null_key();
+        if self.strategy == LocalStrategy::SortMergeJoin || self.bufs.iter().any(fed) {
+            self.merge_join(&mut emitted)?;
             self.ctx.emit(emitted, out);
             return Ok(());
         }
@@ -310,32 +198,23 @@ impl Operator for MatchOp<'_> {
             let kl = &self.op.key_attrs[0];
             let mut refs = left.clone();
             refs.sort_unstable_by(|a, b| key_cmp(a, b, kl));
-            let mut n = 0u64;
-            let mut i = 0;
-            while i < refs.len() {
-                n += 1;
-                i += super::run_len(&refs, i, kl);
-            }
+            refs.dedup_by(|a, b| key_cmp(a, b, kl).is_eq());
+            let n = refs.len() as u64;
             self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, n);
         }
-        let mut emitted = Vec::new();
-        match self.strategy {
-            LocalStrategy::SortMergeJoin => {
-                sort_merge_join(self.op, &self.ctx, &left, &right, &mut emitted)?;
-            }
-            LocalStrategy::HashJoinBuildRight => {
-                hash_join(self.op, &self.ctx, &left, &right, false, &mut emitted)?;
-            }
-            // Build-left, and the default for `Pipe` (logical oracle).
-            _ => {
-                hash_join(self.op, &self.ctx, &left, &right, true, &mut emitted)?;
-            }
-        }
-        self.sides = [Vec::new(), Vec::new()];
+        let build_is_left = self.strategy == LocalStrategy::HashJoinBuildLeft;
+        hash_join(
+            self.op,
+            &self.ctx,
+            &left,
+            &right,
+            build_is_left,
+            &mut emitted,
+        )?;
+        let charged = self.sides.iter_mut().flat_map(|s| s.drain(..));
         self.ctx
             .gov
-            .release(self.side_bytes[0] + self.side_bytes[1]);
-        self.side_bytes = [0, 0];
+            .release(charged.map(|(_, charge)| charge).sum());
         self.ctx.emit(emitted, out);
         Ok(())
     }
@@ -344,11 +223,11 @@ impl Operator for MatchOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_single, take_records};
+    use crate::operators::{apply_chunked, take_records};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
+    use crate::testutil::ctx;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
-    use strato_ir::interp::Interp;
     use strato_ir::{FuncBuilder, UdfKind};
     use strato_record::{DataSet, Value};
 
@@ -373,59 +252,58 @@ mod tests {
         crate::testutil::widen(&ds, &plan.ctx.sources[src].attrs, plan.ctx.width())
     }
 
-    fn ctx<'a>(stats: &'a ExecStats, gov: &'a MemoryGovernor) -> OpCtx<'a> {
-        OpCtx {
-            interp: Interp::default(),
-            stats,
-            gov,
-            batch_size: 64,
-            op_id: 0,
-        }
-    }
-
     #[test]
     fn starved_join_spills_and_matches_the_in_memory_result_bag() {
         let plan = join_plan();
         let op = &plan.ctx.ops[0];
-        let left = wide(
-            &plan,
-            0,
-            &[&[1, 10], &[2, 20], &[2, 21], &[3, 30], &[5, 50]],
-        );
-        let right = wide(&plan, 1, &[&[2], &[2], &[3], &[7]]);
+        let left: &[&[i64]] = &[&[1, 10], &[2, 20], &[2, 21], &[3, 30], &[5, 50]];
+        let sides = [
+            wide(&plan, 0, left),
+            wide(&plan, 1, &[&[2], &[2], &[3], &[7]]),
+        ];
+        let build_left = LocalStrategy::HashJoinBuildLeft;
 
-        let s_ref = ExecStats::new();
-        let g_ref = MemoryGovernor::unbounded();
-        let reference = apply_single(
-            op,
-            LocalStrategy::HashJoinBuildLeft,
-            vec![left.clone(), right.clone()],
-            ctx(&s_ref, &g_ref),
-        )
-        .unwrap();
+        let (s_ref, g_ref) = (ExecStats::new(), MemoryGovernor::unbounded());
+        let reference = apply_chunked(op, build_left, &sides, 8, ctx(&s_ref, &g_ref)).unwrap();
 
         // One record per batch under a 32-byte budget: the operator spills
-        // both sides and joins by external sort-merge.
+        // both sides and joins by the sort-merge walk.
         let stats = ExecStats::with_ops(1);
         let gov = MemoryGovernor::with_budget(Some(32));
-        let mut join = MatchOp::new(op, LocalStrategy::HashJoinBuildLeft, ctx(&stats, &gov));
-        join.open().unwrap();
-        let mut out = Vec::new();
-        for (port, recs) in [left, right].into_iter().enumerate() {
-            for r in recs {
-                join.push(port, Arc::new(RecordBatch::from_records(vec![r])), &mut out)
-                    .unwrap();
-            }
-        }
-        join.finish(&mut out).unwrap();
-        let got: Vec<Record> = out.into_iter().flat_map(take_records).collect();
+        let got = apply_chunked(op, build_left, &sides, 1, ctx(&stats, &gov)).unwrap();
         assert_eq!(
             DataSet::from_records(got),
             DataSet::from_records(reference),
-            "external sort-merge must reproduce the hash-join bag"
+            "the sort-merge walk must reproduce the hash-join bag"
         );
-        assert!(stats.spill_snapshot().2 > 0, "tiny budget must spill");
-        assert_eq!(gov.resident(), 0, "grants released at finish");
+        assert!(stats.totals().spill_runs > 0, "tiny budget must spill");
+    }
+
+    #[test]
+    fn null_keys_shed_under_pressure_still_count_as_one_distinct_key() {
+        // Every left batch shed under pressure is all-null: the buffer
+        // drops the records, writes no run, and must still tell the
+        // profiler that a null key went by.
+        let plan = join_plan();
+        let op = &plan.ctx.ops[0];
+        let mut sides = [wide(&plan, 0, &[&[0, 40], &[0, 41]]), Vec::new()];
+        for r in &mut sides[0] {
+            r.set_field(0, Value::Null);
+        }
+        for strategy in [
+            LocalStrategy::HashJoinBuildLeft,
+            LocalStrategy::SortMergeJoin,
+        ] {
+            for budget in [None, Some(0)] {
+                let stats = ExecStats::for_profiling(1);
+                let gov = MemoryGovernor::with_budget(budget);
+                let out = apply_chunked(op, strategy, &sides, 2, ctx(&stats, &gov)).unwrap();
+                assert!(out.is_empty(), "null keys match nothing");
+                assert_eq!(stats.totals().spill_runs, 0, "nothing to write");
+                let keys = stats.op_snapshots()[0].distinct_keys;
+                assert_eq!(keys, 1, "{strategy:?} at {budget:?}");
+            }
+        }
     }
 
     #[test]
@@ -448,7 +326,7 @@ mod tests {
         let shared = Arc::new(RecordBatch::from_records(right));
         let other_partition = Arc::clone(&shared);
         join.push(1, shared, &mut out).unwrap();
-        let spilled_after_shared = stats.spill_snapshot().2;
+        let spilled_after_shared = stats.totals().spill_runs;
         assert_eq!(
             spilled_after_shared, 0,
             "a shared batch must not be deep-copied to disk"
@@ -456,7 +334,7 @@ mod tests {
         // The unshared probe side spills even though the build side stays.
         join.push(0, Arc::new(RecordBatch::from_records(left)), &mut out)
             .unwrap();
-        assert!(stats.spill_snapshot().2 > 0, "unique batches must spill");
+        assert!(stats.totals().spill_runs > 0, "unique batches must spill");
         join.finish(&mut out).unwrap();
         let got: Vec<Record> = out.into_iter().flat_map(take_records).collect();
         assert_eq!(got.len(), 2, "both keys match once");

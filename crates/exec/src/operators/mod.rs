@@ -239,35 +239,44 @@ pub(crate) fn into_batches(records: Vec<Record>, batch_size: usize) -> Vec<Arc<R
 
 /// Builds the operator realizing `(op, strategy)`. This is the single
 /// lowering point shared by the logical oracle, the parallel engine and
-/// the profiler. `LocalStrategy::Pipe` selects each PACT's default
-/// algorithm (hash grouping / build-left hash join).
+/// the profiler. Every plan carries explicit strategies (a logical plan
+/// is lowered with [`LocalStrategy::default_for`], see
+/// [`strato_core::PhysPlan::logical`]).
+///
+/// # Panics
+///
+/// When `strategy` is not an algorithm of the operator's PACT (a
+/// malformed hand-built physical plan).
 pub fn build<'a>(
     op: &'a BoundOp,
     strategy: LocalStrategy,
     ctx: OpCtx<'a>,
 ) -> Box<dyn Operator + 'a> {
-    match &op.pact {
-        Pact::Map => Box::new(map::MapOp::new(op, ctx)),
+    use LocalStrategy::*;
+    match (&op.pact, strategy) {
+        (Pact::Map, Pipe) => Box::new(map::MapOp::new(op, ctx)),
         // StreamAgg is only chosen by the optimizer where the schema-level
         // legality holds (structural fold proof, pass-through fields are
         // keys, no fold targets a key); fall back to buffered hash
         // grouping defensively if a hand-built physical plan requests it
         // for a reduce that fails any of those conditions.
-        Pact::Reduce { .. } if strategy == LocalStrategy::StreamAgg => {
-            if op.stream_aggregable() {
-                Box::new(streamagg::StreamAggOp::new(
-                    op,
-                    streamagg::AggRole::Final,
-                    ctx,
-                ))
-            } else {
-                Box::new(reduce::ReduceOp::new(op, LocalStrategy::HashGroup, ctx))
-            }
+        (Pact::Reduce { .. }, StreamAgg) if op.stream_aggregable() => Box::new(
+            streamagg::StreamAggOp::new(op, streamagg::AggRole::Final, ctx),
+        ),
+        (Pact::Reduce { .. }, StreamAgg) => Box::new(reduce::ReduceOp::new(op, HashGroup, ctx)),
+        (Pact::Reduce { .. }, HashGroup | SortGroup) => {
+            Box::new(reduce::ReduceOp::new(op, strategy, ctx))
         }
-        Pact::Reduce { .. } => Box::new(reduce::ReduceOp::new(op, strategy, ctx)),
-        Pact::Match { .. } => Box::new(join::MatchOp::new(op, strategy, ctx)),
-        Pact::Cross => Box::new(cross::CrossOp::new(op, ctx)),
-        Pact::CoGroup { .. } => Box::new(cogroup::CoGroupOp::new(op, ctx)),
+        (Pact::Match { .. }, HashJoinBuildLeft | HashJoinBuildRight | SortMergeJoin) => {
+            Box::new(join::MatchOp::new(op, strategy, ctx))
+        }
+        (Pact::Cross, BlockNestedLoop) => Box::new(cross::CrossOp::new(op, ctx)),
+        (Pact::CoGroup { .. }, CoGroupSortMerge) => Box::new(cogroup::CoGroupOp::new(op, ctx)),
+        (pact, strategy) => panic!(
+            "operator {}: {strategy:?} is not a local strategy of {}",
+            op.name,
+            pact.kind_name()
+        ),
     }
 }
 
@@ -293,26 +302,42 @@ pub(crate) fn build_map_chain<'a>(stages: Vec<(&'a BoundOp, OpCtx<'a>)>) -> Box<
 }
 
 /// Applies one operator over fully materialized single-partition inputs:
-/// builds it, pushes one batch per input port, finishes, and concatenates
-/// the output. Used by the profiler and by strategy-agreement tests.
-pub fn apply_single(
+/// builds it, pushes each input port's records `chunk` per batch,
+/// finishes, and concatenates the output. Checks the governor contract
+/// on the way: the push that crosses the budget sheds the buffers, and
+/// nothing stays granted past `finish`.
+#[cfg(test)]
+pub(crate) fn apply_chunked(
     op: &BoundOp,
     strategy: LocalStrategy,
-    inputs: Vec<Vec<Record>>,
+    inputs: &[Vec<Record>],
+    chunk: usize,
     ctx: OpCtx<'_>,
 ) -> Result<Vec<Record>, ExecError> {
     let mut oper = build(op, strategy, ctx);
     oper.open()?;
     let mut out = Vec::new();
-    for (port, records) in inputs.into_iter().enumerate() {
-        oper.push(port, Arc::new(RecordBatch::from_records(records)), &mut out)?;
+    for (port, records) in inputs.iter().enumerate() {
+        for chunk in records.chunks(chunk) {
+            let batch = Arc::new(RecordBatch::from_records(chunk.to_vec()));
+            oper.push(port, batch, &mut out)?;
+            assert!(!ctx.gov.over_budget(), "{strategy:?} kept pressure");
+        }
     }
     oper.finish(&mut out)?;
-    let mut records = Vec::new();
-    for b in out {
-        records.extend(take_records(b));
-    }
-    Ok(records)
+    assert_eq!(ctx.gov.resident(), 0, "{strategy:?} kept a grant");
+    Ok(out.into_iter().flat_map(take_records).collect())
+}
+
+/// [`apply_chunked`] with one batch per input port.
+#[cfg(test)]
+pub(crate) fn apply_single(
+    op: &BoundOp,
+    strategy: LocalStrategy,
+    inputs: Vec<Vec<Record>>,
+    ctx: OpCtx<'_>,
+) -> Result<Vec<Record>, ExecError> {
+    apply_chunked(op, strategy, &inputs, usize::MAX, ctx)
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
-//! The Reduce operator: hash or sort grouping, spilling to sorted runs
-//! under memory pressure.
+//! The Reduce operator: hash or sort grouping over one governed
+//! `RunBuffer`.
 
-use super::{canonical_cmp, key_hash, records_bytes, run_len, take_records, OpCtx, Operator};
+use super::{canonical_cmp, key_hash, run_len, take_records, OpCtx, Operator};
 use crate::engine::ExecError;
-use crate::spill::merge::external_group_stream;
-use crate::spill::SortedRun;
+use crate::spill::RunBuffer;
 use std::sync::Arc;
 use strato_core::LocalStrategy;
 use strato_dataflow::BoundOp;
@@ -12,31 +11,28 @@ use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
 use strato_record::{Record, RecordBatch};
 
-/// Blocking Reduce: buffers its input, forms key groups at `finish` with
-/// the chosen local algorithm, and invokes the UDF once per group.
+/// Blocking Reduce: buffers its input, forms key groups at `finish`, and
+/// invokes the UDF once per group.
 ///
-/// Both algorithms present each group in canonical `(key, record)` order
-/// and emit groups in ascending key order — 64-bit key-hash collisions on
-/// the hash path are broken by a full key comparison — so the output
-/// sequence is a pure function of the input bag regardless of local
-/// algorithm, partitioning or batch boundaries.
+/// The input lives in a `RunBuffer`, which sheds it to canonically sorted
+/// on-disk runs under memory pressure. There is one sort-based finish —
+/// walk the buffer's key groups, merged from however many runs exist
+/// (none, for an execution that never spilled) — serving
+/// [`LocalStrategy::SortGroup`] always and [`LocalStrategy::HashGroup`]
+/// once anything spilled. `HashGroup` that never spilled groups through a
+/// hash table instead.
 ///
-/// The buffer is registered with the execution's [`MemoryGovernor`]: under
-/// memory pressure it is sorted canonically and written as one on-disk
-/// run; `finish` then k-way-merges the runs with the in-memory tail and
-/// walks key groups off the merged stream — same canonical order, so
-/// spilling never changes the output, only where the bytes live.
-///
-/// [`MemoryGovernor`]: crate::spill::MemoryGovernor
+/// Both present each group in canonical `(key, record)` order and emit
+/// groups in ascending key order — 64-bit key-hash collisions on the hash
+/// path are broken by a full key comparison — so the output sequence is a
+/// pure function of the input bag regardless of local algorithm,
+/// partitioning, batch boundaries or memory budget.
 pub struct ReduceOp<'a> {
     op: &'a BoundOp,
+    /// `HashGroup` or `SortGroup` (see [`super::build`]).
     strategy: LocalStrategy,
     ctx: OpCtx<'a>,
-    buffered: Vec<Record>,
-    /// `encoded_len` of `buffered`, as granted to the governor.
-    buffered_bytes: u64,
-    /// Sorted runs written under memory pressure (usually empty).
-    runs: Vec<SortedRun>,
+    buf: RunBuffer<'a>,
 }
 
 impl<'a> ReduceOp<'a> {
@@ -45,61 +41,50 @@ impl<'a> ReduceOp<'a> {
             op,
             strategy,
             ctx,
-            buffered: Vec::new(),
-            buffered_bytes: 0,
-            runs: Vec::new(),
+            buf: RunBuffer::new(&ctx, &op.key_attrs[0], false),
         }
     }
 
-    /// Walks contiguous key runs of a sorted slice, invoking the UDF per
-    /// group. Returns the number of groups walked.
-    fn call_groups(&self, recs: &[Record], out: &mut Vec<Record>) -> Result<u64, ExecError> {
+    /// In-memory hash grouping of `rows`; returns the number of groups.
+    fn hash_groups(&self, rows: Vec<Record>, out: &mut Vec<Record>) -> Result<u64, ExecError> {
         let key = &self.op.key_attrs[0];
-        let mut i = 0;
-        let mut groups = 0u64;
-        while i < recs.len() {
-            let n = run_len(recs, i, key);
-            self.ctx
-                .call(self.op, Invocation::Group(&recs[i..i + n]), out)?;
-            i += n;
-            groups += 1;
+        // Bucket by key hash, then sort each bucket: records of one key
+        // end up contiguous (hash collisions merely share a bucket and are
+        // split into separate key groups below).
+        let mut table: FxHashMap<u64, Vec<Record>> = FxHashMap::default();
+        for r in rows {
+            table.entry(key_hash(&r, key)).or_default().push(r);
         }
-        Ok(groups)
-    }
-
-    /// Sheds the whole buffer to one canonically sorted on-disk run.
-    fn spill(&mut self) -> Result<(), ExecError> {
-        let key = &self.op.key_attrs[0];
-        self.buffered
-            .sort_unstable_by(|a, b| canonical_cmp(a, b, key));
-        let run = self.ctx.gov.write_sorted_run(&self.buffered)?;
-        self.ctx
-            .stats
-            .add_spill(self.ctx.op_id, run.records(), run.bytes());
-        self.runs.push(run);
-        self.buffered.clear();
-        self.ctx.gov.release(self.buffered_bytes);
-        self.buffered_bytes = 0;
-        Ok(())
-    }
-
-    /// Out-of-core grouping: merge the on-disk runs with the sorted
-    /// in-memory tail and invoke the UDF per merged key group. Emission
-    /// order is the same ascending canonical order as both in-memory
-    /// algorithms.
-    fn finish_external(&mut self, emitted: &mut Vec<Record>) -> Result<u64, ExecError> {
-        let key = &self.op.key_attrs[0];
-        let tail = std::mem::take(&mut self.buffered);
-        self.ctx.gov.release(self.buffered_bytes);
-        self.buffered_bytes = 0;
-        let mut groups =
-            external_group_stream(self.ctx.gov, std::mem::take(&mut self.runs), tail, key)?;
-        let mut n = 0u64;
-        while let Some(g) = groups.next_group()? {
-            self.ctx.call(self.op, Invocation::Group(&g), emitted)?;
-            n += 1;
+        // Split every bucket into its key groups *before* choosing an
+        // emission order, then order the groups by a full key comparison.
+        // Ordering whole buckets by their first record would interleave
+        // wrongly under a 64-bit hash collision (a bucket holding keys
+        // {1, 5} sorts once as a unit and emits 1, 5 ahead of another
+        // bucket's 3). The common collision-free bucket moves through
+        // unchanged.
+        let mut key_groups: Vec<Vec<Record>> = Vec::with_capacity(table.len());
+        for mut b in table.into_values() {
+            b.sort_unstable_by(|a, x| canonical_cmp(a, x, key));
+            let first_run = run_len(&b, 0, key);
+            if first_run == b.len() {
+                key_groups.push(b);
+            } else {
+                let mut i = 0;
+                while i < b.len() {
+                    let n = run_len(&b, i, key);
+                    key_groups.push(b[i..i + n].to_vec());
+                    i += n;
+                }
+            }
         }
-        Ok(n)
+        // Distinct keys per group, so comparing first records on the key
+        // alone is a total order: globally ascending — identical to the
+        // sort-based walk's emission order.
+        key_groups.sort_unstable_by(|a, b| super::key_cmp(&a[0], &b[0], key));
+        for g in &key_groups {
+            self.ctx.call(self.op, Invocation::Group(g), out)?;
+        }
+        Ok(key_groups.len() as u64)
     }
 }
 
@@ -111,84 +96,32 @@ impl Operator for ReduceOp<'_> {
         _out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
         debug_assert_eq!(port, 0, "Reduce is unary");
-        let start = self.buffered.len();
-        self.buffered.extend(take_records(batch));
-        if self.ctx.gov.bounded() {
-            let bytes = records_bytes(&self.buffered[start..]);
-            self.buffered_bytes += bytes;
-            self.ctx.gov.grant(bytes);
-            if self.ctx.gov.over_budget() && !self.buffered.is_empty() {
-                self.spill()?;
-            }
+        self.buf.push(take_records(batch));
+        if self.ctx.gov.over_budget() {
+            self.buf.spill()?;
         }
         Ok(())
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let key = &self.op.key_attrs[0];
         let mut emitted = Vec::new();
         let mut groups = 0u64;
-        if !self.runs.is_empty() {
-            groups += self.finish_external(&mut emitted)?;
-            if self.ctx.stats.detail() {
-                self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, groups);
-            }
-            self.ctx.emit(emitted, out);
-            return Ok(());
-        }
-        match self.strategy {
-            LocalStrategy::SortGroup => {
-                // One global sort; groups are the contiguous key runs.
-                let mut recs = std::mem::take(&mut self.buffered);
-                recs.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
-                groups += self.call_groups(&recs, &mut emitted)?;
-            }
-            // HashGroup, and the default for `Pipe`.
-            _ => {
-                // Bucket by key hash, then sort each bucket: records of one
-                // key end up contiguous (hash collisions merely share a
-                // bucket and are split into separate key groups below).
-                let mut table: FxHashMap<u64, Vec<Record>> = FxHashMap::default();
-                for r in self.buffered.drain(..) {
-                    table.entry(key_hash(&r, key)).or_default().push(r);
-                }
-                // Split every bucket into its key groups *before* choosing
-                // an emission order, then order the groups by a full key
-                // comparison. Ordering whole buckets by their first record
-                // would interleave wrongly under a 64-bit hash collision
-                // (a bucket holding keys {1, 5} sorts once as a unit and
-                // emits 1, 5 ahead of another bucket's 3). The common
-                // collision-free bucket moves through unchanged.
-                let mut key_groups: Vec<Vec<Record>> = Vec::with_capacity(table.len());
-                for mut b in table.into_values() {
-                    b.sort_unstable_by(|a, x| canonical_cmp(a, x, key));
-                    let first_run = run_len(&b, 0, key);
-                    if first_run == b.len() {
-                        key_groups.push(b);
-                    } else {
-                        let mut i = 0;
-                        while i < b.len() {
-                            let n = run_len(&b, i, key);
-                            key_groups.push(b[i..i + n].to_vec());
-                            i += n;
-                        }
-                    }
-                }
-                // Distinct keys per group, so comparing first records on
-                // the key alone is a total order: globally ascending —
-                // identical to the sort path's emission order.
-                key_groups.sort_unstable_by(|a, b| super::key_cmp(&a[0], &b[0], key));
-                for g in &key_groups {
-                    groups += self.call_groups(g, &mut emitted)?;
-                }
+        if self.strategy == LocalStrategy::HashGroup && !self.buf.spilled() {
+            let rows = self.buf.take_rows();
+            groups += self.hash_groups(rows, &mut emitted)?;
+            self.buf.release();
+        } else {
+            let mut stream = self.buf.drain_groups()?;
+            while let Some(g) = stream.next_group()? {
+                self.ctx
+                    .call(self.op, Invocation::Group(&g), &mut emitted)?;
+                groups += 1;
             }
         }
         if self.ctx.stats.detail() {
             // Groups == distinct input-0 keys for Reduce (nulls group).
             self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, groups);
         }
-        self.ctx.gov.release(self.buffered_bytes);
-        self.buffered_bytes = 0;
         self.ctx.emit(emitted, out);
         Ok(())
     }
@@ -197,7 +130,7 @@ impl Operator for ReduceOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_single, key_cmp, key_hash, OpCtx};
+    use crate::operators::{apply_chunked, apply_single, key_cmp, key_hash, OpCtx};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use std::hash::Hasher;
@@ -308,9 +241,7 @@ mod tests {
 
     #[test]
     fn tiny_budget_spills_and_reproduces_the_in_memory_output_exactly() {
-        use crate::operators::{take_records, Operator};
-        use crate::testutil::sum_inplace;
-        use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
+        use crate::testutil::{ctx, sum_inplace, widen};
 
         let mut p = ProgramBuilder::new();
         let s = p.source(SourceDef::new("s", &["k", "v"], 64));
@@ -320,59 +251,30 @@ mod tests {
         let ds: DataSet = (0..48i64)
             .map(|i| Record::from_values([Value::Int(i % 5), Value::Int(i)]))
             .collect();
-        let input = crate::testutil::widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width());
+        let input = [widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width())];
 
         // Reference: unbounded in-memory grouping.
-        let ref_stats = ExecStats::new();
-        let ref_gov = MemoryGovernor::unbounded();
-        let reference = apply_single(
-            op,
-            LocalStrategy::HashGroup,
-            vec![input.clone()],
-            OpCtx {
-                interp: Interp::default(),
-                stats: &ref_stats,
-                gov: &ref_gov,
-                batch_size: 64,
-                op_id: 0,
-            },
-        )
-        .unwrap();
-        assert_eq!(ref_stats.spill_snapshot(), (0, 0, 0));
+        let (ref_stats, ref_gov) = (ExecStats::new(), MemoryGovernor::unbounded());
+        let hash = LocalStrategy::HashGroup;
+        let reference = apply_chunked(op, hash, &input, 48, ctx(&ref_stats, &ref_gov)).unwrap();
+        assert_eq!(ref_stats.totals().spill_runs, 0);
 
         for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
             // A 64-byte budget forces a spill on (nearly) every pushed
-            // batch; feed one record per batch to maximize pressure events.
+            // batch; feed one record per batch to maximize pressure events
+            // (`apply_chunked` checks that each one sheds the buffer).
             let stats = ExecStats::with_ops(1);
             let gov = MemoryGovernor::with_budget(Some(64));
-            let ctx = OpCtx {
-                interp: Interp::default(),
-                stats: &stats,
-                gov: &gov,
-                batch_size: 64,
-                op_id: 0,
-            };
-            let mut oper = ReduceOp::new(op, strategy, ctx);
-            oper.open().unwrap();
-            let mut out = Vec::new();
-            let mut max_resident = 0u64;
-            for r in input.clone() {
-                let batch_bytes = r.encoded_len() as u64;
-                oper.push(0, Arc::new(RecordBatch::from_records(vec![r])), &mut out)
-                    .unwrap();
-                max_resident = max_resident.max(gov.resident());
-                // Within one batch of slack: pressure sheds the buffer.
-                assert!(gov.resident() <= 64 + batch_bytes);
-            }
-            oper.finish(&mut out).unwrap();
-            let got: Vec<Record> = out.into_iter().flat_map(take_records).collect();
+            let got = apply_chunked(op, strategy, &input, 1, ctx(&stats, &gov)).unwrap();
             assert_eq!(got, reference, "{strategy:?} must spill transparently");
-            let (rec_spilled, bytes_spilled, runs) = stats.spill_snapshot();
-            assert!(runs > 1, "tiny budget must spill repeatedly: {runs}");
-            assert!(rec_spilled > 0 && bytes_spilled > 0);
-            assert_eq!(gov.resident(), 0, "all grants released at finish");
+            let t = stats.totals();
+            assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");
+            assert!(t.records_spilled > 0 && t.spilled_bytes > 0);
             let slot = &stats.op_snapshots()[0];
-            assert_eq!(slot.spill_runs, runs, "per-op slot mirrors the totals");
+            assert_eq!(
+                slot.spill_runs, t.spill_runs,
+                "per-op slot mirrors the totals"
+            );
         }
     }
 }

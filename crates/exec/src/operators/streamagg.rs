@@ -35,24 +35,26 @@
 //!
 //! ## Memory governance
 //!
-//! The partial table registers with the execution's
-//! [`MemoryGovernor`](crate::spill::MemoryGovernor). Under pressure the
+//! The partials live in a governed `RunBuffer` (the hash table only
+//! indexes them), granted at their first-sight size. Under pressure the
 //! two roles degrade differently:
 //!
 //! * the **combiner** flushes its partials *downstream* (Hadoop-style
 //!   combiner spill): the final Reduce re-groups them, so a skewed or
 //!   wide key domain costs shipped volume instead of unbounded memory —
 //!   the table never touches disk;
-//! * the **final** role spills its partials to canonically sorted on-disk
-//!   runs; at `finish` the runs merge with the in-memory table and
-//!   equal-key partials are re-folded (legal: `⊕` is associative and
-//!   commutative) before the one UDF call per key — call accounting and
-//!   emission order stay identical to the unspilled run.
+//! * the **final** role spills its partials as a canonically sorted
+//!   on-disk run.
+//!
+//! The final role has one finish: walk the buffer's key groups — merged
+//! from however many runs were written, none included — re-fold each
+//! group's partials into one (legal: `⊕` is associative and commutative;
+//! a group of one folds to itself) and invoke the UDF on it. Call
+//! accounting and emission order therefore do not depend on the budget.
 
 use super::{canonical_cmp, key_cmp, key_hash, take_records, OpCtx, Operator};
 use crate::engine::ExecError;
-use crate::spill::merge::external_group_stream;
-use crate::spill::SortedRun;
+use crate::spill::RunBuffer;
 use std::sync::Arc;
 use strato_dataflow::BoundOp;
 use strato_ir::interp::{eval_bin, Invocation};
@@ -65,7 +67,7 @@ use strato_record::{Record, RecordBatch};
 pub(crate) enum AggRole {
     /// Pre-ship combiner: emit raw partials, no UDF involvement.
     Combine,
-    /// Final local strategy: one UDF invocation per partial.
+    /// Final local strategy: one UDF invocation per key.
     Final,
 }
 
@@ -83,15 +85,13 @@ pub struct StreamAggOp<'a> {
     key_idx: Vec<usize>,
     /// Scratch hash column reused across columnar batches.
     hashes: Vec<u64>,
-    /// key hash → partial records of the keys sharing that hash.
-    table: FxHashMap<u64, Vec<Record>>,
+    /// One partial record per key seen since the last shed.
+    partials: RunBuffer<'a>,
+    /// key hash → positions in `partials.rows()` of the keys sharing it.
+    table: FxHashMap<u64, Vec<usize>>,
     records_in: u64,
     /// Partials emitted or spilled so far (pressure flushes + finish).
     partials_out: u64,
-    /// `encoded_len` of the table's partials, as granted to the governor.
-    table_bytes: u64,
-    /// Sorted partial runs written under pressure (Final role only).
-    runs: Vec<SortedRun>,
 }
 
 impl<'a> StreamAggOp<'a> {
@@ -110,11 +110,10 @@ impl<'a> StreamAggOp<'a> {
             role,
             key_idx,
             hashes: Vec::new(),
+            partials: RunBuffer::new(&ctx, &op.key_attrs[0], false),
             table: FxHashMap::default(),
             records_in: 0,
             partials_out: 0,
-            table_bytes: 0,
-            runs: Vec::new(),
         }
     }
 
@@ -124,20 +123,21 @@ impl<'a> StreamAggOp<'a> {
         let key = &self.op.key_attrs[0];
         self.records_in += 1;
         let bucket = self.table.entry(key_hash(&r, key)).or_default();
-        match bucket.iter_mut().find(|p| key_cmp(p, &r, key).is_eq()) {
-            Some(p) => {
+        let partials = self.partials.rows_mut();
+        match bucket
+            .iter()
+            .find(|&&i| key_cmp(&partials[i], &r, key).is_eq())
+        {
+            Some(&i) => {
+                let p = &mut partials[i];
                 for &(f, bin) in &self.folds {
                     let v = eval_bin(bin, p.field(f), r.field(f));
                     p.set_field(f, v);
                 }
             }
             None => {
-                if self.ctx.gov.bounded() {
-                    let bytes = r.encoded_len() as u64;
-                    self.table_bytes += bytes;
-                    self.ctx.gov.grant(bytes);
-                }
-                bucket.push(r);
+                bucket.push(partials.len());
+                self.partials.push([r]);
             }
         }
     }
@@ -149,56 +149,40 @@ impl<'a> StreamAggOp<'a> {
     fn absorb_row(&mut self, cb: &strato_record::ColumnBatch, row: usize, hash: u64) {
         self.records_in += 1;
         let bucket = self.table.entry(hash).or_default();
+        let partials = self.partials.rows_mut();
         match bucket
-            .iter_mut()
-            .find(|p| cb.key_cmp_record(row, p, &self.key_idx).is_eq())
+            .iter()
+            .find(|&&i| cb.key_cmp_record(row, &partials[i], &self.key_idx).is_eq())
         {
-            Some(p) => {
+            Some(&i) => {
+                let p = &mut partials[i];
                 for &(f, bin) in &self.folds {
                     let v = eval_bin(bin, p.field(f), &cb.value_at(row, f));
                     p.set_field(f, v);
                 }
             }
             None => {
-                let r = cb.row_record(row);
-                if self.ctx.gov.bounded() {
-                    let bytes = r.encoded_len() as u64;
-                    self.table_bytes += bytes;
-                    self.ctx.gov.grant(bytes);
-                }
-                bucket.push(r);
+                bucket.push(partials.len());
+                self.partials.push([cb.row_record(row)]);
             }
         }
     }
 
-    /// Drains the table into canonically sorted partials and releases its
-    /// governor grant.
-    fn drain_sorted(&mut self) -> Vec<Record> {
+    /// Empties the table for a flush or the finish, counting its partials
+    /// as produced.
+    fn reset_table(&mut self) {
+        self.partials_out += self.partials.rows().len() as u64;
+        self.table.clear();
+    }
+
+    /// Combiner output: the partials in ascending canonical key order
+    /// (deterministic for any arrival order), their grant released.
+    fn emit_partials(&mut self, out: &mut Vec<Arc<RecordBatch>>) {
         let key = &self.op.key_attrs[0];
-        let mut partials: Vec<Record> = self.table.drain().flat_map(|(_, b)| b).collect();
+        let mut partials = self.partials.take_rows();
+        self.partials.release();
         partials.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
-        self.ctx.gov.release(self.table_bytes);
-        self.table_bytes = 0;
-        partials
-    }
-
-    /// Sheds the table under memory pressure: the combiner flushes its
-    /// partials downstream (the final Reduce re-groups them), the final
-    /// role writes them as a sorted on-disk run.
-    fn shed(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let partials = self.drain_sorted();
-        self.partials_out += partials.len() as u64;
-        match self.role {
-            AggRole::Combine => self.ctx.emit(partials, out),
-            AggRole::Final => {
-                let run = self.ctx.gov.write_sorted_run(&partials)?;
-                self.ctx
-                    .stats
-                    .add_spill(self.ctx.op_id, run.records(), run.bytes());
-                self.runs.push(run);
-            }
-        }
-        Ok(())
+        self.ctx.emit(partials, out);
     }
 
     /// Folds a group of equal-key partials (from different runs/flushes)
@@ -238,50 +222,30 @@ impl Operator for StreamAggOp<'_> {
                 self.absorb(r);
             }
         }
-        if self.ctx.gov.over_budget() && !self.table.is_empty() {
-            self.shed(out)?;
+        if self.ctx.gov.over_budget() && !self.partials.rows().is_empty() {
+            // Shed the table: the combiner flushes its partials downstream
+            // (the final Reduce re-groups them), the final role writes
+            // them as a sorted on-disk run.
+            self.reset_table();
+            match self.role {
+                AggRole::Combine => self.emit_partials(out),
+                AggRole::Final => self.partials.spill()?,
+            }
         }
         Ok(())
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let key = &self.op.key_attrs[0];
-        // Ascending canonical key order: combiner output is deterministic
-        // and the Final role matches the buffered Reduce's emission order.
-        let partials = self.drain_sorted();
-        self.partials_out += partials.len() as u64;
+        self.reset_table();
         self.ctx
             .stats
             .add_preagg(self.records_in, self.partials_out);
         match self.role {
-            AggRole::Combine => self.ctx.emit(partials, out),
-            AggRole::Final if self.runs.is_empty() => {
-                let groups = partials.len() as u64;
-                let mut emitted = Vec::new();
-                for p in &partials {
-                    self.ctx.call(
-                        self.op,
-                        Invocation::Group(std::slice::from_ref(p)),
-                        &mut emitted,
-                    )?;
-                }
-                if self.ctx.stats.detail() {
-                    // Partials are exactly the distinct input-0 keys.
-                    self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, groups);
-                }
-                self.ctx.emit(emitted, out);
-            }
+            AggRole::Combine => self.emit_partials(out),
             AggRole::Final => {
-                // Out-of-core: merge the spilled partial runs with the
-                // remaining table, re-fold the flush fragments of each key
-                // into one partial, and keep the one-UDF-call-per-key
-                // accounting of the in-memory path.
-                let mut stream = external_group_stream(
-                    self.ctx.gov,
-                    std::mem::take(&mut self.runs),
-                    partials,
-                    key,
-                )?;
+                // Ascending canonical key order — the buffered Reduce's
+                // emission order — and one UDF call per key.
+                let mut stream = self.partials.drain_groups()?;
                 let mut groups = 0u64;
                 let mut emitted = Vec::new();
                 while let Some(g) = stream.next_group()? {
@@ -294,6 +258,7 @@ impl Operator for StreamAggOp<'_> {
                     groups += 1;
                 }
                 if self.ctx.stats.detail() {
+                    // Partials are exactly the distinct input-0 keys.
                     self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, groups);
                 }
                 self.ctx.emit(emitted, out);
@@ -306,13 +271,12 @@ impl Operator for StreamAggOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_single, build_combiner};
+    use crate::operators::{apply_chunked, apply_single, build_combiner};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
-    use crate::testutil::sum_inplace;
+    use crate::testutil::{ctx, sum_inplace};
     use strato_core::LocalStrategy;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
-    use strato_ir::interp::Interp;
     use strato_record::{DataSet, Value};
 
     fn agg_plan() -> Plan {
@@ -330,14 +294,10 @@ mod tests {
         crate::testutil::widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width())
     }
 
-    fn ctx<'a>(stats: &'a ExecStats, gov: &'a MemoryGovernor) -> OpCtx<'a> {
-        OpCtx {
-            interp: Interp::default(),
-            stats,
-            gov,
-            batch_size: 64,
-            op_id: 0,
-        }
+    /// `(records in, partials out)` of the pre-aggregation tables.
+    fn preagg(stats: &ExecStats) -> (u64, u64) {
+        let t = stats.totals();
+        (t.records_preagg_in, t.records_preagg_out)
     }
 
     #[test]
@@ -346,15 +306,9 @@ mod tests {
         let op = &plan.ctx.ops[0];
         let rows = [(3, 10), (1, 1), (3, -4), (2, 7), (1, 5), (3, 9)];
         let input = wide(&plan, &rows);
-        let s1 = ExecStats::new();
-        let g1 = MemoryGovernor::unbounded();
-        let buffered = apply_single(
-            op,
-            LocalStrategy::HashGroup,
-            vec![input.clone()],
-            ctx(&s1, &g1),
-        )
-        .unwrap();
+        let (s1, g1) = (ExecStats::new(), MemoryGovernor::unbounded());
+        let hash = LocalStrategy::HashGroup;
+        let buffered = apply_single(op, hash, vec![input.clone()], ctx(&s1, &g1)).unwrap();
         let s2 = ExecStats::new();
         let g2 = MemoryGovernor::unbounded();
         let streamed =
@@ -362,11 +316,11 @@ mod tests {
         // Same records in the same (ascending-key) order.
         assert_eq!(buffered, streamed);
         // Same UDF-call accounting: one call per distinct key.
-        assert_eq!(s1.snapshot().0, s2.snapshot().0);
-        assert_eq!(s2.snapshot().0, 3);
+        assert_eq!(s1.totals().udf_calls, s2.totals().udf_calls);
+        assert_eq!(s2.totals().udf_calls, 3);
         // The streaming path reports its reduction.
-        assert_eq!(s2.preagg_snapshot(), (6, 3));
-        assert_eq!(s1.preagg_snapshot(), (0, 0));
+        assert_eq!(preagg(&s2), (6, 3));
+        assert_eq!(preagg(&s1), (0, 0));
     }
 
     #[test]
@@ -397,8 +351,8 @@ mod tests {
         assert_eq!(partials[1].field(0), &Value::Int(2));
         assert_eq!(partials[1].field(1), &Value::Int(7));
         // No UDF ran; the reduction is accounted.
-        assert_eq!(stats.snapshot().0, 0);
-        assert_eq!(stats.preagg_snapshot(), (5, 2));
+        assert_eq!(stats.totals().udf_calls, 0);
+        assert_eq!(preagg(&stats), (5, 2));
     }
 
     #[test]
@@ -435,22 +389,16 @@ mod tests {
                 })
                 .collect();
             let input = crate::testutil::widen(&ds, &src.attrs, plan.ctx.width());
-            let s1 = ExecStats::new();
-            let g1 = MemoryGovernor::unbounded();
-            let buffered = apply_single(
-                op,
-                LocalStrategy::HashGroup,
-                vec![input.clone()],
-                ctx(&s1, &g1),
-            )
-            .unwrap();
+            let (s1, g1) = (ExecStats::new(), MemoryGovernor::unbounded());
+            let hash = LocalStrategy::HashGroup;
+            let buffered = apply_single(op, hash, vec![input.clone()], ctx(&s1, &g1)).unwrap();
             let s2 = ExecStats::new();
             let g2 = MemoryGovernor::unbounded();
             let requested =
                 apply_single(op, LocalStrategy::StreamAgg, vec![input], ctx(&s2, &g2)).unwrap();
             assert_eq!(buffered, requested, "fallback must be exact");
             // The fallback is the buffered operator: no preagg activity.
-            assert_eq!(s2.preagg_snapshot(), (0, 0));
+            assert_eq!(preagg(&s2), (0, 0));
         }
     }
 
@@ -463,40 +411,21 @@ mod tests {
         let plan = agg_plan();
         let op = &plan.ctx.ops[0];
         let rows: Vec<(i64, i64)> = (0..40).map(|i| (i % 4, i)).collect();
-        let input = wide(&plan, &rows);
+        let input = [wide(&plan, &rows)];
+        let agg = LocalStrategy::StreamAgg;
 
-        let s_ref = ExecStats::new();
-        let g_ref = MemoryGovernor::unbounded();
-        let reference = apply_single(
-            op,
-            LocalStrategy::StreamAgg,
-            vec![input.clone()],
-            ctx(&s_ref, &g_ref),
-        )
-        .unwrap();
+        let (s_ref, g_ref) = (ExecStats::new(), MemoryGovernor::unbounded());
+        let reference = apply_chunked(op, agg, &input, 40, ctx(&s_ref, &g_ref)).unwrap();
 
         let stats = ExecStats::with_ops(1);
         let gov = MemoryGovernor::with_budget(Some(30));
-        let mut agg = StreamAggOp::new(op, AggRole::Final, ctx(&stats, &gov));
-        agg.open().unwrap();
-        let mut out = Vec::new();
-        for r in input {
-            agg.push(0, Arc::new(RecordBatch::from_records(vec![r])), &mut out)
-                .unwrap();
-        }
-        agg.finish(&mut out).unwrap();
-        let got: Vec<Record> = out
-            .into_iter()
-            .flat_map(crate::operators::take_records)
-            .collect();
+        let got = apply_chunked(op, agg, &input, 1, ctx(&stats, &gov)).unwrap();
         assert_eq!(got, reference, "spilled StreamAgg must be exact");
-        let (rec_spilled, _, runs) = stats.spill_snapshot();
-        assert!(runs > 1, "tiny budget must spill repeatedly: {runs}");
-        assert!(rec_spilled > 0);
+        let t = stats.totals();
+        assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");
+        assert!(t.records_spilled > 0);
         // One UDF call per distinct key, exactly like the unspilled run.
-        assert_eq!(stats.snapshot().0, 4);
-        assert_eq!(s_ref.snapshot().0, 4);
-        assert_eq!(gov.resident(), 0, "grants released at finish");
+        assert_eq!((t.udf_calls, s_ref.totals().udf_calls), (4, 4));
     }
 
     #[test]
@@ -527,12 +456,12 @@ mod tests {
         let total: i64 = partials.iter().map(|p| p.field(1).as_int().unwrap()).sum();
         assert_eq!(total, 30, "flush fragments must partition the fold");
         // Hadoop-style: the combiner never touches disk.
-        assert_eq!(stats.spill_snapshot(), (0, 0, 0));
+        assert_eq!(stats.totals().spill_runs, 0);
         assert_eq!(gov.spill_dir_path(), None);
         // Accounting balances: 30 in, every emitted partial counted.
-        assert_eq!(stats.preagg_snapshot(), (30, partials.len() as u64));
+        assert_eq!(preagg(&stats), (30, partials.len() as u64));
         // No UDF ran in the combiner role.
-        assert_eq!(stats.snapshot().0, 0);
+        assert_eq!(stats.totals().udf_calls, 0);
     }
 
     #[test]
@@ -541,26 +470,14 @@ mod tests {
         // null-absorption matches the UDF's interpreter semantics.
         let plan = agg_plan();
         let op = &plan.ctx.ops[0];
-        let mk = |k: Value, v: i64| {
-            let mut r = Record::nulls(plan.ctx.width());
-            r.set_field(0, k);
-            r.set_field(1, Value::Int(v));
-            r
-        };
-        let input = vec![mk(Value::Null, 3), mk(Value::Int(1), 2), mk(Value::Null, 4)];
-        let s1 = ExecStats::new();
-        let g1 = MemoryGovernor::unbounded();
-        let buffered = apply_single(
-            op,
-            LocalStrategy::HashGroup,
-            vec![input.clone()],
-            ctx(&s1, &g1),
-        )
-        .unwrap();
-        let s2 = ExecStats::new();
-        let g2 = MemoryGovernor::unbounded();
-        let streamed =
-            apply_single(op, LocalStrategy::StreamAgg, vec![input], ctx(&s2, &g2)).unwrap();
+        let mut input = wide(&plan, &[(0, 3), (1, 2), (0, 4)]);
+        input[0].set_field(0, Value::Null);
+        input[2].set_field(0, Value::Null);
+        let (stats, gov) = (ExecStats::new(), MemoryGovernor::unbounded());
+        let hash = LocalStrategy::HashGroup;
+        let buffered = apply_single(op, hash, vec![input.clone()], ctx(&stats, &gov)).unwrap();
+        let agg = LocalStrategy::StreamAgg;
+        let streamed = apply_single(op, agg, vec![input], ctx(&stats, &gov)).unwrap();
         assert_eq!(buffered, streamed);
         assert_eq!(buffered.len(), 2);
     }

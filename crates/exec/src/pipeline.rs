@@ -1,20 +1,17 @@
 //! Lowering plans to a streaming task graph, and the worker-pool scheduler
 //! that drives it.
 //!
-//! This module is the **single** execution path of the crate. Both entry
-//! points lower to the same `Stage` tree, flatten it into a `TaskGraph`
-//! and run through the same scheduler:
-//!
-//! * [`crate::execute_logical`] compiles the *logical* plan with
-//!   `compile_logical` (all-Forward ships, each PACT's default local
-//!   algorithm) and runs it at `dop = 1`;
-//! * [`crate::execute`] compiles the `(Plan, PhysPlan)` pair with
-//!   `compile_physical` (the optimizer's ship + local strategy choices)
-//!   and runs it at the requested degree of parallelism.
+//! This module is the **single** execution path of the crate: every entry
+//! point hands a [`PhysNode`] tree to `TaskGraph::build`, which flattens
+//! it into tasks, and runs them through the same scheduler.
+//! [`crate::execute`] passes the optimizer's ship + local strategy
+//! choices at the requested degree of parallelism;
+//! [`crate::execute_logical`] passes [`strato_core::PhysPlan::logical`]
+//! (all-Forward ships, each PACT's default local algorithm) at `dop = 1`.
 //!
 //! ## Execution model
 //!
-//! The stage tree is flattened into one **task** per `stage × partition`.
+//! The plan is flattened into one **task** per `stage × partition`.
 //! Tasks communicate through bounded channels of `Arc<RecordBatch>`es: a
 //! task pulls arriving batches from its input channels, drives its
 //! [`crate::operators::Operator`] incrementally (open → push per batch →
@@ -53,7 +50,7 @@
 //! the `runtime::QueryTasks` trait) whose workers take one task step per
 //! pick, round-robin across in-flight queries. The standalone entry
 //! points ([`crate::execute_with`] and friends) build a runtime private
-//! to the call (`private_runtime`).
+//! to the call (`private_runtime`), sized by the task graph the run built.
 //!
 //! Reduces whose UDF the static analysis proved **combinable** escape the
 //! buffering: the optimizer may mark them (`PhysNode::combine`) and this
@@ -77,7 +74,7 @@ use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 use strato_core::{LocalStrategy, PhysNode, Ship};
-use strato_dataflow::{NodeKind, Pact, Plan, PlanNode};
+use strato_dataflow::{NodeKind, Pact, Plan};
 use strato_ir::interp::Interp;
 use strato_record::{BatchBuilder, DataSet, Record, RecordBatch};
 
@@ -159,100 +156,8 @@ impl Default for ExecOptions {
     }
 }
 
-/// One node of the compiled operator DAG.
-#[derive(Debug, Clone)]
-pub(crate) enum StageKind {
-    /// Scan a source (index into `plan.ctx.sources`).
-    Scan(usize),
-    /// Apply operator `op` with the given strategies.
-    Apply {
-        /// Index into `plan.ctx.ops`.
-        op: usize,
-        /// Local algorithm.
-        local: LocalStrategy,
-        /// Ship strategy per input.
-        ships: Vec<Ship>,
-    },
-    /// Pre-ship combiner of Reduce `op`: streaming partial aggregation on
-    /// the producing partitions (Forward input), feeding the Reduce's
-    /// Partition ship.
-    Combine {
-        /// Index into `plan.ctx.ops` (the Reduce being combined for).
-        op: usize,
-    },
-}
-
-/// A compiled execution stage: strategy-annotated plan structure, shared
-/// by the logical oracle and the parallel engine.
-#[derive(Debug, Clone)]
-pub(crate) struct Stage {
-    pub(crate) kind: StageKind,
-    pub(crate) children: Vec<Stage>,
-}
-
-/// Lowers a logical plan: every ship is `Forward`, every operator runs its
-/// PACT's default local algorithm (see [`LocalStrategy::default_for`]).
-pub(crate) fn compile_logical(plan: &Plan, node: &PlanNode) -> Stage {
-    match node.kind {
-        NodeKind::Source(s) => Stage {
-            kind: StageKind::Scan(s),
-            children: vec![],
-        },
-        NodeKind::Op(o) => Stage {
-            kind: StageKind::Apply {
-                op: o,
-                local: LocalStrategy::default_for(&plan.ctx.ops[o].pact),
-                ships: vec![Ship::Forward; node.children.len()],
-            },
-            children: node
-                .children
-                .iter()
-                .map(|c| compile_logical(plan, c))
-                .collect(),
-        },
-    }
-}
-
-/// Lowers a physical plan: ship and local strategies come from the
-/// optimizer's choices. When `combine` is set (the default), a Reduce the
-/// optimizer marked [`PhysNode::combine`] gets a pre-ship combiner stage
-/// spliced between its input subtree and its Partition ship.
-pub(crate) fn compile_physical(node: &PhysNode, combine: bool) -> Stage {
-    match node.logical.kind {
-        NodeKind::Source(s) => Stage {
-            kind: StageKind::Scan(s),
-            children: vec![],
-        },
-        NodeKind::Op(o) => {
-            let mut children: Vec<Stage> = node
-                .children
-                .iter()
-                .map(|c| compile_physical(c, combine))
-                .collect();
-            if combine && node.combine {
-                let input = children.remove(0);
-                children.insert(
-                    0,
-                    Stage {
-                        kind: StageKind::Combine { op: o },
-                        children: vec![input],
-                    },
-                );
-            }
-            Stage {
-                kind: StageKind::Apply {
-                    op: o,
-                    local: node.local,
-                    ships: node.ships.clone(),
-                },
-                children,
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Task graph: the Stage tree flattened, with Map fusion.
+// Task graph: the physical plan flattened, with Map fusion.
 // ---------------------------------------------------------------------------
 
 /// One input edge of a flattened stage.
@@ -290,7 +195,7 @@ struct FlatStage {
     chan_base: Vec<usize>,
 }
 
-/// The flattened, fusion-applied form of a [`Stage`] tree. Stage ids are
+/// The flattened, fusion-applied form of a physical plan. Stage ids are
 /// post-order; the root is always the last stage.
 pub(crate) struct TaskGraph {
     stages: Vec<FlatStage>,
@@ -298,9 +203,9 @@ pub(crate) struct TaskGraph {
 }
 
 impl TaskGraph {
-    pub(crate) fn build(plan: &Plan, root: &Stage, dop: usize, fuse_maps: bool) -> TaskGraph {
+    pub(crate) fn build(plan: &Plan, root: &PhysNode, dop: usize, opts: &ExecOptions) -> TaskGraph {
         let mut stages: Vec<FlatStage> = Vec::new();
-        flatten(plan, root, fuse_maps, &mut stages);
+        flatten(plan, root, opts, &mut stages);
         // Wire consumers and assign contiguous channel ranges per edge.
         let mut n_chans = 0;
         for s in 0..stages.len() {
@@ -321,73 +226,64 @@ impl TaskGraph {
     }
 }
 
-/// Post-order flattening; returns the flat id realizing `stage`. A
+fn push_stage(stages: &mut Vec<FlatStage>, kind: FlatKind, inputs: Vec<FlatInput>) -> usize {
+    stages.push(FlatStage {
+        kind,
+        inputs,
+        consumer: None,
+        chan_base: vec![],
+    });
+    stages.len() - 1
+}
+
+/// Post-order flattening; returns the flat id realizing `node`. A
 /// Forward-shipped Map whose producer is a Map (chain) is fused into the
-/// producer's stage instead of becoming its own.
-fn flatten(plan: &Plan, stage: &Stage, fuse_maps: bool, stages: &mut Vec<FlatStage>) -> usize {
-    let children: Vec<usize> = stage
+/// producer's stage instead of becoming its own. With
+/// [`ExecOptions::combine`], a Reduce the optimizer marked
+/// [`PhysNode::combine`] gets a pre-ship combiner stage spliced between
+/// its input subtree and its Partition ship.
+fn flatten(plan: &Plan, node: &PhysNode, opts: &ExecOptions, stages: &mut Vec<FlatStage>) -> usize {
+    let op = match node.logical.kind {
+        NodeKind::Source(s) => return push_stage(stages, FlatKind::Scan(s), vec![]),
+        NodeKind::Op(o) => o,
+    };
+    let mut children: Vec<usize> = node
         .children
         .iter()
-        .map(|c| flatten(plan, c, fuse_maps, stages))
+        .map(|c| flatten(plan, c, opts, stages))
         .collect();
-    match &stage.kind {
-        StageKind::Scan(s) => {
-            stages.push(FlatStage {
-                kind: FlatKind::Scan(*s),
-                inputs: vec![],
-                consumer: None,
-                chan_base: vec![],
-            });
-            stages.len() - 1
-        }
-        StageKind::Combine { op } => {
-            // Partition-local: consumes its producer's output in place
-            // (Forward) and never fuses.
-            stages.push(FlatStage {
-                kind: FlatKind::Combine { op: *op },
-                inputs: vec![FlatInput {
-                    child: children[0],
-                    ship: Ship::Forward,
-                }],
-                consumer: None,
-                chan_base: vec![],
-            });
-            stages.len() - 1
-        }
-        StageKind::Apply { op, local, ships } => {
-            if fuse_maps
-                && matches!(plan.ctx.ops[*op].pact, Pact::Map)
-                && ships.len() == 1
-                && ships[0] == Ship::Forward
-            {
-                let c = children[0];
-                if let FlatKind::Apply {
-                    op: head, fused, ..
-                } = &mut stages[c].kind
-                {
-                    if matches!(plan.ctx.ops[*head].pact, Pact::Map) {
-                        fused.push(*op);
-                        return c;
-                    }
-                }
+    if opts.combine && node.combine {
+        // Partition-local: consumes its producer's output in place
+        // (Forward) and never fuses.
+        let input = FlatInput {
+            child: children[0],
+            ship: Ship::Forward,
+        };
+        children[0] = push_stage(stages, FlatKind::Combine { op }, vec![input]);
+    }
+    if opts.fuse_maps && matches!(plan.ctx.ops[op].pact, Pact::Map) && node.ships == [Ship::Forward]
+    {
+        if let FlatKind::Apply {
+            op: head, fused, ..
+        } = &mut stages[children[0]].kind
+        {
+            if matches!(plan.ctx.ops[*head].pact, Pact::Map) {
+                fused.push(op);
+                return children[0];
             }
-            stages.push(FlatStage {
-                kind: FlatKind::Apply {
-                    op: *op,
-                    local: *local,
-                    fused: vec![],
-                },
-                inputs: children
-                    .into_iter()
-                    .zip(ships.iter().cloned())
-                    .map(|(child, ship)| FlatInput { child, ship })
-                    .collect(),
-                consumer: None,
-                chan_base: vec![],
-            });
-            stages.len() - 1
         }
     }
+    let kind = FlatKind::Apply {
+        op,
+        local: node.local,
+        fused: vec![],
+    };
+    let inputs = children
+        .into_iter()
+        .zip(node.ships.iter().cloned())
+        .map(|(child, ship)| FlatInput { child, ship })
+        .collect();
+    push_stage(stages, kind, inputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -887,32 +783,23 @@ impl QueryTasks for ExecState<'_> {
 /// thread per core up to the number of tasks. At `dop = 1` it has no
 /// threads and the calling thread drives the run — the logical oracle
 /// stays inline and deterministic.
-pub(crate) fn private_runtime(
-    plan: &Plan,
-    root: &Stage,
-    dop: usize,
-    opts: &ExecOptions,
-) -> EngineRuntime {
+fn private_runtime(dop: usize, n_tasks: usize) -> EngineRuntime {
     if dop <= 1 {
         return EngineRuntime::private(0);
     }
-    let tasks = TaskGraph::build(plan, root, dop, opts.fuse_maps)
-        .stages
-        .len()
-        * dop;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    EngineRuntime::private(cores.min(tasks))
+    EngineRuntime::private(cores.min(n_tasks))
 }
 
-/// Runs a compiled stage tree to completion on `runtime`'s pool and
-/// gathers the root's output.
+/// Runs a physical plan to completion and gathers the root's output — on
+/// `runtime`'s pool, or on a runtime private to the call when `None`.
 pub(crate) fn run(
     plan: &Plan,
-    root: &Stage,
+    root: &PhysNode,
     inputs: &Inputs,
     dop: usize,
     opts: &ExecOptions,
-    runtime: &EngineRuntime,
+    runtime: Option<&EngineRuntime>,
 ) -> Result<(DataSet, ExecStats), ExecError> {
     let stats = ExecStats::with_ops(plan.ctx.ops.len());
     let out = run_streaming(plan, root, inputs, dop, opts, &stats, runtime)?;
@@ -924,16 +811,24 @@ pub(crate) fn run(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_streaming(
     plan: &Plan,
-    root: &Stage,
+    root: &PhysNode,
     inputs: &Inputs,
     dop: usize,
     opts: &ExecOptions,
     stats: &ExecStats,
-    runtime: &EngineRuntime,
+    runtime: Option<&EngineRuntime>,
 ) -> Result<DataSet, ExecError> {
     let dop = dop.max(1);
-    let graph = TaskGraph::build(plan, root, dop, opts.fuse_maps);
+    let graph = TaskGraph::build(plan, root, dop, opts);
     let n_tasks = graph.stages.len() * dop;
+    let private;
+    let runtime = match runtime {
+        Some(shared) => shared,
+        None => {
+            private = private_runtime(dop, n_tasks);
+            &private
+        }
+    };
 
     // The execution's memory grant, carved out of the runtime's pool.
     // Declared before the task bodies (which borrow it) so it is dropped
@@ -1146,6 +1041,7 @@ pub(crate) fn run_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strato_core::PhysPlan;
     use strato_dataflow::{CostHints, ProgramBuilder, SourceDef};
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
     use strato_record::Value;
@@ -1208,12 +1104,16 @@ mod tests {
     #[test]
     fn adjacent_forward_maps_fuse_into_one_stage() {
         let plan = three_map_plan();
-        let compiled = compile_logical(&plan, &plan.root);
+        let logical = PhysPlan::logical(&plan).root;
         // Fused: scan + one chained-map stage.
-        let fused = TaskGraph::build(&plan, &compiled, 1, true);
+        let fused = TaskGraph::build(&plan, &logical, 1, &ExecOptions::default());
         assert_eq!(fused.stage_count(), 2);
         // Unfused: scan + three map stages.
-        let unfused = TaskGraph::build(&plan, &compiled, 1, false);
+        let unfused_opts = ExecOptions {
+            fuse_maps: false,
+            ..ExecOptions::default()
+        };
+        let unfused = TaskGraph::build(&plan, &logical, 1, &unfused_opts);
         assert_eq!(unfused.stage_count(), 4);
     }
 
@@ -1225,30 +1125,30 @@ mod tests {
         let r = p.reduce("sum", &[0], sum_reduce(2, 1), CostHints::default(), m1);
         let m2 = p.map("m2", add_const(3, 1, 2), CostHints::default(), r);
         let plan = p.finish(m2).unwrap().bind().unwrap();
-        let compiled = compile_logical(&plan, &plan.root);
+        let logical = PhysPlan::logical(&plan).root;
         // Nothing fuses: scan, m1, reduce, m2 (the map after the reduce has
         // no map producer; the map before it feeds a non-map).
-        assert_eq!(TaskGraph::build(&plan, &compiled, 1, true).stage_count(), 4);
+        let graph = TaskGraph::build(&plan, &logical, 1, &ExecOptions::default());
+        assert_eq!(graph.stage_count(), 4);
     }
 
     #[test]
     fn fused_run_matches_unfused_run_and_stats() {
         let plan = three_map_plan();
-        let compiled = compile_logical(&plan, &plan.root);
+        let logical = PhysPlan::logical(&plan).root;
         let inputs = inputs_for(&plan, &[&[1, 10], &[2, 20], &[3, 30], &[4, 40], &[5, 50]]);
         let fused_opts = ExecOptions::default();
         let unfused_opts = ExecOptions {
             fuse_maps: false,
             ..ExecOptions::default()
         };
-        let inline = EngineRuntime::private(0);
-        let (out_f, st_f) = run(&plan, &compiled, &inputs, 1, &fused_opts, &inline).unwrap();
-        let (out_u, st_u) = run(&plan, &compiled, &inputs, 1, &unfused_opts, &inline).unwrap();
+        let (out_f, st_f) = run(&plan, &logical, &inputs, 1, &fused_opts, None).unwrap();
+        let (out_u, st_u) = run(&plan, &logical, &inputs, 1, &unfused_opts, None).unwrap();
         assert_eq!(out_f, out_u);
         // Fusion changes transport, not semantics: identical UDF call and
         // emit counts, globally and per operator.
-        assert_eq!(st_f.snapshot().0, st_u.snapshot().0);
-        assert_eq!(st_f.snapshot().1, st_u.snapshot().1);
+        assert_eq!(st_f.totals().udf_calls, st_u.totals().udf_calls);
+        assert_eq!(st_f.totals().records_emitted, st_u.totals().records_emitted);
         let (ops_f, ops_u) = (st_f.op_snapshots(), st_u.op_snapshots());
         for (a, b) in ops_f.iter().zip(&ops_u) {
             assert_eq!((a.calls, a.emits), (b.calls, b.emits));
@@ -1281,28 +1181,31 @@ mod tests {
         let phys = best_physical(&plan, &props, &CostWeights::default(), 4);
         assert!(phys.root.combine, "optimizer must choose the combiner");
 
+        let on = ExecOptions::default();
+        let off = ExecOptions {
+            combine: false,
+            ..ExecOptions::default()
+        };
         // Lowered with combining: scan → combine → reduce (3 stages);
         // lowered with the axis off: scan → reduce (2 stages).
-        let with = compile_physical(&phys.root, true);
-        assert_eq!(TaskGraph::build(&plan, &with, 4, true).stage_count(), 3);
-        let without = compile_physical(&phys.root, false);
-        assert_eq!(TaskGraph::build(&plan, &without, 4, true).stage_count(), 2);
+        assert_eq!(TaskGraph::build(&plan, &phys.root, 4, &on).stage_count(), 3);
+        assert_eq!(
+            TaskGraph::build(&plan, &phys.root, 4, &off).stage_count(),
+            2
+        );
 
         // End-to-end: identical output, strictly fewer shipped records,
         // and the pre-aggregation counters report the reduction.
         let rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 16, i]).collect();
         let rows_ref: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let inputs = inputs_for(&plan, &rows_ref);
-        let on = ExecOptions::default();
-        let off = ExecOptions {
-            combine: false,
-            ..ExecOptions::default()
-        };
-        let rt = private_runtime(&plan, &with, 4, &on);
-        let (out_on, st_on) = run(&plan, &with, &inputs, 4, &on, &rt).unwrap();
-        let (out_off, st_off) = run(&plan, &without, &inputs, 4, &off, &rt).unwrap();
+        let (out_on, st_on) = run(&plan, &phys.root, &inputs, 4, &on, None).unwrap();
+        let (out_off, st_off) = run(&plan, &phys.root, &inputs, 4, &off, None).unwrap();
         assert_eq!(out_on.sorted(), out_off.sorted(), "byte-identical bags");
-        let (shipped_on, shipped_off) = (st_on.snapshot().2, st_off.snapshot().2);
+        let (shipped_on, shipped_off) = (
+            st_on.totals().records_shipped,
+            st_off.totals().records_shipped,
+        );
         assert!(
             shipped_on < shipped_off,
             "combiner must cut shipping: {shipped_on} vs {shipped_off}"
@@ -1310,10 +1213,11 @@ mod tests {
         // With the combiner: it absorbs all 200 records AND the final
         // StreamAgg absorbs the partials. Without: only the final
         // StreamAgg sees the (unreduced) 200 records.
-        let (pre_in, pre_out) = st_on.preagg_snapshot();
+        let t = st_on.totals();
+        let (pre_in, pre_out) = (t.records_preagg_in, t.records_preagg_out);
         assert!(pre_in > 200, "combiner + final StreamAgg: {pre_in}");
         assert!(pre_out < pre_in);
-        assert_eq!(st_off.preagg_snapshot().0, 200);
+        assert_eq!(st_off.totals().records_preagg_in, 200);
     }
 
     #[test]
@@ -1323,20 +1227,12 @@ mod tests {
         let m = p.map("m", add_const(2, 1, 5), CostHints::default(), s);
         let r = p.reduce("sum", &[0], sum_reduce(2, 1), CostHints::default(), m);
         let plan = p.finish(r).unwrap().bind().unwrap();
-        let compiled = compile_logical(&plan, &plan.root);
+        let logical = PhysPlan::logical(&plan).root;
         let rows: Vec<Vec<i64>> = (0..64).map(|i| vec![i % 7, i]).collect();
         let rows_ref: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let inputs = inputs_for(&plan, &rows_ref);
-        let inline = EngineRuntime::private(0);
-        let (reference, ref_stats) = run(
-            &plan,
-            &compiled,
-            &inputs,
-            1,
-            &ExecOptions::default(),
-            &inline,
-        )
-        .unwrap();
+        let (reference, ref_stats) =
+            run(&plan, &logical, &inputs, 1, &ExecOptions::default(), None).unwrap();
         for workers in [1usize, 2, 4] {
             let rt = EngineRuntime::new(crate::runtime::RuntimeOptions {
                 workers: Some(workers),
@@ -1349,12 +1245,12 @@ mod tests {
                         channel_capacity: capacity,
                         ..ExecOptions::default()
                     };
-                    let (out, stats) = run(&plan, &compiled, &inputs, 1, &opts, &rt).unwrap();
+                    let (out, stats) = run(&plan, &logical, &inputs, 1, &opts, Some(&rt)).unwrap();
                     assert_eq!(
                         out, reference,
                         "workers={workers} capacity={capacity} batch={batch_size}"
                     );
-                    assert_eq!(stats.snapshot(), ref_stats.snapshot());
+                    assert_eq!(stats.totals(), ref_stats.totals());
                 }
             }
         }

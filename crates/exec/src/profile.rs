@@ -20,8 +20,8 @@
 
 use crate::engine::{ExecError, Inputs};
 use crate::pipeline::{self, ExecOptions};
-use crate::runtime::EngineRuntime;
 use crate::stats::ExecStats;
+use strato_core::PhysPlan;
 use strato_dataflow::{CostHints, Plan};
 use strato_record::DataSet;
 
@@ -100,15 +100,14 @@ pub fn sample_inputs(inputs: &Inputs, step: usize) -> Inputs {
 /// logical strategies, fusion off), recording per-operator observations.
 /// Returns one [`OpProfile`] per operator id of `plan.ctx`.
 pub fn profile(plan: &Plan, inputs: &Inputs) -> Result<Vec<OpProfile>, ExecError> {
-    let compiled = pipeline::compile_logical(plan, &plan.root);
+    let logical = PhysPlan::logical(plan);
     let opts = ExecOptions {
         // One task per operator: step time is per-operator time.
         fuse_maps: false,
         ..ExecOptions::default()
     };
     let stats = ExecStats::for_profiling(plan.ctx.ops.len());
-    let rt = EngineRuntime::private(0);
-    pipeline::run_streaming(plan, &compiled, inputs, 1, &opts, &stats, &rt)?;
+    pipeline::run_streaming(plan, &logical.root, inputs, 1, &opts, &stats, None)?;
     Ok(stats
         .op_snapshots()
         .into_iter()

@@ -434,8 +434,7 @@ impl EngineRuntime {
         dop: usize,
         opts: &ExecOptions,
     ) -> Result<(DataSet, ExecStats), ExecError> {
-        let compiled = pipeline::compile_physical(&phys.root, opts.combine);
-        pipeline::run(plan, &compiled, inputs, dop, opts, self)
+        pipeline::run(plan, &phys.root, inputs, dop, opts, Some(self))
     }
 
     /// [`crate::execute_logical`] on the shared pool.
@@ -454,8 +453,7 @@ impl EngineRuntime {
         inputs: &Inputs,
         opts: &ExecOptions,
     ) -> Result<(DataSet, ExecStats), ExecError> {
-        let compiled = pipeline::compile_logical(plan, &plan.root);
-        pipeline::run(plan, &compiled, inputs, 1, opts, self)
+        self.execute_with(plan, &PhysPlan::logical(plan), inputs, 1, opts)
     }
 }
 
@@ -561,7 +559,7 @@ mod tests {
                 .execute_with(&plan, &phys, &inputs, 4, &ExecOptions::default())
                 .unwrap();
             assert_eq!(out, reference, "shared pool must be byte-identical");
-            assert_eq!(stats.snapshot(), ref_stats.snapshot());
+            assert_eq!(stats.totals(), ref_stats.totals());
         }
         let (logical, _) = rt.execute_logical(&plan, &inputs).unwrap();
         assert_eq!(logical, execute_logical(&plan, &inputs).unwrap().0);

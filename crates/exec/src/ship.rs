@@ -58,9 +58,9 @@ pub(crate) enum Router<'a> {
     /// columnar kernels, then rows are scattered into per-destination
     /// [`BatchBuilder`]s without ever materializing a [`Record`]. Both
     /// paths charge identical per-record ship accounting and flush at
-    /// the same `batch_size` boundaries; when the two kinds interleave,
-    /// the pending builder of the other kind is flushed first so each
-    /// destination still sees rows in arrival order.
+    /// the same `batch_size` boundaries. A task's output is one
+    /// representation for its whole life (scans emit columns, operators
+    /// emit rows), so the first batch fixes which kind `pending` holds.
     Partition {
         first: usize,
         dop: usize,
@@ -70,11 +70,9 @@ pub(crate) enum Router<'a> {
         key: &'a [AttrId],
         /// Key attribute positions (for the columnar kernels).
         key_idx: Vec<usize>,
-        /// Per-destination records accumulated up to `batch_size`.
-        builders: Vec<Vec<Record>>,
-        /// Per-destination columnar builders (lazy: allocated on the
-        /// first columnar batch).
-        col_builders: Vec<Option<BatchBuilder>>,
+        /// Per-destination rows accumulated up to `batch_size` (`None`
+        /// until the first batch arrives).
+        pending: Option<Pending>,
         batch_size: usize,
         /// Scratch for the debug-build wire round trip.
         buf: BytesMut,
@@ -95,6 +93,13 @@ pub(crate) enum Router<'a> {
     },
 }
 
+/// The partially filled destination batches of a Partition router, one
+/// per consumer partition.
+pub(crate) enum Pending {
+    Rows(Vec<Vec<Record>>),
+    Cols(Vec<BatchBuilder>),
+}
+
 impl<'a> Router<'a> {
     pub(crate) fn forward(chan: usize) -> Self {
         Router::Forward { chan }
@@ -113,8 +118,7 @@ impl<'a> Router<'a> {
             op,
             key,
             key_idx: key.iter().map(|a| a.index()).collect(),
-            builders: (0..dop).map(|_| Vec::new()).collect(),
-            col_builders: (0..dop).map(|_| None).collect(),
+            pending: None,
             batch_size: batch_size.max(1),
             buf: BytesMut::new(),
             hashes: Vec::new(),
@@ -151,8 +155,7 @@ impl<'a> Router<'a> {
                 op,
                 key,
                 key_idx,
-                builders,
-                col_builders,
+                pending,
                 batch_size,
                 buf,
                 hashes,
@@ -181,35 +184,15 @@ impl<'a> Router<'a> {
                     };
                     dests.clear();
                     dests.extend(hashes.iter().map(|&h| (h as usize % *dop) as u32));
-                    for p in 0..*dop {
-                        // Keep per-destination arrival order: flush row
-                        // records already pending for a destination this
-                        // batch touches.
-                        let touched = dests.contains(&(p as u32));
-                        if touched && !builders[p].is_empty() {
-                            let rest = std::mem::take(&mut builders[p]);
-                            out.push_back((*first + p, Arc::new(RecordBatch::from_records(rest))));
-                        }
-                        // A width change mid-stream (not expected from a
-                        // single producer) must not drop pending rows.
-                        if let Some(b) = &mut col_builders[p] {
-                            if b.width() != width && !b.is_empty() {
-                                let pending = RecordBatch::from_columns(b.take());
-                                out.push_back((*first + p, Arc::new(pending)));
-                            }
-                        }
-                        match &mut col_builders[p] {
-                            Some(b) if b.width() == width => {}
-                            slot => {
-                                let _ = slot.insert(BatchBuilder::new(width));
-                            }
-                        }
-                    }
+                    let builders = pending.get_or_insert_with(|| {
+                        Pending::Cols((0..*dop).map(|_| BatchBuilder::new(width)).collect())
+                    });
+                    let Pending::Cols(builders) = builders else {
+                        unreachable!("a columnar batch after row batches on one edge")
+                    };
+                    debug_assert!(builders.iter().all(|b| b.width() == width));
                     {
-                        let mut refs: Vec<&mut BatchBuilder> = col_builders
-                            .iter_mut()
-                            .map(|o| o.as_mut().expect("ensured above"))
-                            .collect();
+                        let mut refs: Vec<&mut BatchBuilder> = builders.iter_mut().collect();
                         match Arc::try_unwrap(batch) {
                             // Sole owner: scatter owned columns (string
                             // payloads move, no refcount traffic).
@@ -227,12 +210,10 @@ impl<'a> Router<'a> {
                             }
                         }
                     }
-                    for (p, slot) in col_builders.iter_mut().enumerate().take(*dop) {
-                        if let Some(bld) = slot {
-                            if bld.len() >= *batch_size {
-                                let full = RecordBatch::from_columns(bld.take());
-                                out.push_back((*first + p, Arc::new(full)));
-                            }
+                    for (p, bld) in builders.iter_mut().enumerate() {
+                        if bld.len() >= *batch_size {
+                            let full = RecordBatch::from_columns(bld.take());
+                            out.push_back((*first + p, Arc::new(full)));
                         }
                     }
                     stats.add_shipped(n as u64, bytes);
@@ -241,6 +222,12 @@ impl<'a> Router<'a> {
                         stats.add_op_shipped(*op, n as u64, bytes);
                     }
                 } else {
+                    let builders = pending.get_or_insert_with(|| {
+                        Pending::Rows((0..*dop).map(|_| Vec::new()).collect())
+                    });
+                    let Pending::Rows(builders) = builders else {
+                        unreachable!("a row batch after columnar batches on one edge")
+                    };
                     let mut records = 0u64;
                     let mut bytes = 0u64;
                     for r in crate::operators::take_records(batch) {
@@ -250,14 +237,6 @@ impl<'a> Router<'a> {
                             validate_roundtrip(&r, buf)?;
                         }
                         let p = (crate::operators::key_hash(&r, key) as usize) % *dop;
-                        // Keep per-destination arrival order if columnar
-                        // rows are already pending for `p`.
-                        if let Some(bld) = &mut col_builders[p] {
-                            if !bld.is_empty() {
-                                let pending = RecordBatch::from_columns(bld.take());
-                                out.push_back((*first + p, Arc::new(pending)));
-                            }
-                        }
                         builders[p].push(r);
                         if builders[p].len() >= *batch_size {
                             let full = std::mem::take(&mut builders[p]);
@@ -300,25 +279,24 @@ impl<'a> Router<'a> {
     /// Flushes any partially filled destination batches (end of the
     /// producer's output).
     pub(crate) fn finish(&mut self, out: &mut Outbound) {
-        if let Router::Partition {
-            first,
-            builders,
-            col_builders,
-            ..
-        } = self
-        {
-            for (p, b) in builders.iter_mut().enumerate() {
-                if !b.is_empty() {
-                    let rest = std::mem::take(b);
-                    out.push_back((*first + p, Arc::new(RecordBatch::from_records(rest))));
+        let Router::Partition { first, pending, .. } = self else {
+            return;
+        };
+        let mut flush = |p: usize, rest: RecordBatch| {
+            if !rest.is_empty() {
+                out.push_back((*first + p, Arc::new(rest)));
+            }
+        };
+        match pending.take() {
+            None => {}
+            Some(Pending::Rows(builders)) => {
+                for (p, rows) in builders.into_iter().enumerate() {
+                    flush(p, RecordBatch::from_records(rows));
                 }
             }
-            for (p, b) in col_builders.iter_mut().enumerate() {
-                if let Some(bld) = b {
-                    if !bld.is_empty() {
-                        let rest = RecordBatch::from_columns(bld.take());
-                        out.push_back((*first + p, Arc::new(rest)));
-                    }
+            Some(Pending::Cols(builders)) => {
+                for (p, mut bld) in builders.into_iter().enumerate() {
+                    flush(p, RecordBatch::from_columns(bld.take()));
                 }
             }
         }
@@ -368,7 +346,7 @@ mod tests {
         r.route(batch(&[1, 2]), &mut out, &stats).unwrap();
         r.finish(&mut out);
         assert_eq!(flat(&out), vec![(3, vec![1, 2])]);
-        assert_eq!(stats.snapshot().2, 0);
+        assert_eq!(stats.totals().records_shipped, 0);
     }
 
     #[test]
@@ -381,7 +359,8 @@ mod tests {
         r.route(batch(&[1, 4]), &mut out, &stats).unwrap();
         r.finish(&mut out);
         // All 5 records accounted; equal keys land on the same channel.
-        let (_, _, shipped, bytes, _) = stats.snapshot();
+        let t = stats.totals();
+        let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
         assert_eq!(shipped, 5);
         assert_eq!(bytes, 5 * 13); // 4-byte header + 9-byte int each
         let routed = flat(&out);
@@ -426,7 +405,8 @@ mod tests {
             assert!((5..8).contains(c));
             assert!(Arc::ptr_eq(sent, &b));
         }
-        let (_, _, shipped, bytes, _) = stats.snapshot();
+        let t = stats.totals();
+        let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
         assert_eq!(shipped, 2 * 2, "2 records × (dop-1) copies");
         assert_eq!(bytes, 2 * 13 * 2);
     }
@@ -438,7 +418,7 @@ mod tests {
         let mut r = Router::broadcast(0, 1, None);
         r.route(batch(&[1]), &mut out, &stats).unwrap();
         assert_eq!(out.len(), 1, "still delivered to the one partition");
-        assert_eq!(stats.snapshot().2, 0);
+        assert_eq!(stats.totals().records_shipped, 0);
     }
 
     #[test]

@@ -1,0 +1,353 @@
+//! The governed buffer every blocking operator keeps per keyed input.
+
+use crate::engine::ExecError;
+use crate::operators::{canonical_cmp, key_has_null, records_bytes, OpCtx};
+use crate::spill::file::SortedRun;
+use crate::spill::governor::MemoryGovernor;
+use crate::spill::merge::{external_group_stream, GroupStream};
+use crate::stats::ExecStats;
+use std::cmp::Ordering;
+use strato_record::{AttrId, Record};
+
+/// One keyed input of a blocking operator: the rows buffered so far, the
+/// bytes granted for them, and the sorted runs already shed to disk.
+///
+/// This is the only place operator state meets the spill files, and —
+/// Match's zero-copy batches aside — the [`MemoryGovernor`]:
+/// [`push`](RunBuffer::push) grants, [`spill`](RunBuffer::spill) writes a
+/// run and releases, and [`drain_groups`](RunBuffer::drain_groups) is the
+/// one sort-based finish — it merges the sorted tail with however many
+/// runs exist, *including zero*, so an execution that never spilled walks
+/// the same code as one that did. Whatever is still granted returns to
+/// the governor on drop (failed spill, aborted query, early exit from a
+/// walk).
+pub(crate) struct RunBuffer<'a> {
+    gov: &'a MemoryGovernor,
+    stats: &'a ExecStats,
+    /// The per-operator counter slot spills are charged to.
+    op_id: usize,
+    key: &'a [AttrId],
+    /// Join flavour: null-keyed records match nothing, so they are dropped
+    /// on entry (and remembered in `saw_null_key`). Grouping buffers keep
+    /// them — null keys group like any other key.
+    drop_null_keys: bool,
+    saw_null_key: bool,
+    rows: Vec<Record>,
+    /// Bytes granted for `rows` (their `encoded_len` when pushed).
+    granted: u64,
+    runs: Vec<SortedRun>,
+}
+
+impl<'a> RunBuffer<'a> {
+    pub(crate) fn new(ctx: &OpCtx<'a>, key: &'a [AttrId], drop_null_keys: bool) -> Self {
+        RunBuffer {
+            gov: ctx.gov,
+            stats: ctx.stats,
+            op_id: ctx.op_id,
+            key,
+            drop_null_keys,
+            saw_null_key: false,
+            rows: Vec::new(),
+            granted: 0,
+            runs: Vec::new(),
+        }
+    }
+
+    /// Buffers `records`, granting their bytes.
+    pub(crate) fn push(&mut self, records: impl IntoIterator<Item = Record>) {
+        let start = self.rows.len();
+        if self.drop_null_keys {
+            let (key, saw) = (self.key, &mut self.saw_null_key);
+            self.rows.extend(records.into_iter().filter(|r| {
+                let null = key_has_null(r, key);
+                *saw |= null;
+                !null
+            }));
+        } else {
+            self.rows.extend(records);
+        }
+        if self.gov.bounded() {
+            let bytes = records_bytes(&self.rows[start..]);
+            self.granted += bytes;
+            self.gov.grant(bytes);
+        }
+    }
+
+    /// The buffered (unspilled) rows, in arrival order.
+    pub(crate) fn rows(&self) -> &[Record] {
+        &self.rows
+    }
+
+    /// Mutable view of the buffered rows (streaming aggregation folds
+    /// into its partials in place; the grant stays at the pushed size).
+    pub(crate) fn rows_mut(&mut self) -> &mut [Record] {
+        &mut self.rows
+    }
+
+    /// Whether any run was written.
+    pub(crate) fn spilled(&self) -> bool {
+        !self.runs.is_empty()
+    }
+
+    /// Whether a null-keyed record was dropped on entry.
+    pub(crate) fn saw_null_key(&self) -> bool {
+        self.saw_null_key
+    }
+
+    /// Sheds the buffered rows to one canonically sorted on-disk run and
+    /// releases their grant. No-op on an empty buffer. On an IO failure
+    /// the rows stay buffered (and granted until drop).
+    pub(crate) fn spill(&mut self) -> Result<(), ExecError> {
+        if self.rows.is_empty() {
+            return Ok(());
+        }
+        let key = self.key;
+        self.rows.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
+        let run = self.gov.write_sorted_run(&self.rows)?;
+        self.stats.add_spill(self.op_id, run.records(), run.bytes());
+        self.runs.push(run);
+        self.rows.clear();
+        self.release();
+        Ok(())
+    }
+
+    /// Hands the buffered rows to an in-memory (hash) algorithm. Their
+    /// grant stays until [`release`](RunBuffer::release) or drop.
+    pub(crate) fn take_rows(&mut self) -> Vec<Record> {
+        std::mem::take(&mut self.rows)
+    }
+
+    /// Returns whatever is still granted.
+    pub(crate) fn release(&mut self) {
+        self.gov.release(self.granted);
+        self.granted = 0;
+    }
+
+    /// The sort-based finish: sorts the tail canonically, merges it with
+    /// the runs written so far and walks the result as key groups in
+    /// ascending canonical order. Leaves the buffer empty; the returned
+    /// stream owns the tail and the runs.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn drain_groups(
+        &mut self,
+    ) -> Result<
+        GroupStream<
+            impl Iterator<Item = Result<Record, ExecError>> + 'a,
+            impl Fn(&Record, &Record) -> bool + 'a,
+        >,
+        ExecError,
+    > {
+        let tail = self.take_rows();
+        self.release();
+        external_group_stream(self.gov, std::mem::take(&mut self.runs), tail, self.key)
+    }
+}
+
+impl Drop for RunBuffer<'_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// One key's groups from two inputs; `None` for the side that lacks it.
+type KeyGroups = (Option<Vec<Record>>, Option<Vec<Record>>);
+
+/// One step of a lock-step walk over two key-sorted group streams: the
+/// groups of the smallest pending key (`left` keys on `kl`, `right` on
+/// `kr`). `Ok(None)` once both streams are exhausted.
+pub(crate) fn next_key_groups<I, G>(
+    left: &mut GroupStream<I, G>,
+    kl: &[AttrId],
+    right: &mut GroupStream<I, G>,
+    kr: &[AttrId],
+) -> Result<Option<KeyGroups>, ExecError>
+where
+    I: Iterator<Item = Result<Record, ExecError>>,
+    G: Fn(&Record, &Record) -> bool,
+{
+    let ord = match (left.peek(), right.peek()) {
+        (None, None) => return Ok(None),
+        (Some(_), None) => Ordering::Less,
+        (None, Some(_)) => Ordering::Greater,
+        (Some(l), Some(r)) => crate::operators::key_cmp2(l, kl, r, kr),
+    };
+    let lg = if ord.is_gt() {
+        None
+    } else {
+        left.next_group()?
+    };
+    let rg = if ord.is_lt() {
+        None
+    } else {
+        right.next_group()?
+    };
+    Ok(Some((lg, rg)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::operators::{key_cmp, run_len};
+    use crate::spill::GlobalMemory;
+    use crate::testutil::ctx;
+    use std::path::PathBuf;
+    use std::sync::Arc;
+    use strato_record::Value;
+
+    const KEY: [AttrId; 1] = [AttrId(0)];
+
+    fn rec(k: Option<i64>, v: i64) -> Record {
+        Record::from_values([k.map_or(Value::Null, Value::Int), Value::Int(v)])
+    }
+
+    /// 24 records over keys 0..5, interleaved, plus two null-keyed ones.
+    fn input() -> Vec<Record> {
+        let mut rows: Vec<Record> = (0..24).map(|i| rec(Some(i % 5), 100 - i)).collect();
+        rows.insert(7, rec(None, 1));
+        rows.push(rec(None, 2));
+        rows
+    }
+
+    /// A governor on a bounded pool, so both layers of accounting show.
+    fn governed(budget: u64, base: Option<PathBuf>) -> (Arc<GlobalMemory>, MemoryGovernor) {
+        let pool = GlobalMemory::new(Some(1 << 20));
+        let gov = MemoryGovernor::with_grant(pool.carve(Some(budget)), base);
+        (pool, gov)
+    }
+
+    /// Pushes `rows` three at a time, spilling whenever over budget.
+    fn feed(buf: &mut RunBuffer<'_>, gov: &MemoryGovernor, rows: Vec<Record>) {
+        for chunk in rows.chunks(3) {
+            buf.push(chunk.to_vec());
+            if gov.over_budget() {
+                buf.spill().unwrap();
+                assert_eq!(gov.resident(), 0, "a spill sheds the whole buffer");
+            }
+        }
+    }
+
+    fn drain(buf: &mut RunBuffer<'_>) -> Vec<Vec<Record>> {
+        let mut groups = buf.drain_groups().unwrap();
+        std::iter::from_fn(|| groups.next_group().unwrap()).collect()
+    }
+
+    #[test]
+    fn zero_run_walk_is_run_len_over_the_sorted_slice_and_so_is_every_spilled_one() {
+        let mut sorted = input();
+        sorted.sort_unstable_by(|a, b| canonical_cmp(a, b, &KEY));
+        let mut expected = Vec::new();
+        let mut i = 0;
+        while i < sorted.len() {
+            let n = run_len(&sorted, i, &KEY);
+            expected.push(sorted[i..i + n].to_vec());
+            i += n;
+        }
+        assert_eq!(expected.len(), 6, "five int keys + the null group");
+
+        for budget in [None, Some(0), Some(64), Some(1 << 16)] {
+            let stats = ExecStats::with_ops(1);
+            let gov = MemoryGovernor::with_budget(budget);
+            let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, false);
+            feed(&mut buf, &gov, input());
+            let spilled = buf.spilled();
+            assert_eq!(drain(&mut buf), expected, "budget {budget:?}");
+            assert_eq!(spilled, matches!(budget, Some(0 | 64)), "budget {budget:?}");
+            assert_eq!(stats.totals().spill_runs > 0, spilled);
+            let slot = stats.op_snapshots()[0];
+            assert_eq!(
+                slot.spill_runs,
+                stats.totals().spill_runs,
+                "charged per op too"
+            );
+            assert_eq!(gov.resident(), 0);
+            assert!(buf.rows().is_empty() && !buf.spilled(), "left empty");
+        }
+    }
+
+    #[test]
+    fn null_keys_are_kept_for_grouping_and_dropped_but_remembered_for_joins() {
+        let stats = ExecStats::new();
+        let gov = MemoryGovernor::with_budget(Some(64));
+        for drop_null_keys in [false, true] {
+            let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, drop_null_keys);
+            assert!(!buf.saw_null_key());
+            feed(&mut buf, &gov, input());
+            assert!(buf.spilled());
+            let groups = drain(&mut buf);
+            let nulls: usize = groups
+                .iter()
+                .flatten()
+                .filter(|r| r.field(0).is_null())
+                .count();
+            if drop_null_keys {
+                assert_eq!((groups.len(), nulls), (5, 0));
+                assert!(buf.saw_null_key(), "the profiler counts nulls once");
+            } else {
+                assert_eq!((groups.len(), nulls), (6, 2));
+                assert!(
+                    key_cmp(&groups[0][0], &rec(None, 0), &KEY).is_eq(),
+                    "nulls first"
+                );
+                assert!(!buf.saw_null_key());
+            }
+        }
+        // A join side without null keys has nothing to remember.
+        let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, true);
+        buf.push([rec(Some(1), 1)]);
+        assert!(!buf.saw_null_key());
+    }
+
+    #[test]
+    fn every_exit_returns_the_grant() {
+        let base = std::env::temp_dir().join(format!("strato-runbuffer-{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        let stats = ExecStats::new();
+
+        // (i) A complete walk.
+        let (pool, gov) = governed(64, Some(base.clone()));
+        let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, false);
+        feed(&mut buf, &gov, input());
+        assert!(
+            buf.spilled() && gov.resident() > 0,
+            "runs and a granted tail"
+        );
+        assert_eq!(drain(&mut buf).len(), 6);
+        assert_eq!((gov.resident(), pool.resident()), (0, 0));
+
+        // (ii) A walk abandoned after its first group, then the buffer
+        // dropped with freshly pushed rows still in it.
+        feed(&mut buf, &gov, input());
+        let mut groups = buf.drain_groups().unwrap();
+        assert!(groups.next_group().unwrap().is_some());
+        drop(groups);
+        buf.push(input());
+        assert!(gov.resident() > 0);
+        drop(buf);
+        assert_eq!((gov.resident(), pool.resident()), (0, 0));
+        let dir = gov.spill_dir_path().expect("spilled");
+        assert!(
+            std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "runs deleted"
+        );
+        drop(gov);
+        assert_eq!(pool.granted(), 0);
+        assert!(!dir.exists());
+
+        // (iii) A spill that cannot write: the spill "directory" is a file.
+        let blocker = base.join("not-a-directory");
+        std::fs::write(&blocker, b"x").unwrap();
+        let (pool, gov) = governed(0, Some(blocker));
+        let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, false);
+        buf.push(input());
+        let held = gov.resident();
+        assert!(matches!(buf.spill(), Err(ExecError::Spill(_))));
+        assert_eq!(buf.rows().len(), 26, "a failed spill loses nothing");
+        assert_eq!(gov.resident(), held);
+        drop(buf);
+        assert_eq!((gov.resident(), pool.resident()), (0, 0));
+        drop(gov);
+        assert_eq!(pool.granted(), 0);
+
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+}

@@ -216,18 +216,21 @@ where
     }
     let n_sources = sources.len();
     Ok(TracedMerge {
+        // A merge of the in-memory tail alone is a sort, not a merge: an
+        // execution that never spilled records no `merge` span.
         span: gov
             .trace()
+            .filter(|_| !runs.is_empty())
             .map(|tr| (std::sync::Arc::clone(tr), tr.now_ns(), n_sources)),
         inner: LoserTree::new(sources, cmp)?,
     })
 }
 
 /// The final streaming k-way merge, wrapped so a `kway-merge` span covers
-/// its whole lifetime. The merge streams interleaved with its consumer, so
-/// the span measures the drain window (creation to drop), not pure merge
-/// CPU — per-record clock reads on the merge hot path would violate the
-/// tracing overhead contract.
+/// its whole lifetime when a disk run participates. The merge streams
+/// interleaved with its consumer, so the span measures the drain window
+/// (creation to drop), not pure merge CPU — per-record clock reads on the
+/// merge hot path would violate the tracing overhead contract.
 struct TracedMerge<I> {
     inner: I,
     /// `(recorder, start, source count)` when the execution is traced.
@@ -251,11 +254,10 @@ impl<I> Drop for TracedMerge<I> {
     }
 }
 
-/// The shared finish-path constructor of the spilling blocking operators:
-/// canonically sorts the operator's unspilled in-memory `tail`, merges it
-/// with the on-disk `runs`, and walks the merged stream as key groups.
-/// Callers only differ in what they feed in (null filtering, partial
-/// re-folding) — the sort/merge/group plumbing lives here once.
+/// The sort/merge/group plumbing behind `RunBuffer::drain_groups`:
+/// canonically sorts the unspilled in-memory `tail`, merges it with the
+/// on-disk `runs` (possibly none), and walks the merged stream as key
+/// groups.
 // The nested `impl Trait` cannot be named in a `type` alias on stable.
 #[allow(clippy::type_complexity)]
 pub(crate) fn external_group_stream<'k>(
@@ -277,8 +279,8 @@ pub(crate) fn external_group_stream<'k>(
 }
 
 /// Walks a merged, sorted record stream as *groups*: consecutive records
-/// for which `same_group` holds. The blocking operators' external paths
-/// all finish through this — a group (one key's records) must fit in
+/// for which `same_group` holds. Every sort-based finish of a blocking
+/// operator walks one of these — a group (one key's records) must fit in
 /// memory, exactly as the group-at-a-time UDF contract already requires.
 pub(crate) struct GroupStream<I, G> {
     inner: I,

@@ -6,9 +6,9 @@
 //! describe **real behavior**: every blocking operator registers its
 //! buffered state with a shared per-execution [`MemoryGovernor`] and, when
 //! the execution exceeds its budget, flushes that state to *sorted runs*
-//! on disk and finishes via a k-way [loser-tree merge](merge) — the
-//! classic external-sort architecture of the Stratosphere/Nephele runtime
-//! the paper targets.
+//! on disk which its finish merges back through a k-way
+//! [loser tree](merge) — the classic external-sort architecture of the
+//! Stratosphere/Nephele runtime the paper targets.
 //!
 //! Pieces:
 //!
@@ -38,29 +38,40 @@
 //!   sources by an arbitrary comparator, plus `merge::merge_runs`
 //!   which caps the merge fan-in by compacting surplus runs into larger
 //!   ones first (bounded open file handles at any batch size).
+//! * `RunBuffer` (crate-private) — the one governed buffer every blocking
+//!   operator keeps per keyed input: rows + the bytes granted for them +
+//!   the sorted runs shed so far. It is the operators' only way to write
+//!   a run, charge a spill or open a group stream, and it returns whatever
+//!   is still granted when dropped. (Match also grants and releases for
+//!   the zero-copy batches it holds before they enter a buffer.)
 //!
-//! How each blocking operator degrades under pressure:
+//! **In-memory is the zero-run case.** Each blocking operator has exactly
+//! one sort-based finish — `RunBuffer::drain_groups`: sort the in-memory
+//! tail canonically, merge it with however many runs exist (including
+//! none), walk key groups in ascending canonical order. Spilling only
+//! changes how many runs feed that walk, never which code runs or what it
+//! emits — which is what the cost model's `spill(bytes) = 0` under the
+//! budget already says.
 //!
-//! * **Reduce** (hash + sort grouping) sorts its buffer canonically and
-//!   writes it as a run; `finish` merges runs + tail and walks key groups
-//!   off the merged stream. Emission order (ascending canonical key
-//!   order) is identical to both in-memory algorithms.
-//! * **Match** spills each side as key-sorted runs (null join keys are
-//!   dropped at spill time — they match nothing) and joins by external
-//!   sort-merge regardless of the requested in-memory algorithm.
-//! * **CoGroup** spills each side canonically (null keys kept — they
-//!   group) and merge-walks the two external group streams.
-//! * **StreamAgg** in the *final* role spills its partial table as sorted
-//!   runs and re-folds equal-key partials at merge time (legal: the folds
-//!   are proven associative + commutative). In the *combiner* role it
-//!   never touches disk: it flushes partials **downstream** Hadoop-style —
-//!   the final Reduce re-groups them — trading shipped volume for memory.
+//! Reduce (`SortGroup`, and `HashGroup` once anything spilled) and
+//! StreamAgg's *final* role (which re-folds equal-key partials — legal,
+//! the folds are proven associative + commutative) walk one buffer;
+//! CoGroup and Match (`SortMergeJoin`, and the hash joins once pressure
+//! shed anything) walk two in lock-step, Match over null-dropping buffers
+//! because null join keys match nothing. Only un-spilled `HashGroup` and
+//! hash joins run a different, in-memory algorithm. StreamAgg's
+//! *combiner* role never touches disk: it flushes partials **downstream**
+//! Hadoop-style — the final Reduce re-groups them — trading shipped
+//! volume for memory.
 //!
 //! [`CostWeights::mem_budget`]: strato_core::cost::CostWeights
 
+mod buffer;
 pub mod file;
 pub mod governor;
 pub mod merge;
+
+pub(crate) use buffer::{next_key_groups, RunBuffer};
 
 pub use file::{RunReader, SortedRun};
 pub use governor::{GlobalMemory, MemoryGovernor, MemoryGrant};

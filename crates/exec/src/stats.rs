@@ -76,9 +76,8 @@ pub struct OpSnapshot {
 /// stable read surface monitoring systems consume (the `strato-server`
 /// `/metrics` endpoint renders exactly these fields).
 ///
-/// Obtained via [`ExecStats::totals`]; unlike the positional tuples of
-/// [`ExecStats::snapshot`] / [`ExecStats::spill_snapshot`] /
-/// [`ExecStats::preagg_snapshot`], every counter is a named field, so new
+/// Obtained via [`ExecStats::totals`], the only whole-run reader besides
+/// [`ExecStats::op_snapshots`]; every counter is a named field, so new
 /// counters can be added without breaking callers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
@@ -294,26 +293,6 @@ impl ExecStats {
         }
     }
 
-    /// Spill totals as `(records spilled, bytes spilled, runs written)`.
-    /// `(0, 0, 0)` when the execution stayed within its memory budget (or
-    /// ran unbounded) — the shape mirrors [`ExecStats::preagg_snapshot`].
-    pub fn spill_snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.records_spilled.load(Ordering::Relaxed),
-            self.spilled_bytes.load(Ordering::Relaxed),
-            self.spill_runs.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Streaming pre-aggregation totals as `(records in, partials out)`.
-    /// `(0, 0)` when no combiner or StreamAgg instance ran.
-    pub fn preagg_snapshot(&self) -> (u64, u64) {
-        (
-            self.records_preagg_in.load(Ordering::Relaxed),
-            self.records_preagg_out.load(Ordering::Relaxed),
-        )
-    }
-
     /// Snapshot of **every** global counter as a named-field struct — the
     /// monitoring surface. See [`StatsSnapshot`].
     ///
@@ -342,19 +321,6 @@ impl ExecStats {
         }
     }
 
-    /// Snapshot of the counters as plain integers
-    /// `(udf_calls, records_emitted, records_shipped, bytes_shipped,
-    /// interp_steps)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.udf_calls.load(Ordering::Relaxed),
-            self.records_emitted.load(Ordering::Relaxed),
-            self.records_shipped.load(Ordering::Relaxed),
-            self.bytes_shipped.load(Ordering::Relaxed),
-            self.interp_steps.load(Ordering::Relaxed),
-        )
-    }
-
     /// Per-operator snapshots, indexed by operator id. Empty when the stats
     /// were created without per-op slots.
     pub fn op_snapshots(&self) -> Vec<OpSnapshot> {
@@ -378,10 +344,11 @@ impl ExecStats {
 
 impl std::fmt::Display for ExecStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (calls, emitted, shipped, bytes, steps) = self.snapshot();
+        let t = self.totals();
         write!(
             f,
-            "udf_calls={calls} emitted={emitted} shipped={shipped} net_bytes={bytes} steps={steps}"
+            "udf_calls={} emitted={} shipped={} net_bytes={} steps={}",
+            t.udf_calls, t.records_emitted, t.records_shipped, t.bytes_shipped, t.interp_steps
         )
     }
 }
@@ -396,33 +363,42 @@ mod tests {
         s.add_call(0, 100, 2);
         s.add_call(0, 50, 0);
         s.add_shipped(10, 640);
-        let (calls, emitted, shipped, bytes, steps) = s.snapshot();
-        assert_eq!(calls, 2);
-        assert_eq!(emitted, 2);
-        assert_eq!(shipped, 10);
-        assert_eq!(bytes, 640);
-        assert_eq!(steps, 150);
+        let t = s.totals();
+        assert_eq!(t.udf_calls, 2);
+        assert_eq!(t.records_emitted, 2);
+        assert_eq!(t.records_shipped, 10);
+        assert_eq!(t.bytes_shipped, 640);
+        assert_eq!(t.interp_steps, 150);
     }
 
     #[test]
     fn preagg_counters_accumulate_separately() {
         let s = ExecStats::new();
-        assert_eq!(s.preagg_snapshot(), (0, 0));
         s.add_preagg(100, 7);
         s.add_preagg(50, 7);
-        assert_eq!(s.preagg_snapshot(), (150, 14));
-        // Pre-aggregation does not touch the global ship/call counters.
-        assert_eq!(s.snapshot(), (0, 0, 0, 0, 0));
+        // Pre-aggregation touches nothing but its own two counters.
+        let expected = StatsSnapshot {
+            records_preagg_in: 150,
+            records_preagg_out: 14,
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(s.totals(), expected);
     }
 
     #[test]
     fn spill_counters_accumulate_globally_and_per_op() {
         let s = ExecStats::with_ops(2);
-        assert_eq!(s.spill_snapshot(), (0, 0, 0));
         s.add_spill(0, 100, 2_048);
         s.add_spill(0, 50, 1_024);
         s.add_spill(1, 10, 300);
-        assert_eq!(s.spill_snapshot(), (160, 3_372, 3));
+        // Spilling touches nothing but the three spill counters.
+        let expected = StatsSnapshot {
+            records_spilled: 160,
+            spilled_bytes: 3_372,
+            spill_runs: 3,
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(s.totals(), expected);
         let ops = s.op_snapshots();
         assert_eq!(
             (
@@ -440,8 +416,6 @@ mod tests {
             ),
             (10, 300, 1)
         );
-        // Spilling does not touch the global ship/call counters.
-        assert_eq!(s.snapshot(), (0, 0, 0, 0, 0));
     }
 
     #[test]
@@ -468,7 +442,7 @@ mod tests {
         assert_eq!((ops[0].calls, ops[0].emits), (1, 1));
         assert_eq!((ops[1].calls, ops[1].emits, ops[1].nanos), (2, 3, 500));
         // Globals see the union.
-        assert_eq!(s.snapshot().0, 3);
+        assert_eq!(s.totals().udf_calls, 3);
     }
 
     #[test]
@@ -482,9 +456,13 @@ mod tests {
         s.add_op_shipped(7, 1, 1);
         s.add_spill(7, 1, 1);
         assert!(s.op_snapshots().is_empty());
-        assert_eq!(s.snapshot().0, 1);
-        // Global spill totals still accumulate without slots.
-        assert_eq!(s.spill_snapshot(), (1, 1, 1));
+        // Global totals still accumulate without slots.
+        let t = s.totals();
+        assert_eq!(t.udf_calls, 1);
+        assert_eq!(
+            (t.records_spilled, t.spilled_bytes, t.spill_runs),
+            (1, 1, 1)
+        );
     }
 
     #[test]
@@ -505,25 +483,6 @@ mod tests {
         assert_eq!(t.spilled_bytes, 999);
         assert_eq!(t.spill_runs, 1);
         assert_eq!(t.interp_steps, 100);
-        // The named snapshot agrees with the positional ones.
-        assert_eq!(
-            (
-                t.udf_calls,
-                t.records_emitted,
-                t.records_shipped,
-                t.bytes_shipped,
-                t.interp_steps
-            ),
-            s.snapshot()
-        );
-        assert_eq!(
-            (t.records_spilled, t.spilled_bytes, t.spill_runs),
-            s.spill_snapshot()
-        );
-        assert_eq!(
-            (t.records_preagg_in, t.records_preagg_out),
-            s.preagg_snapshot()
-        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl NullMask {
 
     /// Number of null cells recorded.
     #[inline]
-    pub fn null_count(&self) -> usize {
+    fn null_count(&self) -> usize {
         self.count
     }
 
@@ -547,15 +547,6 @@ impl ColumnBatch {
         }
     }
 
-    /// `true` iff the cell is null (out-of-range columns are null).
-    #[inline]
-    pub fn is_null_at(&self, row: usize, col: usize) -> bool {
-        match self.cols.get(col) {
-            Some(c) => matches!(c.cell(row), Cell::Null),
-            None => true,
-        }
-    }
-
     /// A cheap copyable view of one row.
     #[inline]
     pub fn row(&self, row: usize) -> RowRef<'_> {
@@ -867,35 +858,6 @@ impl ColumnBatch {
         }
     }
 
-    /// FxHash of one row's key cells (row-at-a-time fallback of
-    /// [`ColumnBatch::key_hash_into`]).
-    pub fn key_hash_row(&self, row: usize, key: &[usize]) -> u64 {
-        let mut h = 0u64;
-        for &k in key {
-            h = match self.cols.get(k) {
-                Some(c) => c.cell(row).fold_hash(h),
-                None => fx_add(h, 0),
-            };
-        }
-        h
-    }
-
-    /// Lexicographic comparison of two rows' key cells under
-    /// [`Value`]'s total order.
-    pub fn key_cmp_rows(&self, a: usize, b: usize, key: &[usize]) -> Ordering {
-        for &k in key {
-            let (ca, cb) = match self.cols.get(k) {
-                Some(c) => (c.cell(a), c.cell(b)),
-                None => continue,
-            };
-            match ca.cmp(cb) {
-                Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        Ordering::Equal
-    }
-
     /// Lexicographic comparison of one row's key cells against a
     /// record's key fields under [`Value`]'s total order.
     pub fn key_cmp_record(&self, row: usize, rec: &Record, key: &[usize]) -> Ordering {
@@ -910,12 +872,6 @@ impl ColumnBatch {
             }
         }
         Ordering::Equal
-    }
-
-    /// `true` iff any key cell of `row` is null (mirrors the engine's
-    /// `key_has_null` row helper).
-    pub fn key_has_null(&self, row: usize, key: &[usize]) -> bool {
-        key.iter().any(|&k| self.is_null_at(row, k))
     }
 
     /// Row-wise equality against a materialized record (arity must
@@ -1163,13 +1119,12 @@ mod tests {
             cb.key_hash_into(&key, &mut hashes);
             for (i, r) in recs.iter().enumerate() {
                 assert_eq!(hashes[i], row_key_hash(r, &key), "key {key:?} row {i}");
-                assert_eq!(cb.key_hash_row(i, &key), hashes[i]);
             }
         }
     }
 
     #[test]
-    fn key_cmp_matches_value_order() {
+    fn key_cmp_record_matches_value_order() {
         let recs = sample_records();
         let cb = build(&recs, 4);
         let key = [0usize, 3];
@@ -1180,20 +1135,11 @@ mod tests {
                     .map(|&k| recs[a].field(k).cmp(recs[b].field(k)))
                     .find(|o| *o != Ordering::Equal)
                     .unwrap_or(Ordering::Equal);
-                assert_eq!(cb.key_cmp_rows(a, b, &key), want, "rows {a} vs {b}");
-                assert_eq!(cb.key_cmp_record(a, &recs[b], &key), want);
-            }
-        }
-    }
-
-    #[test]
-    fn key_has_null_mirrors_rows() {
-        let recs = sample_records();
-        let cb = build(&recs, 4);
-        for (i, r) in recs.iter().enumerate() {
-            for key in [vec![0usize], vec![2], vec![0, 1]] {
-                let want = key.iter().any(|&k| r.field(k).is_null());
-                assert_eq!(cb.key_has_null(i, &key), want);
+                assert_eq!(
+                    cb.key_cmp_record(a, &recs[b], &key),
+                    want,
+                    "rows {a} vs {b}"
+                );
             }
         }
     }

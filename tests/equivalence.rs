@@ -585,7 +585,8 @@ fn streaming_runtime_invariant_under_workers_and_channel_capacity() {
         let best = &report.ranked[0];
         // Shipping reference for this dop: the default configuration.
         let (_, ref_stats) = execute(&best.plan, &best.phys, &inputs, dop).unwrap();
-        let (_, _, ref_shipped, ref_bytes, _) = ref_stats.snapshot();
+        let t = ref_stats.totals();
+        let (ref_shipped, ref_bytes) = (t.records_shipped, t.bytes_shipped);
         for &w in &workers {
             let rt = runtime(w);
             for batch_size in [1usize, RecordBatch::DEFAULT_SIZE] {
@@ -610,10 +611,10 @@ fn streaming_runtime_invariant_under_workers_and_channel_capacity() {
                         if let Err(diff) = reference.bag_diff(&out) {
                             panic!("divergence at {tag}:\ndiff: {diff}");
                         }
-                        let (_, _, shipped, bytes, _) = stats.snapshot();
-                        assert_eq!(shipped, ref_shipped, "shipped records at {tag}");
-                        assert_eq!(bytes, ref_bytes, "shipped bytes at {tag}");
-                        let (_, _, spill_runs) = stats.spill_snapshot();
+                        let t = stats.totals();
+                        assert_eq!(t.records_shipped, ref_shipped, "shipped records at {tag}");
+                        assert_eq!(t.bytes_shipped, ref_bytes, "shipped bytes at {tag}");
+                        let spill_runs = t.spill_runs;
                         match mem_budget {
                             Some(_) => {
                                 assert!(spill_runs > 0, "tiny budget must spill at {tag}")
@@ -697,9 +698,10 @@ fn combiner_axis_is_byte_identical_and_strictly_cuts_shipping() {
                                  workers={workers} capacity={capacity} budget={mem_budget:?}"
                             );
                             assert_eq!(out.sorted(), reference, "byte-identical at {tag}");
-                            let (_, _, shipped, bytes, _) = stats.snapshot();
-                            let (_, _, spill_runs) = stats.spill_snapshot();
-                            let (pre_in, pre_out) = stats.preagg_snapshot();
+                            let t = stats.totals();
+                            let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
+                            let spill_runs = t.spill_runs;
+                            let (pre_in, pre_out) = (t.records_preagg_in, t.records_preagg_out);
                             match mem_budget {
                                 None => {
                                     // Unbounded: shipping is deterministic per
@@ -813,7 +815,8 @@ fn partition_ship_stats_are_exact_on_a_known_plan() {
                         ..ExecOptions::default()
                     };
                     let (_, stats) = rt.execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
-                    let (_, _, shipped, bytes, _) = stats.snapshot();
+                    let t = stats.totals();
+                    let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
                     let tag =
                         format!("dop={dop} batch={batch_size} workers={workers} cap={capacity}");
                     assert_eq!(shipped, 8, "{tag}");
@@ -871,7 +874,8 @@ fn broadcast_ship_stats_count_remote_copies_only() {
     );
     let (out, stats) = execute(&plan, &phys, &inputs, dop).unwrap();
     assert_eq!(out.len(), 3, "keys 0..3 match");
-    let (_, _, shipped, bytes, _) = stats.snapshot();
+    let t = stats.totals();
+    let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
     // 3 tiny records × (dop - 1) remote copies; each widened tiny record
     // carries one non-null int: 4 + 9 bytes.
     assert_eq!(shipped, 3 * (dop as u64 - 1));
@@ -990,7 +994,8 @@ fn every_blocking_operator_spills_under_a_tiny_budget_without_changing_results()
                         ),
                     }
                 }
-                let (recs, bytes, runs) = stats.spill_snapshot();
+                let t = stats.totals();
+                let (recs, bytes, runs) = (t.records_spilled, t.spilled_bytes, t.spill_runs);
                 if mem_budget.is_some() {
                     assert!(recs > 0 && bytes > 0 && runs > 0, "{tag}");
                 } else {
@@ -1059,8 +1064,9 @@ fn combiner_flush_keeps_shipped_volume_accounting_balanced() {
             let (out, stats) = execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
             let tag = format!("dop={dop} budget={mem_budget:?}");
             assert_eq!(out.sorted(), reference, "byte-identical at {tag}");
-            let (_, _, shipped, _, _) = stats.snapshot();
-            let (pre_in, pre_out) = stats.preagg_snapshot();
+            let t = stats.totals();
+            let (shipped, pre_in, pre_out) =
+                (t.records_shipped, t.records_preagg_in, t.records_preagg_out);
             assert_eq!(pre_in, 300, "combiner absorbs every record at {tag}");
             assert_eq!(
                 shipped, pre_out,
@@ -1072,13 +1078,13 @@ fn combiner_flush_keeps_shipped_volume_accounting_balanced() {
                     "pressure must flush more than one partial per key at {tag}"
                 );
                 // The buffered final Reduce spills the flushed partials.
-                assert!(stats.spill_snapshot().2 > 0, "{tag}");
+                assert!(stats.totals().spill_runs > 0, "{tag}");
             } else {
                 assert!(
                     pre_out <= 4 * dop as u64,
                     "≤ one partial per key per partition at {tag}"
                 );
-                assert_eq!(stats.spill_snapshot(), (0, 0, 0), "{tag}");
+                assert_eq!(stats.totals().spill_runs, 0, "{tag}");
             }
         }
     }

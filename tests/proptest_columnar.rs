@@ -1,6 +1,6 @@
 //! Property tests for the columnar batch layout: row ↔ columnar
 //! round-trip identity and agreement of the vectorized key kernels
-//! (`key_hash_into` / `key_cmp_rows`) with the row-oriented reference
+//! (`key_hash_into` / `key_cmp_record`) with the row-oriented reference
 //! path (`FxHasher` over `Value::hash`, field-wise `Value::cmp`).
 
 use proptest::prelude::*;
@@ -105,12 +105,11 @@ proptest! {
         for (i, r) in rows.iter().enumerate() {
             let want = row_key_hash(r, &keys);
             prop_assert_eq!(hashes[i], want);
-            prop_assert_eq!(cb.key_hash_row(i, &keys), want);
         }
     }
 
     #[test]
-    fn key_cmp_agrees_with_value_cmp(
+    fn key_cmp_record_agrees_with_value_cmp(
         (width, rows) in arb_rows(),
         raw_keys in prop::collection::vec(0usize..8, 0..4),
         pick in any::<u64>(),
@@ -125,10 +124,7 @@ proptest! {
             .map(|&k| rows[a].field(k).cmp(rows[b].field(k)))
             .find(|o| !o.is_eq())
             .unwrap_or(std::cmp::Ordering::Equal);
-        prop_assert_eq!(cb.key_cmp_rows(a, b, &keys), want);
         prop_assert_eq!(cb.key_cmp_record(a, &rows[b], &keys), want);
-        let has_null = keys.iter().any(|&k| rows[a].field(k).is_null());
-        prop_assert_eq!(cb.key_has_null(a, &keys), has_null);
     }
 
     #[test]

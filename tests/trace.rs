@@ -6,7 +6,7 @@
 
 use strato::core::cost::CostWeights;
 use strato::core::physical::best_physical;
-use strato::core::{PhysPlan, PropTable};
+use strato::core::{LocalStrategy, PhysPlan, PropTable};
 use strato::dataflow::{CostHints, Plan, ProgramBuilder, PropertyMode, SourceDef};
 use strato::exec::{
     execute_logical_with, execute_with, explain_analyze, EngineRuntime, ExecOptions, Inputs,
@@ -182,6 +182,39 @@ fn traced_spilling_query_produces_valid_chrome_trace() {
             .any(|e| e.get("ph").and_then(Json::as_str) == Some("M")),
         "worker lanes are named via metadata events"
     );
+}
+
+#[test]
+fn merge_and_spill_spans_appear_only_when_a_run_was_written() {
+    let (plan, mut phys, inputs) = grouped_sum(2_000);
+    // The sort-based finish, which merges however many runs exist: none
+    // without memory pressure, so there is no merge to time.
+    phys.root.local = LocalStrategy::SortGroup;
+    let run = |mem_budget: Option<u64>| {
+        let recorder = TraceRecorder::new(7);
+        let opts = ExecOptions {
+            mem_budget,
+            trace: Some(recorder.clone()),
+            ..spilling_opts()
+        };
+        let (out, stats) = execute_with(&plan, &phys, &inputs, 2, &opts).expect("traced run");
+        let cats: std::collections::BTreeSet<&'static str> =
+            recorder.spans().iter().map(|(_, s)| s.cat).collect();
+        (out.sorted(), stats.totals().spill_runs, cats)
+    };
+
+    let (in_memory, runs, cats) = run(ExecOptions::default().mem_budget);
+    assert_eq!(runs, 0, "the default budget holds this input");
+    assert!(cats.contains("task") && cats.contains("ship"), "{cats:?}");
+    assert!(
+        !cats.contains("merge") && !cats.contains("spill"),
+        "{cats:?}"
+    );
+
+    let (spilled, runs, cats) = run(Some(1024));
+    assert!(runs > 0, "a 1 KiB budget must spill");
+    assert!(cats.contains("merge") && cats.contains("spill"), "{cats:?}");
+    assert_eq!(spilled, in_memory, "same walk, same result");
 }
 
 #[test]
