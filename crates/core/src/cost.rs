@@ -90,7 +90,15 @@ pub fn reduce_groups(op: &BoundOp, input_rows: f64) -> f64 {
 /// are position-independent — exactly the model the paper's optimizer uses
 /// when costing reordered alternatives.
 pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
-    match node.kind {
+    let inputs: Vec<Est> = node.children.iter().map(|c| estimate(plan, c)).collect();
+    estimate_node(plan, node.kind, &inputs)
+}
+
+/// One node's estimate from its inputs' estimates (`inputs[i]` for child
+/// `i`): what [`estimate`] computes at each node of its walk, and what
+/// physical selection calls with memoized child estimates.
+pub(crate) fn estimate_node(plan: &Plan, kind: NodeKind, inputs: &[Est]) -> Est {
+    match kind {
         NodeKind::Source(s) => {
             let src = &plan.ctx.sources[s];
             Est {
@@ -105,7 +113,7 @@ pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
             let added_bytes = 9.0 * op.added_attrs.len() as f64;
             match &op.pact {
                 Pact::Map => {
-                    let c = estimate(plan, &node.children[0]);
+                    let c = inputs[0];
                     let calls = c.rows;
                     Est {
                         rows: calls * sel,
@@ -118,7 +126,7 @@ pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
                     }
                 }
                 Pact::Reduce { .. } => {
-                    let c = estimate(plan, &node.children[0]);
+                    let c = inputs[0];
                     let groups = reduce_groups(op, c.rows);
                     Est {
                         rows: groups * sel,
@@ -131,8 +139,7 @@ pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
                     }
                 }
                 Pact::Match { .. } => {
-                    let l = estimate(plan, &node.children[0]);
-                    let r = estimate(plan, &node.children[1]);
+                    let (l, r) = (inputs[0], inputs[1]);
                     let domain = op
                         .hints
                         .distinct_keys
@@ -151,8 +158,7 @@ pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
                     }
                 }
                 Pact::Cross => {
-                    let l = estimate(plan, &node.children[0]);
-                    let r = estimate(plan, &node.children[1]);
+                    let (l, r) = (inputs[0], inputs[1]);
                     let pairs = l.rows * r.rows;
                     Est {
                         rows: pairs * sel,
@@ -165,8 +171,7 @@ pub fn estimate(plan: &Plan, node: &PlanNode) -> Est {
                     }
                 }
                 Pact::CoGroup { .. } => {
-                    let l = estimate(plan, &node.children[0]);
-                    let r = estimate(plan, &node.children[1]);
+                    let (l, r) = (inputs[0], inputs[1]);
                     let groups = op
                         .hints
                         .distinct_keys

@@ -11,9 +11,10 @@
 //! * [`enumerate_all`] — the generalization to arbitrary **tree-shaped**
 //!   flows (the paper notes its implementation "can, in fact, handle binary
 //!   operators"): a breadth-first closure over all valid *single* moves
-//!   (unary–unary swaps, unary↔binary exchanges, binary rotations) with
-//!   canonical-form deduplication. On linear flows both enumerators
-//!   provably agree (see tests), which is how we validate the closure.
+//!   (unary–unary swaps, unary↔binary exchanges, binary rotations),
+//!   deduplicated on structural sub-flow ids (`SubflowIds`). On linear
+//!   flows both enumerators provably agree (see tests), which is how we
+//!   validate the closure.
 //!
 //! Both return every data flow derivable by valid pairwise reorderings,
 //! with the original flow first.
@@ -24,6 +25,64 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use strato_dataflow::{NodeKind, Plan, PlanNode};
 use strato_record::hash::{FxHashMap, FxHashSet};
+
+/// Hash-consed structural ids of sub-flows: two subtrees get the same id
+/// exactly when they have the same node kinds in the same shape, whether
+/// or not they share `Arc`s. The id is the memo-table key of enumeration
+/// (the role of `getMTabKey` in Algorithm 1) and of physical selection.
+///
+/// Ids are interned bottom-up from `(kind, child ids)`; a pointer → id
+/// map answers again for an `Arc` already seen without walking it.
+#[derive(Default)]
+pub(crate) struct SubflowIds {
+    by_shape: FxHashMap<(NodeKind, [u32; 2]), u32>,
+    by_ptr: FxHashMap<*const PlanNode, u32>,
+    /// Every node keyed in `by_ptr`, held so that no other node can be
+    /// allocated at its address while these ids are in use.
+    pinned: Vec<Arc<PlanNode>>,
+}
+
+/// The child-id slot of an absent input.
+const NO_CHILD: u32 = u32::MAX;
+
+impl SubflowIds {
+    /// The id of the sub-flow rooted at `node`, interning it (and every
+    /// subtree under it) on first sight.
+    pub(crate) fn id(&mut self, node: &Arc<PlanNode>) -> u32 {
+        if let Some(&id) = self.by_ptr.get(&Arc::as_ptr(node)) {
+            return id;
+        }
+        assert!(node.children.len() <= 2, "PACTs have at most two inputs");
+        let mut kids = [NO_CHILD; 2];
+        for (k, c) in kids.iter_mut().zip(&node.children) {
+            *k = self.id(c);
+        }
+        let next = u32::try_from(self.by_shape.len()).expect("fewer than 2^32 sub-flows");
+        let id = *self.by_shape.entry((node.kind, kids)).or_insert(next);
+        self.by_ptr.insert(Arc::as_ptr(node), id);
+        self.pinned.push(Arc::clone(node));
+        id
+    }
+
+    /// The id of the sub-flow rooted at `node` if it was interned before.
+    /// Interns and pins nothing.
+    fn find(&self, node: &PlanNode) -> Option<u32> {
+        if let Some(&id) = self.by_ptr.get(&(node as *const PlanNode)) {
+            return Some(id);
+        }
+        let mut kids = [NO_CHILD; 2];
+        for (k, c) in kids.iter_mut().zip(&node.children) {
+            *k = self.find(c)?;
+        }
+        self.by_shape.get(&(node.kind, kids)).copied()
+    }
+
+    /// Number of distinct sub-flows interned.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.by_shape.len()
+    }
+}
 
 /// All plans reachable from `plan` by exactly one valid reordering move.
 pub fn neighbors(plan: &Plan, props: &PropTable) -> Vec<Plan> {
@@ -38,10 +97,21 @@ pub fn neighbors(plan: &Plan, props: &PropTable) -> Vec<Plan> {
 /// closure of single moves, capped at `cap` plans as a safety net for
 /// adversarial inputs. The original plan is first.
 pub fn enumerate_all(plan: &Plan, props: &PropTable, cap: usize) -> Vec<Plan> {
-    let mut seen: FxHashSet<String> = FxHashSet::default();
+    enumerate_interned(plan, props, cap).0
+}
+
+/// [`enumerate_all`], plus the ids every returned alternative was
+/// interned under, so that costing them afterwards finds each of their
+/// nodes by pointer.
+pub(crate) fn enumerate_interned(
+    plan: &Plan,
+    props: &PropTable,
+    cap: usize,
+) -> (Vec<Plan>, SubflowIds) {
+    let mut ids = SubflowIds::default();
     let mut out: Vec<Plan> = Vec::new();
     let mut queue: VecDeque<Plan> = VecDeque::new();
-    seen.insert(plan.canonical());
+    ids.id(&plan.root);
     out.push(plan.clone());
     queue.push_back(plan.clone());
     while let Some(p) = queue.pop_front() {
@@ -49,7 +119,12 @@ pub fn enumerate_all(plan: &Plan, props: &PropTable, cap: usize) -> Vec<Plan> {
             break;
         }
         for n in neighbors(&p, props) {
-            if seen.insert(n.canonical()) {
+            // Only kept alternatives are interned, and every alternative
+            // holds every operator and source, so an interned whole-tree
+            // shape is a kept alternative's root: the neighbour is a
+            // duplicate exactly when it is found.
+            if ids.find(&n.root).is_none() {
+                ids.id(&n.root);
                 out.push(n.clone());
                 queue.push_back(n);
                 if out.len() >= cap {
@@ -58,7 +133,7 @@ pub fn enumerate_all(plan: &Plan, props: &PropTable, cap: usize) -> Vec<Plan> {
             }
         }
     }
-    out
+    (out, ids)
 }
 
 /// All alternatives for this subtree obtained by one move *within* it.
@@ -357,6 +432,30 @@ mod tests {
             .collect();
         assert_eq!(a1, cl);
         assert!(a1.len() > 1, "space should be non-trivial: {}", a1.len());
+    }
+
+    #[test]
+    fn subflow_ids_are_structural() {
+        fn rebuild(n: &PlanNode) -> Arc<PlanNode> {
+            Arc::new(PlanNode {
+                kind: n.kind,
+                children: n.children.iter().map(|c| rebuild(c)).collect(),
+            })
+        }
+        let plan = chain_plan();
+        let props = PropTable::build(&plan, PropertyMode::Sca);
+        let mut ids = SubflowIds::default();
+        let root = ids.id(&plan.root);
+        assert_eq!(ids.len(), 5, "four operators over one source");
+        // The same tree from fresh `Arc`s: same id, nothing new interned.
+        let copy = rebuild(&plan.root);
+        assert_eq!(ids.find(&copy), Some(root));
+        assert_eq!(ids.id(&copy), root);
+        assert_eq!(ids.len(), 5);
+        for n in neighbors(&plan, &props) {
+            assert_eq!(ids.find(&n.root), None, "a move changes the shape");
+            assert_ne!(ids.id(&n.root), root);
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The end-to-end optimizer: properties → enumeration → physical costing.
 
 use crate::cost::CostWeights;
-use crate::enumerate::enumerate_all;
-use crate::physical::{best_physical, PhysPlan};
+use crate::enumerate::enumerate_interned;
+use crate::physical::{PhysMemo, PhysPlan};
 use crate::props::PropTable;
 use std::time::Instant;
 use strato_dataflow::{Plan, PropertyMode};
@@ -114,20 +114,25 @@ impl Optimizer {
 
     /// Derives properties, enumerates all valid orders, costs each
     /// alternative's best physical plan and ranks ascending by cost.
+    ///
+    /// All alternatives are costed against one memo, so each distinct
+    /// sub-flow among them is estimated and costed once (see
+    /// [`crate::physical`]).
     pub fn optimize(&self, plan: &Plan) -> OptimizerReport {
         let t0 = Instant::now();
         let props = PropTable::build(plan, self.mode);
         let property_derivation = t0.elapsed();
 
         let t1 = Instant::now();
-        let alts = enumerate_all(plan, &props, self.cap);
+        let (alts, ids) = enumerate_interned(plan, &props, self.cap);
         let enumeration = t1.elapsed();
 
         let t2 = Instant::now();
+        let mut memo = PhysMemo::new(plan, &props, &self.weights, self.dop, ids);
         let mut ranked: Vec<RankedPlan> = alts
             .into_iter()
             .map(|p| {
-                let phys = best_physical(&p, &props, &self.weights, self.dop);
+                let phys = memo.best_plan(&p.root);
                 RankedPlan {
                     cost: phys.total_cost,
                     phys,
@@ -146,10 +151,33 @@ impl Optimizer {
         }
     }
 
-    /// Convenience: optimize and return only the winner.
+    /// The winner alone: the same answer as `optimize(plan).ranked[0]`
+    /// (the first cheapest alternative in enumeration order, the ranking's
+    /// sort being stable), found without building the ranking. Every
+    /// alternative is costed against one memo as in
+    /// [`Optimizer::optimize`], and only the incumbent is kept: it is
+    /// replaced only by a strictly cheaper alternative.
     pub fn best(&self, plan: &Plan) -> RankedPlan {
-        let mut report = self.optimize(plan);
-        report.ranked.swap_remove(0)
+        let props = PropTable::build(plan, self.mode);
+        let (alts, ids) = enumerate_interned(plan, &props, self.cap);
+        let mut memo = PhysMemo::new(plan, &props, &self.weights, self.dop, ids);
+        let mut incumbent: Option<(f64, Plan)> = None;
+        for alt in alts {
+            let cost = memo.min_cost(&alt.root);
+            if incumbent
+                .as_ref()
+                .map_or(true, |(best, _)| cost.total_cmp(best).is_lt())
+            {
+                incumbent = Some((cost, alt));
+            }
+        }
+        let (_, plan) = incumbent.expect("enumeration yields at least the original plan");
+        let phys = memo.best_plan(&plan.root);
+        RankedPlan {
+            cost: phys.total_cost,
+            phys,
+            plan,
+        }
     }
 }
 

@@ -20,11 +20,26 @@
 //! output partitioning (a miniature Volcano with interesting properties),
 //! so a more expensive child plan that delivers a reusable partitioning can
 //! win globally.
+//!
+//! A subtree's candidates depend only on the sub-flow it holds, so they
+//! are memoized per call (`PhysMemo`) under the sub-flow's structural id
+//! (`SubflowIds`): one entry — output estimate plus pruned candidates —
+//! per *distinct* sub-flow, however many alternatives contain it and
+//! whether or not they share its `Arc`s. The optimizer costs all
+//! alternatives of one plan against one memo, so a sub-flow shared by
+//! hundreds of them is estimated and costed once; [`best_physical`] is
+//! the same code with a fresh memo. A candidate is a small record — cost,
+//! output partitioning, strategies and the candidate of each input it
+//! builds on — and [`PhysNode`]s are made only for the plans returned,
+//! once per sub-flow and candidate: returned plans that share a sub-flow
+//! hold its physical subtree by reference count.
 
-use crate::cost::{estimate, CostWeights, Est};
+use crate::cost::{estimate, estimate_node, CostWeights, Est};
+use crate::enumerate::SubflowIds;
 use crate::props::PropTable;
 use std::sync::Arc;
 use strato_dataflow::{NodeKind, Pact, Plan, PlanNode};
+use strato_record::hash::FxHashMap;
 use strato_record::AttrId;
 
 /// A shipping strategy for one operator input.
@@ -91,8 +106,10 @@ pub struct PhysNode {
     /// aggregation on the producing partitions before the Partition ship.
     /// Only ever set on combinable Partition-shipped Reduces.
     pub combine: bool,
-    /// Children.
-    pub children: Vec<PhysNode>,
+    /// Children, one per input. Shared: every plan the optimizer costed
+    /// with the same cheapest realization of a sub-flow holds the same
+    /// `Arc`, so taking a subtree is a reference-count bump, not a copy.
+    pub children: Vec<Arc<PhysNode>>,
     /// Output estimate.
     pub est: Est,
     /// Cumulative cost of this subtree.
@@ -162,7 +179,11 @@ impl PhysPlan {
                     NodeKind::Op(o) => LocalStrategy::default_for(&plan.ctx.ops[o].pact),
                 },
                 combine: false,
-                children: node.children.iter().map(|c| lower(plan, c)).collect(),
+                children: node
+                    .children
+                    .iter()
+                    .map(|c| Arc::new(lower(plan, c)))
+                    .collect(),
                 est: estimate(plan, node),
                 cost: 0.0,
             }
@@ -181,12 +202,198 @@ impl PhysPlan {
     }
 }
 
-/// One candidate during selection: a physical subtree plus the partitioning
-/// property its output satisfies.
-#[derive(Debug, Clone)]
-struct Candidate {
-    phys: PhysNode,
-    partitioning: Option<Vec<AttrId>>,
+/// How one input reaches its operator: a [`Ship`], with `Partition` on
+/// that input's key.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Forward,
+    Partition,
+    Broadcast,
+}
+
+/// One candidate during selection: a node's strategies, the partitioning
+/// property its output satisfies, and which candidate of each input it
+/// builds on. A `PhysNode` is made from it only if it ends up in a
+/// returned plan.
+#[derive(Clone, Copy)]
+struct Candidate<'a> {
+    /// Cumulative cost of the subtree.
+    cost: f64,
+    partitioning: Option<&'a [AttrId]>,
+    local: LocalStrategy,
+    combine: bool,
+    /// Per input, how it is shipped.
+    routes: [Route; 2],
+    /// Per input, the index of the chosen candidate in its entry.
+    picks: [usize; 2],
+}
+
+impl<'a> Candidate<'a> {
+    /// A candidate over input candidates `picks` (unused slots ignored).
+    fn new(
+        cost: f64,
+        partitioning: Option<&'a [AttrId]>,
+        local: LocalStrategy,
+        routes: [Route; 2],
+        picks: [usize; 2],
+    ) -> Self {
+        Candidate {
+            cost,
+            partitioning,
+            local,
+            combine: false,
+            routes,
+            picks,
+        }
+    }
+}
+
+/// The memo entry of one distinct sub-flow.
+struct Entry<'a> {
+    /// The first logical node seen with this sub-flow.
+    node: Arc<PlanNode>,
+    /// Entry ids of its inputs.
+    kids: Vec<usize>,
+    /// Output estimate of the sub-flow.
+    est: Est,
+    /// Pruned candidates, ascending by cost (so `cands[0]` is the first
+    /// minimum).
+    cands: Vec<Candidate<'a>>,
+}
+
+/// Physical selection for one plan context, property table, weights and
+/// DOP, memoized per structural sub-flow id (see the module docs).
+pub(crate) struct PhysMemo<'a> {
+    plan: &'a Plan,
+    props: &'a PropTable,
+    w: &'a CostWeights,
+    dop: usize,
+    ids: SubflowIds,
+    /// Indexed by sub-flow id; `None` until that sub-flow is costed.
+    entries: Vec<Option<Entry<'a>>>,
+    /// Physical nodes made so far, by `(entry id, candidate index)`, so
+    /// returned plans share their common subtrees.
+    built: FxHashMap<(usize, usize), Arc<PhysNode>>,
+}
+
+impl<'a> PhysMemo<'a> {
+    /// A memo for alternatives of `plan` (they share its context), reusing
+    /// the ids their enumeration interned.
+    pub(crate) fn new(
+        plan: &'a Plan,
+        props: &'a PropTable,
+        w: &'a CostWeights,
+        dop: usize,
+        ids: SubflowIds,
+    ) -> Self {
+        PhysMemo {
+            plan,
+            props,
+            w,
+            dop,
+            ids,
+            entries: Vec::new(),
+            built: FxHashMap::default(),
+        }
+    }
+
+    /// The cost of the cheapest physical realization of the sub-flow
+    /// rooted at `node`.
+    pub(crate) fn min_cost(&mut self, node: &Arc<PlanNode>) -> f64 {
+        let id = self.cost(node);
+        self.entry(id).cands[0].cost
+    }
+
+    /// The cheapest physical realization of the sub-flow rooted at `node`:
+    /// the first minimum among its candidates.
+    pub(crate) fn best_plan(&mut self, node: &Arc<PlanNode>) -> PhysPlan {
+        let id = self.cost(node);
+        let root = self.build(id, 0);
+        PhysPlan {
+            total_cost: root.cost,
+            root: PhysNode::clone(&root),
+        }
+    }
+
+    fn entry(&self, id: usize) -> &Entry<'a> {
+        self.entries[id]
+            .as_ref()
+            .expect("children are costed before their parent")
+    }
+
+    /// Costs the sub-flow rooted at `node` (children first) unless its id
+    /// already has an entry; returns the id.
+    fn cost(&mut self, node: &Arc<PlanNode>) -> usize {
+        let id = self.ids.id(node) as usize;
+        if self.entries.get(id).is_some_and(Option::is_some) {
+            return id;
+        }
+        let kids: Vec<usize> = node.children.iter().map(|c| self.cost(c)).collect();
+        let inputs: Vec<Est> = kids.iter().map(|&k| self.entry(k).est).collect();
+        let est = estimate_node(self.plan, node.kind, &inputs);
+        let cands = match node.kind {
+            // Scan cost: every plan reads every source once (the paper
+            // notes all plans do full scans), charged as disk IO.
+            NodeKind::Source(_) => vec![Candidate::new(
+                est.bytes() * self.w.disk,
+                None,
+                LocalStrategy::Pipe,
+                [Route::Forward; 2],
+                [0; 2],
+            )],
+            NodeKind::Op(o) => self.candidates(node, o, est, &kids),
+        };
+        if self.entries.len() <= id {
+            self.entries.resize_with(id + 1, || None);
+        }
+        self.entries[id] = Some(Entry {
+            node: node.clone(),
+            kids,
+            est,
+            cands,
+        });
+        id
+    }
+
+    /// The physical node of candidate `c` of entry `id`, made once.
+    fn build(&mut self, id: usize, c: usize) -> Arc<PhysNode> {
+        if let Some(n) = self.built.get(&(id, c)) {
+            return n.clone();
+        }
+        let (node, kids, est, cand) = {
+            let e = self.entry(id);
+            (e.node.clone(), e.kids.clone(), e.est, e.cands[c])
+        };
+        let children = kids
+            .iter()
+            .zip(cand.picks)
+            .map(|(&k, pick)| self.build(k, pick))
+            .collect();
+        let ships = match node.kind {
+            NodeKind::Source(_) => vec![],
+            NodeKind::Op(o) => {
+                let keys = &self.plan.ctx.ops[o].key_attrs;
+                (0..kids.len())
+                    .map(|i| match cand.routes[i] {
+                        Route::Forward => Ship::Forward,
+                        Route::Partition => Ship::Partition(keys[i].clone()),
+                        Route::Broadcast => Ship::Broadcast,
+                    })
+                    .collect()
+            }
+        };
+        let phys = Arc::new(PhysNode {
+            logical: node,
+            ships,
+            local: cand.local,
+            combine: cand.combine,
+            children,
+            est,
+            cost: cand.cost,
+        });
+        self.built.insert((id, c), phys.clone());
+        phys
+    }
 }
 
 /// Chooses the cheapest physical realization of a logical plan.
@@ -196,15 +403,7 @@ pub fn best_physical(
     weights: &CostWeights,
     dop: usize,
 ) -> PhysPlan {
-    let cands = candidates(plan, props, weights, dop, &plan.root);
-    let best = cands
-        .into_iter()
-        .min_by(|a, b| a.phys.cost.total_cmp(&b.phys.cost))
-        .expect("at least one candidate");
-    PhysPlan {
-        total_cost: best.phys.cost,
-        root: best.phys,
-    }
+    PhysMemo::new(plan, props, weights, dop, SubflowIds::default()).best_plan(&plan.root)
 }
 
 /// Spill charge: bytes beyond the memory budget cost disk IO (write+read).
@@ -232,330 +431,294 @@ fn stream_agg_cost(e: &Est, groups: f64, w: &CostWeights) -> f64 {
     e.rows * w.cpu + spill(groups * e.bytes_per_row, w)
 }
 
-fn ship_cost(ship: &Ship, e: &Est, w: &CostWeights, dop: usize) -> f64 {
-    match ship {
-        Ship::Forward => 0.0,
+fn ship_cost(route: Route, e: &Est, w: &CostWeights, dop: usize) -> f64 {
+    match route {
+        Route::Forward => 0.0,
         // (dop-1)/dop of the data crosses the wire; approximate with 1.
-        Ship::Partition(_) => e.bytes() * w.net,
-        Ship::Broadcast => e.bytes() * w.net * dop as f64,
+        Route::Partition => e.bytes() * w.net,
+        Route::Broadcast => e.bytes() * w.net * dop as f64,
     }
 }
 
-/// Keeps only the cheapest candidate per distinct partitioning plus the
-/// globally cheapest.
-fn prune(mut cands: Vec<Candidate>) -> Vec<Candidate> {
-    cands.sort_by(|a, b| a.phys.cost.total_cmp(&b.phys.cost));
-    let mut seen: Vec<Option<Vec<AttrId>>> = Vec::new();
-    let mut out = Vec::new();
-    for c in cands {
-        if !seen.contains(&c.partitioning) {
-            seen.push(c.partitioning.clone());
-            out.push(c);
+/// Pruning while candidates are generated. Of the candidates offered,
+/// keeps per distinct output partitioning the first one of least cost
+/// (which includes the globally cheapest), ordered by cost and then by
+/// offer order — exactly what stably sorting them all by cost and keeping
+/// each partitioning's first occurrence would keep.
+#[derive(Default)]
+struct Pruned<'a> {
+    /// Each partitioning's best so far, with its offer index.
+    best: Vec<(usize, Candidate<'a>)>,
+    offered: usize,
+}
+
+impl<'a> Pruned<'a> {
+    fn offer(&mut self, cand: Candidate<'a>) {
+        let seq = self.offered;
+        self.offered += 1;
+        let slot = self
+            .best
+            .iter()
+            .position(|(_, k)| k.partitioning == cand.partitioning);
+        match slot {
+            Some(i) if cand.cost.total_cmp(&self.best[i].1.cost).is_ge() => {}
+            Some(i) => self.best[i] = (seq, cand),
+            None => self.best.push((seq, cand)),
         }
     }
-    out
+
+    /// The kept candidates, ascending by cost.
+    fn finish(mut self) -> Vec<Candidate<'a>> {
+        self.best
+            .sort_by(|(sa, a), (sb, b)| a.cost.total_cmp(&b.cost).then(sa.cmp(sb)));
+        self.best.into_iter().map(|(_, c)| c).collect()
+    }
 }
 
 /// Does the child partitioning satisfy a required key (non-empty subset)?
-fn satisfies(part: &Option<Vec<AttrId>>, key: &[AttrId]) -> bool {
+fn satisfies(part: Option<&[AttrId]>, key: &[AttrId]) -> bool {
     match part {
         Some(p) => !p.is_empty() && p.iter().all(|a| key.contains(a)),
         None => false,
     }
 }
 
-fn candidates(
-    plan: &Plan,
-    props: &PropTable,
-    w: &CostWeights,
-    dop: usize,
-    node: &Arc<PlanNode>,
-) -> Vec<Candidate> {
-    match node.kind {
-        NodeKind::Source(_) => {
-            let est = estimate(plan, node);
-            // Scan cost: every plan reads every source once (the paper notes
-            // all plans do full scans), charged as disk IO.
-            let cost = est.bytes() * w.disk;
-            vec![Candidate {
-                phys: PhysNode {
-                    logical: node.clone(),
-                    ships: vec![],
-                    local: LocalStrategy::Pipe,
-                    combine: false,
-                    children: vec![],
-                    est,
-                    cost,
-                },
-                partitioning: None,
-            }]
-        }
-        NodeKind::Op(o) => {
-            let op = &plan.ctx.ops[o];
-            let est = estimate(plan, node);
-            let udf_cpu = est.calls * op.hints.cpu_per_call * w.cpu;
-            let mut out: Vec<Candidate> = Vec::new();
-            match &op.pact {
-                Pact::Map => {
-                    for c in candidates(plan, props, w, dop, &node.children[0]) {
-                        // A Map that writes partition attributes destroys
-                        // the property.
-                        let part = match &c.partitioning {
-                            Some(p) if p.iter().all(|a| !props.get(o).write.contains(*a)) => {
-                                c.partitioning.clone()
-                            }
-                            _ => None,
-                        };
-                        let cost = c.phys.cost + udf_cpu;
-                        out.push(Candidate {
-                            phys: PhysNode {
-                                logical: node.clone(),
-                                ships: vec![Ship::Forward],
-                                local: LocalStrategy::Pipe,
-                                combine: false,
-                                children: vec![c.phys],
-                                est,
-                                cost,
-                            },
-                            partitioning: part,
-                        });
-                    }
+impl<'a> PhysMemo<'a> {
+    /// The pruned candidates of operator `o` at `node` (output estimate
+    /// `est`), from its children's entries `kids`.
+    fn candidates(
+        &self,
+        node: &PlanNode,
+        o: usize,
+        est: Est,
+        kids: &[usize],
+    ) -> Vec<Candidate<'a>> {
+        let (plan, props, w, dop) = (self.plan, self.props, self.w, self.dop);
+        let input = |i: usize| self.entry(kids[i]).cands.iter().enumerate();
+        let in_est = |i: usize| self.entry(kids[i]).est;
+        let op = &plan.ctx.ops[o];
+        let udf_cpu = est.calls * op.hints.cpu_per_call * w.cpu;
+        let mut out = Pruned::default();
+        match &op.pact {
+            Pact::Map => {
+                for (i, c) in input(0) {
+                    // A Map that writes partition attributes destroys
+                    // the property.
+                    let part = match c.partitioning {
+                        Some(p) if p.iter().all(|a| !props.get(o).write.contains(*a)) => Some(p),
+                        _ => None,
+                    };
+                    out.offer(Candidate::new(
+                        c.cost + udf_cpu,
+                        part,
+                        LocalStrategy::Pipe,
+                        [Route::Forward; 2],
+                        [i, 0],
+                    ));
                 }
-                Pact::Reduce { .. } => {
-                    let key = op.key_attrs[0].clone();
-                    let combinable = plan.combinable_reduce(node);
-                    for c in candidates(plan, props, w, dop, &node.children[0]) {
-                        let reuse = satisfies(&c.partitioning, &key);
-                        let ship = if reuse {
-                            Ship::Forward
+            }
+            Pact::Reduce { .. } => {
+                let key = &op.key_attrs[0][..];
+                let combinable = plan.combinable_reduce(node);
+                let in_est = in_est(0);
+                let groups = crate::cost::reduce_groups(op, in_est.rows);
+                for (i, c) in input(0) {
+                    let reuse = satisfies(c.partitioning, key);
+                    let route = if reuse {
+                        Route::Forward
+                    } else {
+                        Route::Partition
+                    };
+                    for combine in [false, true] {
+                        // A pre-ship combiner only exists for
+                        // combinable, Partition-shipped reduces.
+                        if combine && !(combinable && route == Route::Partition) {
+                            continue;
+                        }
+                        // Combining caps the shipped volume at one
+                        // partial per key per producing partition —
+                        // the shipped-bytes reduction that lets plan
+                        // enumeration prefer combined plans.
+                        let shipped_est = if combine {
+                            Est {
+                                rows: (groups * dop as f64).min(in_est.rows),
+                                ..in_est
+                            }
                         } else {
-                            Ship::Partition(key.clone())
+                            in_est
                         };
-                        let in_est = c.phys.est;
-                        let groups = crate::cost::reduce_groups(op, in_est.rows);
-                        for combine in [false, true] {
-                            // A pre-ship combiner only exists for
-                            // combinable, Partition-shipped reduces.
-                            if combine && !(combinable && matches!(ship, Ship::Partition(_))) {
-                                continue;
-                            }
-                            // Combining caps the shipped volume at one
-                            // partial per key per producing partition —
-                            // the shipped-bytes reduction that lets plan
-                            // enumeration prefer combined plans.
-                            let shipped_est = if combine {
-                                Est {
-                                    rows: (groups * dop as f64).min(in_est.rows),
-                                    ..in_est
-                                }
-                            } else {
-                                in_est
-                            };
-                            // The combiner's own work: a hash probe and
-                            // fold per input record on the producing side.
-                            let combiner_cpu = if combine {
-                                0.5 * in_est.rows * w.cpu
-                            } else {
-                                0.0
-                            };
-                            let base = c.phys.cost
-                                + ship_cost(&ship, &shipped_est, w, dop)
-                                + udf_cpu
-                                + combiner_cpu;
-                            let mut locals = vec![
-                                (LocalStrategy::HashGroup, hash_build_cost(&shipped_est, w)),
-                                (LocalStrategy::SortGroup, sort_cost(&shipped_est, w)),
-                            ];
-                            if combinable {
-                                locals.push((
-                                    LocalStrategy::StreamAgg,
-                                    stream_agg_cost(&shipped_est, groups, w),
-                                ));
-                            }
-                            for (local, lcost) in locals {
-                                out.push(Candidate {
-                                    phys: PhysNode {
-                                        logical: node.clone(),
-                                        ships: vec![ship.clone()],
-                                        local,
-                                        combine,
-                                        children: vec![c.phys.clone()],
-                                        est,
-                                        cost: base + lcost,
-                                    },
-                                    partitioning: Some(key.clone()),
-                                });
-                            }
+                        // The combiner's own work: a hash probe and
+                        // fold per input record on the producing side.
+                        let combiner_cpu = if combine {
+                            0.5 * in_est.rows * w.cpu
+                        } else {
+                            0.0
+                        };
+                        let base = c.cost
+                            + ship_cost(route, &shipped_est, w, dop)
+                            + udf_cpu
+                            + combiner_cpu;
+                        let mut locals = vec![
+                            (LocalStrategy::HashGroup, hash_build_cost(&shipped_est, w)),
+                            (LocalStrategy::SortGroup, sort_cost(&shipped_est, w)),
+                        ];
+                        if combinable {
+                            locals.push((
+                                LocalStrategy::StreamAgg,
+                                stream_agg_cost(&shipped_est, groups, w),
+                            ));
                         }
-                    }
-                }
-                Pact::Match { .. } => {
-                    let (kl, kr) = (op.key_attrs[0].clone(), op.key_attrs[1].clone());
-                    let lcands = candidates(plan, props, w, dop, &node.children[0]);
-                    let rcands = candidates(plan, props, w, dop, &node.children[1]);
-                    for lc in &lcands {
-                        for rc in &rcands {
-                            let (le, re) = (lc.phys.est, rc.phys.est);
-                            // (a) Repartition both (with reuse).
-                            let ship_l = if satisfies(&lc.partitioning, &kl) {
-                                Ship::Forward
-                            } else {
-                                Ship::Partition(kl.clone())
-                            };
-                            let ship_r = if satisfies(&rc.partitioning, &kr) {
-                                Ship::Forward
-                            } else {
-                                Ship::Partition(kr.clone())
-                            };
-                            // Reuse is only sound if both sides end up
-                            // co-partitioned; forwarding both requires that
-                            // their partitionings correspond — we only reuse
-                            // when the other side is repartitioned on the
-                            // full key or both were partitioned identically
-                            // by position. Conservative: if both would
-                            // forward, repartition the bigger-keyed side.
-                            let (ship_l, ship_r) = match (&ship_l, &ship_r) {
-                                (Ship::Forward, Ship::Forward) => {
-                                    // Require exact correspondence of the
-                                    // partition keys to the join keys.
-                                    let exact_l = lc.partitioning.as_deref() == Some(&kl[..]);
-                                    let exact_r = rc.partitioning.as_deref() == Some(&kr[..]);
-                                    if exact_l && exact_r {
-                                        (Ship::Forward, Ship::Forward)
-                                    } else if exact_l {
-                                        (Ship::Forward, Ship::Partition(kr.clone()))
-                                    } else {
-                                        (Ship::Partition(kl.clone()), ship_r)
-                                    }
-                                }
-                                _ => (ship_l, ship_r),
-                            };
-                            let ship_cost_ab =
-                                ship_cost(&ship_l, &le, w, dop) + ship_cost(&ship_r, &re, w, dop);
-                            let (build, bcost) = if le.bytes() <= re.bytes() {
-                                (LocalStrategy::HashJoinBuildLeft, hash_build_cost(&le, w))
-                            } else {
-                                (LocalStrategy::HashJoinBuildRight, hash_build_cost(&re, w))
-                            };
-                            let smj = sort_cost(&le, w) + sort_cost(&re, w);
-                            let base = lc.phys.cost + rc.phys.cost + udf_cpu;
-                            for (local, lcost2) in
-                                [(build, bcost), (LocalStrategy::SortMergeJoin, smj)]
-                            {
-                                for part_out in [Some(kl.clone()), Some(kr.clone())] {
-                                    out.push(Candidate {
-                                        phys: PhysNode {
-                                            logical: node.clone(),
-                                            ships: vec![ship_l.clone(), ship_r.clone()],
-                                            local,
-                                            combine: false,
-                                            children: vec![lc.phys.clone(), rc.phys.clone()],
-                                            est,
-                                            cost: base + ship_cost_ab + lcost2,
-                                        },
-                                        partitioning: part_out,
-                                    });
-                                }
-                            }
-                            // (b) Broadcast the smaller side; the larger
-                            // side's partitioning survives.
-                            let (bc_side, fw_side, bc_est, fw_cand) = if le.bytes() <= re.bytes() {
-                                (0usize, 1usize, le, rc)
-                            } else {
-                                (1, 0, re, lc)
-                            };
-                            let mut ships = vec![Ship::Forward, Ship::Forward];
-                            ships[bc_side] = Ship::Broadcast;
-                            let bcost2 = ship_cost(&Ship::Broadcast, &bc_est, w, dop)
-                                + hash_build_cost(&bc_est, w) * dop as f64;
-                            let local = if bc_side == 0 {
-                                LocalStrategy::HashJoinBuildLeft
-                            } else {
-                                LocalStrategy::HashJoinBuildRight
-                            };
-                            let _ = fw_side;
-                            out.push(Candidate {
-                                phys: PhysNode {
-                                    logical: node.clone(),
-                                    ships,
+                        for (local, lcost) in locals {
+                            out.offer(Candidate {
+                                combine,
+                                ..Candidate::new(
+                                    base + lcost,
+                                    Some(key),
                                     local,
-                                    combine: false,
-                                    children: vec![lc.phys.clone(), rc.phys.clone()],
-                                    est,
-                                    cost: lc.phys.cost + rc.phys.cost + udf_cpu + bcost2,
-                                },
-                                partitioning: fw_cand.partitioning.clone(),
-                            });
-                        }
-                    }
-                }
-                Pact::Cross => {
-                    let lcands = candidates(plan, props, w, dop, &node.children[0]);
-                    let rcands = candidates(plan, props, w, dop, &node.children[1]);
-                    for lc in &lcands {
-                        for rc in &rcands {
-                            let (le, re) = (lc.phys.est, rc.phys.est);
-                            let (bc_side, bc_est, keep) = if le.bytes() <= re.bytes() {
-                                (0usize, le, rc)
-                            } else {
-                                (1, re, lc)
-                            };
-                            let mut ships = vec![Ship::Forward, Ship::Forward];
-                            ships[bc_side] = Ship::Broadcast;
-                            let cost = lc.phys.cost
-                                + rc.phys.cost
-                                + udf_cpu
-                                + ship_cost(&Ship::Broadcast, &bc_est, w, dop)
-                                + est.calls * w.cpu * 0.1;
-                            out.push(Candidate {
-                                phys: PhysNode {
-                                    logical: node.clone(),
-                                    ships,
-                                    local: LocalStrategy::BlockNestedLoop,
-                                    combine: false,
-                                    children: vec![lc.phys.clone(), rc.phys.clone()],
-                                    est,
-                                    cost,
-                                },
-                                partitioning: keep.partitioning.clone(),
-                            });
-                        }
-                    }
-                }
-                Pact::CoGroup { .. } => {
-                    let (kl, kr) = (op.key_attrs[0].clone(), op.key_attrs[1].clone());
-                    let lcands = candidates(plan, props, w, dop, &node.children[0]);
-                    let rcands = candidates(plan, props, w, dop, &node.children[1]);
-                    for lc in &lcands {
-                        for rc in &rcands {
-                            let (le, re) = (lc.phys.est, rc.phys.est);
-                            let ship_l = Ship::Partition(kl.clone());
-                            let ship_r = Ship::Partition(kr.clone());
-                            let cost = lc.phys.cost
-                                + rc.phys.cost
-                                + udf_cpu
-                                + ship_cost(&ship_l, &le, w, dop)
-                                + ship_cost(&ship_r, &re, w, dop)
-                                + sort_cost(&le, w)
-                                + sort_cost(&re, w);
-                            out.push(Candidate {
-                                phys: PhysNode {
-                                    logical: node.clone(),
-                                    ships: vec![ship_l, ship_r],
-                                    local: LocalStrategy::CoGroupSortMerge,
-                                    combine: false,
-                                    children: vec![lc.phys.clone(), rc.phys.clone()],
-                                    est,
-                                    cost,
-                                },
-                                partitioning: Some(kl.clone()),
+                                    [route, Route::Forward],
+                                    [i, 0],
+                                )
                             });
                         }
                     }
                 }
             }
-            prune(out)
+            Pact::Match { .. } => {
+                let (kl, kr) = (&op.key_attrs[0][..], &op.key_attrs[1][..]);
+                let (le, re) = (in_est(0), in_est(1));
+                for (i, lc) in input(0) {
+                    for (j, rc) in input(1) {
+                        // (a) Repartition both (with reuse).
+                        let route_l = if satisfies(lc.partitioning, kl) {
+                            Route::Forward
+                        } else {
+                            Route::Partition
+                        };
+                        let route_r = if satisfies(rc.partitioning, kr) {
+                            Route::Forward
+                        } else {
+                            Route::Partition
+                        };
+                        // Reuse is only sound if both sides end up
+                        // co-partitioned; forwarding both requires that
+                        // their partitionings correspond — we only reuse
+                        // when the other side is repartitioned on the
+                        // full key or both were partitioned identically
+                        // by position. Conservative: if both would
+                        // forward, repartition the bigger-keyed side.
+                        let routes = match (route_l, route_r) {
+                            (Route::Forward, Route::Forward) => {
+                                // Require exact correspondence of the
+                                // partition keys to the join keys.
+                                let exact_l = lc.partitioning == Some(kl);
+                                let exact_r = rc.partitioning == Some(kr);
+                                if exact_l && exact_r {
+                                    [Route::Forward, Route::Forward]
+                                } else if exact_l {
+                                    [Route::Forward, Route::Partition]
+                                } else {
+                                    [Route::Partition, route_r]
+                                }
+                            }
+                            _ => [route_l, route_r],
+                        };
+                        let ship_cost_ab =
+                            ship_cost(routes[0], &le, w, dop) + ship_cost(routes[1], &re, w, dop);
+                        let (build, bcost) = if le.bytes() <= re.bytes() {
+                            (LocalStrategy::HashJoinBuildLeft, hash_build_cost(&le, w))
+                        } else {
+                            (LocalStrategy::HashJoinBuildRight, hash_build_cost(&re, w))
+                        };
+                        let smj = sort_cost(&le, w) + sort_cost(&re, w);
+                        let base = lc.cost + rc.cost + udf_cpu;
+                        for (local, lcost2) in [(build, bcost), (LocalStrategy::SortMergeJoin, smj)]
+                        {
+                            for part_out in [kl, kr] {
+                                out.offer(Candidate::new(
+                                    base + ship_cost_ab + lcost2,
+                                    Some(part_out),
+                                    local,
+                                    routes,
+                                    [i, j],
+                                ));
+                            }
+                        }
+                        // (b) Broadcast the smaller side; the larger
+                        // side's partitioning survives.
+                        let (bc_side, bc_est, fw_cand) = if le.bytes() <= re.bytes() {
+                            (0usize, le, rc)
+                        } else {
+                            (1, re, lc)
+                        };
+                        let mut routes = [Route::Forward, Route::Forward];
+                        routes[bc_side] = Route::Broadcast;
+                        let bcost2 = ship_cost(Route::Broadcast, &bc_est, w, dop)
+                            + hash_build_cost(&bc_est, w) * dop as f64;
+                        let local = if bc_side == 0 {
+                            LocalStrategy::HashJoinBuildLeft
+                        } else {
+                            LocalStrategy::HashJoinBuildRight
+                        };
+                        out.offer(Candidate::new(
+                            lc.cost + rc.cost + udf_cpu + bcost2,
+                            fw_cand.partitioning,
+                            local,
+                            routes,
+                            [i, j],
+                        ));
+                    }
+                }
+            }
+            Pact::Cross => {
+                let (le, re) = (in_est(0), in_est(1));
+                for (i, lc) in input(0) {
+                    for (j, rc) in input(1) {
+                        let (bc_side, bc_est, keep) = if le.bytes() <= re.bytes() {
+                            (0usize, le, rc)
+                        } else {
+                            (1, re, lc)
+                        };
+                        let mut routes = [Route::Forward, Route::Forward];
+                        routes[bc_side] = Route::Broadcast;
+                        let cost = lc.cost
+                            + rc.cost
+                            + udf_cpu
+                            + ship_cost(Route::Broadcast, &bc_est, w, dop)
+                            + est.calls * w.cpu * 0.1;
+                        out.offer(Candidate::new(
+                            cost,
+                            keep.partitioning,
+                            LocalStrategy::BlockNestedLoop,
+                            routes,
+                            [i, j],
+                        ));
+                    }
+                }
+            }
+            Pact::CoGroup { .. } => {
+                let kl = &op.key_attrs[0][..];
+                let (le, re) = (in_est(0), in_est(1));
+                for (i, lc) in input(0) {
+                    for (j, rc) in input(1) {
+                        let cost = lc.cost
+                            + rc.cost
+                            + udf_cpu
+                            + ship_cost(Route::Partition, &le, w, dop)
+                            + ship_cost(Route::Partition, &re, w, dop)
+                            + sort_cost(&le, w)
+                            + sort_cost(&re, w);
+                        out.offer(Candidate::new(
+                            cost,
+                            Some(kl),
+                            LocalStrategy::CoGroupSortMerge,
+                            [Route::Partition, Route::Partition],
+                            [i, j],
+                        ));
+                    }
+                }
+            }
         }
+        out.finish()
     }
 }
 

@@ -619,6 +619,76 @@ mod tests {
     }
 
     #[test]
+    fn failed_join_returns_its_memory_and_leaves_the_runtime_usable() {
+        // The join's Pair UDF aborts in `finish`, after both sides were
+        // buffered under hand-rolled governor charges that the failed
+        // operator never releases: the governor's drop must square the
+        // pool's resident gauge and the grant must return.
+        let mut p = ProgramBuilder::new();
+        let l = p.source(SourceDef::new("l", &["k", "v"], 64));
+        let r = p.source(SourceDef::new("r", &["k2"], 64));
+        let join = {
+            use strato_ir::{FuncBuilder, UdfKind};
+            let mut b = FuncBuilder::new("boom", UdfKind::Pair, vec![2, 1]);
+            let v = b.get_input(0, 1);
+            b.call(strato_ir::Intrinsic::AbortIf, vec![v]);
+            let or = b.concat_inputs();
+            b.emit(or);
+            b.ret();
+            b.finish().unwrap()
+        };
+        let j = p.match_("boom", &[0], &[0], join, CostHints::default(), l, r);
+        let plan = p.finish(j).unwrap().bind().unwrap();
+        let props = PropTable::build(&plan, PropertyMode::Sca);
+        let phys = best_physical(&plan, &props, &CostWeights::default(), 2);
+        let inputs = |abort_at: i64| {
+            let left: DataSet = (0..64)
+                .map(|i| {
+                    Record::from_values([Value::Int(i % 8), Value::Int((i == abort_at) as i64)])
+                })
+                .collect();
+            let right: DataSet = (0..64)
+                .map(|i| Record::from_values([Value::Int(i % 8)]))
+                .collect();
+            let mut inputs = Inputs::new();
+            inputs.insert("l".into(), left);
+            inputs.insert("r".into(), right);
+            inputs
+        };
+
+        let rt = EngineRuntime::new(RuntimeOptions {
+            workers: Some(2),
+            mem_budget: Some(1 << 20),
+            ..RuntimeOptions::default()
+        });
+        let opts = ExecOptions {
+            mem_budget: Some(1 << 20),
+            ..ExecOptions::default()
+        };
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let err = rt
+            .execute_with(&plan, &phys, &inputs(5), 2, &opts)
+            .unwrap_err();
+        std::panic::set_hook(prev);
+        assert!(matches!(err, ExecError::Panic { .. }), "{err}");
+        assert!(rt.memory().peak_resident() > 0, "both sides were charged");
+        assert_eq!(
+            rt.memory().granted(),
+            0,
+            "the failed query's grant returned"
+        );
+        assert_eq!(rt.memory().resident(), 0, "its buffered bytes released");
+
+        let healthy = inputs(-1);
+        let (out, _) = rt.execute_with(&plan, &phys, &healthy, 2, &opts).unwrap();
+        let (reference, _) = execute_with(&plan, &phys, &healthy, 2, &opts).unwrap();
+        assert_eq!(out, reference, "the next query is byte-identical");
+        assert_eq!(rt.memory().granted(), 0);
+        assert_eq!(rt.memory().resident(), 0);
+    }
+
+    #[test]
     fn grants_are_carved_and_returned_per_query() {
         let (plan, phys, inputs) = sum_plan(100);
         let rt = EngineRuntime::new(RuntimeOptions {
