@@ -46,11 +46,14 @@
 //!
 //! ## One driver
 //!
-//! Every run registers its ready queue with an [`EngineRuntime`] (through
-//! the `runtime::QueryTasks` trait) whose workers take one task step per
-//! pick, round-robin across in-flight queries. The standalone entry
-//! points ([`crate::execute_with`] and friends) build a runtime private
-//! to the call (`private_runtime`), sized by the task graph the run built.
+//! Every run registers with an [`EngineRuntime`], which keeps the run's
+//! ready queue in the query's slot under the runtime's one scheduler
+//! lock; the run's own lock guards only its channels and task states, and
+//! every task a step wakes is pushed to that slot. The runtime's workers
+//! take one task step per pick, round-robin across in-flight queries
+//! (through the `runtime::QueryTasks` trait). The standalone entry points
+//! ([`crate::execute_with`] and friends) build a runtime private to the
+//! call (`private_runtime`), sized by the task graph the run built.
 //!
 //! Reduces whose UDF the static analysis proved **combinable** escape the
 //! buffering: the optimizer may mark them (`PhysNode::combine`) and this
@@ -69,9 +72,7 @@ use crate::ship::{Outbound, Router};
 use crate::stats::ExecStats;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use strato_core::{LocalStrategy, PhysNode, Ship};
 use strato_dataflow::{NodeKind, Pact, Plan};
@@ -294,7 +295,7 @@ fn flatten(plan: &Plan, node: &PhysNode, opts: &ExecOptions, stages: &mut Vec<Fl
 enum TState {
     /// Waiting for input data or output space; not queued.
     Idle,
-    /// In the ready queue.
+    /// In the runtime's ready queue, or popped and not yet started.
     Ready,
     /// A worker is executing a step.
     Running,
@@ -316,20 +317,18 @@ struct Chan {
 struct Core {
     chans: Vec<Chan>,
     state: Vec<TState>,
-    ready: VecDeque<usize>,
     /// Tasks not yet `Done`.
     live: usize,
     error: Option<ExecError>,
 }
 
 impl Core {
-    /// Makes `t` runnable after new input/space. Returns whether a worker
-    /// should be notified.
+    /// Makes `t` runnable after new input/space. Returns whether it must
+    /// be queued.
     fn wake(&mut self, t: usize) -> bool {
         match self.state[t] {
             TState::Idle => {
                 self.state[t] = TState::Ready;
-                self.ready.push_back(t);
                 true
             }
             TState::Running => {
@@ -360,19 +359,15 @@ enum SendRes {
 
 struct Sched<'e> {
     core: Mutex<Core>,
-    /// End-of-run signal to the submitter parked in `wait_done`.
-    cv: Condvar,
     capacity: usize,
     /// Root output: unbounded, so the sink task never blocks (this is what
     /// makes the whole graph deadlock-free under backpressure).
     sink: Mutex<Vec<Arc<RecordBatch>>>,
     stats: &'e ExecStats,
-    /// Mirror of `core.ready.len()`, readable without the core lock — the
-    /// pool's workers scan it to pick the next query fairly.
-    ready_hint: AtomicUsize,
-    /// The pool this execution is registered with; its workers sleep on
-    /// the runtime's condvar.
+    /// The runtime this execution is registered with, and its slot there,
+    /// which holds the execution's ready queue.
     rt: &'e RtShared,
+    slot: usize,
     /// Span recorder when this execution is traced (`None` = tracing off,
     /// see [`ExecOptions::trace`]).
     trace: Option<Arc<crate::trace::TraceRecorder>>,
@@ -382,24 +377,17 @@ struct Sched<'e> {
 }
 
 impl Sched<'_> {
-    /// With the core lock held: refreshes the ready hint and routes
-    /// wakeups after a mutation that queued `woke` tasks (and possibly
-    /// finished the run). Every path that can change the ready queue, the
-    /// error, or `live` funnels through here.
-    fn publish(&self, core: &mut Core, woke: usize, done: bool) {
-        if core.error.is_some() {
-            // Aborting: drop everything queued so pool workers stop
-            // picking tasks that would only yield again (task states stay
-            // as they are; `wake` on an unqueued Ready task is a no-op and
-            // the whole graph is torn down once the submitter returns).
-            core.ready.clear();
-        }
-        self.ready_hint.store(core.ready.len(), Ordering::Release);
-        if done || core.error.is_some() {
-            // Release the submitter blocked in `wait_done`.
-            self.cv.notify_all();
-        } else if woke > 0 {
-            self.rt.poke();
+    /// With the core lock held: queues the tasks a mutation `woke` in the
+    /// runtime's slot, or ends the slot once the run drained (`done`) or
+    /// failed. Every path that makes a task ready, sets the error, or
+    /// finishes the run funnels through here.
+    fn publish(&self, core: &Core, woke: &[usize], done: bool) {
+        // Aborting drops everything queued so workers stop picking tasks
+        // that would only yield again (task states stay as they are; the
+        // whole graph is torn down once the submitter returns).
+        let over = done || core.error.is_some();
+        if over || !woke.is_empty() {
+            self.rt.publish(self.slot, woke, over);
         }
     }
 
@@ -417,8 +405,9 @@ impl Sched<'_> {
         }
         c.queue.push_back(batch);
         let consumer = c.consumer;
-        let woke = core.wake(consumer) as usize;
-        self.publish(&mut core, woke, false);
+        if core.wake(consumer) {
+            self.publish(&core, &[consumer], false);
+        }
         SendRes::Sent
     }
 
@@ -432,12 +421,9 @@ impl Sched<'_> {
             Some(b) => {
                 // Space freed: unpark every producer parked on this channel
                 // (they re-check and may re-park; the list is ≤ dop long).
-                let unparked = std::mem::take(&mut c.waiting);
-                let mut woke = 0;
-                for w in unparked {
-                    woke += core.wake(w) as usize;
-                }
-                self.publish(&mut core, woke, false);
+                let mut woke = std::mem::take(&mut c.waiting);
+                woke.retain(|&w| core.wake(w));
+                self.publish(&core, &woke, false);
                 Recv::Batch(b)
             }
             None if c.senders == 0 => Recv::Eof,
@@ -452,17 +438,19 @@ impl Sched<'_> {
         let mut core = self.core.lock().unwrap();
         core.state[t] = TState::Done;
         core.live -= 1;
-        let mut woke = 0;
+        let mut woke = Vec::new();
         for &chan in closes {
             let c = &mut core.chans[chan];
             c.senders -= 1;
             if c.senders == 0 {
                 let consumer = c.consumer;
-                woke += core.wake(consumer) as usize;
+                if core.wake(consumer) {
+                    woke.push(consumer);
+                }
             }
         }
         let done = core.live == 0;
-        self.publish(&mut core, woke, done);
+        self.publish(&core, &woke, done);
     }
 
     /// Parks a yielded task — unless something arrived while it ran, in
@@ -472,13 +460,9 @@ impl Sched<'_> {
         match core.state[t] {
             TState::RunningDirty => {
                 core.state[t] = TState::Ready;
-                core.ready.push_back(t);
-                self.publish(&mut core, 1, false);
+                self.publish(&core, &[t], false);
             }
-            TState::Running => {
-                core.state[t] = TState::Idle;
-                self.publish(&mut core, 0, false);
-            }
+            TState::Running => core.state[t] = TState::Idle,
             _ => unreachable!("yielded task in state {:?}", core.state[t]),
         }
     }
@@ -491,7 +475,7 @@ impl Sched<'_> {
         }
         core.state[t] = TState::Done;
         core.live -= 1;
-        self.publish(&mut core, 0, true);
+        self.publish(&core, &[], true);
     }
 }
 
@@ -688,21 +672,28 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One in-flight execution: the scheduler core plus every task body.
-/// [`EngineRuntime::run_query`] registers it with the pool (the
-/// [`QueryTasks`] impl), whose workers execute its task steps through
-/// [`ExecState::run_task`].
+/// [`EngineRuntime::run_query`] registers it with the pool, whose workers
+/// execute its task steps through the [`QueryTasks`] impl.
 struct ExecState<'a> {
     sched: Sched<'a>,
     bodies: Vec<Mutex<TaskBody<'a>>>,
 }
 
-impl ExecState<'_> {
+impl QueryTasks for ExecState<'_> {
     /// Runs one step of task `t` and files the outcome. Panics unwinding
     /// out of a step become [`ExecError::Panic`] carrying the operator
     /// name; elapsed time is attributed to the task's own operator slot —
     /// `self.sched.stats` belongs to exactly one query, so attribution
     /// stays per-query even when pool workers interleave queries.
-    fn run_task(&self, t: usize) {
+    fn run(&self, t: usize) {
+        {
+            let mut core = self.sched.core.lock().unwrap();
+            if core.error.is_some() {
+                // Popped just before the run failed.
+                return;
+            }
+            core.state[t] = TState::Running;
+        }
         // Only the worker that moved `t` to Running touches its body, so
         // this lock is uncontended; it exists to make the borrow safe.
         let mut body = self.bodies[t].lock().unwrap();
@@ -736,40 +727,6 @@ impl ExecState<'_> {
                     message: panic_message(payload),
                 },
             ),
-        }
-    }
-}
-
-impl QueryTasks for ExecState<'_> {
-    fn ready_hint(&self) -> usize {
-        self.sched.ready_hint.load(Ordering::Acquire)
-    }
-
-    fn run_one(&self) -> bool {
-        let t = {
-            let mut core = self.sched.core.lock().unwrap();
-            if core.error.is_some() {
-                return false;
-            }
-            match core.ready.pop_front() {
-                Some(t) => {
-                    core.state[t] = TState::Running;
-                    self.sched
-                        .ready_hint
-                        .store(core.ready.len(), Ordering::Release);
-                    t
-                }
-                None => return false,
-            }
-        };
-        self.run_task(t);
-        true
-    }
-
-    fn wait_done(&self) {
-        let mut core = self.sched.core.lock().unwrap();
-        while core.live > 0 && core.error.is_none() {
-            core = self.sched.cv.wait(core).unwrap();
         }
     }
 }
@@ -1001,30 +958,27 @@ pub(crate) fn run_streaming(
         }
     }
 
-    let state = ExecState {
+    // Register with every task ready, let the runtime's workers interleave
+    // this query's steps with every other in-flight query, wait for the
+    // drain.
+    let state = runtime.run_query(n_tasks, |slot| ExecState {
         sched: Sched {
             core: Mutex::new(Core {
                 chans,
                 state: vec![TState::Ready; n_tasks],
-                ready: (0..n_tasks).collect(),
                 live: n_tasks,
                 error: None,
             }),
-            cv: Condvar::new(),
             capacity: opts.channel_capacity.max(1),
             sink: Mutex::new(Vec::new()),
             stats,
-            ready_hint: AtomicUsize::new(n_tasks),
             rt: runtime.shared(),
+            slot,
             trace: opts.trace.clone(),
             dop,
         },
         bodies,
-    };
-
-    // Register, let the runtime's workers interleave this query's steps
-    // with every other in-flight query, wait for the drain.
-    runtime.run_query(&state);
+    });
 
     let core = state.sched.core.into_inner().unwrap();
     if let Some(e) = core.error {

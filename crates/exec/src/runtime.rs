@@ -8,13 +8,15 @@
 //!
 //! ## Fair scheduling
 //!
-//! Each registered query exposes its ready-task count through the
-//! `QueryTasks` trait (crate-internal). Workers pick **round-robin across
-//! queries**, one
-//! cooperative task step per pick: a heavy query with hundreds of ready
-//! tasks gets exactly one step before the cursor moves on to the next
-//! query with work, so it can never starve a light neighbor. Within a
-//! query, the task order is the execution's own scheduler queue.
+//! The runtime owns every registered query's ready queue: one slot per
+//! query in a table guarded by **one** scheduler lock, holding the query's
+//! FIFO of ready tasks, the count of workers inside one of its steps, and
+//! whether its run is over. A query's steps push the tasks they wake into
+//! its slot. Workers pick **round-robin across queries**, one cooperative
+//! task step per pick: a heavy query with hundreds of ready tasks gets
+//! exactly one step before the cursor moves on to the next query with
+//! work, so it can never starve a light neighbor. Within a query, tasks
+//! run in the order they became ready.
 //!
 //! ## Hierarchical memory
 //!
@@ -124,42 +126,28 @@ pub struct RuntimeSnapshot {
 /// Bound of the [`RuntimeSnapshot::recent_queries`] window.
 pub const RECENT_QUERIES: usize = 8;
 
-/// What the pool needs from a registered execution: how much runnable
-/// work it has, a way to run one cooperative step, and a way for the
-/// submitter to block until the query drains.
+/// What the pool needs from a registered execution: a way to run one
+/// cooperative step of a task popped from the query's slot.
 ///
 /// Implemented by `pipeline::ExecState`; object-safe so the pool can hold
 /// queries of erased lifetime.
 pub(crate) trait QueryTasks: Sync {
-    /// Ready (runnable) task count — a racy hint; workers re-check under
-    /// the query's own lock in [`QueryTasks::run_one`].
-    fn ready_hint(&self) -> usize;
-    /// Pops and runs one cooperative task step. Returns `false` when
-    /// nothing was ready (stale hint) or the query is aborting.
-    fn run_one(&self) -> bool;
-    /// Blocks the submitter until every task finished or the query failed.
-    fn wait_done(&self);
-}
-
-/// Drain latch of one registered query: counts workers inside
-/// [`QueryTasks::run_one`] so deregistration can wait until no worker
-/// still holds the (lifetime-erased) query reference.
-#[derive(Debug, Default)]
-struct SlotPin {
-    /// Workers currently inside `run_one` for this query.
-    active: AtomicUsize,
-    /// Pure rendezvous for the drain wait; holds no data.
-    drained: Mutex<()>,
-    cv: Condvar,
+    /// Runs one cooperative step of task `t`.
+    fn run(&self, t: usize);
 }
 
 /// One registered query in the pool's slot table.
 struct SlotEntry {
-    /// The execution, lifetime-erased. Sound: `run_query` removes the
-    /// slot and drains `pin.active` to zero before its borrow ends.
+    /// The execution, lifetime-erased (see the `SAFETY` comment in
+    /// [`EngineRuntime::run_query`]).
     query: &'static (dyn QueryTasks + 'static),
-    pin: Arc<SlotPin>,
     query_id: u64,
+    /// Ready tasks, in the order they became ready.
+    ready: VecDeque<usize>,
+    /// Workers currently inside a step of this query.
+    running: usize,
+    /// The run drained or failed: nothing is queued any more.
+    over: bool,
 }
 
 /// The pool's scheduling state: the slot table plus the fairness cursor.
@@ -174,10 +162,32 @@ struct RtSched {
     recent: VecDeque<u64>,
 }
 
+impl RtSched {
+    /// Pops the next ready task round-robin from the slot after the last
+    /// one picked, and counts the picking worker into that slot.
+    fn pick(&mut self) -> Option<(usize, &'static (dyn QueryTasks + 'static), usize)> {
+        let n = self.slots.len();
+        for k in 0..n {
+            let i = (self.cursor + k) % n;
+            if let Some(s) = &mut self.slots[i] {
+                if let Some(t) = s.ready.pop_front() {
+                    s.running += 1;
+                    self.cursor = (i + 1) % n;
+                    return Some((i, s.query, t));
+                }
+            }
+        }
+        None
+    }
+}
+
 /// State shared between the pool's workers, submitters and observers.
 pub(crate) struct RtShared {
     sched: Mutex<RtSched>,
+    /// Tasks were queued (or the pool shuts down): workers sleep on it.
     cv: Condvar,
+    /// A slot is over and its last worker left: submitters sleep on it.
+    done: Condvar,
     memory: Arc<GlobalMemory>,
     workers: usize,
     busy: AtomicUsize,
@@ -190,14 +200,23 @@ pub(crate) struct RtShared {
 }
 
 impl RtShared {
-    /// Wakes sleeping workers after a query's ready count rose. Taking
-    /// the scheduler mutex (even for an empty critical section) is what
-    /// prevents a lost wakeup: a worker that scanned the hints and is
-    /// about to sleep still holds the mutex, so the notification cannot
-    /// slip between its scan and its wait.
-    pub(crate) fn poke(&self) {
-        let _guard = self.sched.lock().unwrap();
-        self.cv.notify_all();
+    /// Called from a step of the query registered in `slot`: queues the
+    /// tasks it `woke` and wakes the workers, or — `over` — ends the slot's
+    /// run by dropping whatever is still queued. Ending wakes no one: a
+    /// pool worker calling this is still counted in the slot's `running`,
+    /// and the release that brings that count to zero wakes the submitter.
+    pub(crate) fn publish(&self, slot: usize, woke: &[usize], over: bool) {
+        let mut sched = self.sched.lock().unwrap();
+        let s = sched.slots[slot]
+            .as_mut()
+            .expect("a query stays registered while its steps run");
+        if over {
+            s.over = true;
+            s.ready.clear();
+        } else {
+            s.ready.extend(woke);
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -254,6 +273,7 @@ impl EngineRuntime {
                 recent: VecDeque::new(),
             }),
             cv: Condvar::new(),
+            done: Condvar::new(),
             memory: GlobalMemory::new(mem_budget),
             workers,
             busy: AtomicUsize::new(0),
@@ -290,9 +310,8 @@ impl EngineRuntime {
             let mut per_query = Vec::new();
             let mut queued = 0usize;
             for s in sched.slots.iter().flatten() {
-                let ready = s.query.ready_hint();
-                queued += ready;
-                per_query.push((s.query_id, ready));
+                queued += s.ready.len();
+                per_query.push((s.query_id, s.ready.len()));
             }
             let recent: Vec<u64> = sched.recent.iter().copied().collect();
             (per_query.len(), queued, per_query, recent)
@@ -339,77 +358,80 @@ impl EngineRuntime {
         gov
     }
 
-    /// The pool state the pipeline's wake-up path pokes.
+    /// The scheduler a query's steps publish the tasks they wake to.
     pub(crate) fn shared(&self) -> &RtShared {
         &self.shared
     }
 
-    /// Registers `query` with the pool, blocks until it drains, then
-    /// deregisters it. Errors surface through the query's own state; this
-    /// only choreographs scheduling.
-    pub(crate) fn run_query(&self, query: &(dyn QueryTasks + '_)) {
+    /// Registers the query `build` assembles around its slot index, with
+    /// tasks `0..n_tasks` ready; blocks until its run is over and no
+    /// worker is inside one of its steps; deregisters it and hands it
+    /// back. Errors surface through the query's own state; this only
+    /// choreographs scheduling.
+    pub(crate) fn run_query<Q: QueryTasks>(
+        &self,
+        n_tasks: usize,
+        build: impl FnOnce(usize) -> Q,
+    ) -> Q {
         let query_id = self.shared.queries_started.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.handles.is_empty() {
-            // No pool to register with: drive the query on the calling
-            // thread. With a single driver a task that yields has always
-            // made its producer or consumer ready, so the queue runs dry
-            // only when the run has drained or failed.
-            while query.run_one() {}
-            self.shared.queries_finished.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let pin = Arc::new(SlotPin::default());
-        // SAFETY: the erased reference is only reachable through the slot
-        // table. Before this function returns (and with it the borrow of
-        // `query` ends), the slot is removed under the scheduler lock — no
-        // new picks — and `pin.active` is drained to zero — no worker is
-        // still inside `run_one`. Observers (`snapshot`) read the
-        // reference only while holding the lock that slot removal takes.
+        // `build` runs under the lock, so the free slot stays reserved.
+        let mut sched = self.shared.sched.lock().unwrap();
+        let slot = match sched.slots.iter().position(Option::is_none) {
+            Some(free) => free,
+            None => {
+                sched.slots.push(None);
+                sched.slots.len() - 1
+            }
+        };
+        let query = build(slot);
+        // SAFETY: the erased reference is reachable only through this
+        // slot, and a worker follows it only while counted in the slot's
+        // `running`, which it joins and leaves under the scheduler lock.
+        // The slot is removed under that same lock once it is `over` (no
+        // task is queued or ever will be) and `running` is zero, before
+        // `query` is moved out of this function. Observers (`snapshot`)
+        // never follow the reference.
         let erased = unsafe {
             std::mem::transmute::<&(dyn QueryTasks + '_), &'static (dyn QueryTasks + 'static)>(
-                query,
+                &query,
             )
         };
-        {
-            let mut sched = self.shared.sched.lock().unwrap();
-            let entry = SlotEntry {
-                query: erased,
-                pin: Arc::clone(&pin),
-                query_id,
-            };
-            match sched.slots.iter_mut().find(|s| s.is_none()) {
-                Some(free) => *free = Some(entry),
-                None => sched.slots.push(Some(entry)),
+        sched.slots[slot] = Some(SlotEntry {
+            query: erased,
+            query_id,
+            ready: (0..n_tasks).collect(),
+            running: 0,
+            over: false,
+        });
+        if self.handles.is_empty() {
+            // No pool: the calling thread drives the query. With a single
+            // driver a task that yields has always made its producer or
+            // consumer ready, so the queue runs dry only once it is over.
+            while let Some(t) = sched.slots[slot].as_mut().and_then(|s| s.ready.pop_front()) {
+                drop(sched);
+                query.run(t);
+                sched = self.shared.sched.lock().unwrap();
             }
+        } else {
             self.shared.cv.notify_all();
-        }
-
-        query.wait_done();
-
-        // Deregister first (no new picks), then wait out workers already
-        // inside `run_one`.
-        {
-            let mut sched = self.shared.sched.lock().unwrap();
-            for s in sched.slots.iter_mut() {
-                if s.as_ref().is_some_and(|e| e.query_id == query_id) {
-                    *s = None;
-                    break;
-                }
+            while !sched.slots[slot]
+                .as_ref()
+                .is_some_and(|s| s.over && s.running == 0)
+            {
+                sched = self.shared.done.wait(sched).unwrap();
             }
-            // Remember the finished id in the bounded recently-completed
-            // window (how the metrics renderer terminates per-query series
-            // without leaking one series per query ever run).
-            if sched.recent.len() >= RECENT_QUERIES {
-                sched.recent.pop_front();
-            }
-            sched.recent.push_back(query_id);
         }
-        let mut guard = pin.drained.lock().unwrap();
-        while pin.active.load(Ordering::SeqCst) > 0 {
-            guard = pin.cv.wait(guard).unwrap();
+        sched.slots[slot] = None;
+        // Remember the finished id in the bounded recently-completed
+        // window (how the metrics renderer terminates per-query series
+        // without leaking one series per query ever run).
+        if sched.recent.len() >= RECENT_QUERIES {
+            sched.recent.pop_front();
         }
-        drop(guard);
+        sched.recent.push_back(query_id);
+        drop(sched);
         self.shared.queries_finished.fetch_add(1, Ordering::Relaxed);
+        query
     }
 
     /// [`crate::execute`] on the shared pool.
@@ -471,46 +493,37 @@ impl Drop for EngineRuntime {
 }
 
 /// One worker of the shared pool: round-robin across registered queries,
-/// one cooperative task step per pick.
+/// one cooperative task step per pick. Leaving the previous step's slot
+/// and picking the next step take one lock acquisition.
 fn worker_loop(shared: &RtShared) {
+    let mut last: Option<usize> = None;
     loop {
-        let (query, pin) = {
+        let (slot, query, t) = {
             let mut sched = shared.sched.lock().unwrap();
-            'pick: loop {
+            if let Some(i) = last {
+                let s = sched.slots[i]
+                    .as_mut()
+                    .expect("a slot outlives the workers inside it");
+                s.running -= 1;
+                if s.over && s.running == 0 {
+                    shared.done.notify_all();
+                }
+            }
+            loop {
                 if sched.shutdown {
                     return;
                 }
-                let n = sched.slots.len();
-                for k in 0..n {
-                    let i = (sched.cursor + k) % n;
-                    if let Some(slot) = &sched.slots[i] {
-                        if slot.query.ready_hint() > 0 {
-                            // Pin before releasing the lock: deregistration
-                            // waits for this count, so the erased reference
-                            // stays valid through `run_one`.
-                            slot.pin.active.fetch_add(1, Ordering::SeqCst);
-                            let picked = (slot.query, Arc::clone(&slot.pin));
-                            sched.cursor = (i + 1) % n;
-                            break 'pick picked;
-                        }
-                    }
+                if let Some(picked) = sched.pick() {
+                    break picked;
                 }
                 sched = shared.cv.wait(sched).unwrap();
             }
         };
         shared.busy.fetch_add(1, Ordering::Relaxed);
-        let ran = query.run_one();
+        query.run(t);
         shared.busy.fetch_sub(1, Ordering::Relaxed);
-        if ran {
-            shared.tasks_run.fetch_add(1, Ordering::Relaxed);
-        }
-        if pin.active.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Last worker out: rendezvous through the mutex so a
-            // deregistration that just checked the count cannot miss the
-            // notification.
-            let _guard = pin.drained.lock().unwrap();
-            pin.cv.notify_all();
-        }
+        shared.tasks_run.fetch_add(1, Ordering::Relaxed);
+        last = Some(slot);
     }
 }
 
@@ -577,7 +590,7 @@ mod tests {
     #[test]
     fn runtime_contains_worker_panics_and_stays_usable() {
         // A panicking UDF fails its own query; the pool workers survive
-        // (the unwind is caught at the task boundary, inside `run_one`).
+        // (the unwind is caught at the task boundary, inside the step).
         let mut p = ProgramBuilder::new();
         let s = p.source(SourceDef::new("s", &["v"], 4));
         let boom = {

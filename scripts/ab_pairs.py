@@ -26,6 +26,12 @@ verdict:
               not every change run is better than every parent run;
   ok          none of these.
 
+Each workload also gets an ungated `nvcsw/op` row: voluntary context switches
+of the run's process tree (the `RUSAGE_CHILDREN` `ru_nvcsw` delta around the
+run) divided by the operations it attempted, with each side's median,
+quartiles and maximum run. It shows scheduler wake-up traffic, including a
+pool that started in a slow mode of many more switches per operation.
+
 Quartiles are Python's `statistics.quantiles(values, n=4)`. `--quick` shrinks
 every workload and defaults the window to one second: a smoke test of the
 tool, not a measurement. Only committed revisions can be compared.
@@ -33,6 +39,7 @@ tool, not a measurement. Only committed revisions can be compared.
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -73,19 +80,22 @@ def export(rev, command, workdir):
 
 
 def run_once(tree, command, workload, seed, seconds, quick):
-    """One benchmark run; returns its result object (the last stdout line)."""
+    """One benchmark run; returns its result object (the last stdout line)
+    and the voluntary context switches of the run's process tree."""
     args = [*command, "--workload", workload, "--seed", str(seed)]
     args += ["--seconds", str(seconds), "--trace", "0"]
     if quick:
         args.append("--quick")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_nvcsw
     proc = subprocess.run(args, cwd=tree, capture_output=True, text=True)
+    switches = resource.getrusage(resource.RUSAGE_CHILDREN).ru_nvcsw - before
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{workload} seed {seed} in {tree}: no result line")
-    return result
+    return result, switches
 
 
 def quartiles(values):
@@ -150,12 +160,14 @@ def main():
     for w in workloads:
         values = {side: {m["name"]: [] for m in metrics} for side in trees}
         counts = {side: [0, 0] for side in trees}
+        nvcsw = {side: [] for side in trees}
         for i in range(args.pairs):
             seed = args.seed_base + i
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                r = run_once(trees[side], command, w, seed, seconds, args.quick)
+                r, switches = run_once(trees[side], command, w, seed, seconds, args.quick)
                 broken |= not r["correct"]
+                nvcsw[side].append(switches / max(r["attempted"], 1))
                 counts[side][0] += r["attempted"]
                 counts[side][1] += r["failed"]
                 for m in metrics:
@@ -171,6 +183,11 @@ def main():
                 (w, m["name"], cell(p), cell(c), ratio, f"{wins}/{len(p)}",
                  verdict(p, c, lower, m["bound"], wins))
             )
+        p, c = nvcsw["parent"], nvcsw["change"]
+        mp = statistics.median(p)
+        ratio = f"{statistics.median(c) / mp:.3f} of {mp:.4g}" if mp else "n/a"
+        rows.append((w, "nvcsw/op", f"{cell(p)} max {max(p):.4g}",
+                     f"{cell(c)} max {max(c):.4g}", ratio, "", ""))
         (pa, pf), (ca, cf) = counts["parent"], counts["change"]
         rows.append((w, "failed", f"{pf} of {pa}", f"{cf} of {ca}", "", "",
                      "regressed" if cf * max(pa, 1) > pf * max(ca, 1) else "ok"))
