@@ -8,6 +8,8 @@
 //! Outputs aligned text tables on stdout and CSV files under `results/`.
 //! Sub-commands: `fig2 fig3 fig4 fig5 fig6 fig7 table1 timing ablation all`.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::Path;
 use std::time::Instant;

@@ -11,6 +11,7 @@
 //! estimate of the optimizer and the actual runtime, both normalized by
 //! the lowest estimated costs and averaged runtime respectively."*
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};

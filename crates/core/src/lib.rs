@@ -31,6 +31,7 @@
 //!   derive properties → enumerate orders → cost each physical alternative
 //!   → rank.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conditions;

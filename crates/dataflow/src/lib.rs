@@ -21,6 +21,7 @@
 //!   operator. The resulting [`Plan`] is what the optimizer reorders and
 //!   the engine executes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod operator;

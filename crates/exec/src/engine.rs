@@ -145,6 +145,7 @@ mod tests {
     use super::*;
     use crate::operators::apply_chunked;
     use crate::runtime::EngineRuntime;
+    use std::sync::Arc;
     use strato_core::{cost::CostWeights, physical::best_physical, LocalStrategy, PropTable};
     use strato_dataflow::{CostHints, ProgramBuilder, PropertyMode, SourceDef};
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
@@ -541,11 +542,11 @@ mod tests {
         inputs: &[Vec<Record>],
         mem_budget: Option<u64>,
     ) -> Applied {
-        let stats = ExecStats::for_profiling(1);
-        let gov = crate::spill::MemoryGovernor::with_budget(mem_budget);
-        let ctx = crate::testutil::ctx(&stats, &gov);
-        let op = plan.ctx.ops.last().unwrap();
-        let out = apply_chunked(op, strategy, inputs, 2, ctx).unwrap();
+        let stats = Arc::new(ExecStats::for_profiling(plan.ctx.ops.len()));
+        let gov = Arc::new(crate::spill::MemoryGovernor::with_budget(mem_budget));
+        let ctx = crate::testutil::ctx(plan, &stats, &gov);
+        let op_id = ctx.op_id;
+        let out = apply_chunked(strategy, inputs, 2, ctx).unwrap();
         if mem_budget == Some(0) {
             let runs = stats.totals().spill_runs;
             assert!(runs > 1, "{strategy:?} must spill every batch: {runs}");
@@ -553,7 +554,7 @@ mod tests {
         Applied {
             out,
             udf_calls: stats.totals().udf_calls,
-            distinct_keys: stats.op_snapshots()[0].distinct_keys,
+            distinct_keys: stats.op_snapshots()[op_id].distinct_keys,
         }
     }
 

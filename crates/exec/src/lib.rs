@@ -59,6 +59,7 @@
 //! * Match joins follow SQL flavour: records with null key components match
 //!   nothing. Reduce/CoGroup group null keys together.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
@@ -84,18 +85,22 @@ pub use trace::{explain_analyze, HistoSnapshot, LatencyHisto, Span, TraceRecorde
 pub(crate) mod testutil {
     use crate::operators::OpCtx;
     use crate::{ExecStats, MemoryGovernor};
+    use std::sync::Arc;
+    use strato_dataflow::Plan;
     use strato_ir::interp::Interp;
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
     use strato_record::{AttrId, DataSet, Record};
 
-    /// The context of a lone operator (slot 0) charging `stats` and `gov`.
-    pub(crate) fn ctx<'a>(stats: &'a ExecStats, gov: &'a MemoryGovernor) -> OpCtx<'a> {
+    /// The context of `plan`'s last operator (the root of a single-chain
+    /// plan) charging `stats` and `gov`.
+    pub(crate) fn ctx(plan: &Plan, stats: &Arc<ExecStats>, gov: &Arc<MemoryGovernor>) -> OpCtx {
         OpCtx {
             interp: Interp::default(),
-            stats,
-            gov,
+            plan: Arc::clone(&plan.ctx),
+            stats: Arc::clone(stats),
+            gov: Arc::clone(gov),
             batch_size: 64,
-            op_id: 0,
+            op_id: plan.ctx.ops.len() - 1,
         }
     }
 

@@ -4,7 +4,6 @@ use super::{take_records, OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::{next_key_groups, RunBuffer};
 use std::sync::Arc;
-use strato_dataflow::BoundOp;
 use strato_ir::interp::Invocation;
 use strato_record::RecordBatch;
 
@@ -17,24 +16,22 @@ use strato_record::RecordBatch;
 /// Under memory pressure both sides shed to sorted runs; the walk merges
 /// whatever runs exist (none, when nothing spilled), so the walk order —
 /// ascending combined key domain — does not depend on the budget.
-pub struct CoGroupOp<'a> {
-    op: &'a BoundOp,
-    ctx: OpCtx<'a>,
-    sides: [RunBuffer<'a>; 2],
+pub struct CoGroupOp {
+    ctx: OpCtx,
+    sides: [RunBuffer; 2],
 }
 
-impl<'a> CoGroupOp<'a> {
-    pub(crate) fn new(op: &'a BoundOp, ctx: OpCtx<'a>) -> Self {
-        let side = |s: usize| RunBuffer::new(&ctx, &op.key_attrs[s], false);
+impl CoGroupOp {
+    pub(crate) fn new(ctx: OpCtx) -> Self {
+        let side = |s: usize| RunBuffer::new(ctx.clone(), s, false);
         CoGroupOp {
-            op,
-            ctx,
             sides: [side(0), side(1)],
+            ctx,
         }
     }
 }
 
-impl Operator for CoGroupOp<'_> {
+impl Operator for CoGroupOp {
     fn push(
         &mut self,
         port: usize,
@@ -51,7 +48,8 @@ impl Operator for CoGroupOp<'_> {
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let (kl, kr) = (&self.op.key_attrs[0], &self.op.key_attrs[1]);
+        let op = self.ctx.op();
+        let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
         let [left, right] = &mut self.sides;
         let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
         let mut emitted = Vec::new();
@@ -59,7 +57,6 @@ impl Operator for CoGroupOp<'_> {
         while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
             left_keys += lg.is_some() as u64;
             self.ctx.call(
-                self.op,
                 Invocation::CoGroup(lg.as_deref().unwrap_or(&[]), rg.as_deref().unwrap_or(&[])),
                 &mut emitted,
             )?;

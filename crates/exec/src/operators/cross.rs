@@ -3,7 +3,6 @@
 use super::{OpCtx, Operator};
 use crate::engine::ExecError;
 use std::sync::Arc;
-use strato_dataflow::BoundOp;
 use strato_ir::interp::Invocation;
 use strato_record::RecordBatch;
 
@@ -11,23 +10,21 @@ use strato_record::RecordBatch;
 /// pairs every left record with every right record at `finish`. Batches
 /// double as the blocks of the nested loop — the inner side is scanned
 /// once per outer *record*, batch by batch, entirely over borrowed data.
-pub struct CrossOp<'a> {
-    op: &'a BoundOp,
-    ctx: OpCtx<'a>,
+pub struct CrossOp {
+    ctx: OpCtx,
     sides: [Vec<Arc<RecordBatch>>; 2],
 }
 
-impl<'a> CrossOp<'a> {
-    pub(crate) fn new(op: &'a BoundOp, ctx: OpCtx<'a>) -> Self {
+impl CrossOp {
+    pub(crate) fn new(ctx: OpCtx) -> Self {
         CrossOp {
-            op,
             ctx,
             sides: [Vec::new(), Vec::new()],
         }
     }
 }
 
-impl Operator for CrossOp<'_> {
+impl Operator for CrossOp {
     fn push(
         &mut self,
         port: usize,
@@ -46,8 +43,7 @@ impl Operator for CrossOp<'_> {
             for l in lb.iter() {
                 for rb in &self.sides[1] {
                     for r in rb.iter() {
-                        self.ctx
-                            .call(self.op, Invocation::Pair(l, r), &mut emitted)?;
+                        self.ctx.call(Invocation::Pair(l, r), &mut emitted)?;
                     }
                 }
             }

@@ -6,7 +6,6 @@ use crate::engine::ExecError;
 use crate::spill::{next_key_groups, RunBuffer};
 use std::sync::Arc;
 use strato_core::LocalStrategy;
-use strato_dataflow::BoundOp;
 use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
 use strato_record::{Record, RecordBatch};
@@ -29,28 +28,26 @@ use strato_record::{Record, RecordBatch};
 /// joins — is identical.
 ///
 /// [`MemoryGovernor`]: crate::spill::MemoryGovernor
-pub struct MatchOp<'a> {
-    op: &'a BoundOp,
+pub struct MatchOp {
     /// A hash join or `SortMergeJoin` (see [`super::build`]).
     strategy: LocalStrategy,
-    ctx: OpCtx<'a>,
+    ctx: OpCtx,
     /// Buffered batches per side, each with the bytes it was granted for
     /// (a shared broadcast batch is charged a per-holder share, see
     /// [`Operator::push`]).
     sides: [Vec<(Arc<RecordBatch>, u64)>; 2],
     /// Per side: what left `sides` for the sort-based finish.
-    bufs: [RunBuffer<'a>; 2],
+    bufs: [RunBuffer; 2],
 }
 
-impl<'a> MatchOp<'a> {
-    pub(crate) fn new(op: &'a BoundOp, strategy: LocalStrategy, ctx: OpCtx<'a>) -> Self {
-        let buf = |s: usize| RunBuffer::new(&ctx, &op.key_attrs[s], true);
+impl MatchOp {
+    pub(crate) fn new(strategy: LocalStrategy, ctx: OpCtx) -> Self {
+        let buf = |s: usize| RunBuffer::new(ctx.clone(), s, true);
         MatchOp {
-            op,
             strategy,
-            ctx,
             sides: [Vec::new(), Vec::new()],
             bufs: [buf(0), buf(1)],
+            ctx,
         }
     }
 
@@ -79,7 +76,8 @@ impl<'a> MatchOp<'a> {
         for side in 0..2 {
             self.move_to_buffer(side, false);
         }
-        let (kl, kr) = (&self.op.key_attrs[0], &self.op.key_attrs[1]);
+        let op = self.ctx.op();
+        let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
         let [left, right] = &mut self.bufs;
         // Distinct input-0 keys, with nulls counted as one key (the
         // profiler's rule — the join itself dropped them on entry).
@@ -90,7 +88,7 @@ impl<'a> MatchOp<'a> {
             if let (Some(lg), Some(rg)) = (lg, rg) {
                 for a in &lg {
                     for b in &rg {
-                        self.ctx.call(self.op, Invocation::Pair(a, b), emitted)?;
+                        self.ctx.call(Invocation::Pair(a, b), emitted)?;
                     }
                 }
             }
@@ -109,13 +107,13 @@ impl<'a> MatchOp<'a> {
 /// Buckets verify key equality exactly, so hash collisions cannot produce
 /// false matches.
 fn hash_join(
-    op: &BoundOp,
-    ctx: &OpCtx<'_>,
+    ctx: &OpCtx,
     left: &[&Record],
     right: &[&Record],
     build_is_left: bool,
     out: &mut Vec<Record>,
 ) -> Result<(), ExecError> {
+    let op = ctx.op();
     let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
     let (build, probe, kb, kp) = if build_is_left {
         (left, right, kl, kr)
@@ -136,7 +134,7 @@ fn hash_join(
             for &b in bucket {
                 if key_cmp2(b, kb, p, kp).is_eq() {
                     let (l, r) = if build_is_left { (b, p) } else { (p, b) };
-                    ctx.call(op, Invocation::Pair(l, r), out)?;
+                    ctx.call(Invocation::Pair(l, r), out)?;
                 }
             }
         }
@@ -144,7 +142,7 @@ fn hash_join(
     Ok(())
 }
 
-impl Operator for MatchOp<'_> {
+impl Operator for MatchOp {
     fn push(
         &mut self,
         port: usize,
@@ -183,7 +181,7 @@ impl Operator for MatchOp<'_> {
         let mut emitted = Vec::new();
         // A buffer that was fed holds part of its side, even when every
         // record it was handed had a null key and nothing reached disk.
-        let fed = |b: &RunBuffer<'_>| b.spilled() || b.saw_null_key();
+        let fed = |b: &RunBuffer| b.spilled() || b.saw_null_key();
         if self.strategy == LocalStrategy::SortMergeJoin || self.bufs.iter().any(fed) {
             self.merge_join(&mut emitted)?;
             self.ctx.emit(emitted, out);
@@ -195,7 +193,7 @@ impl Operator for MatchOp<'_> {
             // Profiling observation: distinct input-0 keys (nulls count as
             // one key, matching the runtime profiler's historic rule —
             // unlike the join itself, which drops null keys).
-            let kl = &self.op.key_attrs[0];
+            let kl = &self.ctx.op().key_attrs[0];
             let mut refs = left.clone();
             refs.sort_unstable_by(|a, b| key_cmp(a, b, kl));
             refs.dedup_by(|a, b| key_cmp(a, b, kl).is_eq());
@@ -203,14 +201,7 @@ impl Operator for MatchOp<'_> {
             self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, n);
         }
         let build_is_left = self.strategy == LocalStrategy::HashJoinBuildLeft;
-        hash_join(
-            self.op,
-            &self.ctx,
-            &left,
-            &right,
-            build_is_left,
-            &mut emitted,
-        )?;
+        hash_join(&self.ctx, &left, &right, build_is_left, &mut emitted)?;
         let charged = self.sides.iter_mut().flat_map(|s| s.drain(..));
         self.ctx
             .gov
@@ -255,7 +246,6 @@ mod tests {
     #[test]
     fn starved_join_spills_and_matches_the_in_memory_result_bag() {
         let plan = join_plan();
-        let op = &plan.ctx.ops[0];
         let left: &[&[i64]] = &[&[1, 10], &[2, 20], &[2, 21], &[3, 30], &[5, 50]];
         let sides = [
             wide(&plan, 0, left),
@@ -263,14 +253,17 @@ mod tests {
         ];
         let build_left = LocalStrategy::HashJoinBuildLeft;
 
-        let (s_ref, g_ref) = (ExecStats::new(), MemoryGovernor::unbounded());
-        let reference = apply_chunked(op, build_left, &sides, 8, ctx(&s_ref, &g_ref)).unwrap();
+        let (s_ref, g_ref) = (
+            Arc::new(ExecStats::new()),
+            Arc::new(MemoryGovernor::unbounded()),
+        );
+        let reference = apply_chunked(build_left, &sides, 8, ctx(&plan, &s_ref, &g_ref)).unwrap();
 
         // One record per batch under a 32-byte budget: the operator spills
         // both sides and joins by the sort-merge walk.
-        let stats = ExecStats::with_ops(1);
-        let gov = MemoryGovernor::with_budget(Some(32));
-        let got = apply_chunked(op, build_left, &sides, 1, ctx(&stats, &gov)).unwrap();
+        let stats = Arc::new(ExecStats::with_ops(1));
+        let gov = Arc::new(MemoryGovernor::with_budget(Some(32)));
+        let got = apply_chunked(build_left, &sides, 1, ctx(&plan, &stats, &gov)).unwrap();
         assert_eq!(
             DataSet::from_records(got),
             DataSet::from_records(reference),
@@ -285,7 +278,6 @@ mod tests {
         // drops the records, writes no run, and must still tell the
         // profiler that a null key went by.
         let plan = join_plan();
-        let op = &plan.ctx.ops[0];
         let mut sides = [wide(&plan, 0, &[&[0, 40], &[0, 41]]), Vec::new()];
         for r in &mut sides[0] {
             r.set_field(0, Value::Null);
@@ -295,9 +287,9 @@ mod tests {
             LocalStrategy::SortMergeJoin,
         ] {
             for budget in [None, Some(0)] {
-                let stats = ExecStats::for_profiling(1);
-                let gov = MemoryGovernor::with_budget(budget);
-                let out = apply_chunked(op, strategy, &sides, 2, ctx(&stats, &gov)).unwrap();
+                let stats = Arc::new(ExecStats::for_profiling(1));
+                let gov = Arc::new(MemoryGovernor::with_budget(budget));
+                let out = apply_chunked(strategy, &sides, 2, ctx(&plan, &stats, &gov)).unwrap();
                 assert!(out.is_empty(), "null keys match nothing");
                 assert_eq!(stats.totals().spill_runs, 0, "nothing to write");
                 let keys = stats.op_snapshots()[0].distinct_keys;
@@ -312,13 +304,12 @@ mod tests {
         // allocation lives until every holder drops it — so under pressure
         // only uniquely held batches go to disk.
         let plan = join_plan();
-        let op = &plan.ctx.ops[0];
         let left = wide(&plan, 0, &[&[2, 20], &[3, 30]]);
         let right = wide(&plan, 1, &[&[2], &[3]]);
 
-        let stats = ExecStats::with_ops(1);
-        let gov = MemoryGovernor::with_budget(Some(1));
-        let mut join = MatchOp::new(op, LocalStrategy::HashJoinBuildLeft, ctx(&stats, &gov));
+        let stats = Arc::new(ExecStats::with_ops(1));
+        let gov = Arc::new(MemoryGovernor::with_budget(Some(1)));
+        let mut join = MatchOp::new(LocalStrategy::HashJoinBuildLeft, ctx(&plan, &stats, &gov));
         join.open().unwrap();
         let mut out = Vec::new();
         // The "broadcast" build side: a clone is kept alive, as the other

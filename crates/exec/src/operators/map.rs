@@ -4,38 +4,35 @@
 use super::{OpCtx, Operator};
 use crate::engine::ExecError;
 use std::sync::Arc;
-use strato_dataflow::BoundOp;
 use strato_ir::interp::Invocation;
 use strato_record::RecordBatch;
 
 /// Pipelined Map: every pushed batch is transformed and emitted
 /// immediately; nothing is buffered across batches.
 ///
-/// A `MapOp` holds one or more `(op, ctx)` stages. With several stages it
-/// is a **fused** chain produced by compile-time Map fusion: records pass
-/// from stage to stage as plain vectors, so adjacent Forward-shipped Maps
-/// pay neither intermediate batch formation nor a channel hop. Each stage
-/// keeps its own [`OpCtx`] (and thus its own `op_id`), so per-operator
+/// A `MapOp` holds one or more stages, each the [`OpCtx`] of one Map.
+/// With several stages it is a **fused** chain produced by compile-time
+/// Map fusion: records pass from stage to stage as plain vectors, so
+/// adjacent Forward-shipped Maps pay neither intermediate batch formation
+/// nor a channel hop. Each stage keeps its own `op_id`, so per-operator
 /// call/emit attribution is identical to the unfused plan.
-pub struct MapOp<'a> {
-    stages: Vec<(&'a BoundOp, OpCtx<'a>)>,
+pub struct MapOp {
+    stages: Vec<OpCtx>,
 }
 
-impl<'a> MapOp<'a> {
-    pub(crate) fn new(op: &'a BoundOp, ctx: OpCtx<'a>) -> Self {
-        MapOp {
-            stages: vec![(op, ctx)],
-        }
+impl MapOp {
+    pub(crate) fn new(ctx: OpCtx) -> Self {
+        MapOp { stages: vec![ctx] }
     }
 
     /// A fused chain; `stages[0]` runs first.
-    pub(crate) fn chained(stages: Vec<(&'a BoundOp, OpCtx<'a>)>) -> Self {
+    pub(crate) fn chained(stages: Vec<OpCtx>) -> Self {
         debug_assert!(!stages.is_empty());
         MapOp { stages }
     }
 }
 
-impl Operator for MapOp<'_> {
+impl Operator for MapOp {
     fn push(
         &mut self,
         port: usize,
@@ -43,29 +40,28 @@ impl Operator for MapOp<'_> {
         out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
         debug_assert_eq!(port, 0, "Map is unary");
-        let (head, head_ctx) = self.stages[0];
+        let head = &self.stages[0];
         let mut emitted = Vec::new();
         if let Some(cb) = batch.columns() {
             // Columnar input: evaluate the head UDF directly over row views.
             // Field reads resolve straight into the column vectors; the
             // input record is materialized only if the UDF copies it whole.
             for row in 0..cb.len() {
-                head_ctx.call(head, Invocation::Row(cb.row(row)), &mut emitted)?;
+                head.call(Invocation::Row(cb.row(row)), &mut emitted)?;
             }
         } else {
             for r in batch.iter() {
-                head_ctx.call(head, Invocation::Record(r), &mut emitted)?;
+                head.call(Invocation::Record(r), &mut emitted)?;
             }
         }
-        for &(op, ctx) in &self.stages[1..] {
+        for ctx in &self.stages[1..] {
             let mut next = Vec::new();
             for r in &emitted {
-                ctx.call(op, Invocation::Record(r), &mut next)?;
+                ctx.call(Invocation::Record(r), &mut next)?;
             }
             emitted = next;
         }
-        let (_, last_ctx) = self.stages[self.stages.len() - 1];
-        last_ctx.emit(emitted, out);
+        self.stages[self.stages.len() - 1].emit(emitted, out);
         Ok(())
     }
 

@@ -46,7 +46,7 @@ use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::sync::Arc;
 use strato_core::LocalStrategy;
-use strato_dataflow::{BoundOp, Pact};
+use strato_dataflow::{BoundOp, Pact, PlanCtx};
 use strato_ir::interp::{Interp, Invocation};
 use strato_record::hash::FxHasher;
 use strato_record::{AttrId, Record, RecordBatch};
@@ -72,33 +72,40 @@ pub trait Operator: Send {
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError>;
 }
 
-/// Shared per-worker context: the interpreter and the run's statistics.
-/// Cheap to construct; one per operator instance.
-#[derive(Clone, Copy)]
-pub struct OpCtx<'a> {
+/// Everything one operator instance runs against: the plan it belongs
+/// to, the interpreter, and the statistics and memory budget of its
+/// execution. Owned (the execution's pieces are shared by `Arc`), so an
+/// operator borrows nothing from the caller.
+#[derive(Clone)]
+pub struct OpCtx {
     /// The UDF interpreter.
     pub interp: Interp,
+    /// The plan's operators and sources; this instance runs
+    /// `plan.ops[op_id]`.
+    pub plan: Arc<PlanCtx>,
     /// Shared counters of the enclosing execution.
-    pub stats: &'a ExecStats,
+    pub stats: Arc<ExecStats>,
     /// The execution's shared memory budget: blocking operators register
     /// their buffered state here and spill to sorted runs on pressure
     /// (see [`crate::spill`]).
-    pub gov: &'a MemoryGovernor,
+    pub gov: Arc<MemoryGovernor>,
     /// Target number of records per emitted batch.
     pub batch_size: usize,
-    /// Operator id inside the plan — the per-operator counter slot this
-    /// instance charges. Harmless when the stats carry no per-op slots.
+    /// Operator id inside the plan — the operator this instance runs and
+    /// the per-operator counter slot it charges.
     pub op_id: usize,
 }
 
-impl OpCtx<'_> {
-    /// Runs one UDF invocation, charging the stats.
-    pub(crate) fn call(
-        &self,
-        op: &BoundOp,
-        inv: Invocation<'_>,
-        out: &mut Vec<Record>,
-    ) -> Result<(), ExecError> {
+impl OpCtx {
+    /// The bound operator this instance runs.
+    #[inline]
+    pub(crate) fn op(&self) -> &BoundOp {
+        &self.plan.ops[self.op_id]
+    }
+
+    /// Runs one invocation of the operator's UDF, charging the stats.
+    pub(crate) fn call(&self, inv: Invocation<'_>, out: &mut Vec<Record>) -> Result<(), ExecError> {
+        let op = self.op();
         let before = out.len();
         let st = self
             .interp
@@ -237,9 +244,9 @@ pub(crate) fn into_batches(records: Vec<Record>, batch_size: usize) -> Vec<Arc<R
 // Factory + single-shot application.
 // ---------------------------------------------------------------------------
 
-/// Builds the operator realizing `(op, strategy)`. This is the single
-/// lowering point shared by the logical oracle, the parallel engine and
-/// the profiler. Every plan carries explicit strategies (a logical plan
+/// Builds the operator realizing `(ctx.op(), strategy)`. This is the
+/// single lowering point shared by the logical oracle, the parallel engine
+/// and the profiler. Every plan carries explicit strategies (a logical plan
 /// is lowered with [`LocalStrategy::default_for`], see
 /// [`strato_core::PhysPlan::logical`]).
 ///
@@ -247,31 +254,28 @@ pub(crate) fn into_batches(records: Vec<Record>, batch_size: usize) -> Vec<Arc<R
 ///
 /// When `strategy` is not an algorithm of the operator's PACT (a
 /// malformed hand-built physical plan).
-pub fn build<'a>(
-    op: &'a BoundOp,
-    strategy: LocalStrategy,
-    ctx: OpCtx<'a>,
-) -> Box<dyn Operator + 'a> {
+pub fn build(strategy: LocalStrategy, ctx: OpCtx) -> Box<dyn Operator> {
     use LocalStrategy::*;
+    let op = ctx.op();
     match (&op.pact, strategy) {
-        (Pact::Map, Pipe) => Box::new(map::MapOp::new(op, ctx)),
+        (Pact::Map, Pipe) => Box::new(map::MapOp::new(ctx)),
         // StreamAgg is only chosen by the optimizer where the schema-level
         // legality holds (structural fold proof, pass-through fields are
         // keys, no fold targets a key); fall back to buffered hash
         // grouping defensively if a hand-built physical plan requests it
         // for a reduce that fails any of those conditions.
-        (Pact::Reduce { .. }, StreamAgg) if op.stream_aggregable() => Box::new(
-            streamagg::StreamAggOp::new(op, streamagg::AggRole::Final, ctx),
-        ),
-        (Pact::Reduce { .. }, StreamAgg) => Box::new(reduce::ReduceOp::new(op, HashGroup, ctx)),
+        (Pact::Reduce { .. }, StreamAgg) if op.stream_aggregable() => {
+            Box::new(streamagg::StreamAggOp::new(streamagg::AggRole::Final, ctx))
+        }
+        (Pact::Reduce { .. }, StreamAgg) => Box::new(reduce::ReduceOp::new(HashGroup, ctx)),
         (Pact::Reduce { .. }, HashGroup | SortGroup) => {
-            Box::new(reduce::ReduceOp::new(op, strategy, ctx))
+            Box::new(reduce::ReduceOp::new(strategy, ctx))
         }
         (Pact::Match { .. }, HashJoinBuildLeft | HashJoinBuildRight | SortMergeJoin) => {
-            Box::new(join::MatchOp::new(op, strategy, ctx))
+            Box::new(join::MatchOp::new(strategy, ctx))
         }
-        (Pact::Cross, BlockNestedLoop) => Box::new(cross::CrossOp::new(op, ctx)),
-        (Pact::CoGroup { .. }, CoGroupSortMerge) => Box::new(cogroup::CoGroupOp::new(op, ctx)),
+        (Pact::Cross, BlockNestedLoop) => Box::new(cross::CrossOp::new(ctx)),
+        (Pact::CoGroup { .. }, CoGroupSortMerge) => Box::new(cogroup::CoGroupOp::new(ctx)),
         (pact, strategy) => panic!(
             "operator {}: {strategy:?} is not a local strategy of {}",
             op.name,
@@ -284,9 +288,8 @@ pub fn build<'a>(
 /// pre-aggregator that emits raw partials (no UDF calls). Panics when the
 /// operator is not a proven in-place fold — the lowering only inserts
 /// combiner stages where `PhysNode::combine` was legally set.
-pub(crate) fn build_combiner<'a>(op: &'a BoundOp, ctx: OpCtx<'a>) -> Box<dyn Operator + 'a> {
+pub(crate) fn build_combiner(ctx: OpCtx) -> Box<dyn Operator> {
     Box::new(streamagg::StreamAggOp::new(
-        op,
         streamagg::AggRole::Combine,
         ctx,
     ))
@@ -296,8 +299,8 @@ pub(crate) fn build_combiner<'a>(op: &'a BoundOp, ctx: OpCtx<'a>) -> Box<dyn Ope
 /// flow stage-to-stage as plain `Vec<Record>`s, skipping intermediate batch
 /// formation and channel hops. Every element must be a Map; each carries
 /// its own [`OpCtx`] so per-operator stats stay attributed correctly.
-pub(crate) fn build_map_chain<'a>(stages: Vec<(&'a BoundOp, OpCtx<'a>)>) -> Box<dyn Operator + 'a> {
-    debug_assert!(stages.iter().all(|(op, _)| matches!(op.pact, Pact::Map)));
+pub(crate) fn build_map_chain(stages: Vec<OpCtx>) -> Box<dyn Operator> {
+    debug_assert!(stages.iter().all(|c| matches!(c.op().pact, Pact::Map)));
     Box::new(map::MapOp::chained(stages))
 }
 
@@ -308,36 +311,35 @@ pub(crate) fn build_map_chain<'a>(stages: Vec<(&'a BoundOp, OpCtx<'a>)>) -> Box<
 /// nothing stays granted past `finish`.
 #[cfg(test)]
 pub(crate) fn apply_chunked(
-    op: &BoundOp,
     strategy: LocalStrategy,
     inputs: &[Vec<Record>],
     chunk: usize,
-    ctx: OpCtx<'_>,
+    ctx: OpCtx,
 ) -> Result<Vec<Record>, ExecError> {
-    let mut oper = build(op, strategy, ctx);
+    let gov = Arc::clone(&ctx.gov);
+    let mut oper = build(strategy, ctx);
     oper.open()?;
     let mut out = Vec::new();
     for (port, records) in inputs.iter().enumerate() {
         for chunk in records.chunks(chunk) {
             let batch = Arc::new(RecordBatch::from_records(chunk.to_vec()));
             oper.push(port, batch, &mut out)?;
-            assert!(!ctx.gov.over_budget(), "{strategy:?} kept pressure");
+            assert!(!gov.over_budget(), "{strategy:?} kept pressure");
         }
     }
     oper.finish(&mut out)?;
-    assert_eq!(ctx.gov.resident(), 0, "{strategy:?} kept a grant");
+    assert_eq!(gov.resident(), 0, "{strategy:?} kept a grant");
     Ok(out.into_iter().flat_map(take_records).collect())
 }
 
 /// [`apply_chunked`] with one batch per input port.
 #[cfg(test)]
 pub(crate) fn apply_single(
-    op: &BoundOp,
     strategy: LocalStrategy,
     inputs: Vec<Vec<Record>>,
-    ctx: OpCtx<'_>,
+    ctx: OpCtx,
 ) -> Result<Vec<Record>, ExecError> {
-    apply_chunked(op, strategy, &inputs, usize::MAX, ctx)
+    apply_chunked(strategy, &inputs, usize::MAX, ctx)
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@ use crate::engine::ExecError;
 use crate::spill::RunBuffer;
 use std::sync::Arc;
 use strato_core::LocalStrategy;
-use strato_dataflow::BoundOp;
 use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
 use strato_record::{Record, RecordBatch};
@@ -27,27 +26,25 @@ use strato_record::{Record, RecordBatch};
 /// path are broken by a full key comparison — so the output sequence is a
 /// pure function of the input bag regardless of local algorithm,
 /// partitioning, batch boundaries or memory budget.
-pub struct ReduceOp<'a> {
-    op: &'a BoundOp,
+pub struct ReduceOp {
     /// `HashGroup` or `SortGroup` (see [`super::build`]).
     strategy: LocalStrategy,
-    ctx: OpCtx<'a>,
-    buf: RunBuffer<'a>,
+    ctx: OpCtx,
+    buf: RunBuffer,
 }
 
-impl<'a> ReduceOp<'a> {
-    pub(crate) fn new(op: &'a BoundOp, strategy: LocalStrategy, ctx: OpCtx<'a>) -> Self {
+impl ReduceOp {
+    pub(crate) fn new(strategy: LocalStrategy, ctx: OpCtx) -> Self {
         ReduceOp {
-            op,
             strategy,
+            buf: RunBuffer::new(ctx.clone(), 0, false),
             ctx,
-            buf: RunBuffer::new(&ctx, &op.key_attrs[0], false),
         }
     }
 
     /// In-memory hash grouping of `rows`; returns the number of groups.
     fn hash_groups(&self, rows: Vec<Record>, out: &mut Vec<Record>) -> Result<u64, ExecError> {
-        let key = &self.op.key_attrs[0];
+        let key = &self.ctx.op().key_attrs[0];
         // Bucket by key hash, then sort each bucket: records of one key
         // end up contiguous (hash collisions merely share a bucket and are
         // split into separate key groups below).
@@ -82,13 +79,13 @@ impl<'a> ReduceOp<'a> {
         // sort-based walk's emission order.
         key_groups.sort_unstable_by(|a, b| super::key_cmp(&a[0], &b[0], key));
         for g in &key_groups {
-            self.ctx.call(self.op, Invocation::Group(g), out)?;
+            self.ctx.call(Invocation::Group(g), out)?;
         }
         Ok(key_groups.len() as u64)
     }
 }
 
-impl Operator for ReduceOp<'_> {
+impl Operator for ReduceOp {
     fn push(
         &mut self,
         port: usize,
@@ -113,8 +110,7 @@ impl Operator for ReduceOp<'_> {
         } else {
             let mut stream = self.buf.drain_groups()?;
             while let Some(g) = stream.next_group()? {
-                self.ctx
-                    .call(self.op, Invocation::Group(&g), &mut emitted)?;
+                self.ctx.call(Invocation::Group(&g), &mut emitted)?;
                 groups += 1;
             }
         }
@@ -130,12 +126,12 @@ impl Operator for ReduceOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, apply_single, key_cmp, key_hash, OpCtx};
+    use crate::operators::{apply_chunked, apply_single, key_cmp, key_hash};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
+    use crate::testutil::ctx;
     use std::hash::Hasher;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
-    use strato_ir::interp::Interp;
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
     use strato_record::hash::FxHasher;
     use strato_record::{DataSet, Value};
@@ -218,17 +214,11 @@ mod tests {
         assert!(key_cmp(&a1, &b1, &key).is_lt() && key_cmp(&b1, &c1, &key).is_lt());
 
         let input = vec![c1, b1, a2, a1, c2, b2];
-        let stats = ExecStats::new();
-        let gov = MemoryGovernor::unbounded();
-        let ctx = || OpCtx {
-            interp: Interp::default(),
-            stats: &stats,
-            gov: &gov,
-            batch_size: 64,
-            op_id: 0,
-        };
-        let hash = apply_single(op, LocalStrategy::HashGroup, vec![input.clone()], ctx()).unwrap();
-        let sort = apply_single(op, LocalStrategy::SortGroup, vec![input], ctx()).unwrap();
+        let stats = Arc::new(ExecStats::new());
+        let gov = Arc::new(MemoryGovernor::unbounded());
+        let make = || ctx(&plan, &stats, &gov);
+        let hash = apply_single(LocalStrategy::HashGroup, vec![input.clone()], make()).unwrap();
+        let sort = apply_single(LocalStrategy::SortGroup, vec![input], make()).unwrap();
         assert_eq!(
             hash, sort,
             "emission order must be a pure function of the input bag"
@@ -241,31 +231,31 @@ mod tests {
 
     #[test]
     fn tiny_budget_spills_and_reproduces_the_in_memory_output_exactly() {
-        use crate::testutil::{ctx, sum_inplace, widen};
+        use crate::testutil::{sum_inplace, widen};
 
         let mut p = ProgramBuilder::new();
         let s = p.source(SourceDef::new("s", &["k", "v"], 64));
         let r = p.reduce("sum", &[0], sum_inplace(2, 1), CostHints::default(), s);
         let plan: Plan = p.finish(r).unwrap().bind().unwrap();
-        let op = &plan.ctx.ops[0];
         let ds: DataSet = (0..48i64)
             .map(|i| Record::from_values([Value::Int(i % 5), Value::Int(i)]))
             .collect();
         let input = [widen(&ds, &plan.ctx.sources[0].attrs, plan.ctx.width())];
 
         // Reference: unbounded in-memory grouping.
-        let (ref_stats, ref_gov) = (ExecStats::new(), MemoryGovernor::unbounded());
+        let ref_stats = Arc::new(ExecStats::new());
+        let ref_gov = Arc::new(MemoryGovernor::unbounded());
         let hash = LocalStrategy::HashGroup;
-        let reference = apply_chunked(op, hash, &input, 48, ctx(&ref_stats, &ref_gov)).unwrap();
+        let reference = apply_chunked(hash, &input, 48, ctx(&plan, &ref_stats, &ref_gov)).unwrap();
         assert_eq!(ref_stats.totals().spill_runs, 0);
 
         for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
             // A 64-byte budget forces a spill on (nearly) every pushed
             // batch; feed one record per batch to maximize pressure events
             // (`apply_chunked` checks that each one sheds the buffer).
-            let stats = ExecStats::with_ops(1);
-            let gov = MemoryGovernor::with_budget(Some(64));
-            let got = apply_chunked(op, strategy, &input, 1, ctx(&stats, &gov)).unwrap();
+            let stats = Arc::new(ExecStats::with_ops(1));
+            let gov = Arc::new(MemoryGovernor::with_budget(Some(64)));
+            let got = apply_chunked(strategy, &input, 1, ctx(&plan, &stats, &gov)).unwrap();
             assert_eq!(got, reference, "{strategy:?} must spill transparently");
             let t = stats.totals();
             assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");

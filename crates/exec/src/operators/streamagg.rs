@@ -56,7 +56,6 @@ use super::{canonical_cmp, key_cmp, key_hash, take_records, OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::RunBuffer;
 use std::sync::Arc;
-use strato_dataflow::BoundOp;
 use strato_ir::interp::{eval_bin, Invocation};
 use strato_ir::BinOp;
 use strato_record::hash::FxHashMap;
@@ -75,9 +74,8 @@ pub(crate) enum AggRole {
 ///
 /// The table is keyed by the 64-bit key hash with exact key comparison
 /// per bucket entry, so hash collisions cannot merge distinct keys.
-pub struct StreamAggOp<'a> {
-    op: &'a BoundOp,
-    ctx: OpCtx<'a>,
+pub struct StreamAggOp {
+    ctx: OpCtx,
     /// `(global attribute index, ⊕)` per folded field.
     folds: Vec<(usize, BinOp)>,
     role: AggRole,
@@ -86,7 +84,7 @@ pub struct StreamAggOp<'a> {
     /// Scratch hash column reused across columnar batches.
     hashes: Vec<u64>,
     /// One partial record per key seen since the last shed.
-    partials: RunBuffer<'a>,
+    partials: RunBuffer,
     /// key hash → positions in `partials.rows()` of the keys sharing it.
     table: FxHashMap<u64, Vec<usize>>,
     records_in: u64,
@@ -94,8 +92,9 @@ pub struct StreamAggOp<'a> {
     partials_out: u64,
 }
 
-impl<'a> StreamAggOp<'a> {
-    pub(crate) fn new(op: &'a BoundOp, role: AggRole, ctx: OpCtx<'a>) -> Self {
+impl StreamAggOp {
+    pub(crate) fn new(role: AggRole, ctx: OpCtx) -> Self {
+        let op = ctx.op();
         let folds = op
             .combine_folds()
             .expect("StreamAgg requires a combinable reduce UDF")
@@ -104,13 +103,12 @@ impl<'a> StreamAggOp<'a> {
             .collect();
         let key_idx = op.key_attrs[0].iter().map(|k| k.index()).collect();
         StreamAggOp {
-            op,
+            partials: RunBuffer::new(ctx.clone(), 0, false),
             ctx,
             folds,
             role,
             key_idx,
             hashes: Vec::new(),
-            partials: RunBuffer::new(&ctx, &op.key_attrs[0], false),
             table: FxHashMap::default(),
             records_in: 0,
             partials_out: 0,
@@ -120,7 +118,7 @@ impl<'a> StreamAggOp<'a> {
     /// Folds one record into its key's partial (creating it on first
     /// sight). This is the entire per-record work of the operator.
     fn absorb(&mut self, r: Record) {
-        let key = &self.op.key_attrs[0];
+        let key = &self.ctx.op().key_attrs[0];
         self.records_in += 1;
         let bucket = self.table.entry(key_hash(&r, key)).or_default();
         let partials = self.partials.rows_mut();
@@ -178,7 +176,7 @@ impl<'a> StreamAggOp<'a> {
     /// Combiner output: the partials in ascending canonical key order
     /// (deterministic for any arrival order), their grant released.
     fn emit_partials(&mut self, out: &mut Vec<Arc<RecordBatch>>) {
-        let key = &self.op.key_attrs[0];
+        let key = &self.ctx.op().key_attrs[0];
         let mut partials = self.partials.take_rows();
         self.partials.release();
         partials.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
@@ -186,11 +184,12 @@ impl<'a> StreamAggOp<'a> {
     }
 
     /// Folds a group of equal-key partials (from different runs/flushes)
-    /// into one, mirroring [`StreamAggOp::absorb`]'s in-table fold.
-    fn fold_group(&self, mut group: Vec<Record>) -> Record {
+    /// into one with `folds`, mirroring [`StreamAggOp::absorb`]'s in-table
+    /// fold.
+    fn fold_group(folds: &[(usize, BinOp)], mut group: Vec<Record>) -> Record {
         let mut acc = group.swap_remove(0);
         for p in &group {
-            for &(f, bin) in &self.folds {
+            for &(f, bin) in folds {
                 let v = eval_bin(bin, acc.field(f), p.field(f));
                 acc.set_field(f, v);
             }
@@ -199,7 +198,7 @@ impl<'a> StreamAggOp<'a> {
     }
 }
 
-impl Operator for StreamAggOp<'_> {
+impl Operator for StreamAggOp {
     fn push(
         &mut self,
         port: usize,
@@ -249,12 +248,9 @@ impl Operator for StreamAggOp<'_> {
                 let mut groups = 0u64;
                 let mut emitted = Vec::new();
                 while let Some(g) = stream.next_group()? {
-                    let p = self.fold_group(g);
-                    self.ctx.call(
-                        self.op,
-                        Invocation::Group(std::slice::from_ref(&p)),
-                        &mut emitted,
-                    )?;
+                    let p = Self::fold_group(&self.folds, g);
+                    let group = Invocation::Group(std::slice::from_ref(&p));
+                    self.ctx.call(group, &mut emitted)?;
                     groups += 1;
                 }
                 if self.ctx.stats.detail() {
@@ -303,16 +299,18 @@ mod tests {
     #[test]
     fn stream_agg_matches_buffered_reduce_record_for_record() {
         let plan = agg_plan();
-        let op = &plan.ctx.ops[0];
         let rows = [(3, 10), (1, 1), (3, -4), (2, 7), (1, 5), (3, 9)];
         let input = wide(&plan, &rows);
-        let (s1, g1) = (ExecStats::new(), MemoryGovernor::unbounded());
+        let (s1, g1) = (
+            Arc::new(ExecStats::new()),
+            Arc::new(MemoryGovernor::unbounded()),
+        );
         let hash = LocalStrategy::HashGroup;
-        let buffered = apply_single(op, hash, vec![input.clone()], ctx(&s1, &g1)).unwrap();
-        let s2 = ExecStats::new();
-        let g2 = MemoryGovernor::unbounded();
+        let buffered = apply_single(hash, vec![input.clone()], ctx(&plan, &s1, &g1)).unwrap();
+        let s2 = Arc::new(ExecStats::new());
+        let g2 = Arc::new(MemoryGovernor::unbounded());
         let streamed =
-            apply_single(op, LocalStrategy::StreamAgg, vec![input], ctx(&s2, &g2)).unwrap();
+            apply_single(LocalStrategy::StreamAgg, vec![input], ctx(&plan, &s2, &g2)).unwrap();
         // Same records in the same (ascending-key) order.
         assert_eq!(buffered, streamed);
         // Same UDF-call accounting: one call per distinct key.
@@ -326,12 +324,11 @@ mod tests {
     #[test]
     fn combiner_role_emits_pure_partials_without_udf_calls() {
         let plan = agg_plan();
-        let op = &plan.ctx.ops[0];
         let rows = [(2, 1), (1, 10), (2, 2), (2, 4), (1, -3)];
         let input = wide(&plan, &rows);
-        let stats = ExecStats::new();
-        let gov = MemoryGovernor::unbounded();
-        let mut comb = build_combiner(op, ctx(&stats, &gov));
+        let stats = Arc::new(ExecStats::new());
+        let gov = Arc::new(MemoryGovernor::unbounded());
+        let mut comb = build_combiner(ctx(&plan, &stats, &gov));
         comb.open().unwrap();
         let mut out = Vec::new();
         // Feed one record per batch: folding must happen across batches.
@@ -389,13 +386,16 @@ mod tests {
                 })
                 .collect();
             let input = crate::testutil::widen(&ds, &src.attrs, plan.ctx.width());
-            let (s1, g1) = (ExecStats::new(), MemoryGovernor::unbounded());
+            let (s1, g1) = (
+                Arc::new(ExecStats::new()),
+                Arc::new(MemoryGovernor::unbounded()),
+            );
             let hash = LocalStrategy::HashGroup;
-            let buffered = apply_single(op, hash, vec![input.clone()], ctx(&s1, &g1)).unwrap();
-            let s2 = ExecStats::new();
-            let g2 = MemoryGovernor::unbounded();
+            let buffered = apply_single(hash, vec![input.clone()], ctx(plan, &s1, &g1)).unwrap();
+            let s2 = Arc::new(ExecStats::new());
+            let g2 = Arc::new(MemoryGovernor::unbounded());
             let requested =
-                apply_single(op, LocalStrategy::StreamAgg, vec![input], ctx(&s2, &g2)).unwrap();
+                apply_single(LocalStrategy::StreamAgg, vec![input], ctx(plan, &s2, &g2)).unwrap();
             assert_eq!(buffered, requested, "fallback must be exact");
             // The fallback is the buffered operator: no preagg activity.
             assert_eq!(preagg(&s2), (0, 0));
@@ -409,17 +409,19 @@ mod tests {
         // several runs. The merge must re-fold the fragments so output,
         // UDF-call accounting and emission order match the unspilled run.
         let plan = agg_plan();
-        let op = &plan.ctx.ops[0];
         let rows: Vec<(i64, i64)> = (0..40).map(|i| (i % 4, i)).collect();
         let input = [wide(&plan, &rows)];
         let agg = LocalStrategy::StreamAgg;
 
-        let (s_ref, g_ref) = (ExecStats::new(), MemoryGovernor::unbounded());
-        let reference = apply_chunked(op, agg, &input, 40, ctx(&s_ref, &g_ref)).unwrap();
+        let (s_ref, g_ref) = (
+            Arc::new(ExecStats::new()),
+            Arc::new(MemoryGovernor::unbounded()),
+        );
+        let reference = apply_chunked(agg, &input, 40, ctx(&plan, &s_ref, &g_ref)).unwrap();
 
-        let stats = ExecStats::with_ops(1);
-        let gov = MemoryGovernor::with_budget(Some(30));
-        let got = apply_chunked(op, agg, &input, 1, ctx(&stats, &gov)).unwrap();
+        let stats = Arc::new(ExecStats::with_ops(1));
+        let gov = Arc::new(MemoryGovernor::with_budget(Some(30)));
+        let got = apply_chunked(agg, &input, 1, ctx(&plan, &stats, &gov)).unwrap();
         assert_eq!(got, reference, "spilled StreamAgg must be exact");
         let t = stats.totals();
         assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");
@@ -431,12 +433,11 @@ mod tests {
     #[test]
     fn combiner_flushes_partials_downstream_under_pressure_not_to_disk() {
         let plan = agg_plan();
-        let op = &plan.ctx.ops[0];
         let rows: Vec<(i64, i64)> = (0..30).map(|i| (i % 3, 1)).collect();
         let input = wide(&plan, &rows);
-        let stats = ExecStats::with_ops(1);
-        let gov = MemoryGovernor::with_budget(Some(30));
-        let mut comb = build_combiner(op, ctx(&stats, &gov));
+        let stats = Arc::new(ExecStats::with_ops(1));
+        let gov = Arc::new(MemoryGovernor::with_budget(Some(30)));
+        let mut comb = build_combiner(ctx(&plan, &stats, &gov));
         comb.open().unwrap();
         let mut out = Vec::new();
         for r in input {
@@ -469,15 +470,17 @@ mod tests {
         // Null keys group together (SQL GROUP BY flavour); the fold's
         // null-absorption matches the UDF's interpreter semantics.
         let plan = agg_plan();
-        let op = &plan.ctx.ops[0];
         let mut input = wide(&plan, &[(0, 3), (1, 2), (0, 4)]);
         input[0].set_field(0, Value::Null);
         input[2].set_field(0, Value::Null);
-        let (stats, gov) = (ExecStats::new(), MemoryGovernor::unbounded());
+        let (stats, gov) = (
+            Arc::new(ExecStats::new()),
+            Arc::new(MemoryGovernor::unbounded()),
+        );
         let hash = LocalStrategy::HashGroup;
-        let buffered = apply_single(op, hash, vec![input.clone()], ctx(&stats, &gov)).unwrap();
+        let buffered = apply_single(hash, vec![input.clone()], ctx(&plan, &stats, &gov)).unwrap();
         let agg = LocalStrategy::StreamAgg;
-        let streamed = apply_single(op, agg, vec![input], ctx(&stats, &gov)).unwrap();
+        let streamed = apply_single(agg, vec![input], ctx(&plan, &stats, &gov)).unwrap();
         assert_eq!(buffered, streamed);
         assert_eq!(buffered.len(), 2);
     }

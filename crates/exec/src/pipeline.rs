@@ -49,9 +49,11 @@
 //! Every run registers with an [`EngineRuntime`], which keeps the run's
 //! ready queue in the query's slot under the runtime's one scheduler
 //! lock; the run's own lock guards only its channels and task states, and
-//! every task a step wakes is pushed to that slot. The runtime's workers
-//! take one task step per pick, round-robin across in-flight queries
-//! (through the `runtime::QueryTasks` trait). The standalone entry points
+//! every task a step wakes is pushed to that slot. The run owns what it
+//! runs — its input data sets, the plan's operators, its stats and its
+//! memory governor — so the runtime holds it as an `Arc`, and its workers
+//! take one task step per pick, round-robin across in-flight queries,
+//! each through its own clone of that `Arc`. The standalone entry points
 //! ([`crate::execute_with`] and friends) build a runtime private to the
 //! call (`private_runtime`), sized by the task graph the run built.
 //!
@@ -67,7 +69,7 @@
 
 use crate::engine::{ExecError, Inputs};
 use crate::operators::{self, OpCtx, Operator};
-use crate::runtime::{EngineRuntime, QueryTasks, RtShared};
+use crate::runtime::{EngineRuntime, RtShared};
 use crate::ship::{Outbound, Router};
 use crate::stats::ExecStats;
 use std::collections::VecDeque;
@@ -77,7 +79,7 @@ use std::time::Instant;
 use strato_core::{LocalStrategy, PhysNode, Ship};
 use strato_dataflow::{NodeKind, Pact, Plan};
 use strato_ir::interp::Interp;
-use strato_record::{BatchBuilder, DataSet, Record, RecordBatch};
+use strato_record::{BatchBuilder, DataSet, RecordBatch};
 
 /// Tuning knobs of one execution. The defaults reproduce production
 /// behavior; tests sweep them.
@@ -357,16 +359,16 @@ enum SendRes {
     Abort,
 }
 
-struct Sched<'e> {
+struct Sched {
     core: Mutex<Core>,
     capacity: usize,
     /// Root output: unbounded, so the sink task never blocks (this is what
     /// makes the whole graph deadlock-free under backpressure).
     sink: Mutex<Vec<Arc<RecordBatch>>>,
-    stats: &'e ExecStats,
-    /// The runtime this execution is registered with, and its slot there,
-    /// which holds the execution's ready queue.
-    rt: &'e RtShared,
+    stats: Arc<ExecStats>,
+    /// The execution's slot in the runtime it is registered with, which
+    /// holds its ready queue. The runtime itself is passed into every step
+    /// (`rt`), so the query holds no reference back to it.
     slot: usize,
     /// Span recorder when this execution is traced (`None` = tracing off,
     /// see [`ExecOptions::trace`]).
@@ -376,22 +378,22 @@ struct Sched<'e> {
     dop: usize,
 }
 
-impl Sched<'_> {
+impl Sched {
     /// With the core lock held: queues the tasks a mutation `woke` in the
     /// runtime's slot, or ends the slot once the run drained (`done`) or
     /// failed. Every path that makes a task ready, sets the error, or
     /// finishes the run funnels through here.
-    fn publish(&self, core: &Core, woke: &[usize], done: bool) {
+    fn publish(&self, rt: &RtShared, core: &Core, woke: &[usize], done: bool) {
         // Aborting drops everything queued so workers stop picking tasks
         // that would only yield again (task states stay as they are; the
         // whole graph is torn down once the submitter returns).
         let over = done || core.error.is_some();
         if over || !woke.is_empty() {
-            self.rt.publish(self.slot, woke, over);
+            rt.publish(self.slot, woke, over);
         }
     }
 
-    fn try_send(&self, chan: usize, batch: Arc<RecordBatch>, me: usize) -> SendRes {
+    fn try_send(&self, rt: &RtShared, chan: usize, batch: Arc<RecordBatch>, me: usize) -> SendRes {
         let mut core = self.core.lock().unwrap();
         if core.error.is_some() {
             return SendRes::Abort;
@@ -406,12 +408,12 @@ impl Sched<'_> {
         c.queue.push_back(batch);
         let consumer = c.consumer;
         if core.wake(consumer) {
-            self.publish(&core, &[consumer], false);
+            self.publish(rt, &core, &[consumer], false);
         }
         SendRes::Sent
     }
 
-    fn try_recv(&self, chan: usize) -> Recv {
+    fn try_recv(&self, rt: &RtShared, chan: usize) -> Recv {
         let mut core = self.core.lock().unwrap();
         if core.error.is_some() {
             return Recv::Abort;
@@ -423,7 +425,7 @@ impl Sched<'_> {
                 // (they re-check and may re-park; the list is ≤ dop long).
                 let mut woke = std::mem::take(&mut c.waiting);
                 woke.retain(|&w| core.wake(w));
-                self.publish(&core, &woke, false);
+                self.publish(rt, &core, &woke, false);
                 Recv::Batch(b)
             }
             None if c.senders == 0 => Recv::Eof,
@@ -434,7 +436,7 @@ impl Sched<'_> {
     /// Marks `t` finished: closes its outbound channels (waking consumers
     /// that must now observe EOF) and releases waiting workers when the
     /// whole run drains.
-    fn finish_task(&self, t: usize, closes: &[usize]) {
+    fn finish_task(&self, rt: &RtShared, t: usize, closes: &[usize]) {
         let mut core = self.core.lock().unwrap();
         core.state[t] = TState::Done;
         core.live -= 1;
@@ -450,17 +452,17 @@ impl Sched<'_> {
             }
         }
         let done = core.live == 0;
-        self.publish(&core, &woke, done);
+        self.publish(rt, &core, &woke, done);
     }
 
     /// Parks a yielded task — unless something arrived while it ran, in
     /// which case it goes straight back on the queue.
-    fn park(&self, t: usize) {
+    fn park(&self, rt: &RtShared, t: usize) {
         let mut core = self.core.lock().unwrap();
         match core.state[t] {
             TState::RunningDirty => {
                 core.state[t] = TState::Ready;
-                self.publish(&core, &[t], false);
+                self.publish(rt, &core, &[t], false);
             }
             TState::Running => core.state[t] = TState::Idle,
             _ => unreachable!("yielded task in state {:?}", core.state[t]),
@@ -468,14 +470,14 @@ impl Sched<'_> {
     }
 
     /// Records the first error and aborts the run.
-    fn fail(&self, t: usize, e: ExecError) {
+    fn fail(&self, rt: &RtShared, t: usize, e: ExecError) {
         let mut core = self.core.lock().unwrap();
         if core.error.is_none() {
             core.error = Some(e);
         }
         core.state[t] = TState::Done;
         core.live -= 1;
-        self.publish(&core, &[], true);
+        self.publish(rt, &core, &[], true);
     }
 }
 
@@ -488,13 +490,14 @@ struct Port {
     open: bool,
 }
 
-enum Work<'a> {
+enum Work {
     /// Scan: widen this partition's round-robin share of the source rows
     /// (indices `next, next + stride, …`) straight into column builders,
     /// one batch at a time. The widen step runs *inside* the task, so at
     /// `dop = n` it parallelizes n ways.
     ColScan {
-        rows: &'a [Record],
+        /// The source data set (a shared handle, not a copy).
+        rows: DataSet,
         /// Next source row of this partition.
         next: usize,
         /// Partition stride (= dop).
@@ -507,7 +510,7 @@ enum Work<'a> {
     },
     /// Drive one operator instance over arriving batches.
     Op {
-        oper: Box<dyn Operator + 'a>,
+        oper: Box<dyn Operator>,
         ports: Vec<Port>,
         opened: bool,
         /// Round-robin cursor over ports, for receive fairness.
@@ -515,22 +518,22 @@ enum Work<'a> {
     },
 }
 
-enum Output<'a> {
+enum Output {
     /// Root: collect into the shared sink.
     Sink,
     /// Boxed: the Partition router carries scatter scratch buffers that
     /// would otherwise dominate every task body's footprint.
-    Route(Box<Router<'a>>),
+    Route(Box<Router>),
 }
 
-struct TaskBody<'a> {
+struct TaskBody {
     id: usize,
     /// Operator (or source) name, for panic attribution.
-    name: &'a str,
+    name: String,
     /// Operator id for per-op time attribution (`None` for scans).
     op_id: Option<usize>,
-    work: Work<'a>,
-    out: Output<'a>,
+    work: Work,
+    out: Output,
     /// Batches routed but not yet accepted by their channel.
     pending: Outbound,
     /// Production finished; only `pending` remains.
@@ -549,13 +552,13 @@ enum StepOutcome {
 /// Runs one cooperative step of a task: drain outbound, then produce until
 /// inputs run dry, the output backs up, or the task completes. Never
 /// blocks.
-fn step(body: &mut TaskBody<'_>, sched: &Sched<'_>) -> Result<StepOutcome, ExecError> {
+fn step(body: &mut TaskBody, sched: &Sched, rt: &RtShared) -> Result<StepOutcome, ExecError> {
     let mut scratch: Vec<Arc<RecordBatch>> = Vec::new();
     loop {
         // 1. Flush routed batches; a full channel parks us (the try_send
         //    registered us on its waiting list).
         while let Some((chan, batch)) = body.pending.pop_front() {
-            match sched.try_send(chan, batch, body.id) {
+            match sched.try_send(rt, chan, batch, body.id) {
                 SendRes::Sent => {}
                 SendRes::Full(batch) => {
                     body.pending.push_front((chan, batch));
@@ -579,6 +582,7 @@ fn step(body: &mut TaskBody<'_>, sched: &Sched<'_>) -> Result<StepOutcome, ExecE
                 builder,
                 batch_size,
             } => {
+                let rows = rows.records();
                 while *next < rows.len() && builder.len() < *batch_size {
                     builder.push_widened(&rows[*next], map);
                     *next += *stride;
@@ -611,7 +615,7 @@ fn step(body: &mut TaskBody<'_>, sched: &Sched<'_>) -> Result<StepOutcome, ExecE
                     if !ports[i].open {
                         continue;
                     }
-                    match sched.try_recv(ports[i].chan) {
+                    match sched.try_recv(rt, ports[i].chan) {
                         Recv::Batch(b) => {
                             got = Some((i, b));
                             *rr = (i + 1) % np;
@@ -645,7 +649,7 @@ fn step(body: &mut TaskBody<'_>, sched: &Sched<'_>) -> Result<StepOutcome, ExecE
                 };
                 let routed = scratch.len() as u64;
                 for b in scratch.drain(..) {
-                    r.route(b, &mut body.pending, sched.stats)?;
+                    r.route(b, &mut body.pending, &sched.stats)?;
                 }
                 if produced_final {
                     r.finish(&mut body.pending);
@@ -672,20 +676,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One in-flight execution: the scheduler core plus every task body.
-/// [`EngineRuntime::run_query`] registers it with the pool, whose workers
-/// execute its task steps through the [`QueryTasks`] impl.
-struct ExecState<'a> {
-    sched: Sched<'a>,
-    bodies: Vec<Mutex<TaskBody<'a>>>,
+/// [`EngineRuntime::run_query`] registers it with the pool, which holds it
+/// as an `Arc` while its workers run its task steps.
+pub(crate) struct ExecState {
+    sched: Sched,
+    bodies: Vec<Mutex<TaskBody>>,
 }
 
-impl QueryTasks for ExecState<'_> {
-    /// Runs one step of task `t` and files the outcome. Panics unwinding
-    /// out of a step become [`ExecError::Panic`] carrying the operator
-    /// name; elapsed time is attributed to the task's own operator slot —
+impl ExecState {
+    /// Runs one step of task `t` and files the outcome with `rt`, the
+    /// runtime this execution is registered with. Panics unwinding out of
+    /// a step become [`ExecError::Panic`] carrying the operator name;
+    /// elapsed time is attributed to the task's own operator slot —
     /// `self.sched.stats` belongs to exactly one query, so attribution
     /// stays per-query even when pool workers interleave queries.
-    fn run(&self, t: usize) {
+    pub(crate) fn run(&self, rt: &RtShared, t: usize) {
         {
             let mut core = self.sched.core.lock().unwrap();
             if core.error.is_some() {
@@ -698,7 +703,7 @@ impl QueryTasks for ExecState<'_> {
         // this lock is uncontended; it exists to make the borrow safe.
         let mut body = self.bodies[t].lock().unwrap();
         let started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| step(&mut body, &self.sched)));
+        let result = catch_unwind(AssertUnwindSafe(|| step(&mut body, &self.sched, rt)));
         if let Some(op) = body.op_id {
             self.sched
                 .stats
@@ -707,7 +712,7 @@ impl QueryTasks for ExecState<'_> {
         if let Some(tr) = &self.sched.trace {
             // Task ids are stage-major: `stage * dop + partition`.
             tr.record(
-                body.name,
+                &body.name,
                 "task",
                 tr.rel_ns(started),
                 vec![
@@ -717,13 +722,14 @@ impl QueryTasks for ExecState<'_> {
             );
         }
         match result {
-            Ok(Ok(StepOutcome::Done)) => self.sched.finish_task(t, &body.closes),
-            Ok(Ok(StepOutcome::Yield)) => self.sched.park(t),
-            Ok(Err(e)) => self.sched.fail(t, e),
+            Ok(Ok(StepOutcome::Done)) => self.sched.finish_task(rt, t, &body.closes),
+            Ok(Ok(StepOutcome::Yield)) => self.sched.park(rt, t),
+            Ok(Err(e)) => self.sched.fail(rt, t, e),
             Err(payload) => self.sched.fail(
+                rt,
                 t,
                 ExecError::Panic {
-                    op: body.name.to_string(),
+                    op: body.name.clone(),
                     message: panic_message(payload),
                 },
             ),
@@ -759,22 +765,20 @@ pub(crate) fn run(
     runtime: Option<&EngineRuntime>,
 ) -> Result<(DataSet, ExecStats), ExecError> {
     let stats = ExecStats::with_ops(plan.ctx.ops.len());
-    let out = run_streaming(plan, root, inputs, dop, opts, &stats, runtime)?;
-    Ok((out, stats))
+    run_streaming(plan, root, inputs, dop, opts, stats, runtime)
 }
 
-/// [`run`] against caller-provided stats (the profiler passes detailed
-/// ones).
-#[allow(clippy::too_many_arguments)]
+/// [`run`] charging caller-provided stats (the profiler passes detailed
+/// ones), which it hands back with the output.
 pub(crate) fn run_streaming(
     plan: &Plan,
     root: &PhysNode,
     inputs: &Inputs,
     dop: usize,
     opts: &ExecOptions,
-    stats: &ExecStats,
+    stats: ExecStats,
     runtime: Option<&EngineRuntime>,
-) -> Result<DataSet, ExecError> {
+) -> Result<(DataSet, ExecStats), ExecError> {
     let dop = dop.max(1);
     let graph = TaskGraph::build(plan, root, dop, opts);
     let n_tasks = graph.stages.len() * dop;
@@ -787,12 +791,21 @@ pub(crate) fn run_streaming(
         }
     };
 
-    // The execution's memory grant, carved out of the runtime's pool.
-    // Declared before the task bodies (which borrow it) so it is dropped
-    // after them — its scoped spill directory disappears and its grant
-    // returns to the pool on every exit path, including a worker panic
+    // The execution's memory grant, carved out of the runtime's pool and
+    // shared by every operator. It returns to the pool, and its scoped
+    // spill directory disappears, when the last handle drops — before this
+    // function returns, on every exit path, including a worker panic
     // surfaced as `ExecError::Panic`.
-    let gov = runtime.governor_for(opts);
+    let gov = Arc::new(runtime.governor_for(opts));
+    let stats = Arc::new(stats);
+    let op_ctx = |op_id: usize| OpCtx {
+        interp: Interp::default(),
+        plan: Arc::clone(&plan.ctx),
+        stats: Arc::clone(&stats),
+        gov: Arc::clone(&gov),
+        batch_size: opts.batch_size,
+        op_id,
+    };
 
     // Channel table: consumer stage × port × partition, ids matching the
     // `chan_base` ranges assigned at graph build.
@@ -816,7 +829,7 @@ pub(crate) fn run_streaming(
     debug_assert_eq!(chans.len(), graph.n_chans);
 
     // Task bodies: one per (stage, partition).
-    let mut bodies: Vec<Mutex<TaskBody<'_>>> = Vec::with_capacity(n_tasks);
+    let mut bodies: Vec<Mutex<TaskBody>> = Vec::with_capacity(n_tasks);
     for (sid, s) in graph.stages.iter().enumerate() {
         // Scans share one global-attr -> source-column map per stage;
         // each partition walks its stride of the source rows.
@@ -830,7 +843,7 @@ pub(crate) fn run_streaming(
                 for (i, a) in src.attrs.iter().enumerate() {
                     map[a.index()] = Some(i);
                 }
-                Some((ds.records(), Arc::new(map)))
+                Some((ds, Arc::new(map)))
             }
             _ => None,
         };
@@ -841,26 +854,16 @@ pub(crate) fn run_streaming(
                 FlatKind::Scan(src_id) => {
                     let (rows, map) = scan_src.as_ref().expect("set for scan stages");
                     let work = Work::ColScan {
-                        rows,
+                        rows: DataSet::clone(rows),
                         next: p,
                         stride: dop,
                         map: Arc::clone(map),
                         builder: BatchBuilder::new(plan.ctx.width()),
                         batch_size: opts.batch_size.max(1),
                     };
-                    (work, plan.ctx.sources[*src_id].name.as_str(), None)
+                    (work, &plan.ctx.sources[*src_id].name, None)
                 }
                 FlatKind::Combine { op } => {
-                    let bound = &plan.ctx.ops[*op];
-                    let ctx = OpCtx {
-                        interp: Interp::default(),
-                        stats,
-                        gov: &gov,
-                        batch_size: opts.batch_size,
-                        // Charged to the reduce's slot: the combiner is
-                        // that operator's pre-ship half.
-                        op_id: *op,
-                    };
                     let ports = s
                         .chan_base
                         .iter()
@@ -871,32 +874,23 @@ pub(crate) fn run_streaming(
                         .collect();
                     (
                         Work::Op {
-                            oper: operators::build_combiner(bound, ctx),
+                            // Charged to the reduce's slot: the combiner is
+                            // that operator's pre-ship half.
+                            oper: operators::build_combiner(op_ctx(*op)),
                             ports,
                             opened: false,
                             rr: 0,
                         },
-                        bound.name.as_str(),
+                        &plan.ctx.ops[*op].name,
                         Some(*op),
                     )
                 }
                 FlatKind::Apply { op, local, fused } => {
-                    let make_ctx = |op_id: usize| OpCtx {
-                        interp: Interp::default(),
-                        stats,
-                        gov: &gov,
-                        batch_size: opts.batch_size,
-                        op_id,
-                    };
-                    let head = &plan.ctx.ops[*op];
-                    let oper: Box<dyn Operator + '_> = if fused.is_empty() {
-                        operators::build(head, *local, make_ctx(*op))
+                    let oper = if fused.is_empty() {
+                        operators::build(*local, op_ctx(*op))
                     } else {
-                        let mut chain = vec![(head, make_ctx(*op))];
-                        for &f in fused {
-                            chain.push((&plan.ctx.ops[f], make_ctx(f)));
-                        }
-                        operators::build_map_chain(chain)
+                        let chain = std::iter::once(op).chain(fused);
+                        operators::build_map_chain(chain.map(|&o| op_ctx(o)).collect())
                     };
                     let ports = s
                         .chan_base
@@ -913,7 +907,7 @@ pub(crate) fn run_streaming(
                             opened: false,
                             rr: 0,
                         },
-                        head.name.as_str(),
+                        &plan.ctx.ops[*op].name,
                         Some(*op),
                     )
                 }
@@ -947,7 +941,7 @@ pub(crate) fn run_streaming(
             };
             bodies.push(Mutex::new(TaskBody {
                 id,
-                name,
+                name: name.clone(),
                 op_id,
                 work,
                 out,
@@ -972,7 +966,6 @@ pub(crate) fn run_streaming(
             capacity: opts.channel_capacity.max(1),
             sink: Mutex::new(Vec::new()),
             stats,
-            rt: runtime.shared(),
             slot,
             trace: opts.trace.clone(),
             dop,
@@ -980,16 +973,22 @@ pub(crate) fn run_streaming(
         bodies,
     });
 
-    let core = state.sched.core.into_inner().unwrap();
+    // The query is ours alone again. Dropping its tasks drops every
+    // operator, so the scheduler's handle on the stats is the last one.
+    let ExecState { sched, bodies } = state;
+    drop(bodies);
+    let core = sched.core.into_inner().unwrap();
     if let Some(e) = core.error {
         return Err(e);
     }
     assert_eq!(core.live, 0, "run_query returned before the run drained");
     let mut all = Vec::new();
-    for b in state.sched.sink.into_inner().unwrap() {
+    for b in sched.sink.into_inner().unwrap() {
         all.extend(operators::take_records(b));
     }
-    Ok(DataSet::from_records(all))
+    let stats = Arc::try_unwrap(sched.stats)
+        .unwrap_or_else(|_| unreachable!("every operator of the run was dropped"));
+    Ok((DataSet::from_records(all), stats))
 }
 
 #[cfg(test)]
@@ -998,7 +997,7 @@ mod tests {
     use strato_core::PhysPlan;
     use strato_dataflow::{CostHints, ProgramBuilder, SourceDef};
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
-    use strato_record::Value;
+    use strato_record::{Record, Value};
 
     fn add_const(w: usize, field: usize, k: i64) -> Function {
         let mut b = FuncBuilder::new("addc", UdfKind::Map, vec![w]);

@@ -107,7 +107,7 @@ pub fn profile(plan: &Plan, inputs: &Inputs) -> Result<Vec<OpProfile>, ExecError
         ..ExecOptions::default()
     };
     let stats = ExecStats::for_profiling(plan.ctx.ops.len());
-    pipeline::run_streaming(plan, &logical.root, inputs, 1, &opts, &stats, None)?;
+    let (_, stats) = pipeline::run_streaming(plan, &logical.root, inputs, 1, &opts, stats, None)?;
     Ok(stats
         .op_snapshots()
         .into_iter()

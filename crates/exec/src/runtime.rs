@@ -9,14 +9,17 @@
 //! ## Fair scheduling
 //!
 //! The runtime owns every registered query's ready queue: one slot per
-//! query in a table guarded by **one** scheduler lock, holding the query's
-//! FIFO of ready tasks, the count of workers inside one of its steps, and
-//! whether its run is over. A query's steps push the tasks they wake into
-//! its slot. Workers pick **round-robin across queries**, one cooperative
-//! task step per pick: a heavy query with hundreds of ready tasks gets
-//! exactly one step before the cursor moves on to the next query with
-//! work, so it can never starve a light neighbor. Within a query, tasks
-//! run in the order they became ready.
+//! query in a table guarded by **one** scheduler lock, holding an `Arc` of
+//! the query, its FIFO of ready tasks, the count of workers inside one of
+//! its steps, and whether its run is over. A query owns everything it runs
+//! — its inputs, plan, operators, stats and memory grant — so a worker
+//! runs a step through its own clone of that `Arc`, and the runtime is
+//! handed to the step rather than stored in the query. A query's steps
+//! push the tasks they wake into its slot. Workers pick **round-robin
+//! across queries**, one cooperative task step per pick: a heavy query
+//! with hundreds of ready tasks gets exactly one step before the cursor
+//! moves on to the next query with work, so it can never starve a light
+//! neighbor. Within a query, tasks run in the order they became ready.
 //!
 //! ## Hierarchical memory
 //!
@@ -44,7 +47,7 @@
 //! ```
 
 use crate::engine::{ExecError, Inputs};
-use crate::pipeline::{self, ExecOptions};
+use crate::pipeline::{self, ExecOptions, ExecState};
 use crate::spill::{GlobalMemory, MemoryGovernor};
 use crate::stats::ExecStats;
 use crate::trace::{HistoSnapshot, LatencyHisto};
@@ -126,21 +129,9 @@ pub struct RuntimeSnapshot {
 /// Bound of the [`RuntimeSnapshot::recent_queries`] window.
 pub const RECENT_QUERIES: usize = 8;
 
-/// What the pool needs from a registered execution: a way to run one
-/// cooperative step of a task popped from the query's slot.
-///
-/// Implemented by `pipeline::ExecState`; object-safe so the pool can hold
-/// queries of erased lifetime.
-pub(crate) trait QueryTasks: Sync {
-    /// Runs one cooperative step of task `t`.
-    fn run(&self, t: usize);
-}
-
 /// One registered query in the pool's slot table.
 struct SlotEntry {
-    /// The execution, lifetime-erased (see the `SAFETY` comment in
-    /// [`EngineRuntime::run_query`]).
-    query: &'static (dyn QueryTasks + 'static),
+    query: Arc<ExecState>,
     query_id: u64,
     /// Ready tasks, in the order they became ready.
     ready: VecDeque<usize>,
@@ -165,7 +156,7 @@ struct RtSched {
 impl RtSched {
     /// Pops the next ready task round-robin from the slot after the last
     /// one picked, and counts the picking worker into that slot.
-    fn pick(&mut self) -> Option<(usize, &'static (dyn QueryTasks + 'static), usize)> {
+    fn pick(&mut self) -> Option<(usize, Arc<ExecState>, usize)> {
         let n = self.slots.len();
         for k in 0..n {
             let i = (self.cursor + k) % n;
@@ -173,7 +164,7 @@ impl RtSched {
                 if let Some(t) = s.ready.pop_front() {
                     s.running += 1;
                     self.cursor = (i + 1) % n;
-                    return Some((i, s.query, t));
+                    return Some((i, Arc::clone(&s.query), t));
                 }
             }
         }
@@ -358,21 +349,16 @@ impl EngineRuntime {
         gov
     }
 
-    /// The scheduler a query's steps publish the tasks they wake to.
-    pub(crate) fn shared(&self) -> &RtShared {
-        &self.shared
-    }
-
     /// Registers the query `build` assembles around its slot index, with
     /// tasks `0..n_tasks` ready; blocks until its run is over and no
     /// worker is inside one of its steps; deregisters it and hands it
     /// back. Errors surface through the query's own state; this only
     /// choreographs scheduling.
-    pub(crate) fn run_query<Q: QueryTasks>(
+    pub(crate) fn run_query(
         &self,
         n_tasks: usize,
-        build: impl FnOnce(usize) -> Q,
-    ) -> Q {
+        build: impl FnOnce(usize) -> ExecState,
+    ) -> ExecState {
         let query_id = self.shared.queries_started.fetch_add(1, Ordering::Relaxed) + 1;
         // `build` runs under the lock, so the free slot stays reserved.
         let mut sched = self.shared.sched.lock().unwrap();
@@ -383,21 +369,9 @@ impl EngineRuntime {
                 sched.slots.len() - 1
             }
         };
-        let query = build(slot);
-        // SAFETY: the erased reference is reachable only through this
-        // slot, and a worker follows it only while counted in the slot's
-        // `running`, which it joins and leaves under the scheduler lock.
-        // The slot is removed under that same lock once it is `over` (no
-        // task is queued or ever will be) and `running` is zero, before
-        // `query` is moved out of this function. Observers (`snapshot`)
-        // never follow the reference.
-        let erased = unsafe {
-            std::mem::transmute::<&(dyn QueryTasks + '_), &'static (dyn QueryTasks + 'static)>(
-                &query,
-            )
-        };
+        let query = Arc::new(build(slot));
         sched.slots[slot] = Some(SlotEntry {
-            query: erased,
+            query: Arc::clone(&query),
             query_id,
             ready: (0..n_tasks).collect(),
             running: 0,
@@ -409,7 +383,7 @@ impl EngineRuntime {
             // consumer ready, so the queue runs dry only once it is over.
             while let Some(t) = sched.slots[slot].as_mut().and_then(|s| s.ready.pop_front()) {
                 drop(sched);
-                query.run(t);
+                query.run(&self.shared, t);
                 sched = self.shared.sched.lock().unwrap();
             }
         } else {
@@ -431,7 +405,9 @@ impl EngineRuntime {
         sched.recent.push_back(query_id);
         drop(sched);
         self.shared.queries_finished.fetch_add(1, Ordering::Relaxed);
-        query
+        // Workers drop their handle before they leave the slot, and the
+        // slot's own went with it: this is the last one.
+        Arc::try_unwrap(query).unwrap_or_else(|_| unreachable!("no worker is inside the query"))
     }
 
     /// [`crate::execute`] on the shared pool.
@@ -520,7 +496,10 @@ fn worker_loop(shared: &RtShared) {
             }
         };
         shared.busy.fetch_add(1, Ordering::Relaxed);
-        query.run(t);
+        query.run(shared, t);
+        // Before leaving the slot: once its `running` count drops to zero
+        // the submitter must hold the only handle.
+        drop(query);
         shared.busy.fetch_sub(1, Ordering::Relaxed);
         shared.tasks_run.fetch_add(1, Ordering::Relaxed);
         last = Some(slot);

@@ -44,7 +44,7 @@ pub(crate) type Outbound = VecDeque<(usize, Arc<RecordBatch>)>;
 
 /// Per-task incremental ship router. Channels of one consumer edge are
 /// contiguous: partition `p` of the consumer reads channel `first + p`.
-pub(crate) enum Router<'a> {
+pub(crate) enum Router {
     /// Stay put: partition `p` feeds the consumer's partition `p` directly.
     Forward {
         /// The single channel this producer feeds.
@@ -67,7 +67,7 @@ pub(crate) enum Router<'a> {
         /// Producing operator id for per-op ship attribution (`None` for
         /// scan-fed edges without an operator slot).
         op: Option<usize>,
-        key: &'a [AttrId],
+        key: Vec<AttrId>,
         /// Key attribute positions (for the columnar kernels).
         key_idx: Vec<usize>,
         /// Per-destination rows accumulated up to `batch_size` (`None`
@@ -100,7 +100,7 @@ pub(crate) enum Pending {
     Cols(Vec<BatchBuilder>),
 }
 
-impl<'a> Router<'a> {
+impl Router {
     pub(crate) fn forward(chan: usize) -> Self {
         Router::Forward { chan }
     }
@@ -109,14 +109,14 @@ impl<'a> Router<'a> {
         first: usize,
         dop: usize,
         op: Option<usize>,
-        key: &'a [AttrId],
+        key: &[AttrId],
         batch_size: usize,
     ) -> Self {
         Router::Partition {
             first,
             dop,
             op,
-            key,
+            key: key.to_vec(),
             key_idx: key.iter().map(|a| a.index()).collect(),
             pending: None,
             batch_size: batch_size.max(1),

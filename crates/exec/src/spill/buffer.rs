@@ -3,9 +3,7 @@
 use crate::engine::ExecError;
 use crate::operators::{canonical_cmp, key_has_null, records_bytes, OpCtx};
 use crate::spill::file::SortedRun;
-use crate::spill::governor::MemoryGovernor;
 use crate::spill::merge::{external_group_stream, GroupStream};
-use crate::stats::ExecStats;
 use std::cmp::Ordering;
 use strato_record::{AttrId, Record};
 
@@ -13,7 +11,8 @@ use strato_record::{AttrId, Record};
 /// bytes granted for them, and the sorted runs already shed to disk.
 ///
 /// This is the only place operator state meets the spill files, and —
-/// Match's zero-copy batches aside — the [`MemoryGovernor`]:
+/// Match's zero-copy batches aside — the
+/// [`MemoryGovernor`](crate::spill::MemoryGovernor):
 /// [`push`](RunBuffer::push) grants, [`spill`](RunBuffer::spill) writes a
 /// run and releases, and [`drain_groups`](RunBuffer::drain_groups) is the
 /// one sort-based finish — it merges the sorted tail with however many
@@ -21,12 +20,12 @@ use strato_record::{AttrId, Record};
 /// the same code as one that did. Whatever is still granted returns to
 /// the governor on drop (failed spill, aborted query, early exit from a
 /// walk).
-pub(crate) struct RunBuffer<'a> {
-    gov: &'a MemoryGovernor,
-    stats: &'a ExecStats,
-    /// The per-operator counter slot spills are charged to.
-    op_id: usize,
-    key: &'a [AttrId],
+pub(crate) struct RunBuffer {
+    /// The owning operator's context: its governor, its stats slot and,
+    /// through `side`, the key this input is sorted and grouped on.
+    ctx: OpCtx,
+    /// Which input of the operator this is (`key_attrs[side]`).
+    side: usize,
     /// Join flavour: null-keyed records match nothing, so they are dropped
     /// on entry (and remembered in `saw_null_key`). Grouping buffers keep
     /// them — null keys group like any other key.
@@ -38,13 +37,11 @@ pub(crate) struct RunBuffer<'a> {
     runs: Vec<SortedRun>,
 }
 
-impl<'a> RunBuffer<'a> {
-    pub(crate) fn new(ctx: &OpCtx<'a>, key: &'a [AttrId], drop_null_keys: bool) -> Self {
+impl RunBuffer {
+    pub(crate) fn new(ctx: OpCtx, side: usize, drop_null_keys: bool) -> Self {
         RunBuffer {
-            gov: ctx.gov,
-            stats: ctx.stats,
-            op_id: ctx.op_id,
-            key,
+            ctx,
+            side,
             drop_null_keys,
             saw_null_key: false,
             rows: Vec::new(),
@@ -57,7 +54,8 @@ impl<'a> RunBuffer<'a> {
     pub(crate) fn push(&mut self, records: impl IntoIterator<Item = Record>) {
         let start = self.rows.len();
         if self.drop_null_keys {
-            let (key, saw) = (self.key, &mut self.saw_null_key);
+            let key = &self.ctx.op().key_attrs[self.side];
+            let saw = &mut self.saw_null_key;
             self.rows.extend(records.into_iter().filter(|r| {
                 let null = key_has_null(r, key);
                 *saw |= null;
@@ -66,10 +64,10 @@ impl<'a> RunBuffer<'a> {
         } else {
             self.rows.extend(records);
         }
-        if self.gov.bounded() {
+        if self.ctx.gov.bounded() {
             let bytes = records_bytes(&self.rows[start..]);
             self.granted += bytes;
-            self.gov.grant(bytes);
+            self.ctx.gov.grant(bytes);
         }
     }
 
@@ -101,10 +99,12 @@ impl<'a> RunBuffer<'a> {
         if self.rows.is_empty() {
             return Ok(());
         }
-        let key = self.key;
+        let key = &self.ctx.op().key_attrs[self.side];
         self.rows.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
-        let run = self.gov.write_sorted_run(&self.rows)?;
-        self.stats.add_spill(self.op_id, run.records(), run.bytes());
+        let run = self.ctx.gov.write_sorted_run(&self.rows)?;
+        self.ctx
+            .stats
+            .add_spill(self.ctx.op_id, run.records(), run.bytes());
         self.runs.push(run);
         self.rows.clear();
         self.release();
@@ -119,7 +119,7 @@ impl<'a> RunBuffer<'a> {
 
     /// Returns whatever is still granted.
     pub(crate) fn release(&mut self) {
-        self.gov.release(self.granted);
+        self.ctx.gov.release(self.granted);
         self.granted = 0;
     }
 
@@ -132,18 +132,20 @@ impl<'a> RunBuffer<'a> {
         &mut self,
     ) -> Result<
         GroupStream<
-            impl Iterator<Item = Result<Record, ExecError>> + 'a,
-            impl Fn(&Record, &Record) -> bool + 'a,
+            impl Iterator<Item = Result<Record, ExecError>> + '_,
+            impl Fn(&Record, &Record) -> bool + '_,
         >,
         ExecError,
     > {
         let tail = self.take_rows();
         self.release();
-        external_group_stream(self.gov, std::mem::take(&mut self.runs), tail, self.key)
+        let runs = std::mem::take(&mut self.runs);
+        let key = &self.ctx.op().key_attrs[self.side];
+        external_group_stream(&self.ctx.gov, runs, tail, key)
     }
 }
 
-impl Drop for RunBuffer<'_> {
+impl Drop for RunBuffer {
     fn drop(&mut self) {
         self.release();
     }
@@ -188,13 +190,34 @@ where
 mod tests {
     use super::*;
     use crate::operators::{key_cmp, run_len};
-    use crate::spill::GlobalMemory;
-    use crate::testutil::ctx;
+    use crate::spill::{GlobalMemory, MemoryGovernor};
+    use crate::stats::ExecStats;
+    use crate::testutil::{ctx, sum_inplace};
     use std::path::PathBuf;
     use std::sync::Arc;
+    use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_record::Value;
 
     const KEY: [AttrId; 1] = [AttrId(0)];
+
+    /// A reduce keyed on `k`, the first global attribute (`KEY`).
+    fn keyed_plan() -> Plan {
+        let mut p = ProgramBuilder::new();
+        let s = p.source(SourceDef::new("s", &["k", "v"], 26));
+        let r = p.reduce("sum", &[0], sum_inplace(2, 1), CostHints::default(), s);
+        p.finish(r).unwrap().bind().unwrap()
+    }
+
+    /// A buffer over the plan's one keyed input, charging `stats` and `gov`.
+    fn buffer(
+        stats: &Arc<ExecStats>,
+        gov: &Arc<MemoryGovernor>,
+        drop_null_keys: bool,
+    ) -> RunBuffer {
+        let plan = keyed_plan();
+        assert_eq!(plan.ctx.ops[0].key_attrs[0], KEY);
+        RunBuffer::new(ctx(&plan, stats, gov), 0, drop_null_keys)
+    }
 
     fn rec(k: Option<i64>, v: i64) -> Record {
         Record::from_values([k.map_or(Value::Null, Value::Int), Value::Int(v)])
@@ -209,14 +232,14 @@ mod tests {
     }
 
     /// A governor on a bounded pool, so both layers of accounting show.
-    fn governed(budget: u64, base: Option<PathBuf>) -> (Arc<GlobalMemory>, MemoryGovernor) {
+    fn governed(budget: u64, base: Option<PathBuf>) -> (Arc<GlobalMemory>, Arc<MemoryGovernor>) {
         let pool = GlobalMemory::new(Some(1 << 20));
         let gov = MemoryGovernor::with_grant(pool.carve(Some(budget)), base);
-        (pool, gov)
+        (pool, Arc::new(gov))
     }
 
     /// Pushes `rows` three at a time, spilling whenever over budget.
-    fn feed(buf: &mut RunBuffer<'_>, gov: &MemoryGovernor, rows: Vec<Record>) {
+    fn feed(buf: &mut RunBuffer, gov: &MemoryGovernor, rows: Vec<Record>) {
         for chunk in rows.chunks(3) {
             buf.push(chunk.to_vec());
             if gov.over_budget() {
@@ -226,7 +249,7 @@ mod tests {
         }
     }
 
-    fn drain(buf: &mut RunBuffer<'_>) -> Vec<Vec<Record>> {
+    fn drain(buf: &mut RunBuffer) -> Vec<Vec<Record>> {
         let mut groups = buf.drain_groups().unwrap();
         std::iter::from_fn(|| groups.next_group().unwrap()).collect()
     }
@@ -245,9 +268,9 @@ mod tests {
         assert_eq!(expected.len(), 6, "five int keys + the null group");
 
         for budget in [None, Some(0), Some(64), Some(1 << 16)] {
-            let stats = ExecStats::with_ops(1);
-            let gov = MemoryGovernor::with_budget(budget);
-            let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, false);
+            let stats = Arc::new(ExecStats::with_ops(1));
+            let gov = Arc::new(MemoryGovernor::with_budget(budget));
+            let mut buf = buffer(&stats, &gov, false);
             feed(&mut buf, &gov, input());
             let spilled = buf.spilled();
             assert_eq!(drain(&mut buf), expected, "budget {budget:?}");
@@ -266,10 +289,10 @@ mod tests {
 
     #[test]
     fn null_keys_are_kept_for_grouping_and_dropped_but_remembered_for_joins() {
-        let stats = ExecStats::new();
-        let gov = MemoryGovernor::with_budget(Some(64));
+        let stats = Arc::new(ExecStats::new());
+        let gov = Arc::new(MemoryGovernor::with_budget(Some(64)));
         for drop_null_keys in [false, true] {
-            let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, drop_null_keys);
+            let mut buf = buffer(&stats, &gov, drop_null_keys);
             assert!(!buf.saw_null_key());
             feed(&mut buf, &gov, input());
             assert!(buf.spilled());
@@ -292,7 +315,7 @@ mod tests {
             }
         }
         // A join side without null keys has nothing to remember.
-        let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, true);
+        let mut buf = buffer(&stats, &gov, true);
         buf.push([rec(Some(1), 1)]);
         assert!(!buf.saw_null_key());
     }
@@ -301,11 +324,11 @@ mod tests {
     fn every_exit_returns_the_grant() {
         let base = std::env::temp_dir().join(format!("strato-runbuffer-{}", std::process::id()));
         std::fs::create_dir_all(&base).unwrap();
-        let stats = ExecStats::new();
+        let stats = Arc::new(ExecStats::new());
 
         // (i) A complete walk.
         let (pool, gov) = governed(64, Some(base.clone()));
-        let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, false);
+        let mut buf = buffer(&stats, &gov, false);
         feed(&mut buf, &gov, input());
         assert!(
             buf.spilled() && gov.resident() > 0,
@@ -337,7 +360,7 @@ mod tests {
         let blocker = base.join("not-a-directory");
         std::fs::write(&blocker, b"x").unwrap();
         let (pool, gov) = governed(0, Some(blocker));
-        let mut buf = RunBuffer::new(&ctx(&stats, &gov), &KEY, false);
+        let mut buf = buffer(&stats, &gov, false);
         buf.push(input());
         let held = gov.resident();
         assert!(matches!(buf.spill(), Err(ExecError::Spill(_))));

@@ -25,6 +25,7 @@
 //! the paper) into global-record positions, which is what makes reordered
 //! plans run the unchanged UDF code.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

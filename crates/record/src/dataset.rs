@@ -3,6 +3,7 @@
 use crate::record::Record;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An unordered list (bag) of records, `D = [r1, …, rn]`.
 ///
@@ -10,9 +11,13 @@ use std::fmt;
 /// orderings of their records making them pairwise equal — i.e. multiset
 /// equality. [`PartialEq`] implements exactly that (it is order-insensitive),
 /// which is what every plan-equivalence test in this repository relies on.
+///
+/// The records are shared copy-on-write: `clone` bumps a reference count,
+/// and a write to a shared set copies the records first. So an execution
+/// can hold its inputs without borrowing the caller's.
 #[derive(Debug, Clone, Default)]
 pub struct DataSet {
-    records: Vec<Record>,
+    records: Arc<Vec<Record>>,
 }
 
 impl DataSet {
@@ -23,7 +28,9 @@ impl DataSet {
 
     /// Creates a data set from records.
     pub fn from_records(records: Vec<Record>) -> Self {
-        DataSet { records }
+        DataSet {
+            records: Arc::new(records),
+        }
     }
 
     /// Number of records.
@@ -40,7 +47,7 @@ impl DataSet {
 
     /// Appends a record.
     pub fn push(&mut self, r: Record) {
-        self.records.push(r);
+        Arc::make_mut(&mut self.records).push(r);
     }
 
     /// Read-only view of the records (in internal, arbitrary order).
@@ -49,9 +56,10 @@ impl DataSet {
         &self.records
     }
 
-    /// Consumes the data set, returning its records.
+    /// Consumes the data set, returning its records: moved when this is
+    /// the only handle, cloned when the set is shared.
     pub fn into_records(self) -> Vec<Record> {
-        self.records
+        Arc::try_unwrap(self.records).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Iterates over the records.
@@ -67,7 +75,7 @@ impl DataSet {
     /// Returns a canonically sorted copy of the records — a stable textual
     /// witness for golden tests and debugging.
     pub fn sorted(&self) -> Vec<Record> {
-        let mut v = self.records.clone();
+        let mut v = self.records.to_vec();
         v.sort_unstable();
         v
     }
@@ -85,10 +93,10 @@ impl DataSet {
             ));
         }
         let mut counts: BTreeMap<&Record, i64> = BTreeMap::new();
-        for r in &self.records {
+        for r in self.records.iter() {
             *counts.entry(r).or_insert(0) += 1;
         }
-        for r in &other.records {
+        for r in other.records.iter() {
             match counts.get_mut(r) {
                 Some(c) => *c -= 1,
                 None => return Err(format!("record {r} present only on the right")),
@@ -116,9 +124,7 @@ impl Eq for DataSet {}
 
 impl FromIterator<Record> for DataSet {
     fn from_iter<T: IntoIterator<Item = Record>>(iter: T) -> Self {
-        DataSet {
-            records: iter.into_iter().collect(),
-        }
+        DataSet::from_records(iter.into_iter().collect())
     }
 }
 
@@ -126,7 +132,7 @@ impl IntoIterator for DataSet {
     type Item = Record;
     type IntoIter = std::vec::IntoIter<Record>;
     fn into_iter(self) -> Self::IntoIter {
-        self.records.into_iter()
+        self.into_records().into_iter()
     }
 }
 
@@ -212,5 +218,42 @@ mod tests {
     fn encoded_len_sums_records() {
         let d = ds(&[&[1], &[2]]);
         assert_eq!(d.encoded_len(), 2 * (4 + 9));
+    }
+
+    #[test]
+    fn a_push_into_either_handle_leaves_the_other_unchanged() {
+        let original = ds(&[&[1], &[2]]);
+        let mut copy = original.clone();
+        copy.push(rec(&[3]));
+        assert_eq!(original.records(), ds(&[&[1], &[2]]).records());
+        assert_eq!(copy.records(), ds(&[&[1], &[2], &[3]]).records());
+
+        let mut original = original;
+        let copy = original.clone();
+        original.push(rec(&[4]));
+        assert_eq!(copy.records(), ds(&[&[1], &[2]]).records());
+        assert_eq!(original.records(), ds(&[&[1], &[2], &[4]]).records());
+    }
+
+    #[test]
+    fn into_records_of_a_shared_set_leaves_the_other_handle_intact() {
+        let original = ds(&[&[5], &[6]]);
+        let copy = original.clone();
+        assert_eq!(copy.into_records(), vec![rec(&[5]), rec(&[6])]);
+        assert_eq!(original.records(), &[rec(&[5]), rec(&[6])]);
+        let shared = original.clone();
+        let moved: Vec<Record> = original.into_iter().collect();
+        assert_eq!(moved, shared.records());
+        // The last handle moves its records out.
+        assert_eq!(shared.into_records(), moved);
+    }
+
+    #[test]
+    fn a_set_and_its_clone_agree() {
+        let original = ds(&[&[3], &[1], &[3]]);
+        let copy = original.clone();
+        assert_eq!(original, copy);
+        assert_eq!(original.sorted(), copy.sorted());
+        assert_eq!(original.encoded_len(), copy.encoded_len());
     }
 }

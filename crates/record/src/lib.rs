@@ -34,6 +34,7 @@
 //! nothing, null grouping keys form a single group, and explicitly
 //! projecting a field (the paper's `setField(or, n, null)`) makes it absent.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attr;

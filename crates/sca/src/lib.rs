@@ -30,6 +30,7 @@
 //! *semantic* read/write-set estimation by black-box probing, which the test
 //! suite uses to validate conservatism on every workload UDF.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -9,6 +9,8 @@
 //! worker pool and one memory budget divided across all concurrent
 //! queries (they are machine-wide totals, not per-query limits).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use strato_server::{Server, ServerConfig};
 

@@ -70,6 +70,7 @@
 //! handle.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

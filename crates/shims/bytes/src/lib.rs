@@ -8,6 +8,8 @@
 //! for this subset; `Bytes::clone` and `Bytes::slice` are O(1) and share the
 //! underlying allocation via `Arc`.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 

@@ -18,6 +18,8 @@
 //! the generated input verbatim. Generation is deterministic per test
 //! (fixed seed), so failures reproduce across runs.
 
+#![forbid(unsafe_code)]
+
 /// Deterministic test-case generation and execution.
 pub mod test_runner {
     use std::fmt::Debug;

@@ -8,6 +8,8 @@
 //! is all the workloads and tests require (they never assume the exact
 //! stream of the upstream `StdRng`).
 
+#![forbid(unsafe_code)]
+
 /// Core trait of random number generators: a source of `u64`s.
 pub trait RngCore {
     /// Returns the next 64 random bits.

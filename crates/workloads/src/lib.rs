@@ -22,6 +22,7 @@
 //! Every UDF is three-address code built with [`strato_ir::FuncBuilder`];
 //! the optimizer sees nothing but the code.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clickstream;

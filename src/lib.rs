@@ -21,6 +21,7 @@
 //! how the crates fit together, and `DESIGN.md` for the full system
 //! inventory.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use strato_core as core;

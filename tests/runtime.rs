@@ -55,8 +55,9 @@ fn grouped_sum(rows: i64, seed: i64) -> (Plan, PhysPlan, Inputs) {
 #[test]
 fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
     const K: usize = 4;
-    // A global budget far below the queries' combined working set: later
-    // grants shrink toward zero, so some queries must spill everything.
+    // A global budget far below the queries' combined working set. The
+    // test holds all of it while the queries run, so every query's grant
+    // is zero and it spills everything, however the queries interleave.
     const GLOBAL_BUDGET: u64 = 24 * 1024;
     const PER_QUERY_CAP: u64 = 16 * 1024;
     // Per-query overshoot allowance: operators check the budget *after*
@@ -88,6 +89,8 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
         mem_budget: Some(GLOBAL_BUDGET),
         ..RuntimeOptions::default()
     });
+    let held = rt.memory().carve(Some(GLOBAL_BUDGET));
+    assert_eq!(held.bytes(), Some(GLOBAL_BUDGET), "the whole pool is held");
 
     // All K queries in flight at once on the shared pool (the barrier
     // keeps an early thread from finishing before the last one starts).
@@ -109,18 +112,13 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let mut total_spill_runs = 0;
     for (i, ((out, spill_runs), reference)) in results.iter().zip(&references).enumerate() {
         assert_eq!(
             out, reference,
             "query {i}: concurrent result must be byte-identical to serial"
         );
-        total_spill_runs += spill_runs;
+        assert!(*spill_runs > 0, "query {i}: a zero grant must spill");
     }
-    assert!(
-        total_spill_runs > 0,
-        "a starved global budget must force real spills"
-    );
 
     // The pool held the machine-wide line: every query's grant came out
     // of one budget, and resident bytes never exceeded it by more than
@@ -132,9 +130,14 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
         snap.mem_peak_resident,
         GLOBAL_BUDGET
     );
-    assert_eq!(snap.mem_granted, 0, "all grants returned");
-    assert_eq!(snap.mem_resident, 0, "all operator state released");
+    assert_eq!(
+        snap.mem_granted, GLOBAL_BUDGET,
+        "only the held grant is out"
+    );
     assert_eq!(snap.queries_finished, K as u64);
+    drop(held);
+    assert_eq!(rt.memory().granted(), 0, "all grants returned");
+    assert_eq!(rt.memory().resident(), 0, "all operator state released");
 }
 
 #[test]
