@@ -143,7 +143,7 @@ pub fn execute_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::apply_chunked;
+    use crate::operators::{apply_chunked, BatchLayout};
     use crate::runtime::EngineRuntime;
     use std::sync::Arc;
     use strato_core::{cost::CostWeights, physical::best_physical, LocalStrategy, PropTable};
@@ -535,18 +535,20 @@ mod tests {
     const BUDGETS: [Option<u64>; 3] = [None, Some(0), Some(256)];
 
     /// Drives the plan's last operator over materialized inputs, two
-    /// records per batch, under `mem_budget` with profiling detail on.
+    /// records per batch in `layout`, under `mem_budget` with profiling
+    /// detail on.
     fn apply(
         plan: &Plan,
         strategy: LocalStrategy,
         inputs: &[Vec<Record>],
+        layout: BatchLayout,
         mem_budget: Option<u64>,
     ) -> Applied {
         let stats = Arc::new(ExecStats::for_profiling(plan.ctx.ops.len()));
         let gov = Arc::new(crate::spill::MemoryGovernor::with_budget(mem_budget));
         let ctx = crate::testutil::ctx(plan, &stats, &gov);
         let op_id = ctx.op_id;
-        let out = apply_chunked(strategy, inputs, 2, ctx).unwrap();
+        let out = apply_chunked(strategy, inputs, 2, layout, ctx).unwrap();
         if mem_budget == Some(0) {
             let runs = stats.totals().spill_runs;
             assert!(runs > 1, "{strategy:?} must spill every batch: {runs}");
@@ -564,14 +566,18 @@ mod tests {
         let mut rows = ds(&[&[5, 1], &[5, 2], &[4, 3], &[4, 4], &[1, 9], &[4, 0]]);
         rows.push(Record::from_values([Value::Null, Value::Int(7)]));
         let wide = vec![widen(&plan, 0, &rows)];
-        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, None);
+        let row_major = BatchLayout::Rows;
+        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, row_major, None);
         assert_eq!((reference.udf_calls, reference.distinct_keys), (4, 4));
         // Same bag — and same canonical group order, record for record —
-        // whichever algorithm groups and however many runs feed it.
-        for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
-            for budget in BUDGETS {
-                let got = apply(&plan, strategy, &wide, budget);
-                assert_eq!(got, reference, "{strategy:?} at {budget:?}");
+        // whichever algorithm groups, whatever layout the batches arrive
+        // in and however many runs feed it.
+        for layout in BatchLayout::ALL {
+            for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
+                for budget in BUDGETS {
+                    let got = apply(&plan, strategy, &wide, layout, budget);
+                    assert_eq!(got, reference, "{strategy:?} over {layout:?} at {budget:?}");
+                }
             }
         }
     }
@@ -586,11 +592,16 @@ mod tests {
         let mut rows = ds(&[&[3, 10], &[1, 1], &[3, -4], &[2, 7], &[1, 5], &[3, 9]]);
         rows.push(Record::from_values([Value::Null, Value::Int(7)]));
         let wide = vec![widen(&plan, 0, &rows)];
-        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, None);
+        let row_major = BatchLayout::Rows;
+        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, row_major, None);
         assert_eq!((reference.udf_calls, reference.distinct_keys), (4, 4));
-        for budget in BUDGETS {
-            let got = apply(&plan, LocalStrategy::StreamAgg, &wide, budget);
-            assert_eq!(got, reference, "StreamAgg at {budget:?}");
+        for layout in BatchLayout::ALL {
+            let hash = apply(&plan, LocalStrategy::HashGroup, &wide, layout, None);
+            assert_eq!(hash, reference, "HashGroup over {layout:?}");
+            for budget in BUDGETS {
+                let got = apply(&plan, LocalStrategy::StreamAgg, &wide, layout, budget);
+                assert_eq!(got, reference, "StreamAgg over {layout:?} at {budget:?}");
+            }
         }
     }
 
@@ -608,7 +619,13 @@ mod tests {
         right.push(Record::from_values([Value::Null]));
         let sides = vec![widen(&plan, 0, &left), widen(&plan, 1, &right)];
 
-        let smj = apply(&plan, LocalStrategy::SortMergeJoin, &sides, None);
+        let smj = apply(
+            &plan,
+            LocalStrategy::SortMergeJoin,
+            &sides,
+            BatchLayout::Rows,
+            None,
+        );
         assert_eq!(smj.out.len(), 5); // k2: 2×2 pairs, k3: 1 pair.
                                       // Keys 1, 2, 3 — and the null keys, counted once.
         assert_eq!((smj.udf_calls, smj.distinct_keys), (5, 4));
@@ -618,7 +635,7 @@ mod tests {
             LocalStrategy::HashJoinBuildRight,
         ] {
             for budget in BUDGETS {
-                let got = apply(&plan, strategy, &sides, budget);
+                let got = apply(&plan, strategy, &sides, BatchLayout::Rows, budget);
                 let tag = format!("{strategy:?} at {budget:?}");
                 // One walk: the sort-merge sequence is reproduced exactly
                 // by SortMergeJoin at any budget and by every spilled join.
@@ -648,12 +665,12 @@ mod tests {
         let right = ds(&[&[2], &[3], &[9], &[9]]);
         let sides = vec![widen(&plan, 0, &left), widen(&plan, 1, &right)];
         let strategy = LocalStrategy::CoGroupSortMerge;
-        let reference = apply(&plan, strategy, &sides, None);
+        let reference = apply(&plan, strategy, &sides, BatchLayout::Rows, None);
         // Keys null, 1, 2, 3, 9 → five groups; four of them on the left.
         assert_eq!((reference.udf_calls, reference.distinct_keys), (5, 4));
         for budget in BUDGETS {
             assert_eq!(
-                apply(&plan, strategy, &sides, budget),
+                apply(&plan, strategy, &sides, BatchLayout::Rows, budget),
                 reference,
                 "CoGroup at {budget:?}"
             );

@@ -214,7 +214,7 @@ impl Operator for MatchOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, take_records};
+    use crate::operators::{apply_chunked, take_records, BatchLayout};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::ctx;
@@ -257,13 +257,27 @@ mod tests {
             Arc::new(ExecStats::new()),
             Arc::new(MemoryGovernor::unbounded()),
         );
-        let reference = apply_chunked(build_left, &sides, 8, ctx(&plan, &s_ref, &g_ref)).unwrap();
+        let reference = apply_chunked(
+            build_left,
+            &sides,
+            8,
+            BatchLayout::Rows,
+            ctx(&plan, &s_ref, &g_ref),
+        )
+        .unwrap();
 
         // One record per batch under a 32-byte budget: the operator spills
         // both sides and joins by the sort-merge walk.
         let stats = Arc::new(ExecStats::with_ops(1));
         let gov = Arc::new(MemoryGovernor::with_budget(Some(32)));
-        let got = apply_chunked(build_left, &sides, 1, ctx(&plan, &stats, &gov)).unwrap();
+        let got = apply_chunked(
+            build_left,
+            &sides,
+            1,
+            BatchLayout::Rows,
+            ctx(&plan, &stats, &gov),
+        )
+        .unwrap();
         assert_eq!(
             DataSet::from_records(got),
             DataSet::from_records(reference),
@@ -289,7 +303,14 @@ mod tests {
             for budget in [None, Some(0)] {
                 let stats = Arc::new(ExecStats::for_profiling(1));
                 let gov = Arc::new(MemoryGovernor::with_budget(budget));
-                let out = apply_chunked(strategy, &sides, 2, ctx(&plan, &stats, &gov)).unwrap();
+                let out = apply_chunked(
+                    strategy,
+                    &sides,
+                    2,
+                    BatchLayout::Rows,
+                    ctx(&plan, &stats, &gov),
+                )
+                .unwrap();
                 assert!(out.is_empty(), "null keys match nothing");
                 assert_eq!(stats.totals().spill_runs, 0, "nothing to write");
                 let keys = stats.op_snapshots()[0].distinct_keys;

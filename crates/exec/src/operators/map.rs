@@ -42,22 +42,16 @@ impl Operator for MapOp {
         debug_assert_eq!(port, 0, "Map is unary");
         let head = &self.stages[0];
         let mut emitted = Vec::new();
-        if let Some(cb) = batch.columns() {
-            // Columnar input: evaluate the head UDF directly over row views.
-            // Field reads resolve straight into the column vectors; the
-            // input record is materialized only if the UDF copies it whole.
-            for row in 0..cb.len() {
-                head.call(Invocation::Row(cb.row(row)), &mut emitted)?;
-            }
-        } else {
-            for r in batch.iter() {
-                head.call(Invocation::Record(r), &mut emitted)?;
-            }
+        // The head UDF runs over row views of either layout: field reads
+        // resolve straight into the batch's storage, and an input record
+        // is materialized only if the UDF copies it whole.
+        for row in 0..batch.len() {
+            head.call(Invocation::Row(batch.row(row)), &mut emitted)?;
         }
         for ctx in &self.stages[1..] {
             let mut next = Vec::new();
             for r in &emitted {
-                ctx.call(Invocation::Record(r), &mut next)?;
+                ctx.call(Invocation::Row(r.into()), &mut next)?;
             }
             emitted = next;
         }

@@ -19,10 +19,11 @@
 //!    output.
 //!
 //! Batches are shared as `Arc<RecordBatch>`: a broadcast ship hands the
-//! same allocation to every partition. Operators that need owned records
-//! (sorting, grouping) call `take_records`, which moves when the operator
-//! holds the last reference and clones only when the batch is genuinely
-//! shared.
+//! same allocation to every partition. Reduce keeps the batches it is
+//! pushed and groups row views of them ([`strato_record::RowRef`]);
+//! operators that need owned records call `take_records`, which moves
+//! when the operator holds the last reference and clones only when the
+//! batch is genuinely shared.
 //!
 //! ## Key handling
 //!
@@ -183,22 +184,6 @@ pub(crate) fn canonical_cmp(a: &Record, b: &Record, key: &[AttrId]) -> Ordering 
     key_cmp(a, b, key).then_with(|| a.cmp(b))
 }
 
-/// Length of the key run starting at `i` in a key-sorted slice — the
-/// single run-detection primitive shared by grouping, co-grouping and the
-/// profiler's distinct-key count. Works over owned records or references.
-#[inline]
-pub(crate) fn run_len<R: std::borrow::Borrow<Record>>(
-    recs: &[R],
-    i: usize,
-    key: &[AttrId],
-) -> usize {
-    let mut j = i + 1;
-    while j < recs.len() && key_cmp(recs[i].borrow(), recs[j].borrow(), key).is_eq() {
-        j += 1;
-    }
-    j - i
-}
-
 /// Total `encoded_len` of a record slice — the byte measure blocking
 /// operators register with the [`MemoryGovernor`] (the same approximation
 /// the cost model's `mem_budget` is expressed in).
@@ -304,25 +289,63 @@ pub(crate) fn build_map_chain(stages: Vec<OpCtx>) -> Box<dyn Operator> {
     Box::new(map::MapOp::chained(stages))
 }
 
+/// How [`apply_chunked`] lays out the batches it pushes.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BatchLayout {
+    /// Row-major batches (`RecordBatch::from_records`).
+    Rows,
+    /// Columnar batches built through `BatchBuilder`, as scans and the
+    /// Partition scatter deliver them.
+    Columns,
+    /// Columnar and row-major batches alternating, columnar first.
+    Mixed,
+}
+
+#[cfg(test)]
+impl BatchLayout {
+    pub(crate) const ALL: [BatchLayout; 3] =
+        [BatchLayout::Rows, BatchLayout::Columns, BatchLayout::Mixed];
+
+    /// Batch number `i` of `records` in this layout, at `width` columns.
+    pub(crate) fn batch(self, i: usize, records: &[Record], width: usize) -> RecordBatch {
+        let columnar = match self {
+            BatchLayout::Rows => false,
+            BatchLayout::Columns => true,
+            BatchLayout::Mixed => i % 2 == 0,
+        };
+        if !columnar {
+            return RecordBatch::from_records(records.to_vec());
+        }
+        let mut b = strato_record::BatchBuilder::new(width);
+        for r in records {
+            b.push_record(r);
+        }
+        RecordBatch::from_columns(b.finish())
+    }
+}
+
 /// Applies one operator over fully materialized single-partition inputs:
-/// builds it, pushes each input port's records `chunk` per batch,
-/// finishes, and concatenates the output. Checks the governor contract
-/// on the way: the push that crosses the budget sheds the buffers, and
-/// nothing stays granted past `finish`.
+/// builds it, pushes each input port's records `chunk` per batch in
+/// `layout`, finishes, and concatenates the output. Checks the governor
+/// contract on the way: the push that crosses the budget sheds the
+/// buffers, and nothing stays granted past `finish`.
 #[cfg(test)]
 pub(crate) fn apply_chunked(
     strategy: LocalStrategy,
     inputs: &[Vec<Record>],
     chunk: usize,
+    layout: BatchLayout,
     ctx: OpCtx,
 ) -> Result<Vec<Record>, ExecError> {
     let gov = Arc::clone(&ctx.gov);
+    let width = ctx.plan.width();
     let mut oper = build(strategy, ctx);
     oper.open()?;
     let mut out = Vec::new();
     for (port, records) in inputs.iter().enumerate() {
-        for chunk in records.chunks(chunk) {
-            let batch = Arc::new(RecordBatch::from_records(chunk.to_vec()));
+        for (i, chunk) in records.chunks(chunk).enumerate() {
+            let batch = Arc::new(layout.batch(i, chunk, width));
             oper.push(port, batch, &mut out)?;
             assert!(!gov.over_budget(), "{strategy:?} kept pressure");
         }
@@ -332,14 +355,14 @@ pub(crate) fn apply_chunked(
     Ok(out.into_iter().flat_map(take_records).collect())
 }
 
-/// [`apply_chunked`] with one batch per input port.
+/// [`apply_chunked`] with one row-major batch per input port.
 #[cfg(test)]
 pub(crate) fn apply_single(
     strategy: LocalStrategy,
     inputs: Vec<Vec<Record>>,
     ctx: OpCtx,
 ) -> Result<Vec<Record>, ExecError> {
-    apply_chunked(strategy, &inputs, usize::MAX, ctx)
+    apply_chunked(strategy, &inputs, usize::MAX, BatchLayout::Rows, ctx)
 }
 
 #[cfg(test)]

@@ -1,14 +1,22 @@
 //! The Reduce operator: hash or sort grouping over one governed
-//! `RunBuffer`.
+//! `RunBuffer` that holds the batches Reduce is pushed, as they arrived.
+//!
+//! The hash finish groups those batches in place: it hashes each
+//! columnar batch's key column in one pass (`key_hash_into`, each
+//! row-major record with `key_hash`), buckets and canonically sorts *row
+//! views* of either layout, and hands each group to the interpreter as
+//! views — a record materializes only where the UDF copies one (one per
+//! group for a first-of-group UDF). Batches become records only when the
+//! buffer spills or the sort-based finish drains it.
 
-use super::{canonical_cmp, key_hash, run_len, take_records, OpCtx, Operator};
+use super::{key_hash, OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::RunBuffer;
 use std::sync::Arc;
 use strato_core::LocalStrategy;
 use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
-use strato_record::{Record, RecordBatch};
+use strato_record::{sort_canonical, Record, RecordBatch, RowRef};
 
 /// Blocking Reduce: buffers its input, forms key groups at `finish`, and
 /// invokes the UDF once per group.
@@ -18,18 +26,21 @@ use strato_record::{Record, RecordBatch};
 /// walk the buffer's key groups, merged from however many runs exist
 /// (none, for an execution that never spilled) — serving
 /// [`LocalStrategy::SortGroup`] always and [`LocalStrategy::HashGroup`]
-/// once anything spilled. `HashGroup` that never spilled groups through a
-/// hash table instead.
+/// once anything spilled. `HashGroup` that never spilled groups the held
+/// batches through a hash table of row views instead.
 ///
 /// Both present each group in canonical `(key, record)` order and emit
 /// groups in ascending key order — 64-bit key-hash collisions on the hash
 /// path are broken by a full key comparison — so the output sequence is a
-/// pure function of the input bag regardless of local algorithm,
-/// partitioning, batch boundaries or memory budget.
+/// pure function of the input bag regardless of local algorithm, batch
+/// layout, partitioning, batch boundaries or memory budget.
 pub struct ReduceOp {
     /// `HashGroup` or `SortGroup` (see [`super::build`]).
     strategy: LocalStrategy,
     ctx: OpCtx,
+    /// The grouping key as plain column indices (the row-view kernels'
+    /// form of `key_attrs[0]`).
+    key: Vec<usize>,
     buf: RunBuffer,
 }
 
@@ -37,51 +48,68 @@ impl ReduceOp {
     pub(crate) fn new(strategy: LocalStrategy, ctx: OpCtx) -> Self {
         ReduceOp {
             strategy,
+            key: ctx.op().key_attrs[0].iter().map(|k| k.index()).collect(),
             buf: RunBuffer::new(ctx.clone(), 0, false),
             ctx,
         }
     }
 
-    /// In-memory hash grouping of `rows`; returns the number of groups.
-    fn hash_groups(&self, rows: Vec<Record>, out: &mut Vec<Record>) -> Result<u64, ExecError> {
-        let key = &self.ctx.op().key_attrs[0];
-        // Bucket by key hash, then sort each bucket: records of one key
-        // end up contiguous (hash collisions merely share a bucket and are
-        // split into separate key groups below).
-        let mut table: FxHashMap<u64, Vec<Record>> = FxHashMap::default();
-        for r in rows {
-            table.entry(key_hash(&r, key)).or_default().push(r);
+    /// In-memory hash grouping of the rows of `batches`; returns the
+    /// number of groups.
+    fn hash_groups(
+        &self,
+        batches: &[Arc<RecordBatch>],
+        out: &mut Vec<Record>,
+    ) -> Result<u64, ExecError> {
+        let key = &self.key;
+        // Bucket every row's view by key hash: one pass over the key
+        // column per columnar batch, record by record otherwise.
+        let mut table: FxHashMap<u64, Vec<RowRef<'_>>> = FxHashMap::default();
+        let mut hashes = Vec::new();
+        for b in batches {
+            match b.columns() {
+                Some(cb) => cb.key_hash_into(key, &mut hashes),
+                None => {
+                    let key_attrs = &self.ctx.op().key_attrs[0];
+                    hashes.clear();
+                    hashes.extend(b.records().iter().map(|r| key_hash(r, key_attrs)));
+                }
+            }
+            for (row, &h) in hashes.iter().enumerate() {
+                table.entry(h).or_default().push(b.row(row));
+            }
+        }
+        // Sort each bucket canonically: rows of one key end up contiguous
+        // (hash collisions merely share a bucket and are split into
+        // separate key groups below).
+        let mut buckets: Vec<Vec<RowRef<'_>>> = table.into_values().collect();
+        for b in &mut buckets {
+            sort_canonical(b, key);
         }
         // Split every bucket into its key groups *before* choosing an
         // emission order, then order the groups by a full key comparison.
-        // Ordering whole buckets by their first record would interleave
+        // Ordering whole buckets by their first row would interleave
         // wrongly under a 64-bit hash collision (a bucket holding keys
         // {1, 5} sorts once as a unit and emits 1, 5 ahead of another
-        // bucket's 3). The common collision-free bucket moves through
-        // unchanged.
-        let mut key_groups: Vec<Vec<Record>> = Vec::with_capacity(table.len());
-        for mut b in table.into_values() {
-            b.sort_unstable_by(|a, x| canonical_cmp(a, x, key));
-            let first_run = run_len(&b, 0, key);
-            if first_run == b.len() {
-                key_groups.push(b);
-            } else {
-                let mut i = 0;
-                while i < b.len() {
-                    let n = run_len(&b, i, key);
-                    key_groups.push(b[i..i + n].to_vec());
-                    i += n;
-                }
+        // bucket's 3). The common collision-free bucket is one group.
+        let mut groups: Vec<&[RowRef<'_>]> = Vec::with_capacity(buckets.len());
+        for b in &buckets {
+            let mut rest = &b[..];
+            while let Some(first) = rest.first() {
+                let n = rest.partition_point(|r| r.key_cmp(first, key).is_eq());
+                let (group, tail) = rest.split_at(n);
+                groups.push(group);
+                rest = tail;
             }
         }
-        // Distinct keys per group, so comparing first records on the key
+        // Distinct keys per group, so comparing first rows on the key
         // alone is a total order: globally ascending — identical to the
         // sort-based walk's emission order.
-        key_groups.sort_unstable_by(|a, b| super::key_cmp(&a[0], &b[0], key));
-        for g in &key_groups {
+        groups.sort_unstable_by(|a, b| a[0].key_cmp(&b[0], key));
+        for g in &groups {
             self.ctx.call(Invocation::Group(g), out)?;
         }
-        Ok(key_groups.len() as u64)
+        Ok(groups.len() as u64)
     }
 }
 
@@ -93,7 +121,7 @@ impl Operator for ReduceOp {
         _out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
         debug_assert_eq!(port, 0, "Reduce is unary");
-        self.buf.push(take_records(batch));
+        self.buf.push_batch(batch);
         if self.ctx.gov.over_budget() {
             self.buf.spill()?;
         }
@@ -104,13 +132,15 @@ impl Operator for ReduceOp {
         let mut emitted = Vec::new();
         let mut groups = 0u64;
         if self.strategy == LocalStrategy::HashGroup && !self.buf.spilled() {
-            let rows = self.buf.take_rows();
-            groups += self.hash_groups(rows, &mut emitted)?;
+            let batches = self.buf.take_batches();
+            groups += self.hash_groups(&batches, &mut emitted)?;
+            drop(batches);
             self.buf.release();
         } else {
             let mut stream = self.buf.drain_groups()?;
             while let Some(g) = stream.next_group()? {
-                self.ctx.call(Invocation::Group(&g), &mut emitted)?;
+                let views: Vec<RowRef<'_>> = g.iter().map(RowRef::from).collect();
+                self.ctx.call(Invocation::Group(&views), &mut emitted)?;
                 groups += 1;
             }
         }
@@ -126,7 +156,7 @@ impl Operator for ReduceOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, apply_single, key_cmp, key_hash};
+    use crate::operators::{apply_chunked, key_cmp, key_hash, BatchLayout};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::ctx;
@@ -212,21 +242,45 @@ mod tests {
         assert_ne!(key_cmp(&a1, &c1, &key), std::cmp::Ordering::Equal);
         assert_ne!(key_hash(&a1, &key), key_hash(&b1, &key));
         assert!(key_cmp(&a1, &b1, &key).is_lt() && key_cmp(&b1, &c1, &key).is_lt());
+        // The whole-column kernel of columnar batches hashes alike.
+        let mut builder = strato_record::BatchBuilder::new(plan.ctx.width());
+        builder.push_record(&a1);
+        builder.push_record(&c1);
+        let mut hashes = Vec::new();
+        let key_idx: Vec<usize> = key.iter().map(|k| k.index()).collect();
+        builder.finish().key_hash_into(&key_idx, &mut hashes);
+        assert_eq!(hashes, vec![key_hash(&a1, &key); 2]);
 
-        let input = vec![c1, b1, a2, a1, c2, b2];
+        let input = [vec![c1, b1, a2, a1, c2, b2]];
         let stats = Arc::new(ExecStats::new());
         let gov = Arc::new(MemoryGovernor::unbounded());
-        let make = || ctx(&plan, &stats, &gov);
-        let hash = apply_single(LocalStrategy::HashGroup, vec![input.clone()], make()).unwrap();
-        let sort = apply_single(LocalStrategy::SortGroup, vec![input], make()).unwrap();
-        assert_eq!(
-            hash, sort,
-            "emission order must be a pure function of the input bag"
-        );
+        let reference = apply_chunked(
+            LocalStrategy::SortGroup,
+            &input,
+            2,
+            BatchLayout::Rows,
+            ctx(&plan, &stats, &gov),
+        )
+        .unwrap();
         // Globally ascending by key: A (sum 11), B (15), C (19).
-        let sums: Vec<i64> = hash.iter().map(|r| r.field(3).as_int().unwrap()).collect();
+        let sums: Vec<i64> = reference
+            .iter()
+            .map(|r| r.field(3).as_int().unwrap())
+            .collect();
         assert_eq!(sums, vec![11, 15, 19]);
-        assert_eq!(hash.len(), 3);
+        // Two rows per batch: under `Mixed`, A and C share a bucket across
+        // a columnar and a row-major batch.
+        for layout in BatchLayout::ALL {
+            for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
+                let got =
+                    apply_chunked(strategy, &input, 2, layout, ctx(&plan, &stats, &gov)).unwrap();
+                assert_eq!(
+                    got, reference,
+                    "{strategy:?} over {layout:?}: emission order must be a pure \
+                     function of the input bag"
+                );
+            }
+        }
     }
 
     #[test]
@@ -246,17 +300,26 @@ mod tests {
         let ref_stats = Arc::new(ExecStats::new());
         let ref_gov = Arc::new(MemoryGovernor::unbounded());
         let hash = LocalStrategy::HashGroup;
-        let reference = apply_chunked(hash, &input, 48, ctx(&plan, &ref_stats, &ref_gov)).unwrap();
+        let rows = BatchLayout::Rows;
+        let reference =
+            apply_chunked(hash, &input, 48, rows, ctx(&plan, &ref_stats, &ref_gov)).unwrap();
         assert_eq!(ref_stats.totals().spill_runs, 0);
 
-        for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
+        let strategies = [LocalStrategy::HashGroup, LocalStrategy::SortGroup];
+        for (layout, strategy) in BatchLayout::ALL
+            .into_iter()
+            .flat_map(|l| strategies.map(|s| (l, s)))
+        {
             // A 64-byte budget forces a spill on (nearly) every pushed
             // batch; feed one record per batch to maximize pressure events
             // (`apply_chunked` checks that each one sheds the buffer).
             let stats = Arc::new(ExecStats::with_ops(1));
             let gov = Arc::new(MemoryGovernor::with_budget(Some(64)));
-            let got = apply_chunked(strategy, &input, 1, ctx(&plan, &stats, &gov)).unwrap();
-            assert_eq!(got, reference, "{strategy:?} must spill transparently");
+            let got = apply_chunked(strategy, &input, 1, layout, ctx(&plan, &stats, &gov)).unwrap();
+            assert_eq!(
+                got, reference,
+                "{strategy:?} over {layout:?} must spill transparently"
+            );
             let t = stats.totals();
             assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");
             assert!(t.records_spilled > 0 && t.spilled_bytes > 0);

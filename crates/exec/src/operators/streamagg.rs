@@ -59,7 +59,7 @@ use std::sync::Arc;
 use strato_ir::interp::{eval_bin, Invocation};
 use strato_ir::BinOp;
 use strato_record::hash::FxHashMap;
-use strato_record::{Record, RecordBatch};
+use strato_record::{Record, RecordBatch, RowRef};
 
 /// Which role a [`StreamAggOp`] instance plays (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,7 +249,7 @@ impl Operator for StreamAggOp {
                 let mut emitted = Vec::new();
                 while let Some(g) = stream.next_group()? {
                     let p = Self::fold_group(&self.folds, g);
-                    let group = Invocation::Group(std::slice::from_ref(&p));
+                    let group = Invocation::Group(&[RowRef::from(&p)]);
                     self.ctx.call(group, &mut emitted)?;
                     groups += 1;
                 }
@@ -267,7 +267,7 @@ impl Operator for StreamAggOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, apply_single, build_combiner};
+    use crate::operators::{apply_chunked, apply_single, build_combiner, BatchLayout};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::{ctx, sum_inplace};
@@ -417,11 +417,19 @@ mod tests {
             Arc::new(ExecStats::new()),
             Arc::new(MemoryGovernor::unbounded()),
         );
-        let reference = apply_chunked(agg, &input, 40, ctx(&plan, &s_ref, &g_ref)).unwrap();
+        let reference = apply_chunked(
+            agg,
+            &input,
+            40,
+            BatchLayout::Rows,
+            ctx(&plan, &s_ref, &g_ref),
+        )
+        .unwrap();
 
         let stats = Arc::new(ExecStats::with_ops(1));
         let gov = Arc::new(MemoryGovernor::with_budget(Some(30)));
-        let got = apply_chunked(agg, &input, 1, ctx(&plan, &stats, &gov)).unwrap();
+        let got =
+            apply_chunked(agg, &input, 1, BatchLayout::Rows, ctx(&plan, &stats, &gov)).unwrap();
         assert_eq!(got, reference, "spilled StreamAgg must be exact");
         let t = stats.totals();
         assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");

@@ -1,25 +1,30 @@
 //! The governed buffer every blocking operator keeps per keyed input.
 
 use crate::engine::ExecError;
-use crate::operators::{canonical_cmp, key_has_null, records_bytes, OpCtx};
+use crate::operators::{canonical_cmp, key_has_null, records_bytes, take_records, OpCtx};
 use crate::spill::file::SortedRun;
 use crate::spill::merge::{external_group_stream, GroupStream};
 use std::cmp::Ordering;
-use strato_record::{AttrId, Record};
+use std::sync::Arc;
+use strato_record::{AttrId, Record, RecordBatch};
 
-/// One keyed input of a blocking operator: the rows buffered so far, the
-/// bytes granted for them, and the sorted runs already shed to disk.
+/// One keyed input of a blocking operator: what was buffered so far —
+/// rows, and batches held as they were pushed — the bytes granted for
+/// it, and the sorted runs already shed to disk.
 ///
 /// This is the only place operator state meets the spill files, and —
 /// Match's zero-copy batches aside — the
 /// [`MemoryGovernor`](crate::spill::MemoryGovernor):
-/// [`push`](RunBuffer::push) grants, [`spill`](RunBuffer::spill) writes a
-/// run and releases, and [`drain_groups`](RunBuffer::drain_groups) is the
-/// one sort-based finish — it merges the sorted tail with however many
-/// runs exist, *including zero*, so an execution that never spilled walks
-/// the same code as one that did. Whatever is still granted returns to
-/// the governor on drop (failed spill, aborted query, early exit from a
-/// walk).
+/// [`push`](RunBuffer::push) and [`push_batch`](RunBuffer::push_batch)
+/// grant, [`spill`](RunBuffer::spill) writes a run and releases, and
+/// [`drain_groups`](RunBuffer::drain_groups) is the one sort-based finish
+/// — it merges the sorted tail with however many runs exist, *including
+/// zero*, so an execution that never spilled walks the same code as one
+/// that did. Held batches stay in whatever layout they arrived in until
+/// a spill or that finish needs them as records; an in-memory (hash)
+/// finish reads them in place ([`take_batches`](RunBuffer::take_batches)).
+/// Whatever is still granted returns to the governor on drop (failed
+/// spill, aborted query, early exit from a walk).
 pub(crate) struct RunBuffer {
     /// The owning operator's context: its governor, its stats slot and,
     /// through `side`, the key this input is sorted and grouped on.
@@ -32,7 +37,10 @@ pub(crate) struct RunBuffer {
     drop_null_keys: bool,
     saw_null_key: bool,
     rows: Vec<Record>,
-    /// Bytes granted for `rows` (their `encoded_len` when pushed).
+    /// Batches buffered by `push_batch`, as they arrived.
+    batches: Vec<Arc<RecordBatch>>,
+    /// Bytes granted for `rows` and `batches` (their `encoded_len` when
+    /// pushed).
     granted: u64,
     runs: Vec<SortedRun>,
 }
@@ -45,6 +53,7 @@ impl RunBuffer {
             drop_null_keys,
             saw_null_key: false,
             rows: Vec::new(),
+            batches: Vec::new(),
             granted: 0,
             runs: Vec::new(),
         }
@@ -65,13 +74,29 @@ impl RunBuffer {
             self.rows.extend(records);
         }
         if self.ctx.gov.bounded() {
-            let bytes = records_bytes(&self.rows[start..]);
-            self.granted += bytes;
-            self.ctx.gov.grant(bytes);
+            self.grant(records_bytes(&self.rows[start..]));
         }
     }
 
-    /// The buffered (unspilled) rows, in arrival order.
+    /// Buffers `batch` as it is, granting its `encoded_len` — the bytes
+    /// [`push`](RunBuffer::push) would grant for its rows, in either
+    /// layout. Grouping buffers only: a join buffer drops null-keyed rows
+    /// on entry, which needs them as records.
+    pub(crate) fn push_batch(&mut self, batch: Arc<RecordBatch>) {
+        debug_assert!(!self.drop_null_keys, "push_batch keeps every row");
+        if self.ctx.gov.bounded() {
+            self.grant(batch.encoded_len() as u64);
+        }
+        self.batches.push(batch);
+    }
+
+    fn grant(&mut self, bytes: u64) {
+        self.granted += bytes;
+        self.ctx.gov.grant(bytes);
+    }
+
+    /// The buffered (unspilled) rows, in arrival order — not including
+    /// held batches.
     pub(crate) fn rows(&self) -> &[Record] {
         &self.rows
     }
@@ -92,10 +117,20 @@ impl RunBuffer {
         self.saw_null_key
     }
 
-    /// Sheds the buffered rows to one canonically sorted on-disk run and
-    /// releases their grant. No-op on an empty buffer. On an IO failure
-    /// the rows stay buffered (and granted until drop).
+    /// Moves the held batches into `rows`, as records. Their grant is
+    /// unchanged: a batch's `encoded_len` is its records' `records_bytes`.
+    fn absorb_batches(&mut self) {
+        for b in self.batches.drain(..) {
+            self.rows.extend(take_records(b));
+        }
+    }
+
+    /// Sheds everything buffered to one canonically sorted on-disk run
+    /// and releases its grant. No-op on an empty buffer. On an IO failure
+    /// every row stays buffered (held batches as records), granted until
+    /// drop.
     pub(crate) fn spill(&mut self) -> Result<(), ExecError> {
+        self.absorb_batches();
         if self.rows.is_empty() {
             return Ok(());
         }
@@ -117,16 +152,29 @@ impl RunBuffer {
         std::mem::take(&mut self.rows)
     }
 
+    /// Hands everything buffered to an in-memory (hash) algorithm as
+    /// batches: the held batches in arrival order, then any buffered rows
+    /// as one row-major batch. The grant stays until
+    /// [`release`](RunBuffer::release) or drop.
+    pub(crate) fn take_batches(&mut self) -> Vec<Arc<RecordBatch>> {
+        let mut batches = std::mem::take(&mut self.batches);
+        if !self.rows.is_empty() {
+            let rows = RecordBatch::from_records(self.take_rows());
+            batches.push(Arc::new(rows));
+        }
+        batches
+    }
+
     /// Returns whatever is still granted.
     pub(crate) fn release(&mut self) {
         self.ctx.gov.release(self.granted);
         self.granted = 0;
     }
 
-    /// The sort-based finish: sorts the tail canonically, merges it with
-    /// the runs written so far and walks the result as key groups in
-    /// ascending canonical order. Leaves the buffer empty; the returned
-    /// stream owns the tail and the runs.
+    /// The sort-based finish: sorts the tail — held batches as records —
+    /// canonically, merges it with the runs written so far and walks the
+    /// result as key groups in ascending canonical order. Leaves the
+    /// buffer empty; the returned stream owns the tail and the runs.
     #[allow(clippy::type_complexity)]
     pub(crate) fn drain_groups(
         &mut self,
@@ -137,6 +185,7 @@ impl RunBuffer {
         >,
         ExecError,
     > {
+        self.absorb_batches();
         let tail = self.take_rows();
         self.release();
         let runs = std::mem::take(&mut self.runs);
@@ -189,16 +238,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{key_cmp, run_len};
+    use crate::operators::{key_cmp, BatchLayout};
     use crate::spill::{GlobalMemory, MemoryGovernor};
     use crate::stats::ExecStats;
     use crate::testutil::{ctx, sum_inplace};
     use std::path::PathBuf;
-    use std::sync::Arc;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_record::Value;
 
     const KEY: [AttrId; 1] = [AttrId(0)];
+    /// The keyed plan's global width.
+    const WIDTH: usize = 2;
 
     /// A reduce keyed on `k`, the first global attribute (`KEY`).
     fn keyed_plan() -> Plan {
@@ -216,6 +266,7 @@ mod tests {
     ) -> RunBuffer {
         let plan = keyed_plan();
         assert_eq!(plan.ctx.ops[0].key_attrs[0], KEY);
+        assert_eq!(plan.ctx.width(), WIDTH);
         RunBuffer::new(ctx(&plan, stats, gov), 0, drop_null_keys)
     }
 
@@ -238,10 +289,33 @@ mod tests {
         (pool, Arc::new(gov))
     }
 
+    /// How a test hands rows to a buffer: as records, or as batches in
+    /// one of the layouts operators are pushed.
+    #[derive(Debug, Clone, Copy)]
+    enum Feed {
+        Records,
+        Batches(BatchLayout),
+    }
+
+    const FEEDS: [Feed; 4] = [
+        Feed::Records,
+        Feed::Batches(BatchLayout::Rows),
+        Feed::Batches(BatchLayout::Columns),
+        Feed::Batches(BatchLayout::Mixed),
+    ];
+
+    /// Hands `rows` to `buf` as its `i`-th push.
+    fn put(buf: &mut RunBuffer, how: Feed, i: usize, rows: &[Record]) {
+        match how {
+            Feed::Records => buf.push(rows.to_vec()),
+            Feed::Batches(layout) => buf.push_batch(Arc::new(layout.batch(i, rows, WIDTH))),
+        }
+    }
+
     /// Pushes `rows` three at a time, spilling whenever over budget.
-    fn feed(buf: &mut RunBuffer, gov: &MemoryGovernor, rows: Vec<Record>) {
-        for chunk in rows.chunks(3) {
-            buf.push(chunk.to_vec());
+    fn feed(buf: &mut RunBuffer, gov: &MemoryGovernor, how: Feed, rows: Vec<Record>) {
+        for (i, chunk) in rows.chunks(3).enumerate() {
+            put(buf, how, i, chunk);
             if gov.over_budget() {
                 buf.spill().unwrap();
                 assert_eq!(gov.resident(), 0, "a spill sheds the whole buffer");
@@ -258,23 +332,22 @@ mod tests {
     fn zero_run_walk_is_run_len_over_the_sorted_slice_and_so_is_every_spilled_one() {
         let mut sorted = input();
         sorted.sort_unstable_by(|a, b| canonical_cmp(a, b, &KEY));
-        let mut expected = Vec::new();
-        let mut i = 0;
-        while i < sorted.len() {
-            let n = run_len(&sorted, i, &KEY);
-            expected.push(sorted[i..i + n].to_vec());
-            i += n;
-        }
+        let expected: Vec<Vec<Record>> = sorted
+            .chunk_by(|a, b| key_cmp(a, b, &KEY).is_eq())
+            .map(<[Record]>::to_vec)
+            .collect();
         assert_eq!(expected.len(), 6, "five int keys + the null group");
 
-        for budget in [None, Some(0), Some(64), Some(1 << 16)] {
+        let budgets = [None, Some(0), Some(64), Some(1 << 16)];
+        for (how, budget) in FEEDS.into_iter().flat_map(|h| budgets.map(|b| (h, b))) {
             let stats = Arc::new(ExecStats::with_ops(1));
             let gov = Arc::new(MemoryGovernor::with_budget(budget));
             let mut buf = buffer(&stats, &gov, false);
-            feed(&mut buf, &gov, input());
+            feed(&mut buf, &gov, how, input());
             let spilled = buf.spilled();
-            assert_eq!(drain(&mut buf), expected, "budget {budget:?}");
-            assert_eq!(spilled, matches!(budget, Some(0 | 64)), "budget {budget:?}");
+            let tag = format!("{how:?} at budget {budget:?}");
+            assert_eq!(drain(&mut buf), expected, "{tag}");
+            assert_eq!(spilled, matches!(budget, Some(0 | 64)), "{tag}");
             assert_eq!(stats.totals().spill_runs > 0, spilled);
             let slot = stats.op_snapshots()[0];
             assert_eq!(
@@ -283,7 +356,10 @@ mod tests {
                 "charged per op too"
             );
             assert_eq!(gov.resident(), 0);
-            assert!(buf.rows().is_empty() && !buf.spilled(), "left empty");
+            assert!(
+                buf.take_batches().is_empty() && !buf.spilled(),
+                "left empty"
+            );
         }
     }
 
@@ -294,7 +370,7 @@ mod tests {
         for drop_null_keys in [false, true] {
             let mut buf = buffer(&stats, &gov, drop_null_keys);
             assert!(!buf.saw_null_key());
-            feed(&mut buf, &gov, input());
+            feed(&mut buf, &gov, Feed::Records, input());
             assert!(buf.spilled());
             let groups = drain(&mut buf);
             let nulls: usize = groups
@@ -325,51 +401,63 @@ mod tests {
         let base = std::env::temp_dir().join(format!("strato-runbuffer-{}", std::process::id()));
         std::fs::create_dir_all(&base).unwrap();
         let stats = Arc::new(ExecStats::new());
+        let bytes = records_bytes(&input());
 
-        // (i) A complete walk.
-        let (pool, gov) = governed(64, Some(base.clone()));
-        let mut buf = buffer(&stats, &gov, false);
-        feed(&mut buf, &gov, input());
-        assert!(
-            buf.spilled() && gov.resident() > 0,
-            "runs and a granted tail"
-        );
-        assert_eq!(drain(&mut buf).len(), 6);
-        assert_eq!((gov.resident(), pool.resident()), (0, 0));
+        for how in FEEDS {
+            // The grant of a push, records or a batch of either layout, is
+            // the rows' `records_bytes`.
+            let (_pool, gov) = governed(1 << 16, None);
+            let mut buf = buffer(&stats, &gov, false);
+            put(&mut buf, how, 0, &input());
+            assert_eq!(gov.resident(), bytes, "{how:?}");
 
-        // (ii) A walk abandoned after its first group, then the buffer
-        // dropped with freshly pushed rows still in it.
-        feed(&mut buf, &gov, input());
-        let mut groups = buf.drain_groups().unwrap();
-        assert!(groups.next_group().unwrap().is_some());
-        drop(groups);
-        buf.push(input());
-        assert!(gov.resident() > 0);
-        drop(buf);
-        assert_eq!((gov.resident(), pool.resident()), (0, 0));
-        let dir = gov.spill_dir_path().expect("spilled");
-        assert!(
-            std::fs::read_dir(&dir).unwrap().next().is_none(),
-            "runs deleted"
-        );
-        drop(gov);
-        assert_eq!(pool.granted(), 0);
-        assert!(!dir.exists());
+            // (i) A complete walk.
+            let (pool, gov) = governed(64, Some(base.clone()));
+            let mut buf = buffer(&stats, &gov, false);
+            feed(&mut buf, &gov, how, input());
+            assert!(
+                buf.spilled() && gov.resident() > 0,
+                "runs and a granted tail"
+            );
+            assert_eq!(drain(&mut buf).len(), 6);
+            assert_eq!((gov.resident(), pool.resident()), (0, 0));
 
-        // (iii) A spill that cannot write: the spill "directory" is a file.
-        let blocker = base.join("not-a-directory");
-        std::fs::write(&blocker, b"x").unwrap();
-        let (pool, gov) = governed(0, Some(blocker));
-        let mut buf = buffer(&stats, &gov, false);
-        buf.push(input());
-        let held = gov.resident();
-        assert!(matches!(buf.spill(), Err(ExecError::Spill(_))));
-        assert_eq!(buf.rows().len(), 26, "a failed spill loses nothing");
-        assert_eq!(gov.resident(), held);
-        drop(buf);
-        assert_eq!((gov.resident(), pool.resident()), (0, 0));
-        drop(gov);
-        assert_eq!(pool.granted(), 0);
+            // (ii) A walk abandoned after its first group, then the buffer
+            // dropped with freshly pushed rows still in it.
+            feed(&mut buf, &gov, how, input());
+            let mut groups = buf.drain_groups().unwrap();
+            assert!(groups.next_group().unwrap().is_some());
+            drop(groups);
+            put(&mut buf, how, 0, &input());
+            assert!(gov.resident() > 0);
+            drop(buf);
+            assert_eq!((gov.resident(), pool.resident()), (0, 0), "{how:?}");
+            let dir = gov.spill_dir_path().expect("spilled");
+            assert!(
+                std::fs::read_dir(&dir).unwrap().next().is_none(),
+                "runs deleted"
+            );
+            drop(gov);
+            assert_eq!(pool.granted(), 0);
+            assert!(!dir.exists());
+
+            // (iii) A spill that cannot write: the spill "directory" is a
+            // file. Held batches come back as rows.
+            let blocker = base.join("not-a-directory");
+            std::fs::write(&blocker, b"x").unwrap();
+            let (pool, gov) = governed(0, Some(blocker));
+            let mut buf = buffer(&stats, &gov, false);
+            put(&mut buf, how, 0, &input());
+            let held = gov.resident();
+            assert_eq!(held, bytes);
+            assert!(matches!(buf.spill(), Err(ExecError::Spill(_))));
+            assert_eq!(buf.rows().len(), 26, "a failed spill loses nothing");
+            assert_eq!(gov.resident(), held, "{how:?} keeps its grant");
+            drop(buf);
+            assert_eq!((gov.resident(), pool.resident()), (0, 0));
+            drop(gov);
+            assert_eq!(pool.granted(), 0);
+        }
 
         std::fs::remove_dir_all(&base).unwrap();
     }

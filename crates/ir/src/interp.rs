@@ -20,39 +20,36 @@ use strato_record::{Record, Redirection, RowRef, Value};
 /// One UDF invocation's input(s).
 #[derive(Debug, Clone, Copy)]
 pub enum Invocation<'a> {
-    /// Map: a single record.
-    Record(&'a Record),
-    /// Map: a single row of a columnar batch. Field reads go straight
-    /// to the column vectors; the row is only materialized if the UDF
-    /// copies its input record.
+    /// Map: one row, of either batch layout (`RowRef::from(&record)` for
+    /// an owned record). Field reads go straight to the row's storage;
+    /// the row is only materialized if the UDF copies its input record.
     Row(RowRef<'a>),
     /// Cross/Match: a pair of records.
     Pair(&'a Record, &'a Record),
-    /// Reduce: one key group.
-    Group(&'a [Record]),
+    /// Reduce: one key group, as row views — a record materializes only
+    /// when the UDF copies one.
+    Group(&'a [RowRef<'a>]),
     /// CoGroup: two key groups.
     CoGroup(&'a [Record], &'a [Record]),
 }
 
-impl Invocation<'_> {
-    /// Record `idx` of input `input`, if present. Columnar rows have no
-    /// borrowed `Record`; their access paths short-circuit in
-    /// `read_field`/`materialize` before reaching this.
-    fn record(&self, input: u8, idx: usize) -> Option<&Record> {
-        match (self, input) {
-            (Invocation::Record(r), 0) if idx == 0 => Some(r),
-            (Invocation::Pair(a, _), 0) if idx == 0 => Some(a),
-            (Invocation::Pair(_, b), 1) if idx == 0 => Some(b),
-            (Invocation::Group(g), 0) => g.get(idx),
-            (Invocation::CoGroup(g, _), 0) => g.get(idx),
-            (Invocation::CoGroup(_, h), 1) => h.get(idx),
+impl<'a> Invocation<'a> {
+    /// A view of record `idx` of input `input`, if present — the one
+    /// path every field read and copy goes through.
+    fn input(&self, input: u8, idx: usize) -> Option<RowRef<'a>> {
+        match (*self, input) {
+            (Invocation::Row(r), 0) if idx == 0 => Some(r),
+            (Invocation::Pair(a, _), 0) if idx == 0 => Some(a.into()),
+            (Invocation::Pair(_, b), 1) if idx == 0 => Some(b.into()),
+            (Invocation::Group(g), 0) => g.get(idx).copied(),
+            (Invocation::CoGroup(g, _), 0) => g.get(idx).map(RowRef::from),
+            (Invocation::CoGroup(_, h), 1) => h.get(idx).map(RowRef::from),
             _ => None,
         }
     }
 
     fn group_len(&self, input: u8) -> usize {
         match (self, input) {
-            (Invocation::Record(_), 0) => 1,
             (Invocation::Row(_), 0) => 1,
             (Invocation::Pair(..), 0 | 1) => 1,
             (Invocation::Group(g), 0) => g.len(),
@@ -66,8 +63,7 @@ impl Invocation<'_> {
     fn matches(&self, kind: UdfKind) -> bool {
         matches!(
             (self, kind),
-            (Invocation::Record(_), UdfKind::Map)
-                | (Invocation::Row(_), UdfKind::Map)
+            (Invocation::Row(_), UdfKind::Map)
                 | (Invocation::Pair(..), UdfKind::Pair)
                 | (Invocation::Group(_), UdfKind::Group)
                 | (Invocation::CoGroup(..), UdfKind::CoGroup)
@@ -376,19 +372,9 @@ impl Interp {
                     .get(*input as usize)
                     .and_then(|r| r.get(field))
                     .ok_or(InterpError::UnmappedField(field))?;
-                // Columnar row views read the column vector directly —
-                // no materialized Record exists to borrow from.
-                if let Invocation::Row(view) = inv {
-                    return Ok(if *input == 0 && *idx == 0 {
-                        view.value(attr.index())
-                    } else {
-                        Value::Null
-                    });
-                }
                 Ok(inv
-                    .record(*input, *idx)
-                    .map(|r| r.field(attr.index()).clone())
-                    .unwrap_or(Value::Null))
+                    .input(*input, *idx)
+                    .map_or(Value::Null, |r| r.value(attr.index())))
             }
             RecSlot::Built(r) => {
                 let attr = layout
@@ -405,17 +391,9 @@ impl Interp {
         match slot {
             RecSlot::Unset => Record::nulls(layout.width),
             RecSlot::Input { input, idx } => {
-                let mut r = if let Invocation::Row(view) = inv {
-                    if *input == 0 && *idx == 0 {
-                        view.to_record()
-                    } else {
-                        Record::nulls(layout.width)
-                    }
-                } else {
-                    inv.record(*input, *idx)
-                        .cloned()
-                        .unwrap_or_else(|| Record::nulls(layout.width))
-                };
+                let mut r = inv
+                    .input(*input, *idx)
+                    .map_or_else(|| Record::nulls(layout.width), |v| v.to_record());
                 // Pad with nulls to global width if the source tuple is
                 // narrower (only happens in local-layout unit tests).
                 if r.arity() < layout.width {
@@ -509,11 +487,15 @@ mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
 
+    fn views(g: &[Record]) -> Vec<RowRef<'_>> {
+        g.iter().map(RowRef::from).collect()
+    }
+
     fn run_map(f: &Function, rec: Record) -> Vec<Record> {
         let layout = Layout::local(f);
         let mut out = Vec::new();
         Interp::default()
-            .run(f, Invocation::Record(&rec), &layout, &mut out)
+            .run(f, Invocation::Row(RowRef::from(&rec)), &layout, &mut out)
             .expect("run");
         out
     }
@@ -617,12 +599,67 @@ mod tests {
         let layout = Layout::local(&f);
         let mut out = Vec::new();
         let stats = Interp::default()
-            .run(&f, Invocation::Group(&group), &layout, &mut out)
+            .run(&f, Invocation::Group(&views(&group)), &layout, &mut out)
             .unwrap();
         assert_eq!(stats.emits, 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].field(2), &Value::Int(35));
         assert_eq!(out[0].field(0), &Value::Int(1));
+    }
+
+    #[test]
+    fn group_udf_runs_alike_over_columnar_and_record_views() {
+        use strato_record::BatchBuilder;
+        // Sums field 1, then copies every record of the group with the
+        // sum set: field reads and copies both go through the views.
+        let mut b = FuncBuilder::new("sum_all", UdfKind::Group, vec![3]);
+        let sum = b.konst(0i64);
+        let it = b.iter_open(0);
+        let done = b.new_label();
+        let head = b.new_label();
+        b.place(head);
+        let r = b.iter_next(it, done);
+        let v = b.get(r, 1);
+        b.bin_into(sum, BinOp::Add, sum, v);
+        b.jump(head);
+        b.place(done);
+        let it2 = b.iter_open(0);
+        let end = b.new_label();
+        let head2 = b.new_label();
+        b.place(head2);
+        let r2 = b.iter_next(it2, end);
+        let or = b.copy(r2);
+        b.set(or, 2, sum);
+        b.emit(or);
+        b.jump(head2);
+        b.place(end);
+        b.ret();
+        let f = b.finish().unwrap();
+        let layout = Layout::local(&f);
+        let group = vec![
+            Record::from_values([Value::Int(7), Value::Int(4), Value::str("x")]),
+            Record::from_values([Value::Int(7), Value::Int(0), Value::Null]),
+            Record::from_values([Value::Int(7), Value::Int(-1), Value::Float(-0.0)]),
+        ];
+        let mut builder = BatchBuilder::new(3);
+        for r in &group {
+            builder.push_record(r);
+        }
+        let cb = builder.finish();
+        let columnar: Vec<RowRef<'_>> = (0..cb.len()).map(|i| cb.row(i)).collect();
+        let mixed = vec![columnar[0], RowRef::from(&group[1]), columnar[2]];
+        let run = |g: &[RowRef<'_>]| {
+            let mut out = Vec::new();
+            let stats = Interp::default()
+                .run(&f, Invocation::Group(g), &layout, &mut out)
+                .unwrap();
+            (out, stats)
+        };
+        let reference = run(&views(&group));
+        assert_eq!(reference.0.len(), 3);
+        assert_eq!(reference.0[0].field(2), &Value::Int(3));
+        assert_eq!(run(&columnar), reference);
+        assert_eq!(run(&mixed), reference);
     }
 
     #[test]
@@ -663,7 +700,7 @@ mod tests {
         let r = Record::from_values([Value::Int(1)]);
         let mut out = Vec::new();
         let err = Interp::with_max_steps(1000)
-            .run(&f, Invocation::Record(&r), &layout, &mut out)
+            .run(&f, Invocation::Row(RowRef::from(&r)), &layout, &mut out)
             .unwrap_err();
         assert_eq!(err, InterpError::StepLimit(1000));
     }
@@ -675,7 +712,7 @@ mod tests {
         let g = vec![rec2(1, 2)];
         let mut out = Vec::new();
         let err = Interp::default()
-            .run(&f, Invocation::Group(&g), &layout, &mut out)
+            .run(&f, Invocation::Group(&views(&g)), &layout, &mut out)
             .unwrap_err();
         assert_eq!(err, InterpError::ShapeMismatch);
     }
@@ -742,7 +779,7 @@ mod tests {
         ];
         let mut out = Vec::new();
         Interp::default()
-            .run(&f, Invocation::Group(&g), &layout, &mut out)
+            .run(&f, Invocation::Group(&views(&g)), &layout, &mut out)
             .unwrap();
         assert_eq!(out[0].field(1), &Value::Int(2));
     }
@@ -776,7 +813,7 @@ mod tests {
         ];
         let mut out = Vec::new();
         Interp::default()
-            .run(&f, Invocation::Group(&g), &layout, &mut out)
+            .run(&f, Invocation::Group(&views(&g)), &layout, &mut out)
             .unwrap();
         assert_eq!(out[0].field(1), &Value::Int(6));
     }

@@ -15,12 +15,14 @@
 //!   with null masks (see [`crate::columns`]), produced by the scan and
 //!   scatter paths where every row is in uniform global layout.
 //!
-//! Operators dispatch on [`RecordBatch::columns`]: columnar consumers
-//! run vectorized kernels, row-path consumers either iterate cheap
-//! [`RowRef`] views or materialize via [`RecordBatch::into_records`].
+//! Operators dispatch on [`RecordBatch::columns`] where a vectorized
+//! kernel exists; row-at-a-time consumers read either layout through
+//! cheap [`RowRef`] views ([`RecordBatch::row`]) and materialize records
+//! only where they keep them ([`RecordBatch::into_records`]).
 
-use crate::columns::{ColumnBatch, RowRef};
+use crate::columns::ColumnBatch;
 use crate::record::Record;
+use crate::row::RowRef;
 
 /// The physical representation behind a [`RecordBatch`].
 #[derive(Debug, Clone)]
@@ -149,10 +151,13 @@ impl RecordBatch {
         }
     }
 
-    /// A cheap row view for columnar batches; `None` when row-major.
+    /// A cheap view of row `row`, in either layout.
     #[inline]
-    pub fn row_view(&self, row: usize) -> Option<RowRef<'_>> {
-        self.columns().map(|c| c.row(row))
+    pub fn row(&self, row: usize) -> RowRef<'_> {
+        match &self.repr {
+            Repr::Rows(r) => RowRef::from(&r[row]),
+            Repr::Columns(c) => c.row(row),
+        }
     }
 
     /// Iterates over the records of a row-major batch.
@@ -201,16 +206,7 @@ impl RecordBatch {
 impl PartialEq for RecordBatch {
     /// Logical equality: same row sequence, regardless of layout.
     fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        match (&self.repr, &other.repr) {
-            (Repr::Rows(a), Repr::Rows(b)) => a == b,
-            (Repr::Columns(a), Repr::Columns(b)) => (0..a.len()).all(|i| a.row_eq_row(i, b, i)),
-            (Repr::Columns(c), Repr::Rows(r)) | (Repr::Rows(r), Repr::Columns(c)) => {
-                r.iter().enumerate().all(|(i, rec)| c.row_eq_record(i, rec))
-            }
-        }
+        self.len() == other.len() && (0..self.len()).all(|i| self.row(i) == other.row(i))
     }
 }
 
@@ -316,7 +312,8 @@ mod tests {
         assert_eq!(col, row);
         assert_eq!(col.clone().into_records(), recs);
         assert_eq!(col.to_records(), recs);
-        assert_eq!(col.row_view(2).unwrap().to_record(), recs[2]);
+        assert_eq!(col.row(2).to_record(), recs[2]);
+        assert_eq!(row.row(2).to_record(), recs[2]);
     }
 
     #[test]

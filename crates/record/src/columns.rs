@@ -23,6 +23,7 @@
 
 use crate::hash::{fx_add, fx_add_bytes};
 use crate::record::Record;
+use crate::row::RowRef;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -121,7 +122,7 @@ pub enum Column {
 /// A borrowed view of one cell, used by the hash/compare kernels to
 /// avoid cloning `Arc<str>` payloads.
 #[derive(Clone, Copy)]
-enum Cell<'a> {
+pub(crate) enum Cell<'a> {
     Null,
     Bool(bool),
     Int(i64),
@@ -143,7 +144,7 @@ impl Cell<'_> {
     }
 
     #[inline]
-    fn of_value(v: &Value) -> Cell<'_> {
+    pub(crate) fn of_value(v: &Value) -> Cell<'_> {
         match v {
             Value::Null => Cell::Null,
             Value::Bool(b) => Cell::Bool(*b),
@@ -154,7 +155,7 @@ impl Cell<'_> {
     }
 
     /// Total order identical to [`Value::cmp`].
-    fn cmp(self, other: Cell<'_>) -> Ordering {
+    pub(crate) fn cmp(self, other: Cell<'_>) -> Ordering {
         use Cell::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
@@ -207,7 +208,7 @@ impl Column {
 
     /// Borrowed cell view.
     #[inline]
-    fn cell(&self, row: usize) -> Cell<'_> {
+    pub(crate) fn cell(&self, row: usize) -> Cell<'_> {
         match self {
             Column::Null { .. } => Cell::Null,
             Column::Bool { data, nulls } => {
@@ -551,7 +552,7 @@ impl ColumnBatch {
     #[inline]
     pub fn row(&self, row: usize) -> RowRef<'_> {
         debug_assert!(row < self.rows);
-        RowRef { batch: self, row }
+        RowRef::column_row(self, row)
     }
 
     /// Materializes one row as a width-arity [`Record`].
@@ -858,70 +859,23 @@ impl ColumnBatch {
         }
     }
 
+    /// Borrowed view of one cell; null for out-of-range columns,
+    /// mirroring [`Record::field`]'s lenience.
+    #[inline]
+    pub(crate) fn cell(&self, row: usize, col: usize) -> Cell<'_> {
+        self.cols.get(col).map_or(Cell::Null, |c| c.cell(row))
+    }
+
     /// Lexicographic comparison of one row's key cells against a
     /// record's key fields under [`Value`]'s total order.
     pub fn key_cmp_record(&self, row: usize, rec: &Record, key: &[usize]) -> Ordering {
         for &k in key {
-            let ca = match self.cols.get(k) {
-                Some(c) => c.cell(row),
-                None => Cell::Null,
-            };
-            match ca.cmp(Cell::of_value(rec.field(k))) {
+            match self.cell(row, k).cmp(Cell::of_value(rec.field(k))) {
                 Ordering::Equal => {}
                 o => return o,
             }
         }
         Ordering::Equal
-    }
-
-    /// Row-wise equality against a materialized record (arity must
-    /// match the batch width, like [`Record`] equality).
-    pub fn row_eq_record(&self, row: usize, rec: &Record) -> bool {
-        self.width() == rec.arity()
-            && self
-                .cols
-                .iter()
-                .enumerate()
-                .all(|(c, col)| col.cell(row).cmp(Cell::of_value(rec.field(c))) == Ordering::Equal)
-    }
-
-    /// Row-wise equality across two columnar batches.
-    pub fn row_eq_row(&self, row: usize, other: &ColumnBatch, other_row: usize) -> bool {
-        self.width() == other.width()
-            && self
-                .cols
-                .iter()
-                .zip(&other.cols)
-                .all(|(a, b)| a.cell(row).cmp(b.cell(other_row)) == Ordering::Equal)
-    }
-}
-
-/// A copyable borrowed view of one row of a [`ColumnBatch`] — the
-/// "cheap row view" operators use to consume columnar batches without
-/// materializing records.
-#[derive(Debug, Clone, Copy)]
-pub struct RowRef<'a> {
-    batch: &'a ColumnBatch,
-    row: usize,
-}
-
-impl RowRef<'_> {
-    /// The row's arity (the batch width).
-    #[inline]
-    pub fn arity(&self) -> usize {
-        self.batch.width()
-    }
-
-    /// Owned value of field `col`; null when out of range, mirroring
-    /// [`Record::field`].
-    #[inline]
-    pub fn value(&self, col: usize) -> Value {
-        self.batch.value_at(self.row, col)
-    }
-
-    /// Materializes the row as a [`Record`].
-    pub fn to_record(&self) -> Record {
-        self.batch.row_record(self.row)
     }
 }
 
@@ -1065,7 +1019,7 @@ mod tests {
         assert_eq!(cb.to_records(), recs);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(cb.row_record(i), *r);
-            assert!(cb.row_eq_record(i, r));
+            assert_eq!(cb.row(i), RowRef::from(r));
             assert_eq!(cb.row(i).to_record(), *r);
         }
     }

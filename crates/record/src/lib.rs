@@ -22,8 +22,9 @@
 //! and [`RecordBatch`] — the unit in which the execution engine moves
 //! records between physical operators. Batches on the engine's hot scan
 //! and shuffle paths are stored column-major ([`columns`]): per-attribute
-//! value vectors with null masks, vectorized key-hash/compare kernels,
-//! and cheap [`columns::RowRef`] row views for row-at-a-time consumers.
+//! value vectors with null masks and vectorized key-hash/compare kernels.
+//! Row-at-a-time consumers read either layout through cheap [`RowRef`]
+//! row views ([`row`]).
 //!
 //! ## Null-as-absent convention
 //!
@@ -43,12 +44,14 @@ pub mod columns;
 pub mod dataset;
 pub mod hash;
 pub mod record;
+pub mod row;
 pub mod value;
 pub mod wire;
 
 pub use attr::{AttrId, AttrSet, GlobalRecord, Redirection};
 pub use batch::RecordBatch;
-pub use columns::{BatchBuilder, ColumnBatch, RowRef};
+pub use columns::{BatchBuilder, ColumnBatch};
 pub use dataset::DataSet;
 pub use record::Record;
+pub use row::{sort_canonical, RowRef};
 pub use value::Value;

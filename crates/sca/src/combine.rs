@@ -268,7 +268,7 @@ mod tests {
     use super::*;
     use strato_ir::interp::{Interp, Invocation, Layout};
     use strato_ir::FuncBuilder;
-    use strato_record::{Record, Value};
+    use strato_record::{Record, RowRef, Value};
 
     /// The canonical in-place aggregate: fold `op` over `field`, write the
     /// result back into `field`, pass the rest through.
@@ -502,9 +502,10 @@ mod tests {
             let rec = |k: i64, v: i64| Record::from_values([Value::Int(k), Value::Int(v)]);
             let group = vec![rec(3, 9), rec(3, -4), rec(3, 7), rec(3, 2)];
             let run = |g: &[Record]| -> Vec<Record> {
+                let views: Vec<RowRef<'_>> = g.iter().map(RowRef::from).collect();
                 let mut out = Vec::new();
                 interp
-                    .run(&f, Invocation::Group(g), &layout, &mut out)
+                    .run(&f, Invocation::Group(&views), &layout, &mut out)
                     .unwrap();
                 out
             };

@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use strato_ir::func::Function;
 use strato_ir::interp::{Interp, Invocation, Layout};
 use strato_ir::UdfKind;
-use strato_record::{Record, Value};
+use strato_record::{Record, RowRef, Value};
 
 /// Sampling configuration for probing.
 #[derive(Debug, Clone)]
@@ -171,12 +171,9 @@ pub fn probe_emit_counts(f: &Function, cfg: &ProbeConfig) -> (u64, u64) {
 
 fn invoke(f: &Function, layout: &Layout, recs: &[Record]) -> Vec<Record> {
     match f.kind() {
-        UdfKind::Map => run(f, layout, Invocation::Record(&recs[0])),
+        UdfKind::Map => run(f, layout, Invocation::Row(RowRef::from(&recs[0]))),
         UdfKind::Pair => run(f, layout, Invocation::Pair(&recs[0], &recs[1])),
-        UdfKind::Group => {
-            let g = vec![recs[0].clone()];
-            run(f, layout, Invocation::Group(&g))
-        }
+        UdfKind::Group => run(f, layout, Invocation::Group(&[RowRef::from(&recs[0])])),
         UdfKind::CoGroup => {
             let g = vec![recs[0].clone()];
             let h = vec![recs[1].clone()];

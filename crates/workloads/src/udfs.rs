@@ -185,14 +185,18 @@ pub fn tag_if_contains(
 mod tests {
     use super::*;
     use strato_ir::interp::{Interp, Invocation, Layout};
-    use strato_record::{Record, Value};
+    use strato_record::{Record, RowRef, Value};
     use strato_sca::analyze;
+
+    fn views(g: &[Record]) -> Vec<RowRef<'_>> {
+        g.iter().map(RowRef::from).collect()
+    }
 
     fn run_map(f: &Function, rec: Record) -> Vec<Record> {
         let layout = Layout::local(f);
         let mut out = Vec::new();
         Interp::default()
-            .run(f, Invocation::Record(&rec), &layout, &mut out)
+            .run(f, Invocation::Row(RowRef::from(&rec)), &layout, &mut out)
             .unwrap();
         out
     }
@@ -228,7 +232,7 @@ mod tests {
         ];
         let mut out = Vec::new();
         Interp::default()
-            .run(&f, Invocation::Group(&g), &layout, &mut out)
+            .run(&f, Invocation::Group(&views(&g)), &layout, &mut out)
             .unwrap();
         assert_eq!(out[0].field(2), &Value::Int(10));
         let p = analyze(&f);
@@ -258,7 +262,7 @@ mod tests {
         ];
         let mut out = Vec::new();
         Interp::default()
-            .run(&f, Invocation::Group(&g), &layout, &mut out)
+            .run(&f, Invocation::Group(&views(&g)), &layout, &mut out)
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].field(0), &Value::Int(1));
@@ -276,7 +280,7 @@ mod tests {
         ];
         let mut out = Vec::new();
         Interp::default()
-            .run(&f, Invocation::Group(&g), &layout, &mut out)
+            .run(&f, Invocation::Group(&views(&g)), &layout, &mut out)
             .unwrap();
         assert_eq!(out[0].field(3), &Value::Int(1400));
     }

@@ -1,12 +1,18 @@
 //! Property tests for the columnar batch layout: row ↔ columnar
 //! round-trip identity and agreement of the vectorized key kernels
 //! (`key_hash_into` / `key_cmp_record`) with the row-oriented reference
-//! path (`FxHasher` over `Value::hash`, field-wise `Value::cmp`).
+//! path (`FxHasher` over `Value::hash`, field-wise `Value::cmp`); and
+//! agreement of the row-view kernels (`RowRef::key_cmp`, `RowRef::cmp`,
+//! `sort_canonical`) with the materialized records, over columnar rows
+//! and ragged row-major records alike.
 
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use strato::record::hash::FxHasher;
-use strato::record::{BatchBuilder, ColumnBatch, Record, RecordBatch, Value};
+use strato::record::{
+    sort_canonical, BatchBuilder, ColumnBatch, Record, RecordBatch, RowRef, Value,
+};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -37,6 +43,52 @@ fn arb_rows() -> impl Strategy<Value = (usize, Vec<Record>)> {
                 .collect();
             (width, rows)
         })
+}
+
+/// Values from a small domain — including NaN and −0.0 — so rows tie on
+/// keys and on whole prefixes.
+fn arb_tied_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        (0i64..3).prop_map(Value::Int),
+        (0usize..4).prop_map(|i| Value::Float([0.0, -0.0, f64::NAN, 1.5][i])),
+        (0usize..3).prop_map(|i| Value::str(["", "a", "ab"][i])),
+    ]
+}
+
+/// Row views of both layouts: a columnar batch of `width`-wide rows and
+/// ragged row-major records, over full-domain and tied values (typed,
+/// null-masked and `Mixed` columns alike).
+fn arb_views() -> impl Strategy<Value = (usize, Vec<Record>, Vec<Record>)> {
+    let value = || prop_oneof![arb_value(), arb_tied_value(), arb_tied_value()];
+    let rows = || prop::collection::vec(prop::collection::vec(value(), 0..6), 0..14);
+    (0usize..5, rows(), rows()).prop_map(|(width, wide, ragged)| {
+        let wide = wide
+            .into_iter()
+            .map(|mut vals| {
+                vals.resize(width, Value::Null);
+                Record::new(vals)
+            })
+            .collect();
+        (width, wide, ragged.into_iter().map(Record::new).collect())
+    })
+}
+
+/// The columnar rows of `cb`, then views of the `ragged` records.
+fn views<'a>(cb: &'a ColumnBatch, ragged: &'a [Record]) -> Vec<RowRef<'a>> {
+    (0..cb.len())
+        .map(|i| cb.row(i))
+        .chain(ragged.iter().map(RowRef::from))
+        .collect()
+}
+
+/// The reference key order: field-wise `Value::cmp`.
+fn value_key_cmp(a: &Record, b: &Record, keys: &[usize]) -> Ordering {
+    keys.iter()
+        .map(|&k| a.field(k).cmp(b.field(k)))
+        .find(|o| !o.is_eq())
+        .unwrap_or(Ordering::Equal)
 }
 
 /// Key column indices clamped into `0..width` (empty when `width == 0`).
@@ -76,7 +128,7 @@ proptest! {
         // Per-row materialization and cell access agree too.
         for (i, r) in rows.iter().enumerate() {
             prop_assert_eq!(&cb.row_record(i), r);
-            prop_assert!(cb.row_eq_record(i, r));
+            prop_assert!(cb.row(i) == RowRef::from(r));
             for c in 0..width {
                 prop_assert_eq!(&cb.value_at(i, c), r.field(c));
             }
@@ -138,6 +190,53 @@ proptest! {
         for (i, r) in rows.iter().enumerate() {
             prop_assert_eq!(lens[i], r.encoded_len());
         }
+    }
+
+    #[test]
+    fn row_view_key_cmp_agrees_with_key_cmp_record_and_value_order(
+        (width, wide, ragged) in arb_views(),
+        keys in prop::collection::vec(0usize..6, 0..4),
+    ) {
+        // Keys past a row's arity read null, as `Record::field` does.
+        let cb = build(width, &wide);
+        let all: Vec<Record> = wide.iter().chain(&ragged).cloned().collect();
+        let vs = views(&cb, &ragged);
+        for (a, va) in vs.iter().enumerate() {
+            for (b, vb) in vs.iter().enumerate() {
+                let want = value_key_cmp(&all[a], &all[b], &keys);
+                prop_assert!(va.key_cmp(vb, &keys) == want, "rows {} vs {}", a, b);
+                if a < wide.len() {
+                    prop_assert_eq!(cb.key_cmp_record(a, &all[b], &keys), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_view_cmp_agrees_with_record_cmp((width, wide, ragged) in arb_views()) {
+        let cb = build(width, &wide);
+        let all: Vec<Record> = wide.iter().chain(&ragged).cloned().collect();
+        let vs = views(&cb, &ragged);
+        for (a, va) in vs.iter().enumerate() {
+            prop_assert_eq!(&va.to_record(), &all[a]);
+            for (b, vb) in vs.iter().enumerate() {
+                prop_assert!(va.cmp(vb) == all[a].cmp(&all[b]), "rows {} vs {}", a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn sort_canonical_agrees_with_sorting_records(
+        (width, wide, ragged) in arb_views(),
+        keys in prop::collection::vec(0usize..6, 0..4),
+    ) {
+        let cb = build(width, &wide);
+        let mut vs = views(&cb, &ragged);
+        sort_canonical(&mut vs, &keys);
+        let got: Vec<Record> = vs.iter().map(RowRef::to_record).collect();
+        let mut want: Vec<Record> = wide.into_iter().chain(ragged.iter().cloned()).collect();
+        want.sort_by(|a, b| value_key_cmp(a, b, &keys).then_with(|| a.cmp(b)));
+        prop_assert_eq!(got, want);
     }
 
     #[test]

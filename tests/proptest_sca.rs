@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use strato::ir::interp::{Interp, Invocation, Layout};
 use strato::ir::{BinOp, FuncBuilder, Function, UdfKind, UnOp};
-use strato::record::{Record, Value};
+use strato::record::{Record, RowRef, Value};
 use strato::sca::probe::{probe_emit_counts, probe_read_set, probe_write_set, ProbeConfig};
 use strato::sca::{analyze, LocalProps};
 
@@ -155,7 +155,7 @@ proptest! {
         let rec = Record::from_values(fields.into_iter().map(Value::Int));
         let mut out = Vec::new();
         let stats = Interp::default()
-            .run(&f, Invocation::Record(&rec), &layout, &mut out)
+            .run(&f, Invocation::Row(RowRef::from(&rec)), &layout, &mut out)
             .expect("interpreter must be total");
         prop_assert_eq!(stats.emits as usize, out.len());
         // Emitted records are always full global width.
