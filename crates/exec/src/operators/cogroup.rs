@@ -1,16 +1,17 @@
 //! The CoGroup operator: sort-merge co-grouping over both key domains.
 
-use super::{take_records, OpCtx, Operator};
+use super::{OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::{next_key_groups, RunBuffer};
 use std::sync::Arc;
 use strato_ir::interp::Invocation;
-use strato_record::RecordBatch;
+use strato_record::{Record, RecordBatch, RowRef};
 
-/// Blocking CoGroup: buffers each input in a `RunBuffer` (null keys are
-/// kept — they group like any other key) and, at `finish`, walks the two
-/// buffers' key-group streams in lock-step. One UDF invocation per key of
-/// the *combined* active domain — a key present on only one side still
+/// Blocking CoGroup: holds the batches each input is sent in a `RunBuffer`
+/// (null keys are kept — they group like any other key) and, at
+/// `finish`, walks the two buffers' key-group streams in lock-step. One
+/// UDF invocation per key of the *combined* active domain, each group
+/// handed over as row views — a key present on only one side still
 /// forms a group, with an empty slice for the absent side.
 ///
 /// Under memory pressure both sides shed to sorted runs; the walk merges
@@ -38,7 +39,7 @@ impl Operator for CoGroupOp {
         batch: Arc<RecordBatch>,
         _out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
-        self.sides[port].push(take_records(batch));
+        self.sides[port].push_batch(batch);
         if self.ctx.gov.over_budget() {
             for side in &mut self.sides {
                 side.spill()?;
@@ -54,12 +55,13 @@ impl Operator for CoGroupOp {
         let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
         let mut emitted = Vec::new();
         let mut left_keys = 0u64;
+        fn views(g: &Option<Vec<Record>>) -> Vec<RowRef<'_>> {
+            g.iter().flatten().map(RowRef::from).collect()
+        }
         while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
             left_keys += lg.is_some() as u64;
-            self.ctx.call(
-                Invocation::CoGroup(lg.as_deref().unwrap_or(&[]), rg.as_deref().unwrap_or(&[])),
-                &mut emitted,
-            )?;
+            let (lv, rv) = (views(&lg), views(&rg));
+            self.ctx.call(Invocation::CoGroup(&lv, &rv), &mut emitted)?;
         }
         if self.ctx.stats.detail() {
             // Profiling observation: distinct input-0 keys (the left groups

@@ -6,10 +6,11 @@ use std::sync::Arc;
 use strato_ir::interp::Invocation;
 use strato_record::RecordBatch;
 
-/// Blocking Cartesian product: buffers both sides as shared batches and
-/// pairs every left record with every right record at `finish`. Batches
-/// double as the blocks of the nested loop — the inner side is scanned
-/// once per outer *record*, batch by batch, entirely over borrowed data.
+/// Blocking Cartesian product: buffers both sides as shared batches, in
+/// either layout, and pairs every left row with every right row at
+/// `finish`. Batches double as the blocks of the nested loop — the inner
+/// side is scanned once per outer *row*, batch by batch, entirely over
+/// row views.
 pub struct CrossOp {
     ctx: OpCtx,
     sides: [Vec<Arc<RecordBatch>>; 2],
@@ -31,19 +32,19 @@ impl Operator for CrossOp {
         batch: Arc<RecordBatch>,
         _out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
-        // The nested loop borrows `&Record`s; columnar input materializes
-        // to rows once at push time.
-        self.sides[port].push(super::rows_arc(batch));
+        self.sides[port].push(batch);
         Ok(())
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
         let mut emitted = Vec::new();
         for lb in &self.sides[0] {
-            for l in lb.iter() {
+            for i in 0..lb.len() {
+                let l = lb.row(i);
                 for rb in &self.sides[1] {
-                    for r in rb.iter() {
-                        self.ctx.call(Invocation::Pair(l, r), &mut emitted)?;
+                    for j in 0..rb.len() {
+                        self.ctx
+                            .call(Invocation::Pair(l, rb.row(j)), &mut emitted)?;
                     }
                 }
             }

@@ -1,145 +1,138 @@
-//! The Match operator: equi-join by in-memory hash join, or by one
-//! sort-merge walk over two governed `RunBuffer`s.
+//! The Match operator: equi-join by in-memory hash join over the
+//! batches it is sent, or by one sort-merge walk; each side is one
+//! governed `RunBuffer`.
 
-use super::{key_cmp, key_cmp2, key_has_null, key_hash, take_records, OpCtx, Operator};
+use super::{OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::{next_key_groups, RunBuffer};
 use std::sync::Arc;
 use strato_core::LocalStrategy;
 use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
-use strato_record::{Record, RecordBatch};
+use strato_record::{Record, RecordBatch, RowRef};
 
-/// Blocking equi-join: buffers both sides as shared batches and joins at
-/// `finish`. Null join keys match nothing (SQL flavour).
+/// Blocking equi-join: buffers both sides and joins at `finish`. Null join
+/// keys match nothing (SQL flavour).
 ///
-/// Arriving batches are buffered as-is — never deep-copied — which makes
-/// a broadcast build side genuinely zero-copy per partition, and the hash
-/// joins run over *borrowed* records.
-///
-/// Both sides register with the [`MemoryGovernor`]: under pressure each
-/// side's uniquely held batches move into that side's null-dropping
-/// `RunBuffer` and are shed as a key-sorted run. There is one sort-based
-/// finish — move what is still buffered into the two run buffers and walk
-/// their key-group streams in lock-step, pairing matching groups — serving
-/// [`LocalStrategy::SortMergeJoin`] always and the hash strategies once
-/// pressure shed anything. Pair order then differs from a hash join's probe
-/// order, but the output *bag* — the engine's equivalence contract for
-/// joins — is identical.
-///
-/// [`MemoryGovernor`]: crate::spill::MemoryGovernor
+/// Each side lives in a null-dropping `RunBuffer` that holds the batches
+/// it is pushed as they arrived, in either layout and never deep-copied,
+/// so a broadcast build side stays one allocation shared by every
+/// partition. Under pressure each buffer sheds its uniquely held batches
+/// as a key-sorted run. A hash join that never spilled reads the held
+/// batches in place, as row views. There is one sort-based finish —
+/// drain both buffers and walk their key-group streams in lock-step,
+/// pairing matching groups — serving [`LocalStrategy::SortMergeJoin`]
+/// always and the hash strategies once pressure shed anything. Pair order
+/// then differs from a hash join's probe order, but the output *bag* —
+/// the engine's equivalence contract for joins — is identical.
 pub struct MatchOp {
     /// A hash join or `SortMergeJoin` (see [`super::build`]).
     strategy: LocalStrategy,
     ctx: OpCtx,
-    /// Buffered batches per side, each with the bytes it was granted for
-    /// (a shared broadcast batch is charged a per-holder share, see
-    /// [`Operator::push`]).
-    sides: [Vec<(Arc<RecordBatch>, u64)>; 2],
-    /// Per side: what left `sides` for the sort-based finish.
+    /// Per side: the join key as plain column indices (the row-view
+    /// kernels' form of `key_attrs`).
+    keys: [Vec<usize>; 2],
     bufs: [RunBuffer; 2],
 }
 
 impl MatchOp {
     pub(crate) fn new(strategy: LocalStrategy, ctx: OpCtx) -> Self {
+        let key = |s: usize| ctx.op().key_attrs[s].iter().map(|k| k.index()).collect();
         let buf = |s: usize| RunBuffer::new(ctx.clone(), s, true);
         MatchOp {
             strategy,
-            sides: [Vec::new(), Vec::new()],
+            keys: [key(0), key(1)],
             bufs: [buf(0), buf(1)],
             ctx,
-        }
-    }
-
-    /// Moves one side's buffered batches — only the **uniquely held**
-    /// ones when `unique_only` — into its run buffer.
-    ///
-    /// Batches still shared with other partitions (a broadcast build side)
-    /// are not worth spilling: a deep copy on disk would free no memory —
-    /// the allocation lives until every holder drops it — while
-    /// multiplying disk writes by the fan-out. A kept batch becomes
-    /// spillable once the other partitions release theirs.
-    fn move_to_buffer(&mut self, side: usize, unique_only: bool) {
-        for (b, charge) in std::mem::take(&mut self.sides[side]) {
-            if unique_only && Arc::strong_count(&b) > 1 {
-                self.sides[side].push((b, charge));
-            } else {
-                self.ctx.gov.release(charge);
-                self.bufs[side].push(take_records(b));
-            }
         }
     }
 
     /// The sort-based finish: lock-step walk over both sides' key-group
     /// streams, one UDF call per pair of each matching group.
     fn merge_join(&mut self, emitted: &mut Vec<Record>) -> Result<(), ExecError> {
-        for side in 0..2 {
-            self.move_to_buffer(side, false);
-        }
         let op = self.ctx.op();
         let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
-        let [left, right] = &mut self.bufs;
-        // Distinct input-0 keys, with nulls counted as one key (the
-        // profiler's rule — the join itself dropped them on entry).
-        let mut left_keys = left.saw_null_key() as u64;
-        let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
-        while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
-            left_keys += lg.is_some() as u64;
-            if let (Some(lg), Some(rg)) = (lg, rg) {
-                for a in &lg {
-                    for b in &rg {
-                        self.ctx.call(Invocation::Pair(a, b), emitted)?;
+        let mut left_keys = 0u64;
+        {
+            let [left, right] = &mut self.bufs;
+            let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
+            while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
+                left_keys += lg.is_some() as u64;
+                if let (Some(lg), Some(rg)) = (lg, rg) {
+                    for a in &lg {
+                        for b in &rg {
+                            let pair = Invocation::Pair(RowRef::from(a), RowRef::from(b));
+                            self.ctx.call(pair, emitted)?;
+                        }
                     }
                 }
             }
         }
         if self.ctx.stats.detail() {
+            // Distinct input-0 keys, with nulls counted as one key (the
+            // profiler's rule — the buffer dropped them).
+            left_keys += self.bufs[0].saw_null_key() as u64;
             self.ctx
                 .stats
                 .add_op_distinct_keys(self.ctx.op_id, left_keys);
         }
         Ok(())
     }
-}
 
-/// Hash join over borrowed records. `build_is_left` fixes which input is
-/// the build side; probe order follows the probe side's arrival order.
-/// Buckets verify key equality exactly, so hash collisions cannot produce
-/// false matches.
-fn hash_join(
-    ctx: &OpCtx,
-    left: &[&Record],
-    right: &[&Record],
-    build_is_left: bool,
-    out: &mut Vec<Record>,
-) -> Result<(), ExecError> {
-    let op = ctx.op();
-    let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
-    let (build, probe, kb, kp) = if build_is_left {
-        (left, right, kl, kr)
-    } else {
-        (right, left, kr, kl)
-    };
-    let mut table: FxHashMap<u64, Vec<&Record>> = FxHashMap::default();
-    for &r in build {
-        if !key_has_null(r, kb) {
-            table.entry(key_hash(r, kb)).or_default().push(r);
+    /// Hash join over row views of the held batches (`sides[s]` is input
+    /// `s`). The build side is hashed in arrival order and probed in the
+    /// probe side's arrival order. Buckets verify key equality exactly,
+    /// so hash collisions cannot produce false matches.
+    fn hash_join(
+        &self,
+        sides: &[Vec<Arc<RecordBatch>>; 2],
+        out: &mut Vec<Record>,
+    ) -> Result<(), ExecError> {
+        if self.ctx.stats.detail() {
+            // Profiling observation: distinct input-0 keys (nulls count as
+            // one key, matching the runtime profiler's historic rule —
+            // unlike the join itself, which drops null keys).
+            let kl = &self.keys[0];
+            let rows = sides[0].iter().flat_map(|b| (0..b.len()).map(|i| b.row(i)));
+            let mut left: Vec<RowRef<'_>> = rows.collect();
+            left.sort_unstable_by(|a, b| a.key_cmp(b, kl));
+            left.dedup_by(|a, b| a.key_cmp(b, kl).is_eq());
+            let n = left.len() as u64;
+            self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, n);
         }
-    }
-    for &p in probe {
-        if key_has_null(p, kp) {
-            continue;
-        }
-        if let Some(bucket) = table.get(&key_hash(p, kp)) {
-            for &b in bucket {
-                if key_cmp2(b, kb, p, kp).is_eq() {
-                    let (l, r) = if build_is_left { (b, p) } else { (p, b) };
-                    ctx.call(Invocation::Pair(l, r), out)?;
+        let build_is_left = self.strategy == LocalStrategy::HashJoinBuildLeft;
+        let (build, probe) = if build_is_left { (0, 1) } else { (1, 0) };
+        let (kb, kp) = (&self.keys[build], &self.keys[probe]);
+        let mut table: FxHashMap<u64, Vec<RowRef<'_>>> = FxHashMap::default();
+        let mut hashes = Vec::new();
+        for batch in &sides[build] {
+            batch.key_hash_into(kb, &mut hashes);
+            for (i, &h) in hashes.iter().enumerate() {
+                let row = batch.row(i);
+                if !row.key_has_null(kb) {
+                    table.entry(h).or_default().push(row);
                 }
             }
         }
+        // No build row has a null key field, so a null-keyed probe row
+        // equals none of them.
+        for batch in &sides[probe] {
+            batch.key_hash_into(kp, &mut hashes);
+            for (i, h) in hashes.iter().enumerate() {
+                let Some(bucket) = table.get(h) else {
+                    continue;
+                };
+                let p = batch.row(i);
+                for &b in bucket {
+                    if b.key_cmp2(kb, &p, kp).is_eq() {
+                        let (l, r) = if build_is_left { (b, p) } else { (p, b) };
+                        self.ctx.call(Invocation::Pair(l, r), out)?;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 impl Operator for MatchOp {
@@ -149,29 +142,10 @@ impl Operator for MatchOp {
         batch: Arc<RecordBatch>,
         _out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
-        // The join algorithms borrow `&Record`s from buffered batches, so
-        // columnar input materializes to rows here (before the governor
-        // charge — the normalized batch is the one buffered and spilled).
-        let batch = super::rows_arc(batch);
-        let mut charge = 0u64;
-        if self.ctx.gov.bounded() {
-            // A broadcast build side is one `Arc`-shared allocation held by
-            // every partition: charge each holder its share rather than the
-            // full size `dop` times, so a side that genuinely fits resident
-            // memory once is not over-counted into spilling. `div_ceil`
-            // keeps every non-empty batch's charge positive (truncation
-            // would let high fan-outs register as zero bytes); the shares
-            // then sum to at least one full charge. Forward/partition
-            // batches are unshared and charge in full.
-            let share = Arc::strong_count(&batch).max(1) as u64;
-            charge = (batch.encoded_len() as u64).div_ceil(share);
-            self.ctx.gov.grant(charge);
-        }
-        self.sides[port].push((batch, charge));
+        self.bufs[port].push_batch(batch);
         if self.ctx.gov.over_budget() {
-            for side in 0..2 {
-                self.move_to_buffer(side, true);
-                self.bufs[side].spill()?;
+            for buf in &mut self.bufs {
+                buf.spill()?;
             }
         }
         Ok(())
@@ -179,33 +153,20 @@ impl Operator for MatchOp {
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
         let mut emitted = Vec::new();
-        // A buffer that was fed holds part of its side, even when every
-        // record it was handed had a null key and nothing reached disk.
-        let fed = |b: &RunBuffer| b.spilled() || b.saw_null_key();
-        if self.strategy == LocalStrategy::SortMergeJoin || self.bufs.iter().any(fed) {
+        // A buffer that shed anything holds part of its side, even when
+        // every row it shed had a null key and nothing reached disk.
+        let shed = |b: &RunBuffer| b.spilled() || b.saw_null_key();
+        if self.strategy == LocalStrategy::SortMergeJoin || self.bufs.iter().any(shed) {
             self.merge_join(&mut emitted)?;
-            self.ctx.emit(emitted, out);
-            return Ok(());
+        } else {
+            let [left, right] = &mut self.bufs;
+            let sides = [left.take_batches(), right.take_batches()];
+            self.hash_join(&sides, &mut emitted)?;
+            drop(sides);
+            for buf in &mut self.bufs {
+                buf.release();
+            }
         }
-        let left: Vec<&Record> = self.sides[0].iter().flat_map(|(b, _)| b.iter()).collect();
-        let right: Vec<&Record> = self.sides[1].iter().flat_map(|(b, _)| b.iter()).collect();
-        if self.ctx.stats.detail() {
-            // Profiling observation: distinct input-0 keys (nulls count as
-            // one key, matching the runtime profiler's historic rule —
-            // unlike the join itself, which drops null keys).
-            let kl = &self.ctx.op().key_attrs[0];
-            let mut refs = left.clone();
-            refs.sort_unstable_by(|a, b| key_cmp(a, b, kl));
-            refs.dedup_by(|a, b| key_cmp(a, b, kl).is_eq());
-            let n = refs.len() as u64;
-            self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, n);
-        }
-        let build_is_left = self.strategy == LocalStrategy::HashJoinBuildLeft;
-        hash_join(&self.ctx, &left, &right, build_is_left, &mut emitted)?;
-        let charged = self.sides.iter_mut().flat_map(|s| s.drain(..));
-        self.ctx
-            .gov
-            .release(charged.map(|(_, charge)| charge).sum());
         self.ctx.emit(emitted, out);
         Ok(())
     }
@@ -219,11 +180,18 @@ mod tests {
     use crate::stats::ExecStats;
     use crate::testutil::ctx;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
-    use strato_ir::{FuncBuilder, UdfKind};
+    use strato_ir::{FuncBuilder, Intrinsic, UdfKind};
     use strato_record::{DataSet, Value};
 
+    /// `l(k, v) ⋈ r(k2)` on `k = k2`, concatenating each pair.
     fn join_plan() -> Plan {
+        join_plan_with(|_| {})
+    }
+
+    /// [`join_plan`] with `before` run at the top of the Pair UDF.
+    fn join_plan_with(before: impl FnOnce(&mut FuncBuilder)) -> Plan {
         let mut b = FuncBuilder::new("join", UdfKind::Pair, vec![2, 1]);
+        before(&mut b);
         let or = b.concat_inputs();
         b.emit(or);
         b.ret();
@@ -251,39 +219,78 @@ mod tests {
             wide(&plan, 0, left),
             wide(&plan, 1, &[&[2], &[2], &[3], &[7]]),
         ];
-        let build_left = LocalStrategy::HashJoinBuildLeft;
+        let run = |strategy, chunk, layout, budget| {
+            let stats = Arc::new(ExecStats::with_ops(1));
+            let gov = Arc::new(MemoryGovernor::with_budget(budget));
+            let out = apply_chunked(strategy, &sides, chunk, layout, ctx(&plan, &stats, &gov));
+            (out.unwrap(), stats.totals().spill_runs)
+        };
+        let (reference, _) = run(LocalStrategy::HashJoinBuildLeft, 8, BatchLayout::Rows, None);
+        assert_eq!(reference.len(), 5, "2 × 2 pairs on key 2, one on key 3");
+        let reference = DataSet::from_records(reference);
 
-        let (s_ref, g_ref) = (
-            Arc::new(ExecStats::new()),
-            Arc::new(MemoryGovernor::unbounded()),
-        );
-        let reference = apply_chunked(
-            build_left,
-            &sides,
-            8,
-            BatchLayout::Rows,
-            ctx(&plan, &s_ref, &g_ref),
-        )
-        .unwrap();
+        for strategy in [
+            LocalStrategy::HashJoinBuildLeft,
+            LocalStrategy::HashJoinBuildRight,
+            LocalStrategy::SortMergeJoin,
+        ] {
+            let (in_rows, _) = run(strategy, 2, BatchLayout::Rows, None);
+            for layout in BatchLayout::ALL {
+                // In memory, each strategy emits one sequence whatever the
+                // layout it is sent.
+                let (got, spills) = run(strategy, 2, layout, None);
+                assert_eq!(got, in_rows, "{strategy:?} over {layout:?}");
+                assert_eq!(spills, 0);
+                // One record per batch under a 32-byte budget: the
+                // operator spills both sides and joins by the sort-merge
+                // walk.
+                let (got, spills) = run(strategy, 1, layout, Some(32));
+                assert_eq!(
+                    DataSet::from_records(got),
+                    reference,
+                    "{strategy:?} over {layout:?}: the sort-merge walk must \
+                     reproduce the hash-join bag"
+                );
+                assert!(spills > 0, "tiny budget must spill");
+            }
+        }
+    }
 
-        // One record per batch under a 32-byte budget: the operator spills
-        // both sides and joins by the sort-merge walk.
-        let stats = Arc::new(ExecStats::with_ops(1));
-        let gov = Arc::new(MemoryGovernor::with_budget(Some(32)));
-        let got = apply_chunked(
-            build_left,
-            &sides,
-            1,
-            BatchLayout::Rows,
-            ctx(&plan, &stats, &gov),
-        )
-        .unwrap();
-        assert_eq!(
-            DataSet::from_records(got),
-            DataSet::from_records(reference),
-            "the sort-merge walk must reproduce the hash-join bag"
-        );
-        assert!(stats.totals().spill_runs > 0, "tiny budget must spill");
+    #[test]
+    fn a_failed_join_returns_its_own_grant() {
+        // The Pair UDF aborts in `finish`, after both sides were buffered
+        // under a bounded governor. Dropping the failed operator must
+        // return every byte it was granted while the governor lives on.
+        let plan = join_plan_with(|b| {
+            let v = b.get_input(0, 1);
+            b.call(Intrinsic::AbortIf, vec![v]);
+        });
+        let left = wide(&plan, 0, &[&[2, 20], &[3, 30]]);
+        let right = wide(&plan, 1, &[&[2], &[3]]);
+        for strategy in [
+            LocalStrategy::HashJoinBuildLeft,
+            LocalStrategy::HashJoinBuildRight,
+            LocalStrategy::SortMergeJoin,
+        ] {
+            let stats = Arc::new(ExecStats::with_ops(1));
+            let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 20)));
+            let mut join = MatchOp::new(strategy, ctx(&plan, &stats, &gov));
+            join.open().unwrap();
+            let mut out = Vec::new();
+            for (port, rows) in [&left, &right].into_iter().enumerate() {
+                let batch = Arc::new(RecordBatch::from_records(rows.clone()));
+                join.push(port, batch, &mut out).unwrap();
+            }
+            assert!(gov.resident() > 0, "both sides are charged");
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let finished =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| join.finish(&mut out)));
+            std::panic::set_hook(prev);
+            assert!(finished.is_err(), "{strategy:?}: abort_if must trip");
+            drop(join);
+            assert_eq!(gov.resident(), 0, "{strategy:?} kept a grant");
+        }
     }
 
     #[test]

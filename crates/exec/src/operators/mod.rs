@@ -19,18 +19,20 @@
 //!    output.
 //!
 //! Batches are shared as `Arc<RecordBatch>`: a broadcast ship hands the
-//! same allocation to every partition. Reduce keeps the batches it is
-//! pushed and groups row views of them ([`strato_record::RowRef`]);
-//! operators that need owned records call `take_records`, which moves
-//! when the operator holds the last reference and clones only when the
-//! batch is genuinely shared.
+//! same allocation to every partition. Blocking operators hold the
+//! batches they are pushed, in whatever layout they arrived, and hand
+//! UDFs row views of them ([`strato_record::RowRef`]). Batches become
+//! owned records (`take_records`) only where a buffer spills or drains:
+//! moved when it holds the last reference, cloned only when the batch is
+//! genuinely shared.
 //!
 //! ## Key handling
 //!
 //! Key extraction never clones `Value`s on the hot path: comparisons go
-//! through `key_cmp`/`key_cmp2` (field-by-field, allocation-free) and
-//! hash tables are keyed by `key_hash` (a 64-bit FxHash of the key
-//! fields) with exact-equality verification per bucket entry, so hash
+//! through `key_cmp`/`key_cmp2` or their row-view forms (field-by-field,
+//! allocation-free) and hash tables are keyed by a 64-bit FxHash of the
+//! key fields (`RecordBatch::key_hash_into` per batch, `key_hash` per
+//! record) with exact-equality verification per bucket entry, so hash
 //! collisions cannot merge distinct keys.
 
 pub mod cogroup;
@@ -199,19 +201,6 @@ pub(crate) fn take_records(batch: Arc<RecordBatch>) -> Vec<Record> {
     match Arc::try_unwrap(batch) {
         Ok(b) => b.into_records(),
         Err(shared) => shared.to_records(),
-    }
-}
-
-/// Normalizes a batch to row representation for operators that buffer
-/// shared batches and join over *borrowed* records (Match, Cross).
-/// Columnar batches are materialized once at push time (moving the columns
-/// when this is the last reference); row batches pass through untouched,
-/// so broadcast sharing of row batches stays zero-copy.
-pub(crate) fn rows_arc(batch: Arc<RecordBatch>) -> Arc<RecordBatch> {
-    if batch.columns().is_some() {
-        Arc::new(RecordBatch::from_records(take_records(batch)))
-    } else {
-        batch
     }
 }
 

@@ -1,15 +1,14 @@
 //! The Reduce operator: hash or sort grouping over one governed
 //! `RunBuffer` that holds the batches Reduce is pushed, as they arrived.
 //!
-//! The hash finish groups those batches in place: it hashes each
-//! columnar batch's key column in one pass (`key_hash_into`, each
-//! row-major record with `key_hash`), buckets and canonically sorts *row
+//! The hash finish groups those batches in place: it hashes each batch's
+//! key in one pass (`key_hash_into`), buckets and canonically sorts *row
 //! views* of either layout, and hands each group to the interpreter as
 //! views — a record materializes only where the UDF copies one (one per
 //! group for a first-of-group UDF). Batches become records only when the
 //! buffer spills or the sort-based finish drains it.
 
-use super::{key_hash, OpCtx, Operator};
+use super::{OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::RunBuffer;
 use std::sync::Arc;
@@ -62,19 +61,11 @@ impl ReduceOp {
         out: &mut Vec<Record>,
     ) -> Result<u64, ExecError> {
         let key = &self.key;
-        // Bucket every row's view by key hash: one pass over the key
-        // column per columnar batch, record by record otherwise.
+        // Bucket every row's view by key hash, one pass per batch.
         let mut table: FxHashMap<u64, Vec<RowRef<'_>>> = FxHashMap::default();
         let mut hashes = Vec::new();
         for b in batches {
-            match b.columns() {
-                Some(cb) => cb.key_hash_into(key, &mut hashes),
-                None => {
-                    let key_attrs = &self.ctx.op().key_attrs[0];
-                    hashes.clear();
-                    hashes.extend(b.records().iter().map(|r| key_hash(r, key_attrs)));
-                }
-            }
+            b.key_hash_into(key, &mut hashes);
             for (row, &h) in hashes.iter().enumerate() {
                 table.entry(h).or_default().push(b.row(row));
             }

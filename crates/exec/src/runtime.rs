@@ -613,9 +613,9 @@ mod tests {
     #[test]
     fn failed_join_returns_its_memory_and_leaves_the_runtime_usable() {
         // The join's Pair UDF aborts in `finish`, after both sides were
-        // buffered under hand-rolled governor charges that the failed
-        // operator never releases: the governor's drop must square the
-        // pool's resident gauge and the grant must return.
+        // buffered in governed run buffers: the failed operator's buffers
+        // release their charges as they drop, and the query's grant must
+        // return to the pool.
         let mut p = ProgramBuilder::new();
         let l = p.source(SourceDef::new("l", &["k", "v"], 64));
         let r = p.source(SourceDef::new("r", &["k2"], 64));

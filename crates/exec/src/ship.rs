@@ -250,10 +250,6 @@ impl Router {
                 }
             }
             Router::Broadcast { first, dop, op } => {
-                // A columnar batch is materialized to rows **once** here so
-                // every consumer shares the same row allocation — joins
-                // borrow records from broadcast build sides zero-copy.
-                let batch = crate::operators::rows_arc(batch);
                 // `dop - 1` remote copies: a partition does not ship to
                 // itself.
                 let copies = dop.saturating_sub(1) as u64;
@@ -334,7 +330,10 @@ mod tests {
 
     fn flat(out: &Outbound) -> Vec<(usize, Vec<i64>)> {
         out.iter()
-            .map(|(c, b)| (*c, b.iter().map(|r| r.field(0).as_int().unwrap()).collect()))
+            .map(|(c, b)| {
+                let ints = b.records().iter().map(|r| r.field(0).as_int().unwrap());
+                (*c, ints.collect())
+            })
             .collect()
     }
 

@@ -12,8 +12,7 @@ use strato_record::{AttrId, Record, RecordBatch};
 /// rows, and batches held as they were pushed — the bytes granted for
 /// it, and the sorted runs already shed to disk.
 ///
-/// This is the only place operator state meets the spill files, and —
-/// Match's zero-copy batches aside — the
+/// This is the only place operator state meets the spill files and the
 /// [`MemoryGovernor`](crate::spill::MemoryGovernor):
 /// [`push`](RunBuffer::push) and [`push_batch`](RunBuffer::push_batch)
 /// grant, [`spill`](RunBuffer::spill) writes a run and releases, and
@@ -23,24 +22,29 @@ use strato_record::{AttrId, Record, RecordBatch};
 /// that did. Held batches stay in whatever layout they arrived in until
 /// a spill or that finish needs them as records; an in-memory (hash)
 /// finish reads them in place ([`take_batches`](RunBuffer::take_batches)).
-/// Whatever is still granted returns to the governor on drop (failed
-/// spill, aborted query, early exit from a walk).
+/// A batch still shared with other partitions (a broadcast side) is
+/// never spilled: a copy on disk would free no memory — the allocation
+/// lives until every holder drops it — while multiplying disk writes by
+/// the fan-out. It stays resident, charged this holder's share, until the
+/// finish. Whatever is still granted returns to the governor on drop
+/// (failed spill, aborted query, early exit from a walk).
 pub(crate) struct RunBuffer {
     /// The owning operator's context: its governor, its stats slot and,
     /// through `side`, the key this input is sorted and grouped on.
     ctx: OpCtx,
     /// Which input of the operator this is (`key_attrs[side]`).
     side: usize,
-    /// Join flavour: null-keyed records match nothing, so they are dropped
-    /// on entry (and remembered in `saw_null_key`). Grouping buffers keep
-    /// them — null keys group like any other key.
+    /// Join flavour: null-keyed rows match nothing, so they are dropped
+    /// where buffered rows are sorted — in `spill` and `drain_groups` —
+    /// and remembered in `saw_null_key`. Grouping buffers keep them —
+    /// null keys group like any other key.
     drop_null_keys: bool,
     saw_null_key: bool,
     rows: Vec<Record>,
-    /// Batches buffered by `push_batch`, as they arrived.
-    batches: Vec<Arc<RecordBatch>>,
-    /// Bytes granted for `rows` and `batches` (their `encoded_len` when
-    /// pushed).
+    /// Batches buffered by `push_batch`, as they arrived, each with the
+    /// bytes it was granted.
+    batches: Vec<(Arc<RecordBatch>, u64)>,
+    /// Bytes granted for `rows` and `batches`.
     granted: u64,
     runs: Vec<SortedRun>,
 }
@@ -62,17 +66,7 @@ impl RunBuffer {
     /// Buffers `records`, granting their bytes.
     pub(crate) fn push(&mut self, records: impl IntoIterator<Item = Record>) {
         let start = self.rows.len();
-        if self.drop_null_keys {
-            let key = &self.ctx.op().key_attrs[self.side];
-            let saw = &mut self.saw_null_key;
-            self.rows.extend(records.into_iter().filter(|r| {
-                let null = key_has_null(r, key);
-                *saw |= null;
-                !null
-            }));
-        } else {
-            self.rows.extend(records);
-        }
+        self.rows.extend(records);
         if self.ctx.gov.bounded() {
             self.grant(records_bytes(&self.rows[start..]));
         }
@@ -80,14 +74,23 @@ impl RunBuffer {
 
     /// Buffers `batch` as it is, granting its `encoded_len` — the bytes
     /// [`push`](RunBuffer::push) would grant for its rows, in either
-    /// layout. Grouping buffers only: a join buffer drops null-keyed rows
-    /// on entry, which needs them as records.
+    /// layout.
     pub(crate) fn push_batch(&mut self, batch: Arc<RecordBatch>) {
-        debug_assert!(!self.drop_null_keys, "push_batch keeps every row");
+        let mut charge = 0;
         if self.ctx.gov.bounded() {
-            self.grant(batch.encoded_len() as u64);
+            // A broadcast side is one `Arc`-shared allocation held by every
+            // partition: charge each holder its share rather than the full
+            // size `dop` times, so a side that genuinely fits resident
+            // memory once is not over-counted into spilling. `div_ceil`
+            // keeps every non-empty batch's charge positive (truncation
+            // would let high fan-outs register as zero bytes); the shares
+            // then sum to at least one full charge. Unshared batches
+            // charge in full.
+            let holders = Arc::strong_count(&batch) as u64;
+            charge = (batch.encoded_len() as u64).div_ceil(holders);
+            self.grant(charge);
         }
-        self.batches.push(batch);
+        self.batches.push((batch, charge));
     }
 
     fn grant(&mut self, bytes: u64) {
@@ -112,37 +115,54 @@ impl RunBuffer {
         !self.runs.is_empty()
     }
 
-    /// Whether a null-keyed record was dropped on entry.
+    /// Whether a join buffer dropped a null-keyed row.
     pub(crate) fn saw_null_key(&self) -> bool {
         self.saw_null_key
     }
 
-    /// Moves the held batches into `rows`, as records. Their grant is
-    /// unchanged: a batch's `encoded_len` is its records' `records_bytes`.
-    fn absorb_batches(&mut self) {
-        for b in self.batches.drain(..) {
-            self.rows.extend(take_records(b));
+    /// Moves the held batches — only the uniquely held ones when
+    /// `unique_only` — into `rows`, as records, then drops a join
+    /// buffer's null-keyed rows. A moved batch's charge stays granted,
+    /// now for its rows.
+    fn absorb_batches(&mut self, unique_only: bool) {
+        for (b, charge) in std::mem::take(&mut self.batches) {
+            if unique_only && Arc::strong_count(&b) > 1 {
+                self.batches.push((b, charge));
+            } else {
+                self.rows.extend(take_records(b));
+            }
+        }
+        if self.drop_null_keys {
+            let key = &self.ctx.op().key_attrs[self.side];
+            let saw = &mut self.saw_null_key;
+            self.rows.retain(|r| {
+                let null = key_has_null(r, key);
+                *saw |= null;
+                !null
+            });
         }
     }
 
-    /// Sheds everything buffered to one canonically sorted on-disk run
-    /// and releases its grant. No-op on an empty buffer. On an IO failure
+    /// Sheds everything buffered but shared batches to one canonically
+    /// sorted on-disk run (none when no row is left to write) and
+    /// releases all but the shared batches' grant. On an IO failure
     /// every row stays buffered (held batches as records), granted until
     /// drop.
     pub(crate) fn spill(&mut self) -> Result<(), ExecError> {
-        self.absorb_batches();
-        if self.rows.is_empty() {
-            return Ok(());
+        self.absorb_batches(true);
+        if !self.rows.is_empty() {
+            let key = &self.ctx.op().key_attrs[self.side];
+            self.rows.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
+            let run = self.ctx.gov.write_sorted_run(&self.rows)?;
+            self.ctx
+                .stats
+                .add_spill(self.ctx.op_id, run.records(), run.bytes());
+            self.runs.push(run);
+            self.rows.clear();
         }
-        let key = &self.ctx.op().key_attrs[self.side];
-        self.rows.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
-        let run = self.ctx.gov.write_sorted_run(&self.rows)?;
-        self.ctx
-            .stats
-            .add_spill(self.ctx.op_id, run.records(), run.bytes());
-        self.runs.push(run);
-        self.rows.clear();
-        self.release();
+        let kept: u64 = self.batches.iter().map(|&(_, charge)| charge).sum();
+        self.ctx.gov.release(self.granted - kept);
+        self.granted = kept;
         Ok(())
     }
 
@@ -157,7 +177,7 @@ impl RunBuffer {
     /// as one row-major batch. The grant stays until
     /// [`release`](RunBuffer::release) or drop.
     pub(crate) fn take_batches(&mut self) -> Vec<Arc<RecordBatch>> {
-        let mut batches = std::mem::take(&mut self.batches);
+        let mut batches: Vec<_> = self.batches.drain(..).map(|(b, _)| b).collect();
         if !self.rows.is_empty() {
             let rows = RecordBatch::from_records(self.take_rows());
             batches.push(Arc::new(rows));
@@ -171,10 +191,11 @@ impl RunBuffer {
         self.granted = 0;
     }
 
-    /// The sort-based finish: sorts the tail — held batches as records —
-    /// canonically, merges it with the runs written so far and walks the
-    /// result as key groups in ascending canonical order. Leaves the
-    /// buffer empty; the returned stream owns the tail and the runs.
+    /// The sort-based finish: sorts the tail — held batches as records,
+    /// a join buffer's null-keyed rows dropped — canonically, merges it
+    /// with the runs written so far and walks the result as key groups in
+    /// ascending canonical order. Leaves the buffer empty; the returned
+    /// stream owns the tail and the runs.
     #[allow(clippy::type_complexity)]
     pub(crate) fn drain_groups(
         &mut self,
@@ -185,7 +206,7 @@ impl RunBuffer {
         >,
         ExecError,
     > {
-        self.absorb_batches();
+        self.absorb_batches(false);
         let tail = self.take_rows();
         self.release();
         let runs = std::mem::take(&mut self.runs);

@@ -343,10 +343,11 @@ impl MemoryGovernor {
 
 impl Drop for MemoryGovernor {
     fn drop(&mut self) {
-        // On error/panic exits operators never release what they buffered;
-        // square the pool's resident gauge so an aborted query cannot leave
-        // phantom bytes pinned against everyone else's headroom. (The grant
-        // itself returns via its own drop, which runs after this body.)
+        // Operators return what they buffered as their run buffers drop,
+        // before the last governor handle goes; square the pool's resident
+        // gauge for anything still charged, so an aborted query can never
+        // leave phantom bytes pinned against everyone else's headroom. (The
+        // grant itself returns via its own drop, which runs after this body.)
         let leftover = self.resident.load(Ordering::Relaxed);
         if leftover > 0 {
             self.grant.pool.sub_resident(leftover);

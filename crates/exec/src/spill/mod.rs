@@ -39,11 +39,10 @@
 //!   which caps the merge fan-in by compacting surplus runs into larger
 //!   ones first (bounded open file handles at any batch size).
 //! * `RunBuffer` (crate-private) — the one governed buffer every blocking
-//!   operator keeps per keyed input: rows + the bytes granted for them +
-//!   the sorted runs shed so far. It is the operators' only way to write
-//!   a run, charge a spill or open a group stream, and it returns whatever
-//!   is still granted when dropped. (Match also grants and releases for
-//!   the zero-copy batches it holds before they enter a buffer.)
+//!   operator keeps per keyed input: the batches it was pushed + the
+//!   bytes granted for them + the sorted runs shed so far. It is the
+//!   operators' only way to charge buffered state, write a run or open a
+//!   group stream, and it returns whatever is still granted when dropped.
 //!
 //! **In-memory is the zero-run case.** Each blocking operator has exactly
 //! one sort-based finish — `RunBuffer::drain_groups`: sort the in-memory

@@ -17,20 +17,22 @@ use crate::func::{Function, UdfKind};
 use crate::inst::{BinOp, Inst, UnOp};
 use strato_record::{Record, Redirection, RowRef, Value};
 
-/// One UDF invocation's input(s).
+/// One key group's rows, as views.
+pub type RowGroup<'a> = &'a [RowRef<'a>];
+
+/// One UDF invocation's input(s): every input row is a view, so a record
+/// materializes only when the UDF copies one.
 #[derive(Debug, Clone, Copy)]
 pub enum Invocation<'a> {
     /// Map: one row, of either batch layout (`RowRef::from(&record)` for
-    /// an owned record). Field reads go straight to the row's storage;
-    /// the row is only materialized if the UDF copies its input record.
+    /// an owned record). Field reads go straight to the row's storage.
     Row(RowRef<'a>),
-    /// Cross/Match: a pair of records.
-    Pair(&'a Record, &'a Record),
-    /// Reduce: one key group, as row views — a record materializes only
-    /// when the UDF copies one.
-    Group(&'a [RowRef<'a>]),
+    /// Cross/Match: a pair of rows.
+    Pair(RowRef<'a>, RowRef<'a>),
+    /// Reduce: one key group.
+    Group(RowGroup<'a>),
     /// CoGroup: two key groups.
-    CoGroup(&'a [Record], &'a [Record]),
+    CoGroup(RowGroup<'a>, RowGroup<'a>),
 }
 
 impl<'a> Invocation<'a> {
@@ -39,11 +41,11 @@ impl<'a> Invocation<'a> {
     fn input(&self, input: u8, idx: usize) -> Option<RowRef<'a>> {
         match (*self, input) {
             (Invocation::Row(r), 0) if idx == 0 => Some(r),
-            (Invocation::Pair(a, _), 0) if idx == 0 => Some(a.into()),
-            (Invocation::Pair(_, b), 1) if idx == 0 => Some(b.into()),
+            (Invocation::Pair(a, _), 0) if idx == 0 => Some(a),
+            (Invocation::Pair(_, b), 1) if idx == 0 => Some(b),
             (Invocation::Group(g), 0) => g.get(idx).copied(),
-            (Invocation::CoGroup(g, _), 0) => g.get(idx).map(RowRef::from),
-            (Invocation::CoGroup(_, h), 1) => h.get(idx).map(RowRef::from),
+            (Invocation::CoGroup(g, _), 0) => g.get(idx).copied(),
+            (Invocation::CoGroup(_, h), 1) => h.get(idx).copied(),
             _ => None,
         }
     }
@@ -676,7 +678,12 @@ mod tests {
         let right = Record::from_values([Value::Null, Value::Null, Value::Int(3), Value::Int(4)]);
         let mut out = Vec::new();
         Interp::default()
-            .run(&f, Invocation::Pair(&left, &right), &layout, &mut out)
+            .run(
+                &f,
+                Invocation::Pair(RowRef::from(&left), RowRef::from(&right)),
+                &layout,
+                &mut out,
+            )
             .unwrap();
         assert_eq!(
             out,

@@ -21,8 +21,10 @@
 //! only where they keep them ([`RecordBatch::into_records`]).
 
 use crate::columns::ColumnBatch;
+use crate::hash::FxHasher;
 use crate::record::Record;
 use crate::row::RowRef;
+use std::hash::{Hash, Hasher};
 
 /// The physical representation behind a [`RecordBatch`].
 #[derive(Debug, Clone)]
@@ -160,12 +162,24 @@ impl RecordBatch {
         }
     }
 
-    /// Iterates over the records of a row-major batch.
-    ///
-    /// # Panics
-    /// Panics on a columnar batch (see [`RecordBatch::records`]).
-    pub fn iter(&self) -> std::slice::Iter<'_, Record> {
-        self.records().iter()
+    /// The FxHash of every row's `key` fields, in row order, into `out`
+    /// (cleared first): the columnar kernel
+    /// ([`ColumnBatch::key_hash_into`]) or, row-major, each record's key
+    /// fields through [`FxHasher`] — the same bits either way.
+    pub fn key_hash_into(&self, key: &[usize], out: &mut Vec<u64>) {
+        match &self.repr {
+            Repr::Columns(c) => c.key_hash_into(key, out),
+            Repr::Rows(rows) => {
+                out.clear();
+                out.extend(rows.iter().map(|r| {
+                    let mut h = FxHasher::default();
+                    for &k in key {
+                        r.field(k).hash(&mut h);
+                    }
+                    h.finish()
+                }));
+            }
+        }
     }
 
     /// Total approximate serialized size in bytes (sum of
@@ -228,16 +242,6 @@ impl IntoIterator for RecordBatch {
     }
 }
 
-impl<'a> IntoIterator for &'a RecordBatch {
-    type Item = &'a Record;
-    type IntoIter = std::slice::Iter<'a, Record>;
-    /// Borrowing iteration is row-major only (see
-    /// [`RecordBatch::records`]).
-    fn into_iter(self) -> Self::IntoIter {
-        self.records().iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +260,7 @@ mod tests {
         b.push(rec(2));
         assert_eq!(b.len(), 2);
         assert_eq!(b.records()[1], rec(2));
-        assert_eq!(b.iter().count(), 2);
+        assert_eq!(b.row(0).to_record(), rec(1));
     }
 
     #[test]

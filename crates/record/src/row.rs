@@ -69,14 +69,30 @@ impl<'a> RowRef<'a> {
 
     /// Lexicographic comparison of the two rows' `key` fields under
     /// [`Value`]'s total order.
+    #[inline]
     pub fn key_cmp(&self, other: &RowRef<'_>, key: &[usize]) -> Ordering {
-        for &k in key {
-            match self.cell(k).cmp(other.cell(k)) {
+        self.key_cmp2(key, other, key)
+    }
+
+    /// [`key_cmp`](RowRef::key_cmp) of this row's `key` fields against
+    /// `other`'s `other_key` fields — the two inputs of a join key on
+    /// different columns.
+    pub fn key_cmp2(&self, key: &[usize], other: &RowRef<'_>, other_key: &[usize]) -> Ordering {
+        debug_assert_eq!(key.len(), other_key.len());
+        for (&a, &b) in key.iter().zip(other_key) {
+            match self.cell(a).cmp(other.cell(b)) {
                 Ordering::Equal => {}
                 o => return o,
             }
         }
         Ordering::Equal
+    }
+
+    /// Whether any `key` field is null (such rows match nothing in a
+    /// join).
+    #[inline]
+    pub fn key_has_null(&self, key: &[usize]) -> bool {
+        key.iter().any(|&k| matches!(self.cell(k), Cell::Null))
     }
 }
 
@@ -194,6 +210,8 @@ mod tests {
         assert_eq!(s.cmp(&l), short.cmp(&long));
         assert!(s < l);
         assert!(s.key_cmp(&l, &[0, 1]).is_eq(), "missing fields read null");
+        assert!(s.key_has_null(&[1]) && !s.key_has_null(&[0]));
+        assert!(l.key_cmp2(&[1], &s, &[1]).is_eq() && l.key_cmp2(&[1], &s, &[0]).is_lt());
     }
 
     #[test]

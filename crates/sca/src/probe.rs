@@ -170,15 +170,12 @@ pub fn probe_emit_counts(f: &Function, cfg: &ProbeConfig) -> (u64, u64) {
 }
 
 fn invoke(f: &Function, layout: &Layout, recs: &[Record]) -> Vec<Record> {
+    let views: Vec<RowRef<'_>> = recs.iter().map(RowRef::from).collect();
     match f.kind() {
-        UdfKind::Map => run(f, layout, Invocation::Row(RowRef::from(&recs[0]))),
-        UdfKind::Pair => run(f, layout, Invocation::Pair(&recs[0], &recs[1])),
-        UdfKind::Group => run(f, layout, Invocation::Group(&[RowRef::from(&recs[0])])),
-        UdfKind::CoGroup => {
-            let g = vec![recs[0].clone()];
-            let h = vec![recs[1].clone()];
-            run(f, layout, Invocation::CoGroup(&g, &h))
-        }
+        UdfKind::Map => run(f, layout, Invocation::Row(views[0])),
+        UdfKind::Pair => run(f, layout, Invocation::Pair(views[0], views[1])),
+        UdfKind::Group => run(f, layout, Invocation::Group(&views[..1])),
+        UdfKind::CoGroup => run(f, layout, Invocation::CoGroup(&views[..1], &views[1..2])),
     }
 }
 

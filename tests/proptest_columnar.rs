@@ -1,7 +1,8 @@
 //! Property tests for the columnar batch layout: row ↔ columnar
 //! round-trip identity and agreement of the vectorized key kernels
-//! (`key_hash_into` / `key_cmp_record`) with the row-oriented reference
-//! path (`FxHasher` over `Value::hash`, field-wise `Value::cmp`); and
+//! (`key_hash_into` / `key_cmp_record`, and `RecordBatch::key_hash_into`
+//! over either layout) with the row-oriented reference path (`FxHasher`
+//! over `Value::hash`, field-wise `Value::cmp`); and
 //! agreement of the row-view kernels (`RowRef::key_cmp`, `RowRef::cmp`,
 //! `sort_canonical`) with the materialized records, over columnar rows
 //! and ragged row-major records alike.
@@ -157,6 +158,26 @@ proptest! {
         for (i, r) in rows.iter().enumerate() {
             let want = row_key_hash(r, &keys);
             prop_assert_eq!(hashes[i], want);
+        }
+    }
+
+    #[test]
+    fn batch_key_hash_agrees_with_row_hasher_in_either_layout(
+        (width, wide, ragged) in arb_views(),
+        keys in prop::collection::vec(0usize..6, 0..4),
+    ) {
+        // Keys past a row's arity hash as null fields, as `Record::field`
+        // reads them.
+        let batches = [
+            (RecordBatch::from_columns(build(width, &wide)), &wide),
+            (RecordBatch::from_records(wide.clone()), &wide),
+            (RecordBatch::from_records(ragged.clone()), &ragged),
+        ];
+        let mut hashes = Vec::new();
+        for (batch, rows) in &batches {
+            batch.key_hash_into(&keys, &mut hashes);
+            let want: Vec<u64> = rows.iter().map(|r| row_key_hash(r, &keys)).collect();
+            prop_assert_eq!(&hashes, &want);
         }
     }
 
