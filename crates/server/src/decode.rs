@@ -24,8 +24,9 @@
 //! `count_diff`). The decoder produces plain spec data — structural
 //! validation (widths, key ranges, arity) stays in [`FlowSpec::build`].
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use strato_dataflow::spec::{
     CmpOp, CoGroupUdf, FlowSpec, FoldOp, HintSpec, MapUdf, NodeSpec, OpKindSpec, OpSpec, ReduceUdf,
     SourceSpec,
@@ -388,7 +389,10 @@ pub fn json_to_value(j: &Json) -> Result<Value, String> {
     })
 }
 
-/// Record [`Value`] → JSON scalar (for response rows).
+/// Record [`Value`] → JSON scalar: the reference encoding of a response
+/// field. The handler writes rows with [`push_value`] instead, which
+/// appends the same bytes as `value_to_json(v).to_string()` without
+/// building the tree.
 pub fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Null => Json::Null,
@@ -396,6 +400,18 @@ pub fn value_to_json(v: &Value) -> Json {
         Value::Int(i) => Json::Int(*i),
         Value::Float(f) => Json::Float(*f),
         Value::Str(s) => Json::Str(s.to_string()),
+    }
+}
+
+/// Appends `v`'s JSON image to `out`, byte-identical to
+/// `value_to_json(v).to_string()`.
+pub fn push_value(out: &mut String, v: &Value) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
+        Value::Float(x) => json::push_float(out, *x),
+        Value::Str(s) => json::push_escaped(out, s),
     }
 }
 

@@ -21,9 +21,9 @@
 //!    those statistics into the server's `/metrics` registry.
 //!
 //! With `"options": {"trace": true}` the handler threads a
-//! [`TraceRecorder`] through every step — admission wait, plan compile,
-//! optimize, and the engine's task/ship/spill/memory spans — and the
-//! response gains `"query_id"`, a Chrome trace-event `"trace"` document
+//! [`TraceRecorder`] through every step — admission wait, JSON parse,
+//! decode, plan compile, optimize, the engine's task/ship/spill/memory
+//! spans, result sort and result encode — and the response gains `"query_id"`, a Chrome trace-event `"trace"` document
 //! (load it in Perfetto) and an estimate-vs-actual `"explain"` report.
 //! Traces of the last [`TRACE_HISTORY`] traced queries stay fetchable at
 //! `GET /v1/queries/<id>/trace`.
@@ -32,11 +32,11 @@
 //! liveness probe.
 
 use crate::admission::{Admission, AdmissionGate};
-use crate::decode::{decode_query, value_to_json};
+use crate::decode::{decode_query, push_value};
 use crate::http::{
     read_request, write_response, write_response_with, ChunkedWriter, HttpError, Request,
 };
-use crate::json::Json;
+use crate::json::{push_escaped, Json};
 use crate::metrics::Metrics;
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -46,7 +46,7 @@ use std::time::Instant;
 use strato_core::Optimizer;
 use strato_dataflow::PropertyMode;
 use strato_exec::{explain_analyze, EngineRuntime, ExecStats, RuntimeOptions, TraceRecorder};
-use strato_record::DataSet;
+use strato_record::{DataSet, Record};
 
 /// Result rows per HTTP chunk of a query response.
 const ROWS_PER_CHUNK: usize = 1024;
@@ -237,6 +237,9 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
             return error_response(stream, 400, "request body is not UTF-8");
         }
     };
+    // Parse and decode run before the request says whether it is traced,
+    // so their spans are recorded from these instants afterwards.
+    let t_parse = Instant::now();
     let doc = match Json::parse(body) {
         Ok(doc) => doc,
         Err(e) => {
@@ -244,6 +247,7 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
             return error_response(stream, 400, &e.to_string());
         }
     };
+    let t_decode = Instant::now();
     let query = match decode_query(&doc) {
         Ok(q) => q,
         Err(e) => {
@@ -251,6 +255,8 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
             return error_response(stream, 422, &e.to_string());
         }
     };
+    let t_decoded = Instant::now();
+    drop(doc);
     // Every query gets an id so slow-query log lines and per-query
     // metrics line up with trace ids; the recorder itself only exists
     // when the client opted in — untraced queries pay one `Option` check
@@ -267,6 +273,18 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
             admission_wait.as_nanos() as u64,
             vec![],
         );
+        for (name, from, to, args) in [
+            (
+                "json-parse",
+                t_parse,
+                t_decode,
+                vec![("bytes", body.len() as u64)],
+            ),
+            ("decode", t_decode, t_decoded, vec![]),
+        ] {
+            let dur = (to - from).as_nanos() as u64;
+            tr.record_span(name, "server", tr.rel_ns(from), dur, args);
+        }
     }
 
     let t0 = recorder.as_ref().map(|tr| tr.now_ns());
@@ -308,11 +326,6 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
     let elapsed = t_start.elapsed();
     state.metrics.observe_query_latency(elapsed);
 
-    let trace_payload = recorder.as_ref().map(|tr| {
-        let chrome = tr.chrome_trace_json();
-        state.traces.push(query_id, chrome.clone());
-        (chrome, explain_analyze(&best.plan, &best.phys, &stats))
-    });
     if let Some(threshold) = state.slow_query_ms {
         if elapsed.as_millis() as u64 >= threshold {
             let report = explain_analyze(&best.plan, &best.phys, &stats);
@@ -324,13 +337,17 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
             );
         }
     }
+    let trace = recorder
+        .as_ref()
+        .map(|tr| (&**tr, explain_analyze(&best.plan, &best.phys, &stats)));
     stream_result(
         stream,
+        &state.traces,
         &out,
         &stats,
         &op_names,
         query_id,
-        trace_payload.as_ref(),
+        trace,
     )
 }
 
@@ -338,42 +355,83 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
 /// body, one chunk per [`ROWS_PER_CHUNK`] rows, appending `"trace"`
 /// (Chrome trace-event document) and `"explain"` (estimate-vs-actual
 /// report) members for traced queries. Rows are emitted in canonical
-/// sorted order so equal result bags serialize identically.
+/// sorted order so equal result bags serialize identically; each row is
+/// written straight from its record into one reused chunk buffer.
+///
+/// A traced query's `result-sort` and `result-encode` spans (the latter
+/// covers encoding and writing the row chunks) end before its trace is
+/// rendered, so the response carries them; the rendered trace is also
+/// kept in `traces`.
 fn stream_result(
     stream: &mut TcpStream,
+    traces: &TraceStore,
     out: &DataSet,
     stats: &ExecStats,
     op_names: &[String],
     query_id: u64,
-    trace: Option<&(String, String)>,
+    trace: Option<(&TraceRecorder, String)>,
 ) -> std::io::Result<()> {
+    let recorder = trace.as_ref().map(|(tr, _)| *tr);
     let mut w = ChunkedWriter::begin(stream, 200, "application/json")?;
     w.chunk(b"{\"rows\":[")?;
-    let rows = out.sorted();
+
+    let t0 = recorder.map(TraceRecorder::now_ns);
+    let mut rows: Vec<&Record> = out.iter().collect();
+    rows.sort_unstable();
+    if let (Some(tr), Some(t0)) = (recorder, t0) {
+        tr.record(
+            "result-sort",
+            "server",
+            t0,
+            vec![("rows", rows.len() as u64)],
+        );
+    }
+
+    let t0 = recorder.map(TraceRecorder::now_ns);
+    let mut buf = String::new();
+    let mut bytes = 0;
     for (start, batch) in rows
         .chunks(ROWS_PER_CHUNK)
         .enumerate()
         .map(|(i, b)| (i * ROWS_PER_CHUNK, b))
     {
-        let mut buf = String::new();
+        buf.clear();
         for (i, r) in batch.iter().enumerate() {
             if start + i > 0 {
                 buf.push(',');
             }
-            let row = Json::Arr(r.fields().iter().map(value_to_json).collect());
-            buf.push_str(&row.to_string());
+            buf.push('[');
+            for (j, v) in r.fields().iter().enumerate() {
+                if j > 0 {
+                    buf.push(',');
+                }
+                push_value(&mut buf, v);
+            }
+            buf.push(']');
         }
         w.chunk(buf.as_bytes())?;
+        bytes += buf.len();
     }
+    if let (Some(tr), Some(t0)) = (recorder, t0) {
+        tr.record(
+            "result-encode",
+            "server",
+            t0,
+            vec![("rows", rows.len() as u64), ("bytes", bytes as u64)],
+        );
+    }
+
     let mut tail = format!(
         "],\"stats\":{},\"query_id\":{query_id}",
         stats_json(stats, op_names)
     );
-    if let Some((chrome, explain)) = trace {
+    if let Some((tr, explain)) = trace {
+        let chrome = tr.chrome_trace_json();
         tail.push_str(",\"trace\":");
-        tail.push_str(chrome);
+        tail.push_str(&chrome);
         tail.push_str(",\"explain\":");
-        tail.push_str(&Json::Str(explain.clone()).to_string());
+        push_escaped(&mut tail, &explain);
+        traces.push(query_id, chrome);
     }
     tail.push('}');
     w.chunk(tail.as_bytes())?;

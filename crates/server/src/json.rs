@@ -7,6 +7,14 @@
 //! distinguishes integers from floats (record [`strato_record::Value`]s must round-trip
 //! without `1` silently becoming `1.0`).
 //!
+//! Both directions work in time linear in the bytes. The parser copies a
+//! string's unescaped runs whole, up to the next `"`, `\` or control
+//! byte, and reads short integers straight from the digits; the
+//! serializer copies unescaped runs whole through [`push_escaped`]. The
+//! served row encoder (`decode::push_value`) writes through the same
+//! [`push_escaped`] and [`push_float`], so a row and its [`Json`] image
+//! are the same bytes.
+//!
 //! ```
 //! use strato_server::json::Json;
 //! let v = Json::parse(r#"{"rows": [[1, null, "x"], [2.5, true, ""]]}"#).unwrap();
@@ -15,7 +23,7 @@
 //! assert_eq!(v.to_string(), r#"{"rows":[[1,null,"x"],[2.5,true,""]]}"#);
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser (defense against
 /// stack-exhausting inputs from the network).
@@ -66,6 +74,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -136,71 +145,97 @@ impl Json {
 impl fmt::Display for Json {
     /// Compact (no-whitespace) serialization.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
+    }
+}
+
+impl Json {
+    /// Appends the compact serialization to `out`.
+    fn write_to(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(true) => f.write_str("true"),
-            Json::Bool(false) => f.write_str("false"),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    // Keep a syntactic float marker so the value round-trips
-                    // as a float (e.g. `2.0`, not `2`).
-                    let s = format!("{x}");
-                    if s.contains(['.', 'e', 'E']) {
-                        f.write_str(&s)
-                    } else {
-                        write!(f, "{s}.0")
-                    }
-                } else {
-                    // JSON has no NaN/Infinity; null is the least-bad image.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Null => out.push_str("null"),
+            Json::Bool(true) => out.push_str("true"),
+            Json::Bool(false) => out.push_str("false"),
+            Json::Int(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
+            Json::Float(x) => push_float(out, *x),
+            Json::Str(s) => push_escaped(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{v}")?;
+                    v.write_to(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(members) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    push_escaped(out, k);
+                    out.push(':');
+                    v.write_to(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
 }
 
-/// Writes a JSON string literal with the mandatory escapes.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Appends a float so that it reads back as a float: its shortest
+/// round-trip text, plus `.0` when that text has no `.`/`e`/`E` (`2.0`,
+/// not `2`). JSON has no NaN/Infinity; non-finite values become `null`,
+/// the least-bad image.
+pub fn push_float(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
     }
-    f.write_str("\"")
+    let start = out.len();
+    write!(out, "{x}").expect("writing to a String cannot fail");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Appends `s` as a JSON string literal with the mandatory escapes. Runs
+/// that need no escape are copied whole.
+pub fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let letter = match b {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'\n' => 'n',
+            b'\r' => 'r',
+            b'\t' => 't',
+            0..=0x1f => 'u',
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        out.push(letter);
+        if letter == 'u' {
+            out.push_str("00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -313,6 +348,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next byte that needs a decision. It
+            // starts after an ASCII byte and stops at one (or the end), so
+            // both ends are char boundaries of the `&str` input.
+            let run = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -362,18 +408,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -391,11 +426,23 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        let digits = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
+        }
+        // Up to 18 digits always fit an i64: read them directly. Anything
+        // longer, fractional or exponential takes the `str::parse` path.
+        if (1..=18).contains(&(self.pos - digits))
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            let magnitude = self.bytes[digits..self.pos]
+                .iter()
+                .fold(0i64, |acc, d| acc * 10 + i64::from(d - b'0'));
+            return Ok(Json::Int(if negative { -magnitude } else { magnitude }));
         }
         let mut float = false;
         if self.peek() == Some(b'.') {
@@ -415,7 +462,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -512,6 +559,80 @@ mod tests {
         }
         let e = Json::parse("[1, @]").unwrap_err();
         assert_eq!(e.at, 4);
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        for (text, at, msg) in [
+            ("\"ab\u{1}c\"", 3, "raw control character"),
+            ("[\"é€\u{1f}\"]", 7, "raw control character"),
+            ("\"abc", 4, "unterminated"),
+            ("{\"k\":\"é\\n", 10, "unterminated"),
+            ("\"a\\qb\"", 3, "invalid escape"),
+            ("[\"🂡\\x\"]", 7, "invalid escape"),
+            ("\"\\ud83c\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\ud83c\"", 7, "invalid \\u escape"),
+            ("\"\\u12g4\"", 3, "invalid \\u escape"),
+            ("\"\\u12", 3, "truncated"),
+        ] {
+            let e = Json::parse(text).unwrap_err();
+            assert_eq!((e.at, e.msg.contains(msg)), (at, true), "{text:?}: {e}");
+        }
+    }
+
+    /// A 1 MiB string — ASCII runs, every escape, 2–4-byte UTF-8 and
+    /// surrogate pairs — then a 1 MiB array. String scanning must stay
+    /// linear: re-reading the rest of the body per character would make
+    /// this take minutes.
+    #[test]
+    fn megabyte_string_then_megabyte_array() {
+        const PIECES: [(&str, &str); 17] = [
+            ("plain ascii run, ", "plain ascii run, "),
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\b", "\u{8}"),
+            ("\\f", "\u{c}"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\u0041", "A"),
+            ("\\u00e9\\u20AC", "é€"),
+            ("\\ud83c\\udca1", "\u{1F0A1}"),
+            ("é", "é"),
+            ("€", "€"),
+            ("🂡", "🂡"),
+            ("x", "x"),
+            ("\\u0000\\u001f", "\u{0}\u{1f}"),
+        ];
+        const MIB: usize = 1 << 20;
+        let mut text = String::from("{\"s\":\"");
+        let mut expected = String::new();
+        let mut i = 0usize;
+        while text.len() < MIB {
+            // A stride coprime to the piece count visits every pair order.
+            let (encoded, decoded) = PIECES[(i * 7 + i / PIECES.len()) % PIECES.len()];
+            text.push_str(encoded);
+            expected.push_str(decoded);
+            i += 1;
+        }
+        text.push_str("\",\"a\":[");
+        let array_start = text.len();
+        let mut n = 0i64;
+        while text.len() - array_start < MIB {
+            if n > 0 {
+                text.push(',');
+            }
+            text.push_str(&n.to_string());
+            n += 1;
+        }
+        text.push_str("]}");
+
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("s").and_then(Json::as_str), Some(expected.as_str()));
+        let a = doc.get("a").and_then(Json::as_array).unwrap();
+        assert_eq!(a.len() as i64, n);
+        assert!(a.iter().zip(0..).all(|(v, i)| v.as_i64() == Some(i)));
     }
 
     #[test]

@@ -411,6 +411,12 @@ fn traced_query_returns_trace_explain_and_history() {
     for expected in ["admission-wait", "plan-compile", "optimize"] {
         assert!(names.contains(&expected), "missing {expected:?}: {names:?}");
     }
+    // Each handler stage around the engine has exactly one span; the
+    // result stages end before the trace is rendered, so they are in it.
+    for stage in ["json-parse", "decode", "result-sort", "result-encode"] {
+        let n = names.iter().filter(|n| **n == stage).count();
+        assert_eq!(n, 1, "{stage:?} spans: {names:?}");
+    }
     assert!(
         events
             .iter()
