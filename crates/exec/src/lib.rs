@@ -87,21 +87,19 @@ pub(crate) mod testutil {
     use crate::{ExecStats, MemoryGovernor};
     use std::sync::Arc;
     use strato_dataflow::Plan;
-    use strato_ir::interp::Interp;
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
     use strato_record::{AttrId, DataSet, Record};
 
     /// The context of `plan`'s last operator (the root of a single-chain
     /// plan) charging `stats` and `gov`.
     pub(crate) fn ctx(plan: &Plan, stats: &Arc<ExecStats>, gov: &Arc<MemoryGovernor>) -> OpCtx {
-        OpCtx {
-            interp: Interp::default(),
-            plan: Arc::clone(&plan.ctx),
-            stats: Arc::clone(stats),
-            gov: Arc::clone(gov),
-            batch_size: 64,
-            op_id: plan.ctx.ops.len() - 1,
-        }
+        OpCtx::new(
+            Arc::clone(&plan.ctx),
+            Arc::clone(stats),
+            Arc::clone(gov),
+            64,
+            plan.ctx.ops.len() - 1,
+        )
     }
 
     /// Widens source records to global layout the way the scan stage

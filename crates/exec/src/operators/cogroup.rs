@@ -30,26 +30,11 @@ impl CoGroupOp {
             ctx,
         }
     }
-}
 
-impl Operator for CoGroupOp {
-    fn push(
-        &mut self,
-        port: usize,
-        batch: Arc<RecordBatch>,
-        _out: &mut Vec<Arc<RecordBatch>>,
-    ) -> Result<(), ExecError> {
-        self.sides[port].push_batch(batch);
-        if self.ctx.gov.over_budget() {
-            for side in &mut self.sides {
-                side.spill()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let op = self.ctx.op();
+    /// The finish: the lock-step walk, then the emission.
+    fn cogroup(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+        let plan = Arc::clone(&self.ctx.plan);
+        let op = &plan.ops[self.ctx.op_id];
         let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
         let [left, right] = &mut self.sides;
         let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
@@ -72,5 +57,28 @@ impl Operator for CoGroupOp {
         }
         self.ctx.emit(emitted, out);
         Ok(())
+    }
+}
+
+impl Operator for CoGroupOp {
+    fn push(
+        &mut self,
+        port: usize,
+        batch: Arc<RecordBatch>,
+        _out: &mut Vec<Arc<RecordBatch>>,
+    ) -> Result<(), ExecError> {
+        self.sides[port].push_batch(batch);
+        if self.ctx.gov.over_budget() {
+            for side in &mut self.sides {
+                side.spill()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+        let grouped = self.cogroup(out);
+        self.ctx.flush_calls();
+        grouped
     }
 }

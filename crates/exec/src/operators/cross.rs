@@ -23,20 +23,9 @@ impl CrossOp {
             sides: [Vec::new(), Vec::new()],
         }
     }
-}
 
-impl Operator for CrossOp {
-    fn push(
-        &mut self,
-        port: usize,
-        batch: Arc<RecordBatch>,
-        _out: &mut Vec<Arc<RecordBatch>>,
-    ) -> Result<(), ExecError> {
-        self.sides[port].push(batch);
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+    /// The finish: every pair, then the emission.
+    fn cross(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
         let mut emitted = Vec::new();
         for lb in &self.sides[0] {
             for i in 0..lb.len() {
@@ -52,5 +41,23 @@ impl Operator for CrossOp {
         self.sides = [Vec::new(), Vec::new()];
         self.ctx.emit(emitted, out);
         Ok(())
+    }
+}
+
+impl Operator for CrossOp {
+    fn push(
+        &mut self,
+        port: usize,
+        batch: Arc<RecordBatch>,
+        _out: &mut Vec<Arc<RecordBatch>>,
+    ) -> Result<(), ExecError> {
+        self.sides[port].push(batch);
+        Ok(())
+    }
+
+    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+        let crossed = self.cross(out);
+        self.ctx.flush_calls();
+        crossed
     }
 }

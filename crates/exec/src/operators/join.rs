@@ -50,7 +50,8 @@ impl MatchOp {
     /// The sort-based finish: lock-step walk over both sides' key-group
     /// streams, one UDF call per pair of each matching group.
     fn merge_join(&mut self, emitted: &mut Vec<Record>) -> Result<(), ExecError> {
-        let op = self.ctx.op();
+        let plan = Arc::clone(&self.ctx.plan);
+        let op = &plan.ops[self.ctx.op_id];
         let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
         let mut left_keys = 0u64;
         {
@@ -84,7 +85,7 @@ impl MatchOp {
     /// probe side's arrival order. Buckets verify key equality exactly,
     /// so hash collisions cannot produce false matches.
     fn hash_join(
-        &self,
+        &mut self,
         sides: &[Vec<Arc<RecordBatch>>; 2],
         out: &mut Vec<Record>,
     ) -> Result<(), ExecError> {
@@ -133,6 +134,27 @@ impl MatchOp {
         }
         Ok(())
     }
+
+    /// The finish: one of the two joins, then the emission.
+    fn join(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+        let mut emitted = Vec::new();
+        // A buffer that shed anything holds part of its side, even when
+        // every row it shed had a null key and nothing reached disk.
+        let shed = |b: &RunBuffer| b.spilled() || b.saw_null_key();
+        if self.strategy == LocalStrategy::SortMergeJoin || self.bufs.iter().any(shed) {
+            self.merge_join(&mut emitted)?;
+        } else {
+            let [left, right] = &mut self.bufs;
+            let sides = [left.take_batches(), right.take_batches()];
+            self.hash_join(&sides, &mut emitted)?;
+            drop(sides);
+            for buf in &mut self.bufs {
+                buf.release();
+            }
+        }
+        self.ctx.emit(emitted, out);
+        Ok(())
+    }
 }
 
 impl Operator for MatchOp {
@@ -152,23 +174,9 @@ impl Operator for MatchOp {
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let mut emitted = Vec::new();
-        // A buffer that shed anything holds part of its side, even when
-        // every row it shed had a null key and nothing reached disk.
-        let shed = |b: &RunBuffer| b.spilled() || b.saw_null_key();
-        if self.strategy == LocalStrategy::SortMergeJoin || self.bufs.iter().any(shed) {
-            self.merge_join(&mut emitted)?;
-        } else {
-            let [left, right] = &mut self.bufs;
-            let sides = [left.take_batches(), right.take_batches()];
-            self.hash_join(&sides, &mut emitted)?;
-            drop(sides);
-            for buf in &mut self.bufs {
-                buf.release();
-            }
-        }
-        self.ctx.emit(emitted, out);
-        Ok(())
+        let joined = self.join(out);
+        self.ctx.flush_calls();
+        joined
     }
 }
 

@@ -32,15 +32,14 @@ impl MapOp {
     }
 }
 
-impl Operator for MapOp {
-    fn push(
+impl MapOp {
+    /// Runs every stage over `batch` and emits the last stage's output.
+    fn map(
         &mut self,
-        port: usize,
-        batch: Arc<RecordBatch>,
+        batch: &RecordBatch,
         out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
-        debug_assert_eq!(port, 0, "Map is unary");
-        let head = &self.stages[0];
+        let (head, rest) = self.stages.split_first_mut().expect("a Map stage");
         let mut emitted = Vec::new();
         // The head UDF runs over row views of either layout: field reads
         // resolve straight into the batch's storage, and an input record
@@ -48,7 +47,7 @@ impl Operator for MapOp {
         for row in 0..batch.len() {
             head.call(Invocation::Row(batch.row(row)), &mut emitted)?;
         }
-        for ctx in &self.stages[1..] {
+        for ctx in rest {
             let mut next = Vec::new();
             for r in &emitted {
                 ctx.call(Invocation::Row(r.into()), &mut next)?;
@@ -58,8 +57,91 @@ impl Operator for MapOp {
         self.stages[self.stages.len() - 1].emit(emitted, out);
         Ok(())
     }
+}
+
+impl Operator for MapOp {
+    fn push(
+        &mut self,
+        port: usize,
+        batch: Arc<RecordBatch>,
+        out: &mut Vec<Arc<RecordBatch>>,
+    ) -> Result<(), ExecError> {
+        debug_assert_eq!(port, 0, "Map is unary");
+        let mapped = self.map(&batch, out);
+        for ctx in &mut self.stages {
+            ctx.flush_calls();
+        }
+        mapped
+    }
 
     fn finish(&mut self, _out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::ExecError;
+    use crate::spill::MemoryGovernor;
+    use crate::stats::ExecStats;
+    use strato_dataflow::{CostHints, ProgramBuilder, SourceDef};
+    use strato_ir::interp::{Interp, InterpError};
+    use strato_ir::{BinOp, FuncBuilder, UdfKind};
+    use strato_record::{Record, Value};
+
+    #[test]
+    fn a_step_limit_mid_push_still_flushes_every_stage() {
+        // m1 copies its row; m2 spins on `a == 3`.
+        let mut b = FuncBuilder::new("m1", UdfKind::Map, vec![1]);
+        let or = b.copy_input(0);
+        b.emit(or);
+        b.ret();
+        let m1 = b.finish().unwrap();
+        let mut b = FuncBuilder::new("m2", UdfKind::Map, vec![1]);
+        let a = b.get_input(0, 0);
+        let three = b.konst(3i64);
+        let hit = b.bin(BinOp::Eq, a, three);
+        let spin = b.new_label();
+        b.branch(hit, spin);
+        let or = b.copy_input(0);
+        b.emit(or);
+        b.ret();
+        b.place(spin);
+        b.jump(spin);
+        let m2 = b.finish().unwrap();
+        let mut p = ProgramBuilder::new();
+        let s = p.source(SourceDef::new("s", &["a"], 8));
+        let m1 = p.map("m1", m1, CostHints::default(), s);
+        let m2 = p.map("m2", m2, CostHints::default(), m1);
+        let plan = p.finish(m2).unwrap().bind().unwrap();
+
+        let stats = Arc::new(ExecStats::with_ops(2));
+        let gov = Arc::new(MemoryGovernor::with_budget(None));
+        let stage = |op_id| {
+            let mut ctx = OpCtx::new(
+                Arc::clone(&plan.ctx),
+                Arc::clone(&stats),
+                Arc::clone(&gov),
+                64,
+                op_id,
+            );
+            ctx.interp = Interp::with_max_steps(100);
+            ctx
+        };
+        let mut chain = MapOp::chained(vec![stage(0), stage(1)]);
+        let rows = (0..6).map(|a| Record::from_values([Value::Int(a)]));
+        let batch = Arc::new(RecordBatch::from_records(rows.collect()));
+        let err = chain.push(0, batch, &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, ExecError::Udf(ref op, InterpError::StepLimit(100)) if op == "m2"));
+        // m1 ran all six rows; m2 finished rows 0..3 and failed on the
+        // fourth, which is not counted.
+        let slots: Vec<(u64, u64)> = stats
+            .op_snapshots()
+            .iter()
+            .map(|o| (o.calls, o.emits))
+            .collect();
+        assert_eq!(slots, [(6, 6), (3, 3)]);
+        assert_eq!(stats.totals().udf_calls, 9);
     }
 }

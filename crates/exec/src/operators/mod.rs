@@ -50,7 +50,7 @@ use std::hash::Hasher;
 use std::sync::Arc;
 use strato_core::LocalStrategy;
 use strato_dataflow::{BoundOp, Pact, PlanCtx};
-use strato_ir::interp::{Interp, Invocation};
+use strato_ir::interp::{Frame, Interp, Invocation};
 use strato_record::hash::FxHasher;
 use strato_record::{AttrId, Record, RecordBatch};
 
@@ -79,6 +79,12 @@ pub trait Operator: Send {
 /// to, the interpreter, and the statistics and memory budget of its
 /// execution. Owned (the execution's pieces are shared by `Arc`), so an
 /// operator borrows nothing from the caller.
+///
+/// It also carries the instance's UDF-call state: the register
+/// [`Frame`] every call reuses, and the calls, steps and emits made
+/// since its last flush into [`ExecStats`]. A clone shares the
+/// execution's pieces but starts with an empty frame and a zero tally,
+/// so no call is ever charged twice.
 #[derive(Clone)]
 pub struct OpCtx {
     /// The UDF interpreter.
@@ -97,29 +103,92 @@ pub struct OpCtx {
     /// Operator id inside the plan — the operator this instance runs and
     /// the per-operator counter slot it charges.
     pub op_id: usize,
+    calls: CallState,
+}
+
+/// Calls an instance may tally before it flushes mid-push or mid-finish,
+/// so live counters lag a long finish by a bounded amount.
+const FLUSH_EVERY: u64 = 1024;
+
+/// One instance's reused frame and its not-yet-flushed call tally.
+#[derive(Default)]
+struct CallState {
+    frame: Frame,
+    calls: u64,
+    steps: u64,
+    emits: u64,
+}
+
+impl Clone for CallState {
+    /// Empty: a tally belongs to the instance that made the calls.
+    fn clone(&self) -> Self {
+        CallState::default()
+    }
 }
 
 impl OpCtx {
+    /// The context of operator `op_id` of `plan`, with the default
+    /// interpreter, an empty frame and a zero tally.
+    pub fn new(
+        plan: Arc<PlanCtx>,
+        stats: Arc<ExecStats>,
+        gov: Arc<MemoryGovernor>,
+        batch_size: usize,
+        op_id: usize,
+    ) -> Self {
+        OpCtx {
+            interp: Interp::default(),
+            plan,
+            stats,
+            gov,
+            batch_size,
+            op_id,
+            calls: CallState::default(),
+        }
+    }
+
     /// The bound operator this instance runs.
     #[inline]
     pub(crate) fn op(&self) -> &BoundOp {
         &self.plan.ops[self.op_id]
     }
 
-    /// Runs one invocation of the operator's UDF, charging the stats.
-    pub(crate) fn call(&self, inv: Invocation<'_>, out: &mut Vec<Record>) -> Result<(), ExecError> {
-        let op = self.op();
+    /// Runs one invocation of the operator's UDF in the instance's frame
+    /// and tallies it. A failed call is not counted.
+    pub(crate) fn call(
+        &mut self,
+        inv: Invocation<'_>,
+        out: &mut Vec<Record>,
+    ) -> Result<(), ExecError> {
+        let op = &self.plan.ops[self.op_id];
         let before = out.len();
         let st = self
             .interp
-            .run(&op.udf, inv, &op.layout, out)
+            .run_in(&mut self.calls.frame, &op.udf, inv, &op.layout, out)
             .map_err(|e| ExecError::Udf(op.name.clone(), e))?;
-        self.stats.add_call(self.op_id, st.steps, st.emits);
         if self.stats.detail() {
             let bytes: usize = out[before..].iter().map(Record::encoded_len).sum();
             self.stats.add_op_out_bytes(self.op_id, bytes as u64);
         }
+        let t = &mut self.calls;
+        t.calls += 1;
+        t.steps += st.steps;
+        t.emits += st.emits;
+        if t.calls >= FLUSH_EVERY {
+            self.flush_calls();
+        }
         Ok(())
+    }
+
+    /// Adds the calls tallied since the last flush to the stats. Every
+    /// `push` and `finish` that calls the UDF ends with this, on every
+    /// exit path.
+    pub(crate) fn flush_calls(&mut self) {
+        let t = &mut self.calls;
+        if t.calls > 0 {
+            self.stats.add_calls(self.op_id, t.calls, t.steps, t.emits);
+            (t.calls, t.steps, t.emits) = (0, 0, 0);
+        }
     }
 
     /// Chunks emitted records into batches and appends them to `out`.
@@ -389,6 +458,44 @@ mod tests {
         assert!(key_has_null(&a, &key));
         assert_eq!(key_cmp(&a, &b, &key), Ordering::Equal);
         assert_eq!(key_hash(&a, &key), key_hash(&b, &key));
+    }
+
+    #[test]
+    fn calls_are_charged_every_1024_and_on_flush_exactly_once() {
+        use strato_dataflow::{CostHints, ProgramBuilder, SourceDef};
+        use strato_ir::{FuncBuilder, UdfKind};
+        let mut b = FuncBuilder::new("id", UdfKind::Map, vec![1]);
+        let or = b.copy_input(0);
+        b.emit(or);
+        b.ret();
+        let mut p = ProgramBuilder::new();
+        let s = p.source(SourceDef::new("s", &["a"], 8));
+        let m = p.map("id", b.finish().unwrap(), CostHints::default(), s);
+        let plan = p.finish(m).unwrap().bind().unwrap();
+        let stats = Arc::new(ExecStats::with_ops(1));
+        let gov = Arc::new(MemoryGovernor::with_budget(None));
+        let mut ctx = crate::testutil::ctx(&plan, &stats, &gov);
+        let r = rec(&[1]);
+        let mut out = Vec::new();
+        let mut call = |ctx: &mut OpCtx| ctx.call(Invocation::Row((&r).into()), &mut out).unwrap();
+        let charged = |n: u64| {
+            let t = stats.totals();
+            assert_eq!((t.udf_calls, t.records_emitted), (n, n));
+            assert_eq!(stats.op_snapshots()[0].calls, n);
+        };
+        for _ in 1..FLUSH_EVERY {
+            call(&mut ctx);
+        }
+        charged(0);
+        call(&mut ctx);
+        charged(FLUSH_EVERY);
+        call(&mut ctx);
+        // A clone starts with a zero tally: flushing it charges nothing.
+        ctx.clone().flush_calls();
+        charged(FLUSH_EVERY);
+        ctx.flush_calls();
+        ctx.flush_calls();
+        charged(FLUSH_EVERY + 1);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl ReduceOp {
     /// In-memory hash grouping of the rows of `batches`; returns the
     /// number of groups.
     fn hash_groups(
-        &self,
+        &mut self,
         batches: &[Arc<RecordBatch>],
         out: &mut Vec<Record>,
     ) -> Result<u64, ExecError> {
@@ -102,24 +102,9 @@ impl ReduceOp {
         }
         Ok(groups.len() as u64)
     }
-}
 
-impl Operator for ReduceOp {
-    fn push(
-        &mut self,
-        port: usize,
-        batch: Arc<RecordBatch>,
-        _out: &mut Vec<Arc<RecordBatch>>,
-    ) -> Result<(), ExecError> {
-        debug_assert_eq!(port, 0, "Reduce is unary");
-        self.buf.push_batch(batch);
-        if self.ctx.gov.over_budget() {
-            self.buf.spill()?;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+    /// The finish: one of the two groupings, then the emission.
+    fn reduce(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
         let mut emitted = Vec::new();
         let mut groups = 0u64;
         if self.strategy == LocalStrategy::HashGroup && !self.buf.spilled() {
@@ -141,6 +126,28 @@ impl Operator for ReduceOp {
         }
         self.ctx.emit(emitted, out);
         Ok(())
+    }
+}
+
+impl Operator for ReduceOp {
+    fn push(
+        &mut self,
+        port: usize,
+        batch: Arc<RecordBatch>,
+        _out: &mut Vec<Arc<RecordBatch>>,
+    ) -> Result<(), ExecError> {
+        debug_assert_eq!(port, 0, "Reduce is unary");
+        self.buf.push_batch(batch);
+        if self.ctx.gov.over_budget() {
+            self.buf.spill()?;
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+        let reduced = self.reduce(out);
+        self.ctx.flush_calls();
+        reduced
     }
 }
 

@@ -196,6 +196,37 @@ impl StreamAggOp {
         }
         acc
     }
+
+    /// The finish: the combiner emits its partials; the final role folds
+    /// equal-key partials and calls the UDF once per key.
+    fn drain(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+        self.reset_table();
+        self.ctx
+            .stats
+            .add_preagg(self.records_in, self.partials_out);
+        match self.role {
+            AggRole::Combine => self.emit_partials(out),
+            AggRole::Final => {
+                // Ascending canonical key order — the buffered Reduce's
+                // emission order — and one UDF call per key.
+                let mut stream = self.partials.drain_groups()?;
+                let mut groups = 0u64;
+                let mut emitted = Vec::new();
+                while let Some(g) = stream.next_group()? {
+                    let p = Self::fold_group(&self.folds, g);
+                    let group = Invocation::Group(&[RowRef::from(&p)]);
+                    self.ctx.call(group, &mut emitted)?;
+                    groups += 1;
+                }
+                if self.ctx.stats.detail() {
+                    // Partials are exactly the distinct input-0 keys.
+                    self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, groups);
+                }
+                self.ctx.emit(emitted, out);
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Operator for StreamAggOp {
@@ -235,32 +266,9 @@ impl Operator for StreamAggOp {
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        self.reset_table();
-        self.ctx
-            .stats
-            .add_preagg(self.records_in, self.partials_out);
-        match self.role {
-            AggRole::Combine => self.emit_partials(out),
-            AggRole::Final => {
-                // Ascending canonical key order — the buffered Reduce's
-                // emission order — and one UDF call per key.
-                let mut stream = self.partials.drain_groups()?;
-                let mut groups = 0u64;
-                let mut emitted = Vec::new();
-                while let Some(g) = stream.next_group()? {
-                    let p = Self::fold_group(&self.folds, g);
-                    let group = Invocation::Group(&[RowRef::from(&p)]);
-                    self.ctx.call(group, &mut emitted)?;
-                    groups += 1;
-                }
-                if self.ctx.stats.detail() {
-                    // Partials are exactly the distinct input-0 keys.
-                    self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, groups);
-                }
-                self.ctx.emit(emitted, out);
-            }
-        }
-        Ok(())
+        let finished = self.drain(out);
+        self.ctx.flush_calls();
+        finished
     }
 }
 

@@ -78,7 +78,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use strato_core::{LocalStrategy, PhysNode, Ship};
 use strato_dataflow::{NodeKind, Pact, Plan};
-use strato_ir::interp::Interp;
 use strato_record::{BatchBuilder, DataSet, RecordBatch};
 
 /// Tuning knobs of one execution. The defaults reproduce production
@@ -798,13 +797,14 @@ pub(crate) fn run_streaming(
     // surfaced as `ExecError::Panic`.
     let gov = Arc::new(runtime.governor_for(opts));
     let stats = Arc::new(stats);
-    let op_ctx = |op_id: usize| OpCtx {
-        interp: Interp::default(),
-        plan: Arc::clone(&plan.ctx),
-        stats: Arc::clone(&stats),
-        gov: Arc::clone(&gov),
-        batch_size: opts.batch_size,
-        op_id,
+    let op_ctx = |op_id: usize| {
+        OpCtx::new(
+            Arc::clone(&plan.ctx),
+            Arc::clone(&stats),
+            Arc::clone(&gov),
+            opts.batch_size,
+            op_id,
+        )
     };
 
     // Channel table: consumer stage × port × partition, ids matching the

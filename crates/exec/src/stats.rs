@@ -190,12 +190,15 @@ impl ExecStats {
         self.detail
     }
 
-    pub(crate) fn add_call(&self, op: usize, steps: u64, emits: u64) {
-        self.udf_calls.fetch_add(1, Ordering::Relaxed);
+    /// Charges `calls` UDF invocations of operator `op`, which executed
+    /// `steps` instructions and emitted `emits` records between them.
+    /// Operators tally calls locally and charge them here in batches.
+    pub(crate) fn add_calls(&self, op: usize, calls: u64, steps: u64, emits: u64) {
+        self.udf_calls.fetch_add(calls, Ordering::Relaxed);
         self.interp_steps.fetch_add(steps, Ordering::Relaxed);
         self.records_emitted.fetch_add(emits, Ordering::Relaxed);
         if let Some(slot) = self.per_op.get(op) {
-            slot.calls.fetch_add(1, Ordering::Relaxed);
+            slot.calls.fetch_add(calls, Ordering::Relaxed);
             slot.emits.fetch_add(emits, Ordering::Relaxed);
         }
     }
@@ -360,8 +363,8 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = ExecStats::new();
-        s.add_call(0, 100, 2);
-        s.add_call(0, 50, 0);
+        s.add_calls(0, 1, 100, 2);
+        s.add_calls(0, 1, 50, 0);
         s.add_shipped(10, 640);
         let t = s.totals();
         assert_eq!(t.udf_calls, 2);
@@ -433,9 +436,9 @@ mod tests {
     #[test]
     fn per_op_slots_track_by_operator() {
         let s = ExecStats::with_ops(2);
-        s.add_call(0, 10, 1);
-        s.add_call(1, 20, 3);
-        s.add_call(1, 30, 0);
+        s.add_calls(0, 1, 10, 1);
+        s.add_calls(1, 1, 20, 3);
+        s.add_calls(1, 1, 30, 0);
         s.add_op_nanos(1, 500);
         let ops = s.op_snapshots();
         assert_eq!(ops.len(), 2);
@@ -449,7 +452,7 @@ mod tests {
     fn per_op_is_safe_without_slots() {
         let s = ExecStats::new();
         // Out-of-range ops are ignored, not a panic.
-        s.add_call(7, 1, 1);
+        s.add_calls(7, 1, 1, 1);
         s.add_op_nanos(7, 1);
         s.add_op_out_bytes(7, 1);
         s.add_op_distinct_keys(7, 1);
@@ -468,7 +471,7 @@ mod tests {
     #[test]
     fn totals_mirrors_every_global_counter() {
         let s = ExecStats::new();
-        s.add_call(0, 100, 2);
+        s.add_calls(0, 1, 100, 2);
         s.add_shipped(10, 640);
         s.add_preagg(50, 7);
         s.add_spill(0, 20, 999);
@@ -510,7 +513,7 @@ mod tests {
     #[test]
     fn display_renders() {
         let s = ExecStats::new();
-        s.add_call(0, 1, 1);
+        s.add_calls(0, 1, 1, 1);
         assert!(format!("{s}").contains("udf_calls=1"));
     }
 }

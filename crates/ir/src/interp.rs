@@ -8,6 +8,20 @@
 //! translation is what lets arbitrarily reordered plans run unchanged UDF
 //! code.
 //!
+//! A call pays for the instructions it executes and little more:
+//!
+//! * its registers live in a [`Frame`] that the caller keeps across
+//!   calls — one per operator instance in the engine — so a call
+//!   allocates only the records its UDF constructs and the strings its
+//!   instructions compute;
+//! * operands are borrowed from their registers, and record slots are
+//!   read in place: a field read clones the field, never the record, and
+//!   a concatenation fills its result straight from the other side's row
+//!   view;
+//! * an `Emit` directly followed by a `Return` moves its record out of
+//!   the frame; any other `Emit` clones, since the slot may be read or
+//!   emitted again.
+//!
 //! Semantics are *total*: arithmetic on mismatched types yields
 //! [`Value::Null`], division by zero yields null, and runaway loops are cut
 //! off by a configurable step limit so adversarial IR (e.g. from property
@@ -152,7 +166,41 @@ enum RecSlot {
     Built(Record),
 }
 
-/// The IR interpreter. Cheap to construct; stateless across invocations.
+/// What an unwritten value register reads as.
+static NULL: Value = Value::Null;
+/// What an unwritten record register reads as.
+static UNSET: RecSlot = RecSlot::Unset;
+
+/// The registers of one UDF invocation: value registers, record slots,
+/// group iterators and the argument buffer of intrinsic calls.
+///
+/// An operator instance owns one frame and lends it to every call of its
+/// UDF ([`Interp::run_in`]): once the frame has grown to the UDF's
+/// register counts, a call allocates nothing for its registers. Every
+/// call starts from empty registers — whatever an earlier call left
+/// behind, even one that panicked — and drops the values it produced
+/// before it returns, so no string or record outlives its call.
+#[derive(Debug, Default)]
+pub struct Frame {
+    vals: Vec<Value>,
+    recs: Vec<RecSlot>,
+    iters: Vec<(u8, usize)>,
+    argv: Vec<Value>,
+}
+
+impl Frame {
+    /// Empties every register, keeping the allocations.
+    fn clear(&mut self) {
+        self.vals.clear();
+        self.recs.clear();
+        self.iters.clear();
+        self.argv.clear();
+    }
+}
+
+/// The IR interpreter: a step budget and nothing else. All per-call state
+/// lives in the [`Frame`] a call runs in, so one `Interp` serves any
+/// number of operators and threads.
 #[derive(Debug, Clone, Copy)]
 pub struct Interp {
     /// Maximum instructions per invocation.
@@ -173,10 +221,24 @@ impl Interp {
         Interp { max_steps }
     }
 
-    /// Runs one invocation, appending emitted records (global-layout tuples)
-    /// to `out`.
+    /// Runs one invocation in a fresh [`Frame`] — for one-off callers;
+    /// operators reuse theirs through [`Interp::run_in`].
     pub fn run(
         &self,
+        f: &Function,
+        inv: Invocation<'_>,
+        layout: &Layout,
+        out: &mut Vec<Record>,
+    ) -> Result<RunStats, InterpError> {
+        self.run_in(&mut Frame::default(), f, inv, layout, out)
+    }
+
+    /// Runs one invocation in `frame`, appending emitted records
+    /// (global-layout tuples) to `out`. Outputs and [`RunStats`] are
+    /// those of a fresh frame, whatever `frame` ran before.
+    pub fn run_in(
+        &self,
+        frame: &mut Frame,
         f: &Function,
         inv: Invocation<'_>,
         layout: &Layout,
@@ -185,16 +247,39 @@ impl Interp {
         if !inv.matches(f.kind()) {
             return Err(InterpError::ShapeMismatch);
         }
+        frame.clear();
+        let result = self.exec(frame, f, inv, layout, out);
+        frame.clear();
+        result
+    }
+
+    /// The execution loop.
+    fn exec(
+        &self,
+        frame: &mut Frame,
+        f: &Function,
+        inv: Invocation<'_>,
+        layout: &Layout,
+        out: &mut Vec<Record>,
+    ) -> Result<RunStats, InterpError> {
+        let Frame {
+            vals,
+            recs,
+            iters,
+            argv,
+        } = frame;
         let insts = f.insts();
-        let mut vals: Vec<Value> = Vec::new();
-        let mut recs: Vec<RecSlot> = Vec::new();
-        let mut iters: Vec<(u8, usize)> = Vec::new();
         let mut pc = 0usize;
         let mut stats = RunStats::default();
 
         macro_rules! val {
             ($r:expr) => {
-                vals.get($r.0 as usize).cloned().unwrap_or(Value::Null)
+                vals.get($r.0 as usize).unwrap_or(&NULL)
+            };
+        }
+        macro_rules! rec {
+            ($r:expr) => {
+                recs.get($r.0 as usize).unwrap_or(&UNSET)
             };
         }
         macro_rules! set_val {
@@ -224,20 +309,22 @@ impl Interp {
             match &insts[pc] {
                 Inst::Const { dst, value } => set_val!(dst, value.clone()),
                 Inst::Move { dst, src } => {
-                    let v = val!(src);
+                    let v = val!(src).clone();
                     set_val!(dst, v);
                 }
                 Inst::Bin { dst, op, a, b } => {
-                    let v = eval_bin(*op, &val!(a), &val!(b));
+                    let v = eval_bin(*op, val!(a), val!(b));
                     set_val!(dst, v);
                 }
                 Inst::Un { dst, op, a } => {
-                    let v = eval_un(*op, &val!(a));
+                    let v = eval_un(*op, val!(a));
                     set_val!(dst, v);
                 }
                 Inst::Call { dst, f: func, args } => {
-                    let argv: Vec<Value> = args.iter().map(|a| val!(a)).collect();
-                    set_val!(dst, func.eval(&argv));
+                    argv.extend(args.iter().map(|a| val!(a).clone()));
+                    let v = func.eval(argv);
+                    argv.clear();
+                    set_val!(dst, v);
                 }
                 Inst::LoadInput { dst, input } => {
                     set_rec!(
@@ -249,16 +336,14 @@ impl Interp {
                     );
                 }
                 Inst::GetField { dst, rec, field } => {
-                    let slot = recs.get(rec.0 as usize).cloned().unwrap_or_default();
-                    let v = self.read_field(&slot, *field, inv, layout)?;
+                    let v = self.read_field(rec!(rec), *field, inv, layout)?;
                     set_val!(dst, v);
                 }
                 Inst::GetFieldDyn { dst, rec, idx } => {
-                    let slot = recs.get(rec.0 as usize).cloned().unwrap_or_default();
                     let v = match val!(idx).as_int() {
                         // Out-of-schema dynamic reads yield null (total).
                         Some(n) if n >= 0 => self
-                            .read_field(&slot, n as usize, inv, layout)
+                            .read_field(rec!(rec), n as usize, inv, layout)
                             .unwrap_or(Value::Null),
                         _ => Value::Null,
                     };
@@ -268,9 +353,8 @@ impl Interp {
                     if let Some(n) = val!(idx).as_int() {
                         if n >= 0 {
                             if let Some(attr) = layout.output.get(n as usize) {
-                                let v = val!(src);
                                 if let Some(RecSlot::Built(r)) = recs.get_mut(rec.0 as usize) {
-                                    r.set_field(attr.index(), v);
+                                    r.set_field(attr.index(), val!(src).clone());
                                 }
                             }
                         }
@@ -281,9 +365,8 @@ impl Interp {
                         .output
                         .get(*field)
                         .ok_or(InterpError::UnmappedField(*field))?;
-                    let v = val!(src);
                     if let Some(RecSlot::Built(r)) = recs.get_mut(rec.0 as usize) {
-                        r.set_field(attr.index(), v);
+                        r.set_field(attr.index(), val!(src).clone());
                     }
                 }
                 Inst::SetNull { rec, field } => {
@@ -299,22 +382,31 @@ impl Interp {
                     set_rec!(dst, RecSlot::Built(Record::nulls(layout.width)));
                 }
                 Inst::CopyRecord { dst, src } => {
-                    let slot = recs.get(src.0 as usize).cloned().unwrap_or_default();
-                    let r = self.materialize(&slot, inv, layout);
+                    let r = self.materialize(rec!(src), inv, layout);
                     set_rec!(dst, RecSlot::Built(r));
                 }
                 Inst::ConcatRecords { dst, a, b } => {
-                    let sa = recs.get(a.0 as usize).cloned().unwrap_or_default();
-                    let sb = recs.get(b.0 as usize).cloned().unwrap_or_default();
-                    let mut r = self.materialize(&sa, inv, layout);
-                    let rb = self.materialize(&sb, inv, layout);
-                    r.merge_absent(&rb);
+                    let mut r = self.materialize(rec!(a), inv, layout);
+                    self.merge_slot(&mut r, rec!(b), inv, layout);
                     set_rec!(dst, RecSlot::Built(r));
                 }
                 Inst::Emit { rec } => {
-                    if let Some(RecSlot::Built(r)) = recs.get(rec.0 as usize) {
-                        out.push(r.clone());
-                        stats.emits += 1;
+                    // `Emit` never jumps, so when a `Return` follows it is
+                    // the next instruction run and nothing reads the slot
+                    // again: the record moves out instead of being cloned.
+                    let last = matches!(insts.get(pc + 1), Some(Inst::Return));
+                    match recs.get_mut(rec.0 as usize) {
+                        Some(slot @ RecSlot::Built(_)) if last => {
+                            if let RecSlot::Built(r) = std::mem::take(slot) {
+                                out.push(r);
+                            }
+                            stats.emits += 1;
+                        }
+                        Some(RecSlot::Built(r)) => {
+                            out.push(r.clone());
+                            stats.emits += 1;
+                        }
+                        _ => {}
                     }
                 }
                 Inst::Branch { cond, target } => {
@@ -406,6 +498,31 @@ impl Interp {
             RecSlot::Built(r) => r.clone(),
         }
     }
+
+    /// `r.merge_absent(&materialize(slot))` without materializing the slot:
+    /// fills `r`'s null fields from the slot's non-null ones, read in place.
+    fn merge_slot(&self, r: &mut Record, slot: &RecSlot, inv: Invocation<'_>, layout: &Layout) {
+        let row = match slot {
+            RecSlot::Built(b) => return r.merge_absent(b),
+            RecSlot::Input { input, idx } => inv.input(*input, *idx),
+            RecSlot::Unset => None,
+        };
+        // The materialized slot is at least `layout.width` wide.
+        let width = row.map_or(0, |v| v.arity()).max(layout.width);
+        if r.arity() < width {
+            r.set_field(width - 1, Value::Null);
+        }
+        if let Some(row) = row {
+            for i in 0..row.arity() {
+                if r.field(i).is_null() {
+                    let v = row.value(i);
+                    if !v.is_null() {
+                        r.set_field(i, v);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Evaluates a binary operator with total, null-propagating semantics.
@@ -488,6 +605,8 @@ pub fn eval_un(op: UnOp, a: &Value) -> Value {
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
+    use crate::inst::RReg;
+    use crate::intrinsics::Intrinsic;
 
     fn views(g: &[Record]) -> Vec<RowRef<'_>> {
         g.iter().map(RowRef::from).collect()
@@ -571,10 +690,9 @@ mod tests {
         assert!(r2.is_empty());
     }
 
-    #[test]
-    fn group_sum_udf() {
-        // Reduce UDF: emit one record with key (field 0) and sum(field 1)
-        // appended as field 2.
+    /// Reduce UDF: emits one record with the key (field 0) and the sum
+    /// of field 1 appended as field 2.
+    fn group_sum() -> Function {
         let mut b = FuncBuilder::new("sum", UdfKind::Group, vec![2]);
         let sum = b.konst(0i64);
         let it = b.iter_open(0);
@@ -595,8 +713,12 @@ mod tests {
         b.emit(or);
         b.place(empty);
         b.ret();
-        let f = b.finish().unwrap();
+        b.finish().unwrap()
+    }
 
+    #[test]
+    fn group_sum_udf() {
+        let f = group_sum();
         let group = vec![rec2(1, 10), rec2(1, 20), rec2(1, 5)];
         let layout = Layout::local(&f);
         let mut out = Vec::new();
@@ -664,14 +786,18 @@ mod tests {
         assert_eq!(run(&mixed), reference);
     }
 
-    #[test]
-    fn pair_concat_udf() {
-        // Match-style UDF: concatenate both records.
+    /// Match-style UDF: concatenates both records.
+    fn pair_concat() -> Function {
         let mut b = FuncBuilder::new("join", UdfKind::Pair, vec![2, 2]);
         let or = b.concat_inputs();
         b.emit(or);
         b.ret();
-        let f = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn pair_concat_udf() {
+        let f = pair_concat();
         let layout = Layout::local(&f);
         // Global layout: input0 = attrs 0,1; input1 = attrs 2,3.
         let left = Record::from_values([Value::Int(1), Value::Int(2), Value::Null, Value::Null]);
@@ -696,13 +822,74 @@ mod tests {
         );
     }
 
-    #[test]
-    fn step_limit_stops_infinite_loop() {
+    /// Builds a record from a string constant, then loops forever.
+    fn spinning() -> Function {
         let mut b = FuncBuilder::new("loop", UdfKind::Map, vec![1]);
+        let s = b.konst(Value::str("left behind"));
+        let or = b.new_rec();
+        b.set(or, 0, s);
         let head = b.new_label();
         b.place(head);
         b.jump(head);
-        let f = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn concat_merges_a_view_like_its_materialized_record() {
+        use strato_record::BatchBuilder;
+        // Concatenation of the two input views, and of copies of them
+        // (a built second side).
+        let views_udf = pair_concat();
+        let mut b = FuncBuilder::new("join_copies", UdfKind::Pair, vec![2, 2]);
+        let (l, r) = (b.copy_input(0), b.copy_input(1));
+        let or = b.concat(l, r);
+        b.emit(or);
+        b.ret();
+        let copies_udf = b.finish().unwrap();
+        let layout = Layout::local(&views_udf);
+        // The reference: materialize both sides (padded to the global
+        // width), then `merge_absent`.
+        let padded = |r: &Record| {
+            let mut r = r.clone();
+            if r.arity() < layout.width {
+                r.set_field(layout.width - 1, Value::Null);
+            }
+            r
+        };
+        let ints = |v: &[Option<i64>]| {
+            Record::from_values(v.iter().map(|x| x.map_or(Value::Null, Value::Int)))
+        };
+        let rows = [
+            ints(&[Some(1), Some(2)]),
+            ints(&[None, Some(2)]),
+            ints(&[None, None, Some(3), Some(4)]),
+            ints(&[Some(9), None, None, Some(4), Some(5)]),
+            Record::from_values([Value::Null, Value::str("x"), Value::Float(-0.0)]),
+        ];
+        let mut cols = BatchBuilder::new(5);
+        for r in &rows {
+            cols.push_record(&padded(r));
+        }
+        let cols = cols.finish();
+        for (i, a) in rows.iter().enumerate() {
+            for (j, b) in rows.iter().enumerate() {
+                for right in [RowRef::from(b), cols.row(j)] {
+                    let mut want = padded(a);
+                    want.merge_absent(&padded(&right.to_record()));
+                    let inv = Invocation::Pair(RowRef::from(a), right);
+                    for f in [&views_udf, &copies_udf] {
+                        let mut out = Vec::new();
+                        Interp::default().run(f, inv, &layout, &mut out).unwrap();
+                        assert_eq!(out, [want.clone()], "{} on rows {i}, {j}", f.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_limit_stops_infinite_loop() {
+        let f = spinning();
         let layout = Layout::local(&f);
         let r = Record::from_values([Value::Int(1)]);
         let mut out = Vec::new();
@@ -770,15 +957,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn group_count_instruction() {
+    fn group_count() -> Function {
         let mut b = FuncBuilder::new("count", UdfKind::Group, vec![1]);
         let n = b.group_count(0);
         let or = b.new_rec();
         b.set(or, 1, n);
         b.emit(or);
         b.ret();
-        let f = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn group_count_instruction() {
+        let f = group_count();
         let layout = Layout::local(&f);
         let g = vec![
             Record::from_values([Value::Int(1)]),
@@ -791,9 +982,8 @@ mod tests {
         assert_eq!(out[0].field(1), &Value::Int(2));
     }
 
-    #[test]
-    fn reopened_iterator_rescans_group() {
-        // Count the group twice via two iterators.
+    /// Counts the group twice, via two iterators.
+    fn count_twice() -> Function {
         let mut b = FuncBuilder::new("twice", UdfKind::Group, vec![1]);
         let count = b.konst(0i64);
         let one = b.konst(1i64);
@@ -811,7 +1001,12 @@ mod tests {
         b.set(or, 1, count);
         b.emit(or);
         b.ret();
-        let f = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn reopened_iterator_rescans_group() {
+        let f = count_twice();
         let layout = Layout::local(&f);
         let g = vec![
             Record::from_values([Value::Int(1)]),
@@ -823,5 +1018,136 @@ mod tests {
             .run(&f, Invocation::Group(&views(&g)), &layout, &mut out)
             .unwrap();
         assert_eq!(out[0].field(1), &Value::Int(6));
+    }
+
+    /// Copies every record of the group with field 1 set to a computed
+    /// string, and aborts (panics) at the first record whose field 0 is
+    /// non-zero — leaving strings, a built record and a half-walked
+    /// iterator in its frame.
+    fn aborting() -> Function {
+        let mut b = FuncBuilder::new("abort", UdfKind::Group, vec![2]);
+        let a = b.konst(Value::str("a"));
+        let bb = b.konst(Value::str("b"));
+        let ab = b.call(Intrinsic::Concat, vec![a, bb]);
+        let it = b.iter_open(0);
+        let done = b.new_label();
+        let head = b.new_label();
+        b.place(head);
+        let r = b.iter_next(it, done);
+        let or = b.copy(r);
+        b.set(or, 1, ab);
+        let k = b.get(r, 0);
+        b.call(Intrinsic::AbortIf, vec![k]);
+        b.emit(or);
+        b.jump(head);
+        b.place(done);
+        b.ret();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn a_reused_frame_runs_like_a_fresh_one() {
+        let mut frame = Frame::default();
+        let one = Record::from_values([Value::Int(1)]);
+        let layout = Layout::local(&spinning());
+        let err = Interp::with_max_steps(1000)
+            .run_in(
+                &mut frame,
+                &spinning(),
+                Invocation::Row(RowRef::from(&one)),
+                &layout,
+                &mut Vec::new(),
+            )
+            .unwrap_err();
+        assert_eq!(err, InterpError::StepLimit(1000));
+        let abort = aborting();
+        let tripping = vec![rec2(0, 1), rec2(0, 2), rec2(5, 3)];
+        let tripping = views(&tripping);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Interp::default().run_in(
+                &mut frame,
+                &abort,
+                Invocation::Group(&tripping),
+                &Layout::local(&abort),
+                &mut Vec::new(),
+            )
+        }));
+        assert!(panicked.is_err(), "abort_if must trip");
+
+        // Then UDFs of every kind and register count, in both orders, on
+        // the frame the error and the panic left behind.
+        let group = vec![rec2(1, 10), rec2(1, 20), rec2(1, 5)];
+        let group = views(&group);
+        let zeros = vec![rec2(0, 7), rec2(0, 8)];
+        let zeros = views(&zeros);
+        let (left, right) = (
+            Record::from_values([Value::Int(1), Value::Int(2), Value::Null, Value::Null]),
+            Record::from_values([Value::Null, Value::Null, Value::Int(3), Value::Int(4)]),
+        );
+        let (neg, pos) = (rec2(-2, -3), rec2(2, -3));
+        let row = |r| Invocation::Row(RowRef::from(r));
+        // The aborting UDF goes first: its `Concat` would read the
+        // argument the panic left behind if the frame were not cleared.
+        let cases = [
+            (abort, Invocation::Group(&zeros)),
+            (paper_f1(), row(&neg)),
+            (paper_f2(), row(&neg)),
+            (group_sum(), Invocation::Group(&group)),
+            (paper_f3(), row(&pos)),
+            (
+                pair_concat(),
+                Invocation::Pair(RowRef::from(&left), RowRef::from(&right)),
+            ),
+            (group_count(), Invocation::Group(&group)),
+            (count_twice(), Invocation::Group(&group)),
+        ];
+        for (f, inv) in cases.iter().chain(cases.iter().rev()) {
+            let layout = Layout::local(f);
+            let (mut fresh, mut reused) = (Vec::new(), Vec::new());
+            let want = Interp::default().run(f, *inv, &layout, &mut fresh);
+            let got = Interp::default().run_in(&mut frame, f, *inv, &layout, &mut reused);
+            assert_eq!((got, reused), (want, fresh), "{}", f.name());
+        }
+    }
+
+    #[test]
+    fn an_emit_before_return_moves_and_any_other_emit_clones() {
+        // Runs `f` without the closing clear and reports its output and
+        // whether the emitted slot still holds its record.
+        let run = |f: &Function, or: RReg| {
+            let r = rec2(4, 5);
+            let mut frame = Frame::default();
+            let mut out = Vec::new();
+            let inv = Invocation::Row(RowRef::from(&r));
+            let st = Interp::default()
+                .exec(&mut frame, f, inv, &Layout::local(f), &mut out)
+                .unwrap();
+            assert_eq!(st.emits as usize, out.len());
+            let kept = matches!(frame.recs[or.0 as usize], RecSlot::Built(_));
+            (out, kept)
+        };
+        let build = |tail: &dyn Fn(&mut FuncBuilder, RReg)| {
+            let mut b = FuncBuilder::new("emit", UdfKind::Map, vec![2]);
+            let or = b.copy_input(0);
+            tail(&mut b, or);
+            b.ret();
+            (b.finish().unwrap(), or)
+        };
+        // emit; ret: moved.
+        let (once, or) = build(&|b, or| b.emit(or));
+        assert_eq!(run(&once, or), (vec![rec2(4, 5)], false));
+        // emit; emit; ret: the first clones, the second moves — two
+        // equal records.
+        let (twice, or) = build(&|b, or| {
+            b.emit(or);
+            b.emit(or);
+        });
+        assert_eq!(run(&twice, or), (vec![rec2(4, 5), rec2(4, 5)], false));
+        // emit; const; ret: cloned, the slot keeps its record.
+        let (later, or) = build(&|b, or| {
+            b.emit(or);
+            b.konst(0i64);
+        });
+        assert_eq!(run(&later, or), (vec![rec2(4, 5)], true));
     }
 }

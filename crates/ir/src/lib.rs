@@ -40,5 +40,5 @@ pub use builder::FuncBuilder;
 pub use cfg::Cfg;
 pub use func::{Function, UdfKind, VerifyError};
 pub use inst::{BinOp, Inst, IterReg, Label, RReg, Reg, UnOp, VReg};
-pub use interp::{Interp, InterpError, Invocation};
+pub use interp::{Frame, Interp, InterpError, Invocation};
 pub use intrinsics::Intrinsic;

@@ -9,10 +9,12 @@
 //!   **subsets** of the SCA-derived sets (Definitions 2–3),
 //! * observed emit counts must lie within the SCA emit bounds,
 //! * the interpreter must be total (no panics, no errors) on arbitrary
-//!   integer records.
+//!   integer records;
+//! * a register frame reused across a random sequence of invocations must
+//!   run each exactly as a fresh frame would.
 
 use proptest::prelude::*;
-use strato::ir::interp::{Interp, Invocation, Layout};
+use strato::ir::interp::{Frame, Interp, Invocation, Layout};
 use strato::ir::{BinOp, FuncBuilder, Function, UdfKind, UnOp};
 use strato::record::{Record, RowRef, Value};
 use strato::sca::probe::{probe_emit_counts, probe_read_set, probe_write_set, ProbeConfig};
@@ -60,6 +62,17 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
                 double_emit,
             },
         )
+}
+
+/// A field value: an integer, a null or a short string (arithmetic on
+/// the last two yields null).
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        any::<i64>().prop_map(Value::Int),
+        (-2i64..3).prop_map(Value::Int),
+        Just(Value::Null),
+        (0u8..3).prop_map(|n| Value::str("ab".repeat(n as usize))),
+    ]
 }
 
 fn build(recipe: &Recipe) -> Function {
@@ -161,6 +174,28 @@ proptest! {
         // Emitted records are always full global width.
         for r in &out {
             prop_assert_eq!(r.arity(), layout.width);
+        }
+    }
+
+    #[test]
+    fn a_reused_frame_runs_like_a_fresh_one(
+        calls in prop::collection::vec(
+            (arb_recipe(), prop::collection::vec(arb_value(), WIDTH)),
+            1..16,
+        ),
+    ) {
+        // One frame through every invocation of the sequence, against a
+        // fresh frame per invocation: same records, same `RunStats`.
+        let mut frame = Frame::default();
+        for (recipe, fields) in &calls {
+            let f = build(recipe);
+            let layout = Layout::local(&f);
+            let rec = Record::from_values(fields.iter().cloned());
+            let inv = Invocation::Row(RowRef::from(&rec));
+            let (mut fresh, mut reused) = (Vec::new(), Vec::new());
+            let want = Interp::default().run(&f, inv, &layout, &mut fresh);
+            let got = Interp::default().run_in(&mut frame, &f, inv, &layout, &mut reused);
+            prop_assert_eq!((got, reused), (want, fresh));
         }
     }
 
