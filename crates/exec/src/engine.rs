@@ -434,22 +434,31 @@ mod tests {
         let base =
             std::env::temp_dir().join(format!("strato-spill-cleanup-test-{}", std::process::id()));
         std::fs::create_dir_all(&base).unwrap();
+        // An unbounded pool, so the query's own 48-byte cap is its grant.
+        let rt = EngineRuntime::new(crate::runtime::RuntimeOptions {
+            workers: Some(1),
+            mem_budget: None,
+            spill_dir: Some(base.clone()),
+        });
         let opts = ExecOptions {
             mem_budget: Some(48),
-            spill_dir: Some(base.clone()),
             ..ExecOptions::default()
         };
 
         // Sanity half: without the panicking map, this budget really does
         // spill — so the panic run below had spill files to clean up.
-        let (_, stats) = execute_logical_with(&build(false), &inputs, &opts).unwrap();
+        let (_, stats) = rt
+            .execute_logical_with(&build(false), &inputs, &opts)
+            .unwrap();
         assert!(stats.totals().spill_runs > 0, "budget must force spills");
         let emptied = |base: &std::path::Path| std::fs::read_dir(base).unwrap().next().is_none();
         assert!(emptied(&base), "successful run removed its directory");
 
         // Panic half: same budget, with the aborting UDF downstream.
         let _guard = silence_panics();
-        let err = execute_logical_with(&build(true), &inputs, &opts).unwrap_err();
+        let err = rt
+            .execute_logical_with(&build(true), &inputs, &opts)
+            .unwrap_err();
         drop(_guard);
         assert!(matches!(err, ExecError::Panic { .. }), "{err}");
         assert!(emptied(&base), "panicked run removed its directory too");

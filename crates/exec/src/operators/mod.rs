@@ -31,8 +31,8 @@
 //! Key extraction never clones `Value`s on the hot path: comparisons go
 //! through `key_cmp`/`key_cmp2` or their row-view forms (field-by-field,
 //! allocation-free) and hash tables are keyed by a 64-bit FxHash of the
-//! key fields (`RecordBatch::key_hash_into` per batch, `key_hash` per
-//! record) with exact-equality verification per bucket entry, so hash
+//! key fields (`RecordBatch::key_hash_into`, one hash per row of either
+//! layout) with exact-equality verification per bucket entry, so hash
 //! collisions cannot merge distinct keys.
 
 pub mod cogroup;
@@ -46,12 +46,10 @@ use crate::engine::ExecError;
 use crate::spill::MemoryGovernor;
 use crate::stats::ExecStats;
 use std::cmp::Ordering;
-use std::hash::Hasher;
 use std::sync::Arc;
 use strato_core::LocalStrategy;
 use strato_dataflow::{BoundOp, Pact, PlanCtx};
 use strato_ir::interp::{Frame, Interp, Invocation};
-use strato_record::hash::FxHasher;
 use strato_record::{AttrId, Record, RecordBatch};
 
 /// A physical operator: consumes batches on numbered input ports, emits
@@ -234,18 +232,6 @@ pub(crate) fn key_has_null(r: &Record, key: &[AttrId]) -> bool {
     key.iter().any(|k| r.field(k.index()).is_null())
 }
 
-/// FxHash of the key fields of a record, without materializing the key.
-/// Equal keys hash equal (including `Null == Null`); collisions are
-/// resolved by exact comparison at the use sites.
-#[inline]
-pub(crate) fn key_hash(r: &Record, key: &[AttrId]) -> u64 {
-    let mut h = FxHasher::default();
-    for &k in key {
-        std::hash::Hash::hash(r.field(k.index()), &mut h);
-    }
-    h.finish()
-}
-
 /// Canonical ordering inside key groups: `(key, whole record)`. Sorting
 /// with this comparator makes group contents a function of the input bag,
 /// independent of partitioning and arrival order — the determinism
@@ -396,20 +382,34 @@ pub(crate) fn apply_chunked(
     layout: BatchLayout,
     ctx: OpCtx,
 ) -> Result<Vec<Record>, ExecError> {
+    apply_built(|ctx| build(strategy, ctx), inputs, chunk, layout, ctx)
+}
+
+/// [`apply_chunked`] over the operator `make` builds, for operators no
+/// [`LocalStrategy`] names (the pre-ship combiner).
+#[cfg(test)]
+pub(crate) fn apply_built(
+    make: impl FnOnce(OpCtx) -> Box<dyn Operator>,
+    inputs: &[Vec<Record>],
+    chunk: usize,
+    layout: BatchLayout,
+    ctx: OpCtx,
+) -> Result<Vec<Record>, ExecError> {
     let gov = Arc::clone(&ctx.gov);
     let width = ctx.plan.width();
-    let mut oper = build(strategy, ctx);
+    let name = ctx.op().name.clone();
+    let mut oper = make(ctx);
     oper.open()?;
     let mut out = Vec::new();
     for (port, records) in inputs.iter().enumerate() {
         for (i, chunk) in records.chunks(chunk).enumerate() {
             let batch = Arc::new(layout.batch(i, chunk, width));
             oper.push(port, batch, &mut out)?;
-            assert!(!gov.over_budget(), "{strategy:?} kept pressure");
+            assert!(!gov.over_budget(), "{name} kept pressure");
         }
     }
     oper.finish(&mut out)?;
-    assert_eq!(gov.resident(), 0, "{strategy:?} kept a grant");
+    assert_eq!(gov.resident(), 0, "{name} kept a grant");
     Ok(out.into_iter().flat_map(take_records).collect())
 }
 
@@ -439,15 +439,23 @@ mod tests {
         assert_eq!(key_cmp(&rec(&[9, 2]), &rec(&[0, 2]), &key), Ordering::Equal);
     }
 
+    /// Each record's key hash through the batch kernel, row-major.
+    fn hashes(recs: &[Record], key: &[usize]) -> Vec<u64> {
+        let mut out = Vec::new();
+        RecordBatch::from_records(recs.to_vec()).key_hash_into(key, &mut out);
+        out
+    }
+
     #[test]
     fn key_hash_agrees_with_key_equality() {
         let key = [AttrId(0), AttrId(2)];
         let a = rec(&[5, 1, 7]);
         let b = rec(&[5, 2, 7]);
-        assert_eq!(key_cmp(&a, &b, &key), Ordering::Equal);
-        assert_eq!(key_hash(&a, &key), key_hash(&b, &key));
         let c = rec(&[5, 1, 8]);
-        assert_ne!(key_hash(&a, &key), key_hash(&c, &key));
+        assert_eq!(key_cmp(&a, &b, &key), Ordering::Equal);
+        let h = hashes(&[a, b, c], &[0, 2]);
+        assert_eq!(h[0], h[1]);
+        assert_ne!(h[0], h[2]);
     }
 
     #[test]
@@ -457,7 +465,8 @@ mod tests {
         let b = Record::from_values([Value::Null, Value::Int(2)]);
         assert!(key_has_null(&a, &key));
         assert_eq!(key_cmp(&a, &b, &key), Ordering::Equal);
-        assert_eq!(key_hash(&a, &key), key_hash(&b, &key));
+        let h = hashes(&[a, b], &[0]);
+        assert_eq!(h[0], h[1]);
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Operator for ReduceOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, key_cmp, key_hash, BatchLayout};
+    use crate::operators::{apply_chunked, key_cmp, BatchLayout};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::ctx;
@@ -235,19 +235,24 @@ mod tests {
         let (a1, a2) = (rec(1, 100, 5), rec(1, 100, 6));
         let (b1, b2) = (rec(1, 101, 7), rec(1, 101, 8));
         let (c1, c2) = (rec(2, y, 9), rec(2, y, 10));
-        // The engineered collision and its preconditions.
-        assert_eq!(key_hash(&a1, &key), key_hash(&c1, &key), "A and C collide");
+        // The engineered collision and its preconditions, through the
+        // batch hash kernel the operators use.
+        let key_idx: Vec<usize> = key.iter().map(|k| k.index()).collect();
+        let rows = RecordBatch::from_records(vec![a1.clone(), b1.clone(), c1.clone()]);
+        let mut hashes = Vec::new();
+        rows.key_hash_into(&key_idx, &mut hashes);
+        assert_eq!(hashes[0], hashes[2], "A and C collide");
+        assert_ne!(hashes[0], hashes[1]);
         assert_ne!(key_cmp(&a1, &c1, &key), std::cmp::Ordering::Equal);
-        assert_ne!(key_hash(&a1, &key), key_hash(&b1, &key));
         assert!(key_cmp(&a1, &b1, &key).is_lt() && key_cmp(&b1, &c1, &key).is_lt());
         // The whole-column kernel of columnar batches hashes alike.
         let mut builder = strato_record::BatchBuilder::new(plan.ctx.width());
-        builder.push_record(&a1);
-        builder.push_record(&c1);
-        let mut hashes = Vec::new();
-        let key_idx: Vec<usize> = key.iter().map(|k| k.index()).collect();
-        builder.finish().key_hash_into(&key_idx, &mut hashes);
-        assert_eq!(hashes, vec![key_hash(&a1, &key); 2]);
+        for r in [&a1, &b1, &c1] {
+            builder.push_record(r);
+        }
+        let mut col_hashes = Vec::new();
+        builder.finish().key_hash_into(&key_idx, &mut col_hashes);
+        assert_eq!(col_hashes, hashes);
 
         let input = [vec![c1, b1, a2, a1, c2, b2]];
         let stats = Arc::new(ExecStats::new());

@@ -5,7 +5,10 @@
 //! the group at all: it keeps **one partial record per key** in a hash
 //! table and folds every arriving record into its partial with the proven
 //! `⊕` operator — the engine literally runs the fold the analysis read
-//! out of the black box. The same operator serves two roles:
+//! out of the black box. One `absorb` folds rows of either batch layout:
+//! each batch is hashed with `RecordBatch::key_hash_into`, each row is
+//! read through its `RowRef` view, and a `Record` is built only when a
+//! key is seen for the first time. The same operator serves two roles:
 //!
 //! * **pre-ship combiner** (`AggRole::Combine`): inserted ahead of a
 //!   Partition-shipped Reduce; emits the raw partials (no UDF calls), so
@@ -52,7 +55,7 @@
 //! a group of one folds to itself) and invoke the UDF on it. Call
 //! accounting and emission order therefore do not depend on the budget.
 
-use super::{canonical_cmp, key_cmp, key_hash, take_records, OpCtx, Operator};
+use super::{canonical_cmp, OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::RunBuffer;
 use std::sync::Arc;
@@ -79,9 +82,9 @@ pub struct StreamAggOp {
     /// `(global attribute index, ⊕)` per folded field.
     folds: Vec<(usize, BinOp)>,
     role: AggRole,
-    /// Key attributes as plain column indices (columnar kernel form).
+    /// Key attributes as plain column indices.
     key_idx: Vec<usize>,
-    /// Scratch hash column reused across columnar batches.
+    /// Scratch hash column reused across batches.
     hashes: Vec<u64>,
     /// One partial record per key seen since the last shed.
     partials: RunBuffer,
@@ -115,53 +118,29 @@ impl StreamAggOp {
         }
     }
 
-    /// Folds one record into its key's partial (creating it on first
-    /// sight). This is the entire per-record work of the operator.
-    fn absorb(&mut self, r: Record) {
-        let key = &self.ctx.op().key_attrs[0];
-        self.records_in += 1;
-        let bucket = self.table.entry(key_hash(&r, key)).or_default();
-        let partials = self.partials.rows_mut();
-        match bucket
-            .iter()
-            .find(|&&i| key_cmp(&partials[i], &r, key).is_eq())
-        {
-            Some(&i) => {
-                let p = &mut partials[i];
-                for &(f, bin) in &self.folds {
-                    let v = eval_bin(bin, p.field(f), r.field(f));
-                    p.set_field(f, v);
-                }
-            }
-            None => {
-                bucket.push(partials.len());
-                self.partials.push([r]);
-            }
-        }
-    }
-
-    /// Columnar twin of [`StreamAggOp::absorb`]: folds one row of a
-    /// columnar batch into its key's partial without materializing the row
-    /// — a `Record` is built only when the key is seen for the first time.
-    /// `hash` is the row's precomputed key hash (vectorized per batch).
-    fn absorb_row(&mut self, cb: &strato_record::ColumnBatch, row: usize, hash: u64) {
+    /// Folds one row, of either batch layout, into its key's partial:
+    /// a `Record` is built only when the key is seen for the first time.
+    /// `hash` is the row's key hash (computed per batch). This is the
+    /// entire per-record work of the operator.
+    fn absorb(&mut self, row: RowRef<'_>, hash: u64) {
         self.records_in += 1;
         let bucket = self.table.entry(hash).or_default();
         let partials = self.partials.rows_mut();
-        match bucket
-            .iter()
-            .find(|&&i| cb.key_cmp_record(row, &partials[i], &self.key_idx).is_eq())
-        {
+        match bucket.iter().find(|&&i| {
+            RowRef::from(&partials[i])
+                .key_cmp(&row, &self.key_idx)
+                .is_eq()
+        }) {
             Some(&i) => {
                 let p = &mut partials[i];
                 for &(f, bin) in &self.folds {
-                    let v = eval_bin(bin, p.field(f), &cb.value_at(row, f));
+                    let v = eval_bin(bin, p.field(f), &row.value(f));
                     p.set_field(f, v);
                 }
             }
             None => {
                 bucket.push(partials.len());
-                self.partials.push([cb.row_record(row)]);
+                self.partials.push([row.to_record()]);
             }
         }
     }
@@ -237,21 +216,12 @@ impl Operator for StreamAggOp {
         out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
         debug_assert_eq!(port, 0, "streaming aggregation is unary");
-        if let Some(cb) = batch.columns() {
-            // Vectorized: hash the whole key column, then fold row views
-            // into the table. Grant accounting matches the row path because
-            // a partial's `encoded_len` is layout-independent.
-            let mut hashes = std::mem::take(&mut self.hashes);
-            cb.key_hash_into(&self.key_idx, &mut hashes);
-            for (row, &h) in hashes.iter().enumerate().take(cb.len()) {
-                self.absorb_row(cb, row, h);
-            }
-            self.hashes = hashes;
-        } else {
-            for r in take_records(batch) {
-                self.absorb(r);
-            }
+        let mut hashes = std::mem::take(&mut self.hashes);
+        batch.key_hash_into(&self.key_idx, &mut hashes);
+        for (row, &h) in hashes.iter().enumerate() {
+            self.absorb(batch.row(row), h);
         }
+        self.hashes = hashes;
         if self.ctx.gov.over_budget() && !self.partials.rows().is_empty() {
             // Shed the table: the combiner flushes its partials downstream
             // (the final Reduce re-groups them), the final role writes
@@ -275,7 +245,7 @@ impl Operator for StreamAggOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, apply_single, build_combiner, BatchLayout};
+    use crate::operators::{apply_built, apply_chunked, apply_single, build_combiner, BatchLayout};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::{ctx, sum_inplace};
@@ -304,28 +274,44 @@ mod tests {
         (t.records_preagg_in, t.records_preagg_out)
     }
 
+    /// Every `(layout, rows per batch)` the sweeps push `n` input rows
+    /// as: one row, two rows and the whole input per batch, in row-major,
+    /// columnar and alternating batches.
+    fn sweep(n: usize) -> impl Iterator<Item = (BatchLayout, usize)> {
+        BatchLayout::ALL
+            .into_iter()
+            .flat_map(move |layout| [1, 2, n].map(|chunk| (layout, chunk)))
+    }
+
+    /// Fresh, unbounded stats and governor.
+    fn fresh() -> (Arc<ExecStats>, Arc<MemoryGovernor>) {
+        (
+            Arc::new(ExecStats::new()),
+            Arc::new(MemoryGovernor::unbounded()),
+        )
+    }
+
     #[test]
     fn stream_agg_matches_buffered_reduce_record_for_record() {
         let plan = agg_plan();
         let rows = [(3, 10), (1, 1), (3, -4), (2, 7), (1, 5), (3, 9)];
         let input = wide(&plan, &rows);
-        let (s1, g1) = (
-            Arc::new(ExecStats::new()),
-            Arc::new(MemoryGovernor::unbounded()),
-        );
+        let (s1, g1) = fresh();
         let hash = LocalStrategy::HashGroup;
         let buffered = apply_single(hash, vec![input.clone()], ctx(&plan, &s1, &g1)).unwrap();
-        let s2 = Arc::new(ExecStats::new());
-        let g2 = Arc::new(MemoryGovernor::unbounded());
-        let streamed =
-            apply_single(LocalStrategy::StreamAgg, vec![input], ctx(&plan, &s2, &g2)).unwrap();
-        // Same records in the same (ascending-key) order.
-        assert_eq!(buffered, streamed);
-        // Same UDF-call accounting: one call per distinct key.
-        assert_eq!(s1.totals().udf_calls, s2.totals().udf_calls);
-        assert_eq!(s2.totals().udf_calls, 3);
-        // The streaming path reports its reduction.
-        assert_eq!(preagg(&s2), (6, 3));
+        let input = [input];
+        for (layout, chunk) in sweep(rows.len()) {
+            let (s2, g2) = fresh();
+            let agg = LocalStrategy::StreamAgg;
+            let streamed = apply_chunked(agg, &input, chunk, layout, ctx(&plan, &s2, &g2)).unwrap();
+            // Same records in the same (ascending-key) order.
+            assert_eq!(buffered, streamed, "{layout:?} x {chunk}");
+            // Same UDF-call accounting: one call per distinct key.
+            assert_eq!(s1.totals().udf_calls, s2.totals().udf_calls);
+            assert_eq!(s2.totals().udf_calls, 3);
+            // The streaming path reports its reduction.
+            assert_eq!(preagg(&s2), (6, 3));
+        }
         assert_eq!(preagg(&s1), (0, 0));
     }
 
@@ -333,31 +319,22 @@ mod tests {
     fn combiner_role_emits_pure_partials_without_udf_calls() {
         let plan = agg_plan();
         let rows = [(2, 1), (1, 10), (2, 2), (2, 4), (1, -3)];
-        let input = wide(&plan, &rows);
-        let stats = Arc::new(ExecStats::new());
-        let gov = Arc::new(MemoryGovernor::unbounded());
-        let mut comb = build_combiner(ctx(&plan, &stats, &gov));
-        comb.open().unwrap();
-        let mut out = Vec::new();
-        // Feed one record per batch: folding must happen across batches.
-        for r in input {
-            comb.push(0, Arc::new(RecordBatch::from_records(vec![r])), &mut out)
-                .unwrap();
+        let input = [wide(&plan, &rows)];
+        // One row per batch included: folding must happen across batches.
+        for (layout, chunk) in sweep(rows.len()) {
+            let (stats, gov) = fresh();
+            let comb = ctx(&plan, &stats, &gov);
+            let partials = apply_built(build_combiner, &input, chunk, layout, comb).unwrap();
+            // One partial per key, ascending, with the pure (init-free) fold.
+            let got: Vec<(i64, i64)> = partials
+                .iter()
+                .map(|p| (p.field(0).as_int().unwrap(), p.field(1).as_int().unwrap()))
+                .collect();
+            assert_eq!(got, vec![(1, 7), (2, 7)], "{layout:?} x {chunk}");
+            // No UDF ran; the reduction is accounted.
+            assert_eq!(stats.totals().udf_calls, 0);
+            assert_eq!(preagg(&stats), (5, 2));
         }
-        comb.finish(&mut out).unwrap();
-        let partials: Vec<Record> = out
-            .into_iter()
-            .flat_map(crate::operators::take_records)
-            .collect();
-        // One partial per key, ascending, with the pure (init-free) fold.
-        assert_eq!(partials.len(), 2);
-        assert_eq!(partials[0].field(0), &Value::Int(1));
-        assert_eq!(partials[0].field(1), &Value::Int(7));
-        assert_eq!(partials[1].field(0), &Value::Int(2));
-        assert_eq!(partials[1].field(1), &Value::Int(7));
-        // No UDF ran; the reduction is accounted.
-        assert_eq!(stats.totals().udf_calls, 0);
-        assert_eq!(preagg(&stats), (5, 2));
     }
 
     #[test]
@@ -489,15 +466,23 @@ mod tests {
         let mut input = wide(&plan, &[(0, 3), (1, 2), (0, 4)]);
         input[0].set_field(0, Value::Null);
         input[2].set_field(0, Value::Null);
-        let (stats, gov) = (
-            Arc::new(ExecStats::new()),
-            Arc::new(MemoryGovernor::unbounded()),
-        );
+        let (stats, gov) = fresh();
         let hash = LocalStrategy::HashGroup;
         let buffered = apply_single(hash, vec![input.clone()], ctx(&plan, &stats, &gov)).unwrap();
-        let agg = LocalStrategy::StreamAgg;
-        let streamed = apply_single(agg, vec![input], ctx(&plan, &stats, &gov)).unwrap();
-        assert_eq!(buffered, streamed);
         assert_eq!(buffered.len(), 2);
+        let input = [input];
+        for (layout, chunk) in sweep(3) {
+            let (stats, gov) = fresh();
+            let agg = LocalStrategy::StreamAgg;
+            let streamed =
+                apply_chunked(agg, &input, chunk, layout, ctx(&plan, &stats, &gov)).unwrap();
+            assert_eq!(buffered, streamed, "{layout:?} x {chunk}");
+            // The combiner folds the two null-keyed rows into one partial.
+            let comb = ctx(&plan, &stats, &gov);
+            let partials = apply_built(build_combiner, &input, chunk, layout, comb).unwrap();
+            let keys: Vec<&Value> = partials.iter().map(|p| p.field(0)).collect();
+            assert_eq!(keys, [&Value::Null, &Value::Int(1)], "{layout:?} x {chunk}");
+            assert_eq!(partials[0].field(1), &Value::Int(7));
+        }
     }
 }

@@ -129,11 +129,6 @@ pub struct ExecOptions {
     /// [`strato_core::cost::CostWeights::mem_budget`], so the optimizer's
     /// spill charges describe what this engine actually does.
     pub mem_budget: Option<u64>,
-    /// Parent directory for the execution's scoped spill directory
-    /// (`None` = the OS temp dir). The scoped directory is created lazily
-    /// on first spill and removed when the execution ends — on success,
-    /// error and contained worker panic alike.
-    pub spill_dir: Option<std::path::PathBuf>,
     /// Span recorder for end-to-end query tracing
     /// ([`crate::trace::TraceRecorder`]). `None` (the default) disables
     /// tracing entirely: every instrumentation point reduces to one
@@ -152,7 +147,6 @@ impl Default for ExecOptions {
             fuse_maps: true,
             combine: true,
             mem_budget: Some(strato_core::cost::DEFAULT_MEM_BUDGET_BYTES),
-            spill_dir: None,
             trace: None,
         }
     }

@@ -74,7 +74,9 @@ pub struct RuntimeOptions {
     /// to [`strato_core::cost::DEFAULT_GLOBAL_MEM_BUDGET_BYTES`].
     pub mem_budget: Option<u64>,
     /// Parent directory for every query's scoped spill directory (`None`
-    /// = the OS temp dir). Per-query `ExecOptions::spill_dir` overrides.
+    /// = the OS temp dir). A query's scoped directory is created lazily on
+    /// its first spill and removed when the execution ends — on success,
+    /// error and contained worker panic alike.
     pub spill_dir: Option<PathBuf>,
 }
 
@@ -325,10 +327,10 @@ impl EngineRuntime {
         }
     }
 
-    /// Builds one execution's governor by carving its grant out of the
-    /// pool (capped by the query's own `mem_budget`).
+    /// Builds one execution's governor: its grant carved out of the pool
+    /// (capped by the query's own `mem_budget`), its scoped spill
+    /// directory under the runtime's `spill_dir`.
     pub(crate) fn governor_for(&self, opts: &ExecOptions) -> MemoryGovernor {
-        let base = opts.spill_dir.clone().or_else(|| self.spill_dir.clone());
         let t0 = Instant::now();
         let grant = self.shared.memory.carve(opts.mem_budget);
         self.shared
@@ -342,7 +344,7 @@ impl EngineRuntime {
                 vec![("granted_bytes", grant.bytes().unwrap_or(0))],
             );
         }
-        let mut gov = MemoryGovernor::with_grant(grant, base);
+        let mut gov = MemoryGovernor::with_grant(grant, self.spill_dir.clone());
         // Spill-run and merge spans land in the same recorder as the task
         // spans of the operators that triggered them.
         gov.set_trace(opts.trace.clone());

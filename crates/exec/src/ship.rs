@@ -8,12 +8,13 @@
 //! outbound queue — there is no whole-dataset ship step anymore, so ship
 //! overlaps the local work of both producer and consumer stages.
 //!
-//! Byte accounting uses [`Record::encoded_len`] — the same approximation
-//! the cost model optimizes against — instead of serializing every record.
-//! Debug builds additionally round-trip each hash-partitioned record
-//! through the wire format and check the decode reproduces the original,
-//! so every debug test run exercises the serialization and release never
-//! pays for it.
+//! Byte accounting uses [`RecordBatch::encoded_len`] — the sum of
+//! [`Record::encoded_len`], the same approximation the cost model
+//! optimizes against, in either batch layout — instead of serializing
+//! every record. Debug builds additionally round-trip each
+//! hash-partitioned row through the wire format and check the decode
+//! reproduces the original, so every debug test run exercises the
+//! serialization and release never pays for it.
 //!
 //! Accounting rule (see [`ExecStats::add_shipped`]):
 //!
@@ -52,23 +53,24 @@ pub(crate) enum Router {
     },
     /// Hash-repartition records by key; batches rebuilt per destination.
     ///
-    /// Row-major batches are routed record-at-a-time into per-destination
-    /// record vectors. Columnar batches take the vectorized path: the
-    /// full key-hash column and per-row byte sizes are computed with the
-    /// columnar kernels, then rows are scattered into per-destination
-    /// [`BatchBuilder`]s without ever materializing a [`Record`]. Both
-    /// paths charge identical per-record ship accounting and flush at
-    /// the same `batch_size` boundaries. A task's output is one
-    /// representation for its whole life (scans emit columns, operators
-    /// emit rows), so the first batch fixes which kind `pending` holds.
+    /// One accounting pass serves both batch layouts: destinations come
+    /// from [`RecordBatch::key_hash_into`], bytes from
+    /// [`RecordBatch::encoded_len`] and the debug wire round trip from
+    /// [`RecordBatch::row`] views. Only the scatter branches on layout,
+    /// because a shipped batch keeps its input's layout: columnar rows go
+    /// into per-destination [`BatchBuilder`]s without materializing a
+    /// [`Record`], row-major records move into per-destination vectors.
+    /// Both flush at the same `batch_size` boundaries. A task's output
+    /// is one representation for its whole life (scans emit columns,
+    /// operators emit rows), so the first batch fixes which kind
+    /// `pending` holds.
     Partition {
         first: usize,
         dop: usize,
         /// Producing operator id for per-op ship attribution (`None` for
         /// scan-fed edges without an operator slot).
         op: Option<usize>,
-        key: Vec<AttrId>,
-        /// Key attribute positions (for the columnar kernels).
+        /// Key attribute positions.
         key_idx: Vec<usize>,
         /// Per-destination rows accumulated up to `batch_size` (`None`
         /// until the first batch arrives).
@@ -78,8 +80,6 @@ pub(crate) enum Router {
         buf: BytesMut,
         /// Scratch: the per-row hash column of the batch being routed.
         hashes: Vec<u64>,
-        /// Scratch: per-row `encoded_len` of the batch being routed.
-        row_bytes: Vec<usize>,
         /// Scratch: per-row destination partition of the batch being
         /// routed.
         dests: Vec<u32>,
@@ -116,13 +116,11 @@ impl Router {
             first,
             dop,
             op,
-            key: key.to_vec(),
             key_idx: key.iter().map(|a| a.index()).collect(),
             pending: None,
             batch_size: batch_size.max(1),
             buf: BytesMut::new(),
             hashes: Vec::new(),
-            row_bytes: Vec::new(),
             dests: Vec::new(),
         }
     }
@@ -153,37 +151,24 @@ impl Router {
                 first,
                 dop,
                 op,
-                key,
                 key_idx,
                 pending,
                 batch_size,
                 buf,
                 hashes,
-                row_bytes,
                 dests,
             } => {
-                if batch.columns().is_some() {
-                    // Vectorized scatter: hash the key columns, size
-                    // every row and compute the destination column in
-                    // tight column-wise loops, then scatter the whole
-                    // batch into per-destination columnar builders —
-                    // moving payloads when this router holds the only
-                    // reference (the common case).
-                    let (n, width, bytes) = {
-                        let cb = batch.columns().expect("checked above");
-                        let n = cb.len();
-                        cb.key_hash_into(key_idx, hashes);
-                        cb.row_encoded_lens(row_bytes);
-                        let bytes: u64 = row_bytes.iter().map(|&b| b as u64).sum();
-                        if cfg!(debug_assertions) {
-                            for row in 0..n {
-                                validate_roundtrip(&cb.row_record(row), buf)?;
-                            }
-                        }
-                        (n, cb.width(), bytes)
-                    };
-                    dests.clear();
-                    dests.extend(hashes.iter().map(|&h| (h as usize % *dop) as u32));
+                let n = batch.len();
+                if cfg!(debug_assertions) {
+                    for row in 0..n {
+                        validate_roundtrip(&batch.row(row).to_record(), buf)?;
+                    }
+                }
+                stats.add_shipped(*op, n as u64, batch.encoded_len() as u64);
+                batch.key_hash_into(key_idx, hashes);
+                dests.clear();
+                dests.extend(hashes.iter().map(|&h| (h as usize % *dop) as u32));
+                if let Some(width) = batch.columns().map(|cb| cb.width()) {
                     let builders = pending.get_or_insert_with(|| {
                         Pending::Cols((0..*dop).map(|_| BatchBuilder::new(width)).collect())
                     });
@@ -191,22 +176,20 @@ impl Router {
                         unreachable!("a columnar batch after row batches on one edge")
                     };
                     debug_assert!(builders.iter().all(|b| b.width() == width));
-                    {
-                        let mut refs: Vec<&mut BatchBuilder> = builders.iter_mut().collect();
-                        match Arc::try_unwrap(batch) {
-                            // Sole owner: scatter owned columns (string
-                            // payloads move, no refcount traffic).
-                            Ok(rb) => {
-                                let owned = rb.into_columns().expect("checked columnar");
-                                owned.scatter_into(dests, &mut refs);
-                            }
-                            // Shared (e.g. a re-routed broadcast batch):
-                            // gather row-by-row from the borrowed columns.
-                            Err(shared) => {
-                                let cb = shared.columns().expect("checked columnar");
-                                for (row, &d) in dests.iter().enumerate() {
-                                    refs[d as usize].append_row(cb, row);
-                                }
+                    let mut refs: Vec<&mut BatchBuilder> = builders.iter_mut().collect();
+                    match Arc::try_unwrap(batch) {
+                        // Sole owner: scatter owned columns (string
+                        // payloads move, no refcount traffic).
+                        Ok(rb) => {
+                            let owned = rb.into_columns().expect("checked columnar");
+                            owned.scatter_into(dests, &mut refs);
+                        }
+                        // Shared (e.g. a re-routed broadcast batch):
+                        // gather row-by-row from the borrowed columns.
+                        Err(shared) => {
+                            let cb = shared.columns().expect("checked columnar");
+                            for (row, &d) in dests.iter().enumerate() {
+                                refs[d as usize].append_row(cb, row);
                             }
                         }
                     }
@@ -216,11 +199,7 @@ impl Router {
                             out.push_back((*first + p, Arc::new(full)));
                         }
                     }
-                    stats.add_shipped(n as u64, bytes);
                     stats.add_scattered(n as u64);
-                    if let Some(op) = op {
-                        stats.add_op_shipped(*op, n as u64, bytes);
-                    }
                 } else {
                     let builders = pending.get_or_insert_with(|| {
                         Pending::Rows((0..*dop).map(|_| Vec::new()).collect())
@@ -228,24 +207,16 @@ impl Router {
                     let Pending::Rows(builders) = builders else {
                         unreachable!("a row batch after columnar batches on one edge")
                     };
-                    let mut records = 0u64;
-                    let mut bytes = 0u64;
-                    for r in crate::operators::take_records(batch) {
-                        records += 1;
-                        bytes += r.encoded_len() as u64;
-                        if cfg!(debug_assertions) {
-                            validate_roundtrip(&r, buf)?;
-                        }
-                        let p = (crate::operators::key_hash(&r, key) as usize) % *dop;
+                    for (r, &d) in crate::operators::take_records(batch)
+                        .into_iter()
+                        .zip(&*dests)
+                    {
+                        let p = d as usize;
                         builders[p].push(r);
                         if builders[p].len() >= *batch_size {
                             let full = std::mem::take(&mut builders[p]);
                             out.push_back((*first + p, Arc::new(RecordBatch::from_records(full))));
                         }
-                    }
-                    stats.add_shipped(records, bytes);
-                    if let Some(op) = op {
-                        stats.add_op_shipped(*op, records, bytes);
                     }
                 }
             }
@@ -254,16 +225,10 @@ impl Router {
                 // itself.
                 let copies = dop.saturating_sub(1) as u64;
                 stats.add_shipped(
+                    *op,
                     batch.len() as u64 * copies,
                     batch.encoded_len() as u64 * copies,
                 );
-                if let Some(op) = op {
-                    stats.add_op_shipped(
-                        *op,
-                        batch.len() as u64 * copies,
-                        batch.encoded_len() as u64 * copies,
-                    );
-                }
                 for p in 0..*dop {
                     out.push_back((*first + p, Arc::clone(&batch)));
                 }
@@ -318,6 +283,7 @@ fn validate_roundtrip(r: &Record, buf: &mut BytesMut) -> Result<(), ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use strato_record::Value;
 
     fn batch(vals: &[i64]) -> Arc<RecordBatch> {
@@ -374,6 +340,71 @@ mod tests {
             ones.iter().all(|&c| c == ones[0]),
             "both key=1 records on one channel"
         );
+    }
+
+    #[test]
+    fn partition_routes_every_layout_alike() {
+        // The same records as a row-major batch, an owned columnar batch
+        // and a shared (broadcast-style) columnar batch: each key must
+        // land on the same channel with the same ship accounting, and
+        // every shipped batch keeps its input's layout.
+        let key = [AttrId(0)];
+        let recs: Vec<Record> = (0..40)
+            .map(|i| Record::from_values([Value::Int(i % 7), Value::str(format!("p{i}"))]))
+            .collect();
+        let columnar = || {
+            let mut b = BatchBuilder::new(2);
+            for r in &recs {
+                b.push_record(r);
+            }
+            Arc::new(RecordBatch::from_columns(b.finish()))
+        };
+        let shared = columnar();
+        let _other_holder = Arc::clone(&shared);
+        let cases = [
+            (
+                "rows",
+                Arc::new(RecordBatch::from_records(recs.clone())),
+                false,
+            ),
+            ("owned columns", columnar(), true),
+            ("shared columns", shared, true),
+        ];
+        let bytes: u64 = recs.iter().map(|r| r.encoded_len() as u64).sum();
+        let mut routes = Vec::new();
+        for (name, batch, columnar) in cases {
+            let stats = ExecStats::with_ops(1);
+            let mut out = Outbound::new();
+            let mut r = Router::partition(10, 3, Some(0), &key, 4);
+            r.route(batch, &mut out, &stats).unwrap();
+            r.finish(&mut out);
+            let t = stats.totals();
+            assert_eq!((t.records_shipped, t.bytes_shipped), (40, bytes), "{name}");
+            let op = &stats.op_snapshots()[0];
+            assert_eq!(
+                (op.shipped_records, op.shipped_bytes),
+                (40, bytes),
+                "{name}"
+            );
+            assert_eq!(t.rows_scattered, if columnar { 40 } else { 0 }, "{name}");
+            let mut chans: BTreeMap<Value, BTreeSet<usize>> = BTreeMap::new();
+            let mut routed = Vec::new();
+            for (c, b) in &out {
+                assert_eq!(b.columns().is_some(), columnar, "{name} keeps its layout");
+                for i in 0..b.len() {
+                    chans.entry(b.row(i).value(0)).or_default().insert(*c);
+                    routed.push(b.row(i).to_record());
+                }
+            }
+            routed.sort();
+            let mut want = recs.clone();
+            want.sort();
+            assert_eq!(routed, want, "{name} routes every record once");
+            assert!(chans.values().all(|c| c.len() == 1), "{name}: {chans:?}");
+            routes.push(chans);
+        }
+        assert_eq!(routes[0], routes[1]);
+        assert_eq!(routes[0], routes[2]);
     }
 
     #[test]

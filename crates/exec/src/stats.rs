@@ -239,18 +239,13 @@ impl ExecStats {
     /// fields cost nothing), matching the cost model's byte estimates.
     /// The totals are a sum over individual records, so they are identical
     /// whether shipping happens batch-by-batch (the streaming runtime) or
-    /// over a whole materialized partition.
-    pub(crate) fn add_shipped(&self, records: u64, bytes: u64) {
+    /// over a whole materialized partition. Charged globally and, when
+    /// `op` names the producing operator, to its slot (the per-op
+    /// breakdown `EXPLAIN ANALYZE` prints; `None` for scan-fed edges).
+    pub(crate) fn add_shipped(&self, op: Option<usize>, records: u64, bytes: u64) {
         self.records_shipped.fetch_add(records, Ordering::Relaxed);
         self.bytes_shipped.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Attributes shipped data to the producing operator's slot (same
-    /// accounting rule as [`ExecStats::add_shipped`], which still charges
-    /// the global counters; this adds the per-op breakdown the
-    /// `EXPLAIN ANALYZE` report prints).
-    pub(crate) fn add_op_shipped(&self, op: usize, records: u64, bytes: u64) {
-        if let Some(slot) = self.per_op.get(op) {
+        if let Some(slot) = op.and_then(|op| self.per_op.get(op)) {
             slot.shipped_records.fetch_add(records, Ordering::Relaxed);
             slot.shipped_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
@@ -365,7 +360,7 @@ mod tests {
         let s = ExecStats::new();
         s.add_calls(0, 1, 100, 2);
         s.add_calls(0, 1, 50, 0);
-        s.add_shipped(10, 640);
+        s.add_shipped(None, 10, 640);
         let t = s.totals();
         assert_eq!(t.udf_calls, 2);
         assert_eq!(t.records_emitted, 2);
@@ -424,13 +419,13 @@ mod tests {
     #[test]
     fn per_op_ship_attribution_is_separate_from_globals() {
         let s = ExecStats::with_ops(2);
-        s.add_shipped(10, 640);
-        s.add_op_shipped(1, 10, 640);
+        s.add_shipped(Some(1), 10, 640);
+        s.add_shipped(None, 5, 320);
         let ops = s.op_snapshots();
         assert_eq!((ops[0].shipped_records, ops[0].shipped_bytes), (0, 0));
         assert_eq!((ops[1].shipped_records, ops[1].shipped_bytes), (10, 640));
         let t = s.totals();
-        assert_eq!((t.records_shipped, t.bytes_shipped), (10, 640));
+        assert_eq!((t.records_shipped, t.bytes_shipped), (15, 960));
     }
 
     #[test]
@@ -456,7 +451,7 @@ mod tests {
         s.add_op_nanos(7, 1);
         s.add_op_out_bytes(7, 1);
         s.add_op_distinct_keys(7, 1);
-        s.add_op_shipped(7, 1, 1);
+        s.add_shipped(Some(7), 1, 1);
         s.add_spill(7, 1, 1);
         assert!(s.op_snapshots().is_empty());
         // Global totals still accumulate without slots.
@@ -472,7 +467,7 @@ mod tests {
     fn totals_mirrors_every_global_counter() {
         let s = ExecStats::new();
         s.add_calls(0, 1, 100, 2);
-        s.add_shipped(10, 640);
+        s.add_shipped(None, 10, 640);
         s.add_preagg(50, 7);
         s.add_spill(0, 20, 999);
         let t = s.totals();

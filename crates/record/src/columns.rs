@@ -738,55 +738,6 @@ impl ColumnBatch {
                 .sum::<usize>()
     }
 
-    /// Per-row serialized sizes under the same accounting, accumulated
-    /// column-wise into `out` (cleared first).
-    pub fn row_encoded_lens(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.resize(self.rows, 4);
-        for col in &self.cols {
-            match col {
-                Column::Null { .. } => {}
-                Column::Bool { data, nulls } => {
-                    if nulls.null_count() == 0 {
-                        for b in out.iter_mut() {
-                            *b += 2;
-                        }
-                    } else {
-                        for (row, b) in out.iter_mut().enumerate() {
-                            *b += if nulls.is_null(row) { 0 } else { 2 };
-                        }
-                    }
-                    debug_assert_eq!(data.len(), self.rows);
-                }
-                Column::Int { nulls, .. } | Column::Float { nulls, .. } => {
-                    if nulls.null_count() == 0 {
-                        for b in out.iter_mut() {
-                            *b += 9;
-                        }
-                    } else {
-                        for (row, b) in out.iter_mut().enumerate() {
-                            *b += if nulls.is_null(row) { 0 } else { 9 };
-                        }
-                    }
-                }
-                Column::Str { data, nulls } => {
-                    for (row, (b, s)) in out.iter_mut().zip(data).enumerate() {
-                        if !nulls.is_null(row) {
-                            *b += 5 + s.len();
-                        }
-                    }
-                }
-                Column::Mixed(data) => {
-                    for (b, v) in out.iter_mut().zip(data) {
-                        if !v.is_null() {
-                            *b += v.encoded_len();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Vectorized key hashing: for every row, the FxHash of the key
     /// cells in order — bit-identical to hashing the materialized
     /// row's key fields through [`crate::hash::FxHasher`]. `out` is
@@ -864,18 +815,6 @@ impl ColumnBatch {
     #[inline]
     pub(crate) fn cell(&self, row: usize, col: usize) -> Cell<'_> {
         self.cols.get(col).map_or(Cell::Null, |c| c.cell(row))
-    }
-
-    /// Lexicographic comparison of one row's key cells against a
-    /// record's key fields under [`Value`]'s total order.
-    pub fn key_cmp_record(&self, row: usize, rec: &Record, key: &[usize]) -> Ordering {
-        for &k in key {
-            match self.cell(row, k).cmp(Cell::of_value(rec.field(k))) {
-                Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        Ordering::Equal
     }
 }
 
@@ -1048,12 +987,6 @@ mod tests {
         let cb = build(&recs, 4);
         let want: usize = recs.iter().map(Record::encoded_len).sum();
         assert_eq!(cb.encoded_len(), want);
-        let mut per_row = Vec::new();
-        cb.row_encoded_lens(&mut per_row);
-        assert_eq!(
-            per_row,
-            recs.iter().map(Record::encoded_len).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -1078,7 +1011,7 @@ mod tests {
     }
 
     #[test]
-    fn key_cmp_record_matches_value_order() {
+    fn row_view_key_cmp_matches_value_order() {
         let recs = sample_records();
         let cb = build(&recs, 4);
         let key = [0usize, 3];
@@ -1089,11 +1022,8 @@ mod tests {
                     .map(|&k| recs[a].field(k).cmp(recs[b].field(k)))
                     .find(|o| *o != Ordering::Equal)
                     .unwrap_or(Ordering::Equal);
-                assert_eq!(
-                    cb.key_cmp_record(a, &recs[b], &key),
-                    want,
-                    "rows {a} vs {b}"
-                );
+                let got = cb.row(a).key_cmp(&RowRef::from(&recs[b]), &key);
+                assert_eq!(got, want, "rows {a} vs {b}");
             }
         }
     }

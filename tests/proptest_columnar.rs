@@ -1,8 +1,8 @@
 //! Property tests for the columnar batch layout: row ↔ columnar
-//! round-trip identity and agreement of the vectorized key kernels
-//! (`key_hash_into` / `key_cmp_record`, and `RecordBatch::key_hash_into`
-//! over either layout) with the row-oriented reference path (`FxHasher`
-//! over `Value::hash`, field-wise `Value::cmp`); and
+//! round-trip identity and agreement of the vectorized key hash
+//! (`key_hash_into`, and `RecordBatch::key_hash_into` over either layout)
+//! with the row-oriented reference path (`FxHasher` over `Value::hash`);
+//! and
 //! agreement of the row-view kernels (`RowRef::key_cmp`, `RowRef::cmp`,
 //! `sort_canonical`) with the materialized records, over columnar rows
 //! and ragged row-major records alike.
@@ -182,39 +182,14 @@ proptest! {
     }
 
     #[test]
-    fn key_cmp_record_agrees_with_value_cmp(
-        (width, rows) in arb_rows(),
-        raw_keys in prop::collection::vec(0usize..8, 0..4),
-        pick in any::<u64>(),
-    ) {
-        prop_assume!(!rows.is_empty());
-        let keys = norm_keys(&raw_keys, width);
-        let cb = build(width, &rows);
-        let a = (pick as usize) % rows.len();
-        let b = (pick >> 32) as usize % rows.len();
-        let want = keys
-            .iter()
-            .map(|&k| rows[a].field(k).cmp(rows[b].field(k)))
-            .find(|o| !o.is_eq())
-            .unwrap_or(std::cmp::Ordering::Equal);
-        prop_assert_eq!(cb.key_cmp_record(a, &rows[b], &keys), want);
-    }
-
-    #[test]
     fn encoded_len_matches_row_sum((width, rows) in arb_rows()) {
         let cb = build(width, &rows);
         let want: usize = rows.iter().map(Record::encoded_len).sum();
         prop_assert_eq!(cb.encoded_len(), want);
-        let mut lens = Vec::new();
-        cb.row_encoded_lens(&mut lens);
-        prop_assert_eq!(lens.len(), rows.len());
-        for (i, r) in rows.iter().enumerate() {
-            prop_assert_eq!(lens[i], r.encoded_len());
-        }
     }
 
     #[test]
-    fn row_view_key_cmp_agrees_with_key_cmp_record_and_value_order(
+    fn row_view_key_cmp_agrees_with_value_order(
         (width, wide, ragged) in arb_views(),
         keys in prop::collection::vec(0usize..6, 0..4),
     ) {
@@ -226,9 +201,6 @@ proptest! {
             for (b, vb) in vs.iter().enumerate() {
                 let want = value_key_cmp(&all[a], &all[b], &keys);
                 prop_assert!(va.key_cmp(vb, &keys) == want, "rows {} vs {}", a, b);
-                if a < wide.len() {
-                    prop_assert_eq!(cb.key_cmp_record(a, &all[b], &keys), want);
-                }
             }
         }
     }
