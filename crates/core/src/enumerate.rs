@@ -11,10 +11,14 @@
 //! * [`enumerate_all`] — the generalization to arbitrary **tree-shaped**
 //!   flows (the paper notes its implementation "can, in fact, handle binary
 //!   operators"): a breadth-first closure over all valid *single* moves
-//!   (unary–unary swaps, unary↔binary exchanges, binary rotations),
-//!   deduplicated on structural sub-flow ids (`SubflowIds`). On linear
-//!   flows both enumerators provably agree (see tests), which is how we
-//!   validate the closure.
+//!   (unary–unary swaps, unary↔binary exchanges, binary rotations).
+//!   Algorithm 1's memo, generalized to trees: every sub-flow has a
+//!   structural id (`SubflowIds`), and the one-move alternatives of each
+//!   distinct sub-flow are derived once and memoized as ids — the moves at
+//!   its root, then each child's memoized alternatives with that child
+//!   replaced. The closure runs over root ids and builds a [`Plan`] only
+//!   for a root it has not seen. On linear flows both enumerators provably
+//!   agree (see tests), which is how we validate the closure.
 //!
 //! Both return every data flow derivable by valid pairwise reorderings,
 //! with the original flow first.
@@ -31,15 +35,17 @@ use strato_record::hash::{FxHashMap, FxHashSet};
 /// or not they share `Arc`s. The id is the memo-table key of enumeration
 /// (the role of `getMTabKey` in Algorithm 1) and of physical selection.
 ///
-/// Ids are interned bottom-up from `(kind, child ids)`; a pointer → id
-/// map answers again for an `Arc` already seen without walking it.
+/// Ids are interned bottom-up from `(kind, child ids)`. Each id keeps the
+/// first node seen with its shape as its representative; a pointer → id
+/// map answers again for a representative without walking it.
 #[derive(Default)]
 pub(crate) struct SubflowIds {
     by_shape: FxHashMap<(NodeKind, [u32; 2]), u32>,
     by_ptr: FxHashMap<*const PlanNode, u32>,
-    /// Every node keyed in `by_ptr`, held so that no other node can be
-    /// allocated at its address while these ids are in use.
-    pinned: Vec<Arc<PlanNode>>,
+    /// Per id, its representative and child ids. Holding the node keeps
+    /// its address, the `by_ptr` key, from being reused while these ids
+    /// are in use.
+    nodes: Vec<(Arc<PlanNode>, [u32; 2])>,
 }
 
 /// The child-id slot of an absent input.
@@ -57,39 +63,100 @@ impl SubflowIds {
         for (k, c) in kids.iter_mut().zip(&node.children) {
             *k = self.id(c);
         }
-        let next = u32::try_from(self.by_shape.len()).expect("fewer than 2^32 sub-flows");
-        let id = *self.by_shape.entry((node.kind, kids)).or_insert(next);
-        self.by_ptr.insert(Arc::as_ptr(node), id);
-        self.pinned.push(Arc::clone(node));
+        if let Some(&id) = self.by_shape.get(&(node.kind, kids)) {
+            return id;
+        }
+        self.insert(node.kind, kids, Arc::clone(node))
+    }
+
+    /// The id of the sub-flow `kind` over the sub-flows `kids`; a node is
+    /// allocated only for a shape not interned before.
+    fn intern(&mut self, kind: NodeKind, kids: [u32; 2]) -> u32 {
+        if let Some(&id) = self.by_shape.get(&(kind, kids)) {
+            return id;
+        }
+        let children = kids
+            .iter()
+            .take_while(|&&k| k != NO_CHILD)
+            .map(|&k| Arc::clone(self.node(k)))
+            .collect();
+        self.insert(kind, kids, Arc::new(PlanNode { kind, children }))
+    }
+
+    fn insert(&mut self, kind: NodeKind, kids: [u32; 2], node: Arc<PlanNode>) -> u32 {
+        let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 sub-flows");
+        self.by_shape.insert((kind, kids), id);
+        self.by_ptr.insert(Arc::as_ptr(&node), id);
+        self.nodes.push((node, kids));
         id
     }
 
-    /// The id of the sub-flow rooted at `node` if it was interned before.
-    /// Interns and pins nothing.
-    fn find(&self, node: &PlanNode) -> Option<u32> {
-        if let Some(&id) = self.by_ptr.get(&(node as *const PlanNode)) {
-            return Some(id);
-        }
-        let mut kids = [NO_CHILD; 2];
-        for (k, c) in kids.iter_mut().zip(&node.children) {
-            *k = self.find(c)?;
-        }
-        self.by_shape.get(&(node.kind, kids)).copied()
+    /// The representative node of sub-flow `id`.
+    fn node(&self, id: u32) -> &Arc<PlanNode> {
+        &self.nodes[id as usize].0
     }
 
     /// Number of distinct sub-flows interned.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.by_shape.len()
+        self.nodes.len()
+    }
+}
+
+/// The memo of one-move alternatives per sub-flow id, for one plan
+/// context and property table.
+struct Moves<'a> {
+    ctx: CondCtx<'a>,
+    /// Indexed by sub-flow id; `None` until that sub-flow's moves are
+    /// derived.
+    memo: Vec<Option<Vec<u32>>>,
+}
+
+impl<'a> Moves<'a> {
+    fn new(plan: &'a Plan, props: &'a PropTable) -> Self {
+        Moves {
+            ctx: CondCtx::new(plan, props),
+            memo: Vec::new(),
+        }
+    }
+
+    /// The ids of every sub-flow exactly one valid move within `s` away
+    /// from `s`: the moves at its root, then, per child in order, each of
+    /// that child's alternatives in its place. Derived once per id.
+    fn alts(&mut self, ids: &mut SubflowIds, s: u32) -> &[u32] {
+        let i = s as usize;
+        if self.memo.get(i).map_or(true, Option::is_none) {
+            let derived = self.derive(ids, s);
+            if self.memo.len() <= i {
+                self.memo.resize_with(i + 1, || None);
+            }
+            self.memo[i] = Some(derived);
+        }
+        self.memo[i].as_deref().expect("derived above")
+    }
+
+    fn derive(&mut self, ids: &mut SubflowIds, s: u32) -> Vec<u32> {
+        let (node, kids) = ids.nodes[s as usize].clone();
+        let mut out = junction_moves(&self.ctx, ids, &node, kids);
+        for (i, &c) in kids.iter().enumerate().take(node.children.len()) {
+            for &alt in self.alts(ids, c) {
+                let mut k = kids;
+                k[i] = alt;
+                out.push(ids.intern(node.kind, k));
+            }
+        }
+        out
     }
 }
 
 /// All plans reachable from `plan` by exactly one valid reordering move.
 pub fn neighbors(plan: &Plan, props: &PropTable) -> Vec<Plan> {
-    let ctx = CondCtx::new(plan, props);
-    subtree_alts(plan, &ctx, &plan.root)
-        .into_iter()
-        .map(|r| plan.with_root(r))
+    let mut ids = SubflowIds::default();
+    let mut moves = Moves::new(plan, props);
+    let root = ids.id(&plan.root);
+    let alts = moves.alts(&mut ids, root);
+    alts.iter()
+        .map(|&n| plan.with_root(Arc::clone(ids.node(n))))
         .collect()
 }
 
@@ -109,51 +176,39 @@ pub(crate) fn enumerate_interned(
     cap: usize,
 ) -> (Vec<Plan>, SubflowIds) {
     let mut ids = SubflowIds::default();
-    let mut out: Vec<Plan> = Vec::new();
-    let mut queue: VecDeque<Plan> = VecDeque::new();
-    ids.id(&plan.root);
-    out.push(plan.clone());
-    queue.push_back(plan.clone());
-    while let Some(p) = queue.pop_front() {
+    let mut moves = Moves::new(plan, props);
+    let root = ids.id(&plan.root);
+    let mut seen: FxHashSet<u32> = FxHashSet::default();
+    seen.insert(root);
+    let mut out = vec![plan.clone()];
+    let mut queue = VecDeque::from([root]);
+    'bfs: while let Some(r) = queue.pop_front() {
         if out.len() >= cap {
             break;
         }
-        for n in neighbors(&p, props) {
-            // Only kept alternatives are interned, and every alternative
-            // holds every operator and source, so an interned whole-tree
-            // shape is a kept alternative's root: the neighbour is a
-            // duplicate exactly when it is found.
-            if ids.find(&n.root).is_none() {
-                ids.id(&n.root);
-                out.push(n.clone());
+        for &n in moves.alts(&mut ids, r) {
+            if seen.insert(n) {
+                out.push(plan.with_root(Arc::clone(ids.node(n))));
                 queue.push_back(n);
                 if out.len() >= cap {
-                    break;
+                    break 'bfs;
                 }
             }
         }
     }
+    // The move memo is not needed for costing; free it first.
+    drop(moves);
     (out, ids)
 }
 
-/// All alternatives for this subtree obtained by one move *within* it.
-fn subtree_alts(plan: &Plan, ctx: &CondCtx<'_>, node: &Arc<PlanNode>) -> Vec<Arc<PlanNode>> {
-    let NodeKind::Op(p) = node.kind else {
-        return vec![];
-    };
-    let mut out = junction_moves(plan, ctx, node);
-    for (i, child) in node.children.iter().enumerate() {
-        for alt in subtree_alts(plan, ctx, child) {
-            let mut kids = node.children.clone();
-            kids[i] = alt;
-            out.push(PlanNode::op(p, kids));
-        }
-    }
-    out
-}
-
-/// Moves exchanging the root of `node` with one of its operator children.
-fn junction_moves(_plan: &Plan, ctx: &CondCtx<'_>, node: &Arc<PlanNode>) -> Vec<Arc<PlanNode>> {
+/// Moves exchanging the root of sub-flow `node` (child ids `kids`) with
+/// one of its operator children, as sub-flow ids.
+fn junction_moves(
+    ctx: &CondCtx<'_>,
+    ids: &mut SubflowIds,
+    node: &PlanNode,
+    kids: [u32; 2],
+) -> Vec<u32> {
     let NodeKind::Op(p) = node.kind else {
         return vec![];
     };
@@ -163,15 +218,14 @@ fn junction_moves(_plan: &Plan, ctx: &CondCtx<'_>, node: &Arc<PlanNode>) -> Vec<
         let NodeKind::Op(c) = child.kind else {
             continue;
         };
+        let grandkids = ids.nodes[kids[i] as usize].1;
         let c_unary = child.children.len() == 1;
         match (p_unary, c_unary) {
             // Theorems 1–2 and the Reduce/Reduce extension.
             (true, true) => {
                 if ctx.can_swap_unary_unary(p, c) {
-                    out.push(PlanNode::op(
-                        c,
-                        vec![PlanNode::op(p, child.children.clone())],
-                    ));
+                    let new_p = ids.intern(node.kind, grandkids);
+                    out.push(ids.intern(child.kind, [new_p, NO_CHILD]));
                 }
             }
             // Push the unary root below its binary child (Theorem 3,
@@ -180,20 +234,22 @@ fn junction_moves(_plan: &Plan, ctx: &CondCtx<'_>, node: &Arc<PlanNode>) -> Vec<
                 for side in 0..2 {
                     let subtrees = [&*child.children[0], &*child.children[1]];
                     if ctx.can_exchange_unary_binary(p, c, side, subtrees) {
-                        let mut kids = child.children.clone();
-                        kids[side] = PlanNode::op(p, vec![child.children[side].clone()]);
-                        out.push(PlanNode::op(c, kids));
+                        let mut new_c_kids = grandkids;
+                        new_c_kids[side] = ids.intern(node.kind, [grandkids[side], NO_CHILD]);
+                        out.push(ids.intern(child.kind, new_c_kids));
                     }
                 }
             }
             // Pull a unary child above its binary parent (inverse of the
             // previous move; the equivalence condition is the same).
             (false, true) => {
-                let mut subtree_nodes = node.children.clone();
-                subtree_nodes[i] = child.children[0].clone();
-                let subtrees = [&*subtree_nodes[0], &*subtree_nodes[1]];
+                let mut subtrees = [&*node.children[0], &*node.children[1]];
+                subtrees[i] = &*child.children[0];
                 if ctx.can_exchange_unary_binary(c, p, i, subtrees) {
-                    out.push(PlanNode::op(c, vec![PlanNode::op(p, subtree_nodes)]));
+                    let mut new_p_kids = kids;
+                    new_p_kids[i] = grandkids[0];
+                    let new_p = ids.intern(node.kind, new_p_kids);
+                    out.push(ids.intern(child.kind, [new_p, NO_CHILD]));
                 }
             }
             // Binary–binary rotation (join re-association).
@@ -202,12 +258,11 @@ fn junction_moves(_plan: &Plan, ctx: &CondCtx<'_>, node: &Arc<PlanNode>) -> Vec<
                 for keep in 0..2 {
                     let grandchildren = [&*child.children[0], &*child.children[1]];
                     if ctx.can_rotate_binary(p, c, keep, grandchildren, t) {
-                        let mut new_p_kids = node.children.clone();
-                        new_p_kids[i] = child.children[keep].clone();
-                        let new_p = PlanNode::op(p, new_p_kids);
-                        let mut new_c_kids = child.children.clone();
-                        new_c_kids[keep] = new_p;
-                        out.push(PlanNode::op(c, new_c_kids));
+                        let mut new_p_kids = kids;
+                        new_p_kids[i] = grandkids[keep];
+                        let mut new_c_kids = grandkids;
+                        new_c_kids[keep] = ids.intern(node.kind, new_p_kids);
+                        out.push(ids.intern(child.kind, new_c_kids));
                     }
                 }
             }
@@ -449,12 +504,10 @@ mod tests {
         assert_eq!(ids.len(), 5, "four operators over one source");
         // The same tree from fresh `Arc`s: same id, nothing new interned.
         let copy = rebuild(&plan.root);
-        assert_eq!(ids.find(&copy), Some(root));
         assert_eq!(ids.id(&copy), root);
         assert_eq!(ids.len(), 5);
         for n in neighbors(&plan, &props) {
-            assert_eq!(ids.find(&n.root), None, "a move changes the shape");
-            assert_ne!(ids.id(&n.root), root);
+            assert_ne!(ids.id(&n.root), root, "a move changes the shape");
         }
     }
 
@@ -501,7 +554,13 @@ mod tests {
     fn cap_limits_enumeration() {
         let plan = chain_plan();
         let props = PropTable::build(&plan, PropertyMode::Sca);
-        let capped = enumerate_all(&plan, &props, 2);
-        assert_eq!(capped.len(), 2);
+        let all = enumerate_all(&plan, &props, 10_000);
+        for cap in 1..all.len() {
+            let capped = enumerate_all(&plan, &props, cap);
+            assert_eq!(capped.len(), cap);
+            for (c, a) in capped.iter().zip(&all) {
+                assert_eq!(c.canonical(), a.canonical(), "cap {cap} cuts a prefix");
+            }
+        }
     }
 }

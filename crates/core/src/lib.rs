@@ -18,9 +18,10 @@
 //! * [`constraints`] — uniqueness propagation through operators (the
 //!   substrate for the PK–FK precondition);
 //! * [`enumerate`] — plan enumeration: a faithful port of the paper's
-//!   **Algorithm 1** for unary flows plus a closure enumerator (BFS over
-//!   single valid moves with canonical-form memoization) that handles
-//!   arbitrary tree-shaped flows and serves as the correctness oracle;
+//!   **Algorithm 1** for unary flows, the oracle on linear flows, plus a
+//!   closure enumerator (BFS over single valid moves, memoized per
+//!   structural sub-flow id as Algorithm 1 memoizes per canonical form)
+//!   that handles arbitrary tree-shaped flows;
 //! * [`cost`] — the hint-driven cost model (network IO + disk IO + CPU per
 //!   UDF call);
 //! * [`physical`] — shipping strategies (forward / hash repartition /

@@ -2,6 +2,9 @@
 //! Map-chain programs:
 //!
 //! * Algorithm 1 (faithful port) and the closure enumerator agree,
+//! * the closure and each plan's neighbours come out in exactly the order
+//!   of a from-scratch reference that rebuilds every move over the whole
+//!   tree and deduplicates on canonical form,
 //! * every enumerated order produces the same output bag (the paper's
 //!   safety property, Section 5),
 //! * the enumerated set is closed under the move relation,
@@ -10,20 +13,27 @@
 //! and over random join trees (binary keys, partitioning reuse,
 //! broadcast):
 //!
+//! * the same order-exact agreement with the reference,
 //! * the optimizer's memoized costing of every alternative agrees, bit for
 //!   bit, with costing that alternative alone from a fresh memo, and
-//!   `best` picks `optimize`'s winner.
+//!   `best` picks `optimize`'s winner;
+//!
+//! and on TPC-H Q7, a capped enumeration is a prefix of the full one.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
+use strato::core::conditions::CondCtx;
 use strato::core::cost::CostWeights;
 use strato::core::physical::best_physical;
 use strato::core::{enumerate_algorithm1, enumerate_all, neighbors, Optimizer, PropTable};
-use strato::dataflow::{CostHints, Plan, ProgramBuilder, PropertyMode, SourceDef};
+use strato::dataflow::{
+    CostHints, NodeKind, Plan, PlanNode, ProgramBuilder, PropertyMode, SourceDef,
+};
 use strato::exec::{execute_logical, Inputs};
 use strato::ir::{BinOp, FuncBuilder, Function, UdfKind, UnOp};
 use strato::record::{DataSet, Record, Value};
-use strato::workloads::udfs;
+use strato::workloads::{tpch, udfs};
 
 const WIDTH: usize = 4;
 
@@ -216,6 +226,133 @@ fn join_flow_plan(f: &JoinFlow) -> Plan {
     p.finish(node).unwrap().bind().unwrap()
 }
 
+// ---- From-scratch reference closure. ----
+//
+// Every plan's single moves are re-derived over the whole tree, each one
+// rebuilt node by node, and the closure deduplicates on canonical form:
+// no memo, no sub-flow ids.
+
+/// All alternatives of this subtree obtained by one move within it: the
+/// moves at its root, then each child's alternatives with that child
+/// replaced.
+fn reference_subtree_alts(ctx: &CondCtx<'_>, node: &Arc<PlanNode>) -> Vec<Arc<PlanNode>> {
+    let NodeKind::Op(p) = node.kind else {
+        return vec![];
+    };
+    let mut out = reference_junction_moves(ctx, node);
+    for (i, child) in node.children.iter().enumerate() {
+        for alt in reference_subtree_alts(ctx, child) {
+            let mut kids = node.children.clone();
+            kids[i] = alt;
+            out.push(PlanNode::op(p, kids));
+        }
+    }
+    out
+}
+
+/// Moves exchanging the root of `node` with one of its operator children.
+fn reference_junction_moves(ctx: &CondCtx<'_>, node: &Arc<PlanNode>) -> Vec<Arc<PlanNode>> {
+    let NodeKind::Op(p) = node.kind else {
+        return vec![];
+    };
+    let mut out = Vec::new();
+    let p_unary = node.children.len() == 1;
+    for (i, child) in node.children.iter().enumerate() {
+        let NodeKind::Op(c) = child.kind else {
+            continue;
+        };
+        match (p_unary, child.children.len() == 1) {
+            (true, true) => {
+                if ctx.can_swap_unary_unary(p, c) {
+                    out.push(PlanNode::op(
+                        c,
+                        vec![PlanNode::op(p, child.children.clone())],
+                    ));
+                }
+            }
+            (true, false) => {
+                for side in 0..2 {
+                    let subtrees = [&*child.children[0], &*child.children[1]];
+                    if ctx.can_exchange_unary_binary(p, c, side, subtrees) {
+                        let mut kids = child.children.clone();
+                        kids[side] = PlanNode::op(p, vec![child.children[side].clone()]);
+                        out.push(PlanNode::op(c, kids));
+                    }
+                }
+            }
+            (false, true) => {
+                let mut subtree_nodes = node.children.clone();
+                subtree_nodes[i] = child.children[0].clone();
+                let subtrees = [&*subtree_nodes[0], &*subtree_nodes[1]];
+                if ctx.can_exchange_unary_binary(c, p, i, subtrees) {
+                    out.push(PlanNode::op(c, vec![PlanNode::op(p, subtree_nodes)]));
+                }
+            }
+            (false, false) => {
+                let t = &node.children[1 - i];
+                for keep in 0..2 {
+                    let grandchildren = [&*child.children[0], &*child.children[1]];
+                    if ctx.can_rotate_binary(p, c, keep, grandchildren, t) {
+                        let mut new_p_kids = node.children.clone();
+                        new_p_kids[i] = child.children[keep].clone();
+                        let mut new_c_kids = child.children.clone();
+                        new_c_kids[keep] = PlanNode::op(p, new_p_kids);
+                        out.push(PlanNode::op(c, new_c_kids));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One step of the reference: every plan one valid move away, in order.
+fn reference_neighbors(plan: &Plan, props: &PropTable) -> Vec<String> {
+    let ctx = CondCtx::new(plan, props);
+    reference_subtree_alts(&ctx, &plan.root)
+        .iter()
+        .map(|n| n.canonical())
+        .collect()
+}
+
+/// The reference closure's plans in breadth-first discovery order, cut at
+/// `cap` plans.
+fn reference_enumerate(plan: &Plan, props: &PropTable, cap: usize) -> Vec<String> {
+    let mut seen = BTreeSet::from([plan.canonical()]);
+    let mut out = vec![plan.clone()];
+    let mut queue = VecDeque::from([plan.clone()]);
+    while let Some(p) = queue.pop_front() {
+        if out.len() >= cap {
+            break;
+        }
+        let ctx = CondCtx::new(&p, props);
+        for n in reference_subtree_alts(&ctx, &p.root) {
+            if seen.insert(n.canonical()) {
+                let n = p.with_root(n);
+                out.push(n.clone());
+                queue.push_back(n);
+                if out.len() >= cap {
+                    break;
+                }
+            }
+        }
+    }
+    out.iter().map(Plan::canonical).collect()
+}
+
+/// `enumerate_all` and `neighbors` agree with the reference in order.
+fn check_against_reference(plan: &Plan, cap: usize) -> Result<(), TestCaseError> {
+    let props = PropTable::build(plan, PropertyMode::Sca);
+    let all = enumerate_all(plan, &props, cap);
+    let canon: Vec<String> = all.iter().map(Plan::canonical).collect();
+    prop_assert_eq!(&canon, &reference_enumerate(plan, &props, cap));
+    for p in &all {
+        let step: Vec<String> = neighbors(p, &props).iter().map(Plan::canonical).collect();
+        prop_assert_eq!(step, reference_neighbors(p, &props));
+    }
+    Ok(())
+}
+
 fn random_inputs(rows: &[Vec<i64>]) -> Inputs {
     let ds: DataSet = rows
         .iter()
@@ -243,6 +380,16 @@ proptest! {
             .map(|p| p.canonical())
             .collect();
         prop_assert_eq!(a1, cl);
+    }
+
+    #[test]
+    fn closure_matches_the_reference_on_chains(ops in prop::collection::vec(arb_op(), 1..5)) {
+        check_against_reference(&chain_plan(&ops), 10_000)?;
+    }
+
+    #[test]
+    fn closure_matches_the_reference_on_join_trees(f in arb_join_flow()) {
+        check_against_reference(&join_flow_plan(&f), 2_000)?;
     }
 
     #[test]
@@ -328,5 +475,25 @@ proptest! {
         let best = opt.best(&plan);
         prop_assert_eq!(best.plan.canonical(), report.ranked[0].plan.canonical());
         prop_assert_eq!(best.cost.to_bits(), report.ranked[0].cost.to_bits());
+    }
+}
+
+/// Q7's 2 860 orders: the cap cuts the breadth-first order at exactly the
+/// plan it names, whatever the cap.
+#[test]
+fn capped_q7_enumeration_is_a_prefix_of_the_full_one() {
+    let plan = tpch::q7_plan(tpch::TpchScale { orders: 12_000 });
+    let props = PropTable::build(&plan, PropertyMode::Sca);
+    let all: Vec<String> = enumerate_all(&plan, &props, 100_000)
+        .iter()
+        .map(Plan::canonical)
+        .collect();
+    assert_eq!(all.len(), 2_860);
+    for cap in [1, 2, 100, 2_859] {
+        let capped: Vec<String> = enumerate_all(&plan, &props, cap)
+            .iter()
+            .map(Plan::canonical)
+            .collect();
+        assert_eq!(capped, all[..cap], "cap {cap}");
     }
 }
