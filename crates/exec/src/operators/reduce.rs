@@ -7,6 +7,15 @@
 //! views — a record materializes only where the UDF copies one (one per
 //! group for a first-of-group UDF). Batches become records only when the
 //! buffer spills or the sort-based finish drains it.
+//!
+//! When SCA proves the UDF **first-record-only**
+//! (`LocalProps::first_record_only`: it reads nothing past its group's
+//! first record and never the group's size), the hash finish sorts
+//! nothing: the same hashing pass keeps each key's canonical minimum row,
+//! and the UDF is called with that one-row group — which it cannot tell
+//! apart from the sorted group. The buffer's spilled runs likewise hold
+//! one row per key, so the sort-based finish merges only those, and the
+//! first record of every merged group is still the global minimum.
 
 use super::{OpCtx, Operator};
 use crate::engine::ExecError;
@@ -26,7 +35,8 @@ use strato_record::{sort_canonical, Record, RecordBatch, RowRef};
 /// (none, for an execution that never spilled) — serving
 /// [`LocalStrategy::SortGroup`] always and [`LocalStrategy::HashGroup`]
 /// once anything spilled. `HashGroup` that never spilled groups the held
-/// batches through a hash table of row views instead.
+/// batches through a hash table of row views instead — or, for a
+/// first-record-only UDF, keeps only each key's minimum row.
 ///
 /// Both present each group in canonical `(key, record)` order and emit
 /// groups in ascending key order — 64-bit key-hash collisions on the hash
@@ -45,10 +55,11 @@ pub struct ReduceOp {
 
 impl ReduceOp {
     pub(crate) fn new(strategy: LocalStrategy, ctx: OpCtx) -> Self {
+        let first_only = ctx.op().sca_props.first_record_only;
         ReduceOp {
             strategy,
             key: ctx.op().key_attrs[0].iter().map(|k| k.index()).collect(),
-            buf: RunBuffer::new(ctx.clone(), 0, false),
+            buf: RunBuffer::new(ctx.clone(), 0, false).with_first_per_key(first_only),
             ctx,
         }
     }
@@ -61,38 +72,43 @@ impl ReduceOp {
         out: &mut Vec<Record>,
     ) -> Result<u64, ExecError> {
         let key = &self.key;
-        // Bucket every row's view by key hash, one pass per batch.
-        let mut table: FxHashMap<u64, Vec<RowRef<'_>>> = FxHashMap::default();
-        let mut hashes = Vec::new();
-        for b in batches {
-            b.key_hash_into(key, &mut hashes);
-            for (row, &h) in hashes.iter().enumerate() {
-                table.entry(h).or_default().push(b.row(row));
+        let (minima, mut buckets);
+        let mut groups: Vec<&[RowRef<'_>]> = if self.ctx.op().sca_props.first_record_only {
+            minima = key_minima(batches, key);
+            minima
+                .iter()
+                .map(|(r, _)| std::slice::from_ref(r))
+                .collect()
+        } else {
+            // Bucket every row's view by key hash and sort each bucket
+            // canonically: rows of one key end up contiguous (hash
+            // collisions merely share a bucket and are split into separate
+            // key groups below).
+            let mut table: FxHashMap<u64, Vec<RowRef<'_>>> = FxHashMap::default();
+            for_each_hashed(batches, key, |h, row| table.entry(h).or_default().push(row));
+            buckets = table.into_values().collect::<Vec<_>>();
+            for b in &mut buckets {
+                sort_canonical(b, key);
             }
-        }
-        // Sort each bucket canonically: rows of one key end up contiguous
-        // (hash collisions merely share a bucket and are split into
-        // separate key groups below).
-        let mut buckets: Vec<Vec<RowRef<'_>>> = table.into_values().collect();
-        for b in &mut buckets {
-            sort_canonical(b, key);
-        }
-        // Split every bucket into its key groups *before* choosing an
-        // emission order, then order the groups by a full key comparison.
-        // Ordering whole buckets by their first row would interleave
-        // wrongly under a 64-bit hash collision (a bucket holding keys
-        // {1, 5} sorts once as a unit and emits 1, 5 ahead of another
-        // bucket's 3). The common collision-free bucket is one group.
-        let mut groups: Vec<&[RowRef<'_>]> = Vec::with_capacity(buckets.len());
-        for b in &buckets {
-            let mut rest = &b[..];
-            while let Some(first) = rest.first() {
-                let n = rest.partition_point(|r| r.key_cmp(first, key).is_eq());
-                let (group, tail) = rest.split_at(n);
-                groups.push(group);
-                rest = tail;
+            // Split every bucket into its key groups *before* choosing an
+            // emission order, then order the groups by a full key
+            // comparison. Ordering whole buckets by their first row would
+            // interleave wrongly under a 64-bit hash collision (a bucket
+            // holding keys {1, 5} sorts once as a unit and emits 1, 5 ahead
+            // of another bucket's 3). The common collision-free bucket is
+            // one group.
+            let mut groups = Vec::with_capacity(buckets.len());
+            for b in &buckets {
+                let mut rest = &b[..];
+                while let Some(first) = rest.first() {
+                    let n = rest.partition_point(|r| r.key_cmp(first, key).is_eq());
+                    let (group, tail) = rest.split_at(n);
+                    groups.push(group);
+                    rest = tail;
+                }
             }
-        }
+            groups
+        };
         // Distinct keys per group, so comparing first rows on the key
         // alone is a total order: globally ascending — identical to the
         // sort-based walk's emission order.
@@ -127,6 +143,60 @@ impl ReduceOp {
         self.ctx.emit(emitted, out);
         Ok(())
     }
+}
+
+/// Calls `each(hash, row)` for every row of `batches`, hashing each
+/// batch's key in one pass (`key_hash_into`).
+fn for_each_hashed<'a>(
+    batches: &'a [Arc<RecordBatch>],
+    key: &[usize],
+    mut each: impl FnMut(u64, RowRef<'a>),
+) {
+    let mut hashes = Vec::new();
+    for b in batches {
+        b.key_hash_into(key, &mut hashes);
+        for (row, &h) in hashes.iter().enumerate() {
+            each(h, b.row(row));
+        }
+    }
+}
+
+/// No next entry on a [`key_minima`] collision chain.
+const CHAIN_END: usize = usize::MAX;
+
+/// The canonical minimum row of every key of `batches` — the first row of
+/// the key's canonically sorted group — found in one scan. Each entry
+/// links to the next key sharing its 64-bit hash (`CHAIN_END` when none),
+/// so a collision is resolved by an exact key comparison, never merged.
+fn key_minima<'a>(batches: &'a [Arc<RecordBatch>], key: &[usize]) -> Vec<(RowRef<'a>, usize)> {
+    // Key hash → the first entry with that hash.
+    let mut heads: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut minima: Vec<(RowRef<'a>, usize)> = Vec::new();
+    for_each_hashed(batches, key, |h, row| {
+        let fresh = minima.len();
+        let mut i = *heads.entry(h).or_insert(fresh);
+        if i == fresh {
+            minima.push((row, CHAIN_END));
+            return;
+        }
+        loop {
+            let (min, next) = &mut minima[i];
+            if min.key_cmp(&row, key).is_eq() {
+                // Equal keys: the whole-row order decides.
+                if row < *min {
+                    *min = row;
+                }
+                return;
+            }
+            if *next == CHAIN_END {
+                *next = fresh;
+                minima.push((row, CHAIN_END));
+                return;
+            }
+            i = *next;
+        }
+    });
+    minima
 }
 
 impl Operator for ReduceOp {
@@ -282,6 +352,55 @@ mod tests {
                     "{strategy:?} over {layout:?}: emission order must be a pure \
                      function of the input bag"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn first_only_minima_split_hash_collisions() {
+        // The min scan chains keys that share a 64-bit hash: A and C
+        // collide, and each must keep its own minimum, emitted in key
+        // order A < B < C, whatever the layout or budget.
+        let y = colliding_second_field(1, 100, 2);
+        let mut b = FuncBuilder::new("first", UdfKind::Group, vec![3]);
+        let it = b.iter_open(0);
+        let nil = b.new_label();
+        let first = b.iter_next(it, nil);
+        let or = b.copy(first);
+        b.emit(or);
+        b.place(nil);
+        b.ret();
+        let mut p = ProgramBuilder::new();
+        let s = p.source(SourceDef::new("s", &["k1", "k2", "v"], 16));
+        let r = p.reduce(
+            "first",
+            &[0, 1],
+            b.finish().unwrap(),
+            CostHints::default(),
+            s,
+        );
+        let plan: Plan = p.finish(r).unwrap().bind().unwrap();
+        assert!(plan.ctx.ops[0].sca_props.first_record_only);
+        let rec = |k2: i64, v: i64| {
+            let k1 = if k2 == y { 2 } else { 1 };
+            Record::from_values([Value::Int(k1), Value::Int(k2), Value::Int(v)])
+        };
+        let input = [vec![
+            rec(y, 10),
+            rec(101, 8),
+            rec(100, 6),
+            rec(y, 9),
+            rec(100, 5),
+            rec(101, 7),
+        ]];
+        let want = vec![rec(100, 5), rec(101, 7), rec(y, 9)];
+        let stats = Arc::new(ExecStats::with_ops(1));
+        for layout in BatchLayout::ALL {
+            for budget in [None, Some(64)] {
+                let gov = Arc::new(MemoryGovernor::with_budget(budget));
+                let hash = LocalStrategy::HashGroup;
+                let got = apply_chunked(hash, &input, 2, layout, ctx(&plan, &stats, &gov)).unwrap();
+                assert_eq!(got, want, "{layout:?} under {budget:?}");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The governed buffer every blocking operator keeps per keyed input.
 
 use crate::engine::ExecError;
-use crate::operators::{canonical_cmp, key_has_null, records_bytes, take_records, OpCtx};
+use crate::operators::{canonical_cmp, key_cmp, key_has_null, records_bytes, take_records, OpCtx};
 use crate::spill::file::SortedRun;
 use crate::spill::merge::{external_group_stream, GroupStream};
 use std::cmp::Ordering;
@@ -40,6 +40,9 @@ pub(crate) struct RunBuffer {
     /// null keys group like any other key.
     drop_null_keys: bool,
     saw_null_key: bool,
+    /// A first-record-only Reduce reads nothing past each key group's
+    /// first record, so `spill` writes only that record per key.
+    first_per_key: bool,
     rows: Vec<Record>,
     /// Batches buffered by `push_batch`, as they arrived, each with the
     /// bytes it was granted.
@@ -56,11 +59,20 @@ impl RunBuffer {
             side,
             drop_null_keys,
             saw_null_key: false,
+            first_per_key: false,
             rows: Vec::new(),
             batches: Vec::new(),
             granted: 0,
             runs: Vec::new(),
         }
+    }
+
+    /// Makes [`spill`](RunBuffer::spill) keep only the first record of
+    /// each key group when `on` — for a Reduce whose UDF SCA proved
+    /// first-record-only.
+    pub(crate) fn with_first_per_key(mut self, on: bool) -> Self {
+        self.first_per_key = on;
+        self
     }
 
     /// Buffers `records`, granting their bytes.
@@ -145,14 +157,20 @@ impl RunBuffer {
 
     /// Sheds everything buffered but shared batches to one canonically
     /// sorted on-disk run (none when no row is left to write) and
-    /// releases all but the shared batches' grant. On an IO failure
-    /// every row stays buffered (held batches as records), granted until
-    /// drop.
+    /// releases all but the shared batches' grant. A first-per-key buffer
+    /// ([`with_first_per_key`](RunBuffer::with_first_per_key)) writes
+    /// only the first record of each key group of the sorted rows — one
+    /// row per key per run; merged, each group's first record is still the
+    /// canonical minimum over all runs. On an IO failure every row stays
+    /// buffered (held batches as records), granted until drop.
     pub(crate) fn spill(&mut self) -> Result<(), ExecError> {
         self.absorb_batches(true);
         if !self.rows.is_empty() {
             let key = &self.ctx.op().key_attrs[self.side];
             self.rows.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
+            if self.first_per_key {
+                self.rows.dedup_by(|a, b| key_cmp(a, b, key).is_eq());
+            }
             let run = self.ctx.gov.write_sorted_run(&self.rows)?;
             self.ctx
                 .stats
@@ -259,7 +277,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{key_cmp, BatchLayout};
+    use crate::operators::BatchLayout;
     use crate::spill::{GlobalMemory, MemoryGovernor};
     use crate::stats::ExecStats;
     use crate::testutil::{ctx, sum_inplace};

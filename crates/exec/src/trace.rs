@@ -451,11 +451,15 @@ fn render_node(
                     Ship::Broadcast => "bcast".to_string(),
                 })
                 .collect();
+            // A Reduce whose UDF SCA proved first-record-only finishes
+            // on one minimum row per key instead of sorted groups.
+            let first_only = op.sca_props.first_record_only;
             out.push_str(&format!(
-                "{indent}{} [{} | {:?}{} | ships {}]\n",
+                "{indent}{} [{} | {:?}{}{} | ships {}]\n",
                 op.name,
                 op.pact.kind_name(),
                 node.local,
+                if first_only { " first-only" } else { "" },
                 if node.combine { " +combine" } else { "" },
                 ships.join(","),
             ));

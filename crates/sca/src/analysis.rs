@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use strato_ir::cfg::Cfg;
 use strato_ir::dataflow::ReachingDefs;
 use strato_ir::func::{Function, RecOrigin};
-use strato_ir::{Inst, Reg};
+use strato_ir::{Inst, Reg, UdfKind};
 
 /// Per-emit-site classification of the emitted record's construction.
 #[derive(Debug, Clone, Default)]
@@ -31,6 +31,13 @@ struct EmitClass {
 /// count, and control reads cover every field that can influence the emit
 /// decision. See [`crate::probe`] for the semantic probing used to test
 /// this guarantee.
+///
+/// A Group UDF is proven **first-record-only** when it has at most one
+/// reachable `IterNext`, that `IterNext` lies on no control-flow cycle,
+/// and no `GroupCount` is reachable. An instruction off every cycle runs
+/// at most once per call, so at most one iterator advances at most once:
+/// the only record the UDF can read is the first of its group, and its
+/// exhausted edge is never taken on a (never empty) group.
 pub fn analyze(f: &Function) -> LocalProps {
     let cfg = Cfg::build(f);
     let rd = ReachingDefs::compute(f, &cfg);
@@ -129,7 +136,26 @@ pub fn analyze(f: &Function) -> LocalProps {
         dynamic_write,
         added,
         emits: emit_bounds(f, &cfg),
+        first_record_only: first_record_only(f, &cfg),
     }
+}
+
+/// The first-record-only proof of [`analyze`].
+fn first_record_only(f: &Function, cfg: &Cfg) -> bool {
+    if f.kind() != UdfKind::Group {
+        return false;
+    }
+    let mut nexts = 0;
+    for (i, inst) in f.insts().iter().enumerate() {
+        match inst {
+            _ if !cfg.reachable(i) => {}
+            Inst::GroupCount { .. } => return false,
+            Inst::IterNext { .. } if cfg.in_cycle(i) => return false,
+            Inst::IterNext { .. } => nexts += 1,
+            _ => {}
+        }
+    }
+    nexts <= 1
 }
 
 /// Chases the definition chain of an emitted record register, collecting
@@ -255,7 +281,7 @@ fn is_identity_copy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strato_ir::{BinOp, FuncBuilder, UdfKind, UnOp};
+    use strato_ir::{BinOp, FuncBuilder, UnOp};
 
     /// f1 of Section 3: replace field 1 with |field 1|.
     fn paper_f1() -> Function {
@@ -501,6 +527,117 @@ mod tests {
         assert_eq!(p.added, BTreeSet::from([2]));
         assert!(p.written_base.is_empty());
         assert!(p.copies_input(0));
+    }
+
+    /// `first`: copy the group's first record and emit it.
+    fn first_of_group() -> FuncBuilder {
+        let mut b = FuncBuilder::new("first", UdfKind::Group, vec![2]);
+        let it = b.iter_open(0);
+        let nil = b.new_label();
+        let first = b.iter_next(it, nil);
+        let or = b.copy(first);
+        b.emit(or);
+        b.place(nil);
+        b
+    }
+
+    fn first_only(mut b: FuncBuilder) -> bool {
+        b.ret();
+        analyze(&b.finish().unwrap()).first_record_only
+    }
+
+    #[test]
+    fn first_of_group_is_first_record_only() {
+        assert!(first_only(first_of_group()));
+        // A SetField after the copy reads nothing more.
+        let mut b = FuncBuilder::new("first_tag", UdfKind::Group, vec![2]);
+        let it = b.iter_open(0);
+        let nil = b.new_label();
+        let first = b.iter_next(it, nil);
+        let or = b.copy(first);
+        let v = b.konst(7i64);
+        b.set(or, 2, v);
+        b.emit(or);
+        b.place(nil);
+        assert!(first_only(b));
+    }
+
+    #[test]
+    fn a_group_udf_without_iter_next_is_first_record_only() {
+        let mut b = FuncBuilder::new("constant", UdfKind::Group, vec![2]);
+        let or = b.new_rec();
+        let v = b.konst(1i64);
+        b.set(or, 0, v);
+        b.emit(or);
+        assert!(first_only(b));
+    }
+
+    #[test]
+    fn a_fold_loop_is_not_first_record_only() {
+        let mut b = FuncBuilder::new("sum", UdfKind::Group, vec![2]);
+        let acc = b.konst(0i64);
+        let it = b.iter_open(0);
+        let done = b.new_label();
+        let head = b.new_label();
+        b.place(head);
+        let r = b.iter_next(it, done);
+        let v = b.get(r, 1);
+        b.bin_into(acc, BinOp::Add, acc, v);
+        b.jump(head);
+        b.place(done);
+        let or = b.new_rec();
+        b.set(or, 0, acc);
+        b.emit(or);
+        assert!(!first_only(b));
+    }
+
+    #[test]
+    fn two_iter_nexts_in_sequence_are_not_first_record_only() {
+        // The second `IterNext` on the same iterator reads record 1.
+        let mut b = FuncBuilder::new("second", UdfKind::Group, vec![2]);
+        let it = b.iter_open(0);
+        let nil = b.new_label();
+        let _first = b.iter_next(it, nil);
+        let second = b.iter_next(it, nil);
+        let or = b.copy(second);
+        b.emit(or);
+        b.place(nil);
+        assert!(!first_only(b));
+    }
+
+    #[test]
+    fn group_count_is_not_first_record_only() {
+        let mut b = first_of_group();
+        let n = b.group_count(0);
+        let or = b.new_rec();
+        b.set(or, 0, n);
+        b.emit(or);
+        assert!(!first_only(b));
+    }
+
+    #[test]
+    fn a_loop_that_exits_after_one_record_is_conservatively_rejected() {
+        // Semantically first-record-only — the loop breaks after its first
+        // record — but its `IterNext` lies on a CFG cycle.
+        let mut b = FuncBuilder::new("loop_once", UdfKind::Group, vec![2]);
+        let it = b.iter_open(0);
+        let done = b.new_label();
+        let head = b.new_label();
+        b.place(head);
+        let r = b.iter_next(it, done);
+        let or = b.copy(r);
+        b.emit(or);
+        let yes = b.konst(true);
+        b.branch(yes, done);
+        b.jump(head);
+        b.place(done);
+        assert!(!first_only(b));
+    }
+
+    #[test]
+    fn only_group_udfs_are_first_record_only() {
+        // A record-at-a-time UDF has no group to read the first record of.
+        assert!(!analyze(&paper_f3()).first_record_only);
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //!   of its prototype to "field accesses with literals and final variables",
 //! * **combinability** — a structural proof that a reduce UDF is an
 //!   in-place algebraic fold and therefore *decomposable*, which unlocks
-//!   pre-shuffle combiners and streaming aggregation ([`combine`]).
+//!   pre-shuffle combiners and streaming aggregation ([`combine`]),
+//! * **first-record-only** — a structural proof that a Group UDF reads
+//!   nothing but its group's first record (at most one reachable
+//!   `IterNext`, on no control-flow cycle, and no `GroupCount`), so Reduce
+//!   may hand it the one-record group of each key's canonical minimum
+//!   instead of sorting the group.
 //!
 //! Safety through conservatism: every derived set is a superset of the true
 //! set for every possible input, so enumerated reorderings are a subset of

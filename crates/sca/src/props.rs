@@ -72,6 +72,12 @@ pub struct LocalProps {
     pub added: BTreeSet<usize>,
     /// Emit-cardinality bounds per invocation.
     pub emits: EmitBounds,
+    /// The **first-record-only** proof (Group UDFs only): the UDF reads at
+    /// most the first record of its group and never its size, so it cannot
+    /// tell a group from the one-record group of that first record — same
+    /// emitted records, same interpreter steps. See
+    /// [`analyze`](crate::analyze) for the structural conditions.
+    pub first_record_only: bool,
 }
 
 impl LocalProps {
@@ -100,6 +106,9 @@ impl fmt::Display for LocalProps {
             writeln!(f, "dynamic write:  yes")?;
         }
         writeln!(f, "added fields:   {:?}", self.added)?;
+        if self.first_record_only {
+            writeln!(f, "first record:   only")?;
+        }
         write!(f, "emit bounds:    {}", self.emits)
     }
 }
@@ -168,6 +177,7 @@ mod tests {
                 min: 1,
                 max: Some(1),
             },
+            first_record_only: false,
         };
         assert!(p.copies_input(0));
         assert!(!p.copies_input(1));

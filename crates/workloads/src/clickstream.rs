@@ -255,6 +255,7 @@ fn append_user_info_manual(right_width: usize) -> LocalProps {
             min: 1,
             max: Some(1),
         },
+        first_record_only: false,
     }
 }
 

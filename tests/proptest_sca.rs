@@ -12,13 +12,25 @@
 //!   integer records;
 //! * a register frame reused across a random sequence of invocations must
 //!   run each exactly as a fresh frame would.
+//!
+//! A random Group UDF is built from iterator opens and advances, loops,
+//! group counts, field sets and emits. Whenever SCA proves it
+//! first-record-only, running it on a canonically sorted group must emit
+//! the same records in the same number of steps as running it on that
+//! group's first record alone — the fact Reduce's first-record-only
+//! finish relies on. Every Reduce UDF of the paper's workloads and of the
+//! served flow catalog is pinned as *not* proven, so their finish cannot
+//! move.
 
 use proptest::prelude::*;
+use strato::dataflow::spec::{FoldOp, ReduceUdf};
+use strato::dataflow::{FlowSpec, NodeSpec, OpSpec, Pact, Plan, SourceSpec};
 use strato::ir::interp::{Frame, Interp, Invocation, Layout};
-use strato::ir::{BinOp, FuncBuilder, Function, UdfKind, UnOp};
+use strato::ir::{BinOp, FuncBuilder, Function, RReg, UdfKind, UnOp};
 use strato::record::{Record, RowRef, Value};
 use strato::sca::probe::{probe_emit_counts, probe_read_set, probe_write_set, ProbeConfig};
 use strato::sca::{analyze, LocalProps};
+use strato::workloads::{clickstream, textmining, tpch};
 
 const WIDTH: usize = 4;
 
@@ -122,6 +134,161 @@ fn build(recipe: &Recipe) -> Function {
     b.finish().expect("recipes are always verifiable")
 }
 
+/// One statement of a random Group UDF over `GROUP_WIDTH`-wide records.
+#[derive(Debug, Clone)]
+enum GroupStmt {
+    /// Open a fresh iterator over the group; later advances use it.
+    Open,
+    /// Advance the current iterator once, straight-line: the record
+    /// becomes the current one (an exhausted group jumps to the end).
+    Next,
+    /// Fold field `.0` of every remaining record into the accumulator,
+    /// emitting each record when `.1`, leaving the loop after its first
+    /// record when `.2`.
+    Loop(usize, bool, bool),
+    /// Add the group's size to the accumulator.
+    Count,
+    /// Add field `.0` of the current record to the accumulator.
+    Read(usize),
+    /// Set field `.0` of the output record to the accumulator.
+    Set(usize),
+    /// Emit a copy of the current record (or the output record before any
+    /// advance), with field `.0` set to the accumulator when `Some`.
+    Emit(Option<usize>),
+}
+
+const GROUP_WIDTH: usize = 3;
+
+fn arb_group_stmt() -> impl Strategy<Value = GroupStmt> {
+    prop_oneof![
+        Just(GroupStmt::Open),
+        Just(GroupStmt::Next),
+        Just(GroupStmt::Next),
+        (0..GROUP_WIDTH, any::<bool>(), any::<bool>())
+            .prop_map(|(f, e, b)| GroupStmt::Loop(f, e, b)),
+        Just(GroupStmt::Count),
+        (0..GROUP_WIDTH).prop_map(GroupStmt::Read),
+        (0..GROUP_WIDTH + 1).prop_map(GroupStmt::Set),
+        prop::option::of(0..GROUP_WIDTH + 1).prop_map(GroupStmt::Emit),
+        prop::option::of(0..GROUP_WIDTH + 1).prop_map(GroupStmt::Emit),
+    ]
+}
+
+fn build_group(stmts: &[GroupStmt]) -> Function {
+    let mut b = FuncBuilder::new("rand_group", UdfKind::Group, vec![GROUP_WIDTH]);
+    let end = b.new_label();
+    let acc = b.konst(0i64);
+    let or = b.new_rec();
+    let mut it = b.iter_open(0);
+    let mut cur: Option<RReg> = None;
+    for stmt in stmts {
+        match *stmt {
+            GroupStmt::Open => it = b.iter_open(0),
+            GroupStmt::Next => cur = Some(b.iter_next(it, end)),
+            GroupStmt::Loop(field, emit, once) => {
+                let head = b.new_label();
+                let done = b.new_label();
+                b.place(head);
+                let r = b.iter_next(it, done);
+                let v = b.get(r, field);
+                b.bin_into(acc, BinOp::Add, acc, v);
+                if emit {
+                    let o = b.copy(r);
+                    b.emit(o);
+                }
+                if once {
+                    let yes = b.konst(true);
+                    b.branch(yes, done);
+                }
+                b.jump(head);
+                b.place(done);
+            }
+            GroupStmt::Count => {
+                let n = b.group_count(0);
+                b.bin_into(acc, BinOp::Add, acc, n);
+            }
+            GroupStmt::Read(field) => {
+                if let Some(r) = cur {
+                    let v = b.get(r, field);
+                    b.bin_into(acc, BinOp::Add, acc, v);
+                }
+            }
+            GroupStmt::Set(field) => b.set(or, field, acc),
+            GroupStmt::Emit(set) => {
+                let o = b.copy(cur.unwrap_or(or));
+                if let Some(field) = set {
+                    b.set(o, field, acc);
+                }
+                b.emit(o);
+            }
+        }
+    }
+    b.place(end);
+    b.ret();
+    b.finish().expect("group recipes are always verifiable")
+}
+
+/// The bound Reduce operators of `plan`, by name.
+fn reduces(plan: &Plan) -> Vec<(&str, bool)> {
+    plan.ctx
+        .ops
+        .iter()
+        .filter(|op| matches!(op.pact, Pact::Reduce { .. }))
+        .map(|op| (op.name.as_str(), op.sca_props.first_record_only))
+        .collect()
+}
+
+#[test]
+fn no_workload_or_served_reduce_is_first_record_only() {
+    // Every Reduce UDF the benchmark runs besides the shuffle pair's
+    // `first` folds over or counts its group: none may take the
+    // first-record-only finish. (Textmining has no Reduce.)
+    let tiny = tpch::TpchScale::tiny();
+    let mut plans = vec![
+        tpch::q7_plan(tiny),
+        tpch::q15_plan(tiny),
+        textmining::plan(textmining::TextScale::tiny()),
+        clickstream::plan(clickstream::ClickScale::tiny()),
+    ];
+    let ops = [FoldOp::Sum, FoldOp::Product, FoldOp::Min, FoldOp::Max];
+    let udfs = ops
+        .iter()
+        .flat_map(|&op| {
+            [false, true].map(|append| ReduceUdf::Fold {
+                op,
+                field: 1,
+                append,
+            })
+        })
+        .chain([ReduceUdf::Count]);
+    for udf in udfs {
+        let flow = FlowSpec::new(NodeSpec::op(
+            OpSpec::reduce("served", &[0], udf),
+            vec![NodeSpec::source(SourceSpec::new("s", &["k", "v"], 100))],
+        ));
+        plans.push(flow.build().expect("served reduce flow builds"));
+    }
+    let mut names = Vec::new();
+    for plan in &plans {
+        for (name, first_only) in reduces(plan) {
+            assert!(!first_only, "reduce {name} must not be first-record-only");
+            names.push(name);
+        }
+    }
+    // Q7's and Q15's aggregates, clickstream's two reduces (textmining
+    // has none), and the nine served UDFs.
+    assert_eq!(
+        names[..4],
+        [
+            "agg_volume",
+            "agg_revenue",
+            "filter_buy_sessions",
+            "condense_sessions"
+        ]
+    );
+    assert_eq!(names.len(), 4 + 9);
+}
+
 fn props_write_ok(props: &LocalProps, w: usize) -> bool {
     props.written_base.contains(&w) || props.added.contains(&w) || props.dynamic_write
 }
@@ -197,6 +364,33 @@ proptest! {
             let got = Interp::default().run_in(&mut frame, &f, inv, &layout, &mut reused);
             prop_assert_eq!((got, reused), (want, fresh));
         }
+    }
+
+    #[test]
+    fn first_record_only_udfs_cannot_see_past_the_first_record(
+        stmts in prop::collection::vec(arb_group_stmt(), 0..7),
+        payloads in prop::collection::vec(
+            prop::collection::vec(arb_value(), GROUP_WIDTH - 1),
+            1..6,
+        ),
+    ) {
+        let f = build_group(&stmts);
+        prop_assume!(analyze(&f).first_record_only);
+        // One key group in canonical order: a shared key, then the rows.
+        let mut group: Vec<Record> = payloads
+            .into_iter()
+            .map(|p| Record::from_values(std::iter::once(Value::Int(7)).chain(p)))
+            .collect();
+        group.sort();
+        let views: Vec<RowRef<'_>> = group.iter().map(RowRef::from).collect();
+        let layout = Layout::local(&f);
+        let run = |g: &[RowRef<'_>]| {
+            let mut out = Vec::new();
+            let stats = Interp::default().run(&f, Invocation::Group(g), &layout, &mut out);
+            (stats, out)
+        };
+        let (whole, first) = (run(&views), run(&views[..1]));
+        prop_assert!(whole == first, "{f}\nwhole group: {whole:?}\nfirst record: {first:?}");
     }
 
     #[test]

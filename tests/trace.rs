@@ -232,6 +232,8 @@ fn explain_analyze_reports_estimates_against_actuals() {
     assert!(report.contains("est: rows="), "{report}");
     assert!(report.contains("| act: rows="), "{report}");
     assert!(report.contains("Δrows="), "{report}");
+    // A summing Reduce reads its whole group: no first-record-only finish.
+    assert!(!report.contains("first-only"), "{report}");
     // The known spill is attributed in the report.
     assert!(report.contains("spilled="), "{report}");
     let spill_line = report
