@@ -25,9 +25,10 @@
 //! * [`cost`] — the hint-driven cost model (network IO + disk IO + CPU per
 //!   UDF call);
 //! * [`physical`] — shipping strategies (forward / hash repartition /
-//!   broadcast) and local strategies (hash/sort grouping, hash join with
-//!   build-side choice, sort-merge join, block nested loops), selected
-//!   per logical order with partitioning-property reuse;
+//!   broadcast), pre-ship combiners and local strategies (hash grouping,
+//!   hash join with build-side choice, block nested loops, sort-merge
+//!   co-grouping), selected per logical order with partitioning-property
+//!   reuse;
 //! * `optimizer` — the end-to-end [`Optimizer`]:
 //!   derive properties → enumerate orders → cost each physical alternative
 //!   → rank.

@@ -12,9 +12,10 @@
 //!
 //! * shipping: [`Ship::Forward`] (stay local), [`Ship::Partition`] (hash
 //!   repartition by key), [`Ship::Broadcast`] (replicate to all workers);
-//! * local: pipelined Map, hash or sort grouping, hash join with explicit
-//!   build side, sort-merge join, block-nested-loop cross, sort-merge
-//!   co-group.
+//! * local: pipelined Map, hash grouping, hash join with explicit build
+//!   side, block-nested-loop cross, sort-merge co-group — one algorithm
+//!   per grouping operator. A combinable Reduce may also get a pre-ship
+//!   combiner ([`PhysNode::combine`]), which changes how much is shipped.
 //!
 //! Selection keeps, per subtree, the cheapest candidate for every distinct
 //! output partitioning (a miniature Volcano with interesting properties),
@@ -60,19 +61,10 @@ pub enum LocalStrategy {
     Pipe,
     /// Build an in-memory hash table of groups.
     HashGroup,
-    /// Sort by key, then group.
-    SortGroup,
-    /// Streaming hash pre-aggregation: fold one partial record per key as
-    /// batches arrive, then invoke the UDF once per partial. Legal only
-    /// for *combinable* reduces (see `Plan::combinable_reduce`); holds one
-    /// record per distinct key instead of buffering the whole input.
-    StreamAgg,
     /// Hash join building on the left input.
     HashJoinBuildLeft,
     /// Hash join building on the right input.
     HashJoinBuildRight,
-    /// Sort both inputs and merge.
-    SortMergeJoin,
     /// Block-nested-loop Cartesian product.
     BlockNestedLoop,
     /// Sort-merge co-grouping.
@@ -424,13 +416,6 @@ fn hash_build_cost(e: &Est, w: &CostWeights) -> f64 {
     1.2 * e.rows * w.cpu + spill(e.bytes(), w)
 }
 
-/// Streaming pre-aggregation: one hash probe + fold per record, no
-/// buffering or re-grouping pass, and the memory (hence spill) footprint
-/// is one partial per distinct key rather than the whole input.
-fn stream_agg_cost(e: &Est, groups: f64, w: &CostWeights) -> f64 {
-    e.rows * w.cpu + spill(groups * e.bytes_per_row, w)
-}
-
 fn ship_cost(route: Route, e: &Est, w: &CostWeights, dop: usize) -> f64 {
     match route {
         Route::Forward => 0.0,
@@ -554,32 +539,21 @@ impl<'a> PhysMemo<'a> {
                         } else {
                             0.0
                         };
-                        let base = c.cost
+                        let cost = c.cost
                             + ship_cost(route, &shipped_est, w, dop)
                             + udf_cpu
-                            + combiner_cpu;
-                        let mut locals = vec![
-                            (LocalStrategy::HashGroup, hash_build_cost(&shipped_est, w)),
-                            (LocalStrategy::SortGroup, sort_cost(&shipped_est, w)),
-                        ];
-                        if combinable {
-                            locals.push((
-                                LocalStrategy::StreamAgg,
-                                stream_agg_cost(&shipped_est, groups, w),
-                            ));
-                        }
-                        for (local, lcost) in locals {
-                            out.offer(Candidate {
-                                combine,
-                                ..Candidate::new(
-                                    base + lcost,
-                                    Some(key),
-                                    local,
-                                    [route, Route::Forward],
-                                    [i, 0],
-                                )
-                            });
-                        }
+                            + combiner_cpu
+                            + hash_build_cost(&shipped_est, w);
+                        out.offer(Candidate {
+                            combine,
+                            ..Candidate::new(
+                                cost,
+                                Some(key),
+                                LocalStrategy::HashGroup,
+                                [route, Route::Forward],
+                                [i, 0],
+                            )
+                        });
                     }
                 }
             }
@@ -629,19 +603,15 @@ impl<'a> PhysMemo<'a> {
                         } else {
                             (LocalStrategy::HashJoinBuildRight, hash_build_cost(&re, w))
                         };
-                        let smj = sort_cost(&le, w) + sort_cost(&re, w);
                         let base = lc.cost + rc.cost + udf_cpu;
-                        for (local, lcost2) in [(build, bcost), (LocalStrategy::SortMergeJoin, smj)]
-                        {
-                            for part_out in [kl, kr] {
-                                out.offer(Candidate::new(
-                                    base + ship_cost_ab + lcost2,
-                                    Some(part_out),
-                                    local,
-                                    routes,
-                                    [i, j],
-                                ));
-                            }
+                        for part_out in [kl, kr] {
+                            out.offer(Candidate::new(
+                                base + ship_cost_ab + bcost,
+                                Some(part_out),
+                                build,
+                                routes,
+                                [i, j],
+                            ));
                         }
                         // (b) Broadcast the smaller side; the larger
                         // side's partitioning survives.
@@ -887,10 +857,10 @@ mod tests {
     }
 
     #[test]
-    fn combinable_reduce_prefers_combiner_and_stream_agg() {
+    fn combinable_reduce_prefers_combiner() {
         // Duplicate-heavy grouped aggregate: shipping one partial per key
         // per partition beats shipping 200k raw rows, so the cost model
-        // must pick the combined plan — and the streaming local strategy.
+        // must pick the combined plan, grouped by hash.
         let mut p = ProgramBuilder::new();
         let s = p.source(SourceDef::new("s", &["k", "v"], 200_000).with_bytes_per_row(40));
         let g = p.reduce(
@@ -903,7 +873,7 @@ mod tests {
         let plan = p.finish(g).unwrap().bind().unwrap();
         let phys = phys_of(&plan);
         assert!(phys.root.combine, "{}", phys.render(&plan));
-        assert_eq!(phys.root.local, LocalStrategy::StreamAgg);
+        assert_eq!(phys.root.local, LocalStrategy::HashGroup);
         assert!(matches!(phys.root.ships[0], Ship::Partition(_)));
         assert!(phys.render(&plan).contains("+combine"));
     }
@@ -948,7 +918,6 @@ mod tests {
         let plan = p.finish(g).unwrap().bind().unwrap();
         let phys = phys_of(&plan);
         assert!(!phys.root.combine);
-        assert_ne!(phys.root.local, LocalStrategy::StreamAgg);
     }
 
     #[test]

@@ -109,8 +109,8 @@ impl BoundOp {
             .collect()
     }
 
-    /// Schema-level legality of running this Reduce as a streaming
-    /// aggregation (a combiner or `StreamAgg`): SCA proved the in-place
+    /// Schema-level legality of folding this Reduce's input in a streaming
+    /// pre-aggregation (the pre-ship combiner): SCA proved the in-place
     /// fold, every pass-through field maps to a grouping key (keys are
     /// constant within a group, so the pass-through is independent of
     /// which group record the UDF copies), and **no folded field is a

@@ -579,37 +579,13 @@ mod tests {
         let reference = apply(&plan, LocalStrategy::HashGroup, &wide, row_major, None);
         assert_eq!((reference.udf_calls, reference.distinct_keys), (4, 4));
         // Same bag — and same canonical group order, record for record —
-        // whichever algorithm groups, whatever layout the batches arrive
-        // in and however many runs feed it.
+        // whether the hash finish groups or the sort-based one walks the
+        // spilled runs (every batch under `Some(0)`), whatever layout the
+        // batches arrive in.
         for layout in BatchLayout::ALL {
-            for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
-                for budget in BUDGETS {
-                    let got = apply(&plan, strategy, &wide, layout, budget);
-                    assert_eq!(got, reference, "{strategy:?} over {layout:?} at {budget:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stream_agg_agrees_with_hash_grouping() {
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v"], 8));
-        let udf = crate::testutil::sum_inplace(2, 1);
-        let r = p.reduce("agg", &[0], udf, CostHints::default(), s);
-        let plan = p.finish(r).unwrap().bind().unwrap();
-        let mut rows = ds(&[&[3, 10], &[1, 1], &[3, -4], &[2, 7], &[1, 5], &[3, 9]]);
-        rows.push(Record::from_values([Value::Null, Value::Int(7)]));
-        let wide = vec![widen(&plan, 0, &rows)];
-        let row_major = BatchLayout::Rows;
-        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, row_major, None);
-        assert_eq!((reference.udf_calls, reference.distinct_keys), (4, 4));
-        for layout in BatchLayout::ALL {
-            let hash = apply(&plan, LocalStrategy::HashGroup, &wide, layout, None);
-            assert_eq!(hash, reference, "HashGroup over {layout:?}");
             for budget in BUDGETS {
-                let got = apply(&plan, LocalStrategy::StreamAgg, &wide, layout, budget);
-                assert_eq!(got, reference, "StreamAgg over {layout:?} at {budget:?}");
+                let got = apply(&plan, LocalStrategy::HashGroup, &wide, layout, budget);
+                assert_eq!(got, reference, "over {layout:?} at {budget:?}");
             }
         }
     }
@@ -628,27 +604,19 @@ mod tests {
         right.push(Record::from_values([Value::Null]));
         let sides = vec![widen(&plan, 0, &left), widen(&plan, 1, &right)];
 
-        let smj = apply(
-            &plan,
-            LocalStrategy::SortMergeJoin,
-            &sides,
-            BatchLayout::Rows,
-            None,
-        );
+        // A zero budget spills every batch: the sort-merge walk.
+        let build_left = LocalStrategy::HashJoinBuildLeft;
+        let smj = apply(&plan, build_left, &sides, BatchLayout::Rows, Some(0));
         assert_eq!(smj.out.len(), 5); // k2: 2×2 pairs, k3: 1 pair.
                                       // Keys 1, 2, 3 — and the null keys, counted once.
         assert_eq!((smj.udf_calls, smj.distinct_keys), (5, 4));
-        for strategy in [
-            LocalStrategy::SortMergeJoin,
-            LocalStrategy::HashJoinBuildLeft,
-            LocalStrategy::HashJoinBuildRight,
-        ] {
+        for strategy in [build_left, LocalStrategy::HashJoinBuildRight] {
             for budget in BUDGETS {
                 let got = apply(&plan, strategy, &sides, BatchLayout::Rows, budget);
                 let tag = format!("{strategy:?} at {budget:?}");
                 // One walk: the sort-merge sequence is reproduced exactly
-                // by SortMergeJoin at any budget and by every spilled join.
-                if strategy == LocalStrategy::SortMergeJoin || budget == Some(0) {
+                // by every join that spilled every batch.
+                if budget == Some(0) {
                     assert_eq!(got, smj, "{tag}");
                 }
                 // The hash joins pair in probe order: same bag.

@@ -11,8 +11,8 @@
 //!   (open / push-batch / finish) per PACT, covering the ship-independent
 //!   local strategies (pipelined map — optionally a fused map chain —
 //!   hash grouping and hash join in memory, block nested loops, and one
-//!   sort-based finish per blocking operator for sort grouping, sort-merge
-//!   join, co-grouping and everything that spilled);
+//!   sort-based finish per blocking operator for co-grouping and
+//!   everything that spilled), plus the pre-ship combiner;
 //! * `ship` (private) — per-batch routing between
 //!   partitions: forward, hash repartition (no serialization on the hot
 //!   path; bytes accounted via `encoded_len`, wire round trip checked in

@@ -1,12 +1,11 @@
 //! The Match operator: equi-join by in-memory hash join over the
-//! batches it is sent, or by one sort-merge walk; each side is one
-//! governed `RunBuffer`.
+//! batches it is sent, or by one sort-merge walk once pressure shed
+//! anything; each side is one governed `RunBuffer`.
 
 use super::{OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::{next_key_groups, RunBuffer};
 use std::sync::Arc;
-use strato_core::LocalStrategy;
 use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
 use strato_record::{Record, RecordBatch, RowRef};
@@ -18,16 +17,16 @@ use strato_record::{Record, RecordBatch, RowRef};
 /// it is pushed as they arrived, in either layout and never deep-copied,
 /// so a broadcast build side stays one allocation shared by every
 /// partition. Under pressure each buffer sheds its uniquely held batches
-/// as a key-sorted run. A hash join that never spilled reads the held
-/// batches in place, as row views. There is one sort-based finish —
-/// drain both buffers and walk their key-group streams in lock-step,
-/// pairing matching groups — serving [`LocalStrategy::SortMergeJoin`]
-/// always and the hash strategies once pressure shed anything. Pair order
-/// then differs from a hash join's probe order, but the output *bag* —
-/// the engine's equivalence contract for joins — is identical.
+/// as a key-sorted run. A join that never spilled hashes its build side
+/// and probes it, reading the held batches in place as row views. Once
+/// pressure shed anything it takes the sort-based finish instead — drain
+/// both buffers and walk their key-group streams in lock-step, pairing
+/// matching groups. Pair order then differs from the probe order, but the
+/// output *bag* — the engine's equivalence contract for joins — is
+/// identical.
 pub struct MatchOp {
-    /// A hash join or `SortMergeJoin` (see [`super::build`]).
-    strategy: LocalStrategy,
+    /// The input the hash join builds on: 0 (left) or 1 (right).
+    build: usize,
     ctx: OpCtx,
     /// Per side: the join key as plain column indices (the row-view
     /// kernels' form of `key_attrs`).
@@ -36,11 +35,12 @@ pub struct MatchOp {
 }
 
 impl MatchOp {
-    pub(crate) fn new(strategy: LocalStrategy, ctx: OpCtx) -> Self {
+    /// A join that builds on input `build` (see [`super::build`]).
+    pub(crate) fn new(build: usize, ctx: OpCtx) -> Self {
         let key = |s: usize| ctx.op().key_attrs[s].iter().map(|k| k.index()).collect();
         let buf = |s: usize| RunBuffer::new(ctx.clone(), s, true);
         MatchOp {
-            strategy,
+            build,
             keys: [key(0), key(1)],
             bufs: [buf(0), buf(1)],
             ctx,
@@ -101,8 +101,8 @@ impl MatchOp {
             let n = left.len() as u64;
             self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, n);
         }
-        let build_is_left = self.strategy == LocalStrategy::HashJoinBuildLeft;
-        let (build, probe) = if build_is_left { (0, 1) } else { (1, 0) };
+        let (build, probe) = (self.build, 1 - self.build);
+        let build_is_left = build == 0;
         let (kb, kp) = (&self.keys[build], &self.keys[probe]);
         let mut table: FxHashMap<u64, Vec<RowRef<'_>>> = FxHashMap::default();
         let mut hashes = Vec::new();
@@ -135,13 +135,14 @@ impl MatchOp {
         Ok(())
     }
 
-    /// The finish: one of the two joins, then the emission.
+    /// The finish: the hash join, or the sort-merge walk once pressure
+    /// shed anything, then the emission.
     fn join(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
         let mut emitted = Vec::new();
         // A buffer that shed anything holds part of its side, even when
         // every row it shed had a null key and nothing reached disk.
         let shed = |b: &RunBuffer| b.spilled() || b.saw_null_key();
-        if self.strategy == LocalStrategy::SortMergeJoin || self.bufs.iter().any(shed) {
+        if self.bufs.iter().any(shed) {
             self.merge_join(&mut emitted)?;
         } else {
             let [left, right] = &mut self.bufs;
@@ -187,6 +188,7 @@ mod tests {
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::ctx;
+    use strato_core::LocalStrategy;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_ir::{FuncBuilder, Intrinsic, UdfKind};
     use strato_record::{DataSet, Value};
@@ -240,7 +242,6 @@ mod tests {
         for strategy in [
             LocalStrategy::HashJoinBuildLeft,
             LocalStrategy::HashJoinBuildRight,
-            LocalStrategy::SortMergeJoin,
         ] {
             let (in_rows, _) = run(strategy, 2, BatchLayout::Rows, None);
             for layout in BatchLayout::ALL {
@@ -275,14 +276,10 @@ mod tests {
         });
         let left = wide(&plan, 0, &[&[2, 20], &[3, 30]]);
         let right = wide(&plan, 1, &[&[2], &[3]]);
-        for strategy in [
-            LocalStrategy::HashJoinBuildLeft,
-            LocalStrategy::HashJoinBuildRight,
-            LocalStrategy::SortMergeJoin,
-        ] {
+        for build in [0, 1] {
             let stats = Arc::new(ExecStats::with_ops(1));
             let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 20)));
-            let mut join = MatchOp::new(strategy, ctx(&plan, &stats, &gov));
+            let mut join = MatchOp::new(build, ctx(&plan, &stats, &gov));
             join.open().unwrap();
             let mut out = Vec::new();
             for (port, rows) in [&left, &right].into_iter().enumerate() {
@@ -295,9 +292,9 @@ mod tests {
             let finished =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| join.finish(&mut out)));
             std::panic::set_hook(prev);
-            assert!(finished.is_err(), "{strategy:?}: abort_if must trip");
+            assert!(finished.is_err(), "build {build}: abort_if must trip");
             drop(join);
-            assert_eq!(gov.resident(), 0, "{strategy:?} kept a grant");
+            assert_eq!(gov.resident(), 0, "build {build} kept a grant");
         }
     }
 
@@ -313,7 +310,7 @@ mod tests {
         }
         for strategy in [
             LocalStrategy::HashJoinBuildLeft,
-            LocalStrategy::SortMergeJoin,
+            LocalStrategy::HashJoinBuildRight,
         ] {
             for budget in [None, Some(0)] {
                 let stats = Arc::new(ExecStats::for_profiling(1));
@@ -345,7 +342,7 @@ mod tests {
 
         let stats = Arc::new(ExecStats::with_ops(1));
         let gov = Arc::new(MemoryGovernor::with_budget(Some(1)));
-        let mut join = MatchOp::new(LocalStrategy::HashJoinBuildLeft, ctx(&plan, &stats, &gov));
+        let mut join = MatchOp::new(0, ctx(&plan, &stats, &gov));
         join.open().unwrap();
         let mut out = Vec::new();
         // The "broadcast" build side: a clone is kept alive, as the other

@@ -288,21 +288,9 @@ pub fn build(strategy: LocalStrategy, ctx: OpCtx) -> Box<dyn Operator> {
     let op = ctx.op();
     match (&op.pact, strategy) {
         (Pact::Map, Pipe) => Box::new(map::MapOp::new(ctx)),
-        // StreamAgg is only chosen by the optimizer where the schema-level
-        // legality holds (structural fold proof, pass-through fields are
-        // keys, no fold targets a key); fall back to buffered hash
-        // grouping defensively if a hand-built physical plan requests it
-        // for a reduce that fails any of those conditions.
-        (Pact::Reduce { .. }, StreamAgg) if op.stream_aggregable() => {
-            Box::new(streamagg::StreamAggOp::new(streamagg::AggRole::Final, ctx))
-        }
-        (Pact::Reduce { .. }, StreamAgg) => Box::new(reduce::ReduceOp::new(HashGroup, ctx)),
-        (Pact::Reduce { .. }, HashGroup | SortGroup) => {
-            Box::new(reduce::ReduceOp::new(strategy, ctx))
-        }
-        (Pact::Match { .. }, HashJoinBuildLeft | HashJoinBuildRight | SortMergeJoin) => {
-            Box::new(join::MatchOp::new(strategy, ctx))
-        }
+        (Pact::Reduce { .. }, HashGroup) => Box::new(reduce::ReduceOp::new(ctx)),
+        (Pact::Match { .. }, HashJoinBuildLeft) => Box::new(join::MatchOp::new(0, ctx)),
+        (Pact::Match { .. }, HashJoinBuildRight) => Box::new(join::MatchOp::new(1, ctx)),
         (Pact::Cross, BlockNestedLoop) => Box::new(cross::CrossOp::new(ctx)),
         (Pact::CoGroup { .. }, CoGroupSortMerge) => Box::new(cogroup::CoGroupOp::new(ctx)),
         (pact, strategy) => panic!(
@@ -318,10 +306,7 @@ pub fn build(strategy: LocalStrategy, ctx: OpCtx) -> Box<dyn Operator> {
 /// operator is not a proven in-place fold — the lowering only inserts
 /// combiner stages where `PhysNode::combine` was legally set.
 pub(crate) fn build_combiner(ctx: OpCtx) -> Box<dyn Operator> {
-    Box::new(streamagg::StreamAggOp::new(
-        streamagg::AggRole::Combine,
-        ctx,
-    ))
+    Box::new(streamagg::StreamAggOp::new(ctx))
 }
 
 /// Builds a fused chain of Map operators running as **one** task: records

@@ -1,12 +1,12 @@
-//! The Reduce operator: hash or sort grouping over one governed
-//! `RunBuffer` that holds the batches Reduce is pushed, as they arrived.
+//! The Reduce operator: hash grouping over one governed `RunBuffer` that
+//! holds the batches Reduce is pushed, as they arrived.
 //!
 //! The hash finish groups those batches in place: it hashes each batch's
 //! key in one pass (`key_hash_into`), buckets and canonically sorts *row
 //! views* of either layout, and hands each group to the interpreter as
 //! views — a record materializes only where the UDF copies one (one per
 //! group for a first-of-group UDF). Batches become records only when the
-//! buffer spills or the sort-based finish drains it.
+//! buffer spills; a Reduce that spilled finishes by the sort-based walk.
 //!
 //! When SCA proves the UDF **first-record-only**
 //! (`LocalProps::first_record_only`: it reads nothing past its group's
@@ -21,7 +21,6 @@ use super::{OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::RunBuffer;
 use std::sync::Arc;
-use strato_core::LocalStrategy;
 use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
 use strato_record::{sort_canonical, Record, RecordBatch, RowRef};
@@ -30,22 +29,18 @@ use strato_record::{sort_canonical, Record, RecordBatch, RowRef};
 /// invokes the UDF once per group.
 ///
 /// The input lives in a `RunBuffer`, which sheds it to canonically sorted
-/// on-disk runs under memory pressure. There is one sort-based finish —
-/// walk the buffer's key groups, merged from however many runs exist
-/// (none, for an execution that never spilled) — serving
-/// [`LocalStrategy::SortGroup`] always and [`LocalStrategy::HashGroup`]
-/// once anything spilled. `HashGroup` that never spilled groups the held
-/// batches through a hash table of row views instead — or, for a
-/// first-record-only UDF, keeps only each key's minimum row.
+/// on-disk runs under memory pressure. A Reduce that never spilled groups
+/// the held batches through a hash table of row views — or, for a
+/// first-record-only UDF, keeps only each key's minimum row. One that
+/// spilled takes the sort-based finish: walk the buffer's key groups,
+/// merged from its runs and the in-memory tail.
 ///
 /// Both present each group in canonical `(key, record)` order and emit
 /// groups in ascending key order — 64-bit key-hash collisions on the hash
 /// path are broken by a full key comparison — so the output sequence is a
-/// pure function of the input bag regardless of local algorithm, batch
-/// layout, partitioning, batch boundaries or memory budget.
+/// pure function of the input bag regardless of finish, batch layout,
+/// partitioning, batch boundaries or memory budget.
 pub struct ReduceOp {
-    /// `HashGroup` or `SortGroup` (see [`super::build`]).
-    strategy: LocalStrategy,
     ctx: OpCtx,
     /// The grouping key as plain column indices (the row-view kernels'
     /// form of `key_attrs[0]`).
@@ -54,10 +49,9 @@ pub struct ReduceOp {
 }
 
 impl ReduceOp {
-    pub(crate) fn new(strategy: LocalStrategy, ctx: OpCtx) -> Self {
+    pub(crate) fn new(ctx: OpCtx) -> Self {
         let first_only = ctx.op().sca_props.first_record_only;
         ReduceOp {
-            strategy,
             key: ctx.op().key_attrs[0].iter().map(|k| k.index()).collect(),
             buf: RunBuffer::new(ctx.clone(), 0, false).with_first_per_key(first_only),
             ctx,
@@ -119,11 +113,12 @@ impl ReduceOp {
         Ok(groups.len() as u64)
     }
 
-    /// The finish: one of the two groupings, then the emission.
+    /// The finish: the hash grouping, or the sort-based walk once anything
+    /// spilled, then the emission.
     fn reduce(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
         let mut emitted = Vec::new();
         let mut groups = 0u64;
-        if self.strategy == LocalStrategy::HashGroup && !self.buf.spilled() {
+        if !self.buf.spilled() {
             let batches = self.buf.take_batches();
             groups += self.hash_groups(&batches, &mut emitted)?;
             drop(batches);
@@ -229,6 +224,7 @@ mod tests {
     use crate::stats::ExecStats;
     use crate::testutil::ctx;
     use std::hash::Hasher;
+    use strato_core::LocalStrategy;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
     use strato_record::hash::FxHasher;
@@ -279,9 +275,10 @@ mod tests {
         // Regression: the hash path used to sort whole buckets by their
         // first record, so two keys sharing a 64-bit hash were emitted
         // adjacently even when a third key ordered between them — the
-        // emission order diverged from the sort path. Engineer keys
-        // A = (1, 100) < B = (1, 101) < C = (2, y) with
-        // hash(A) == hash(C) ≠ hash(B) and demand identical output.
+        // emission order diverged from the sort-based walk a spilled
+        // Reduce takes. Engineer keys A = (1, 100) < B = (1, 101) <
+        // C = (2, y) with hash(A) == hash(C) ≠ hash(B) and demand
+        // identical output.
         let y = colliding_second_field(1, 100, 2);
         let mut p = ProgramBuilder::new();
         let s = p.source(SourceDef::new("s", &["k1", "k2", "v"], 16));
@@ -325,16 +322,15 @@ mod tests {
         assert_eq!(col_hashes, hashes);
 
         let input = [vec![c1, b1, a2, a1, c2, b2]];
-        let stats = Arc::new(ExecStats::new());
-        let gov = Arc::new(MemoryGovernor::unbounded());
-        let reference = apply_chunked(
-            LocalStrategy::SortGroup,
-            &input,
-            2,
-            BatchLayout::Rows,
-            ctx(&plan, &stats, &gov),
-        )
-        .unwrap();
+        let stats = Arc::new(ExecStats::with_ops(1));
+        let hash = LocalStrategy::HashGroup;
+        let run = |layout, budget| {
+            let gov = Arc::new(MemoryGovernor::with_budget(budget));
+            apply_chunked(hash, &input, 2, layout, ctx(&plan, &stats, &gov)).unwrap()
+        };
+        // A zero budget spills every batch: the sort-based walk.
+        let reference = run(BatchLayout::Rows, Some(0));
+        assert!(stats.totals().spill_runs > 0);
         // Globally ascending by key: A (sum 11), B (15), C (19).
         let sums: Vec<i64> = reference
             .iter()
@@ -344,12 +340,11 @@ mod tests {
         // Two rows per batch: under `Mixed`, A and C share a bucket across
         // a columnar and a row-major batch.
         for layout in BatchLayout::ALL {
-            for strategy in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
-                let got =
-                    apply_chunked(strategy, &input, 2, layout, ctx(&plan, &stats, &gov)).unwrap();
+            for budget in [None, Some(0)] {
                 assert_eq!(
-                    got, reference,
-                    "{strategy:?} over {layout:?}: emission order must be a pure \
+                    run(layout, budget),
+                    reference,
+                    "{layout:?} at {budget:?}: emission order must be a pure \
                      function of the input bag"
                 );
             }
@@ -427,21 +422,14 @@ mod tests {
             apply_chunked(hash, &input, 48, rows, ctx(&plan, &ref_stats, &ref_gov)).unwrap();
         assert_eq!(ref_stats.totals().spill_runs, 0);
 
-        let strategies = [LocalStrategy::HashGroup, LocalStrategy::SortGroup];
-        for (layout, strategy) in BatchLayout::ALL
-            .into_iter()
-            .flat_map(|l| strategies.map(|s| (l, s)))
-        {
+        for layout in BatchLayout::ALL {
             // A 64-byte budget forces a spill on (nearly) every pushed
             // batch; feed one record per batch to maximize pressure events
             // (`apply_chunked` checks that each one sheds the buffer).
             let stats = Arc::new(ExecStats::with_ops(1));
             let gov = Arc::new(MemoryGovernor::with_budget(Some(64)));
-            let got = apply_chunked(strategy, &input, 1, layout, ctx(&plan, &stats, &gov)).unwrap();
-            assert_eq!(
-                got, reference,
-                "{strategy:?} over {layout:?} must spill transparently"
-            );
+            let got = apply_chunked(hash, &input, 1, layout, ctx(&plan, &stats, &gov)).unwrap();
+            assert_eq!(got, reference, "{layout:?} must spill transparently");
             let t = stats.totals();
             assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");
             assert!(t.records_spilled > 0 && t.spilled_bytes > 0);

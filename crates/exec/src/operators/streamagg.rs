@@ -1,77 +1,51 @@
-//! Streaming pre-aggregation for *combinable* (decomposable) reduces.
+//! The pre-ship combiner: streaming pre-aggregation for *combinable*
+//! (decomposable) reduces.
 //!
 //! When static code analysis proves a reduce UDF is an in-place algebraic
-//! fold (see `strato_sca::combine`), the engine does not need to buffer
-//! the group at all: it keeps **one partial record per key** in a hash
-//! table and folds every arriving record into its partial with the proven
-//! `⊕` operator — the engine literally runs the fold the analysis read
-//! out of the black box. One `absorb` folds rows of either batch layout:
-//! each batch is hashed with `RecordBatch::key_hash_into`, each row is
-//! read through its `RowRef` view, and a `Record` is built only when a
-//! key is seen for the first time. The same operator serves two roles:
+//! fold (see `strato_sca::combine`), the producing partitions need not
+//! ship every record: the combiner keeps **one partial record per key**
+//! in a hash table and folds every arriving record into its partial with
+//! the proven `⊕` operator — the engine literally runs the fold the
+//! analysis read out of the black box. One `absorb` folds rows of either
+//! batch layout: each batch is hashed with `RecordBatch::key_hash_into`,
+//! each row is read through its `RowRef` view, and a `Record` is built
+//! only when a key is seen for the first time.
 //!
-//! * **pre-ship combiner** (`AggRole::Combine`): inserted ahead of a
-//!   Partition-shipped Reduce; emits the raw partials (no UDF calls), so
-//!   only one record per key per producing partition crosses the wire;
-//! * **final local strategy** (`AggRole::Final`,
-//!   `LocalStrategy::StreamAgg`): replaces the buffering Reduce; at
-//!   `finish` it invokes the UDF once per partial (a singleton group), so
-//!   UDF-call accounting matches the buffered path exactly — one call per
-//!   distinct key.
+//! The lowering splices the combiner ahead of a Partition-shipped Reduce
+//! (`PhysNode::combine`). It emits the raw partials and calls no UDF, so
+//! only one record per key per producing partition crosses the wire; the
+//! final Reduce groups the partials like any other input.
 //!
-//! ## Why the output is byte-identical to the buffered Reduce
+//! ## Why the output is byte-identical to the uncombined Reduce
 //!
 //! The combiner legality conditions (`Plan::combinable_reduce`) guarantee
 //! every field of a group record is a grouping key (constant within the
 //! group), a folded field (`⊕` is associative + commutative, so the fold
 //! is independent of arrival order and of how the group was split into
 //! partials), or an attribute the input subtree never populates (null in
-//! every record). A partial is therefore a pure function of the group
-//! *bag*, and `finish` emits partials in ascending canonical key order —
-//! the same order the buffered Reduce emits groups. The UDF's constant
-//! accumulator init participates exactly once, in the final invocation,
-//! because partials are produced by the pure record-value fold.
-//!
-//! Memory: `O(distinct keys)` instead of `O(input)`, and the `finish`
-//! stall shrinks to a sort of the partials — the aggregation work itself
-//! streams with the arriving batches.
+//! every record). A partial is therefore a pure function of the bag it
+//! folded, and the final Reduce's UDF folds the partials of a group as it
+//! would have folded the records: its constant accumulator init
+//! participates exactly once, because partials are produced by the pure
+//! record-value fold.
 //!
 //! ## Memory governance
 //!
 //! The partials live in a governed `RunBuffer` (the hash table only
 //! indexes them), granted at their first-sight size. Under pressure the
-//! two roles degrade differently:
-//!
-//! * the **combiner** flushes its partials *downstream* (Hadoop-style
-//!   combiner spill): the final Reduce re-groups them, so a skewed or
-//!   wide key domain costs shipped volume instead of unbounded memory —
-//!   the table never touches disk;
-//! * the **final** role spills its partials as a canonically sorted
-//!   on-disk run.
-//!
-//! The final role has one finish: walk the buffer's key groups — merged
-//! from however many runs were written, none included — re-fold each
-//! group's partials into one (legal: `⊕` is associative and commutative;
-//! a group of one folds to itself) and invoke the UDF on it. Call
-//! accounting and emission order therefore do not depend on the budget.
+//! combiner flushes its partials *downstream* (Hadoop-style combiner
+//! spill): the final Reduce re-groups them, so a skewed or wide key
+//! domain costs shipped volume instead of unbounded memory — the table
+//! never touches disk.
 
 use super::{canonical_cmp, OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::RunBuffer;
 use std::sync::Arc;
-use strato_ir::interp::{eval_bin, Invocation};
+use strato_ir::interp::eval_bin;
 use strato_ir::BinOp;
 use strato_record::hash::FxHashMap;
-use strato_record::{Record, RecordBatch, RowRef};
-
-/// Which role a [`StreamAggOp`] instance plays (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AggRole {
-    /// Pre-ship combiner: emit raw partials, no UDF involvement.
-    Combine,
-    /// Final local strategy: one UDF invocation per key.
-    Final,
-}
+use strato_record::{RecordBatch, RowRef};
 
 /// Streaming hash pre-aggregation over input port 0.
 ///
@@ -81,26 +55,25 @@ pub struct StreamAggOp {
     ctx: OpCtx,
     /// `(global attribute index, ⊕)` per folded field.
     folds: Vec<(usize, BinOp)>,
-    role: AggRole,
     /// Key attributes as plain column indices.
     key_idx: Vec<usize>,
     /// Scratch hash column reused across batches.
     hashes: Vec<u64>,
-    /// One partial record per key seen since the last shed.
+    /// One partial record per key seen since the last flush.
     partials: RunBuffer,
     /// key hash → positions in `partials.rows()` of the keys sharing it.
     table: FxHashMap<u64, Vec<usize>>,
     records_in: u64,
-    /// Partials emitted or spilled so far (pressure flushes + finish).
+    /// Partials emitted so far (pressure flushes + finish).
     partials_out: u64,
 }
 
 impl StreamAggOp {
-    pub(crate) fn new(role: AggRole, ctx: OpCtx) -> Self {
+    pub(crate) fn new(ctx: OpCtx) -> Self {
         let op = ctx.op();
         let folds = op
             .combine_folds()
-            .expect("StreamAgg requires a combinable reduce UDF")
+            .expect("the combiner requires a combinable reduce UDF")
             .into_iter()
             .map(|(attr, bin)| (attr.index(), bin))
             .collect();
@@ -109,7 +82,6 @@ impl StreamAggOp {
             partials: RunBuffer::new(ctx.clone(), 0, false),
             ctx,
             folds,
-            role,
             key_idx,
             hashes: Vec::new(),
             table: FxHashMap::default(),
@@ -145,66 +117,16 @@ impl StreamAggOp {
         }
     }
 
-    /// Empties the table for a flush or the finish, counting its partials
-    /// as produced.
-    fn reset_table(&mut self) {
-        self.partials_out += self.partials.rows().len() as u64;
-        self.table.clear();
-    }
-
-    /// Combiner output: the partials in ascending canonical key order
-    /// (deterministic for any arrival order), their grant released.
-    fn emit_partials(&mut self, out: &mut Vec<Arc<RecordBatch>>) {
+    /// Emits the partials in ascending canonical key order (deterministic
+    /// for any arrival order), releases their grant and empties the table.
+    fn flush(&mut self, out: &mut Vec<Arc<RecordBatch>>) {
         let key = &self.ctx.op().key_attrs[0];
         let mut partials = self.partials.take_rows();
         self.partials.release();
+        self.table.clear();
+        self.partials_out += partials.len() as u64;
         partials.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
         self.ctx.emit(partials, out);
-    }
-
-    /// Folds a group of equal-key partials (from different runs/flushes)
-    /// into one with `folds`, mirroring [`StreamAggOp::absorb`]'s in-table
-    /// fold.
-    fn fold_group(folds: &[(usize, BinOp)], mut group: Vec<Record>) -> Record {
-        let mut acc = group.swap_remove(0);
-        for p in &group {
-            for &(f, bin) in folds {
-                let v = eval_bin(bin, acc.field(f), p.field(f));
-                acc.set_field(f, v);
-            }
-        }
-        acc
-    }
-
-    /// The finish: the combiner emits its partials; the final role folds
-    /// equal-key partials and calls the UDF once per key.
-    fn drain(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        self.reset_table();
-        self.ctx
-            .stats
-            .add_preagg(self.records_in, self.partials_out);
-        match self.role {
-            AggRole::Combine => self.emit_partials(out),
-            AggRole::Final => {
-                // Ascending canonical key order — the buffered Reduce's
-                // emission order — and one UDF call per key.
-                let mut stream = self.partials.drain_groups()?;
-                let mut groups = 0u64;
-                let mut emitted = Vec::new();
-                while let Some(g) = stream.next_group()? {
-                    let p = Self::fold_group(&self.folds, g);
-                    let group = Invocation::Group(&[RowRef::from(&p)]);
-                    self.ctx.call(group, &mut emitted)?;
-                    groups += 1;
-                }
-                if self.ctx.stats.detail() {
-                    // Partials are exactly the distinct input-0 keys.
-                    self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, groups);
-                }
-                self.ctx.emit(emitted, out);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -223,35 +145,32 @@ impl Operator for StreamAggOp {
         }
         self.hashes = hashes;
         if self.ctx.gov.over_budget() && !self.partials.rows().is_empty() {
-            // Shed the table: the combiner flushes its partials downstream
-            // (the final Reduce re-groups them), the final role writes
-            // them as a sorted on-disk run.
-            self.reset_table();
-            match self.role {
-                AggRole::Combine => self.emit_partials(out),
-                AggRole::Final => self.partials.spill()?,
-            }
+            // Shed the table downstream: the final Reduce re-groups the
+            // partials.
+            self.flush(out);
         }
         Ok(())
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let finished = self.drain(out);
-        self.ctx.flush_calls();
-        finished
+        self.flush(out);
+        self.ctx
+            .stats
+            .add_preagg(self.records_in, self.partials_out);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_built, apply_chunked, apply_single, build_combiner, BatchLayout};
+    use crate::operators::{apply_built, apply_single, build_combiner, BatchLayout};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::{ctx, sum_inplace};
     use strato_core::LocalStrategy;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
-    use strato_record::{DataSet, Value};
+    use strato_record::{DataSet, Record, Value};
 
     fn agg_plan() -> Plan {
         let mut p = ProgramBuilder::new();
@@ -293,6 +212,9 @@ mod tests {
 
     #[test]
     fn stream_agg_matches_buffered_reduce_record_for_record() {
+        // The combiner's contract at operator level: its partials,
+        // grouped by the final Reduce, give the records the Reduce gives
+        // on the raw input, in the same order, with the same UDF calls.
         let plan = agg_plan();
         let rows = [(3, 10), (1, 1), (3, -4), (2, 7), (1, 5), (3, 9)];
         let input = wide(&plan, &rows);
@@ -302,14 +224,15 @@ mod tests {
         let input = [input];
         for (layout, chunk) in sweep(rows.len()) {
             let (s2, g2) = fresh();
-            let agg = LocalStrategy::StreamAgg;
-            let streamed = apply_chunked(agg, &input, chunk, layout, ctx(&plan, &s2, &g2)).unwrap();
+            let comb = ctx(&plan, &s2, &g2);
+            let partials = apply_built(build_combiner, &input, chunk, layout, comb).unwrap();
+            let combined = apply_single(hash, vec![partials], ctx(&plan, &s2, &g2)).unwrap();
             // Same records in the same (ascending-key) order.
-            assert_eq!(buffered, streamed, "{layout:?} x {chunk}");
+            assert_eq!(buffered, combined, "{layout:?} x {chunk}");
             // Same UDF-call accounting: one call per distinct key.
             assert_eq!(s1.totals().udf_calls, s2.totals().udf_calls);
             assert_eq!(s2.totals().udf_calls, 3);
-            // The streaming path reports its reduction.
+            // The combiner reports its reduction.
             assert_eq!(preagg(&s2), (6, 3));
         }
         assert_eq!(preagg(&s1), (0, 0));
@@ -335,92 +258,6 @@ mod tests {
             assert_eq!(stats.totals().udf_calls, 0);
             assert_eq!(preagg(&stats), (5, 2));
         }
-    }
-
-    #[test]
-    fn illegal_stream_agg_requests_fall_back_to_buffered_grouping() {
-        // Two reduces whose UDF is *structurally* a fold but whose schema
-        // makes streaming aggregation illegal: (a) the fold targets the
-        // grouping key (partials would re-group by partial sums), (b) a
-        // pass-through field is not a key. A hand-built plan requesting
-        // StreamAgg must get the buffered ReduceOp instead.
-        let cases: Vec<Plan> = vec![
-            {
-                let mut p = ProgramBuilder::new();
-                let s = p.source(SourceDef::new("s", &["k"], 16));
-                let r = p.reduce("agg", &[0], sum_inplace(1, 0), CostHints::default(), s);
-                p.finish(r).unwrap().bind().unwrap()
-            },
-            {
-                let mut p = ProgramBuilder::new();
-                let s = p.source(SourceDef::new("s", &["k", "v", "payload"], 16));
-                let r = p.reduce("agg", &[0], sum_inplace(3, 1), CostHints::default(), s);
-                p.finish(r).unwrap().bind().unwrap()
-            },
-        ];
-        for plan in &cases {
-            let op = &plan.ctx.ops[0];
-            assert!(op.combine.is_some(), "structural proof holds");
-            assert!(!op.stream_aggregable(), "schema legality refused");
-            let src = &plan.ctx.sources[0];
-            let ds: DataSet = (0..12i64)
-                .map(|i| {
-                    Record::from_values(
-                        (0..src.attrs.len()).map(|f| Value::Int(if f == 0 { i % 3 } else { i })),
-                    )
-                })
-                .collect();
-            let input = crate::testutil::widen(&ds, &src.attrs, plan.ctx.width());
-            let (s1, g1) = (
-                Arc::new(ExecStats::new()),
-                Arc::new(MemoryGovernor::unbounded()),
-            );
-            let hash = LocalStrategy::HashGroup;
-            let buffered = apply_single(hash, vec![input.clone()], ctx(plan, &s1, &g1)).unwrap();
-            let s2 = Arc::new(ExecStats::new());
-            let g2 = Arc::new(MemoryGovernor::unbounded());
-            let requested =
-                apply_single(LocalStrategy::StreamAgg, vec![input], ctx(plan, &s2, &g2)).unwrap();
-            assert_eq!(buffered, requested, "fallback must be exact");
-            // The fallback is the buffered operator: no preagg activity.
-            assert_eq!(preagg(&s2), (0, 0));
-        }
-    }
-
-    #[test]
-    fn final_role_spills_partials_and_refolds_them_exactly() {
-        // A 30-byte budget holds roughly one 22-byte partial: the table
-        // sheds to disk repeatedly, splitting every key's fold across
-        // several runs. The merge must re-fold the fragments so output,
-        // UDF-call accounting and emission order match the unspilled run.
-        let plan = agg_plan();
-        let rows: Vec<(i64, i64)> = (0..40).map(|i| (i % 4, i)).collect();
-        let input = [wide(&plan, &rows)];
-        let agg = LocalStrategy::StreamAgg;
-
-        let (s_ref, g_ref) = (
-            Arc::new(ExecStats::new()),
-            Arc::new(MemoryGovernor::unbounded()),
-        );
-        let reference = apply_chunked(
-            agg,
-            &input,
-            40,
-            BatchLayout::Rows,
-            ctx(&plan, &s_ref, &g_ref),
-        )
-        .unwrap();
-
-        let stats = Arc::new(ExecStats::with_ops(1));
-        let gov = Arc::new(MemoryGovernor::with_budget(Some(30)));
-        let got =
-            apply_chunked(agg, &input, 1, BatchLayout::Rows, ctx(&plan, &stats, &gov)).unwrap();
-        assert_eq!(got, reference, "spilled StreamAgg must be exact");
-        let t = stats.totals();
-        assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");
-        assert!(t.records_spilled > 0);
-        // One UDF call per distinct key, exactly like the unspilled run.
-        assert_eq!((t.udf_calls, s_ref.totals().udf_calls), (4, 4));
     }
 
     #[test]
@@ -466,17 +303,9 @@ mod tests {
         let mut input = wide(&plan, &[(0, 3), (1, 2), (0, 4)]);
         input[0].set_field(0, Value::Null);
         input[2].set_field(0, Value::Null);
-        let (stats, gov) = fresh();
-        let hash = LocalStrategy::HashGroup;
-        let buffered = apply_single(hash, vec![input.clone()], ctx(&plan, &stats, &gov)).unwrap();
-        assert_eq!(buffered.len(), 2);
         let input = [input];
         for (layout, chunk) in sweep(3) {
             let (stats, gov) = fresh();
-            let agg = LocalStrategy::StreamAgg;
-            let streamed =
-                apply_chunked(agg, &input, chunk, layout, ctx(&plan, &stats, &gov)).unwrap();
-            assert_eq!(buffered, streamed, "{layout:?} x {chunk}");
             // The combiner folds the two null-keyed rows into one partial.
             let comb = ctx(&plan, &stats, &gov);
             let partials = apply_built(build_combiner, &input, chunk, layout, comb).unwrap();

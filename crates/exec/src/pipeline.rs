@@ -62,9 +62,8 @@
 //! lowering then splices a **pre-ship combiner** stage — a streaming
 //! hash pre-aggregator ([`crate::operators::streamagg`]) — between the
 //! input subtree and the Partition ship, so only one partial record per
-//! key per producing partition crosses the wire. The same streaming
-//! operator serves as the `LocalStrategy::StreamAgg` local algorithm of
-//! the final Reduce. [`ExecOptions::combine`] gates the insertion; the
+//! key per producing partition crosses the wire; the final Reduce groups
+//! the partials. [`ExecOptions::combine`] gates the insertion; the
 //! logical oracle never combines.
 
 use crate::engine::{ExecError, Inputs};
@@ -1157,14 +1156,15 @@ mod tests {
             shipped_on < shipped_off,
             "combiner must cut shipping: {shipped_on} vs {shipped_off}"
         );
-        // With the combiner: it absorbs all 200 records AND the final
-        // StreamAgg absorbs the partials. Without: only the final
-        // StreamAgg sees the (unreduced) 200 records.
+        // With the combiner: it alone absorbs the 200 records, and every
+        // shipped record is one of its partials. Without: nothing
+        // pre-aggregates.
         let t = st_on.totals();
         let (pre_in, pre_out) = (t.records_preagg_in, t.records_preagg_out);
-        assert!(pre_in > 200, "combiner + final StreamAgg: {pre_in}");
+        assert_eq!(pre_in, 200, "the combiner absorbs every record");
         assert!(pre_out < pre_in);
-        assert_eq!(st_off.totals().records_preagg_in, 200);
+        assert_eq!(shipped_on, pre_out);
+        assert_eq!(st_off.totals().records_preagg_in, 0);
     }
 
     #[test]

@@ -53,6 +53,7 @@ impl SortedRun {
         Ok(RunReader {
             r: BufReader::new(f),
             remaining: self.records,
+            bytes_left: self.bytes,
             frame: Vec::new(),
         })
     }
@@ -106,6 +107,9 @@ impl RunWriter {
 pub struct RunReader {
     r: BufReader<File>,
     remaining: u64,
+    /// Bytes of the run not yet read, frame headers included: the bound
+    /// on any frame length read from disk.
+    bytes_left: u64,
     frame: Vec<u8>,
 }
 
@@ -125,8 +129,18 @@ impl RunReader {
     fn read_one(&mut self) -> Result<Record, ExecError> {
         let mut len = [0u8; wire::FRAME_HEADER_LEN];
         self.r.read_exact(&mut len).map_err(spill_err)?;
-        let len = u32::from_le_bytes(len) as usize;
-        self.frame.resize(len, 0);
+        let len = u64::from(u32::from_le_bytes(len));
+        // A corrupt length must not size the frame buffer.
+        let left = self
+            .bytes_left
+            .saturating_sub(wire::FRAME_HEADER_LEN as u64);
+        if len > left {
+            return Err(ExecError::Spill(format!(
+                "corrupt spill frame: {len} bytes with {left} left in the run"
+            )));
+        }
+        self.bytes_left = left - len;
+        self.frame.resize(len as usize, 0);
         self.r.read_exact(&mut self.frame).map_err(spill_err)?;
         let mut buf: &[u8] = &self.frame;
         wire::decode_record(&mut buf).map_err(|e| ExecError::Spill(e.to_string()))
@@ -171,13 +185,14 @@ mod tests {
         assert_eq!(run.open().unwrap().count(), 0);
     }
 
-    #[test]
-    fn truncated_file_surfaces_a_spill_error() {
+    /// Writes a one-record run, rewrites its file with `corrupt`, and
+    /// returns what reading the record gives. Checks that the governor
+    /// holds no grant and removes its spill directory afterwards.
+    fn read_corrupted(corrupt: impl FnOnce(&mut Vec<u8>)) -> ExecError {
         let g = MemoryGovernor::with_budget(Some(1));
         let run = g
             .write_sorted_run(&[Record::from_values([Value::Int(1)])])
             .unwrap();
-        // Chop the file mid-frame.
         let dir = g.spill_dir_path().unwrap();
         let path = std::fs::read_dir(&dir)
             .unwrap()
@@ -185,9 +200,42 @@ mod tests {
             .unwrap()
             .unwrap()
             .path();
-        let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() - 2]).unwrap();
+        let mut data = std::fs::read(&path).unwrap();
+        corrupt(&mut data);
+        std::fs::write(&path, &data).unwrap();
         let err = run.open().unwrap().next().unwrap().unwrap_err();
+        drop(run);
+        assert_eq!(g.resident(), 0);
+        drop(g);
+        assert!(!dir.exists(), "spill directory left behind");
+        err
+    }
+
+    #[test]
+    fn truncated_file_surfaces_a_spill_error() {
+        // Chop the file mid-frame.
+        let err = read_corrupted(|data| data.truncate(data.len() - 2));
+        assert!(matches!(err, ExecError::Spill(_)), "{err}");
+    }
+
+    #[test]
+    fn corrupt_frame_length_surfaces_a_spill_error() {
+        // The frame header claims 4 GiB: rejected against the run's size,
+        // before any buffer is sized by it.
+        let err = read_corrupted(|data| data[..4].copy_from_slice(&u32::MAX.to_le_bytes()));
+        assert!(
+            matches!(&err, ExecError::Spill(m) if m.starts_with("corrupt spill frame")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn corrupt_record_arity_surfaces_a_spill_error() {
+        // The record inside an intact frame claims 2^32 - 1 fields.
+        let header = wire::FRAME_HEADER_LEN;
+        let err = read_corrupted(|data| {
+            data[header..header + 4].copy_from_slice(&u32::MAX.to_le_bytes())
+        });
         assert!(matches!(err, ExecError::Spill(_)), "{err}");
     }
 }

@@ -47,21 +47,17 @@
 //! **In-memory is the zero-run case.** Each blocking operator has exactly
 //! one sort-based finish — `RunBuffer::drain_groups`: sort the in-memory
 //! tail canonically, merge it with however many runs exist (including
-//! none), walk key groups in ascending canonical order. Spilling only
-//! changes how many runs feed that walk, never which code runs or what it
-//! emits — which is what the cost model's `spill(bytes) = 0` under the
-//! budget already says.
+//! none), walk key groups in ascending canonical order. How many runs
+//! feed that walk never changes what it emits — which is what the cost
+//! model's `spill(bytes) = 0` under the budget already says.
 //!
-//! Reduce (`SortGroup`, and `HashGroup` once anything spilled) and
-//! StreamAgg's *final* role (which re-folds equal-key partials — legal,
-//! the folds are proven associative + commutative) walk one buffer;
-//! CoGroup and Match (`SortMergeJoin`, and the hash joins once pressure
-//! shed anything) walk two in lock-step, Match over null-dropping buffers
-//! because null join keys match nothing. Only un-spilled `HashGroup` and
-//! hash joins run a different, in-memory algorithm. StreamAgg's
-//! *combiner* role never touches disk: it flushes partials **downstream**
-//! Hadoop-style — the final Reduce re-groups them — trading shipped
-//! volume for memory.
+//! Reduce once anything spilled walks one buffer; CoGroup always, and
+//! Match once pressure shed anything, walk two in lock-step, Match over
+//! null-dropping buffers because null join keys match nothing. Only a
+//! Reduce or Match that never spilled runs a different, in-memory (hash)
+//! algorithm. The pre-ship *combiner* never touches disk: it flushes
+//! partials **downstream** Hadoop-style — the final Reduce re-groups them
+//! — trading shipped volume for memory.
 //!
 //! [`CostWeights::mem_budget`]: strato_core::cost::CostWeights
 

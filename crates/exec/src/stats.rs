@@ -124,8 +124,8 @@ pub struct ExecStats {
     pub records_shipped: AtomicU64,
     /// Serialized bytes moved by Partition/Broadcast ship strategies.
     pub bytes_shipped: AtomicU64,
-    /// Records absorbed by streaming pre-aggregation tables (pre-ship
-    /// combiners and StreamAgg local strategies).
+    /// Records absorbed by the pre-aggregation tables of pre-ship
+    /// combiners.
     pub records_preagg_in: AtomicU64,
     /// Partial records those tables produced (one per key per instance, plus
     /// any partials flushed early under memory pressure).
@@ -266,11 +266,10 @@ impl ExecStats {
         self.total_cells.fetch_add(cells, Ordering::Relaxed);
     }
 
-    /// Accounts one streaming pre-aggregation instance: `records` absorbed
-    /// into the table, `partials` partial records out. The reduction
+    /// Accounts one pre-ship combiner instance: `records` absorbed into
+    /// its table, `partials` partial records out. The reduction
     /// `records − partials` is exactly the record count the combiner kept
-    /// off the wire (for pre-ship instances) or out of the reduce buffer
-    /// (for StreamAgg local strategies).
+    /// off the wire.
     pub(crate) fn add_preagg(&self, records: u64, partials: u64) {
         self.records_preagg_in.fetch_add(records, Ordering::Relaxed);
         self.records_preagg_out

@@ -115,6 +115,11 @@ pub fn decode_record(buf: &mut impl Buf) -> Result<Record, DecodeError> {
         return Err(DecodeError::UnexpectedEof);
     }
     let arity = buf.get_u32_le() as usize;
+    // Every field takes at least its tag byte: an arity the buffer cannot
+    // hold is corrupt, and must not size the allocation below.
+    if arity > buf.remaining() {
+        return Err(DecodeError::UnexpectedEof);
+    }
     let mut fields = Vec::with_capacity(arity);
     for _ in 0..arity {
         if buf.remaining() < 1 {
@@ -222,6 +227,15 @@ mod tests {
             let mut short = bytes.slice(..cut);
             assert!(decode_framed(&mut short).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn an_arity_beyond_the_buffer_errors_before_allocating() {
+        let mut buf = BytesMut::new();
+        encode_record(&Record::from_values([Value::Int(5)]), &mut buf);
+        buf[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_record(&mut buf.freeze()).unwrap_err();
+        assert_eq!(err, DecodeError::UnexpectedEof);
     }
 
     #[test]

@@ -632,8 +632,8 @@ fn streaming_runtime_invariant_under_workers_and_channel_capacity() {
 
 #[test]
 fn combiner_axis_is_byte_identical_and_strictly_cuts_shipping() {
-    // New sweep axis: the pre-ship combiner (plus the StreamAgg local
-    // strategy) must be a pure transport optimization. On a
+    // New sweep axis: the pre-ship combiner must be a pure transport
+    // optimization. On a
     // duplicate-heavy key distribution, every configuration of
     // dop × batch × workers × capacity × combiner must produce the
     // byte-identical result bag, the shipped-record/byte totals must be
@@ -673,12 +673,12 @@ fn combiner_axis_is_byte_identical_and_strictly_cuts_shipping() {
         assert!(phys.root.combine, "optimizer must pick the combiner");
         let runtimes = [1usize, 2].map(|w| (w, runtime(w)));
         let mut shipped_at: [Option<(u64, u64)>; 2] = [None, None];
-        // 32 bytes sits below even a two-partial StreamAgg table (~22
-        // bytes per 2-int partial), so every partition that holds at
-        // least two keys must shed — at any dop, batch size or worker
-        // interleaving. (Pressure is checked per pushed batch: a budget
-        // that a single partition's table fits under is legitimately
-        // spill-free when tasks run sequentially.)
+        // 32 bytes sits below two buffered 2-int records or partials (~22
+        // bytes each), so every Reduce partition that receives at least
+        // two must shed — at any dop, batch size or worker interleaving.
+        // (Pressure is checked per pushed batch: a budget that a single
+        // partition's buffer fits under is legitimately spill-free when
+        // tasks run sequentially.)
         for mem_budget in [None, Some(32u64)] {
             for combine in [false, true] {
                 for batch_size in [1usize, 1024] {
@@ -726,8 +726,8 @@ fn combiner_axis_is_byte_identical_and_strictly_cuts_shipping() {
                                     }
                                 }
                                 Some(_) => {
-                                    // Starved: the final StreamAgg sheds its
-                                    // partial table to disk…
+                                    // Starved: the final Reduce sheds its
+                                    // buffered input to disk…
                                     assert!(spill_runs > 0, "tiny budget must spill at {tag}");
                                     if combine {
                                         // …while the combiner flushes partials

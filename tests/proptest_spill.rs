@@ -69,7 +69,7 @@ proptest! {
         budget in prop::option::of(8u64..200),
     ) {
         // A combinable grouped aggregate: under an arbitrary (often
-        // absurdly tiny) budget the Reduce/StreamAgg spill machinery and
+        // absurdly tiny) budget the Reduce spill machinery and
         // the combiner's flush-on-pressure path must be invisible in the
         // output.
         let mut p = ProgramBuilder::new();

@@ -6,12 +6,13 @@
 
 use strato::core::cost::CostWeights;
 use strato::core::physical::best_physical;
-use strato::core::{LocalStrategy, PhysPlan, PropTable};
+use strato::core::{PhysPlan, PropTable};
 use strato::dataflow::{CostHints, Plan, ProgramBuilder, PropertyMode, SourceDef};
 use strato::exec::{
     execute_logical_with, execute_with, explain_analyze, EngineRuntime, ExecOptions, Inputs,
     RuntimeOptions, Span, TraceRecorder,
 };
+use strato::ir::{BinOp, FuncBuilder, UdfKind};
 use strato::record::{DataSet, Record, Value};
 use strato::server::json::Json;
 use strato::workloads::udfs;
@@ -39,6 +40,37 @@ fn grouped_sum(rows: i64) -> (Plan, PhysPlan, Inputs) {
         .collect();
     let mut inputs = Inputs::new();
     inputs.insert("s".into(), ds);
+    (plan, phys, inputs)
+}
+
+/// `l(k) ⋈ r(k2)` co-grouped on the key over `rows` records a side; the
+/// UDF emits each group's size difference. CoGroup always finishes by the
+/// sort-based walk, whether or not any run was written.
+fn cogrouped(rows: i64) -> (Plan, PhysPlan, Inputs) {
+    let mut b = FuncBuilder::new("cg", UdfKind::CoGroup, vec![1, 1]);
+    let nl = b.group_count(0);
+    let nr = b.group_count(1);
+    let d = b.bin(BinOp::Sub, nl, nr);
+    let or = b.new_rec();
+    b.set(or, 2, d);
+    b.emit(or);
+    b.ret();
+    let mut p = ProgramBuilder::new();
+    let l = p.source(SourceDef::new("l", &["k"], rows as u64));
+    let r = p.source(SourceDef::new("r", &["k2"], rows as u64));
+    let udf = b.finish().unwrap();
+    let cg = p.cogroup("cg", &[0], &[0], udf, CostHints::default(), l, r);
+    let plan = p.finish(cg).unwrap().bind().unwrap();
+    let props = PropTable::build(&plan, PropertyMode::Sca);
+    let phys = best_physical(&plan, &props, &CostWeights::default(), 2);
+    let side = |m: i64| -> DataSet {
+        (0..rows)
+            .map(|i| Record::from_values([Value::Int((i * m) % 50)]))
+            .collect()
+    };
+    let mut inputs = Inputs::new();
+    inputs.insert("l".into(), side(1));
+    inputs.insert("r".into(), side(7));
     (plan, phys, inputs)
 }
 
@@ -186,10 +218,9 @@ fn traced_spilling_query_produces_valid_chrome_trace() {
 
 #[test]
 fn merge_and_spill_spans_appear_only_when_a_run_was_written() {
-    let (plan, mut phys, inputs) = grouped_sum(2_000);
-    // The sort-based finish, which merges however many runs exist: none
+    // CoGroup's sort-based finish merges however many runs exist: none
     // without memory pressure, so there is no merge to time.
-    phys.root.local = LocalStrategy::SortGroup;
+    let (plan, phys, inputs) = cogrouped(2_000);
     let run = |mem_budget: Option<u64>| {
         let recorder = TraceRecorder::new(7);
         let opts = ExecOptions {
