@@ -73,9 +73,8 @@ const DEFAULT_KEY_RATIO: f64 = 0.1;
 
 /// Estimated number of groups a Reduce forms over `input_rows` records:
 /// the distinct-keys hint when present, else the default key ratio,
-/// clamped to `[1, input_rows]`. Shared by cardinality estimation and the
-/// combiner's shipped-volume estimate in physical selection.
-pub fn reduce_groups(op: &BoundOp, input_rows: f64) -> f64 {
+/// clamped to `[1, input_rows]`.
+fn reduce_groups(op: &BoundOp, input_rows: f64) -> f64 {
     op.hints
         .distinct_keys
         .map(|k| k as f64)

@@ -25,7 +25,7 @@
 //! * [`cost`] — the hint-driven cost model (network IO + disk IO + CPU per
 //!   UDF call);
 //! * [`physical`] — shipping strategies (forward / hash repartition /
-//!   broadcast), pre-ship combiners and local strategies (hash grouping,
+//!   broadcast) and local strategies (hash grouping,
 //!   hash join with build-side choice, block nested loops, sort-merge
 //!   co-grouping), selected per logical order with partitioning-property
 //!   reuse;

@@ -14,8 +14,7 @@
 //!   repartition by key), [`Ship::Broadcast`] (replicate to all workers);
 //! * local: pipelined Map, hash grouping, hash join with explicit build
 //!   side, block-nested-loop cross, sort-merge co-group — one algorithm
-//!   per grouping operator. A combinable Reduce may also get a pre-ship
-//!   combiner ([`PhysNode::combine`]), which changes how much is shipped.
+//!   per grouping operator.
 //!
 //! Selection keeps, per subtree, the cheapest candidate for every distinct
 //! output partitioning (a miniature Volcano with interesting properties),
@@ -94,10 +93,6 @@ pub struct PhysNode {
     pub ships: Vec<Ship>,
     /// Local strategy.
     pub local: LocalStrategy,
-    /// Insert a pre-ship combiner stage ahead of input 0: partial
-    /// aggregation on the producing partitions before the Partition ship.
-    /// Only ever set on combinable Partition-shipped Reduces.
-    pub combine: bool,
     /// Children, one per input. Shared: every plan the optimizer costed
     /// with the same cheapest realization of a sub-flow holds the same
     /// `Arc`, so taking a subtree is a reference-count bump, not a copy.
@@ -130,11 +125,10 @@ impl PhysNode {
                     })
                     .collect();
                 out.push_str(&format!(
-                    "{} [{} | {:?}{} | ships {}] rows≈{:.0}\n",
+                    "{} [{} | {:?} | ships {}] rows≈{:.0}\n",
                     op.name,
                     op.pact.kind_name(),
                     self.local,
-                    if self.combine { " +combine" } else { "" },
                     ships.join(","),
                     self.est.rows
                 ));
@@ -158,7 +152,7 @@ pub struct PhysPlan {
 impl PhysPlan {
     /// A logical plan *is* a physical plan with default strategies: every
     /// ship [`Ship::Forward`], every operator its PACT's
-    /// [`LocalStrategy::default_for`], no combiners — what the execution
+    /// [`LocalStrategy::default_for`] — what the execution
     /// engine runs (on one partition) as the semantics oracle. Costs are
     /// left at zero: nothing was chosen, so nothing was priced.
     pub fn logical(plan: &Plan) -> PhysPlan {
@@ -170,7 +164,6 @@ impl PhysPlan {
                     NodeKind::Source(_) => LocalStrategy::Pipe,
                     NodeKind::Op(o) => LocalStrategy::default_for(&plan.ctx.ops[o].pact),
                 },
-                combine: false,
                 children: node
                     .children
                     .iter()
@@ -213,7 +206,6 @@ struct Candidate<'a> {
     cost: f64,
     partitioning: Option<&'a [AttrId]>,
     local: LocalStrategy,
-    combine: bool,
     /// Per input, how it is shipped.
     routes: [Route; 2],
     /// Per input, the index of the chosen candidate in its entry.
@@ -233,7 +225,6 @@ impl<'a> Candidate<'a> {
             cost,
             partitioning,
             local,
-            combine: false,
             routes,
             picks,
         }
@@ -333,7 +324,7 @@ impl<'a> PhysMemo<'a> {
                 [Route::Forward; 2],
                 [0; 2],
             )],
-            NodeKind::Op(o) => self.candidates(node, o, est, &kids),
+            NodeKind::Op(o) => self.candidates(o, est, &kids),
         };
         if self.entries.len() <= id {
             self.entries.resize_with(id + 1, || None);
@@ -378,7 +369,6 @@ impl<'a> PhysMemo<'a> {
             logical: node,
             ships,
             local: cand.local,
-            combine: cand.combine,
             children,
             est,
             cost: cand.cost,
@@ -469,15 +459,9 @@ fn satisfies(part: Option<&[AttrId]>, key: &[AttrId]) -> bool {
 }
 
 impl<'a> PhysMemo<'a> {
-    /// The pruned candidates of operator `o` at `node` (output estimate
-    /// `est`), from its children's entries `kids`.
-    fn candidates(
-        &self,
-        node: &PlanNode,
-        o: usize,
-        est: Est,
-        kids: &[usize],
-    ) -> Vec<Candidate<'a>> {
+    /// The pruned candidates of operator `o` (output estimate `est`), from
+    /// its children's entries `kids`.
+    fn candidates(&self, o: usize, est: Est, kids: &[usize]) -> Vec<Candidate<'a>> {
         let (plan, props, w, dop) = (self.plan, self.props, self.w, self.dop);
         let input = |i: usize| self.entry(kids[i]).cands.iter().enumerate();
         let in_est = |i: usize| self.entry(kids[i]).est;
@@ -504,57 +488,24 @@ impl<'a> PhysMemo<'a> {
             }
             Pact::Reduce { .. } => {
                 let key = &op.key_attrs[0][..];
-                let combinable = plan.combinable_reduce(node);
                 let in_est = in_est(0);
-                let groups = crate::cost::reduce_groups(op, in_est.rows);
                 for (i, c) in input(0) {
-                    let reuse = satisfies(c.partitioning, key);
-                    let route = if reuse {
+                    let route = if satisfies(c.partitioning, key) {
                         Route::Forward
                     } else {
                         Route::Partition
                     };
-                    for combine in [false, true] {
-                        // A pre-ship combiner only exists for
-                        // combinable, Partition-shipped reduces.
-                        if combine && !(combinable && route == Route::Partition) {
-                            continue;
-                        }
-                        // Combining caps the shipped volume at one
-                        // partial per key per producing partition —
-                        // the shipped-bytes reduction that lets plan
-                        // enumeration prefer combined plans.
-                        let shipped_est = if combine {
-                            Est {
-                                rows: (groups * dop as f64).min(in_est.rows),
-                                ..in_est
-                            }
-                        } else {
-                            in_est
-                        };
-                        // The combiner's own work: a hash probe and
-                        // fold per input record on the producing side.
-                        let combiner_cpu = if combine {
-                            0.5 * in_est.rows * w.cpu
-                        } else {
-                            0.0
-                        };
-                        let cost = c.cost
-                            + ship_cost(route, &shipped_est, w, dop)
-                            + udf_cpu
-                            + combiner_cpu
-                            + hash_build_cost(&shipped_est, w);
-                        out.offer(Candidate {
-                            combine,
-                            ..Candidate::new(
-                                cost,
-                                Some(key),
-                                LocalStrategy::HashGroup,
-                                [route, Route::Forward],
-                                [i, 0],
-                            )
-                        });
-                    }
+                    let cost = c.cost
+                        + ship_cost(route, &in_est, w, dop)
+                        + udf_cpu
+                        + hash_build_cost(&in_est, w);
+                    out.offer(Candidate::new(
+                        cost,
+                        Some(key),
+                        LocalStrategy::HashGroup,
+                        [route, Route::Forward],
+                        [i, 0],
+                    ));
                 }
             }
             Pact::Match { .. } => {
@@ -831,7 +782,7 @@ mod tests {
         assert!(big > small);
     }
 
-    /// In-place sum over `field` — combinable (decomposable) by SCA.
+    /// In-place sum over `field`.
     fn sum_inplace(w: usize, field: usize) -> Function {
         use strato_ir::BinOp;
         let mut b = FuncBuilder::new("sum_ip", UdfKind::Group, vec![w]);
@@ -854,70 +805,6 @@ mod tests {
         b.place(nil);
         b.ret();
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn combinable_reduce_prefers_combiner() {
-        // Duplicate-heavy grouped aggregate: shipping one partial per key
-        // per partition beats shipping 200k raw rows, so the cost model
-        // must pick the combined plan, grouped by hash.
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v"], 200_000).with_bytes_per_row(40));
-        let g = p.reduce(
-            "agg",
-            &[0],
-            sum_inplace(2, 1),
-            CostHints::default().with_distinct_keys(64),
-            s,
-        );
-        let plan = p.finish(g).unwrap().bind().unwrap();
-        let phys = phys_of(&plan);
-        assert!(phys.root.combine, "{}", phys.render(&plan));
-        assert_eq!(phys.root.local, LocalStrategy::HashGroup);
-        assert!(matches!(phys.root.ships[0], Ship::Partition(_)));
-        assert!(phys.render(&plan).contains("+combine"));
-    }
-
-    #[test]
-    fn combined_plan_is_strictly_cheaper_on_duplicate_heavy_input() {
-        // Same shape, combinable vs not (append-style sum): the combinable
-        // one must cost less because the ship volume collapses.
-        let cost_with = |udf: Function| {
-            let mut p = ProgramBuilder::new();
-            let s = p.source(SourceDef::new("s", &["k", "v"], 200_000).with_bytes_per_row(40));
-            let g = p.reduce(
-                "agg",
-                &[0],
-                udf,
-                CostHints::default().with_distinct_keys(64),
-                s,
-            );
-            let plan = p.finish(g).unwrap().bind().unwrap();
-            phys_of(&plan).total_cost
-        };
-        let combined = cost_with(sum_inplace(2, 1));
-        let uncombined = cost_with(group_first(2));
-        assert!(
-            combined < uncombined,
-            "combined {combined} vs uncombined {uncombined}"
-        );
-    }
-
-    #[test]
-    fn non_combinable_reduce_never_combines() {
-        // group_first passes a non-key payload through: not decomposable.
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v"], 200_000).with_bytes_per_row(40));
-        let g = p.reduce(
-            "agg",
-            &[0],
-            group_first(2),
-            CostHints::default().with_distinct_keys(64),
-            s,
-        );
-        let plan = p.finish(g).unwrap().bind().unwrap();
-        let phys = phys_of(&plan);
-        assert!(!phys.root.combine);
     }
 
     #[test]
@@ -951,7 +838,6 @@ mod tests {
         let phys = PhysPlan::logical(&plan);
         let (reduce, join) = (&phys.root, &phys.root.children[0]);
         assert_eq!(reduce.local, LocalStrategy::HashGroup);
-        assert!(!reduce.combine, "the oracle never combines");
         assert_eq!(reduce.ships, vec![Ship::Forward]);
         assert_eq!(join.local, LocalStrategy::HashJoinBuildLeft);
         assert_eq!(join.ships, vec![Ship::Forward, Ship::Forward]);

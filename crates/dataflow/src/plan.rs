@@ -15,9 +15,9 @@ use crate::program::{BNode, Program, ProgramError, SourceDef};
 use std::fmt;
 use std::sync::Arc;
 use strato_ir::interp::Layout;
-use strato_ir::{BinOp, Function};
+use strato_ir::Function;
 use strato_record::{AttrId, AttrSet, GlobalRecord, Redirection};
-use strato_sca::{CombineSummary, LocalProps};
+use strato_sca::LocalProps;
 
 /// Which property source the optimizer consults — the two columns of
 /// Table 1 in the paper.
@@ -62,11 +62,6 @@ pub struct BoundOp {
     pub key_attrs: Vec<Vec<AttrId>>,
     /// Properties derived by static code analysis.
     pub sca_props: LocalProps,
-    /// SCA's structural decomposability proof, when the UDF is an in-place
-    /// algebraic fold (Reduce operators only; see `strato_sca::combine`).
-    /// Having a summary is necessary but not sufficient for a combiner —
-    /// [`Plan::combinable_reduce`] adds the per-plan legality conditions.
-    pub combine: Option<CombineSummary>,
     /// Manual annotations, if provided.
     pub manual_props: Option<LocalProps>,
     /// Cost hints.
@@ -96,42 +91,6 @@ impl BoundOp {
             .get(i)
             .map(|k| k.iter().copied().collect())
             .unwrap_or_default()
-    }
-
-    /// The combiner folds lifted to global attributes: `(attribute, ⊕)`
-    /// per folded field, in input-schema order. `None` when the UDF is not
-    /// a proven in-place fold.
-    pub fn combine_folds(&self) -> Option<Vec<(AttrId, BinOp)>> {
-        let cs = self.combine.as_ref()?;
-        cs.folds
-            .iter()
-            .map(|(&field, &op)| self.layout.inputs[0].get(field).map(|a| (a, op)))
-            .collect()
-    }
-
-    /// Schema-level legality of folding this Reduce's input in a streaming
-    /// pre-aggregation (the pre-ship combiner): SCA proved the in-place
-    /// fold, every pass-through field maps to a grouping key (keys are
-    /// constant within a group, so the pass-through is independent of
-    /// which group record the UDF copies), and **no folded field is a
-    /// grouping key** — folding in place would mutate the very value the
-    /// aggregation groups on, re-grouping partials by partial results.
-    ///
-    /// Necessary but not sufficient for the pre-ship combiner:
-    /// [`Plan::combinable_reduce`] adds the per-plan subtree condition.
-    pub fn stream_aggregable(&self) -> bool {
-        let Some(cs) = &self.combine else {
-            return false;
-        };
-        let Some(folds) = self.combine_folds() else {
-            return false;
-        };
-        let keys = &self.key_attrs[0];
-        cs.passthrough.iter().all(|&f| {
-            self.layout.inputs[0]
-                .get(f)
-                .is_some_and(|a| keys.contains(&a))
-        }) && folds.iter().all(|(a, _)| !keys.contains(a))
     }
 }
 
@@ -303,10 +262,6 @@ impl Plan {
                         layout,
                         key_attrs,
                         sca_props: strato_sca::analyze(&operator.udf),
-                        combine: match operator.pact {
-                            Pact::Reduce { .. } => strato_sca::combinable(&operator.udf),
-                            _ => None,
-                        },
                         manual_props: operator.manual_props.clone(),
                         hints: operator.hints.clone(),
                         added_attrs,
@@ -385,42 +340,6 @@ impl Plan {
                 }
             }
         }
-    }
-
-    /// Is the Reduce at `node` legal to precede with a pre-ship combiner
-    /// (and to run with a streaming pre-aggregation local strategy)?
-    ///
-    /// Two layers of conditions, combining SCA's structural proof with
-    /// what only the plan knows:
-    ///
-    /// 1. the schema-level legality of [`BoundOp::stream_aggregable`] —
-    ///    SCA proved the in-place fold, pass-through fields are grouping
-    ///    keys, and no fold targets a key;
-    /// 2. every attribute the node's input subtree can actually populate
-    ///    is a key or a folded attribute (attributes outside the subtree
-    ///    are null in every record). This is checked against *this* tree —
-    ///    a reordered plan (e.g. a Reduce hoisted above a join) may carry
-    ///    foreign attributes through the group and is conservatively
-    ///    refused.
-    ///
-    /// Under these the reduce output is a pure function of the group
-    /// *bag* (keys + commutative folds + nulls), so splitting the group
-    /// into per-partition partial folds and re-reducing is
-    /// byte-identical.
-    pub fn combinable_reduce(&self, node: &PlanNode) -> bool {
-        let NodeKind::Op(o) = node.kind else {
-            return false;
-        };
-        let op = &self.ctx.ops[o];
-        if !matches!(op.pact, Pact::Reduce { .. }) || !op.stream_aggregable() {
-            return false;
-        }
-        let folds = op.combine_folds().expect("stream_aggregable implies folds");
-        let keys = &op.key_attrs[0];
-        // Whatever the subtree can populate must be key or fold.
-        self.attrs_of(&node.children[0])
-            .iter()
-            .all(|a| keys.contains(&a) || folds.iter().any(|&(fa, _)| fa == a))
     }
 
     /// Canonical form of the whole plan (memo-table key).
@@ -664,115 +583,6 @@ mod tests {
     fn n_ops_counts() {
         let plan = simple_plan();
         assert_eq!(plan.root.n_ops(), 2);
-    }
-
-    /// In-place sum: fold field `field` with Add, write it back in place.
-    fn sum_inplace(w: usize, field: usize) -> Function {
-        use strato_ir::BinOp;
-        let mut b = FuncBuilder::new("sum_ip", UdfKind::Group, vec![w]);
-        let acc = b.konst(0i64);
-        let it = b.iter_open(0);
-        let done = b.new_label();
-        let head = b.new_label();
-        b.place(head);
-        let r = b.iter_next(it, done);
-        let v = b.get(r, field);
-        b.bin_into(acc, BinOp::Add, acc, v);
-        b.jump(head);
-        b.place(done);
-        let it2 = b.iter_open(0);
-        let nil = b.new_label();
-        let first = b.iter_next(it2, nil);
-        let or = b.copy(first);
-        b.set(or, field, acc);
-        b.emit(or);
-        b.place(nil);
-        b.ret();
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn combinable_reduce_with_key_covered_passthrough() {
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v"], 100));
-        let r = p.reduce("agg", &[0], sum_inplace(2, 1), CostHints::default(), s);
-        let plan = p.finish(r).unwrap().bind().unwrap();
-        assert!(plan.combinable_reduce(&plan.root));
-        let op = &plan.ctx.ops[0];
-        let folds = op.combine_folds().expect("folds");
-        assert_eq!(folds.len(), 1);
-        assert_eq!(folds[0].0, plan.ctx.global.by_name("s.v").unwrap());
-    }
-
-    #[test]
-    fn combiner_refused_when_passthrough_is_not_a_key() {
-        // Extra payload column that is neither key nor fold: the UDF still
-        // matches structurally, but the plan-level legality must refuse.
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v", "payload"], 100));
-        let r = p.reduce("agg", &[0], sum_inplace(3, 1), CostHints::default(), s);
-        let plan = p.finish(r).unwrap().bind().unwrap();
-        assert!(plan.ctx.ops[0].combine.is_some(), "structural proof holds");
-        assert!(!plan.combinable_reduce(&plan.root), "payload blocks it");
-    }
-
-    #[test]
-    fn combiner_refused_when_fold_targets_the_key() {
-        // Grouping on the very field the fold overwrites: a streaming
-        // aggregation would mutate the key partials re-group on,
-        // re-grouping by partial sums. Structurally combinable, but the
-        // schema-level legality must refuse.
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k"], 100));
-        let r = p.reduce("agg", &[0], sum_inplace(1, 0), CostHints::default(), s);
-        let plan = p.finish(r).unwrap().bind().unwrap();
-        let op = &plan.ctx.ops[0];
-        assert!(op.combine.is_some(), "structural proof holds");
-        assert!(!op.stream_aggregable(), "fold on the key is illegal");
-        assert!(!plan.combinable_reduce(&plan.root));
-        // Same with a multi-field key covering the fold target.
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v"], 100));
-        let r = p.reduce("agg", &[0, 1], sum_inplace(2, 1), CostHints::default(), s);
-        let plan = p.finish(r).unwrap().bind().unwrap();
-        assert!(!plan.ctx.ops[0].stream_aggregable());
-        assert!(!plan.combinable_reduce(&plan.root));
-    }
-
-    #[test]
-    fn combiner_refused_for_appended_aggregate_and_non_reduce() {
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v"], 100));
-        // Appended sum (new output field): not an in-place fold.
-        let append = {
-            use strato_ir::BinOp;
-            let mut b = FuncBuilder::new("sum_app", UdfKind::Group, vec![2]);
-            let acc = b.konst(0i64);
-            let it = b.iter_open(0);
-            let done = b.new_label();
-            let head = b.new_label();
-            b.place(head);
-            let r = b.iter_next(it, done);
-            let v = b.get(r, 1);
-            b.bin_into(acc, BinOp::Add, acc, v);
-            b.jump(head);
-            b.place(done);
-            let it2 = b.iter_open(0);
-            let nil = b.new_label();
-            let first = b.iter_next(it2, nil);
-            let or = b.copy(first);
-            b.set(or, 2, acc);
-            b.emit(or);
-            b.place(nil);
-            b.ret();
-            b.finish().unwrap()
-        };
-        let r = p.reduce("agg", &[0], append, CostHints::default(), s);
-        let plan = p.finish(r).unwrap().bind().unwrap();
-        assert!(plan.ctx.ops[0].combine.is_none());
-        assert!(!plan.combinable_reduce(&plan.root));
-        // Source nodes are trivially not combinable reduces.
-        assert!(!plan.combinable_reduce(&plan.root.children[0]));
     }
 
     #[test]

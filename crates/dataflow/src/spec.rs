@@ -158,9 +158,7 @@ impl CmpOp {
     }
 }
 
-/// Fold operators available to [`ReduceUdf::Fold`]. All of them are
-/// associative and commutative ([`BinOp::is_assoc_comm`]), so the in-place
-/// variants are provably decomposable and unlock the combiner path.
+/// Fold operators available to [`ReduceUdf::Fold`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FoldOp {
     /// `Σ` (integer wrap-around).
@@ -330,11 +328,8 @@ impl MapUdf {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReduceUdf {
     /// Fold `⊕ field` over the group. With `append = false` the total
-    /// overwrites the field it was read from — the canonical *combinable*
-    /// shape SCA proves decomposable, unlocking pre-shuffle combiners and
-    /// streaming aggregation. With `append = true` the total lands in a new
-    /// field past the input schema (not combinable: re-reducing partials
-    /// would re-fold the appended totals).
+    /// overwrites the field it was read from in the group's first record;
+    /// with `append = true` it lands in a new field past the input schema.
     Fold {
         /// The fold operator.
         op: FoldOp,
@@ -348,7 +343,7 @@ pub enum ReduceUdf {
 }
 
 impl ReduceUdf {
-    /// In-place (combinable) fold.
+    /// In-place fold.
     pub fn fold_inplace(op: FoldOp, field: usize) -> Self {
         ReduceUdf::Fold {
             op,
@@ -775,8 +770,7 @@ mod tests {
         assert_eq!(plan.ctx.ops.len(), 2);
         assert_eq!(plan.ctx.sources.len(), 1);
         let sum = plan.ctx.ops.iter().find(|o| o.name == "sum").unwrap();
-        // The in-place fold must be proven combinable by SCA.
-        assert!(sum.combine.is_some(), "in-place sum is decomposable");
+        assert_eq!(sum.udf.output_width(), 2, "in-place fold keeps the width");
         let _ = plan.ctx.ops[0].props(PropertyMode::Sca);
     }
 
@@ -797,7 +791,6 @@ mod tests {
         let plan = flow.build().unwrap();
         let op = &plan.ctx.ops[0];
         assert_eq!(op.udf.output_width(), 3, "appended fold widens by one");
-        assert!(op.combine.is_none(), "appended fold is not decomposable");
 
         let flow = FlowSpec::new(NodeSpec::op(
             OpSpec::reduce("c", &[0], ReduceUdf::Count),

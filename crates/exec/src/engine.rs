@@ -14,7 +14,7 @@
 //! Each call runs on an [`EngineRuntime`](crate::EngineRuntime) private
 //! to it; the runtime's methods of the same names share one pool between
 //! calls. The `_with` variants take [`ExecOptions`] to tune batch size,
-//! channel capacity, Map fusion, combining, memory budget or tracing.
+//! channel capacity, Map fusion, memory budget or tracing.
 
 use crate::pipeline::{self, ExecOptions};
 use crate::stats::ExecStats;

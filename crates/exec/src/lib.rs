@@ -8,18 +8,18 @@
 //! pool:
 //!
 //! * [`operators`] — one physical [`operators::Operator`]
-//!   (open / push-batch / finish) per PACT, covering the ship-independent
+//!   (push-batch / finish) per PACT, covering the ship-independent
 //!   local strategies (pipelined map — optionally a fused map chain —
 //!   hash grouping and hash join in memory, block nested loops, and one
 //!   sort-based finish per blocking operator for co-grouping and
-//!   everything that spilled), plus the pre-ship combiner;
+//!   everything that spilled);
 //! * `ship` (private) — per-batch routing between
 //!   partitions: forward, hash repartition (no serialization on the hot
 //!   path; bytes accounted via `encoded_len`, wire round trip checked in
 //!   debug builds) and `Arc`-shared broadcast;
 //! * [`pipeline`] — flattens a [`strato_core::PhysPlan`] into one task per
-//!   `stage × partition`, fusing adjacent Forward-shipped Maps and
-//!   splicing in pre-ship combiners, and schedules the tasks cooperatively
+//!   `stage × partition`, fusing adjacent Forward-shipped Maps, and
+//!   schedules the tasks cooperatively
 //!   on an [`EngineRuntime`]'s workers with bounded-channel backpressure;
 //!   the **same** lowering and operators serve both entry points. Worker
 //!   panics are contained per task and surfaced as [`ExecError::Panic`].
@@ -29,8 +29,7 @@
 //!   default = the cost model's budget) and, under pressure, shed it as
 //!   sorted runs on disk; their sort-based finish merges the in-memory
 //!   tail with however many runs exist (a loser-tree k-way merge), so an
-//!   in-memory run is simply the zero-run case. The pre-ship combiner
-//!   instead flushes its partials downstream Hadoop-style.
+//!   in-memory run is simply the zero-run case.
 //! * [`runtime`] — the engine runtime every execution runs on: one
 //!   [`EngineRuntime`] worker pool scheduling tasks from all in-flight
 //!   queries round-robin (per-query fairness), and one [`GlobalMemory`]
@@ -118,8 +117,8 @@ pub(crate) mod testutil {
             .collect()
     }
 
-    /// In-place `Σ field` — the canonical *combinable* reduce UDF (fold
-    /// written back to the field it was read from).
+    /// In-place `Σ field` reduce UDF (the fold is written back to the
+    /// field it was read from).
     pub(crate) fn sum_inplace(w: usize, field: usize) -> Function {
         let mut b = FuncBuilder::new("sum_ip", UdfKind::Group, vec![w]);
         let acc = b.konst(0i64);

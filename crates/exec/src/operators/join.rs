@@ -280,7 +280,6 @@ mod tests {
             let stats = Arc::new(ExecStats::with_ops(1));
             let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 20)));
             let mut join = MatchOp::new(build, ctx(&plan, &stats, &gov));
-            join.open().unwrap();
             let mut out = Vec::new();
             for (port, rows) in [&left, &right].into_iter().enumerate() {
                 let batch = Arc::new(RecordBatch::from_records(rows.clone()));
@@ -343,7 +342,6 @@ mod tests {
         let stats = Arc::new(ExecStats::with_ops(1));
         let gov = Arc::new(MemoryGovernor::with_budget(Some(1)));
         let mut join = MatchOp::new(0, ctx(&plan, &stats, &gov));
-        join.open().unwrap();
         let mut out = Vec::new();
         // The "broadcast" build side: a clone is kept alive, as the other
         // partitions of a broadcast ship would.

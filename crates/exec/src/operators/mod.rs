@@ -8,14 +8,13 @@
 //!
 //! ## Contract
 //!
-//! An operator is driven through three phases:
+//! An operator is driven through two phases:
 //!
-//! 1. [`Operator::open`] — once, before any data.
-//! 2. [`Operator::push`] — once per input [`RecordBatch`], tagged with the
+//! 1. [`Operator::push`] — once per input [`RecordBatch`], tagged with the
 //!    input port (0 for unary PACTs; 0 = left, 1 = right for binary ones).
 //!    Streaming operators (Map) emit output batches immediately; blocking
 //!    operators (Reduce, Match, Cross, CoGroup) buffer.
-//! 3. [`Operator::finish`] — once, after all input; emits any buffered
+//! 2. [`Operator::finish`] — once, after all input; emits any buffered
 //!    output.
 //!
 //! Batches are shared as `Arc<RecordBatch>`: a broadcast ship hands the
@@ -40,7 +39,6 @@ pub mod cross;
 pub mod join;
 pub mod map;
 pub mod reduce;
-pub mod streamagg;
 
 use crate::engine::ExecError;
 use crate::spill::MemoryGovernor;
@@ -53,13 +51,8 @@ use strato_ir::interp::{Frame, Interp, Invocation};
 use strato_record::{AttrId, Record, RecordBatch};
 
 /// A physical operator: consumes batches on numbered input ports, emits
-/// batches. See the module docs for the open / push / finish contract.
+/// batches. See the module docs for the push / finish contract.
 pub trait Operator: Send {
-    /// Prepares the operator. Called exactly once, before any `push`.
-    fn open(&mut self) -> Result<(), ExecError> {
-        Ok(())
-    }
-
     /// Consumes one input batch on `port`. Streaming operators append
     /// output batches to `out`; blocking operators buffer until `finish`.
     fn push(
@@ -241,14 +234,6 @@ pub(crate) fn canonical_cmp(a: &Record, b: &Record, key: &[AttrId]) -> Ordering 
     key_cmp(a, b, key).then_with(|| a.cmp(b))
 }
 
-/// Total `encoded_len` of a record slice — the byte measure blocking
-/// operators register with the [`MemoryGovernor`] (the same approximation
-/// the cost model's `mem_budget` is expressed in).
-#[inline]
-pub(crate) fn records_bytes(recs: &[Record]) -> u64 {
-    recs.iter().map(|r| r.encoded_len() as u64).sum()
-}
-
 /// Takes ownership of a batch's records: moves when this is the last
 /// reference (the common forward/partition case), clones only for batches
 /// still shared with other partitions (broadcast).
@@ -299,14 +284,6 @@ pub fn build(strategy: LocalStrategy, ctx: OpCtx) -> Box<dyn Operator> {
             pact.kind_name()
         ),
     }
-}
-
-/// Builds the pre-ship combiner stage of a combinable Reduce: a streaming
-/// pre-aggregator that emits raw partials (no UDF calls). Panics when the
-/// operator is not a proven in-place fold — the lowering only inserts
-/// combiner stages where `PhysNode::combine` was legally set.
-pub(crate) fn build_combiner(ctx: OpCtx) -> Box<dyn Operator> {
-    Box::new(streamagg::StreamAggOp::new(ctx))
 }
 
 /// Builds a fused chain of Map operators running as **one** task: records
@@ -367,24 +344,10 @@ pub(crate) fn apply_chunked(
     layout: BatchLayout,
     ctx: OpCtx,
 ) -> Result<Vec<Record>, ExecError> {
-    apply_built(|ctx| build(strategy, ctx), inputs, chunk, layout, ctx)
-}
-
-/// [`apply_chunked`] over the operator `make` builds, for operators no
-/// [`LocalStrategy`] names (the pre-ship combiner).
-#[cfg(test)]
-pub(crate) fn apply_built(
-    make: impl FnOnce(OpCtx) -> Box<dyn Operator>,
-    inputs: &[Vec<Record>],
-    chunk: usize,
-    layout: BatchLayout,
-    ctx: OpCtx,
-) -> Result<Vec<Record>, ExecError> {
     let gov = Arc::clone(&ctx.gov);
     let width = ctx.plan.width();
     let name = ctx.op().name.clone();
-    let mut oper = make(ctx);
-    oper.open()?;
+    let mut oper = build(strategy, ctx);
     let mut out = Vec::new();
     for (port, records) in inputs.iter().enumerate() {
         for (i, chunk) in records.chunks(chunk).enumerate() {
@@ -396,16 +359,6 @@ pub(crate) fn apply_built(
     oper.finish(&mut out)?;
     assert_eq!(gov.resident(), 0, "{name} kept a grant");
     Ok(out.into_iter().flat_map(take_records).collect())
-}
-
-/// [`apply_chunked`] with one row-major batch per input port.
-#[cfg(test)]
-pub(crate) fn apply_single(
-    strategy: LocalStrategy,
-    inputs: Vec<Vec<Record>>,
-    ctx: OpCtx,
-) -> Result<Vec<Record>, ExecError> {
-    apply_chunked(strategy, &inputs, usize::MAX, BatchLayout::Rows, ctx)
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //! The plan is flattened into one **task** per `stage × partition`.
 //! Tasks communicate through bounded channels of `Arc<RecordBatch>`es: a
 //! task pulls arriving batches from its input channels, drives its
-//! [`crate::operators::Operator`] incrementally (open → push per batch →
-//! finish once every input channel closes), and routes its output batches
+//! [`crate::operators::Operator`] incrementally (push per batch → finish
+//! once every input channel closes), and routes its output batches
 //! downstream through a per-task `crate::ship::Router` — so shipping is
 //! per-batch and producer stages overlap consumer stages, instead of the
 //! old materialize-everything-then-ship barrier.
@@ -56,15 +56,6 @@
 //! each through its own clone of that `Arc`. The standalone entry points
 //! ([`crate::execute_with`] and friends) build a runtime private to the
 //! call (`private_runtime`), sized by the task graph the run built.
-//!
-//! Reduces whose UDF the static analysis proved **combinable** escape the
-//! buffering: the optimizer may mark them (`PhysNode::combine`) and this
-//! lowering then splices a **pre-ship combiner** stage — a streaming
-//! hash pre-aggregator ([`crate::operators::streamagg`]) — between the
-//! input subtree and the Partition ship, so only one partial record per
-//! key per producing partition crosses the wire; the final Reduce groups
-//! the partials. [`ExecOptions::combine`] gates the insertion; the
-//! logical oracle never combines.
 
 use crate::engine::{ExecError, Inputs};
 use crate::operators::{self, OpCtx, Operator};
@@ -83,7 +74,7 @@ use strato_record::{BatchBuilder, DataSet, RecordBatch};
 /// behavior; tests sweep them.
 ///
 /// Results are byte-identical at every option combination — options change
-/// resource usage (parallelism, memory, shipped volume), never semantics.
+/// resource usage (parallelism, memory), never semantics.
 ///
 /// ```
 /// use strato_exec::ExecOptions;
@@ -92,7 +83,7 @@ use strato_record::{BatchBuilder, DataSet, RecordBatch};
 ///     mem_budget: Some(16 << 20), // spill past 16 MiB of buffered state
 ///     ..ExecOptions::default()
 /// };
-/// assert!(opts.combine && opts.fuse_maps, "optimizations default on");
+/// assert!(opts.fuse_maps, "Map fusion defaults on");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
@@ -106,13 +97,6 @@ pub struct ExecOptions {
     /// time. On by default; the profiler turns it off so task timing is
     /// attributed exactly per operator.
     pub fuse_maps: bool,
-    /// Honor the optimizer's pre-ship combiner choices
-    /// ([`strato_core::PhysNode::combine`]): insert a streaming
-    /// pre-aggregation stage ahead of Partition-shipped combinable
-    /// Reduces. On by default; the equivalence suite sweeps it as an axis
-    /// (results must be byte-identical either way, only shipped volume
-    /// changes).
-    pub combine: bool,
     /// Cap, in bytes, on the [`MemoryGrant`](crate::spill::MemoryGrant)
     /// this execution carves from its runtime's
     /// [`GlobalMemory`](crate::spill::GlobalMemory) pool: the grant is
@@ -121,8 +105,8 @@ pub struct ExecOptions {
     /// unbounded, so there the grant is exactly `mem_budget` (`None` =
     /// ungoverned). All blocking operators of the execution charge the
     /// grant ([`crate::spill::MemoryGovernor`]); when buffered state
-    /// exceeds it they shed to sorted runs on disk (the combiner flushes
-    /// partials downstream instead) and finish via k-way merge — results
+    /// exceeds it they shed to sorted runs on disk and finish via k-way
+    /// merge — results
     /// are byte-identical, only memory and disk traffic change. The
     /// default equals the cost model's
     /// [`strato_core::cost::CostWeights::mem_budget`], so the optimizer's
@@ -144,7 +128,6 @@ impl Default for ExecOptions {
             batch_size: RecordBatch::DEFAULT_SIZE,
             channel_capacity: 8,
             fuse_maps: true,
-            combine: true,
             mem_budget: Some(strato_core::cost::DEFAULT_MEM_BUDGET_BYTES),
             trace: None,
         }
@@ -175,8 +158,6 @@ enum FlatKind {
         /// Map operator ids fused behind `op` (applied in order).
         fused: Vec<usize>,
     },
-    /// Pre-ship combiner of Reduce `op` (streaming partial aggregation).
-    Combine { op: usize },
 }
 
 #[derive(Debug, Clone)]
@@ -233,29 +214,17 @@ fn push_stage(stages: &mut Vec<FlatStage>, kind: FlatKind, inputs: Vec<FlatInput
 
 /// Post-order flattening; returns the flat id realizing `node`. A
 /// Forward-shipped Map whose producer is a Map (chain) is fused into the
-/// producer's stage instead of becoming its own. With
-/// [`ExecOptions::combine`], a Reduce the optimizer marked
-/// [`PhysNode::combine`] gets a pre-ship combiner stage spliced between
-/// its input subtree and its Partition ship.
+/// producer's stage instead of becoming its own.
 fn flatten(plan: &Plan, node: &PhysNode, opts: &ExecOptions, stages: &mut Vec<FlatStage>) -> usize {
     let op = match node.logical.kind {
         NodeKind::Source(s) => return push_stage(stages, FlatKind::Scan(s), vec![]),
         NodeKind::Op(o) => o,
     };
-    let mut children: Vec<usize> = node
+    let children: Vec<usize> = node
         .children
         .iter()
         .map(|c| flatten(plan, c, opts, stages))
         .collect();
-    if opts.combine && node.combine {
-        // Partition-local: consumes its producer's output in place
-        // (Forward) and never fuses.
-        let input = FlatInput {
-            child: children[0],
-            ship: Ship::Forward,
-        };
-        children[0] = push_stage(stages, FlatKind::Combine { op }, vec![input]);
-    }
     if opts.fuse_maps && matches!(plan.ctx.ops[op].pact, Pact::Map) && node.ships == [Ship::Forward]
     {
         if let FlatKind::Apply {
@@ -504,7 +473,6 @@ enum Work {
     Op {
         oper: Box<dyn Operator>,
         ports: Vec<Port>,
-        opened: bool,
         /// Round-robin cursor over ports, for receive fairness.
         rr: usize,
     },
@@ -589,16 +557,7 @@ fn step(body: &mut TaskBody, sched: &Sched, rt: &RtShared) -> Result<StepOutcome
                     scratch.push(Arc::new(RecordBatch::from_columns(cb)));
                 }
             }
-            Work::Op {
-                oper,
-                ports,
-                opened,
-                rr,
-            } => {
-                if !*opened {
-                    oper.open()?;
-                    *opened = true;
-                }
+            Work::Op { oper, ports, rr } => {
                 let np = ports.len();
                 let mut got = None;
                 let mut any_open = false;
@@ -856,28 +815,6 @@ pub(crate) fn run_streaming(
                     };
                     (work, &plan.ctx.sources[*src_id].name, None)
                 }
-                FlatKind::Combine { op } => {
-                    let ports = s
-                        .chan_base
-                        .iter()
-                        .map(|&base| Port {
-                            chan: base + p,
-                            open: true,
-                        })
-                        .collect();
-                    (
-                        Work::Op {
-                            // Charged to the reduce's slot: the combiner is
-                            // that operator's pre-ship half.
-                            oper: operators::build_combiner(op_ctx(*op)),
-                            ports,
-                            opened: false,
-                            rr: 0,
-                        },
-                        &plan.ctx.ops[*op].name,
-                        Some(*op),
-                    )
-                }
                 FlatKind::Apply { op, local, fused } => {
                     let oper = if fused.is_empty() {
                         operators::build(*local, op_ctx(*op))
@@ -894,12 +831,7 @@ pub(crate) fn run_streaming(
                         })
                         .collect();
                     (
-                        Work::Op {
-                            oper,
-                            ports,
-                            opened: false,
-                            rr: 0,
-                        },
+                        Work::Op { oper, ports, rr: 0 },
                         &plan.ctx.ops[*op].name,
                         Some(*op),
                     )
@@ -1104,67 +1036,6 @@ mod tests {
             15,
             "3 ops × 5 records"
         );
-    }
-
-    use crate::testutil::sum_inplace;
-
-    #[test]
-    fn combiner_stage_is_inserted_for_combinable_partition_reduce() {
-        use strato_core::{cost::CostWeights, physical::best_physical, PropTable};
-        use strato_dataflow::PropertyMode;
-
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v"], 100_000).with_bytes_per_row(32));
-        let r = p.reduce(
-            "agg",
-            &[0],
-            sum_inplace(2, 1),
-            CostHints::default().with_distinct_keys(16),
-            s,
-        );
-        let plan = p.finish(r).unwrap().bind().unwrap();
-        let props = PropTable::build(&plan, PropertyMode::Sca);
-        let phys = best_physical(&plan, &props, &CostWeights::default(), 4);
-        assert!(phys.root.combine, "optimizer must choose the combiner");
-
-        let on = ExecOptions::default();
-        let off = ExecOptions {
-            combine: false,
-            ..ExecOptions::default()
-        };
-        // Lowered with combining: scan → combine → reduce (3 stages);
-        // lowered with the axis off: scan → reduce (2 stages).
-        assert_eq!(TaskGraph::build(&plan, &phys.root, 4, &on).stage_count(), 3);
-        assert_eq!(
-            TaskGraph::build(&plan, &phys.root, 4, &off).stage_count(),
-            2
-        );
-
-        // End-to-end: identical output, strictly fewer shipped records,
-        // and the pre-aggregation counters report the reduction.
-        let rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 16, i]).collect();
-        let rows_ref: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let inputs = inputs_for(&plan, &rows_ref);
-        let (out_on, st_on) = run(&plan, &phys.root, &inputs, 4, &on, None).unwrap();
-        let (out_off, st_off) = run(&plan, &phys.root, &inputs, 4, &off, None).unwrap();
-        assert_eq!(out_on.sorted(), out_off.sorted(), "byte-identical bags");
-        let (shipped_on, shipped_off) = (
-            st_on.totals().records_shipped,
-            st_off.totals().records_shipped,
-        );
-        assert!(
-            shipped_on < shipped_off,
-            "combiner must cut shipping: {shipped_on} vs {shipped_off}"
-        );
-        // With the combiner: it alone absorbs the 200 records, and every
-        // shipped record is one of its partials. Without: nothing
-        // pre-aggregates.
-        let t = st_on.totals();
-        let (pre_in, pre_out) = (t.records_preagg_in, t.records_preagg_out);
-        assert_eq!(pre_in, 200, "the combiner absorbs every record");
-        assert!(pre_out < pre_in);
-        assert_eq!(shipped_on, pre_out);
-        assert_eq!(st_off.totals().records_preagg_in, 0);
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! The governed buffer every blocking operator keeps per keyed input.
 
 use crate::engine::ExecError;
-use crate::operators::{canonical_cmp, key_cmp, key_has_null, records_bytes, take_records, OpCtx};
+use crate::operators::{canonical_cmp, key_cmp, key_has_null, take_records, OpCtx};
 use crate::spill::file::SortedRun;
 use crate::spill::merge::{external_group_stream, GroupStream};
 use std::cmp::Ordering;
 use std::sync::Arc;
 use strato_record::{AttrId, Record, RecordBatch};
 
-/// One keyed input of a blocking operator: what was buffered so far —
-/// rows, and batches held as they were pushed — the bytes granted for
-/// it, and the sorted runs already shed to disk.
+/// One keyed input of a blocking operator: the batches buffered so far,
+/// held as they were pushed — or, once a spill or the sort-based finish
+/// needed them, as rows — the bytes granted for them, and the sorted runs
+/// already shed to disk.
 ///
 /// This is the only place operator state meets the spill files and the
 /// [`MemoryGovernor`](crate::spill::MemoryGovernor):
-/// [`push`](RunBuffer::push) and [`push_batch`](RunBuffer::push_batch)
-/// grant, [`spill`](RunBuffer::spill) writes a run and releases, and
+/// [`push_batch`](RunBuffer::push_batch) grants,
+/// [`spill`](RunBuffer::spill) writes a run and releases, and
 /// [`drain_groups`](RunBuffer::drain_groups) is the one sort-based finish
 /// — it merges the sorted tail with however many runs exist, *including
 /// zero*, so an execution that never spilled walks the same code as one
@@ -75,18 +76,8 @@ impl RunBuffer {
         self
     }
 
-    /// Buffers `records`, granting their bytes.
-    pub(crate) fn push(&mut self, records: impl IntoIterator<Item = Record>) {
-        let start = self.rows.len();
-        self.rows.extend(records);
-        if self.ctx.gov.bounded() {
-            self.grant(records_bytes(&self.rows[start..]));
-        }
-    }
-
-    /// Buffers `batch` as it is, granting its `encoded_len` — the bytes
-    /// [`push`](RunBuffer::push) would grant for its rows, in either
-    /// layout.
+    /// Buffers `batch` as it is, granting its `encoded_len` — the same
+    /// bytes in either layout.
     pub(crate) fn push_batch(&mut self, batch: Arc<RecordBatch>) {
         let mut charge = 0;
         if self.ctx.gov.bounded() {
@@ -108,18 +99,6 @@ impl RunBuffer {
     fn grant(&mut self, bytes: u64) {
         self.granted += bytes;
         self.ctx.gov.grant(bytes);
-    }
-
-    /// The buffered (unspilled) rows, in arrival order — not including
-    /// held batches.
-    pub(crate) fn rows(&self) -> &[Record] {
-        &self.rows
-    }
-
-    /// Mutable view of the buffered rows (streaming aggregation folds
-    /// into its partials in place; the grant stays at the pushed size).
-    pub(crate) fn rows_mut(&mut self) -> &mut [Record] {
-        &mut self.rows
     }
 
     /// Whether any run was written.
@@ -184,9 +163,9 @@ impl RunBuffer {
         Ok(())
     }
 
-    /// Hands the buffered rows to an in-memory (hash) algorithm. Their
-    /// grant stays until [`release`](RunBuffer::release) or drop.
-    pub(crate) fn take_rows(&mut self) -> Vec<Record> {
+    /// Takes the buffered rows; their grant stays until
+    /// [`release`](RunBuffer::release) or drop.
+    fn take_rows(&mut self) -> Vec<Record> {
         std::mem::take(&mut self.rows)
     }
 
@@ -328,31 +307,13 @@ mod tests {
         (pool, Arc::new(gov))
     }
 
-    /// How a test hands rows to a buffer: as records, or as batches in
-    /// one of the layouts operators are pushed.
-    #[derive(Debug, Clone, Copy)]
-    enum Feed {
-        Records,
-        Batches(BatchLayout),
-    }
-
-    const FEEDS: [Feed; 4] = [
-        Feed::Records,
-        Feed::Batches(BatchLayout::Rows),
-        Feed::Batches(BatchLayout::Columns),
-        Feed::Batches(BatchLayout::Mixed),
-    ];
-
-    /// Hands `rows` to `buf` as its `i`-th push.
-    fn put(buf: &mut RunBuffer, how: Feed, i: usize, rows: &[Record]) {
-        match how {
-            Feed::Records => buf.push(rows.to_vec()),
-            Feed::Batches(layout) => buf.push_batch(Arc::new(layout.batch(i, rows, WIDTH))),
-        }
+    /// Hands `rows` to `buf` as its `i`-th push, one batch in `how`.
+    fn put(buf: &mut RunBuffer, how: BatchLayout, i: usize, rows: &[Record]) {
+        buf.push_batch(Arc::new(how.batch(i, rows, WIDTH)));
     }
 
     /// Pushes `rows` three at a time, spilling whenever over budget.
-    fn feed(buf: &mut RunBuffer, gov: &MemoryGovernor, how: Feed, rows: Vec<Record>) {
+    fn feed(buf: &mut RunBuffer, gov: &MemoryGovernor, how: BatchLayout, rows: Vec<Record>) {
         for (i, chunk) in rows.chunks(3).enumerate() {
             put(buf, how, i, chunk);
             if gov.over_budget() {
@@ -378,7 +339,10 @@ mod tests {
         assert_eq!(expected.len(), 6, "five int keys + the null group");
 
         let budgets = [None, Some(0), Some(64), Some(1 << 16)];
-        for (how, budget) in FEEDS.into_iter().flat_map(|h| budgets.map(|b| (h, b))) {
+        for (how, budget) in BatchLayout::ALL
+            .into_iter()
+            .flat_map(|h| budgets.map(|b| (h, b)))
+        {
             let stats = Arc::new(ExecStats::with_ops(1));
             let gov = Arc::new(MemoryGovernor::with_budget(budget));
             let mut buf = buffer(&stats, &gov, false);
@@ -409,7 +373,7 @@ mod tests {
         for drop_null_keys in [false, true] {
             let mut buf = buffer(&stats, &gov, drop_null_keys);
             assert!(!buf.saw_null_key());
-            feed(&mut buf, &gov, Feed::Records, input());
+            feed(&mut buf, &gov, BatchLayout::Rows, input());
             assert!(buf.spilled());
             let groups = drain(&mut buf);
             let nulls: usize = groups
@@ -431,7 +395,7 @@ mod tests {
         }
         // A join side without null keys has nothing to remember.
         let mut buf = buffer(&stats, &gov, true);
-        buf.push([rec(Some(1), 1)]);
+        put(&mut buf, BatchLayout::Rows, 0, &[rec(Some(1), 1)]);
         assert!(!buf.saw_null_key());
     }
 
@@ -440,11 +404,11 @@ mod tests {
         let base = std::env::temp_dir().join(format!("strato-runbuffer-{}", std::process::id()));
         std::fs::create_dir_all(&base).unwrap();
         let stats = Arc::new(ExecStats::new());
-        let bytes = records_bytes(&input());
+        let bytes: u64 = input().iter().map(|r| r.encoded_len() as u64).sum();
 
-        for how in FEEDS {
-            // The grant of a push, records or a batch of either layout, is
-            // the rows' `records_bytes`.
+        for how in BatchLayout::ALL {
+            // The grant of a push, a batch of either layout, is the rows'
+            // total `encoded_len`.
             let (_pool, gov) = governed(1 << 16, None);
             let mut buf = buffer(&stats, &gov, false);
             put(&mut buf, how, 0, &input());
@@ -490,7 +454,7 @@ mod tests {
             let held = gov.resident();
             assert_eq!(held, bytes);
             assert!(matches!(buf.spill(), Err(ExecError::Spill(_))));
-            assert_eq!(buf.rows().len(), 26, "a failed spill loses nothing");
+            assert_eq!(buf.rows.len(), 26, "a failed spill loses nothing");
             assert_eq!(gov.resident(), held, "{how:?} keeps its grant");
             drop(buf);
             assert_eq!((gov.resident(), pool.resident()), (0, 0));

@@ -55,9 +55,7 @@
 //! Match once pressure shed anything, walk two in lock-step, Match over
 //! null-dropping buffers because null join keys match nothing. Only a
 //! Reduce or Match that never spilled runs a different, in-memory (hash)
-//! algorithm. The pre-ship *combiner* never touches disk: it flushes
-//! partials **downstream** Hadoop-style — the final Reduce re-groups them
-//! — trading shipped volume for memory.
+//! algorithm.
 //!
 //! [`CostWeights::mem_budget`]: strato_core::cost::CostWeights
 

@@ -90,9 +90,10 @@ pub struct StatsSnapshot {
     pub records_shipped: u64,
     /// Serialized bytes moved by Partition/Broadcast ship strategies.
     pub bytes_shipped: u64,
-    /// Records absorbed by streaming pre-aggregation tables.
+    /// Always 0: the engine has no pre-aggregation stage. Kept because
+    /// the benchmark crate still reads it (its `exec.preagg_ratio`).
     pub records_preagg_in: u64,
-    /// Partial records those tables produced.
+    /// Always 0, like [`records_preagg_in`](Self::records_preagg_in).
     pub records_preagg_out: u64,
     /// Records written to sorted runs on disk under memory pressure.
     pub records_spilled: u64,
@@ -124,12 +125,6 @@ pub struct ExecStats {
     pub records_shipped: AtomicU64,
     /// Serialized bytes moved by Partition/Broadcast ship strategies.
     pub bytes_shipped: AtomicU64,
-    /// Records absorbed by the pre-aggregation tables of pre-ship
-    /// combiners.
-    pub records_preagg_in: AtomicU64,
-    /// Partial records those tables produced (one per key per instance, plus
-    /// any partials flushed early under memory pressure).
-    pub records_preagg_out: AtomicU64,
     /// Records written to sorted runs on disk by memory-governed blocking
     /// operators (see `strato-exec`'s `spill` module). Counts **pressure
     /// sheds** (first-generation runs) only: a `spill_runs` increment is
@@ -266,16 +261,6 @@ impl ExecStats {
         self.total_cells.fetch_add(cells, Ordering::Relaxed);
     }
 
-    /// Accounts one pre-ship combiner instance: `records` absorbed into
-    /// its table, `partials` partial records out. The reduction
-    /// `records − partials` is exactly the record count the combiner kept
-    /// off the wire.
-    pub(crate) fn add_preagg(&self, records: u64, partials: u64) {
-        self.records_preagg_in.fetch_add(records, Ordering::Relaxed);
-        self.records_preagg_out
-            .fetch_add(partials, Ordering::Relaxed);
-    }
-
     /// Accounts one sorted run spilled to disk by an operator: `records`
     /// written, `bytes` on disk. Charged both globally and to the
     /// operator's slot (when slots exist).
@@ -306,8 +291,8 @@ impl ExecStats {
             records_emitted: self.records_emitted.load(Ordering::Relaxed),
             records_shipped: self.records_shipped.load(Ordering::Relaxed),
             bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
-            records_preagg_in: self.records_preagg_in.load(Ordering::Relaxed),
-            records_preagg_out: self.records_preagg_out.load(Ordering::Relaxed),
+            records_preagg_in: 0,
+            records_preagg_out: 0,
             records_spilled: self.records_spilled.load(Ordering::Relaxed),
             spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
             spill_runs: self.spill_runs.load(Ordering::Relaxed),
@@ -366,20 +351,6 @@ mod tests {
         assert_eq!(t.records_shipped, 10);
         assert_eq!(t.bytes_shipped, 640);
         assert_eq!(t.interp_steps, 150);
-    }
-
-    #[test]
-    fn preagg_counters_accumulate_separately() {
-        let s = ExecStats::new();
-        s.add_preagg(100, 7);
-        s.add_preagg(50, 7);
-        // Pre-aggregation touches nothing but its own two counters.
-        let expected = StatsSnapshot {
-            records_preagg_in: 150,
-            records_preagg_out: 14,
-            ..StatsSnapshot::default()
-        };
-        assert_eq!(s.totals(), expected);
     }
 
     #[test]
@@ -467,15 +438,13 @@ mod tests {
         let s = ExecStats::new();
         s.add_calls(0, 1, 100, 2);
         s.add_shipped(None, 10, 640);
-        s.add_preagg(50, 7);
         s.add_spill(0, 20, 999);
         let t = s.totals();
         assert_eq!(t.udf_calls, 1);
         assert_eq!(t.records_emitted, 2);
         assert_eq!(t.records_shipped, 10);
         assert_eq!(t.bytes_shipped, 640);
-        assert_eq!(t.records_preagg_in, 50);
-        assert_eq!(t.records_preagg_out, 7);
+        assert_eq!((t.records_preagg_in, t.records_preagg_out), (0, 0));
         assert_eq!(t.records_spilled, 20);
         assert_eq!(t.spilled_bytes, 999);
         assert_eq!(t.spill_runs, 1);

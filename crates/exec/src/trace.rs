@@ -455,12 +455,11 @@ fn render_node(
             // on one minimum row per key instead of sorted groups.
             let first_only = op.sca_props.first_record_only;
             out.push_str(&format!(
-                "{indent}{} [{} | {:?}{}{} | ships {}]\n",
+                "{indent}{} [{} | {:?}{} | ships {}]\n",
                 op.name,
                 op.pact.kind_name(),
                 node.local,
                 if first_only { " first-only" } else { "" },
-                if node.combine { " +combine" } else { "" },
                 ships.join(","),
             ));
             let act = ops.get(o).copied().unwrap_or_default();

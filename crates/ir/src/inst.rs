@@ -52,27 +52,6 @@ pub enum BinOp {
     Max,
 }
 
-impl BinOp {
-    /// `true` for operators that are associative **and** commutative over
-    /// the dynamic [`Value`] domain under the interpreter's total
-    /// semantics ([`crate::interp::eval_bin`]): integer arithmetic wraps,
-    /// `Min`/`Max` use the total value ordering, `And`/`Or` fold
-    /// truthiness, and `Null` is absorbing for arithmetic. These are the
-    /// operators a fold may be re-associated over — the algebraic fact the
-    /// combiner analysis (the `combine` module of `strato-sca`) relies on
-    /// when it proves a reduce UDF decomposable.
-    ///
-    /// Caveat: `Add`/`Mul` over *float* values re-associate only
-    /// approximately (IEEE rounding); exactly over integers, booleans,
-    /// strings and nulls.
-    pub fn is_assoc_comm(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Mul | BinOp::Min | BinOp::Max | BinOp::And | BinOp::Or
-        )
-    }
-}
-
 /// Unary operators on values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
@@ -456,23 +435,6 @@ mod tests {
         };
         assert!(n.falls_through());
         assert_eq!(n.targets(), vec![Label(9)]);
-    }
-
-    #[test]
-    fn assoc_comm_classification() {
-        for op in [
-            BinOp::Add,
-            BinOp::Mul,
-            BinOp::Min,
-            BinOp::Max,
-            BinOp::And,
-            BinOp::Or,
-        ] {
-            assert!(op.is_assoc_comm(), "{op:?}");
-        }
-        for op in [BinOp::Sub, BinOp::Div, BinOp::Rem, BinOp::Lt, BinOp::Ge] {
-            assert!(!op.is_assoc_comm(), "{op:?}");
-        }
     }
 
     #[test]

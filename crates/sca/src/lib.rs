@@ -20,9 +20,6 @@
 //! * **dynamic access flags** — `getField`/`setField` with non-literal
 //!   indices force worst-case assumptions, mirroring the paper's restriction
 //!   of its prototype to "field accesses with literals and final variables",
-//! * **combinability** — a structural proof that a reduce UDF is an
-//!   in-place algebraic fold and therefore *decomposable*, which unlocks
-//!   pre-shuffle combiners and streaming aggregation ([`combine`]),
 //! * **first-record-only** — a structural proof that a Group UDF reads
 //!   nothing but its group's first record (at most one reachable
 //!   `IterNext`, on no control-flow cycle, and no `GroupCount`), so Reduce
@@ -39,12 +36,10 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod combine;
 pub mod emits;
 pub mod probe;
 pub mod props;
 pub mod taint;
 
 pub use analysis::analyze;
-pub use combine::{combinable, CombineSummary};
 pub use props::{EmitBounds, LocalProps};

@@ -13,9 +13,13 @@
 //!     ]
 //!   },
 //!   "inputs": {"s": [[1, 10], [1, 5], [2, 7]]},
-//!   "options": {"dop": 2, "batch": 256, "combine": true}
+//!   "options": {"dop": 2, "batch": 256}
 //! }
 //! ```
+//!
+//! The `"options"` keys are `dop`, `batch`, `mem_budget` and `trace`; any
+//! other key is refused, so a misspelt or retired option is an error
+//! rather than silently ignored.
 //!
 //! A flow node is either `{"source": {...}}` or `{"op": {...}, "inputs":
 //! [...]}`. Operator UDFs come from the declarative catalog of
@@ -333,6 +337,9 @@ fn decode_rows(source: &str, rows: &Json) -> Result<DataSet, DecodeError> {
     Ok(records.into_iter().collect())
 }
 
+/// The keys `"options"` may hold.
+const OPTION_KEYS: [&str; 4] = ["dop", "batch", "mem_budget", "trace"];
+
 fn decode_options(options: Option<&Json>) -> Result<(usize, ExecOptions, bool), DecodeError> {
     let mut exec = ExecOptions::default();
     let mut dop = 1usize;
@@ -340,8 +347,17 @@ fn decode_options(options: Option<&Json>) -> Result<(usize, ExecOptions, bool), 
     let Some(o) = options else {
         return Ok((dop, exec, trace));
     };
-    if !matches!(o, Json::Obj(_)) {
+    let Json::Obj(members) = o else {
         return Err(bad("\"options\" must be an object"));
+    };
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(k, _)| !OPTION_KEYS.contains(&k.as_str()))
+    {
+        return Err(bad(format!(
+            "unknown option {key:?} (expected one of {})",
+            OPTION_KEYS.join(", ")
+        )));
     }
     if let Some(v) = o.get("dop") {
         let d = v
@@ -355,11 +371,6 @@ fn decode_options(options: Option<&Json>) -> Result<(usize, ExecOptions, bool), 
             v.as_i64()
                 .filter(|b| *b >= 1)
                 .ok_or_else(|| bad("\"batch\" must be a positive integer"))? as usize;
-    }
-    if let Some(v) = o.get("combine") {
-        exec.combine = v
-            .as_bool()
-            .ok_or_else(|| bad("\"combine\" must be a boolean"))?;
     }
     if let Some(v) = o.get("mem_budget") {
         exec.mem_budget = Some(
@@ -487,13 +498,12 @@ mod tests {
                 ]
               },
               "inputs": {"s": [[1, 10], [1, -3], [2, 7]]},
-              "options": {"dop": 2, "batch": 128, "combine": true, "mem_budget": 1048576}
+              "options": {"dop": 2, "batch": 128, "mem_budget": 1048576}
             }"#,
         );
         let q = decode_query(&doc).unwrap();
         assert_eq!(q.dop, 2);
         assert_eq!(q.exec.batch_size, 128);
-        assert!(q.exec.combine);
         assert!(!q.trace, "trace defaults to off");
         assert_eq!(q.exec.mem_budget, Some(1 << 20));
         assert_eq!(q.inputs["s"].len(), 3);
@@ -539,6 +549,21 @@ mod tests {
         );
         let err = decode_query(&doc).unwrap_err();
         assert!(err.0.contains("trace"), "{err:?}");
+    }
+
+    #[test]
+    fn unknown_options_are_refused_by_name() {
+        for key in ["combine", "bacth"] {
+            let body = format!(
+                r#"{{"flow": {{"source": {{"name": "s", "fields": ["a"], "est_rows": 1}}}},
+                    "options": {{"dop": 2, "{key}": true}}}}"#
+            );
+            let err = decode_query(&parse(&body)).unwrap_err();
+            assert!(
+                err.0.contains(&format!("unknown option \"{key}\"")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -456,14 +456,6 @@ fn stats_json(stats: &ExecStats, op_names: &[String]) -> Json {
             Json::Int(t.bytes_shipped as i64),
         ),
         (
-            "records_preagg_in".to_string(),
-            Json::Int(t.records_preagg_in as i64),
-        ),
-        (
-            "records_preagg_out".to_string(),
-            Json::Int(t.records_preagg_out as i64),
-        ),
-        (
             "records_spilled".to_string(),
             Json::Int(t.records_spilled as i64),
         ),

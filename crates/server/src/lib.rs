@@ -10,7 +10,7 @@
 //!   of [`strato_dataflow::spec`] — optimizes it with the full
 //!   enumerate-and-cost optimizer, executes it on the worker pool
 //!   honoring the request's execution options (`dop`, `batch`,
-//!   `combine`, `mem_budget`), and streams result rows back as a chunked
+//!   `mem_budget`, `trace`), and streams result rows back as a chunked
 //!   JSON response that closes with the run's execution statistics.
 //! * **`GET /metrics`** exposes cumulative server and execution counters
 //!   in Prometheus text format, down to per-operator series.
@@ -58,7 +58,7 @@
 //!         "inputs": [{"source": {"name": "s", "fields": ["k", "v"], "est_rows": 3}}]
 //!       },
 //!       "inputs": {"s": [[1, 10], [1, 5], [2, 7]]},
-//!       "options": {"dop": 2, "combine": true}
+//!       "options": {"dop": 2}
 //!     }"#,
 //! )
 //! .unwrap();

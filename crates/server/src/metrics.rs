@@ -52,8 +52,6 @@ pub struct Metrics {
     records_emitted: AtomicU64,
     records_shipped: AtomicU64,
     bytes_shipped: AtomicU64,
-    records_preagg_in: AtomicU64,
-    records_preagg_out: AtomicU64,
     records_spilled: AtomicU64,
     spilled_bytes: AtomicU64,
     spill_runs: AtomicU64,
@@ -104,10 +102,6 @@ impl Metrics {
             .fetch_add(t.records_shipped, Ordering::Relaxed);
         self.bytes_shipped
             .fetch_add(t.bytes_shipped, Ordering::Relaxed);
-        self.records_preagg_in
-            .fetch_add(t.records_preagg_in, Ordering::Relaxed);
-        self.records_preagg_out
-            .fetch_add(t.records_preagg_out, Ordering::Relaxed);
         self.records_spilled
             .fetch_add(t.records_spilled, Ordering::Relaxed);
         self.spilled_bytes
@@ -255,7 +249,7 @@ impl Metrics {
             rt.tasks_executed
         ));
 
-        let counters: [(&str, &str, u64); 16] = [
+        let counters: [(&str, &str, u64); 14] = [
             (
                 "strato_queries_completed_total",
                 "Queries that completed successfully.",
@@ -290,16 +284,6 @@ impl Metrics {
                 "strato_exec_bytes_shipped_total",
                 "Serialized bytes moved by Partition/Broadcast shipping.",
                 self.bytes_shipped.load(Ordering::Relaxed),
-            ),
-            (
-                "strato_exec_records_preagg_in_total",
-                "Records absorbed by streaming pre-aggregation tables.",
-                self.records_preagg_in.load(Ordering::Relaxed),
-            ),
-            (
-                "strato_exec_records_preagg_out_total",
-                "Partial records produced by streaming pre-aggregation.",
-                self.records_preagg_out.load(Ordering::Relaxed),
             ),
             (
                 "strato_exec_records_spilled_total",

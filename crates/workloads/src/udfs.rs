@@ -58,12 +58,9 @@ pub fn sum_group(width: usize, field: usize) -> Function {
     b.finish().expect("sum_group")
 }
 
-/// Reduce UDF: fold `Σ field` **in place** — the canonical *combinable*
-/// (decomposable) aggregate. Unlike [`sum_group`], the total overwrites
-/// the very field it was read from, so re-reducing partial results yields
-/// the same answer; SCA's combine analysis proves this shape and the
-/// engine may then pre-aggregate before the shuffle and stream the final
-/// aggregation.
+/// Reduce UDF: fold `Σ field` **in place**. Unlike [`sum_group`], the
+/// total overwrites the very field it was read from in a copy of the
+/// group's first record, so the output keeps the input's width.
 pub fn sum_group_inplace(width: usize, field: usize) -> Function {
     let mut b = FuncBuilder::new(format!("sum_ip_{field}"), UdfKind::Group, vec![width]);
     let sum = b.konst(0i64);
@@ -87,10 +84,8 @@ pub fn sum_group_inplace(width: usize, field: usize) -> Function {
     b.finish().expect("sum_group_inplace")
 }
 
-/// Reduce UDF: fold `min(field)` in place — combinable like
-/// [`sum_group_inplace`], with an arbitrary constant init (sound for
-/// idempotent folds and, because combiner partials are init-free pure
-/// folds, for any constant).
+/// Reduce UDF: fold `min(field)` in place, like [`sum_group_inplace`],
+/// starting from `i64::MAX`.
 pub fn min_group_inplace(width: usize, field: usize) -> Function {
     let mut b = FuncBuilder::new(format!("min_ip_{field}"), UdfKind::Group, vec![width]);
     let lo = b.konst(i64::MAX);
@@ -238,18 +233,6 @@ mod tests {
         let p = analyze(&f);
         assert!(p.copies_input(0));
         assert!(p.written_base.is_empty());
-    }
-
-    #[test]
-    fn inplace_aggregates_are_combinable_and_appended_sum_is_not() {
-        use strato_ir::BinOp;
-        let cs = strato_sca::combinable(&sum_group_inplace(2, 1)).expect("sum combinable");
-        assert_eq!(cs.folds.get(&1), Some(&BinOp::Add));
-        assert!(cs.passthrough.contains(&0));
-        let cs = strato_sca::combinable(&min_group_inplace(2, 1)).expect("min combinable");
-        assert_eq!(cs.folds.get(&1), Some(&BinOp::Min));
-        // The classic appended sum is NOT self-decomposable.
-        assert!(strato_sca::combinable(&sum_group(2, 1)).is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn main() {
     println!("serving on http://{}", handle.addr());
 
     // 2. Submit a dataflow: filter non-negative amounts, then a per-key
-    //    in-place sum (decomposable, so the combiner path is eligible).
+    //    in-place sum.
     //    Inputs ride along inline; options map onto ExecOptions.
     let body = r#"{
       "flow": {
@@ -38,7 +38,7 @@ fn main() {
         ]
       },
       "inputs": {"purchases": [[1, 30], [2, 5], [1, 12], [3, -99], [2, 8], [3, 41]]},
-      "options": {"dop": 2, "batch": 256, "combine": true}
+      "options": {"dop": 2, "batch": 256}
     }"#;
     let response = client::post_json(handle.addr(), "/v1/query", body).expect("query");
     assert_eq!(response.status, 200, "{}", response.text());
@@ -50,10 +50,9 @@ fn main() {
     }
     let stats = doc.get("stats").unwrap();
     println!(
-        "\nstats: udf_calls={} shipped={} preagg_in={}",
+        "\nstats: udf_calls={} shipped={}",
         stats.get("udf_calls").unwrap(),
-        stats.get("records_shipped").unwrap(),
-        stats.get("records_preagg_in").unwrap()
+        stats.get("records_shipped").unwrap()
     );
 
     // 3. Scrape the Prometheus endpoint.

@@ -631,146 +631,6 @@ fn streaming_runtime_invariant_under_workers_and_channel_capacity() {
 }
 
 #[test]
-fn combiner_axis_is_byte_identical_and_strictly_cuts_shipping() {
-    // New sweep axis: the pre-ship combiner must be a pure transport
-    // optimization. On a
-    // duplicate-heavy key distribution, every configuration of
-    // dop × batch × workers × capacity × combiner must produce the
-    // byte-identical result bag, the shipped-record/byte totals must be
-    // invariant within one (dop, combiner) point, and switching the
-    // combiner ON must strictly drop both shipped records and bytes.
-    let mut p = ProgramBuilder::new();
-    let s = p.source(SourceDef::new("s", &["k", "v"], 400));
-    let g = p.reduce(
-        "agg",
-        &[0],
-        strato::workloads::udfs::sum_group_inplace(2, 1),
-        CostHints::default().with_distinct_keys(8),
-        s,
-    );
-    let plan = p.finish(g).unwrap().bind().unwrap();
-    assert!(plan.combinable_reduce(&plan.root), "precondition");
-
-    let mut rng = StdRng::seed_from_u64(43);
-    let ds: DataSet = (0..400)
-        .map(|i| Record::from_values([Value::Int(i % 8), Value::Int(rng.gen_range(-100..=100i64))]))
-        .collect();
-    let mut inputs = Inputs::new();
-    inputs.insert("s".into(), ds);
-
-    // Oracle: logical execution — buffered grouping, never combined.
-    let (reference, _) = execute_logical(&plan, &inputs).unwrap();
-    let reference = reference.sorted();
-
-    let props = PropTable::build(&plan, PropertyMode::Sca);
-    for dop in [1usize, 2, 4] {
-        let phys = strato::core::physical::best_physical(
-            &plan,
-            &props,
-            &strato::core::cost::CostWeights::default(),
-            dop,
-        );
-        assert!(phys.root.combine, "optimizer must pick the combiner");
-        let runtimes = [1usize, 2].map(|w| (w, runtime(w)));
-        let mut shipped_at: [Option<(u64, u64)>; 2] = [None, None];
-        // 32 bytes sits below two buffered 2-int records or partials (~22
-        // bytes each), so every Reduce partition that receives at least
-        // two must shed — at any dop, batch size or worker interleaving.
-        // (Pressure is checked per pushed batch: a budget that a single
-        // partition's buffer fits under is legitimately spill-free when
-        // tasks run sequentially.)
-        for mem_budget in [None, Some(32u64)] {
-            for combine in [false, true] {
-                for batch_size in [1usize, 1024] {
-                    for (workers, rt) in &runtimes {
-                        for capacity in [1usize, 8] {
-                            let opts = ExecOptions {
-                                batch_size,
-                                channel_capacity: capacity,
-                                combine,
-                                mem_budget,
-                                ..ExecOptions::default()
-                            };
-                            let (out, stats) =
-                                rt.execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
-                            let tag = format!(
-                                "dop={dop} combine={combine} batch={batch_size} \
-                                 workers={workers} capacity={capacity} budget={mem_budget:?}"
-                            );
-                            assert_eq!(out.sorted(), reference, "byte-identical at {tag}");
-                            let t = stats.totals();
-                            let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
-                            let spill_runs = t.spill_runs;
-                            let (pre_in, pre_out) = (t.records_preagg_in, t.records_preagg_out);
-                            match mem_budget {
-                                None => {
-                                    // Unbounded: shipping is deterministic per
-                                    // (dop, combine) point, and nothing spills.
-                                    assert_eq!(spill_runs, 0, "{tag}");
-                                    match shipped_at[combine as usize] {
-                                        None => {
-                                            shipped_at[combine as usize] = Some((shipped, bytes))
-                                        }
-                                        Some(prev) => assert_eq!(
-                                            prev,
-                                            (shipped, bytes),
-                                            "ship accounting invariant at {tag}"
-                                        ),
-                                    }
-                                    // The combiner must actually have fired: it
-                                    // alone absorbs all 400 records (the final
-                                    // reduce may legitimately run any local
-                                    // strategy on the partials).
-                                    if combine {
-                                        assert!(pre_in >= 400 && pre_out < pre_in, "{tag}");
-                                    }
-                                }
-                                Some(_) => {
-                                    // Starved: the final Reduce sheds its
-                                    // buffered input to disk…
-                                    assert!(spill_runs > 0, "tiny budget must spill at {tag}");
-                                    if combine {
-                                        // …while the combiner flushes partials
-                                        // downstream instead: shipped volume may
-                                        // only grow versus the unbounded
-                                        // combined run (never past the
-                                        // uncombined volume of the same point,
-                                        // since each flush still folds).
-                                        let on = shipped_at[1].expect("unbounded ran first");
-                                        let off = shipped_at[0].expect("unbounded ran first");
-                                        assert!(
-                                            shipped >= on.0 && shipped <= off.0,
-                                            "flushed shipping {shipped} outside [{}, {}] at {tag}",
-                                            on.0,
-                                            off.0
-                                        );
-                                        assert!(pre_in >= 400, "{tag}");
-                                    } else {
-                                        // No combiner: spilling is operator-
-                                        // internal and shipping must not move.
-                                        let off = shipped_at[0].expect("unbounded ran first");
-                                        assert_eq!(
-                                            (shipped, bytes),
-                                            off,
-                                            "spill must not change shipping at {tag}"
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let (on, off) = (shipped_at[1].unwrap(), shipped_at[0].unwrap());
-        assert!(
-            on.0 < off.0 && on.1 < off.1,
-            "dop={dop}: combined shipping {on:?} must be strictly below {off:?}"
-        );
-    }
-}
-
-#[test]
 fn partition_ship_stats_are_exact_on_a_known_plan() {
     // source → reduce on a fresh key: the reduce input must hash-repartition
     // every record exactly once, at any dop and batch size. Bytes follow the
@@ -1007,90 +867,6 @@ fn every_blocking_operator_spills_under_a_tiny_budget_without_changing_results()
 }
 
 #[test]
-fn combiner_flush_keeps_shipped_volume_accounting_balanced() {
-    // ROADMAP "combiner-aware spill budget": a skewed key domain under a
-    // tiny budget makes the combiner flush partials downstream repeatedly.
-    // Every record the Partition ship charges must be a combiner-emitted
-    // partial — force the final Reduce onto buffered HashGroup so the
-    // combiner is the *only* pre-aggregation instance, then check
-    // `records_shipped == records_preagg_out` exactly, at every dop, while
-    // results stay byte-identical.
-    let mut p = ProgramBuilder::new();
-    let s = p.source(SourceDef::new("s", &["k", "v"], 300));
-    let g = p.reduce(
-        "agg",
-        &[0],
-        strato::workloads::udfs::sum_group_inplace(2, 1),
-        CostHints::default().with_distinct_keys(4),
-        s,
-    );
-    let plan = p.finish(g).unwrap().bind().unwrap();
-    // Zipf-ish skew: one hot key, a few cold ones.
-    let mut rng = StdRng::seed_from_u64(53);
-    let ds: DataSet = (0..300)
-        .map(|i| {
-            let k = if i % 10 < 7 { 0 } else { i % 4 };
-            Record::from_values([Value::Int(k), Value::Int(rng.gen_range(-9..=9i64))])
-        })
-        .collect();
-    let mut inputs = Inputs::new();
-    inputs.insert("s".into(), ds);
-    let (reference, _) = execute_logical(&plan, &inputs).unwrap();
-    let reference = reference.sorted();
-
-    let props = PropTable::build(&plan, PropertyMode::Sca);
-    for dop in [1usize, 2, 4] {
-        let mut phys = strato::core::physical::best_physical(
-            &plan,
-            &props,
-            &strato::core::cost::CostWeights::default(),
-            dop,
-        );
-        assert!(phys.root.combine, "optimizer must pick the combiner");
-        assert!(
-            matches!(phys.root.ships[0], strato::core::Ship::Partition(_)),
-            "combiner feeds a Partition ship"
-        );
-        phys.root.local = strato::core::LocalStrategy::HashGroup;
-        for mem_budget in [None, Some(64u64)] {
-            // Small batches make pressure checks frequent: the combiner
-            // re-fills its table between pushes, so a starved run must
-            // flush repeatedly rather than once at the end.
-            let opts = ExecOptions {
-                batch_size: 16,
-                mem_budget,
-                ..ExecOptions::default()
-            };
-            let (out, stats) = execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
-            let tag = format!("dop={dop} budget={mem_budget:?}");
-            assert_eq!(out.sorted(), reference, "byte-identical at {tag}");
-            let t = stats.totals();
-            let (shipped, pre_in, pre_out) =
-                (t.records_shipped, t.records_preagg_in, t.records_preagg_out);
-            assert_eq!(pre_in, 300, "combiner absorbs every record at {tag}");
-            assert_eq!(
-                shipped, pre_out,
-                "every shipped record is a combiner partial at {tag}"
-            );
-            if mem_budget.is_some() {
-                assert!(
-                    pre_out > 4,
-                    "pressure must flush more than one partial per key at {tag}"
-                );
-                // The buffered final Reduce spills the flushed partials.
-                assert!(stats.totals().spill_runs > 0, "{tag}");
-            } else {
-                assert!(
-                    pre_out <= 4 * dop as u64,
-                    "≤ one partial per key per partition at {tag}"
-                );
-                assert_eq!(stats.totals().spill_runs, 0, "{tag}");
-            }
-        }
-    }
-}
-
-#[test]
 fn map_is_never_exchanged_with_cogroup() {
     // CoGroup groups can be one-sided; a Map pushed below one input would
     // skip other-side-only groups that it does process when sitting above.
@@ -1141,4 +917,43 @@ fn map_is_never_exchanged_with_cogroup() {
         1,
         "Map ↔ CoGroup exchange must be conservatively rejected"
     );
+}
+
+#[test]
+fn optimized_in_place_float_sum_equals_the_logical_oracle() {
+    // Float addition is not associative, so a Reduce that folds a group in
+    // any other order than the oracle's (e.g. as per-partition partials)
+    // rounds differently. The optimizer's plan for an in-place float Σv,
+    // run with default options, must equal logical execution exactly.
+    use strato::dataflow::spec::{FlowSpec, FoldOp, NodeSpec, OpSpec, ReduceUdf, SourceSpec};
+    let plan = FlowSpec::new(NodeSpec::op(
+        OpSpec::reduce("sum", &[0], ReduceUdf::fold_inplace(FoldOp::Sum, 1)),
+        vec![NodeSpec::source(SourceSpec::new("s", &["k", "v"], 4_000))],
+    ))
+    .build()
+    .unwrap();
+    let ds: DataSet = (0..4_000i64)
+        .map(|i| {
+            let v = (i as f64).powi(2) * 1.1e7 + 0.3;
+            Record::from_values([Value::Int(i % 7), Value::Float(v)])
+        })
+        .collect();
+    let mut inputs = Inputs::new();
+    inputs.insert("s".into(), ds);
+    let (reference, _) = execute_logical(&plan, &inputs).unwrap();
+    let reference = reference.sorted();
+    assert_eq!(reference.len(), 7);
+    for dop in [2usize, 4] {
+        let best = Optimizer::new(PropertyMode::Sca).with_dop(dop).best(&plan);
+        let (out, _) = execute_with(
+            &best.plan,
+            &best.phys,
+            &inputs,
+            dop,
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let phys = best.phys.render(&best.plan);
+        assert_eq!(out.sorted(), reference, "dop={dop}:\n{phys}");
+    }
 }

@@ -68,10 +68,9 @@ proptest! {
         dop in 1usize..5,
         budget in prop::option::of(8u64..200),
     ) {
-        // A combinable grouped aggregate: under an arbitrary (often
-        // absurdly tiny) budget the Reduce spill machinery and
-        // the combiner's flush-on-pressure path must be invisible in the
-        // output.
+        // An in-place grouped aggregate: under an arbitrary (often
+        // absurdly tiny) budget the Reduce spill machinery must be
+        // invisible in the output.
         let mut p = ProgramBuilder::new();
         let s = p.source(SourceDef::new("s", &["k", "v"], 64));
         let g = p.reduce(

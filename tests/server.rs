@@ -63,8 +63,7 @@ fn served_query_matches_direct_execution_byte_for_byte() {
 
     // The same grouped aggregation, described twice: as the wire JSON and
     // as the in-process FlowSpec. The inline inputs preserve the original
-    // row order — batch boundaries (and so e.g. combiner ship counts)
-    // depend on it.
+    // row order — batch boundaries depend on it.
     let inline_rows = Json::Arr(
         data.iter()
             .map(|r| Json::Arr(r.fields().iter().map(value_to_json).collect()))
@@ -83,7 +82,7 @@ fn served_query_matches_direct_execution_byte_for_byte() {
             ]
           }},
           "inputs": {{"s": {inline_rows}}},
-          "options": {{"dop": 2, "batch": 64, "combine": true}}
+          "options": {{"dop": 2, "batch": 64}}
         }}"#
     );
 
@@ -100,7 +99,6 @@ fn served_query_matches_direct_execution_byte_for_byte() {
     inputs.insert("s".to_string(), data);
     let opts = ExecOptions {
         batch_size: 64,
-        combine: true,
         ..ExecOptions::default()
     };
     let (direct_out, direct_stats) =
@@ -335,10 +333,9 @@ fn protocol_errors_map_to_4xx() {
 }
 
 #[test]
-fn unknown_option_keys_are_ignored() {
-    // `"workers"` used to be a request option; the pool size is the
-    // server's. A body that still carries it — even a value the old range
-    // check refused — is answered exactly like one without.
+fn unknown_option_keys_are_refused_by_name() {
+    // A retired option (`workers`, `combine`) or a misspelt live one is
+    // refused with a 422 naming the key, not silently run without.
     let handle = boot(2, 2);
     let query = |options: &str| {
         let body = format!(
@@ -349,15 +346,30 @@ fn unknown_option_keys_are_ignored() {
                 "inputs": {{"s": [[1, 10], [2, 5], [1, -3], [2, 7]]}},
                 "options": {options}}}"#
         );
-        let r = client::post_json(handle.addr(), "/v1/query", &body).expect("query");
-        assert_eq!(r.status, 200, "{options}: {}", r.text());
-        let doc = Json::parse(&r.text()).expect("response is JSON");
-        doc.get("rows").expect("rows member").to_string()
+        client::post_json(handle.addr(), "/v1/query", &body).expect("query")
     };
     let plain = query(r#"{"dop": 2}"#);
-    assert_eq!(plain, "[[1,7],[2,12]]");
-    assert_eq!(query(r#"{"dop": 2, "workers": 3}"#), plain);
-    assert_eq!(query(r#"{"dop": 2, "workers": 0}"#), plain);
+    assert_eq!(plain.status, 200, "{}", plain.text());
+    let doc = Json::parse(&plain.text()).expect("response is JSON");
+    assert_eq!(doc.get("rows").unwrap().to_string(), "[[1,7],[2,12]]");
+    for (options, key) in [
+        (r#"{"dop": 2, "workers": 3}"#, "workers"),
+        (r#"{"dop": 2, "combine": true}"#, "combine"),
+        (r#"{"dop": 2, "mem_bugdet": 0}"#, "mem_bugdet"),
+    ] {
+        let r = query(options);
+        assert_eq!(r.status, 422, "{options}: {}", r.text());
+        assert!(
+            r.text().contains(&format!(r#"unknown option \"{key}\""#)),
+            "{options}: {}",
+            r.text()
+        );
+    }
+    let scrape = client::get(handle.addr(), "/metrics")
+        .expect("scrape")
+        .text();
+    assert_eq!(metric(&scrape, "strato_queries_errored_total"), Some(3));
+    assert_eq!(metric(&scrape, "strato_queries_completed_total"), Some(1));
     handle.shutdown();
 }
 

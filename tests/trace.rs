@@ -23,8 +23,8 @@ use strato::workloads::udfs;
 fn grouped_sum(rows: i64) -> (Plan, PhysPlan, Inputs) {
     let mut p = ProgramBuilder::new();
     let s = p.source(SourceDef::new("s", &["k", "v"], rows as u64));
-    // The non-in-place sum is not combinable: the grouping operator must
-    // buffer whole groups, which is what makes the tiny budget spill.
+    // The grouping operator buffers whole groups, which is what makes the
+    // tiny budget spill.
     let g = p.reduce(
         "agg",
         &[0],
@@ -75,12 +75,10 @@ fn cogrouped(rows: i64) -> (Plan, PhysPlan, Inputs) {
 }
 
 /// Options that force the grouping operator out of core: a budget far
-/// below the working set, combining off so every input record reaches
-/// the blocking operator.
+/// below the working set.
 fn spilling_opts() -> ExecOptions {
     ExecOptions {
         batch_size: 32,
-        combine: false,
         mem_budget: Some(8 * 1024),
         ..ExecOptions::default()
     }
