@@ -84,9 +84,11 @@ pub use trace::{explain_analyze, HistoSnapshot, LatencyHisto, Span, TraceRecorde
 pub(crate) mod testutil {
     use crate::operators::OpCtx;
     use crate::{ExecStats, MemoryGovernor};
+    use std::hash::Hasher;
     use std::sync::Arc;
     use strato_dataflow::Plan;
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
+    use strato_record::hash::FxHasher;
     use strato_record::{AttrId, DataSet, Record};
 
     /// The context of `plan`'s last operator (the root of a single-chain
@@ -115,6 +117,22 @@ pub(crate) mod testutil {
                 out
             })
             .collect()
+    }
+
+    /// Engineers a second key pair `(b, y)` whose 64-bit key hash equals
+    /// that of `(a, x)`. Each FxHash step is
+    /// `state' = (rotl5(state) ^ word) * SEED` with an odd (invertible)
+    /// SEED, so for fixed prefixes the final word is uniquely solvable:
+    /// `y = x ^ rotl5(state_a) ^ rotl5(state_b)`.
+    pub(crate) fn colliding_second_field(a: i64, x: i64, b: i64) -> i64 {
+        let prefix = |k: i64| {
+            let mut h = FxHasher::default();
+            h.write_u8(2); // Value::Int type rank of the first key field
+            h.write_i64(k);
+            h.write_u8(2); // type rank of the second key field
+            h.finish()
+        };
+        (x as u64 ^ prefix(a).rotate_left(5) ^ prefix(b).rotate_left(5)) as i64
     }
 
     /// In-place `Σ field` reduce UDF (the fold is written back to the

@@ -20,10 +20,11 @@
 //! Batches are shared as `Arc<RecordBatch>`: a broadcast ship hands the
 //! same allocation to every partition. Blocking operators hold the
 //! batches they are pushed, in whatever layout they arrived, and hand
-//! UDFs row views of them ([`strato_record::RowRef`]). Batches become
-//! owned records (`take_records`) only where a buffer spills or drains:
-//! moved when it holds the last reference, cloned only when the batch is
-//! genuinely shared.
+//! UDFs row views of them ([`strato_record::RowRef`]). A buffer's spill
+//! writes its runs straight from those views; its sort-based drain
+//! materializes only the rows it keeps, already in canonical order. No
+//! operator turns a whole held batch into records (`take_records` serves
+//! the row-major Partition scatter and the result collection).
 //!
 //! ## Key handling
 //!
@@ -48,7 +49,8 @@ use std::sync::Arc;
 use strato_core::LocalStrategy;
 use strato_dataflow::{BoundOp, Pact, PlanCtx};
 use strato_ir::interp::{Frame, Interp, Invocation};
-use strato_record::{AttrId, Record, RecordBatch};
+use strato_record::hash::FxHashMap;
+use strato_record::{AttrId, Record, RecordBatch, RowRef};
 
 /// A physical operator: consumes batches on numbered input ports, emits
 /// batches. See the module docs for the push / finish contract.
@@ -218,13 +220,6 @@ pub(crate) fn key_cmp2(a: &Record, ka: &[AttrId], b: &Record, kb: &[AttrId]) -> 
     Ordering::Equal
 }
 
-/// `true` iff any key field of the record is null (SQL flavour: such
-/// records match nothing in joins).
-#[inline]
-pub(crate) fn key_has_null(r: &Record, key: &[AttrId]) -> bool {
-    key.iter().any(|k| r.field(k.index()).is_null())
-}
-
 /// Canonical ordering inside key groups: `(key, whole record)`. Sorting
 /// with this comparator makes group contents a function of the input bag,
 /// independent of partitioning and arrival order — the determinism
@@ -232,6 +227,95 @@ pub(crate) fn key_has_null(r: &Record, key: &[AttrId]) -> bool {
 #[inline]
 pub(crate) fn canonical_cmp(a: &Record, b: &Record, key: &[AttrId]) -> Ordering {
     key_cmp(a, b, key).then_with(|| a.cmp(b))
+}
+
+/// Calls `each(hash, row)` for every row of `batches`, hashing each
+/// batch's key in one pass (`key_hash_into`).
+pub(crate) fn for_each_hashed<'a>(
+    batches: impl IntoIterator<Item = &'a RecordBatch>,
+    key: &[usize],
+    mut each: impl FnMut(u64, RowRef<'a>),
+) {
+    let mut hashes = Vec::new();
+    for b in batches {
+        b.key_hash_into(key, &mut hashes);
+        for (row, &h) in hashes.iter().enumerate() {
+            each(h, b.row(row));
+        }
+    }
+}
+
+/// No next entry on a [`key_minima`] collision chain.
+const CHAIN_END: usize = usize::MAX;
+
+/// The buffers of a [`key_minima`] scan. A caller that scans repeatedly —
+/// a first-per-key `RunBuffer` selects on every spill — keeps one and
+/// reuses it: buffers allocated afresh per scan, and freed again, had the
+/// allocator hand the freed memory back to the OS and fault it back in on
+/// the next spill.
+#[derive(Debug, Default)]
+pub(crate) struct MinimaScratch {
+    /// Key hash → the first entry with that hash.
+    heads: FxHashMap<u64, usize>,
+    /// The next entry sharing an entry's hash (`CHAIN_END` when none).
+    next: Vec<usize>,
+    /// One batch's key hashes.
+    hashes: Vec<u64>,
+}
+
+/// Sets `minima` to the canonical minimum row of every key of `batches` —
+/// the first row of the key's canonically sorted group — as its
+/// `(batch, row)` position, found in one scan, in order of first
+/// appearance. Keys sharing a 64-bit hash are chained, so a collision is
+/// resolved by an exact key comparison, never merged.
+///
+/// Reduce's hash finish and a first-per-key `RunBuffer`'s spill and drain
+/// both select rows with this scan.
+pub(crate) fn key_minima(
+    batches: &[&RecordBatch],
+    key: &[usize],
+    scratch: &mut MinimaScratch,
+    minima: &mut Vec<(usize, usize)>,
+) {
+    let MinimaScratch {
+        heads,
+        next,
+        hashes,
+    } = scratch;
+    heads.clear();
+    next.clear();
+    minima.clear();
+    for (b, batch) in batches.iter().enumerate() {
+        batch.key_hash_into(key, hashes);
+        for (r, &h) in hashes.iter().enumerate() {
+            let fresh = minima.len();
+            let mut i = *heads.entry(h).or_insert(fresh);
+            if i == fresh {
+                minima.push((b, r));
+                next.push(CHAIN_END);
+                continue;
+            }
+            let row = batch.row(r);
+            loop {
+                let (mb, mr) = minima[i];
+                let min = batches[mb].row(mr);
+                if min.key_cmp(&row, key).is_eq() {
+                    // Equal keys: the whole-row order decides.
+                    if row < min {
+                        minima[i] = (b, r);
+                    }
+                    break;
+                }
+                if next[i] == CHAIN_END {
+                    next[i] = fresh;
+                    minima.push((b, r));
+                    next.push(CHAIN_END);
+                    break;
+                }
+                i = next[i];
+            }
+        }
+    }
 }
 
 /// Takes ownership of a batch's records: moves when this is the last
@@ -401,7 +485,7 @@ mod tests {
         let key = [AttrId(0)];
         let a = Record::from_values([Value::Null, Value::Int(1)]);
         let b = Record::from_values([Value::Null, Value::Int(2)]);
-        assert!(key_has_null(&a, &key));
+        assert!(RowRef::from(&a).key_has_null(&[0]));
         assert_eq!(key_cmp(&a, &b, &key), Ordering::Equal);
         let h = hashes(&[a, b], &[0]);
         assert_eq!(h[0], h[1]);

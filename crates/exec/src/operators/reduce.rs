@@ -5,19 +5,20 @@
 //! key in one pass (`key_hash_into`), buckets and canonically sorts *row
 //! views* of either layout, and hands each group to the interpreter as
 //! views — a record materializes only where the UDF copies one (one per
-//! group for a first-of-group UDF). Batches become records only when the
-//! buffer spills; a Reduce that spilled finishes by the sort-based walk.
+//! group for a first-of-group UDF). A spill writes its run from row views
+//! too; a Reduce that spilled finishes by the sort-based walk.
 //!
 //! When SCA proves the UDF **first-record-only**
 //! (`LocalProps::first_record_only`: it reads nothing past its group's
 //! first record and never the group's size), the hash finish sorts
-//! nothing: the same hashing pass keeps each key's canonical minimum row,
-//! and the UDF is called with that one-row group — which it cannot tell
-//! apart from the sorted group. The buffer's spilled runs likewise hold
-//! one row per key, so the sort-based finish merges only those, and the
-//! first record of every merged group is still the global minimum.
+//! nothing: the same hashing pass (`key_minima`) keeps each key's
+//! canonical minimum row, and the UDF is called with that one-row group —
+//! which it cannot tell apart from the sorted group. The buffer's spills
+//! and its in-memory tail select rows with the same scan, one row per key,
+//! so the sort-based finish merges only those, and the first record of
+//! every merged group is still the global minimum.
 
-use super::{OpCtx, Operator};
+use super::{for_each_hashed, key_minima, MinimaScratch, OpCtx, Operator};
 use crate::engine::ExecError;
 use crate::spill::RunBuffer;
 use std::sync::Arc;
@@ -66,20 +67,22 @@ impl ReduceOp {
         out: &mut Vec<Record>,
     ) -> Result<u64, ExecError> {
         let key = &self.key;
-        let (minima, mut buckets);
+        let (minima, mut buckets): (Vec<RowRef<'_>>, _);
         let mut groups: Vec<&[RowRef<'_>]> = if self.ctx.op().sca_props.first_record_only {
-            minima = key_minima(batches, key);
-            minima
-                .iter()
-                .map(|(r, _)| std::slice::from_ref(r))
-                .collect()
+            let held: Vec<&RecordBatch> = batches.iter().map(|b| &**b).collect();
+            let mut at = Vec::new();
+            key_minima(&held, key, &mut MinimaScratch::default(), &mut at);
+            minima = at.iter().map(|&(b, r)| held[b].row(r)).collect();
+            minima.iter().map(std::slice::from_ref).collect()
         } else {
             // Bucket every row's view by key hash and sort each bucket
             // canonically: rows of one key end up contiguous (hash
             // collisions merely share a bucket and are split into separate
             // key groups below).
             let mut table: FxHashMap<u64, Vec<RowRef<'_>>> = FxHashMap::default();
-            for_each_hashed(batches, key, |h, row| table.entry(h).or_default().push(row));
+            for_each_hashed(batches.iter().map(|b| &**b), key, |h, row| {
+                table.entry(h).or_default().push(row)
+            });
             buckets = table.into_values().collect::<Vec<_>>();
             for b in &mut buckets {
                 sort_canonical(b, key);
@@ -140,60 +143,6 @@ impl ReduceOp {
     }
 }
 
-/// Calls `each(hash, row)` for every row of `batches`, hashing each
-/// batch's key in one pass (`key_hash_into`).
-fn for_each_hashed<'a>(
-    batches: &'a [Arc<RecordBatch>],
-    key: &[usize],
-    mut each: impl FnMut(u64, RowRef<'a>),
-) {
-    let mut hashes = Vec::new();
-    for b in batches {
-        b.key_hash_into(key, &mut hashes);
-        for (row, &h) in hashes.iter().enumerate() {
-            each(h, b.row(row));
-        }
-    }
-}
-
-/// No next entry on a [`key_minima`] collision chain.
-const CHAIN_END: usize = usize::MAX;
-
-/// The canonical minimum row of every key of `batches` — the first row of
-/// the key's canonically sorted group — found in one scan. Each entry
-/// links to the next key sharing its 64-bit hash (`CHAIN_END` when none),
-/// so a collision is resolved by an exact key comparison, never merged.
-fn key_minima<'a>(batches: &'a [Arc<RecordBatch>], key: &[usize]) -> Vec<(RowRef<'a>, usize)> {
-    // Key hash → the first entry with that hash.
-    let mut heads: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut minima: Vec<(RowRef<'a>, usize)> = Vec::new();
-    for_each_hashed(batches, key, |h, row| {
-        let fresh = minima.len();
-        let mut i = *heads.entry(h).or_insert(fresh);
-        if i == fresh {
-            minima.push((row, CHAIN_END));
-            return;
-        }
-        loop {
-            let (min, next) = &mut minima[i];
-            if min.key_cmp(&row, key).is_eq() {
-                // Equal keys: the whole-row order decides.
-                if row < *min {
-                    *min = row;
-                }
-                return;
-            }
-            if *next == CHAIN_END {
-                *next = fresh;
-                minima.push((row, CHAIN_END));
-                return;
-            }
-            i = *next;
-        }
-    });
-    minima
-}
-
 impl Operator for ReduceOp {
     fn push(
         &mut self,
@@ -222,29 +171,11 @@ mod tests {
     use crate::operators::{apply_chunked, key_cmp, BatchLayout};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
-    use crate::testutil::ctx;
-    use std::hash::Hasher;
+    use crate::testutil::{colliding_second_field, ctx};
     use strato_core::LocalStrategy;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
-    use strato_record::hash::FxHasher;
     use strato_record::{DataSet, Value};
-
-    /// Engineers a second key pair `(b, y)` whose 64-bit key hash equals
-    /// that of `(a, x)`. Each FxHash step is
-    /// `state' = (rotl5(state) ^ word) * SEED` with an odd (invertible)
-    /// SEED, so for fixed prefixes the final word is uniquely solvable:
-    /// `y = x ^ rotl5(state_a) ^ rotl5(state_b)`.
-    fn colliding_second_field(a: i64, x: i64, b: i64) -> i64 {
-        let prefix = |k: i64| {
-            let mut h = FxHasher::default();
-            h.write_u8(2); // Value::Int type rank of the first key field
-            h.write_i64(k);
-            h.write_u8(2); // type rank of the second key field
-            h.finish()
-        };
-        (x as u64 ^ prefix(a).rotate_left(5) ^ prefix(b).rotate_left(5)) as i64
-    }
 
     /// Sum of field 2, appended as field 3 (two-field grouping key).
     fn sum_appended() -> Function {

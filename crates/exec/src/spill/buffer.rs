@@ -1,7 +1,7 @@
 //! The governed buffer every blocking operator keeps per keyed input.
 
 use crate::engine::ExecError;
-use crate::operators::{canonical_cmp, key_cmp, key_has_null, take_records, OpCtx};
+use crate::operators::{key_minima, MinimaScratch, OpCtx};
 use crate::spill::file::SortedRun;
 use crate::spill::merge::{external_group_stream, GroupStream};
 use std::cmp::Ordering;
@@ -9,9 +9,8 @@ use std::sync::Arc;
 use strato_record::{AttrId, Record, RecordBatch};
 
 /// One keyed input of a blocking operator: the batches buffered so far,
-/// held as they were pushed — or, once a spill or the sort-based finish
-/// needed them, as rows — the bytes granted for them, and the sorted runs
-/// already shed to disk.
+/// held as they were pushed, the bytes granted for them, and the sorted
+/// runs already shed to disk.
 ///
 /// This is the only place operator state meets the spill files and the
 /// [`MemoryGovernor`](crate::spill::MemoryGovernor):
@@ -20,9 +19,13 @@ use strato_record::{AttrId, Record, RecordBatch};
 /// [`drain_groups`](RunBuffer::drain_groups) is the one sort-based finish
 /// — it merges the sorted tail with however many runs exist, *including
 /// zero*, so an execution that never spilled walks the same code as one
-/// that did. Held batches stay in whatever layout they arrived in until
-/// a spill or that finish needs them as records; an in-memory (hash)
-/// finish reads them in place ([`take_batches`](RunBuffer::take_batches)).
+/// that did. Held batches stay in whatever layout they arrived in: a
+/// spill writes its run straight from row views of them, the drain
+/// materializes only the rows it keeps, and an in-memory (hash) finish
+/// reads them in place ([`take_batches`](RunBuffer::take_batches)).
+/// Spill and drain select the same rows: every row in canonical order,
+/// less a join buffer's null-keyed ones, or — first-per-key — each key's
+/// canonical minimum.
 /// A batch still shared with other partitions (a broadcast side) is
 /// never spilled: a copy on disk would free no memory — the allocation
 /// lives until every holder drops it — while multiplying disk writes by
@@ -35,42 +38,56 @@ pub(crate) struct RunBuffer {
     ctx: OpCtx,
     /// Which input of the operator this is (`key_attrs[side]`).
     side: usize,
+    /// `key_attrs[side]` as plain column indices (the row-view kernels'
+    /// form).
+    key: Vec<usize>,
     /// Join flavour: null-keyed rows match nothing, so they are dropped
-    /// where buffered rows are sorted — in `spill` and `drain_groups` —
+    /// where buffered rows are selected — in `spill` and `drain_groups` —
     /// and remembered in `saw_null_key`. Grouping buffers keep them —
     /// null keys group like any other key.
     drop_null_keys: bool,
     saw_null_key: bool,
     /// A first-record-only Reduce reads nothing past each key group's
-    /// first record, so `spill` writes only that record per key.
+    /// first record, so `spill` and `drain_groups` keep only each key's
+    /// canonical minimum.
     first_per_key: bool,
-    rows: Vec<Record>,
+    /// The rows `select` kept, as `(batch, row)` positions in the batches
+    /// it was given, and the buffers of its minima scan: both kept from
+    /// one spill to the next, so a spill allocates nothing that grows
+    /// with its batches.
+    selection: Vec<(usize, usize)>,
+    minima: MinimaScratch,
     /// Batches buffered by `push_batch`, as they arrived, each with the
     /// bytes it was granted.
     batches: Vec<(Arc<RecordBatch>, u64)>,
-    /// Bytes granted for `rows` and `batches`.
+    /// Bytes granted for `batches`, and for batches handed out by
+    /// `take_batches` until `release`.
     granted: u64,
     runs: Vec<SortedRun>,
 }
 
 impl RunBuffer {
     pub(crate) fn new(ctx: OpCtx, side: usize, drop_null_keys: bool) -> Self {
+        let key = ctx.op().key_attrs[side].iter().map(|k| k.index()).collect();
         RunBuffer {
             ctx,
             side,
+            key,
             drop_null_keys,
             saw_null_key: false,
             first_per_key: false,
-            rows: Vec::new(),
+            selection: Vec::new(),
+            minima: MinimaScratch::default(),
             batches: Vec::new(),
             granted: 0,
             runs: Vec::new(),
         }
     }
 
-    /// Makes [`spill`](RunBuffer::spill) keep only the first record of
-    /// each key group when `on` — for a Reduce whose UDF SCA proved
-    /// first-record-only.
+    /// Makes [`spill`](RunBuffer::spill) and
+    /// [`drain_groups`](RunBuffer::drain_groups) keep only the canonical
+    /// minimum of each key group when `on` — for a Reduce whose UDF SCA
+    /// proved first-record-only.
     pub(crate) fn with_first_per_key(mut self, on: bool) -> Self {
         self.first_per_key = on;
         self
@@ -111,75 +128,75 @@ impl RunBuffer {
         self.saw_null_key
     }
 
-    /// Moves the held batches — only the uniquely held ones when
-    /// `unique_only` — into `rows`, as records, then drops a join
-    /// buffer's null-keyed rows. A moved batch's charge stays granted,
-    /// now for its rows.
-    fn absorb_batches(&mut self, unique_only: bool) {
-        for (b, charge) in std::mem::take(&mut self.batches) {
-            if unique_only && Arc::strong_count(&b) > 1 {
-                self.batches.push((b, charge));
-            } else {
-                self.rows.extend(take_records(b));
+    /// Sets `selection` to the rows of `batches` this buffer keeps, in
+    /// canonical order: each key's minimum when first-per-key, else every
+    /// row; a join buffer's null-keyed rows dropped (and remembered).
+    fn select(&mut self, batches: &[&RecordBatch]) {
+        let key = &self.key;
+        let kept = &mut self.selection;
+        if self.first_per_key {
+            key_minima(batches, key, &mut self.minima, kept);
+        } else {
+            kept.clear();
+            for (b, batch) in batches.iter().enumerate() {
+                kept.extend((0..batch.len()).map(|r| (b, r)));
             }
         }
+        let row = |(b, r): (usize, usize)| batches[b].row(r);
         if self.drop_null_keys {
-            let key = &self.ctx.op().key_attrs[self.side];
-            let saw = &mut self.saw_null_key;
-            self.rows.retain(|r| {
-                let null = key_has_null(r, key);
-                *saw |= null;
-                !null
-            });
+            let all = kept.len();
+            kept.retain(|&at| !row(at).key_has_null(key));
+            self.saw_null_key |= kept.len() < all;
         }
+        kept.sort_unstable_by(|&x, &y| {
+            let (x, y) = (row(x), row(y));
+            x.key_cmp(&y, key).then_with(|| x.cmp(&y))
+        });
     }
 
-    /// Sheds everything buffered but shared batches to one canonically
-    /// sorted on-disk run (none when no row is left to write) and
-    /// releases all but the shared batches' grant. A first-per-key buffer
-    /// ([`with_first_per_key`](RunBuffer::with_first_per_key)) writes
-    /// only the first record of each key group of the sorted rows — one
-    /// row per key per run; merged, each group's first record is still the
-    /// canonical minimum over all runs. On an IO failure every row stays
-    /// buffered (held batches as records), granted until drop.
+    /// Sheds every uniquely held batch to one canonically sorted on-disk
+    /// run (none when no row is left to write), written straight from row
+    /// views of the batches, then drops those batches and releases their
+    /// grant. A first-per-key buffer
+    /// ([`with_first_per_key`](RunBuffer::with_first_per_key)) writes only
+    /// each key's canonical minimum — one row per key per run; merged,
+    /// each group's first record is still the canonical minimum over all
+    /// runs. Shared batches stay held and charged. On an IO failure every
+    /// batch stays held, granted until drop.
     pub(crate) fn spill(&mut self) -> Result<(), ExecError> {
-        self.absorb_batches(true);
-        if !self.rows.is_empty() {
-            let key = &self.ctx.op().key_attrs[self.side];
-            self.rows.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
-            if self.first_per_key {
-                self.rows.dedup_by(|a, b| key_cmp(a, b, key).is_eq());
+        let (unique, shared): (Vec<_>, Vec<_>) = std::mem::take(&mut self.batches)
+            .into_iter()
+            .partition(|(b, _)| Arc::strong_count(b) == 1);
+        self.batches = shared;
+        let held: Vec<&RecordBatch> = unique.iter().map(|(b, _)| &**b).collect();
+        self.select(&held);
+        if !self.selection.is_empty() {
+            let rows = self.selection.iter().map(|&(b, r)| held[b].row(r));
+            match self.ctx.gov.write_sorted_run(rows) {
+                Ok(run) => {
+                    self.ctx
+                        .stats
+                        .add_spill(self.ctx.op_id, run.records(), run.bytes());
+                    self.runs.push(run);
+                }
+                Err(e) => {
+                    self.batches.extend(unique);
+                    return Err(e);
+                }
             }
-            let run = self.ctx.gov.write_sorted_run(&self.rows)?;
-            self.ctx
-                .stats
-                .add_spill(self.ctx.op_id, run.records(), run.bytes());
-            self.runs.push(run);
-            self.rows.clear();
         }
-        let kept: u64 = self.batches.iter().map(|&(_, charge)| charge).sum();
-        self.ctx.gov.release(self.granted - kept);
-        self.granted = kept;
+        let shed: u64 = unique.iter().map(|&(_, charge)| charge).sum();
+        drop(unique);
+        self.ctx.gov.release(shed);
+        self.granted -= shed;
         Ok(())
     }
 
-    /// Takes the buffered rows; their grant stays until
-    /// [`release`](RunBuffer::release) or drop.
-    fn take_rows(&mut self) -> Vec<Record> {
-        std::mem::take(&mut self.rows)
-    }
-
-    /// Hands everything buffered to an in-memory (hash) algorithm as
-    /// batches: the held batches in arrival order, then any buffered rows
-    /// as one row-major batch. The grant stays until
-    /// [`release`](RunBuffer::release) or drop.
+    /// Hands the held batches, in arrival order, to an in-memory (hash)
+    /// algorithm. The grant stays until [`release`](RunBuffer::release)
+    /// or drop.
     pub(crate) fn take_batches(&mut self) -> Vec<Arc<RecordBatch>> {
-        let mut batches: Vec<_> = self.batches.drain(..).map(|(b, _)| b).collect();
-        if !self.rows.is_empty() {
-            let rows = RecordBatch::from_records(self.take_rows());
-            batches.push(Arc::new(rows));
-        }
-        batches
+        self.batches.drain(..).map(|(b, _)| b).collect()
     }
 
     /// Returns whatever is still granted.
@@ -188,8 +205,10 @@ impl RunBuffer {
         self.granted = 0;
     }
 
-    /// The sort-based finish: sorts the tail — held batches as records,
-    /// a join buffer's null-keyed rows dropped — canonically, merges it
+    /// The sort-based finish: selects the tail's rows as
+    /// [`spill`](RunBuffer::spill) does — all held batches, shared ones
+    /// included — and materializes only those, already in canonical
+    /// order; then drops the batches, releases the grant, merges the tail
     /// with the runs written so far and walks the result as key groups in
     /// ascending canonical order. Leaves the buffer empty; the returned
     /// stream owns the tail and the runs.
@@ -203,8 +222,16 @@ impl RunBuffer {
         >,
         ExecError,
     > {
-        self.absorb_batches(false);
-        let tail = self.take_rows();
+        let batches = std::mem::take(&mut self.batches);
+        let held: Vec<&RecordBatch> = batches.iter().map(|(b, _)| &**b).collect();
+        self.select(&held);
+        let tail: Vec<Record> = self
+            .selection
+            .iter()
+            .map(|&(b, r)| held[b].row(r).to_record())
+            .collect();
+        drop(held);
+        drop(batches);
         self.release();
         let runs = std::mem::take(&mut self.runs);
         let key = &self.ctx.op().key_attrs[self.side];
@@ -256,10 +283,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::BatchLayout;
+    use crate::operators::{canonical_cmp, key_cmp, BatchLayout};
     use crate::spill::{GlobalMemory, MemoryGovernor};
     use crate::stats::ExecStats;
-    use crate::testutil::{ctx, sum_inplace};
+    use crate::testutil::{colliding_second_field, ctx, sum_inplace};
     use std::path::PathBuf;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_record::Value;
@@ -445,7 +472,7 @@ mod tests {
             assert!(!dir.exists());
 
             // (iii) A spill that cannot write: the spill "directory" is a
-            // file. Held batches come back as rows.
+            // file. The batches stay held, with their charges.
             let blocker = base.join("not-a-directory");
             std::fs::write(&blocker, b"x").unwrap();
             let (pool, gov) = governed(0, Some(blocker));
@@ -454,7 +481,10 @@ mod tests {
             let held = gov.resident();
             assert_eq!(held, bytes);
             assert!(matches!(buf.spill(), Err(ExecError::Spill(_))));
-            assert_eq!(buf.rows.len(), 26, "a failed spill loses nothing");
+            let rows: usize = buf.batches.iter().map(|(b, _)| b.len()).sum();
+            assert_eq!(rows, 26, "a failed spill loses nothing");
+            let charged: u64 = buf.batches.iter().map(|&(_, charge)| charge).sum();
+            assert_eq!((charged, buf.granted), (held, held), "{how:?}");
             assert_eq!(gov.resident(), held, "{how:?} keeps its grant");
             drop(buf);
             assert_eq!((gov.resident(), pool.resident()), (0, 0));
@@ -463,5 +493,111 @@ mod tests {
         }
 
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// The rows of `run`, read back from its file.
+    fn read_back(run: &SortedRun) -> Vec<Record> {
+        run.open().unwrap().map(Result::unwrap).collect()
+    }
+
+    /// What a run holds for `rows`, computed on records: the canonical
+    /// sort, null keys dropped for a join, one row per key when
+    /// first-per-key.
+    fn reference(rows: &[Record], key: &[AttrId], join: bool, first: bool) -> Vec<Record> {
+        let mut want = rows.to_vec();
+        if join {
+            want.retain(|r| key.iter().all(|k| !r.field(k.index()).is_null()));
+        }
+        want.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
+        if first {
+            want.dedup_by(|a, b| key_cmp(a, b, key).is_eq());
+        }
+        want
+    }
+
+    #[test]
+    fn a_spill_writes_the_canonical_selection_of_its_unique_batches_and_keeps_the_shared_one() {
+        let rows = input();
+        let (shared_rows, unique_rows) = rows.split_at(6);
+        assert!(unique_rows.iter().any(|r| r.field(0).is_null()));
+        for how in BatchLayout::ALL {
+            for join in [false, true] {
+                for first in [false, true] {
+                    let tag = format!("{how:?}, join {join}, first-per-key {first}");
+                    let stats = Arc::new(ExecStats::with_ops(1));
+                    let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 16)));
+                    let mut buf = buffer(&stats, &gov, join).with_first_per_key(first);
+                    // A broadcast batch: another partition holds it too.
+                    let shared = Arc::new(how.batch(0, shared_rows, WIDTH));
+                    let other_holder = Arc::clone(&shared);
+                    buf.push_batch(shared);
+                    let share = (other_holder.encoded_len() as u64).div_ceil(2);
+                    for (i, chunk) in unique_rows.chunks(5).enumerate() {
+                        put(&mut buf, how, i + 1, chunk);
+                    }
+
+                    buf.spill().unwrap();
+                    let want = reference(unique_rows, &KEY, join, first);
+                    assert_eq!(buf.runs.len(), 1, "{tag}");
+                    assert_eq!(read_back(&buf.runs[0]), want, "{tag}");
+                    assert_eq!(stats.totals().records_spilled, want.len() as u64);
+                    assert_eq!(buf.saw_null_key(), join, "{tag}");
+                    assert_eq!(buf.batches.len(), 1, "{tag}: only the shared batch stays");
+                    assert!(Arc::ptr_eq(&buf.batches[0].0, &other_holder), "{tag}");
+                    assert_eq!(buf.batches[0].1, share, "{tag}");
+                    assert_eq!((buf.granted, gov.resident()), (share, share), "{tag}");
+
+                    // The drain selects its tail the same way, so each
+                    // group's first record is the canonical minimum over
+                    // the run and the shared batch; without first-per-key
+                    // the groups are the whole canonical groups.
+                    let all = reference(&rows, &KEY, join, false);
+                    let groups = drain(&mut buf);
+                    let firsts: Vec<Record> = groups.iter().map(|g| g[0].clone()).collect();
+                    assert_eq!(firsts, reference(&rows, &KEY, join, true), "{tag}");
+                    if !first {
+                        assert_eq!(groups.concat(), all, "{tag}");
+                    }
+                    assert_eq!(gov.resident(), 0, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_keys_with_one_hash_spill_as_two_rows() {
+        let y = colliding_second_field(1, 100, 2);
+        let mut p = ProgramBuilder::new();
+        let s = p.source(SourceDef::new("s", &["k1", "k2", "v"], 4));
+        let r = p.reduce("sum", &[0, 1], sum_inplace(3, 2), CostHints::default(), s);
+        let plan = p.finish(r).unwrap().bind().unwrap();
+        let key = plan.ctx.ops[0].key_attrs[0].clone();
+        let rec = |k1: i64, k2: i64, v: i64| {
+            Record::from_values([Value::Int(k1), Value::Int(k2), Value::Int(v)])
+        };
+        let rows = [rec(2, y, 9), rec(1, 100, 5), rec(2, y, 8), rec(1, 100, 4)];
+        let mut hashes = Vec::new();
+        RecordBatch::from_records(rows.to_vec()).key_hash_into(&[0, 1], &mut hashes);
+        assert_eq!(hashes[0], hashes[1], "the two keys collide");
+
+        for how in BatchLayout::ALL {
+            for first in [false, true] {
+                let stats = Arc::new(ExecStats::with_ops(1));
+                let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 16)));
+                let mut buf =
+                    RunBuffer::new(ctx(&plan, &stats, &gov), 0, false).with_first_per_key(first);
+                for (i, chunk) in rows.chunks(2).enumerate() {
+                    buf.push_batch(Arc::new(how.batch(i, chunk, 3)));
+                }
+                buf.spill().unwrap();
+                let got = read_back(&buf.runs[0]);
+                let want = if first {
+                    vec![rec(1, 100, 4), rec(2, y, 8)]
+                } else {
+                    reference(&rows, &key, false, false)
+                };
+                assert_eq!(got, want, "{how:?}, first-per-key {first}");
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use bytes::BytesMut;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
-use strato_record::{wire, Record};
+use strato_record::{wire, Record, RowRef};
 
 /// One on-disk run of records in ascending comparator order, produced by a
 /// spilling operator (or by an intermediate merge pass). The run only
@@ -81,11 +81,12 @@ impl RunWriter {
         })
     }
 
-    /// Appends one record frame via the shared [`wire::encode_framed`]
-    /// helper — the same framing the ship validation path round-trips.
-    pub(crate) fn write(&mut self, r: &Record) -> std::io::Result<()> {
+    /// Appends one row's frame, written from its view through the shared
+    /// [`wire::encode_framed_row`] — the framing the ship validation path
+    /// round-trips.
+    pub(crate) fn write(&mut self, row: RowRef<'_>) -> std::io::Result<()> {
         self.buf.clear();
-        let framed = wire::encode_framed(r, &mut self.buf);
+        let framed = wire::encode_framed_row(row, &mut self.buf);
         self.w.write_all(self.buf.as_ref())?;
         self.records += 1;
         self.bytes += framed as u64;
@@ -180,7 +181,7 @@ mod tests {
     #[test]
     fn empty_run_reads_empty() {
         let g = MemoryGovernor::with_budget(Some(1));
-        let run = g.write_sorted_run(&[]).unwrap();
+        let run = g.write_sorted_run(Vec::<RowRef>::new()).unwrap();
         assert_eq!(run.records(), 0);
         assert_eq!(run.open().unwrap().count(), 0);
     }

@@ -22,7 +22,7 @@ use crate::spill::file::{RunWriter, SortedRun};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use strato_record::Record;
+use strato_record::RowRef;
 
 /// The process-wide memory pool of a shared engine runtime.
 ///
@@ -184,7 +184,8 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 /// [`over_budget`](MemoryGovernor::over_budget) compares the *global*
 /// resident total against the budget, so pressure from one large operator
 /// makes every buffering operator shed state — the behavior a per-worker
-/// memory budget models. Byte sizes use [`Record::encoded_len`], the same
+/// memory budget models. Byte sizes use
+/// [`Record::encoded_len`](strato_record::Record::encoded_len), the same
 /// approximation the cost model's `mem_budget` is expressed in.
 ///
 /// The spill directory is created lazily on the first spill (unbounded and
@@ -304,14 +305,19 @@ impl MemoryGovernor {
         self.resident.load(Ordering::Relaxed)
     }
 
-    /// Writes `records` — which the caller has already sorted — as one
-    /// spill file, creating the scoped spill directory on first use.
-    pub fn write_sorted_run(&self, records: &[Record]) -> Result<SortedRun, ExecError> {
+    /// Writes `rows` — records or row views of either batch layout, which
+    /// the caller has already sorted — as one spill file, each row encoded
+    /// straight from its view, creating the scoped spill directory on
+    /// first use.
+    pub fn write_sorted_run<'a, R: Into<RowRef<'a>>>(
+        &self,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<SortedRun, ExecError> {
         let t0 = self.trace.as_ref().map(|tr| tr.now_ns());
         let path = self.new_run_path()?;
         let mut w = RunWriter::create(path).map_err(spill_err)?;
-        for r in records {
-            w.write(r).map_err(spill_err)?;
+        for r in rows {
+            w.write(r.into()).map_err(spill_err)?;
         }
         let run = w.finish().map_err(spill_err)?;
         if let (Some(t0), Some(tr)) = (t0, &self.trace) {
@@ -381,7 +387,7 @@ pub(crate) fn spill_err(e: std::io::Error) -> ExecError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strato_record::Value;
+    use strato_record::{Record, Value};
 
     fn rec(v: i64) -> Record {
         Record::from_values([Value::Int(v)])

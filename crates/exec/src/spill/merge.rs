@@ -190,7 +190,7 @@ where
         }
         let mut w = RunWriter::create(gov.new_run_path()?).map_err(spill_err)?;
         for rec in LoserTree::new(sources, cmp)? {
-            w.write(&rec?).map_err(spill_err)?;
+            w.write((&rec?).into()).map_err(spill_err)?;
         }
         let compacted = w.finish().map_err(spill_err)?;
         if let (Some(t0), Some(tr)) = (t0, gov.trace()) {
@@ -254,8 +254,8 @@ impl<I> Drop for TracedMerge<I> {
     }
 }
 
-/// The sort/merge/group plumbing behind `RunBuffer::drain_groups`:
-/// canonically sorts the unspilled in-memory `tail`, merges it with the
+/// The merge/group plumbing behind `RunBuffer::drain_groups`: merges the
+/// unspilled in-memory `tail` — already in canonical order — with the
 /// on-disk `runs` (possibly none), and walks the merged stream as key
 /// groups.
 // The nested `impl Trait` cannot be named in a `type` alias on stable.
@@ -263,7 +263,7 @@ impl<I> Drop for TracedMerge<I> {
 pub(crate) fn external_group_stream<'k>(
     gov: &MemoryGovernor,
     runs: Vec<SortedRun>,
-    mut tail: Vec<Record>,
+    tail: Vec<Record>,
     key: &'k [strato_record::AttrId],
 ) -> Result<
     GroupStream<
@@ -273,7 +273,6 @@ pub(crate) fn external_group_stream<'k>(
     ExecError,
 > {
     use crate::operators::{canonical_cmp, key_cmp};
-    tail.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
     let merged = merge_runs(gov, runs, tail, move |a, b| canonical_cmp(a, b, key))?;
     GroupStream::new(merged, move |a, b| key_cmp(a, b, key).is_eq())
 }

@@ -60,7 +60,7 @@ impl<'a> RowRef<'a> {
 
     /// Borrowed cell `col`, null when out of range.
     #[inline]
-    fn cell(&self, col: usize) -> Cell<'a> {
+    pub(crate) fn cell(&self, col: usize) -> Cell<'a> {
         match self.0 {
             View::Column { batch, row } => batch.cell(row, col),
             View::Record(r) => Cell::of_value(r.field(col)),

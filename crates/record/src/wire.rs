@@ -6,7 +6,9 @@
 //! model — and to keep the simulated engine honest about serialization
 //! costs. The format is a simple length-prefixed tag-value encoding.
 
+use crate::columns::Cell;
 use crate::record::Record;
+use crate::row::RowRef;
 use crate::value::Value;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::Arc;
@@ -42,24 +44,32 @@ const TAG_STR: u8 = 4;
 
 /// Encodes a record into `buf`, returning the number of bytes written.
 pub fn encode_record(r: &Record, buf: &mut BytesMut) -> usize {
+    encode_row(RowRef::from(r), buf)
+}
+
+/// Encodes a row view of either batch layout into `buf`, returning the
+/// number of bytes written: the bytes [`encode_record`] writes for the
+/// materialized row, without materializing it.
+fn encode_row(row: RowRef<'_>, buf: &mut BytesMut) -> usize {
     let start = buf.len();
-    buf.put_u32_le(r.arity() as u32);
-    for v in r.fields() {
-        match v {
-            Value::Null => buf.put_u8(TAG_NULL),
-            Value::Bool(b) => {
+    let arity = row.arity();
+    buf.put_u32_le(arity as u32);
+    for col in 0..arity {
+        match row.cell(col) {
+            Cell::Null => buf.put_u8(TAG_NULL),
+            Cell::Bool(b) => {
                 buf.put_u8(TAG_BOOL);
-                buf.put_u8(*b as u8);
+                buf.put_u8(b as u8);
             }
-            Value::Int(i) => {
+            Cell::Int(i) => {
                 buf.put_u8(TAG_INT);
-                buf.put_i64_le(*i);
+                buf.put_i64_le(i);
             }
-            Value::Float(x) => {
+            Cell::Float(x) => {
                 buf.put_u8(TAG_FLOAT);
-                buf.put_f64_le(*x);
+                buf.put_f64_le(x);
             }
-            Value::Str(s) => {
+            Cell::Str(s) => {
                 buf.put_u8(TAG_STR);
                 buf.put_u32_le(s.len() as u32);
                 buf.put_slice(s.as_bytes());
@@ -81,9 +91,15 @@ pub const FRAME_HEADER_LEN: usize = 4;
 /// the shipping validation path, so `encoded_len`-style accounting is
 /// derived in exactly one place.
 pub fn encode_framed(r: &Record, buf: &mut BytesMut) -> usize {
+    encode_framed_row(RowRef::from(r), buf)
+}
+
+/// [`encode_framed`] of a row view of either batch layout: the frame of
+/// the materialized row, written straight from the view.
+pub fn encode_framed_row(row: RowRef<'_>, buf: &mut BytesMut) -> usize {
     let at = buf.len();
     buf.put_u32_le(0);
-    let n = encode_record(r, buf);
+    let n = encode_row(row, buf);
     buf[at..at + FRAME_HEADER_LEN].copy_from_slice(&(n as u32).to_le_bytes());
     n + FRAME_HEADER_LEN
 }

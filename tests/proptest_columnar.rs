@@ -4,15 +4,17 @@
 //! with the row-oriented reference path (`FxHasher` over `Value::hash`);
 //! and
 //! agreement of the row-view kernels (`RowRef::key_cmp`, `RowRef::cmp`,
-//! `sort_canonical`) with the materialized records, over columnar rows
-//! and ragged row-major records alike.
+//! `sort_canonical`) and of the wire encoding of a row view
+//! (`wire::encode_framed_row`, which spill runs are written with) with
+//! the materialized records, over columnar rows and ragged row-major
+//! records alike.
 
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use strato::record::hash::FxHasher;
 use strato::record::{
-    sort_canonical, BatchBuilder, ColumnBatch, Record, RecordBatch, RowRef, Value,
+    sort_canonical, wire, BatchBuilder, ColumnBatch, Record, RecordBatch, RowRef, Value,
 };
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -119,7 +121,57 @@ fn row_key_hash(r: &Record, keys: &[usize]) -> u64 {
     h.finish()
 }
 
+/// The framed wire format spelled out byte by byte, independent of the
+/// encoder: a `u32`-le body length; the body is the `u32`-le arity, then
+/// per field a tag (null 0, bool 1, int 2, float 3, string 4) and its
+/// little-endian payload, a string's prefixed by its `u32`-le byte length.
+fn reference_frame(r: &Record) -> Vec<u8> {
+    let mut body = (r.arity() as u32).to_le_bytes().to_vec();
+    for v in r.fields() {
+        match v {
+            Value::Null => body.push(0),
+            Value::Bool(b) => body.extend([1, *b as u8]),
+            Value::Int(i) => {
+                body.push(2);
+                body.extend(i.to_le_bytes());
+            }
+            Value::Float(x) => {
+                body.push(3);
+                body.extend(x.to_le_bytes());
+            }
+            Value::Str(s) => {
+                body.push(4);
+                body.extend((s.len() as u32).to_le_bytes());
+                body.extend(s.as_bytes());
+            }
+        }
+    }
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend(body);
+    frame
+}
+
 proptest! {
+    #[test]
+    fn a_row_view_encodes_to_the_frame_of_its_record((width, wide, ragged) in arb_views()) {
+        // One more column, null on every row, so every batch has an
+        // all-null column next to typed, null-masked and mixed ones.
+        let wide: Vec<Record> = wide
+            .into_iter()
+            .map(|r| Record::new(r.fields().iter().cloned().chain([Value::Null]).collect()))
+            .collect();
+        let cb = build(width + 1, &wide);
+        for (view, rec) in views(&cb, &ragged).into_iter().zip(wide.iter().chain(&ragged)) {
+            let (mut from_view, mut from_record) = Default::default();
+            let n = wire::encode_framed_row(view, &mut from_view);
+            wire::encode_framed(rec, &mut from_record);
+            let want = reference_frame(rec);
+            prop_assert_eq!(n, want.len());
+            prop_assert_eq!(from_view.as_ref(), &want[..]);
+            prop_assert_eq!(from_record.as_ref(), &want[..]);
+        }
+    }
+
     #[test]
     fn roundtrip_preserves_rows((width, rows) in arb_rows()) {
         let cb = build(width, &rows);

@@ -240,3 +240,86 @@ fn a_failing_query_leaves_its_running_neighbour_byte_identical() {
     assert_eq!(snap.active_queries, 0);
     assert_eq!(snap.queued_tasks, 0);
 }
+
+/// A Reduce on `k` of `rows` (k, v) records whose UDF emits a copy of its
+/// group's first record: SCA proves it first-record-only, so its buffer
+/// spills and drains one row per key.
+fn first_of_group(rows: i64) -> (Plan, PhysPlan, Inputs) {
+    let first = {
+        let mut b = FuncBuilder::new("first", UdfKind::Group, vec![2]);
+        let it = b.iter_open(0);
+        let nil = b.new_label();
+        let row = b.iter_next(it, nil);
+        let or = b.copy(row);
+        b.emit(or);
+        b.place(nil);
+        b.ret();
+        b.finish().unwrap()
+    };
+    let mut p = ProgramBuilder::new();
+    let s = p.source(SourceDef::new("s", &["k", "v"], rows as u64));
+    let hints = CostHints::default().with_distinct_keys(11);
+    let g = p.reduce("first", &[0], first, hints, s);
+    let plan = p.finish(g).unwrap().bind().unwrap();
+    assert!(plan.ctx.ops[0].sca_props.first_record_only);
+    let props = PropTable::build(&plan, PropertyMode::Sca);
+    let phys = best_physical(&plan, &props, &CostWeights::default(), 2);
+    let ds: DataSet = (0..rows)
+        .map(|i| Record::from_values([Value::Int(i % 11), Value::Int(rows - i)]))
+        .collect();
+    let mut inputs = Inputs::new();
+    inputs.insert("s".into(), ds);
+    (plan, phys, inputs)
+}
+
+#[test]
+fn a_spill_that_cannot_write_fails_its_query_and_leaves_the_runtime_idle() {
+    // The spill "directory" is a regular file, so a query's first spill
+    // cannot create its scoped directory.
+    let base = std::env::temp_dir().join(format!("strato-failed-spill-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let blocker = base.join("not-a-directory");
+    std::fs::write(&blocker, b"x").unwrap();
+    let rt = EngineRuntime::new(RuntimeOptions {
+        workers: Some(2),
+        mem_budget: Some(1 << 20),
+        spill_dir: Some(blocker.clone()),
+    });
+    let starved = ExecOptions {
+        batch_size: 16,
+        mem_budget: Some(0),
+        ..ExecOptions::default()
+    };
+    let queries = [
+        ("grouped sum", grouped_sum(300, 1)),
+        ("join", join_query(2)),
+        ("first-record-only reduce", first_of_group(300)),
+    ];
+    for (name, (plan, phys, inputs)) in &queries {
+        let err = rt
+            .execute_with(plan, phys, inputs, 2, &starved)
+            .expect_err(name);
+        assert!(matches!(err, ExecError::Spill(_)), "{name}: {err}");
+        let snap = rt.snapshot();
+        assert_eq!(snap.mem_granted, 0, "{name} returned its grant");
+        assert_eq!(snap.mem_resident, 0, "{name} released its buffers");
+        assert_eq!(snap.active_queries, 0, "{name} freed its slot");
+        assert_eq!(snap.queued_tasks, 0, "{name} left no task queued");
+    }
+    assert_eq!(std::fs::read(&blocker).unwrap(), b"x");
+
+    // The runtime still serves: an unbudgeted query equals its serial run.
+    let unbudgeted = ExecOptions {
+        mem_budget: None,
+        ..ExecOptions::default()
+    };
+    for (name, (plan, phys, inputs)) in &queries {
+        let (reference, _) = execute_with(plan, phys, inputs, 2, &unbudgeted).expect("serial");
+        let (out, stats) = rt
+            .execute_with(plan, phys, inputs, 2, &unbudgeted)
+            .expect(name);
+        assert_eq!(out, reference, "{name}");
+        assert_eq!(stats.totals().spill_runs, 0, "{name}");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
