@@ -143,7 +143,7 @@ pub fn execute_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, BatchLayout};
+    use crate::operators::apply_chunked;
     use crate::runtime::EngineRuntime;
     use std::sync::Arc;
     use strato_core::{cost::CostWeights, physical::best_physical, LocalStrategy, PropTable};
@@ -544,20 +544,18 @@ mod tests {
     const BUDGETS: [Option<u64>; 3] = [None, Some(0), Some(256)];
 
     /// Drives the plan's last operator over materialized inputs, two
-    /// records per batch in `layout`, under `mem_budget` with profiling
-    /// detail on.
+    /// records per batch, under `mem_budget` with profiling detail on.
     fn apply(
         plan: &Plan,
         strategy: LocalStrategy,
         inputs: &[Vec<Record>],
-        layout: BatchLayout,
         mem_budget: Option<u64>,
     ) -> Applied {
         let stats = Arc::new(ExecStats::for_profiling(plan.ctx.ops.len()));
         let gov = Arc::new(crate::spill::MemoryGovernor::with_budget(mem_budget));
         let ctx = crate::testutil::ctx(plan, &stats, &gov);
         let op_id = ctx.op_id;
-        let out = apply_chunked(strategy, inputs, 2, layout, ctx).unwrap();
+        let out = apply_chunked(strategy, inputs, 2, ctx).unwrap();
         if mem_budget == Some(0) {
             let runs = stats.totals().spill_runs;
             assert!(runs > 1, "{strategy:?} must spill every batch: {runs}");
@@ -575,18 +573,14 @@ mod tests {
         let mut rows = ds(&[&[5, 1], &[5, 2], &[4, 3], &[4, 4], &[1, 9], &[4, 0]]);
         rows.push(Record::from_values([Value::Null, Value::Int(7)]));
         let wide = vec![widen(&plan, 0, &rows)];
-        let row_major = BatchLayout::Rows;
-        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, row_major, None);
+        let reference = apply(&plan, LocalStrategy::HashGroup, &wide, None);
         assert_eq!((reference.udf_calls, reference.distinct_keys), (4, 4));
         // Same bag — and same canonical group order, record for record —
         // whether the hash finish groups or the sort-based one walks the
-        // spilled runs (every batch under `Some(0)`), whatever layout the
-        // batches arrive in.
-        for layout in BatchLayout::ALL {
-            for budget in BUDGETS {
-                let got = apply(&plan, LocalStrategy::HashGroup, &wide, layout, budget);
-                assert_eq!(got, reference, "over {layout:?} at {budget:?}");
-            }
+        // spilled runs (every batch under `Some(0)`).
+        for budget in BUDGETS {
+            let got = apply(&plan, LocalStrategy::HashGroup, &wide, budget);
+            assert_eq!(got, reference, "at {budget:?}");
         }
     }
 
@@ -606,13 +600,13 @@ mod tests {
 
         // A zero budget spills every batch: the sort-merge walk.
         let build_left = LocalStrategy::HashJoinBuildLeft;
-        let smj = apply(&plan, build_left, &sides, BatchLayout::Rows, Some(0));
+        let smj = apply(&plan, build_left, &sides, Some(0));
         assert_eq!(smj.out.len(), 5); // k2: 2×2 pairs, k3: 1 pair.
                                       // Keys 1, 2, 3 — and the null keys, counted once.
         assert_eq!((smj.udf_calls, smj.distinct_keys), (5, 4));
         for strategy in [build_left, LocalStrategy::HashJoinBuildRight] {
             for budget in BUDGETS {
-                let got = apply(&plan, strategy, &sides, BatchLayout::Rows, budget);
+                let got = apply(&plan, strategy, &sides, budget);
                 let tag = format!("{strategy:?} at {budget:?}");
                 // One walk: the sort-merge sequence is reproduced exactly
                 // by every join that spilled every batch.
@@ -642,12 +636,12 @@ mod tests {
         let right = ds(&[&[2], &[3], &[9], &[9]]);
         let sides = vec![widen(&plan, 0, &left), widen(&plan, 1, &right)];
         let strategy = LocalStrategy::CoGroupSortMerge;
-        let reference = apply(&plan, strategy, &sides, BatchLayout::Rows, None);
+        let reference = apply(&plan, strategy, &sides, None);
         // Keys null, 1, 2, 3, 9 → five groups; four of them on the left.
         assert_eq!((reference.udf_calls, reference.distinct_keys), (5, 4));
         for budget in BUDGETS {
             assert_eq!(
-                apply(&plan, strategy, &sides, BatchLayout::Rows, budget),
+                apply(&plan, strategy, &sides, budget),
                 reference,
                 "CoGroup at {budget:?}"
             );

@@ -89,7 +89,17 @@ pub(crate) mod testutil {
     use strato_dataflow::Plan;
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
     use strato_record::hash::FxHasher;
-    use strato_record::{AttrId, DataSet, Record};
+    use strato_record::{AttrId, BatchBuilder, DataSet, Record, RecordBatch};
+
+    /// A batch of `width`-wide `records`, built the way every engine
+    /// batch is.
+    pub(crate) fn batch(records: &[Record], width: usize) -> RecordBatch {
+        let mut b = BatchBuilder::new(width);
+        for r in records {
+            b.push(r.clone());
+        }
+        b.finish()
+    }
 
     /// The context of `plan`'s last operator (the root of a single-chain
     /// plan) charging `stats` and `gov`.

@@ -31,14 +31,13 @@ impl CoGroupOp {
         }
     }
 
-    /// The finish: the lock-step walk, then the emission.
-    fn cogroup(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+    /// The finish: the lock-step walk, one call per key.
+    fn cogroup(&mut self) -> Result<(), ExecError> {
         let plan = Arc::clone(&self.ctx.plan);
         let op = &plan.ops[self.ctx.op_id];
         let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
         let [left, right] = &mut self.sides;
         let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
-        let mut emitted = Vec::new();
         let mut left_keys = 0u64;
         fn views(g: &Option<Vec<Record>>) -> Vec<RowRef<'_>> {
             g.iter().flatten().map(RowRef::from).collect()
@@ -46,7 +45,7 @@ impl CoGroupOp {
         while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
             left_keys += lg.is_some() as u64;
             let (lv, rv) = (views(&lg), views(&rg));
-            self.ctx.call(Invocation::CoGroup(&lv, &rv), &mut emitted)?;
+            self.ctx.call_out(Invocation::CoGroup(&lv, &rv))?;
         }
         if self.ctx.stats.detail() {
             // Profiling observation: distinct input-0 keys (the left groups
@@ -55,7 +54,6 @@ impl CoGroupOp {
                 .stats
                 .add_op_distinct_keys(self.ctx.op_id, left_keys);
         }
-        self.ctx.emit(emitted, out);
         Ok(())
     }
 }
@@ -77,8 +75,8 @@ impl Operator for CoGroupOp {
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let grouped = self.cogroup(out);
-        self.ctx.flush_calls();
+        let grouped = self.cogroup();
+        self.ctx.drain_into(out);
         grouped
     }
 }

@@ -6,9 +6,8 @@ use std::sync::Arc;
 use strato_ir::interp::Invocation;
 use strato_record::RecordBatch;
 
-/// Blocking Cartesian product: buffers both sides as shared batches, in
-/// either layout, and pairs every left row with every right row at
-/// `finish`. Batches double as the blocks of the nested loop — the inner
+/// Blocking Cartesian product: buffers both sides as shared batches and
+/// pairs every left row with every right row at `finish`. Batches double as the blocks of the nested loop — the inner
 /// side is scanned once per outer *row*, batch by batch, entirely over
 /// row views.
 pub struct CrossOp {
@@ -24,22 +23,19 @@ impl CrossOp {
         }
     }
 
-    /// The finish: every pair, then the emission.
-    fn cross(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let mut emitted = Vec::new();
+    /// The finish: one call per pair.
+    fn cross(&mut self) -> Result<(), ExecError> {
         for lb in &self.sides[0] {
             for i in 0..lb.len() {
                 let l = lb.row(i);
                 for rb in &self.sides[1] {
                     for j in 0..rb.len() {
-                        self.ctx
-                            .call(Invocation::Pair(l, rb.row(j)), &mut emitted)?;
+                        self.ctx.call_out(Invocation::Pair(l, rb.row(j)))?;
                     }
                 }
             }
         }
         self.sides = [Vec::new(), Vec::new()];
-        self.ctx.emit(emitted, out);
         Ok(())
     }
 }
@@ -56,8 +52,8 @@ impl Operator for CrossOp {
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let crossed = self.cross(out);
-        self.ctx.flush_calls();
+        let crossed = self.cross();
+        self.ctx.drain_into(out);
         crossed
     }
 }

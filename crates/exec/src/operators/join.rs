@@ -8,13 +8,13 @@ use crate::spill::{next_key_groups, RunBuffer};
 use std::sync::Arc;
 use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
-use strato_record::{Record, RecordBatch, RowRef};
+use strato_record::{RecordBatch, RowRef};
 
 /// Blocking equi-join: buffers both sides and joins at `finish`. Null join
 /// keys match nothing (SQL flavour).
 ///
 /// Each side lives in a null-dropping `RunBuffer` that holds the batches
-/// it is pushed as they arrived, in either layout and never deep-copied,
+/// it is pushed as they arrived, never deep-copied,
 /// so a broadcast build side stays one allocation shared by every
 /// partition. Under pressure each buffer sheds its uniquely held batches
 /// as a key-sorted run. A join that never spilled hashes its build side
@@ -49,7 +49,7 @@ impl MatchOp {
 
     /// The sort-based finish: lock-step walk over both sides' key-group
     /// streams, one UDF call per pair of each matching group.
-    fn merge_join(&mut self, emitted: &mut Vec<Record>) -> Result<(), ExecError> {
+    fn merge_join(&mut self) -> Result<(), ExecError> {
         let plan = Arc::clone(&self.ctx.plan);
         let op = &plan.ops[self.ctx.op_id];
         let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
@@ -63,7 +63,7 @@ impl MatchOp {
                     for a in &lg {
                         for b in &rg {
                             let pair = Invocation::Pair(RowRef::from(a), RowRef::from(b));
-                            self.ctx.call(pair, emitted)?;
+                            self.ctx.call_out(pair)?;
                         }
                     }
                 }
@@ -84,11 +84,7 @@ impl MatchOp {
     /// `s`). The build side is hashed in arrival order and probed in the
     /// probe side's arrival order. Buckets verify key equality exactly,
     /// so hash collisions cannot produce false matches.
-    fn hash_join(
-        &mut self,
-        sides: &[Vec<Arc<RecordBatch>>; 2],
-        out: &mut Vec<Record>,
-    ) -> Result<(), ExecError> {
+    fn hash_join(&mut self, sides: &[Vec<Arc<RecordBatch>>; 2]) -> Result<(), ExecError> {
         if self.ctx.stats.detail() {
             // Profiling observation: distinct input-0 keys (nulls count as
             // one key, matching the runtime profiler's historic rule —
@@ -127,7 +123,7 @@ impl MatchOp {
                 for &b in bucket {
                     if b.key_cmp2(kb, &p, kp).is_eq() {
                         let (l, r) = if build_is_left { (b, p) } else { (p, b) };
-                        self.ctx.call(Invocation::Pair(l, r), out)?;
+                        self.ctx.call_out(Invocation::Pair(l, r))?;
                     }
                 }
             }
@@ -136,24 +132,22 @@ impl MatchOp {
     }
 
     /// The finish: the hash join, or the sort-merge walk once pressure
-    /// shed anything, then the emission.
-    fn join(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let mut emitted = Vec::new();
+    /// shed anything.
+    fn join(&mut self) -> Result<(), ExecError> {
         // A buffer that shed anything holds part of its side, even when
         // every row it shed had a null key and nothing reached disk.
         let shed = |b: &RunBuffer| b.spilled() || b.saw_null_key();
         if self.bufs.iter().any(shed) {
-            self.merge_join(&mut emitted)?;
+            self.merge_join()?;
         } else {
             let [left, right] = &mut self.bufs;
             let sides = [left.take_batches(), right.take_batches()];
-            self.hash_join(&sides, &mut emitted)?;
+            self.hash_join(&sides)?;
             drop(sides);
             for buf in &mut self.bufs {
                 buf.release();
             }
         }
-        self.ctx.emit(emitted, out);
         Ok(())
     }
 }
@@ -175,8 +169,8 @@ impl Operator for MatchOp {
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let joined = self.join(out);
-        self.ctx.flush_calls();
+        let joined = self.join();
+        self.ctx.drain_into(out);
         joined
     }
 }
@@ -184,14 +178,14 @@ impl Operator for MatchOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, take_records, BatchLayout};
+    use crate::operators::{apply_chunked, take_records};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
-    use crate::testutil::ctx;
+    use crate::testutil::{batch, ctx};
     use strato_core::LocalStrategy;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_ir::{FuncBuilder, Intrinsic, UdfKind};
-    use strato_record::{DataSet, Value};
+    use strato_record::{DataSet, Record, Value};
 
     /// `l(k, v) ⋈ r(k2)` on `k = k2`, concatenating each pair.
     fn join_plan() -> Plan {
@@ -229,13 +223,13 @@ mod tests {
             wide(&plan, 0, left),
             wide(&plan, 1, &[&[2], &[2], &[3], &[7]]),
         ];
-        let run = |strategy, chunk, layout, budget| {
+        let run = |strategy, chunk, budget| {
             let stats = Arc::new(ExecStats::with_ops(1));
             let gov = Arc::new(MemoryGovernor::with_budget(budget));
-            let out = apply_chunked(strategy, &sides, chunk, layout, ctx(&plan, &stats, &gov));
+            let out = apply_chunked(strategy, &sides, chunk, ctx(&plan, &stats, &gov));
             (out.unwrap(), stats.totals().spill_runs)
         };
-        let (reference, _) = run(LocalStrategy::HashJoinBuildLeft, 8, BatchLayout::Rows, None);
+        let (reference, _) = run(LocalStrategy::HashJoinBuildLeft, 8, None);
         assert_eq!(reference.len(), 5, "2 × 2 pairs on key 2, one on key 3");
         let reference = DataSet::from_records(reference);
 
@@ -243,25 +237,20 @@ mod tests {
             LocalStrategy::HashJoinBuildLeft,
             LocalStrategy::HashJoinBuildRight,
         ] {
-            let (in_rows, _) = run(strategy, 2, BatchLayout::Rows, None);
-            for layout in BatchLayout::ALL {
-                // In memory, each strategy emits one sequence whatever the
-                // layout it is sent.
-                let (got, spills) = run(strategy, 2, layout, None);
-                assert_eq!(got, in_rows, "{strategy:?} over {layout:?}");
-                assert_eq!(spills, 0);
-                // One record per batch under a 32-byte budget: the
-                // operator spills both sides and joins by the sort-merge
-                // walk.
-                let (got, spills) = run(strategy, 1, layout, Some(32));
-                assert_eq!(
-                    DataSet::from_records(got),
-                    reference,
-                    "{strategy:?} over {layout:?}: the sort-merge walk must \
-                     reproduce the hash-join bag"
-                );
-                assert!(spills > 0, "tiny budget must spill");
-            }
+            // In memory, each strategy emits the hash-join bag.
+            let (got, spills) = run(strategy, 2, None);
+            assert_eq!(DataSet::from_records(got), reference, "{strategy:?}");
+            assert_eq!(spills, 0);
+            // One record per batch under a 32-byte budget: the operator
+            // spills both sides and joins by the sort-merge walk.
+            let (got, spills) = run(strategy, 1, Some(32));
+            assert_eq!(
+                DataSet::from_records(got),
+                reference,
+                "{strategy:?}: the sort-merge walk must reproduce the \
+                 hash-join bag"
+            );
+            assert!(spills > 0, "tiny budget must spill");
         }
     }
 
@@ -282,7 +271,7 @@ mod tests {
             let mut join = MatchOp::new(build, ctx(&plan, &stats, &gov));
             let mut out = Vec::new();
             for (port, rows) in [&left, &right].into_iter().enumerate() {
-                let batch = Arc::new(RecordBatch::from_records(rows.clone()));
+                let batch = Arc::new(batch(rows, plan.ctx.width()));
                 join.push(port, batch, &mut out).unwrap();
             }
             assert!(gov.resident() > 0, "both sides are charged");
@@ -314,14 +303,7 @@ mod tests {
             for budget in [None, Some(0)] {
                 let stats = Arc::new(ExecStats::for_profiling(1));
                 let gov = Arc::new(MemoryGovernor::with_budget(budget));
-                let out = apply_chunked(
-                    strategy,
-                    &sides,
-                    2,
-                    BatchLayout::Rows,
-                    ctx(&plan, &stats, &gov),
-                )
-                .unwrap();
+                let out = apply_chunked(strategy, &sides, 2, ctx(&plan, &stats, &gov)).unwrap();
                 assert!(out.is_empty(), "null keys match nothing");
                 assert_eq!(stats.totals().spill_runs, 0, "nothing to write");
                 let keys = stats.op_snapshots()[0].distinct_keys;
@@ -345,7 +327,7 @@ mod tests {
         let mut out = Vec::new();
         // The "broadcast" build side: a clone is kept alive, as the other
         // partitions of a broadcast ship would.
-        let shared = Arc::new(RecordBatch::from_records(right));
+        let shared = Arc::new(batch(&right, plan.ctx.width()));
         let other_partition = Arc::clone(&shared);
         join.push(1, shared, &mut out).unwrap();
         let spilled_after_shared = stats.totals().spill_runs;
@@ -354,7 +336,7 @@ mod tests {
             "a shared batch must not be deep-copied to disk"
         );
         // The unshared probe side spills even though the build side stays.
-        join.push(0, Arc::new(RecordBatch::from_records(left)), &mut out)
+        join.push(0, Arc::new(batch(&left, plan.ctx.width())), &mut out)
             .unwrap();
         assert!(stats.totals().spill_runs > 0, "unique batches must spill");
         join.finish(&mut out).unwrap();

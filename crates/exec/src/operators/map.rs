@@ -33,28 +33,34 @@ impl MapOp {
 }
 
 impl MapOp {
-    /// Runs every stage over `batch` and emits the last stage's output.
-    fn map(
-        &mut self,
-        batch: &RecordBatch,
-        out: &mut Vec<Arc<RecordBatch>>,
-    ) -> Result<(), ExecError> {
-        let (head, rest) = self.stages.split_first_mut().expect("a Map stage");
+    /// Runs every stage over `batch`; the last stage's calls build its
+    /// output batches.
+    fn map(&mut self, batch: &RecordBatch) -> Result<(), ExecError> {
+        let (last, inner) = self.stages.split_last_mut().expect("a Map stage");
+        // The first stage runs over row views of the batch: field reads
+        // resolve straight into its columns, and an input record is
+        // materialized only if the UDF copies it whole.
+        let rows = (0..batch.len()).map(|row| batch.row(row));
+        let Some((head, mid)) = inner.split_first_mut() else {
+            for row in rows {
+                last.call_out(Invocation::Row(row))?;
+            }
+            return Ok(());
+        };
         let mut emitted = Vec::new();
-        // The head UDF runs over row views of either layout: field reads
-        // resolve straight into the batch's storage, and an input record
-        // is materialized only if the UDF copies it whole.
-        for row in 0..batch.len() {
-            head.call(Invocation::Row(batch.row(row)), &mut emitted)?;
+        for row in rows {
+            head.call(Invocation::Row(row), &mut emitted)?;
         }
-        for ctx in rest {
+        for ctx in mid {
             let mut next = Vec::new();
             for r in &emitted {
                 ctx.call(Invocation::Row(r.into()), &mut next)?;
             }
             emitted = next;
         }
-        self.stages[self.stages.len() - 1].emit(emitted, out);
+        for r in &emitted {
+            last.call_out(Invocation::Row(r.into()))?;
+        }
         Ok(())
     }
 }
@@ -67,9 +73,9 @@ impl Operator for MapOp {
         out: &mut Vec<Arc<RecordBatch>>,
     ) -> Result<(), ExecError> {
         debug_assert_eq!(port, 0, "Map is unary");
-        let mapped = self.map(&batch, out);
+        let mapped = self.map(&batch);
         for ctx in &mut self.stages {
-            ctx.flush_calls();
+            ctx.drain_into(out);
         }
         mapped
     }
@@ -130,8 +136,10 @@ mod tests {
             ctx
         };
         let mut chain = MapOp::chained(vec![stage(0), stage(1)]);
-        let rows = (0..6).map(|a| Record::from_values([Value::Int(a)]));
-        let batch = Arc::new(RecordBatch::from_records(rows.collect()));
+        let rows: Vec<Record> = (0..6)
+            .map(|a| Record::from_values([Value::Int(a)]))
+            .collect();
+        let batch = Arc::new(crate::testutil::batch(&rows, 1));
         let err = chain.push(0, batch, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, ExecError::Udf(ref op, InterpError::StepLimit(100)) if op == "m2"));
         // m1 ran all six rows; m2 finished rows 0..3 and failed on the

@@ -19,20 +19,30 @@
 //!
 //! Batches are shared as `Arc<RecordBatch>`: a broadcast ship hands the
 //! same allocation to every partition. Blocking operators hold the
-//! batches they are pushed, in whatever layout they arrived, and hand
-//! UDFs row views of them ([`strato_record::RowRef`]). A buffer's spill
-//! writes its runs straight from those views; its sort-based drain
-//! materializes only the rows it keeps, already in canonical order. No
-//! operator turns a whole held batch into records (`take_records` serves
-//! the row-major Partition scatter and the result collection).
+//! batches they are pushed, as they arrived, and hand UDFs row views of
+//! them ([`strato_record::RowRef`]). A buffer's spill writes its runs
+//! straight from those views; its sort-based drain materializes only the
+//! rows it keeps, already in canonical order. No operator turns a whole
+//! held batch into records (`take_records` serves the result collection
+//! alone).
+//!
+//! ## Emission
+//!
+//! Every batch an operator emits is columnar. Each UDF call's output
+//! moves into the instance's [`strato_record::BatchBuilder`] as the call
+//! returns (`OpCtx::call_out`), which seals a batch at every
+//! `batch_size` rows; `OpCtx::drain_into` ends each `push` and
+//! `finish`, handing on the sealed batches and then the partial one. A
+//! fused Map chain passes plain records between its inner stages, and
+//! only its last stage builds batches.
 //!
 //! ## Key handling
 //!
 //! Key extraction never clones `Value`s on the hot path: comparisons go
 //! through `key_cmp`/`key_cmp2` or their row-view forms (field-by-field,
 //! allocation-free) and hash tables are keyed by a 64-bit FxHash of the
-//! key fields (`RecordBatch::key_hash_into`, one hash per row of either
-//! layout) with exact-equality verification per bucket entry, so hash
+//! key fields (`RecordBatch::key_hash_into`, one column-wise pass per
+//! batch) with exact-equality verification per bucket entry, so hash
 //! collisions cannot merge distinct keys.
 
 pub mod cogroup;
@@ -50,7 +60,7 @@ use strato_core::LocalStrategy;
 use strato_dataflow::{BoundOp, Pact, PlanCtx};
 use strato_ir::interp::{Frame, Interp, Invocation};
 use strato_record::hash::FxHashMap;
-use strato_record::{AttrId, Record, RecordBatch, RowRef};
+use strato_record::{AttrId, BatchBuilder, Record, RecordBatch, RowRef};
 
 /// A physical operator: consumes batches on numbered input ports, emits
 /// batches. See the module docs for the push / finish contract.
@@ -74,10 +84,11 @@ pub trait Operator: Send {
 /// operator borrows nothing from the caller.
 ///
 /// It also carries the instance's UDF-call state: the register
-/// [`Frame`] every call reuses, and the calls, steps and emits made
-/// since its last flush into [`ExecStats`]. A clone shares the
-/// execution's pieces but starts with an empty frame and a zero tally,
-/// so no call is ever charged twice.
+/// [`Frame`] every call reuses, the calls, steps and emits made since
+/// its last flush into [`ExecStats`], and the output batches its calls
+/// have built but not yet handed on. A clone shares the execution's
+/// pieces but starts with an empty frame, a zero tally and no output,
+/// so no call is ever charged, and no record emitted, twice.
 #[derive(Clone)]
 pub struct OpCtx {
     /// The UDF interpreter.
@@ -103,25 +114,46 @@ pub struct OpCtx {
 /// so live counters lag a long finish by a bounded amount.
 const FLUSH_EVERY: u64 = 1024;
 
-/// One instance's reused frame and its not-yet-flushed call tally.
-#[derive(Default)]
+/// One instance's reused frame, its not-yet-flushed call tally, and its
+/// not-yet-drained output.
 struct CallState {
     frame: Frame,
     calls: u64,
     steps: u64,
     emits: u64,
+    /// The records of the call being appended (kept for its capacity).
+    emitted: Vec<Record>,
+    /// The output batch being filled, at the plan's width.
+    builder: BatchBuilder,
+    /// Sealed output batches of `batch_size` rows each.
+    ready: Vec<Arc<RecordBatch>>,
+}
+
+impl CallState {
+    fn new(width: usize) -> Self {
+        CallState {
+            frame: Frame::default(),
+            calls: 0,
+            steps: 0,
+            emits: 0,
+            emitted: Vec::new(),
+            builder: BatchBuilder::new(width),
+            ready: Vec::new(),
+        }
+    }
 }
 
 impl Clone for CallState {
-    /// Empty: a tally belongs to the instance that made the calls.
+    /// Empty: a tally and its output belong to the instance that made
+    /// the calls.
     fn clone(&self) -> Self {
-        CallState::default()
+        CallState::new(self.builder.width())
     }
 }
 
 impl OpCtx {
     /// The context of operator `op_id` of `plan`, with the default
-    /// interpreter, an empty frame and a zero tally.
+    /// interpreter, an empty frame, a zero tally and no output.
     pub fn new(
         plan: Arc<PlanCtx>,
         stats: Arc<ExecStats>,
@@ -131,12 +163,12 @@ impl OpCtx {
     ) -> Self {
         OpCtx {
             interp: Interp::default(),
+            calls: CallState::new(plan.width()),
             plan,
             stats,
             gov,
             batch_size,
             op_id,
-            calls: CallState::default(),
         }
     }
 
@@ -173,10 +205,25 @@ impl OpCtx {
         Ok(())
     }
 
-    /// Adds the calls tallied since the last flush to the stats. Every
-    /// `push` and `finish` that calls the UDF ends with this, on every
-    /// exit path.
-    pub(crate) fn flush_calls(&mut self) {
+    /// Runs one invocation like [`OpCtx::call`] and moves what it emits
+    /// into the instance's output builder, sealing a batch at every
+    /// `batch_size` rows.
+    pub(crate) fn call_out(&mut self, inv: Invocation<'_>) -> Result<(), ExecError> {
+        let mut emitted = std::mem::take(&mut self.calls.emitted);
+        let called = self.call(inv, &mut emitted);
+        let t = &mut self.calls;
+        for r in emitted.drain(..) {
+            t.builder.push(r);
+            if t.builder.len() >= self.batch_size {
+                t.ready.push(Arc::new(t.builder.take()));
+            }
+        }
+        t.emitted = emitted;
+        called
+    }
+
+    /// Adds the calls tallied since the last flush to the stats.
+    fn flush_calls(&mut self) {
         let t = &mut self.calls;
         if t.calls > 0 {
             self.stats.add_calls(self.op_id, t.calls, t.steps, t.emits);
@@ -184,9 +231,16 @@ impl OpCtx {
         }
     }
 
-    /// Chunks emitted records into batches and appends them to `out`.
-    pub(crate) fn emit(&self, records: Vec<Record>, out: &mut Vec<Arc<RecordBatch>>) {
-        out.extend(into_batches(records, self.batch_size));
+    /// Ends every `push` and `finish` that calls the UDF, on every exit
+    /// path: flushes the call tally, then moves the sealed output
+    /// batches and the partial one to `out`.
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<Arc<RecordBatch>>) {
+        self.flush_calls();
+        let t = &mut self.calls;
+        out.append(&mut t.ready);
+        if !t.builder.is_empty() {
+            out.push(Arc::new(t.builder.take()));
+        }
     }
 }
 
@@ -318,24 +372,14 @@ pub(crate) fn key_minima(
     }
 }
 
-/// Takes ownership of a batch's records: moves when this is the last
-/// reference (the common forward/partition case), clones only for batches
-/// still shared with other partitions (broadcast).
+/// Takes ownership of a batch's records — the result collection's step
+/// from batches to a `DataSet`: moves when this is the last reference,
+/// clones only for batches still shared with other partitions.
 pub(crate) fn take_records(batch: Arc<RecordBatch>) -> Vec<Record> {
     match Arc::try_unwrap(batch) {
         Ok(b) => b.into_records(),
         Err(shared) => shared.to_records(),
     }
-}
-
-/// Chunks records into `Arc`-wrapped batches of at most `batch_size` — the
-/// single batching point used by operator emission, partition shipping and
-/// the scan stage.
-pub(crate) fn into_batches(records: Vec<Record>, batch_size: usize) -> Vec<Arc<RecordBatch>> {
-    RecordBatch::chunked(records, batch_size)
-        .into_iter()
-        .map(Arc::new)
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -379,53 +423,16 @@ pub(crate) fn build_map_chain(stages: Vec<OpCtx>) -> Box<dyn Operator> {
     Box::new(map::MapOp::chained(stages))
 }
 
-/// How [`apply_chunked`] lays out the batches it pushes.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BatchLayout {
-    /// Row-major batches (`RecordBatch::from_records`).
-    Rows,
-    /// Columnar batches built through `BatchBuilder`, as scans and the
-    /// Partition scatter deliver them.
-    Columns,
-    /// Columnar and row-major batches alternating, columnar first.
-    Mixed,
-}
-
-#[cfg(test)]
-impl BatchLayout {
-    pub(crate) const ALL: [BatchLayout; 3] =
-        [BatchLayout::Rows, BatchLayout::Columns, BatchLayout::Mixed];
-
-    /// Batch number `i` of `records` in this layout, at `width` columns.
-    pub(crate) fn batch(self, i: usize, records: &[Record], width: usize) -> RecordBatch {
-        let columnar = match self {
-            BatchLayout::Rows => false,
-            BatchLayout::Columns => true,
-            BatchLayout::Mixed => i % 2 == 0,
-        };
-        if !columnar {
-            return RecordBatch::from_records(records.to_vec());
-        }
-        let mut b = strato_record::BatchBuilder::new(width);
-        for r in records {
-            b.push_record(r);
-        }
-        RecordBatch::from_columns(b.finish())
-    }
-}
-
 /// Applies one operator over fully materialized single-partition inputs:
-/// builds it, pushes each input port's records `chunk` per batch in
-/// `layout`, finishes, and concatenates the output. Checks the governor
-/// contract on the way: the push that crosses the budget sheds the
-/// buffers, and nothing stays granted past `finish`.
+/// builds it, pushes each input port's records `chunk` per batch,
+/// finishes, and concatenates the output. Checks the governor contract
+/// on the way: the push that crosses the budget sheds the buffers, and
+/// nothing stays granted past `finish`.
 #[cfg(test)]
 pub(crate) fn apply_chunked(
     strategy: LocalStrategy,
     inputs: &[Vec<Record>],
     chunk: usize,
-    layout: BatchLayout,
     ctx: OpCtx,
 ) -> Result<Vec<Record>, ExecError> {
     let gov = Arc::clone(&ctx.gov);
@@ -434,8 +441,8 @@ pub(crate) fn apply_chunked(
     let mut oper = build(strategy, ctx);
     let mut out = Vec::new();
     for (port, records) in inputs.iter().enumerate() {
-        for (i, chunk) in records.chunks(chunk).enumerate() {
-            let batch = Arc::new(layout.batch(i, chunk, width));
+        for chunk in records.chunks(chunk) {
+            let batch = Arc::new(crate::testutil::batch(chunk, width));
             oper.push(port, batch, &mut out)?;
             assert!(!gov.over_budget(), "{name} kept pressure");
         }
@@ -461,10 +468,10 @@ mod tests {
         assert_eq!(key_cmp(&rec(&[9, 2]), &rec(&[0, 2]), &key), Ordering::Equal);
     }
 
-    /// Each record's key hash through the batch kernel, row-major.
+    /// Each record's key hash through the batch kernel.
     fn hashes(recs: &[Record], key: &[usize]) -> Vec<u64> {
         let mut out = Vec::new();
-        RecordBatch::from_records(recs.to_vec()).key_hash_into(key, &mut out);
+        crate::testutil::batch(recs, recs[0].arity()).key_hash_into(key, &mut out);
         out
     }
 
@@ -491,24 +498,50 @@ mod tests {
         assert_eq!(h[0], h[1]);
     }
 
-    #[test]
-    fn calls_are_charged_every_1024_and_on_flush_exactly_once() {
+    /// A Map from `s(a, b)` emitting `k` records per input: copies of its
+    /// input, or — `fresh` — new records (`Record::nulls` at the plan
+    /// width) holding `a` alone.
+    fn k_map(k: usize, fresh: bool) -> strato_dataflow::Plan {
         use strato_dataflow::{CostHints, ProgramBuilder, SourceDef};
         use strato_ir::{FuncBuilder, UdfKind};
-        let mut b = FuncBuilder::new("id", UdfKind::Map, vec![1]);
-        let or = b.copy_input(0);
-        b.emit(or);
+        let mut b = FuncBuilder::new("k", UdfKind::Map, vec![2]);
+        let or = if fresh {
+            let or = b.new_rec();
+            let a = b.get_input(0, 0);
+            b.set(or, 0, a);
+            or
+        } else {
+            b.copy_input(0)
+        };
+        for _ in 0..k {
+            b.emit(or);
+        }
         b.ret();
         let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["a"], 8));
-        let m = p.map("id", b.finish().unwrap(), CostHints::default(), s);
-        let plan = p.finish(m).unwrap().bind().unwrap();
+        let s = p.source(SourceDef::new("s", &["a", "b"], 8));
+        let m = p.map("k", b.finish().unwrap(), CostHints::default(), s);
+        p.finish(m).unwrap().bind().unwrap()
+    }
+
+    /// The context of `plan`'s root at `batch_size`.
+    fn sized_ctx(plan: &strato_dataflow::Plan, batch_size: usize) -> OpCtx {
+        let mut ctx = crate::testutil::ctx(
+            plan,
+            &Arc::new(ExecStats::with_ops(plan.ctx.ops.len())),
+            &Arc::new(MemoryGovernor::with_budget(None)),
+        );
+        ctx.batch_size = batch_size;
+        ctx
+    }
+
+    #[test]
+    fn calls_are_charged_every_1024_and_on_flush_exactly_once() {
+        let plan = k_map(1, false);
         let stats = Arc::new(ExecStats::with_ops(1));
         let gov = Arc::new(MemoryGovernor::with_budget(None));
         let mut ctx = crate::testutil::ctx(&plan, &stats, &gov);
-        let r = rec(&[1]);
-        let mut out = Vec::new();
-        let mut call = |ctx: &mut OpCtx| ctx.call(Invocation::Row((&r).into()), &mut out).unwrap();
+        let r = rec(&[1, 2]);
+        let call = |ctx: &mut OpCtx| ctx.call_out(Invocation::Row((&r).into())).unwrap();
         let charged = |n: u64| {
             let t = stats.totals();
             assert_eq!((t.udf_calls, t.records_emitted), (n, n));
@@ -521,17 +554,94 @@ mod tests {
         call(&mut ctx);
         charged(FLUSH_EVERY);
         call(&mut ctx);
-        // A clone starts with a zero tally: flushing it charges nothing.
-        ctx.clone().flush_calls();
+        // A clone starts with a zero tally and no output: draining it
+        // charges and hands on nothing.
+        let mut out = Vec::new();
+        ctx.clone().drain_into(&mut out);
         charged(FLUSH_EVERY);
-        ctx.flush_calls();
-        ctx.flush_calls();
+        assert!(out.is_empty());
+        ctx.drain_into(&mut out);
+        ctx.drain_into(&mut out);
         charged(FLUSH_EVERY + 1);
+        // 64 rows per sealed batch, then the partial one.
+        let sizes: Vec<usize> = out.iter().map(|b| b.len()).collect();
+        let mut want = vec![64; (FLUSH_EVERY / 64) as usize];
+        want.push(1);
+        assert_eq!(sizes, want);
+    }
+
+    #[test]
+    fn a_push_emits_full_batches_then_one_partial_at_the_plan_width() {
+        use crate::testutil::{batch, widen};
+        let src: strato_record::DataSet = (0..5).map(|i| rec(&[i, 10 + i])).collect();
+        for fresh in [false, true] {
+            for k in [0, 1, 3] {
+                let plan = k_map(k, fresh);
+                let width = plan.ctx.width();
+                let input = widen(&src, &plan.ctx.sources[0].attrs, width);
+                // The UDF's own output, call by call: every record, fresh
+                // or copied, is as wide as the plan.
+                let mut want = Vec::new();
+                let mut ctx = sized_ctx(&plan, 1);
+                for r in &input {
+                    ctx.call(Invocation::Row(r.into()), &mut want).unwrap();
+                }
+                assert_eq!(want.len(), input.len() * k);
+                assert!(want.iter().all(|r| r.arity() == width), "fresh {fresh}");
+                for b in [1, 4, 7] {
+                    let tag = format!("k {k}, fresh {fresh}, batch size {b}");
+                    let mut map = build(LocalStrategy::Pipe, sized_ctx(&plan, b));
+                    for _ in 0..2 {
+                        let mut out = Vec::new();
+                        map.push(0, Arc::new(batch(&input, width)), &mut out)
+                            .unwrap();
+                        let n = want.len();
+                        let mut sizes = vec![b; n / b];
+                        sizes.extend(Some(n % b).filter(|&rest| rest > 0));
+                        let got: Vec<usize> = out.iter().map(|o| o.len()).collect();
+                        assert_eq!(got, sizes, "{tag}");
+                        assert!(out.iter().all(|o| o.width() == width), "{tag}");
+                        let got: Vec<Record> = out.into_iter().flat_map(take_records).collect();
+                        assert_eq!(got, want, "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reduce_finish_emits_one_batch_per_batch_size_groups() {
+        use crate::testutil::{batch, sum_inplace};
+        use strato_dataflow::{CostHints, ProgramBuilder, SourceDef};
+        let mut p = ProgramBuilder::new();
+        let s = p.source(SourceDef::new("s", &["k", "v"], 64));
+        let r = p.reduce("sum", &[0], sum_inplace(2, 1), CostHints::default(), s);
+        let plan = p.finish(r).unwrap().bind().unwrap();
+        let width = plan.ctx.width();
+        let rows: Vec<Record> = (0..40).map(|i| rec(&[i % 10, i])).collect();
+        // In memory (the hash finish) and spilling every batch (the
+        // sort-based walk): ten groups at four per batch are three
+        // batches.
+        for budget in [None, Some(0)] {
+            let mut ctx = sized_ctx(&plan, 4);
+            ctx.gov = Arc::new(MemoryGovernor::with_budget(budget));
+            let mut reduce = build(LocalStrategy::HashGroup, ctx);
+            let mut out = Vec::new();
+            for chunk in rows.chunks(8) {
+                reduce
+                    .push(0, Arc::new(batch(chunk, width)), &mut out)
+                    .unwrap();
+            }
+            assert!(out.is_empty(), "a Reduce emits at finish");
+            reduce.finish(&mut out).unwrap();
+            let sizes: Vec<usize> = out.iter().map(|o| o.len()).collect();
+            assert_eq!(sizes, [4, 4, 2], "at {budget:?}");
+        }
     }
 
     #[test]
     fn take_records_moves_unique_and_clones_shared() {
-        let batch = Arc::new(RecordBatch::from_records(vec![rec(&[1])]));
+        let batch = Arc::new(crate::testutil::batch(&[rec(&[1])], 1));
         let keep = Arc::clone(&batch);
         // Shared: cloned, original still intact.
         assert_eq!(take_records(batch), vec![rec(&[1])]);

@@ -3,7 +3,7 @@
 //!
 //! The hash finish groups those batches in place: it hashes each batch's
 //! key in one pass (`key_hash_into`), buckets and canonically sorts *row
-//! views* of either layout, and hands each group to the interpreter as
+//! views*, and hands each group to the interpreter as
 //! views — a record materializes only where the UDF copies one (one per
 //! group for a first-of-group UDF). A spill writes its run from row views
 //! too; a Reduce that spilled finishes by the sort-based walk.
@@ -24,7 +24,7 @@ use crate::spill::RunBuffer;
 use std::sync::Arc;
 use strato_ir::interp::Invocation;
 use strato_record::hash::FxHashMap;
-use strato_record::{sort_canonical, Record, RecordBatch, RowRef};
+use strato_record::{sort_canonical, RecordBatch, RowRef};
 
 /// Blocking Reduce: buffers its input, forms key groups at `finish`, and
 /// invokes the UDF once per group.
@@ -61,11 +61,7 @@ impl ReduceOp {
 
     /// In-memory hash grouping of the rows of `batches`; returns the
     /// number of groups.
-    fn hash_groups(
-        &mut self,
-        batches: &[Arc<RecordBatch>],
-        out: &mut Vec<Record>,
-    ) -> Result<u64, ExecError> {
+    fn hash_groups(&mut self, batches: &[Arc<RecordBatch>]) -> Result<u64, ExecError> {
         let key = &self.key;
         let (minima, mut buckets): (Vec<RowRef<'_>>, _);
         let mut groups: Vec<&[RowRef<'_>]> = if self.ctx.op().sca_props.first_record_only {
@@ -111,26 +107,25 @@ impl ReduceOp {
         // sort-based walk's emission order.
         groups.sort_unstable_by(|a, b| a[0].key_cmp(&b[0], key));
         for g in &groups {
-            self.ctx.call(Invocation::Group(g), out)?;
+            self.ctx.call_out(Invocation::Group(g))?;
         }
         Ok(groups.len() as u64)
     }
 
     /// The finish: the hash grouping, or the sort-based walk once anything
-    /// spilled, then the emission.
-    fn reduce(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let mut emitted = Vec::new();
+    /// spilled.
+    fn reduce(&mut self) -> Result<(), ExecError> {
         let mut groups = 0u64;
         if !self.buf.spilled() {
             let batches = self.buf.take_batches();
-            groups += self.hash_groups(&batches, &mut emitted)?;
+            groups += self.hash_groups(&batches)?;
             drop(batches);
             self.buf.release();
         } else {
             let mut stream = self.buf.drain_groups()?;
             while let Some(g) = stream.next_group()? {
                 let views: Vec<RowRef<'_>> = g.iter().map(RowRef::from).collect();
-                self.ctx.call(Invocation::Group(&views), &mut emitted)?;
+                self.ctx.call_out(Invocation::Group(&views))?;
                 groups += 1;
             }
         }
@@ -138,7 +133,6 @@ impl ReduceOp {
             // Groups == distinct input-0 keys for Reduce (nulls group).
             self.ctx.stats.add_op_distinct_keys(self.ctx.op_id, groups);
         }
-        self.ctx.emit(emitted, out);
         Ok(())
     }
 }
@@ -159,8 +153,8 @@ impl Operator for ReduceOp {
     }
 
     fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
-        let reduced = self.reduce(out);
-        self.ctx.flush_calls();
+        let reduced = self.reduce();
+        self.ctx.drain_into(out);
         reduced
     }
 }
@@ -168,14 +162,14 @@ impl Operator for ReduceOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, key_cmp, BatchLayout};
+    use crate::operators::{apply_chunked, key_cmp};
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
-    use crate::testutil::{colliding_second_field, ctx};
+    use crate::testutil::{batch, colliding_second_field, ctx};
     use strato_core::LocalStrategy;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_ir::{BinOp, FuncBuilder, Function, UdfKind};
-    use strato_record::{DataSet, Value};
+    use strato_record::{DataSet, Record, Value};
 
     /// Sum of field 2, appended as field 3 (two-field grouping key).
     fn sum_appended() -> Function {
@@ -236,31 +230,23 @@ mod tests {
         // The engineered collision and its preconditions, through the
         // batch hash kernel the operators use.
         let key_idx: Vec<usize> = key.iter().map(|k| k.index()).collect();
-        let rows = RecordBatch::from_records(vec![a1.clone(), b1.clone(), c1.clone()]);
+        let rows = batch(&[a1.clone(), b1.clone(), c1.clone()], plan.ctx.width());
         let mut hashes = Vec::new();
         rows.key_hash_into(&key_idx, &mut hashes);
         assert_eq!(hashes[0], hashes[2], "A and C collide");
         assert_ne!(hashes[0], hashes[1]);
         assert_ne!(key_cmp(&a1, &c1, &key), std::cmp::Ordering::Equal);
         assert!(key_cmp(&a1, &b1, &key).is_lt() && key_cmp(&b1, &c1, &key).is_lt());
-        // The whole-column kernel of columnar batches hashes alike.
-        let mut builder = strato_record::BatchBuilder::new(plan.ctx.width());
-        for r in [&a1, &b1, &c1] {
-            builder.push_record(r);
-        }
-        let mut col_hashes = Vec::new();
-        builder.finish().key_hash_into(&key_idx, &mut col_hashes);
-        assert_eq!(col_hashes, hashes);
 
         let input = [vec![c1, b1, a2, a1, c2, b2]];
         let stats = Arc::new(ExecStats::with_ops(1));
         let hash = LocalStrategy::HashGroup;
-        let run = |layout, budget| {
+        let run = |budget| {
             let gov = Arc::new(MemoryGovernor::with_budget(budget));
-            apply_chunked(hash, &input, 2, layout, ctx(&plan, &stats, &gov)).unwrap()
+            apply_chunked(hash, &input, 2, ctx(&plan, &stats, &gov)).unwrap()
         };
         // A zero budget spills every batch: the sort-based walk.
-        let reference = run(BatchLayout::Rows, Some(0));
+        let reference = run(Some(0));
         assert!(stats.totals().spill_runs > 0);
         // Globally ascending by key: A (sum 11), B (15), C (19).
         let sums: Vec<i64> = reference
@@ -268,17 +254,14 @@ mod tests {
             .map(|r| r.field(3).as_int().unwrap())
             .collect();
         assert_eq!(sums, vec![11, 15, 19]);
-        // Two rows per batch: under `Mixed`, A and C share a bucket across
-        // a columnar and a row-major batch.
-        for layout in BatchLayout::ALL {
-            for budget in [None, Some(0)] {
-                assert_eq!(
-                    run(layout, budget),
-                    reference,
-                    "{layout:?} at {budget:?}: emission order must be a pure \
-                     function of the input bag"
-                );
-            }
+        // Two rows per batch: A and C share a bucket across two batches.
+        for budget in [None, Some(0)] {
+            assert_eq!(
+                run(budget),
+                reference,
+                "at {budget:?}: emission order must be a pure function of \
+                 the input bag"
+            );
         }
     }
 
@@ -286,7 +269,7 @@ mod tests {
     fn first_only_minima_split_hash_collisions() {
         // The min scan chains keys that share a 64-bit hash: A and C
         // collide, and each must keep its own minimum, emitted in key
-        // order A < B < C, whatever the layout or budget.
+        // order A < B < C, whatever the budget.
         let y = colliding_second_field(1, 100, 2);
         let mut b = FuncBuilder::new("first", UdfKind::Group, vec![3]);
         let it = b.iter_open(0);
@@ -321,13 +304,11 @@ mod tests {
         ]];
         let want = vec![rec(100, 5), rec(101, 7), rec(y, 9)];
         let stats = Arc::new(ExecStats::with_ops(1));
-        for layout in BatchLayout::ALL {
-            for budget in [None, Some(64)] {
-                let gov = Arc::new(MemoryGovernor::with_budget(budget));
-                let hash = LocalStrategy::HashGroup;
-                let got = apply_chunked(hash, &input, 2, layout, ctx(&plan, &stats, &gov)).unwrap();
-                assert_eq!(got, want, "{layout:?} under {budget:?}");
-            }
+        for budget in [None, Some(64)] {
+            let gov = Arc::new(MemoryGovernor::with_budget(budget));
+            let hash = LocalStrategy::HashGroup;
+            let got = apply_chunked(hash, &input, 2, ctx(&plan, &stats, &gov)).unwrap();
+            assert_eq!(got, want, "under {budget:?}");
         }
     }
 
@@ -348,27 +329,23 @@ mod tests {
         let ref_stats = Arc::new(ExecStats::new());
         let ref_gov = Arc::new(MemoryGovernor::unbounded());
         let hash = LocalStrategy::HashGroup;
-        let rows = BatchLayout::Rows;
-        let reference =
-            apply_chunked(hash, &input, 48, rows, ctx(&plan, &ref_stats, &ref_gov)).unwrap();
+        let reference = apply_chunked(hash, &input, 48, ctx(&plan, &ref_stats, &ref_gov)).unwrap();
         assert_eq!(ref_stats.totals().spill_runs, 0);
 
-        for layout in BatchLayout::ALL {
-            // A 64-byte budget forces a spill on (nearly) every pushed
-            // batch; feed one record per batch to maximize pressure events
-            // (`apply_chunked` checks that each one sheds the buffer).
-            let stats = Arc::new(ExecStats::with_ops(1));
-            let gov = Arc::new(MemoryGovernor::with_budget(Some(64)));
-            let got = apply_chunked(hash, &input, 1, layout, ctx(&plan, &stats, &gov)).unwrap();
-            assert_eq!(got, reference, "{layout:?} must spill transparently");
-            let t = stats.totals();
-            assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");
-            assert!(t.records_spilled > 0 && t.spilled_bytes > 0);
-            let slot = &stats.op_snapshots()[0];
-            assert_eq!(
-                slot.spill_runs, t.spill_runs,
-                "per-op slot mirrors the totals"
-            );
-        }
+        // A 64-byte budget forces a spill on (nearly) every pushed batch;
+        // feed one record per batch to maximize pressure events
+        // (`apply_chunked` checks that each one sheds the buffer).
+        let stats = Arc::new(ExecStats::with_ops(1));
+        let gov = Arc::new(MemoryGovernor::with_budget(Some(64)));
+        let got = apply_chunked(hash, &input, 1, ctx(&plan, &stats, &gov)).unwrap();
+        assert_eq!(got, reference, "must spill transparently");
+        let t = stats.totals();
+        assert!(t.spill_runs > 1, "tiny budget must spill repeatedly: {t:?}");
+        assert!(t.records_spilled > 0 && t.spilled_bytes > 0);
+        let slot = &stats.op_snapshots()[0];
+        assert_eq!(
+            slot.spill_runs, t.spill_runs,
+            "per-op slot mirrors the totals"
+        );
     }
 }

@@ -554,7 +554,7 @@ fn step(body: &mut TaskBody, sched: &Sched, rt: &RtShared) -> Result<StepOutcome
                     sched
                         .stats
                         .add_batch_cells(cb.null_cells() as u64, cb.total_cells() as u64);
-                    scratch.push(Arc::new(RecordBatch::from_columns(cb)));
+                    scratch.push(Arc::new(cb));
                 }
             }
             Work::Op { oper, ports, rr } => {
@@ -854,6 +854,7 @@ pub(crate) fn run_streaming(
                                 op_id,
                                 key,
                                 opts.batch_size,
+                                plan.ctx.width(),
                             ))),
                             (base..base + dop).collect(),
                         ),

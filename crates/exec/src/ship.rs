@@ -9,12 +9,12 @@
 //! overlaps the local work of both producer and consumer stages.
 //!
 //! Byte accounting uses [`RecordBatch::encoded_len`] — the sum of
-//! [`Record::encoded_len`], the same approximation the cost model
-//! optimizes against, in either batch layout — instead of serializing
-//! every record. Debug builds additionally round-trip each
-//! hash-partitioned row through the wire format and check the decode
-//! reproduces the original, so every debug test run exercises the
-//! serialization and release never pays for it.
+//! [`Record::encoded_len`](strato_record::Record::encoded_len), the same
+//! approximation the cost model optimizes against, computed column-wise —
+//! instead of serializing every record. Debug builds additionally
+//! round-trip each hash-partitioned row through the wire format and check
+//! the decode reproduces the original, so every debug test run exercises
+//! the serialization and release never pays for it.
 //!
 //! Accounting rule (see [`ExecStats::add_shipped`]):
 //!
@@ -37,7 +37,7 @@ use crate::stats::ExecStats;
 use bytes::BytesMut;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use strato_record::{wire, AttrId, BatchBuilder, Record, RecordBatch};
+use strato_record::{wire, AttrId, BatchBuilder, RecordBatch, RowRef};
 
 /// A producer task's outbound queue: batches routed to scheduler channels
 /// but not yet accepted (bounded channels apply backpressure).
@@ -53,17 +53,14 @@ pub(crate) enum Router {
     },
     /// Hash-repartition records by key; batches rebuilt per destination.
     ///
-    /// One accounting pass serves both batch layouts: destinations come
-    /// from [`RecordBatch::key_hash_into`], bytes from
+    /// Destinations come from [`RecordBatch::key_hash_into`], bytes from
     /// [`RecordBatch::encoded_len`] and the debug wire round trip from
-    /// [`RecordBatch::row`] views. Only the scatter branches on layout,
-    /// because a shipped batch keeps its input's layout: columnar rows go
-    /// into per-destination [`BatchBuilder`]s without materializing a
-    /// [`Record`], row-major records move into per-destination vectors.
-    /// Both flush at the same `batch_size` boundaries. A task's output
-    /// is one representation for its whole life (scans emit columns,
-    /// operators emit rows), so the first batch fixes which kind
-    /// `pending` holds.
+    /// [`RecordBatch::row`] views. Rows go into one [`BatchBuilder`] per
+    /// destination, built at the plan's width when the router is, without
+    /// materializing a record: a uniquely held batch scatters its owned
+    /// columns ([`strato_record::ColumnBatch::scatter_into`]), a shared
+    /// one is gathered row by row. A builder is handed on once a routed
+    /// batch brings it to `batch_size` rows, and at `finish`.
     Partition {
         first: usize,
         dop: usize,
@@ -72,9 +69,8 @@ pub(crate) enum Router {
         op: Option<usize>,
         /// Key attribute positions.
         key_idx: Vec<usize>,
-        /// Per-destination rows accumulated up to `batch_size` (`None`
-        /// until the first batch arrives).
-        pending: Option<Pending>,
+        /// Per-destination rows accumulated up to `batch_size`.
+        builders: Vec<BatchBuilder>,
         batch_size: usize,
         /// Scratch for the debug-build wire round trip.
         buf: BytesMut,
@@ -93,31 +89,27 @@ pub(crate) enum Router {
     },
 }
 
-/// The partially filled destination batches of a Partition router, one
-/// per consumer partition.
-pub(crate) enum Pending {
-    Rows(Vec<Vec<Record>>),
-    Cols(Vec<BatchBuilder>),
-}
-
 impl Router {
     pub(crate) fn forward(chan: usize) -> Self {
         Router::Forward { chan }
     }
 
+    /// A Partition router over `dop` consumer partitions for rows
+    /// `width` attributes wide.
     pub(crate) fn partition(
         first: usize,
         dop: usize,
         op: Option<usize>,
         key: &[AttrId],
         batch_size: usize,
+        width: usize,
     ) -> Self {
         Router::Partition {
             first,
             dop,
             op,
             key_idx: key.iter().map(|a| a.index()).collect(),
-            pending: None,
+            builders: (0..dop).map(|_| BatchBuilder::new(width)).collect(),
             batch_size: batch_size.max(1),
             buf: BytesMut::new(),
             hashes: Vec::new(),
@@ -152,7 +144,7 @@ impl Router {
                 dop,
                 op,
                 key_idx,
-                pending,
+                builders,
                 batch_size,
                 buf,
                 hashes,
@@ -161,64 +153,32 @@ impl Router {
                 let n = batch.len();
                 if cfg!(debug_assertions) {
                     for row in 0..n {
-                        validate_roundtrip(&batch.row(row).to_record(), buf)?;
+                        validate_roundtrip(batch.row(row), buf)?;
                     }
                 }
                 stats.add_shipped(*op, n as u64, batch.encoded_len() as u64);
                 batch.key_hash_into(key_idx, hashes);
                 dests.clear();
                 dests.extend(hashes.iter().map(|&h| (h as usize % *dop) as u32));
-                if let Some(width) = batch.columns().map(|cb| cb.width()) {
-                    let builders = pending.get_or_insert_with(|| {
-                        Pending::Cols((0..*dop).map(|_| BatchBuilder::new(width)).collect())
-                    });
-                    let Pending::Cols(builders) = builders else {
-                        unreachable!("a columnar batch after row batches on one edge")
-                    };
-                    debug_assert!(builders.iter().all(|b| b.width() == width));
-                    let mut refs: Vec<&mut BatchBuilder> = builders.iter_mut().collect();
-                    match Arc::try_unwrap(batch) {
-                        // Sole owner: scatter owned columns (string
-                        // payloads move, no refcount traffic).
-                        Ok(rb) => {
-                            let owned = rb.into_columns().expect("checked columnar");
-                            owned.scatter_into(dests, &mut refs);
-                        }
-                        // Shared (e.g. a re-routed broadcast batch):
-                        // gather row-by-row from the borrowed columns.
-                        Err(shared) => {
-                            let cb = shared.columns().expect("checked columnar");
-                            for (row, &d) in dests.iter().enumerate() {
-                                refs[d as usize].append_row(cb, row);
-                            }
-                        }
-                    }
-                    for (p, bld) in builders.iter_mut().enumerate() {
-                        if bld.len() >= *batch_size {
-                            let full = RecordBatch::from_columns(bld.take());
-                            out.push_back((*first + p, Arc::new(full)));
-                        }
-                    }
-                    stats.add_scattered(n as u64);
-                } else {
-                    let builders = pending.get_or_insert_with(|| {
-                        Pending::Rows((0..*dop).map(|_| Vec::new()).collect())
-                    });
-                    let Pending::Rows(builders) = builders else {
-                        unreachable!("a row batch after columnar batches on one edge")
-                    };
-                    for (r, &d) in crate::operators::take_records(batch)
-                        .into_iter()
-                        .zip(&*dests)
-                    {
-                        let p = d as usize;
-                        builders[p].push(r);
-                        if builders[p].len() >= *batch_size {
-                            let full = std::mem::take(&mut builders[p]);
-                            out.push_back((*first + p, Arc::new(RecordBatch::from_records(full))));
+                let mut refs: Vec<&mut BatchBuilder> = builders.iter_mut().collect();
+                match Arc::try_unwrap(batch) {
+                    // Sole owner: scatter owned columns (string payloads
+                    // move, no refcount traffic).
+                    Ok(owned) => owned.scatter_into(dests, &mut refs),
+                    // Shared (e.g. a re-routed broadcast batch): gather
+                    // row by row from the borrowed columns.
+                    Err(shared) => {
+                        for (row, &d) in dests.iter().enumerate() {
+                            refs[d as usize].append_row(&shared, row);
                         }
                     }
                 }
+                for (p, bld) in builders.iter_mut().enumerate() {
+                    if bld.len() >= *batch_size {
+                        out.push_back((*first + p, Arc::new(bld.take())));
+                    }
+                }
+                stats.add_scattered(n as u64);
             }
             Router::Broadcast { first, dop, op } => {
                 // `dop - 1` remote copies: a partition does not ship to
@@ -240,41 +200,32 @@ impl Router {
     /// Flushes any partially filled destination batches (end of the
     /// producer's output).
     pub(crate) fn finish(&mut self, out: &mut Outbound) {
-        let Router::Partition { first, pending, .. } = self else {
+        let Router::Partition {
+            first, builders, ..
+        } = self
+        else {
             return;
         };
-        let mut flush = |p: usize, rest: RecordBatch| {
-            if !rest.is_empty() {
-                out.push_back((*first + p, Arc::new(rest)));
-            }
-        };
-        match pending.take() {
-            None => {}
-            Some(Pending::Rows(builders)) => {
-                for (p, rows) in builders.into_iter().enumerate() {
-                    flush(p, RecordBatch::from_records(rows));
-                }
-            }
-            Some(Pending::Cols(builders)) => {
-                for (p, mut bld) in builders.into_iter().enumerate() {
-                    flush(p, RecordBatch::from_columns(bld.take()));
-                }
+        for (p, bld) in builders.iter_mut().enumerate() {
+            if !bld.is_empty() {
+                out.push_back((*first + p, Arc::new(bld.take())));
             }
         }
     }
 }
 
-/// Encodes `r` with the shared length-framing helper (the same framing
-/// the spill subsystem writes), decodes it back, and checks the
+/// Encodes the row with the shared length-framing helper (the same
+/// framing the spill subsystem writes), decodes it back, and checks the
 /// round-trip is lossless.
-fn validate_roundtrip(r: &Record, buf: &mut BytesMut) -> Result<(), ExecError> {
+fn validate_roundtrip(row: RowRef<'_>, buf: &mut BytesMut) -> Result<(), ExecError> {
     buf.clear();
-    wire::encode_framed(r, buf);
+    wire::encode_framed_row(row, buf);
     let decoded = wire::decode_framed(&mut buf.split().freeze())
         .map_err(|e| ExecError::Wire(e.to_string()))?;
-    if &decoded != r {
+    if RowRef::from(&decoded) != row {
         return Err(ExecError::Wire(format!(
-            "round-trip mismatch: {r} decoded as {decoded}"
+            "round-trip mismatch: {} decoded as {decoded}",
+            row.to_record()
         )));
     }
     Ok(())
@@ -283,21 +234,22 @@ fn validate_roundtrip(r: &Record, buf: &mut BytesMut) -> Result<(), ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil;
     use std::collections::{BTreeMap, BTreeSet};
-    use strato_record::Value;
+    use strato_record::{Record, Value};
 
     fn batch(vals: &[i64]) -> Arc<RecordBatch> {
-        Arc::new(
-            vals.iter()
-                .map(|&v| Record::from_values([Value::Int(v)]))
-                .collect(),
-        )
+        let recs: Vec<Record> = vals
+            .iter()
+            .map(|&v| Record::from_values([Value::Int(v)]))
+            .collect();
+        Arc::new(testutil::batch(&recs, 1))
     }
 
     fn flat(out: &Outbound) -> Vec<(usize, Vec<i64>)> {
         out.iter()
             .map(|(c, b)| {
-                let ints = b.records().iter().map(|r| r.field(0).as_int().unwrap());
+                let ints = (0..b.len()).map(|i| b.row(i).value(0).as_int().unwrap());
                 (*c, ints.collect())
             })
             .collect()
@@ -319,7 +271,7 @@ mod tests {
         let stats = ExecStats::new();
         let key = [AttrId(0)];
         let mut out = Outbound::new();
-        let mut r = Router::partition(10, 4, Some(0), &key, 1024);
+        let mut r = Router::partition(10, 4, Some(0), &key, 1024, 1);
         r.route(batch(&[1, 2, 3]), &mut out, &stats).unwrap();
         r.route(batch(&[1, 4]), &mut out, &stats).unwrap();
         r.finish(&mut out);
@@ -344,38 +296,25 @@ mod tests {
 
     #[test]
     fn partition_routes_every_layout_alike() {
-        // The same records as a row-major batch, an owned columnar batch
-        // and a shared (broadcast-style) columnar batch: each key must
-        // land on the same channel with the same ship accounting, and
-        // every shipped batch keeps its input's layout.
+        // The same records as an owned batch (scattered column-wise) and
+        // a shared, broadcast-style one (gathered row by row): each key
+        // must land on the same channel with the same ship accounting.
         let key = [AttrId(0)];
         let recs: Vec<Record> = (0..40)
             .map(|i| Record::from_values([Value::Int(i % 7), Value::str(format!("p{i}"))]))
             .collect();
-        let columnar = || {
-            let mut b = BatchBuilder::new(2);
-            for r in &recs {
-                b.push_record(r);
-            }
-            Arc::new(RecordBatch::from_columns(b.finish()))
-        };
-        let shared = columnar();
+        let shared = Arc::new(testutil::batch(&recs, 2));
         let _other_holder = Arc::clone(&shared);
         let cases = [
-            (
-                "rows",
-                Arc::new(RecordBatch::from_records(recs.clone())),
-                false,
-            ),
-            ("owned columns", columnar(), true),
-            ("shared columns", shared, true),
+            ("owned columns", Arc::new(testutil::batch(&recs, 2))),
+            ("shared columns", shared),
         ];
         let bytes: u64 = recs.iter().map(|r| r.encoded_len() as u64).sum();
         let mut routes = Vec::new();
-        for (name, batch, columnar) in cases {
+        for (name, batch) in cases {
             let stats = ExecStats::with_ops(1);
             let mut out = Outbound::new();
-            let mut r = Router::partition(10, 3, Some(0), &key, 4);
+            let mut r = Router::partition(10, 3, Some(0), &key, 4, 2);
             r.route(batch, &mut out, &stats).unwrap();
             r.finish(&mut out);
             let t = stats.totals();
@@ -386,11 +325,10 @@ mod tests {
                 (40, bytes),
                 "{name}"
             );
-            assert_eq!(t.rows_scattered, if columnar { 40 } else { 0 }, "{name}");
+            assert_eq!(t.rows_scattered, 40, "{name}");
             let mut chans: BTreeMap<Value, BTreeSet<usize>> = BTreeMap::new();
             let mut routed = Vec::new();
             for (c, b) in &out {
-                assert_eq!(b.columns().is_some(), columnar, "{name} keeps its layout");
                 for i in 0..b.len() {
                     chans.entry(b.row(i).value(0)).or_default().insert(*c);
                     routed.push(b.row(i).to_record());
@@ -404,7 +342,6 @@ mod tests {
             routes.push(chans);
         }
         assert_eq!(routes[0], routes[1]);
-        assert_eq!(routes[0], routes[2]);
     }
 
     #[test]
@@ -412,13 +349,20 @@ mod tests {
         let stats = ExecStats::new();
         let key = [AttrId(0)];
         let mut out = Outbound::new();
-        // Same key → same destination; batch_size 2 → flush every 2 records.
-        let mut r = Router::partition(0, 2, Some(0), &key, 2);
-        r.route(batch(&[7, 7, 7, 7, 7]), &mut out, &stats).unwrap();
-        assert_eq!(out.len(), 2, "two full batches flushed eagerly");
+        // Same key → same destination; batch_size 2 → a destination's
+        // rows are handed on as soon as a routed batch brings them to 2.
+        let mut r = Router::partition(0, 2, Some(0), &key, 2, 1);
+        r.route(batch(&[7]), &mut out, &stats).unwrap();
+        assert!(out.is_empty(), "below batch_size: held");
+        r.route(batch(&[7]), &mut out, &stats).unwrap();
+        assert_eq!(out.len(), 1, "a full batch flushed eagerly");
+        r.route(batch(&[7, 7, 7]), &mut out, &stats).unwrap();
+        assert_eq!(out.len(), 2, "a batch is scattered whole, then flushed");
+        r.route(batch(&[7]), &mut out, &stats).unwrap();
         r.finish(&mut out);
         assert_eq!(out.len(), 3, "remainder flushed at finish");
-        assert_eq!(out.iter().map(|(_, b)| b.len()).sum::<usize>(), 5);
+        let sizes: Vec<usize> = out.iter().map(|(_, b)| b.len()).collect();
+        assert_eq!(sizes, [2, 3, 1]);
     }
 
     #[test]
@@ -456,23 +400,16 @@ mod tests {
         let stats = ExecStats::new();
         let key = [AttrId(0)];
         let mut out = Outbound::new();
-        let mut r = Router::partition(0, 2, None, &key, 1024);
-        r.route(
-            Arc::new(
-                [Record::from_values([
-                    Value::Int(1),
-                    Value::Null,
-                    Value::str("x"),
-                    Value::Float(2.5),
-                    Value::Bool(true),
-                ])]
-                .into_iter()
-                .collect::<RecordBatch>(),
-            ),
-            &mut out,
-            &stats,
-        )
-        .unwrap();
+        let mut r = Router::partition(0, 2, None, &key, 1024, 5);
+        let row = Record::from_values([
+            Value::Int(1),
+            Value::Null,
+            Value::str("x"),
+            Value::Float(2.5),
+            Value::Bool(true),
+        ]);
+        let batch = Arc::new(testutil::batch(&[row], 5));
+        r.route(batch, &mut out, &stats).unwrap();
         r.finish(&mut out);
         assert_eq!(out.iter().map(|(_, b)| b.len()).sum::<usize>(), 1);
     }

@@ -19,8 +19,7 @@ use strato_record::{AttrId, Record, RecordBatch};
 /// [`drain_groups`](RunBuffer::drain_groups) is the one sort-based finish
 /// — it merges the sorted tail with however many runs exist, *including
 /// zero*, so an execution that never spilled walks the same code as one
-/// that did. Held batches stay in whatever layout they arrived in: a
-/// spill writes its run straight from row views of them, the drain
+/// that did. Held batches stay as they arrived: a spill writes its run straight from row views of them, the drain
 /// materializes only the rows it keeps, and an in-memory (hash) finish
 /// reads them in place ([`take_batches`](RunBuffer::take_batches)).
 /// Spill and drain select the same rows: every row in canonical order,
@@ -93,8 +92,7 @@ impl RunBuffer {
         self
     }
 
-    /// Buffers `batch` as it is, granting its `encoded_len` — the same
-    /// bytes in either layout.
+    /// Buffers `batch` as it is, granting its `encoded_len`.
     pub(crate) fn push_batch(&mut self, batch: Arc<RecordBatch>) {
         let mut charge = 0;
         if self.ctx.gov.bounded() {
@@ -283,10 +281,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{canonical_cmp, key_cmp, BatchLayout};
+    use crate::operators::{canonical_cmp, key_cmp};
     use crate::spill::{GlobalMemory, MemoryGovernor};
     use crate::stats::ExecStats;
-    use crate::testutil::{colliding_second_field, ctx, sum_inplace};
+    use crate::testutil::{batch, colliding_second_field, ctx, sum_inplace};
     use std::path::PathBuf;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
     use strato_record::Value;
@@ -334,15 +332,15 @@ mod tests {
         (pool, Arc::new(gov))
     }
 
-    /// Hands `rows` to `buf` as its `i`-th push, one batch in `how`.
-    fn put(buf: &mut RunBuffer, how: BatchLayout, i: usize, rows: &[Record]) {
-        buf.push_batch(Arc::new(how.batch(i, rows, WIDTH)));
+    /// Hands `rows` to `buf` as one batch.
+    fn put(buf: &mut RunBuffer, rows: &[Record]) {
+        buf.push_batch(Arc::new(batch(rows, WIDTH)));
     }
 
     /// Pushes `rows` three at a time, spilling whenever over budget.
-    fn feed(buf: &mut RunBuffer, gov: &MemoryGovernor, how: BatchLayout, rows: Vec<Record>) {
-        for (i, chunk) in rows.chunks(3).enumerate() {
-            put(buf, how, i, chunk);
+    fn feed(buf: &mut RunBuffer, gov: &MemoryGovernor, rows: Vec<Record>) {
+        for chunk in rows.chunks(3) {
+            put(buf, chunk);
             if gov.over_budget() {
                 buf.spill().unwrap();
                 assert_eq!(gov.resident(), 0, "a spill sheds the whole buffer");
@@ -365,17 +363,13 @@ mod tests {
             .collect();
         assert_eq!(expected.len(), 6, "five int keys + the null group");
 
-        let budgets = [None, Some(0), Some(64), Some(1 << 16)];
-        for (how, budget) in BatchLayout::ALL
-            .into_iter()
-            .flat_map(|h| budgets.map(|b| (h, b)))
-        {
+        for budget in [None, Some(0), Some(64), Some(1 << 16)] {
             let stats = Arc::new(ExecStats::with_ops(1));
             let gov = Arc::new(MemoryGovernor::with_budget(budget));
             let mut buf = buffer(&stats, &gov, false);
-            feed(&mut buf, &gov, how, input());
+            feed(&mut buf, &gov, input());
             let spilled = buf.spilled();
-            let tag = format!("{how:?} at budget {budget:?}");
+            let tag = format!("at budget {budget:?}");
             assert_eq!(drain(&mut buf), expected, "{tag}");
             assert_eq!(spilled, matches!(budget, Some(0 | 64)), "{tag}");
             assert_eq!(stats.totals().spill_runs > 0, spilled);
@@ -400,7 +394,7 @@ mod tests {
         for drop_null_keys in [false, true] {
             let mut buf = buffer(&stats, &gov, drop_null_keys);
             assert!(!buf.saw_null_key());
-            feed(&mut buf, &gov, BatchLayout::Rows, input());
+            feed(&mut buf, &gov, input());
             assert!(buf.spilled());
             let groups = drain(&mut buf);
             let nulls: usize = groups
@@ -422,7 +416,7 @@ mod tests {
         }
         // A join side without null keys has nothing to remember.
         let mut buf = buffer(&stats, &gov, true);
-        put(&mut buf, BatchLayout::Rows, 0, &[rec(Some(1), 1)]);
+        put(&mut buf, &[rec(Some(1), 1)]);
         assert!(!buf.saw_null_key());
     }
 
@@ -433,64 +427,61 @@ mod tests {
         let stats = Arc::new(ExecStats::new());
         let bytes: u64 = input().iter().map(|r| r.encoded_len() as u64).sum();
 
-        for how in BatchLayout::ALL {
-            // The grant of a push, a batch of either layout, is the rows'
-            // total `encoded_len`.
-            let (_pool, gov) = governed(1 << 16, None);
-            let mut buf = buffer(&stats, &gov, false);
-            put(&mut buf, how, 0, &input());
-            assert_eq!(gov.resident(), bytes, "{how:?}");
+        // The grant of a push is the rows' total `encoded_len`.
+        let (_pool, gov) = governed(1 << 16, None);
+        let mut buf = buffer(&stats, &gov, false);
+        put(&mut buf, &input());
+        assert_eq!(gov.resident(), bytes);
 
-            // (i) A complete walk.
-            let (pool, gov) = governed(64, Some(base.clone()));
-            let mut buf = buffer(&stats, &gov, false);
-            feed(&mut buf, &gov, how, input());
-            assert!(
-                buf.spilled() && gov.resident() > 0,
-                "runs and a granted tail"
-            );
-            assert_eq!(drain(&mut buf).len(), 6);
-            assert_eq!((gov.resident(), pool.resident()), (0, 0));
+        // (i) A complete walk.
+        let (pool, gov) = governed(64, Some(base.clone()));
+        let mut buf = buffer(&stats, &gov, false);
+        feed(&mut buf, &gov, input());
+        assert!(
+            buf.spilled() && gov.resident() > 0,
+            "runs and a granted tail"
+        );
+        assert_eq!(drain(&mut buf).len(), 6);
+        assert_eq!((gov.resident(), pool.resident()), (0, 0));
 
-            // (ii) A walk abandoned after its first group, then the buffer
-            // dropped with freshly pushed rows still in it.
-            feed(&mut buf, &gov, how, input());
-            let mut groups = buf.drain_groups().unwrap();
-            assert!(groups.next_group().unwrap().is_some());
-            drop(groups);
-            put(&mut buf, how, 0, &input());
-            assert!(gov.resident() > 0);
-            drop(buf);
-            assert_eq!((gov.resident(), pool.resident()), (0, 0), "{how:?}");
-            let dir = gov.spill_dir_path().expect("spilled");
-            assert!(
-                std::fs::read_dir(&dir).unwrap().next().is_none(),
-                "runs deleted"
-            );
-            drop(gov);
-            assert_eq!(pool.granted(), 0);
-            assert!(!dir.exists());
+        // (ii) A walk abandoned after its first group, then the buffer
+        // dropped with freshly pushed rows still in it.
+        feed(&mut buf, &gov, input());
+        let mut groups = buf.drain_groups().unwrap();
+        assert!(groups.next_group().unwrap().is_some());
+        drop(groups);
+        put(&mut buf, &input());
+        assert!(gov.resident() > 0);
+        drop(buf);
+        assert_eq!((gov.resident(), pool.resident()), (0, 0));
+        let dir = gov.spill_dir_path().expect("spilled");
+        assert!(
+            std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "runs deleted"
+        );
+        drop(gov);
+        assert_eq!(pool.granted(), 0);
+        assert!(!dir.exists());
 
-            // (iii) A spill that cannot write: the spill "directory" is a
-            // file. The batches stay held, with their charges.
-            let blocker = base.join("not-a-directory");
-            std::fs::write(&blocker, b"x").unwrap();
-            let (pool, gov) = governed(0, Some(blocker));
-            let mut buf = buffer(&stats, &gov, false);
-            put(&mut buf, how, 0, &input());
-            let held = gov.resident();
-            assert_eq!(held, bytes);
-            assert!(matches!(buf.spill(), Err(ExecError::Spill(_))));
-            let rows: usize = buf.batches.iter().map(|(b, _)| b.len()).sum();
-            assert_eq!(rows, 26, "a failed spill loses nothing");
-            let charged: u64 = buf.batches.iter().map(|&(_, charge)| charge).sum();
-            assert_eq!((charged, buf.granted), (held, held), "{how:?}");
-            assert_eq!(gov.resident(), held, "{how:?} keeps its grant");
-            drop(buf);
-            assert_eq!((gov.resident(), pool.resident()), (0, 0));
-            drop(gov);
-            assert_eq!(pool.granted(), 0);
-        }
+        // (iii) A spill that cannot write: the spill "directory" is a
+        // file. The batches stay held, with their charges.
+        let blocker = base.join("not-a-directory");
+        std::fs::write(&blocker, b"x").unwrap();
+        let (pool, gov) = governed(0, Some(blocker));
+        let mut buf = buffer(&stats, &gov, false);
+        put(&mut buf, &input());
+        let held = gov.resident();
+        assert_eq!(held, bytes);
+        assert!(matches!(buf.spill(), Err(ExecError::Spill(_))));
+        let rows: usize = buf.batches.iter().map(|(b, _)| b.len()).sum();
+        assert_eq!(rows, 26, "a failed spill loses nothing");
+        let charged: u64 = buf.batches.iter().map(|&(_, charge)| charge).sum();
+        assert_eq!((charged, buf.granted), (held, held));
+        assert_eq!(gov.resident(), held, "keeps its grant");
+        drop(buf);
+        assert_eq!((gov.resident(), pool.resident()), (0, 0));
+        drop(gov);
+        assert_eq!(pool.granted(), 0);
 
         std::fs::remove_dir_all(&base).unwrap();
     }
@@ -520,46 +511,44 @@ mod tests {
         let rows = input();
         let (shared_rows, unique_rows) = rows.split_at(6);
         assert!(unique_rows.iter().any(|r| r.field(0).is_null()));
-        for how in BatchLayout::ALL {
-            for join in [false, true] {
-                for first in [false, true] {
-                    let tag = format!("{how:?}, join {join}, first-per-key {first}");
-                    let stats = Arc::new(ExecStats::with_ops(1));
-                    let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 16)));
-                    let mut buf = buffer(&stats, &gov, join).with_first_per_key(first);
-                    // A broadcast batch: another partition holds it too.
-                    let shared = Arc::new(how.batch(0, shared_rows, WIDTH));
-                    let other_holder = Arc::clone(&shared);
-                    buf.push_batch(shared);
-                    let share = (other_holder.encoded_len() as u64).div_ceil(2);
-                    for (i, chunk) in unique_rows.chunks(5).enumerate() {
-                        put(&mut buf, how, i + 1, chunk);
-                    }
-
-                    buf.spill().unwrap();
-                    let want = reference(unique_rows, &KEY, join, first);
-                    assert_eq!(buf.runs.len(), 1, "{tag}");
-                    assert_eq!(read_back(&buf.runs[0]), want, "{tag}");
-                    assert_eq!(stats.totals().records_spilled, want.len() as u64);
-                    assert_eq!(buf.saw_null_key(), join, "{tag}");
-                    assert_eq!(buf.batches.len(), 1, "{tag}: only the shared batch stays");
-                    assert!(Arc::ptr_eq(&buf.batches[0].0, &other_holder), "{tag}");
-                    assert_eq!(buf.batches[0].1, share, "{tag}");
-                    assert_eq!((buf.granted, gov.resident()), (share, share), "{tag}");
-
-                    // The drain selects its tail the same way, so each
-                    // group's first record is the canonical minimum over
-                    // the run and the shared batch; without first-per-key
-                    // the groups are the whole canonical groups.
-                    let all = reference(&rows, &KEY, join, false);
-                    let groups = drain(&mut buf);
-                    let firsts: Vec<Record> = groups.iter().map(|g| g[0].clone()).collect();
-                    assert_eq!(firsts, reference(&rows, &KEY, join, true), "{tag}");
-                    if !first {
-                        assert_eq!(groups.concat(), all, "{tag}");
-                    }
-                    assert_eq!(gov.resident(), 0, "{tag}");
+        for join in [false, true] {
+            for first in [false, true] {
+                let tag = format!("join {join}, first-per-key {first}");
+                let stats = Arc::new(ExecStats::with_ops(1));
+                let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 16)));
+                let mut buf = buffer(&stats, &gov, join).with_first_per_key(first);
+                // A broadcast batch: another partition holds it too.
+                let shared = Arc::new(batch(shared_rows, WIDTH));
+                let other_holder = Arc::clone(&shared);
+                buf.push_batch(shared);
+                let share = (other_holder.encoded_len() as u64).div_ceil(2);
+                for chunk in unique_rows.chunks(5) {
+                    put(&mut buf, chunk);
                 }
+
+                buf.spill().unwrap();
+                let want = reference(unique_rows, &KEY, join, first);
+                assert_eq!(buf.runs.len(), 1, "{tag}");
+                assert_eq!(read_back(&buf.runs[0]), want, "{tag}");
+                assert_eq!(stats.totals().records_spilled, want.len() as u64);
+                assert_eq!(buf.saw_null_key(), join, "{tag}");
+                assert_eq!(buf.batches.len(), 1, "{tag}: only the shared batch stays");
+                assert!(Arc::ptr_eq(&buf.batches[0].0, &other_holder), "{tag}");
+                assert_eq!(buf.batches[0].1, share, "{tag}");
+                assert_eq!((buf.granted, gov.resident()), (share, share), "{tag}");
+
+                // The drain selects its tail the same way, so each
+                // group's first record is the canonical minimum over
+                // the run and the shared batch; without first-per-key
+                // the groups are the whole canonical groups.
+                let all = reference(&rows, &KEY, join, false);
+                let groups = drain(&mut buf);
+                let firsts: Vec<Record> = groups.iter().map(|g| g[0].clone()).collect();
+                assert_eq!(firsts, reference(&rows, &KEY, join, true), "{tag}");
+                if !first {
+                    assert_eq!(groups.concat(), all, "{tag}");
+                }
+                assert_eq!(gov.resident(), 0, "{tag}");
             }
         }
     }
@@ -577,27 +566,25 @@ mod tests {
         };
         let rows = [rec(2, y, 9), rec(1, 100, 5), rec(2, y, 8), rec(1, 100, 4)];
         let mut hashes = Vec::new();
-        RecordBatch::from_records(rows.to_vec()).key_hash_into(&[0, 1], &mut hashes);
+        batch(&rows, 3).key_hash_into(&[0, 1], &mut hashes);
         assert_eq!(hashes[0], hashes[1], "the two keys collide");
 
-        for how in BatchLayout::ALL {
-            for first in [false, true] {
-                let stats = Arc::new(ExecStats::with_ops(1));
-                let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 16)));
-                let mut buf =
-                    RunBuffer::new(ctx(&plan, &stats, &gov), 0, false).with_first_per_key(first);
-                for (i, chunk) in rows.chunks(2).enumerate() {
-                    buf.push_batch(Arc::new(how.batch(i, chunk, 3)));
-                }
-                buf.spill().unwrap();
-                let got = read_back(&buf.runs[0]);
-                let want = if first {
-                    vec![rec(1, 100, 4), rec(2, y, 8)]
-                } else {
-                    reference(&rows, &key, false, false)
-                };
-                assert_eq!(got, want, "{how:?}, first-per-key {first}");
+        for first in [false, true] {
+            let stats = Arc::new(ExecStats::with_ops(1));
+            let gov = Arc::new(MemoryGovernor::with_budget(Some(1 << 16)));
+            let mut buf =
+                RunBuffer::new(ctx(&plan, &stats, &gov), 0, false).with_first_per_key(first);
+            for chunk in rows.chunks(2) {
+                buf.push_batch(Arc::new(batch(chunk, 3)));
             }
+            buf.spill().unwrap();
+            let got = read_back(&buf.runs[0]);
+            let want = if first {
+                vec![rec(1, 100, 4), rec(2, y, 8)]
+            } else {
+                reference(&rows, &key, false, false)
+            };
+            assert_eq!(got, want, "first-per-key {first}");
         }
     }
 }

@@ -305,8 +305,8 @@ impl MemoryGovernor {
         self.resident.load(Ordering::Relaxed)
     }
 
-    /// Writes `rows` — records or row views of either batch layout, which
-    /// the caller has already sorted — as one spill file, each row encoded
+    /// Writes `rows` — records or row views of batches, which the caller
+    /// has already sorted — as one spill file, each row encoded
     /// straight from its view, creating the scoped spill directory on
     /// first use.
     pub fn write_sorted_run<'a, R: Into<RowRef<'a>>>(

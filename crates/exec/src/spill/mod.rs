@@ -31,8 +31,8 @@
 //!   query's own resident bytes against its own grant, pressure in one
 //!   query spills *its* state, never a neighbor's.
 //! * `file` — spill files: length-framed records in the existing wire
-//!   encoding ([`strato_record::wire`]), written from row views of either
-//!   batch layout and read back as records through buffered file IO. A `file::SortedRun` is one file of records in
+//!   encoding ([`strato_record::wire`]), written from row views of
+//!   batches and read back as records through buffered file IO. A `file::SortedRun` is one file of records in
 //!   ascending comparator order.
 //! * [`merge`] — a [loser tree](merge::LoserTree) merging `k` sorted
 //!   sources by an arbitrary comparator, plus `merge::merge_runs`

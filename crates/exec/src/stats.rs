@@ -103,12 +103,12 @@ pub struct StatsSnapshot {
     pub spill_runs: u64,
     /// IR interpreter steps executed.
     pub interp_steps: u64,
-    /// Records scattered row-by-row out of columnar batches by the
-    /// vectorized Partition router (a subset of `records_shipped`).
+    /// Records routed by the Partition router's scatter: every
+    /// hash-partitioned record (`records_shipped` less broadcast copies).
     pub rows_scattered: u64,
-    /// Null cells observed while building columnar batches.
+    /// Null cells observed while building scanned batches.
     pub null_cells: u64,
-    /// Total cells observed while building columnar batches (`null_cells /
+    /// Total cells observed while building scanned batches (`null_cells /
     /// total_cells` is the null-mask density of the scanned data).
     pub total_cells: u64,
 }
@@ -139,13 +139,12 @@ pub struct ExecStats {
     pub spill_runs: AtomicU64,
     /// IR interpreter steps executed.
     pub interp_steps: AtomicU64,
-    /// Records scattered out of columnar batches by the vectorized
-    /// Partition router. Always ≤ `records_shipped`; the difference is the
-    /// row-at-a-time routed volume.
+    /// Records routed by the Partition router's scatter. Always
+    /// ≤ `records_shipped`; the difference is the broadcast copies.
     pub rows_scattered: AtomicU64,
-    /// Null cells observed while building columnar batches.
+    /// Null cells observed while building scanned batches.
     pub null_cells: AtomicU64,
-    /// Total cells observed while building columnar batches.
+    /// Total cells observed while building scanned batches.
     pub total_cells: AtomicU64,
     /// Per-operator slots (empty unless created via [`ExecStats::with_ops`]
     /// or [`ExecStats::for_profiling`]).
@@ -246,10 +245,9 @@ impl ExecStats {
         }
     }
 
-    /// Accounts records routed by the vectorized columnar scatter path of
-    /// the Partition router. Called *in addition to* [`ExecStats::add_shipped`]
-    /// for the same records; this counter only classifies how the routing
-    /// was performed, it does not change ship accounting.
+    /// Accounts records routed by the Partition router's scatter. Called
+    /// *in addition to* [`ExecStats::add_shipped`] for the same records; it
+    /// does not change ship accounting.
     pub(crate) fn add_scattered(&self, records: u64) {
         self.rows_scattered.fetch_add(records, Ordering::Relaxed);
     }

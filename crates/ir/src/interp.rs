@@ -767,7 +767,7 @@ mod tests {
         ];
         let mut builder = BatchBuilder::new(3);
         for r in &group {
-            builder.push_record(r);
+            builder.push(r.clone());
         }
         let cb = builder.finish();
         let columnar: Vec<RowRef<'_>> = (0..cb.len()).map(|i| cb.row(i)).collect();
@@ -868,7 +868,11 @@ mod tests {
         ];
         let mut cols = BatchBuilder::new(5);
         for r in &rows {
-            cols.push_record(&padded(r));
+            let mut r = r.clone();
+            if r.arity() < 5 {
+                r.set_field(4, Value::Null);
+            }
+            cols.push(r);
         }
         let cols = cols.finish();
         for (i, a) in rows.iter().enumerate() {

@@ -1,11 +1,17 @@
 //! Columnar batch storage: per-attribute value vectors with null masks.
 //!
-//! A [`ColumnBatch`] stores the same logical content as a run of
-//! global-layout [`Record`]s — every row has arity equal to the batch
-//! width — but holds each attribute in its own typed vector so the hot
-//! engine kernels (key hashing, key comparison, scatter routing, byte
-//! accounting) run as tight loops over primitive slices instead of
-//! chasing per-record `Vec<Value>` allocations.
+//! A [`ColumnBatch`] is the engine's one batch layout (the engine names
+//! it [`RecordBatch`](crate::RecordBatch)). It stores the same logical
+//! content as a run of global-layout [`Record`]s — every row has arity
+//! equal to the batch width — but holds each attribute in its own typed
+//! vector so the hot engine kernels (key hashing, key comparison, scatter
+//! routing, byte accounting) run as tight loops over primitive slices
+//! instead of chasing per-record `Vec<Value>` allocations. Every batch is
+//! assembled by a [`BatchBuilder`]: the scan widens source rows into one
+//! ([`BatchBuilder::push_widened`]), the Partition scatter routes rows
+//! into one per destination ([`ColumnBatch::scatter_into`],
+//! [`BatchBuilder::append_row`]), and operators move each UDF call's
+//! emitted records into one ([`BatchBuilder::push`]).
 //!
 //! Columns are type-adaptive: a column starts as [`Column::Null`]
 //! (zero storage — common for widened global layouts where most
@@ -507,11 +513,21 @@ impl Column {
 /// Built by [`BatchBuilder`]; immutable afterwards. Every row has
 /// arity equal to [`ColumnBatch::width`], matching the engine's
 /// global-record layout.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ColumnBatch {
     rows: usize,
     cols: Vec<Column>,
 }
+
+impl PartialEq for ColumnBatch {
+    /// Logical equality: the same row sequence, however each column
+    /// happens to be stored.
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && (0..self.rows).all(|i| self.row(i) == other.row(i))
+    }
+}
+
+impl Eq for ColumnBatch {}
 
 impl ColumnBatch {
     /// Number of rows.
@@ -853,12 +869,17 @@ impl BatchBuilder {
         self.cols.len()
     }
 
-    /// Appends a record; fields beyond the record's arity are null.
-    /// The record must not be wider than the builder.
-    pub fn push_record(&mut self, r: &Record) {
-        debug_assert!(r.arity() <= self.width(), "record wider than batch");
-        for (c, col) in self.cols.iter_mut().enumerate() {
-            col.push(r.field(c));
+    /// Appends a record, moving its fields into the columns (a string
+    /// cell hands over its `Arc`). The record must have the builder's
+    /// width: engine rows are in global layout.
+    pub fn push(&mut self, r: Record) {
+        debug_assert_eq!(
+            r.arity(),
+            self.width(),
+            "record arity is not the batch width"
+        );
+        for (col, v) in self.cols.iter_mut().zip(r.into_fields()) {
+            col.push_value(v);
         }
         self.rows += 1;
     }
@@ -936,7 +957,7 @@ mod tests {
     fn build(records: &[Record], width: usize) -> ColumnBatch {
         let mut b = BatchBuilder::new(width);
         for r in records {
-            b.push_record(r);
+            b.push(r.clone());
         }
         b.finish()
     }
@@ -1068,11 +1089,11 @@ mod tests {
     #[test]
     fn take_resets_builder() {
         let mut b = BatchBuilder::new(1);
-        b.push_record(&Record::from_values([Value::Int(1)]));
+        b.push(Record::from_values([Value::Int(1)]));
         let first = b.take();
         assert_eq!(first.len(), 1);
         assert!(b.is_empty());
-        b.push_record(&Record::from_values([Value::Int(2)]));
+        b.push(Record::from_values([Value::Int(2)]));
         assert_eq!(
             b.finish().to_records(),
             vec![Record::from_values([Value::Int(2)])]

@@ -20,11 +20,10 @@
 //! execution engine to account for shipped bytes, a fast non-cryptographic
 //! hasher ([`hash::FxHasher`]) used for hash partitioning and memo tables,
 //! and [`RecordBatch`] — the unit in which the execution engine moves
-//! records between physical operators. Batches on the engine's hot scan
-//! and shuffle paths are stored column-major ([`columns`]): per-attribute
-//! value vectors with null masks and vectorized key-hash/compare kernels.
-//! Row-at-a-time consumers read either layout through cheap [`RowRef`]
-//! row views ([`row`]).
+//! records between physical operators. Every batch is stored
+//! column-major ([`columns`]): per-attribute value vectors with null masks
+//! and vectorized key-hash/compare kernels. Row-at-a-time consumers read
+//! it through cheap [`RowRef`] row views ([`row`]).
 //!
 //! ## Null-as-absent convention
 //!

@@ -1,7 +1,7 @@
-//! Row views: one borrowed row of either batch layout.
+//! Row views: one borrowed row of a batch or a record.
 //!
-//! A [`RowRef`] reads a row of a columnar [`ColumnBatch`] straight from
-//! its column vectors, or a row-major [`Record`] in place, so a consumer
+//! A [`RowRef`] reads a row of a [`ColumnBatch`] straight from its
+//! column vectors, or a [`Record`] in place, so a consumer
 //! that handles rows one at a time — a UDF invocation, a grouping table —
 //! needs no `Record` until it keeps one. Every comparison here is
 //! bit-faithful to the materialized rows: [`RowRef::cmp`] is
@@ -186,7 +186,7 @@ mod tests {
         ];
         let mut b = BatchBuilder::new(3);
         for r in &recs {
-            b.push_record(r);
+            b.push(r.clone());
         }
         let cb = b.finish();
         for (i, r) in recs.iter().enumerate() {

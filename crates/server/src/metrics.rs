@@ -307,7 +307,7 @@ impl Metrics {
             ),
             (
                 "strato_exec_rows_scattered_total",
-                "Records routed by the vectorized columnar Partition scatter.",
+                "Records routed by the Partition scatter (every hash-partitioned record).",
                 self.rows_scattered.load(Ordering::Relaxed),
             ),
             (

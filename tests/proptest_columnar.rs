@@ -1,21 +1,18 @@
-//! Property tests for the columnar batch layout: row ↔ columnar
-//! round-trip identity and agreement of the vectorized key hash
-//! (`key_hash_into`, and `RecordBatch::key_hash_into` over either layout)
-//! with the row-oriented reference path (`FxHasher` over `Value::hash`);
-//! and
-//! agreement of the row-view kernels (`RowRef::key_cmp`, `RowRef::cmp`,
-//! `sort_canonical`) and of the wire encoding of a row view
-//! (`wire::encode_framed_row`, which spill runs are written with) with
-//! the materialized records, over columnar rows and ragged row-major
-//! records alike.
+//! Property tests for the columnar batch layout: record ↔ column
+//! round-trip identity, equality of one batch built by each
+//! `BatchBuilder` path, and agreement of the vectorized key hash
+//! (`key_hash_into`) with the row-oriented reference path (`FxHasher`
+//! over `Value::hash`); and agreement of the row-view kernels
+//! (`RowRef::key_cmp`, `RowRef::cmp`, `sort_canonical`) and of the wire
+//! encoding of a row view (`wire::encode_framed_row`, which spill runs
+//! are written with) with the materialized records, over batch rows and
+//! views of ragged records alike.
 
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use strato::record::hash::FxHasher;
-use strato::record::{
-    sort_canonical, wire, BatchBuilder, ColumnBatch, Record, RecordBatch, RowRef, Value,
-};
+use strato::record::{sort_canonical, wire, BatchBuilder, ColumnBatch, Record, RowRef, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -60,8 +57,8 @@ fn arb_tied_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// Row views of both layouts: a columnar batch of `width`-wide rows and
-/// ragged row-major records, over full-domain and tied values (typed,
+/// Row views of both kinds: a columnar batch of `width`-wide rows and
+/// ragged records, over full-domain and tied values (typed,
 /// null-masked and `Mixed` columns alike).
 fn arb_views() -> impl Strategy<Value = (usize, Vec<Record>, Vec<Record>)> {
     let value = || prop_oneof![arb_value(), arb_tied_value(), arb_tied_value()];
@@ -106,13 +103,13 @@ fn norm_keys(raw: &[usize], width: usize) -> Vec<usize> {
 fn build(width: usize, rows: &[Record]) -> ColumnBatch {
     let mut b = BatchBuilder::new(width);
     for r in rows {
-        b.push_record(r);
+        b.push(r.clone());
     }
     b.finish()
 }
 
 /// The row-oriented reference hash: `FxHasher` fed each key field's
-/// `Value::hash`, exactly as the exec operators hash row-major records.
+/// `Value::hash`, the per-row order the batch kernels must reproduce.
 fn row_key_hash(r: &Record, keys: &[usize]) -> u64 {
     let mut h = FxHasher::default();
     for &k in keys {
@@ -190,11 +187,25 @@ proptest! {
 
     #[test]
     fn batches_are_logically_equal_across_layouts((width, rows) in arb_rows()) {
-        let col = RecordBatch::from_columns(build(width, &rows));
-        let row = RecordBatch::from_records(rows);
-        prop_assert_eq!(&col, &row);
-        prop_assert_eq!(&row, &col);
-        prop_assert_eq!(col.to_records(), row.to_records());
+        // One batch built by each builder path: record by record, gathered
+        // row by row from a shared batch, and scattered column-wise into
+        // one destination. Equality is row by row, so NaN cells equal
+        // themselves.
+        let pushed = build(width, &rows);
+        let mut gathered = BatchBuilder::new(width);
+        for row in 0..pushed.len() {
+            gathered.append_row(&pushed, row);
+        }
+        let mut scattered = BatchBuilder::new(width);
+        pushed.clone().scatter_into(&vec![0; rows.len()], &mut [&mut scattered]);
+        let (gathered, scattered) = (gathered.finish(), scattered.finish());
+        prop_assert_eq!(&pushed, &pushed.clone());
+        prop_assert_eq!(&gathered, &pushed);
+        prop_assert_eq!(&scattered, &pushed);
+        prop_assert_eq!(scattered.to_records(), rows.clone());
+        if let Some((_, fewer)) = rows.split_last() {
+            prop_assert!(build(width, fewer) != pushed);
+        }
     }
 
     #[test]
@@ -210,26 +221,6 @@ proptest! {
         for (i, r) in rows.iter().enumerate() {
             let want = row_key_hash(r, &keys);
             prop_assert_eq!(hashes[i], want);
-        }
-    }
-
-    #[test]
-    fn batch_key_hash_agrees_with_row_hasher_in_either_layout(
-        (width, wide, ragged) in arb_views(),
-        keys in prop::collection::vec(0usize..6, 0..4),
-    ) {
-        // Keys past a row's arity hash as null fields, as `Record::field`
-        // reads them.
-        let batches = [
-            (RecordBatch::from_columns(build(width, &wide)), &wide),
-            (RecordBatch::from_records(wide.clone()), &wide),
-            (RecordBatch::from_records(ragged.clone()), &ragged),
-        ];
-        let mut hashes = Vec::new();
-        for (batch, rows) in &batches {
-            batch.key_hash_into(&keys, &mut hashes);
-            let want: Vec<u64> = rows.iter().map(|r| row_key_hash(r, &keys)).collect();
-            prop_assert_eq!(&hashes, &want);
         }
     }
 

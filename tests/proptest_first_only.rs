@@ -76,8 +76,8 @@ impl Udf {
 
 /// `s(k, v)` into a Reduce on `k` running `udf`. With `via_map`, an
 /// order-fixing Map (`k := k + 0`, a written key, so the Reduce cannot
-/// move below it) feeds the Reduce row-major batches; without it, the
-/// Reduce reads the scan's columnar batches.
+/// move below it) feeds the Reduce the batches a Map's UDF calls emit;
+/// without it, the Reduce reads the scan's batches.
 fn plan(udf: Udf, via_map: bool) -> Plan {
     let mut p = ProgramBuilder::new();
     let mut input = p.source(SourceDef::new("s", &["k", "v"], 200));
