@@ -80,11 +80,6 @@ impl BoundOp {
         }
     }
 
-    /// All global attributes of input `i`'s schema.
-    pub fn input_attrs(&self, i: usize) -> AttrSet {
-        self.layout.inputs[i].attr_set()
-    }
-
     /// Global key attributes of input `i` as a set.
     pub fn key_set(&self, i: usize) -> AttrSet {
         self.key_attrs

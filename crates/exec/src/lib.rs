@@ -9,17 +9,16 @@
 //!
 //! * [`operators`] — one physical [`operators::Operator`]
 //!   (push-batch / finish) per PACT, covering the ship-independent
-//!   local strategies (pipelined map — optionally a fused map chain —
-//!   hash grouping and hash join in memory, block nested loops, and one
-//!   sort-based finish per blocking operator for co-grouping and
-//!   everything that spilled);
+//!   local strategies (pipelined map, hash grouping and hash join in
+//!   memory, block nested loops, and one sort-based finish per blocking
+//!   operator for co-grouping and everything that spilled);
 //! * `ship` (private) — per-batch routing between
 //!   partitions: forward, hash repartition (no serialization on the hot
 //!   path; bytes accounted via `encoded_len`, wire round trip checked in
 //!   debug builds) and `Arc`-shared broadcast;
 //! * [`pipeline`] — flattens a [`strato_core::PhysPlan`] into one task per
-//!   `stage × partition`, fusing adjacent Forward-shipped Maps, and
-//!   schedules the tasks cooperatively
+//!   `stage × partition`, one stage per operator, and schedules the
+//!   tasks cooperatively
 //!   on an [`EngineRuntime`]'s workers with bounded-channel backpressure;
 //!   the **same** lowering and operators serve both entry points. Worker
 //!   panics are contained per task and surfaced as [`ExecError::Panic`].

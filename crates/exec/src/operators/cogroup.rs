@@ -63,7 +63,7 @@ impl Operator for CoGroupOp {
         &mut self,
         port: usize,
         batch: Arc<RecordBatch>,
-        _out: &mut Vec<Arc<RecordBatch>>,
+        _out: &mut Vec<RecordBatch>,
     ) -> Result<(), ExecError> {
         self.sides[port].push_batch(batch);
         if self.ctx.gov.over_budget() {
@@ -74,7 +74,7 @@ impl Operator for CoGroupOp {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+    fn finish(&mut self, out: &mut Vec<RecordBatch>) -> Result<(), ExecError> {
         let grouped = self.cogroup();
         self.ctx.drain_into(out);
         grouped

@@ -45,13 +45,13 @@ impl Operator for CrossOp {
         &mut self,
         port: usize,
         batch: Arc<RecordBatch>,
-        _out: &mut Vec<Arc<RecordBatch>>,
+        _out: &mut Vec<RecordBatch>,
     ) -> Result<(), ExecError> {
         self.sides[port].push(batch);
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+    fn finish(&mut self, out: &mut Vec<RecordBatch>) -> Result<(), ExecError> {
         let crossed = self.cross();
         self.ctx.drain_into(out);
         crossed

@@ -157,7 +157,7 @@ impl Operator for MatchOp {
         &mut self,
         port: usize,
         batch: Arc<RecordBatch>,
-        _out: &mut Vec<Arc<RecordBatch>>,
+        _out: &mut Vec<RecordBatch>,
     ) -> Result<(), ExecError> {
         self.bufs[port].push_batch(batch);
         if self.ctx.gov.over_budget() {
@@ -168,7 +168,7 @@ impl Operator for MatchOp {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+    fn finish(&mut self, out: &mut Vec<RecordBatch>) -> Result<(), ExecError> {
         let joined = self.join();
         self.ctx.drain_into(out);
         joined
@@ -178,7 +178,7 @@ impl Operator for MatchOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, take_records};
+    use crate::operators::apply_chunked;
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::{batch, ctx};
@@ -340,7 +340,10 @@ mod tests {
             .unwrap();
         assert!(stats.totals().spill_runs > 0, "unique batches must spill");
         join.finish(&mut out).unwrap();
-        let got: Vec<Record> = out.into_iter().flat_map(take_records).collect();
+        let got: Vec<Record> = out
+            .into_iter()
+            .flat_map(RecordBatch::into_records)
+            .collect();
         assert_eq!(got.len(), 2, "both keys match once");
         drop(other_partition);
         assert_eq!(gov.resident(), 0, "grants released at finish");

@@ -1,5 +1,4 @@
-//! The Map operator: streaming, record-at-a-time — optionally a fused
-//! chain of several Maps running as one operator.
+//! The Map operator: streaming, record-at-a-time.
 
 use super::{OpCtx, Operator};
 use crate::engine::ExecError;
@@ -9,59 +8,13 @@ use strato_record::RecordBatch;
 
 /// Pipelined Map: every pushed batch is transformed and emitted
 /// immediately; nothing is buffered across batches.
-///
-/// A `MapOp` holds one or more stages, each the [`OpCtx`] of one Map.
-/// With several stages it is a **fused** chain produced by compile-time
-/// Map fusion: records pass from stage to stage as plain vectors, so
-/// adjacent Forward-shipped Maps pay neither intermediate batch formation
-/// nor a channel hop. Each stage keeps its own `op_id`, so per-operator
-/// call/emit attribution is identical to the unfused plan.
 pub struct MapOp {
-    stages: Vec<OpCtx>,
+    ctx: OpCtx,
 }
 
 impl MapOp {
     pub(crate) fn new(ctx: OpCtx) -> Self {
-        MapOp { stages: vec![ctx] }
-    }
-
-    /// A fused chain; `stages[0]` runs first.
-    pub(crate) fn chained(stages: Vec<OpCtx>) -> Self {
-        debug_assert!(!stages.is_empty());
-        MapOp { stages }
-    }
-}
-
-impl MapOp {
-    /// Runs every stage over `batch`; the last stage's calls build its
-    /// output batches.
-    fn map(&mut self, batch: &RecordBatch) -> Result<(), ExecError> {
-        let (last, inner) = self.stages.split_last_mut().expect("a Map stage");
-        // The first stage runs over row views of the batch: field reads
-        // resolve straight into its columns, and an input record is
-        // materialized only if the UDF copies it whole.
-        let rows = (0..batch.len()).map(|row| batch.row(row));
-        let Some((head, mid)) = inner.split_first_mut() else {
-            for row in rows {
-                last.call_out(Invocation::Row(row))?;
-            }
-            return Ok(());
-        };
-        let mut emitted = Vec::new();
-        for row in rows {
-            head.call(Invocation::Row(row), &mut emitted)?;
-        }
-        for ctx in mid {
-            let mut next = Vec::new();
-            for r in &emitted {
-                ctx.call(Invocation::Row(r.into()), &mut next)?;
-            }
-            emitted = next;
-        }
-        for r in &emitted {
-            last.call_out(Invocation::Row(r.into()))?;
-        }
-        Ok(())
+        MapOp { ctx }
     }
 }
 
@@ -70,17 +23,19 @@ impl Operator for MapOp {
         &mut self,
         port: usize,
         batch: Arc<RecordBatch>,
-        out: &mut Vec<Arc<RecordBatch>>,
+        out: &mut Vec<RecordBatch>,
     ) -> Result<(), ExecError> {
         debug_assert_eq!(port, 0, "Map is unary");
-        let mapped = self.map(&batch);
-        for ctx in &mut self.stages {
-            ctx.drain_into(out);
-        }
+        // The UDF runs over row views of the batch: field reads resolve
+        // straight into its columns, and an input record is materialized
+        // only if the UDF copies it whole.
+        let mapped =
+            (0..batch.len()).try_for_each(|row| self.ctx.call_out(Invocation::Row(batch.row(row))));
+        self.ctx.drain_into(out);
         mapped
     }
 
-    fn finish(&mut self, _out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+    fn finish(&mut self, _out: &mut Vec<RecordBatch>) -> Result<(), ExecError> {
         Ok(())
     }
 }
@@ -97,14 +52,9 @@ mod tests {
     use strato_record::{Record, Value};
 
     #[test]
-    fn a_step_limit_mid_push_still_flushes_every_stage() {
-        // m1 copies its row; m2 spins on `a == 3`.
-        let mut b = FuncBuilder::new("m1", UdfKind::Map, vec![1]);
-        let or = b.copy_input(0);
-        b.emit(or);
-        b.ret();
-        let m1 = b.finish().unwrap();
-        let mut b = FuncBuilder::new("m2", UdfKind::Map, vec![1]);
+    fn a_step_limit_mid_push_still_charges_the_calls_it_completed() {
+        // Copies its row, and spins on `a == 3`.
+        let mut b = FuncBuilder::new("m", UdfKind::Map, vec![1]);
         let a = b.get_input(0, 0);
         let three = b.konst(3i64);
         let hit = b.bin(BinOp::Eq, a, three);
@@ -115,41 +65,29 @@ mod tests {
         b.ret();
         b.place(spin);
         b.jump(spin);
-        let m2 = b.finish().unwrap();
+        let m = b.finish().unwrap();
         let mut p = ProgramBuilder::new();
         let s = p.source(SourceDef::new("s", &["a"], 8));
-        let m1 = p.map("m1", m1, CostHints::default(), s);
-        let m2 = p.map("m2", m2, CostHints::default(), m1);
-        let plan = p.finish(m2).unwrap().bind().unwrap();
+        let m = p.map("m", m, CostHints::default(), s);
+        let plan = p.finish(m).unwrap().bind().unwrap();
 
-        let stats = Arc::new(ExecStats::with_ops(2));
+        let stats = Arc::new(ExecStats::with_ops(1));
         let gov = Arc::new(MemoryGovernor::with_budget(None));
-        let stage = |op_id| {
-            let mut ctx = OpCtx::new(
-                Arc::clone(&plan.ctx),
-                Arc::clone(&stats),
-                Arc::clone(&gov),
-                64,
-                op_id,
-            );
-            ctx.interp = Interp::with_max_steps(100);
-            ctx
-        };
-        let mut chain = MapOp::chained(vec![stage(0), stage(1)]);
+        let mut ctx = OpCtx::new(Arc::clone(&plan.ctx), Arc::clone(&stats), gov, 64, 0);
+        ctx.interp = Interp::with_max_steps(100);
+        let mut map = MapOp::new(ctx);
         let rows: Vec<Record> = (0..6)
             .map(|a| Record::from_values([Value::Int(a)]))
             .collect();
         let batch = Arc::new(crate::testutil::batch(&rows, 1));
-        let err = chain.push(0, batch, &mut Vec::new()).unwrap_err();
-        assert!(matches!(err, ExecError::Udf(ref op, InterpError::StepLimit(100)) if op == "m2"));
-        // m1 ran all six rows; m2 finished rows 0..3 and failed on the
-        // fourth, which is not counted.
-        let slots: Vec<(u64, u64)> = stats
-            .op_snapshots()
-            .iter()
-            .map(|o| (o.calls, o.emits))
-            .collect();
-        assert_eq!(slots, [(6, 6), (3, 3)]);
-        assert_eq!(stats.totals().udf_calls, 9);
+        let mut out = Vec::new();
+        let err = map.push(0, batch, &mut out).unwrap_err();
+        assert!(matches!(err, ExecError::Udf(ref op, InterpError::StepLimit(100)) if op == "m"));
+        // Rows 0..3 were mapped and handed on; the fourth call failed and
+        // is not counted.
+        let snap = &stats.op_snapshots()[0];
+        assert_eq!((snap.calls, snap.emits), (3, 3));
+        assert_eq!(stats.totals().udf_calls, 3);
+        assert_eq!(out.iter().map(RecordBatch::len).sum::<usize>(), 3);
     }
 }

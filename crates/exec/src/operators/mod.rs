@@ -17,24 +17,23 @@
 //! 2. [`Operator::finish`] — once, after all input; emits any buffered
 //!    output.
 //!
-//! Batches are shared as `Arc<RecordBatch>`: a broadcast ship hands the
+//! Input batches arrive as `Arc<RecordBatch>`: a broadcast ship hands the
 //! same allocation to every partition. Blocking operators hold the
 //! batches they are pushed, as they arrived, and hand UDFs row views of
 //! them ([`strato_record::RowRef`]). A buffer's spill writes its runs
 //! straight from those views; its sort-based drain materializes only the
 //! rows it keeps, already in canonical order. No operator turns a whole
-//! held batch into records (`take_records` serves the result collection
-//! alone).
+//! held batch into records.
 //!
 //! ## Emission
 //!
-//! Every batch an operator emits is columnar. Each UDF call's output
-//! moves into the instance's [`strato_record::BatchBuilder`] as the call
+//! Every batch an operator emits is columnar and owned: the task that
+//! runs the operator hands it to its router, which wraps it in an `Arc`
+//! for the channels, or to the result sink. Each UDF call's output moves
+//! into the instance's [`strato_record::BatchBuilder`] as the call
 //! returns (`OpCtx::call_out`), which seals a batch at every
 //! `batch_size` rows; `OpCtx::drain_into` ends each `push` and
-//! `finish`, handing on the sealed batches and then the partial one. A
-//! fused Map chain passes plain records between its inner stages, and
-//! only its last stage builds batches.
+//! `finish`, handing on the sealed batches and then the partial one.
 //!
 //! ## Key handling
 //!
@@ -71,11 +70,11 @@ pub trait Operator: Send {
         &mut self,
         port: usize,
         batch: Arc<RecordBatch>,
-        out: &mut Vec<Arc<RecordBatch>>,
+        out: &mut Vec<RecordBatch>,
     ) -> Result<(), ExecError>;
 
     /// Signals end of input on all ports; emits any buffered output.
-    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError>;
+    fn finish(&mut self, out: &mut Vec<RecordBatch>) -> Result<(), ExecError>;
 }
 
 /// Everything one operator instance runs against: the plan it belongs
@@ -126,7 +125,7 @@ struct CallState {
     /// The output batch being filled, at the plan's width.
     builder: BatchBuilder,
     /// Sealed output batches of `batch_size` rows each.
-    ready: Vec<Arc<RecordBatch>>,
+    ready: Vec<RecordBatch>,
 }
 
 impl CallState {
@@ -215,7 +214,7 @@ impl OpCtx {
         for r in emitted.drain(..) {
             t.builder.push(r);
             if t.builder.len() >= self.batch_size {
-                t.ready.push(Arc::new(t.builder.take()));
+                t.ready.push(t.builder.take());
             }
         }
         t.emitted = emitted;
@@ -234,12 +233,12 @@ impl OpCtx {
     /// Ends every `push` and `finish` that calls the UDF, on every exit
     /// path: flushes the call tally, then moves the sealed output
     /// batches and the partial one to `out`.
-    pub(crate) fn drain_into(&mut self, out: &mut Vec<Arc<RecordBatch>>) {
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<RecordBatch>) {
         self.flush_calls();
         let t = &mut self.calls;
         out.append(&mut t.ready);
         if !t.builder.is_empty() {
-            out.push(Arc::new(t.builder.take()));
+            out.push(t.builder.take());
         }
     }
 }
@@ -372,16 +371,6 @@ pub(crate) fn key_minima(
     }
 }
 
-/// Takes ownership of a batch's records — the result collection's step
-/// from batches to a `DataSet`: moves when this is the last reference,
-/// clones only for batches still shared with other partitions.
-pub(crate) fn take_records(batch: Arc<RecordBatch>) -> Vec<Record> {
-    match Arc::try_unwrap(batch) {
-        Ok(b) => b.into_records(),
-        Err(shared) => shared.to_records(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Factory + single-shot application.
 // ---------------------------------------------------------------------------
@@ -414,15 +403,6 @@ pub fn build(strategy: LocalStrategy, ctx: OpCtx) -> Box<dyn Operator> {
     }
 }
 
-/// Builds a fused chain of Map operators running as **one** task: records
-/// flow stage-to-stage as plain `Vec<Record>`s, skipping intermediate batch
-/// formation and channel hops. Every element must be a Map; each carries
-/// its own [`OpCtx`] so per-operator stats stay attributed correctly.
-pub(crate) fn build_map_chain(stages: Vec<OpCtx>) -> Box<dyn Operator> {
-    debug_assert!(stages.iter().all(|c| matches!(c.op().pact, Pact::Map)));
-    Box::new(map::MapOp::chained(stages))
-}
-
 /// Applies one operator over fully materialized single-partition inputs:
 /// builds it, pushes each input port's records `chunk` per batch,
 /// finishes, and concatenates the output. Checks the governor contract
@@ -449,7 +429,10 @@ pub(crate) fn apply_chunked(
     }
     oper.finish(&mut out)?;
     assert_eq!(gov.resident(), 0, "{name} kept a grant");
-    Ok(out.into_iter().flat_map(take_records).collect())
+    Ok(out
+        .into_iter()
+        .flat_map(RecordBatch::into_records)
+        .collect())
 }
 
 #[cfg(test)]
@@ -601,7 +584,10 @@ mod tests {
                         let got: Vec<usize> = out.iter().map(|o| o.len()).collect();
                         assert_eq!(got, sizes, "{tag}");
                         assert!(out.iter().all(|o| o.width() == width), "{tag}");
-                        let got: Vec<Record> = out.into_iter().flat_map(take_records).collect();
+                        let got: Vec<Record> = out
+                            .into_iter()
+                            .flat_map(RecordBatch::into_records)
+                            .collect();
                         assert_eq!(got, want, "{tag}");
                     }
                 }
@@ -637,16 +623,5 @@ mod tests {
             let sizes: Vec<usize> = out.iter().map(|o| o.len()).collect();
             assert_eq!(sizes, [4, 4, 2], "at {budget:?}");
         }
-    }
-
-    #[test]
-    fn take_records_moves_unique_and_clones_shared() {
-        let batch = Arc::new(crate::testutil::batch(&[rec(&[1])], 1));
-        let keep = Arc::clone(&batch);
-        // Shared: cloned, original still intact.
-        assert_eq!(take_records(batch), vec![rec(&[1])]);
-        assert_eq!(keep.len(), 1);
-        // Unique: moved.
-        assert_eq!(take_records(keep), vec![rec(&[1])]);
     }
 }

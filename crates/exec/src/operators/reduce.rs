@@ -142,7 +142,7 @@ impl Operator for ReduceOp {
         &mut self,
         port: usize,
         batch: Arc<RecordBatch>,
-        _out: &mut Vec<Arc<RecordBatch>>,
+        _out: &mut Vec<RecordBatch>,
     ) -> Result<(), ExecError> {
         debug_assert_eq!(port, 0, "Reduce is unary");
         self.buf.push_batch(batch);
@@ -152,7 +152,7 @@ impl Operator for ReduceOp {
         Ok(())
     }
 
-    fn finish(&mut self, out: &mut Vec<Arc<RecordBatch>>) -> Result<(), ExecError> {
+    fn finish(&mut self, out: &mut Vec<RecordBatch>) -> Result<(), ExecError> {
         let reduced = self.reduce();
         self.ctx.drain_into(out);
         reduced

@@ -34,11 +34,10 @@
 //! [`ExecError::Panic`] with the operator's name — a panicking UDF fails
 //! the query, not the process.
 //!
-//! Adjacent Forward-shipped Map stages are **fused** at lowering time into
-//! a single task (a [`crate::operators`] map chain): records flow through
-//! the chained UDFs without intermediate batch formation or a channel hop.
-//! [`ExecOptions::fuse_maps`] disables this (the profiler does, to keep
-//! per-task timing attribution exactly per-operator).
+//! Every operator is its own stage, so a task runs exactly one operator
+//! and each step's time is charged to that operator alone (the
+//! per-operator `nanos` that EXPLAIN ANALYZE, `/metrics` and the profiler
+//! read).
 //!
 //! Blocking operators (Reduce, Match, Cross, CoGroup) keep buffering
 //! internally, so operator semantics — and the equivalence oracle — are
@@ -67,7 +66,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use strato_core::{LocalStrategy, PhysNode, Ship};
-use strato_dataflow::{NodeKind, Pact, Plan};
+use strato_dataflow::{NodeKind, Plan};
 use strato_record::{BatchBuilder, DataSet, RecordBatch};
 
 /// Tuning knobs of one execution. The defaults reproduce production
@@ -83,20 +82,22 @@ use strato_record::{BatchBuilder, DataSet, RecordBatch};
 ///     mem_budget: Some(16 << 20), // spill past 16 MiB of buffered state
 ///     ..ExecOptions::default()
 /// };
-/// assert!(opts.fuse_maps, "Map fusion defaults on");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Target records per batch flowing between operators.
+    /// Target records per batch flowing between operators. A scan
+    /// partition cuts its rows into batches of exactly `batch_size`, and
+    /// an operator does the same with each `push`'s and `finish`'s output,
+    /// so each ends with at most one partial batch. Forward and Broadcast
+    /// edges deliver those batches as they are. A Partition edge rebuilds
+    /// them per destination and hands a destination's batch on once a
+    /// routed batch brings it to `batch_size` rows, so it delivers up to
+    /// `batch_size` + one routed batch − 1 rows in one batch.
     pub batch_size: usize,
     /// Bound of each inter-task channel, in batches. Full channels park
     /// the producer task (backpressure); capacity 1 forces strict
     /// lock-step streaming.
     pub channel_capacity: usize,
-    /// Fuse adjacent Forward-shipped Map stages into one task at lowering
-    /// time. On by default; the profiler turns it off so task timing is
-    /// attributed exactly per operator.
-    pub fuse_maps: bool,
     /// Cap, in bytes, on the [`MemoryGrant`](crate::spill::MemoryGrant)
     /// this execution carves from its runtime's
     /// [`GlobalMemory`](crate::spill::GlobalMemory) pool: the grant is
@@ -127,7 +128,6 @@ impl Default for ExecOptions {
         ExecOptions {
             batch_size: RecordBatch::DEFAULT_SIZE,
             channel_capacity: 8,
-            fuse_maps: true,
             mem_budget: Some(strato_core::cost::DEFAULT_MEM_BUDGET_BYTES),
             trace: None,
         }
@@ -135,7 +135,7 @@ impl Default for ExecOptions {
 }
 
 // ---------------------------------------------------------------------------
-// Task graph: the physical plan flattened, with Map fusion.
+// Task graph: the physical plan flattened, one stage per plan node.
 // ---------------------------------------------------------------------------
 
 /// One input edge of a flattened stage.
@@ -151,13 +151,8 @@ struct FlatInput {
 enum FlatKind {
     /// Scan a source (index into `plan.ctx.sources`).
     Scan(usize),
-    /// Apply `op`, then the `fused` Map chain, as one task.
-    Apply {
-        op: usize,
-        local: LocalStrategy,
-        /// Map operator ids fused behind `op` (applied in order).
-        fused: Vec<usize>,
-    },
+    /// Apply operator `op` with its local strategy.
+    Apply { op: usize, local: LocalStrategy },
 }
 
 #[derive(Debug, Clone)]
@@ -171,17 +166,17 @@ struct FlatStage {
     chan_base: Vec<usize>,
 }
 
-/// The flattened, fusion-applied form of a physical plan. Stage ids are
-/// post-order; the root is always the last stage.
+/// The flattened form of a physical plan. Stage ids are post-order; the
+/// root is always the last stage.
 pub(crate) struct TaskGraph {
     stages: Vec<FlatStage>,
     n_chans: usize,
 }
 
 impl TaskGraph {
-    pub(crate) fn build(plan: &Plan, root: &PhysNode, dop: usize, opts: &ExecOptions) -> TaskGraph {
+    pub(crate) fn build(root: &PhysNode, dop: usize) -> TaskGraph {
         let mut stages: Vec<FlatStage> = Vec::new();
-        flatten(plan, root, opts, &mut stages);
+        flatten(root, &mut stages);
         // Wire consumers and assign contiguous channel ranges per edge.
         let mut n_chans = 0;
         for s in 0..stages.len() {
@@ -193,12 +188,6 @@ impl TaskGraph {
             }
         }
         TaskGraph { stages, n_chans }
-    }
-
-    /// Number of stages after fusion (one task per stage per partition).
-    #[cfg(test)]
-    pub(crate) fn stage_count(&self) -> usize {
-        self.stages.len()
     }
 }
 
@@ -212,35 +201,16 @@ fn push_stage(stages: &mut Vec<FlatStage>, kind: FlatKind, inputs: Vec<FlatInput
     stages.len() - 1
 }
 
-/// Post-order flattening; returns the flat id realizing `node`. A
-/// Forward-shipped Map whose producer is a Map (chain) is fused into the
-/// producer's stage instead of becoming its own.
-fn flatten(plan: &Plan, node: &PhysNode, opts: &ExecOptions, stages: &mut Vec<FlatStage>) -> usize {
+/// Post-order flattening; returns the stage id realizing `node`.
+fn flatten(node: &PhysNode, stages: &mut Vec<FlatStage>) -> usize {
     let op = match node.logical.kind {
         NodeKind::Source(s) => return push_stage(stages, FlatKind::Scan(s), vec![]),
         NodeKind::Op(o) => o,
     };
-    let children: Vec<usize> = node
-        .children
-        .iter()
-        .map(|c| flatten(plan, c, opts, stages))
-        .collect();
-    if opts.fuse_maps && matches!(plan.ctx.ops[op].pact, Pact::Map) && node.ships == [Ship::Forward]
-    {
-        if let FlatKind::Apply {
-            op: head, fused, ..
-        } = &mut stages[children[0]].kind
-        {
-            if matches!(plan.ctx.ops[*head].pact, Pact::Map) {
-                fused.push(op);
-                return children[0];
-            }
-        }
-    }
+    let children: Vec<usize> = node.children.iter().map(|c| flatten(c, stages)).collect();
     let kind = FlatKind::Apply {
         op,
         local: node.local,
-        fused: vec![],
     };
     let inputs = children
         .into_iter()
@@ -325,7 +295,7 @@ struct Sched {
     capacity: usize,
     /// Root output: unbounded, so the sink task never blocks (this is what
     /// makes the whole graph deadlock-free under backpressure).
-    sink: Mutex<Vec<Arc<RecordBatch>>>,
+    sink: Mutex<Vec<RecordBatch>>,
     stats: Arc<ExecStats>,
     /// The execution's slot in the runtime it is registered with, which
     /// holds its ready queue. The runtime itself is passed into every step
@@ -513,7 +483,7 @@ enum StepOutcome {
 /// inputs run dry, the output backs up, or the task completes. Never
 /// blocks.
 fn step(body: &mut TaskBody, sched: &Sched, rt: &RtShared) -> Result<StepOutcome, ExecError> {
-    let mut scratch: Vec<Arc<RecordBatch>> = Vec::new();
+    let mut scratch: Vec<RecordBatch> = Vec::new();
     loop {
         // 1. Flush routed batches; a full channel parks us (the try_send
         //    registered us on its waiting list).
@@ -554,7 +524,7 @@ fn step(body: &mut TaskBody, sched: &Sched, rt: &RtShared) -> Result<StepOutcome
                     sched
                         .stats
                         .add_batch_cells(cb.null_cells() as u64, cb.total_cells() as u64);
-                    scratch.push(Arc::new(cb));
+                    scratch.push(cb);
                 }
             }
             Work::Op { oper, ports, rr } => {
@@ -731,7 +701,7 @@ pub(crate) fn run_streaming(
     runtime: Option<&EngineRuntime>,
 ) -> Result<(DataSet, ExecStats), ExecError> {
     let dop = dop.max(1);
-    let graph = TaskGraph::build(plan, root, dop, opts);
+    let graph = TaskGraph::build(root, dop);
     let n_tasks = graph.stages.len() * dop;
     let private;
     let runtime = match runtime {
@@ -815,13 +785,8 @@ pub(crate) fn run_streaming(
                     };
                     (work, &plan.ctx.sources[*src_id].name, None)
                 }
-                FlatKind::Apply { op, local, fused } => {
-                    let oper = if fused.is_empty() {
-                        operators::build(*local, op_ctx(*op))
-                    } else {
-                        let chain = std::iter::once(op).chain(fused);
-                        operators::build_map_chain(chain.map(|&o| op_ctx(o)).collect())
-                    };
+                FlatKind::Apply { op, local } => {
+                    let oper = operators::build(*local, op_ctx(*op));
                     let ports = s
                         .chan_base
                         .iter()
@@ -910,7 +875,7 @@ pub(crate) fn run_streaming(
     assert_eq!(core.live, 0, "run_query returned before the run drained");
     let mut all = Vec::new();
     for b in sched.sink.into_inner().unwrap() {
-        all.extend(operators::take_records(b));
+        all.extend(b.into_records());
     }
     let stats = Arc::try_unwrap(sched.stats)
         .unwrap_or_else(|_| unreachable!("every operator of the run was dropped"));
@@ -981,62 +946,41 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_forward_maps_fuse_into_one_stage() {
+    fn every_map_is_charged_its_own_task_time() {
+        use strato_core::{cost::CostWeights, physical::best_physical, PropTable};
+        use strato_dataflow::PropertyMode;
         let plan = three_map_plan();
-        let logical = PhysPlan::logical(&plan).root;
-        // Fused: scan + one chained-map stage.
-        let fused = TaskGraph::build(&plan, &logical, 1, &ExecOptions::default());
-        assert_eq!(fused.stage_count(), 2);
-        // Unfused: scan + three map stages.
-        let unfused_opts = ExecOptions {
-            fuse_maps: false,
-            ..ExecOptions::default()
-        };
-        let unfused = TaskGraph::build(&plan, &logical, 1, &unfused_opts);
-        assert_eq!(unfused.stage_count(), 4);
-    }
-
-    #[test]
-    fn fusion_stops_at_blocking_operators() {
-        let mut p = ProgramBuilder::new();
-        let s = p.source(SourceDef::new("s", &["k", "v"], 16));
-        let m1 = p.map("m1", add_const(2, 1, 1), CostHints::default(), s);
-        let r = p.reduce("sum", &[0], sum_reduce(2, 1), CostHints::default(), m1);
-        let m2 = p.map("m2", add_const(3, 1, 2), CostHints::default(), r);
-        let plan = p.finish(m2).unwrap().bind().unwrap();
-        let logical = PhysPlan::logical(&plan).root;
-        // Nothing fuses: scan, m1, reduce, m2 (the map after the reduce has
-        // no map producer; the map before it feeds a non-map).
-        let graph = TaskGraph::build(&plan, &logical, 1, &ExecOptions::default());
-        assert_eq!(graph.stage_count(), 4);
-    }
-
-    #[test]
-    fn fused_run_matches_unfused_run_and_stats() {
-        let plan = three_map_plan();
-        let logical = PhysPlan::logical(&plan).root;
-        let inputs = inputs_for(&plan, &[&[1, 10], &[2, 20], &[3, 30], &[4, 40], &[5, 50]]);
-        let fused_opts = ExecOptions::default();
-        let unfused_opts = ExecOptions {
-            fuse_maps: false,
-            ..ExecOptions::default()
-        };
-        let (out_f, st_f) = run(&plan, &logical, &inputs, 1, &fused_opts, None).unwrap();
-        let (out_u, st_u) = run(&plan, &logical, &inputs, 1, &unfused_opts, None).unwrap();
-        assert_eq!(out_f, out_u);
-        // Fusion changes transport, not semantics: identical UDF call and
-        // emit counts, globally and per operator.
-        assert_eq!(st_f.totals().udf_calls, st_u.totals().udf_calls);
-        assert_eq!(st_f.totals().records_emitted, st_u.totals().records_emitted);
-        let (ops_f, ops_u) = (st_f.op_snapshots(), st_u.op_snapshots());
-        for (a, b) in ops_f.iter().zip(&ops_u) {
-            assert_eq!((a.calls, a.emits), (b.calls, b.emits));
+        let rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i, 10 * i]).collect();
+        let rows_ref: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let inputs = inputs_for(&plan, &rows_ref);
+        let props = PropTable::build(&plan, PropertyMode::Sca);
+        let cases = [
+            (1, PhysPlan::logical(&plan)),
+            (2, best_physical(&plan, &props, &CostWeights::default(), 2)),
+        ];
+        for (dop, phys) in cases {
+            let opts = ExecOptions::default();
+            let (out, stats) = run(&plan, &phys.root, &inputs, dop, &opts, None).unwrap();
+            assert_eq!(out.len(), rows.len(), "dop {dop}");
+            // Each Map ran every row in tasks of its own, so each has its
+            // own step time.
+            for (op, snap) in stats.op_snapshots().iter().enumerate() {
+                let name = &plan.ctx.ops[op].name;
+                assert_eq!(
+                    (snap.calls, snap.emits),
+                    (rows.len() as u64, rows.len() as u64),
+                    "dop {dop}, {name}"
+                );
+                assert!(snap.nanos > 0, "dop {dop}, {name}: no task time");
+            }
+            let report = crate::trace::explain_analyze(&plan, &phys, &stats);
+            for line in report.lines().filter(|l| l.contains("act:")) {
+                assert!(
+                    line.contains(" calls=0 ") || !line.contains(" time=0ns "),
+                    "dop {dop}: {line}"
+                );
+            }
         }
-        assert_eq!(
-            ops_f.iter().map(|o| o.calls).sum::<u64>(),
-            15,
-            "3 ops × 5 records"
-        );
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! Profiling runs through the **production streaming runtime** (the same
 //! task graph and scheduler as [`crate::execute`], at `dop = 1`) with the
 //! per-operator detail counters of [`ExecStats::for_profiling`] switched
-//! on: each task's step time is attributed to its operator, keyed
-//! operators report the distinct input keys they observed while grouping,
-//! and the UDF call path records emitted bytes. Map fusion is disabled for
-//! the profiled run so timing attribution stays exactly per-operator.
+//! on: each task runs one operator and its step time is charged to that
+//! operator, keyed operators report the distinct input keys they observed
+//! while grouping, and the UDF call path records emitted bytes.
 
 use crate::engine::{ExecError, Inputs};
 use crate::pipeline::{self, ExecOptions};
@@ -97,15 +96,12 @@ pub fn sample_inputs(inputs: &Inputs, step: usize) -> Inputs {
 }
 
 /// Executes `plan` once through the streaming runtime (single partition,
-/// logical strategies, fusion off), recording per-operator observations.
+/// logical strategies, default options), recording per-operator
+/// observations.
 /// Returns one [`OpProfile`] per operator id of `plan.ctx`.
 pub fn profile(plan: &Plan, inputs: &Inputs) -> Result<Vec<OpProfile>, ExecError> {
     let logical = PhysPlan::logical(plan);
-    let opts = ExecOptions {
-        // One task per operator: step time is per-operator time.
-        fuse_maps: false,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::default();
     let stats = ExecStats::for_profiling(plan.ctx.ops.len());
     let (_, stats) = pipeline::run_streaming(plan, &logical.root, inputs, 1, &opts, stats, None)?;
     Ok(stats

@@ -57,10 +57,10 @@ pub(crate) enum Router {
     /// [`RecordBatch::encoded_len`] and the debug wire round trip from
     /// [`RecordBatch::row`] views. Rows go into one [`BatchBuilder`] per
     /// destination, built at the plan's width when the router is, without
-    /// materializing a record: a uniquely held batch scatters its owned
-    /// columns ([`strato_record::ColumnBatch::scatter_into`]), a shared
-    /// one is gathered row by row. A builder is handed on once a routed
-    /// batch brings it to `batch_size` rows, and at `finish`.
+    /// materializing a record: the routed batch is owned, so its columns
+    /// are scattered ([`strato_record::ColumnBatch::scatter_into`]). A
+    /// builder is handed on once a routed batch brings it to `batch_size`
+    /// rows, and at `finish`.
     Partition {
         first: usize,
         dop: usize,
@@ -128,16 +128,18 @@ impl Router {
     }
 
     /// Routes one produced batch, charging shipping stats and appending the
-    /// resulting `(channel, batch)` pairs to `out`.
+    /// resulting `(channel, batch)` pairs to `out`. Every batch a task
+    /// produces is its own, so this is where it is wrapped in the `Arc`
+    /// its channel carries.
     pub(crate) fn route(
         &mut self,
-        batch: Arc<RecordBatch>,
+        batch: RecordBatch,
         out: &mut Outbound,
         stats: &ExecStats,
     ) -> Result<(), ExecError> {
         match self {
             Router::Forward { chan } => {
-                out.push_back((*chan, batch));
+                out.push_back((*chan, Arc::new(batch)));
             }
             Router::Partition {
                 first,
@@ -160,19 +162,10 @@ impl Router {
                 batch.key_hash_into(key_idx, hashes);
                 dests.clear();
                 dests.extend(hashes.iter().map(|&h| (h as usize % *dop) as u32));
+                // Owned columns scatter without copying: string payloads
+                // move, with no refcount traffic.
                 let mut refs: Vec<&mut BatchBuilder> = builders.iter_mut().collect();
-                match Arc::try_unwrap(batch) {
-                    // Sole owner: scatter owned columns (string payloads
-                    // move, no refcount traffic).
-                    Ok(owned) => owned.scatter_into(dests, &mut refs),
-                    // Shared (e.g. a re-routed broadcast batch): gather
-                    // row by row from the borrowed columns.
-                    Err(shared) => {
-                        for (row, &d) in dests.iter().enumerate() {
-                            refs[d as usize].append_row(&shared, row);
-                        }
-                    }
-                }
+                batch.scatter_into(dests, &mut refs);
                 for (p, bld) in builders.iter_mut().enumerate() {
                     if bld.len() >= *batch_size {
                         out.push_back((*first + p, Arc::new(bld.take())));
@@ -189,6 +182,7 @@ impl Router {
                     batch.len() as u64 * copies,
                     batch.encoded_len() as u64 * copies,
                 );
+                let batch = Arc::new(batch);
                 for p in 0..*dop {
                     out.push_back((*first + p, Arc::clone(&batch)));
                 }
@@ -238,12 +232,12 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
     use strato_record::{Record, Value};
 
-    fn batch(vals: &[i64]) -> Arc<RecordBatch> {
+    fn batch(vals: &[i64]) -> RecordBatch {
         let recs: Vec<Record> = vals
             .iter()
             .map(|&v| Record::from_values([Value::Int(v)]))
             .collect();
-        Arc::new(testutil::batch(&recs, 1))
+        testutil::batch(&recs, 1)
     }
 
     fn flat(out: &Outbound) -> Vec<(usize, Vec<i64>)> {
@@ -296,52 +290,38 @@ mod tests {
 
     #[test]
     fn partition_routes_every_layout_alike() {
-        // The same records as an owned batch (scattered column-wise) and
-        // a shared, broadcast-style one (gathered row by row): each key
-        // must land on the same channel with the same ship accounting.
+        // A columnar batch with a string column, scattered column-wise:
+        // every record lands once, each key on one channel, with the ship
+        // accounting charged to the producing operator.
         let key = [AttrId(0)];
         let recs: Vec<Record> = (0..40)
             .map(|i| Record::from_values([Value::Int(i % 7), Value::str(format!("p{i}"))]))
             .collect();
-        let shared = Arc::new(testutil::batch(&recs, 2));
-        let _other_holder = Arc::clone(&shared);
-        let cases = [
-            ("owned columns", Arc::new(testutil::batch(&recs, 2))),
-            ("shared columns", shared),
-        ];
         let bytes: u64 = recs.iter().map(|r| r.encoded_len() as u64).sum();
-        let mut routes = Vec::new();
-        for (name, batch) in cases {
-            let stats = ExecStats::with_ops(1);
-            let mut out = Outbound::new();
-            let mut r = Router::partition(10, 3, Some(0), &key, 4, 2);
-            r.route(batch, &mut out, &stats).unwrap();
-            r.finish(&mut out);
-            let t = stats.totals();
-            assert_eq!((t.records_shipped, t.bytes_shipped), (40, bytes), "{name}");
-            let op = &stats.op_snapshots()[0];
-            assert_eq!(
-                (op.shipped_records, op.shipped_bytes),
-                (40, bytes),
-                "{name}"
-            );
-            assert_eq!(t.rows_scattered, 40, "{name}");
-            let mut chans: BTreeMap<Value, BTreeSet<usize>> = BTreeMap::new();
-            let mut routed = Vec::new();
-            for (c, b) in &out {
-                for i in 0..b.len() {
-                    chans.entry(b.row(i).value(0)).or_default().insert(*c);
-                    routed.push(b.row(i).to_record());
-                }
+        let stats = ExecStats::with_ops(1);
+        let mut out = Outbound::new();
+        let mut r = Router::partition(10, 3, Some(0), &key, 4, 2);
+        r.route(testutil::batch(&recs, 2), &mut out, &stats)
+            .unwrap();
+        r.finish(&mut out);
+        let t = stats.totals();
+        assert_eq!((t.records_shipped, t.bytes_shipped), (40, bytes));
+        let op = &stats.op_snapshots()[0];
+        assert_eq!((op.shipped_records, op.shipped_bytes), (40, bytes));
+        assert_eq!(t.rows_scattered, 40);
+        let mut chans: BTreeMap<Value, BTreeSet<usize>> = BTreeMap::new();
+        let mut routed = Vec::new();
+        for (c, b) in &out {
+            for i in 0..b.len() {
+                chans.entry(b.row(i).value(0)).or_default().insert(*c);
+                routed.push(b.row(i).to_record());
             }
-            routed.sort();
-            let mut want = recs.clone();
-            want.sort();
-            assert_eq!(routed, want, "{name} routes every record once");
-            assert!(chans.values().all(|c| c.len() == 1), "{name}: {chans:?}");
-            routes.push(chans);
         }
-        assert_eq!(routes[0], routes[1]);
+        routed.sort();
+        let mut want = recs.clone();
+        want.sort();
+        assert_eq!(routed, want, "every record routed once");
+        assert!(chans.values().all(|c| c.len() == 1), "{chans:?}");
     }
 
     #[test]
@@ -368,16 +348,15 @@ mod tests {
     #[test]
     fn broadcast_shares_batches_and_counts_remote_copies_only() {
         let stats = ExecStats::new();
-        let b = batch(&[7, 8]);
         let mut out = Outbound::new();
         let mut r = Router::broadcast(5, 3, Some(0));
-        r.route(Arc::clone(&b), &mut out, &stats).unwrap();
+        r.route(batch(&[7, 8]), &mut out, &stats).unwrap();
         r.finish(&mut out);
         assert_eq!(out.len(), 3);
         // Zero-copy: every destination sees the same allocation.
         for (c, sent) in &out {
             assert!((5..8).contains(c));
-            assert!(Arc::ptr_eq(sent, &b));
+            assert!(Arc::ptr_eq(sent, &out[0].1));
         }
         let t = stats.totals();
         let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
@@ -408,8 +387,8 @@ mod tests {
             Value::Float(2.5),
             Value::Bool(true),
         ]);
-        let batch = Arc::new(testutil::batch(&[row], 5));
-        r.route(batch, &mut out, &stats).unwrap();
+        r.route(testutil::batch(&[row], 5), &mut out, &stats)
+            .unwrap();
         r.finish(&mut out);
         assert_eq!(out.iter().map(|(_, b)| b.len()).sum::<usize>(), 1);
     }

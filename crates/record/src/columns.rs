@@ -9,9 +9,10 @@
 //! instead of chasing per-record `Vec<Value>` allocations. Every batch is
 //! assembled by a [`BatchBuilder`]: the scan widens source rows into one
 //! ([`BatchBuilder::push_widened`]), the Partition scatter routes rows
-//! into one per destination ([`ColumnBatch::scatter_into`],
-//! [`BatchBuilder::append_row`]), and operators move each UDF call's
-//! emitted records into one ([`BatchBuilder::push`]).
+//! into one per destination ([`ColumnBatch::scatter_into`]), and
+//! operators move each UDF call's emitted records into one
+//! ([`BatchBuilder::push`]). [`BatchBuilder::append_row`] gathers a
+//! single row, the row-by-row reference the scatter is tested against.
 //!
 //! Columns are type-adaptive: a column starts as [`Column::Null`]
 //! (zero storage — common for widened global layouts where most
@@ -899,8 +900,9 @@ impl BatchBuilder {
         self.rows += 1;
     }
 
-    /// Appends row `row` of `src` (the scatter-routing gather path).
-    /// The source batch must have the same width.
+    /// Appends row `row` of `src`, cloning its payloads (the row-by-row
+    /// counterpart of [`ColumnBatch::scatter_into`]). The source batch
+    /// must have the same width.
     pub fn append_row(&mut self, src: &ColumnBatch, row: usize) {
         debug_assert_eq!(src.width(), self.width());
         for (col, s) in self.cols.iter_mut().zip(&src.cols) {

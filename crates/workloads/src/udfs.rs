@@ -84,31 +84,6 @@ pub fn sum_group_inplace(width: usize, field: usize) -> Function {
     b.finish().expect("sum_group_inplace")
 }
 
-/// Reduce UDF: fold `min(field)` in place, like [`sum_group_inplace`],
-/// starting from `i64::MAX`.
-pub fn min_group_inplace(width: usize, field: usize) -> Function {
-    let mut b = FuncBuilder::new(format!("min_ip_{field}"), UdfKind::Group, vec![width]);
-    let lo = b.konst(i64::MAX);
-    let it = b.iter_open(0);
-    let done = b.new_label();
-    let head = b.new_label();
-    b.place(head);
-    let r = b.iter_next(it, done);
-    let v = b.get(r, field);
-    b.bin_into(lo, BinOp::Min, lo, v);
-    b.jump(head);
-    b.place(done);
-    let it2 = b.iter_open(0);
-    let nil = b.new_label();
-    let first = b.iter_next(it2, nil);
-    let or = b.copy(first);
-    b.set(or, field, lo);
-    b.emit(or);
-    b.place(nil);
-    b.ret();
-    b.finish().expect("min_group_inplace")
-}
-
 /// Reduce UDF: sum of `price_field × (100 − disc_field) / 100` over the
 /// group, appended as a new field (revenue aggregation with integer cents).
 pub fn revenue_sum_group(width: usize, price_field: usize, disc_field: usize) -> Function {
