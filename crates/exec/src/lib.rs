@@ -1,6 +1,7 @@
 //! # strato-exec — parallel in-process execution engine
 //!
-//! The substitute for the paper's Nephele engine (see `DESIGN.md`): a
+//! The substitute for the paper's Nephele engine (see the repository
+//! `README.md` and `PAPER.md`): a
 //! partitioned, multi-threaded, in-process executor that runs bound plans
 //! by interpreting their UDFs' three-address code.
 //!

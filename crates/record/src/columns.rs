@@ -22,6 +22,19 @@
 //! recorded in a [`NullMask`] bitmap with a placeholder in the data
 //! vector.
 //!
+//! The per-type match over a column's storage is written once per
+//! direction. Into a column there is one append, `Column::push_value`,
+//! which takes an owned [`Value`] (a string hands over its `Arc`) and
+//! promotes the representation; every builder method goes through it.
+//! Out of a column there are two walks, each matching the
+//! representation once per column with a no-null fast path: the owned
+//! walk `Column::into_each_value` moves every cell out, and is what
+//! [`ColumnBatch::scatter_into`], [`ColumnBatch::into_records`] and the
+//! demotion to `Mixed` run on; the borrowed walk `Column::for_each_cell`
+//! lends every cell as a borrowed view, and is what
+//! [`ColumnBatch::key_hash_into`] runs on. Random access (`RowRef`'s
+//! reads) and byte accounting read the storage directly.
+//!
 //! All kernels are bit-faithful to the row path: hashing mirrors
 //! [`Value`]'s `Hash` impl folded through [`crate::hash::FxHasher`],
 //! comparison mirrors [`Value::cmp`]'s total order, and
@@ -272,42 +285,46 @@ impl Column {
     }
 
     /// A fresh typed column holding `n` leading nulls followed by `v`.
-    fn typed_after_nulls(n: usize, v: &Value) -> Column {
+    /// Runs once per column per batch, so it stays out of line of the
+    /// per-cell append.
+    #[cold]
+    #[inline(never)]
+    fn typed_after_nulls(n: usize, v: Value) -> Column {
         let nulls = NullMask::all_null(n);
         match v {
             Value::Null => unreachable!("caller checked non-null"),
             Value::Bool(b) => {
                 let mut data = vec![false; n];
-                data.push(*b);
+                data.push(b);
                 Column::Bool { data, nulls }
             }
             Value::Int(i) => {
                 let mut data = vec![0i64; n];
-                data.push(*i);
+                data.push(i);
                 Column::Int { data, nulls }
             }
             Value::Float(f) => {
                 let mut data = vec![0.0f64; n];
-                data.push(*f);
+                data.push(f);
                 Column::Float { data, nulls }
             }
             Value::Str(s) => {
                 let empty: Arc<str> = Arc::from("");
                 let mut data = vec![empty; n];
-                data.push(s.clone());
+                data.push(s);
                 Column::Str { data, nulls }
             }
         }
     }
 
-    /// Materializes the column into plain values (the `Mixed` escape
-    /// hatch when a second type shows up).
-    fn to_values(&self) -> Vec<Value> {
-        (0..self.len()).map(|row| self.value(row)).collect()
-    }
-
     /// Appends one cell, promoting the column representation as needed.
-    fn push(&mut self, v: &Value) {
+    /// This is the only append: string payloads transfer ownership of
+    /// the `Arc`, so a scatter or materialization pass over owned
+    /// columns performs **zero** refcount traffic per present string
+    /// cell. Always inlined, so that the scan's clone of a borrowed
+    /// source cell and this match fold into one.
+    #[inline(always)]
+    fn push_value(&mut self, v: Value) {
         match self {
             Column::Null { rows } => {
                 if v.is_null() {
@@ -319,81 +336,13 @@ impl Column {
             Column::Bool { data, nulls } => match v {
                 Value::Bool(b) => {
                     nulls.push(data.len(), false);
-                    data.push(*b);
-                }
-                Value::Null => {
-                    nulls.push(data.len(), true);
-                    data.push(false);
-                }
-                _ => self.demote_and_push(v),
-            },
-            Column::Int { data, nulls } => match v {
-                Value::Int(i) => {
-                    nulls.push(data.len(), false);
-                    data.push(*i);
-                }
-                Value::Null => {
-                    nulls.push(data.len(), true);
-                    data.push(0);
-                }
-                _ => self.demote_and_push(v),
-            },
-            Column::Float { data, nulls } => match v {
-                Value::Float(f) => {
-                    nulls.push(data.len(), false);
-                    data.push(*f);
-                }
-                Value::Null => {
-                    nulls.push(data.len(), true);
-                    data.push(0.0);
-                }
-                _ => self.demote_and_push(v),
-            },
-            Column::Str { data, nulls } => match v {
-                Value::Str(s) => {
-                    nulls.push(data.len(), false);
-                    data.push(s.clone());
-                }
-                Value::Null => {
-                    nulls.push(data.len(), true);
-                    data.push(data.first().cloned().unwrap_or_else(|| Arc::from("")));
-                }
-                _ => self.demote_and_push(v),
-            },
-            Column::Mixed(data) => data.push(v.clone()),
-        }
-    }
-
-    /// Type mismatch: fall back to the mixed representation.
-    fn demote_and_push(&mut self, v: &Value) {
-        let mut data = self.to_values();
-        data.push(v.clone());
-        *self = Column::Mixed(data);
-    }
-
-    /// Appends one owned cell — the move-based twin of [`Column::push`].
-    /// String payloads transfer ownership of the `Arc`, so a scatter or
-    /// materialization pass over owned columns performs **zero**
-    /// refcount traffic per present string cell.
-    fn push_value(&mut self, v: Value) {
-        match self {
-            Column::Null { rows } => {
-                if v.is_null() {
-                    *rows += 1;
-                } else {
-                    *self = Column::typed_after_nulls(*rows, &v);
-                }
-            }
-            Column::Bool { data, nulls } => match v {
-                Value::Bool(b) => {
-                    nulls.push(data.len(), false);
                     data.push(b);
                 }
                 Value::Null => {
                     nulls.push(data.len(), true);
                     data.push(false);
                 }
-                other => self.demote_and_push(&other),
+                other => self.demote_and_push(other),
             },
             Column::Int { data, nulls } => match v {
                 Value::Int(i) => {
@@ -404,7 +353,7 @@ impl Column {
                     nulls.push(data.len(), true);
                     data.push(0);
                 }
-                other => self.demote_and_push(&other),
+                other => self.demote_and_push(other),
             },
             Column::Float { data, nulls } => match v {
                 Value::Float(f) => {
@@ -415,7 +364,7 @@ impl Column {
                     nulls.push(data.len(), true);
                     data.push(0.0);
                 }
-                other => self.demote_and_push(&other),
+                other => self.demote_and_push(other),
             },
             Column::Str { data, nulls } => match v {
                 Value::Str(s) => {
@@ -427,57 +376,62 @@ impl Column {
                     nulls.push(data.len(), true);
                     data.push(ph);
                 }
-                other => self.demote_and_push(&other),
+                other => self.demote_and_push(other),
             },
             Column::Mixed(data) => data.push(v),
         }
     }
 
-    /// Appends cell `row` of `src`, with fast paths for matching types.
-    fn push_cell(&mut self, src: &Column, row: usize) {
-        match (&mut *self, src) {
-            (Column::Null { rows }, Column::Null { .. }) => *rows += 1,
-            (
-                Column::Int {
-                    data,
-                    nulls: dnulls,
-                },
-                Column::Int { data: sd, nulls },
-            ) => {
-                dnulls.push(data.len(), nulls.is_null(row));
-                data.push(sd[row]);
+    /// Type mismatch: fall back to the mixed representation, moving the
+    /// stored cells into it. Out of line of the per-cell append, like
+    /// [`Column::typed_after_nulls`].
+    #[cold]
+    #[inline(never)]
+    fn demote_and_push(&mut self, v: Value) {
+        let col = std::mem::replace(self, Column::Null { rows: 0 });
+        let mut data = Vec::with_capacity(col.len() + 1);
+        col.into_each_value(|_, x| data.push(x));
+        data.push(v);
+        *self = Column::Mixed(data);
+    }
+
+    /// The owned walk: consumes the column, calling `f(row, value)` for
+    /// every cell in row order. The representation is matched once per
+    /// column, a column without nulls skips the per-cell mask test, and
+    /// string payloads move out.
+    #[inline]
+    fn into_each_value(self, mut f: impl FnMut(usize, Value)) {
+        let null = || Value::Null;
+        match self {
+            Column::Null { rows } => (0..rows).for_each(|r| f(r, Value::Null)),
+            Column::Bool { data, nulls } => walk_typed(data, &nulls, null, Value::Bool, &mut f),
+            Column::Int { data, nulls } => walk_typed(data, &nulls, null, Value::Int, &mut f),
+            Column::Float { data, nulls } => walk_typed(data, &nulls, null, Value::Float, &mut f),
+            Column::Str { data, nulls } => walk_typed(data, &nulls, null, Value::Str, &mut f),
+            Column::Mixed(data) => data.into_iter().enumerate().for_each(|(r, v)| f(r, v)),
+        }
+    }
+
+    /// The borrowed walk: calls `f(row, cell)` for every cell in row
+    /// order, with the same shape as [`Column::into_each_value`] but
+    /// lending string payloads instead of moving them.
+    #[inline]
+    fn for_each_cell<'a>(&'a self, mut f: impl FnMut(usize, Cell<'a>)) {
+        let null = || Cell::Null;
+        match self {
+            Column::Null { rows } => (0..*rows).for_each(|r| f(r, Cell::Null)),
+            Column::Bool { data, nulls } => {
+                walk_typed(data, nulls, null, |&b| Cell::Bool(b), &mut f)
             }
-            (
-                Column::Float {
-                    data,
-                    nulls: dnulls,
-                },
-                Column::Float { data: sd, nulls },
-            ) => {
-                dnulls.push(data.len(), nulls.is_null(row));
-                data.push(sd[row]);
+            Column::Int { data, nulls } => walk_typed(data, nulls, null, |&i| Cell::Int(i), &mut f),
+            Column::Float { data, nulls } => {
+                walk_typed(data, nulls, null, |&x| Cell::Float(x), &mut f)
             }
-            (
-                Column::Bool {
-                    data,
-                    nulls: dnulls,
-                },
-                Column::Bool { data: sd, nulls },
-            ) => {
-                dnulls.push(data.len(), nulls.is_null(row));
-                data.push(sd[row]);
-            }
-            (
-                Column::Str {
-                    data,
-                    nulls: dnulls,
-                },
-                Column::Str { data: sd, nulls },
-            ) => {
-                dnulls.push(data.len(), nulls.is_null(row));
-                data.push(sd[row].clone());
-            }
-            _ => self.push(&src.value(row)),
+            Column::Str { data, nulls } => walk_typed(data, nulls, null, |s| Cell::Str(s), &mut f),
+            Column::Mixed(data) => data
+                .iter()
+                .enumerate()
+                .for_each(|(r, v)| f(r, Cell::of_value(v))),
         }
     }
 
@@ -505,6 +459,30 @@ impl Column {
                 .filter(|v| !v.is_null())
                 .map(Value::encoded_len)
                 .sum(),
+        }
+    }
+}
+
+/// The loop both column walks share over a typed column: calls
+/// `f(row, wrap(payload))` for every cell, or `f(row, null())` where the
+/// mask marks it null. A column without nulls skips the mask test.
+#[inline(always)]
+fn walk_typed<T, V>(
+    data: impl IntoIterator<Item = T>,
+    nulls: &NullMask,
+    null: impl Fn() -> V,
+    wrap: impl Fn(T) -> V,
+    f: &mut impl FnMut(usize, V),
+) {
+    let cells = data.into_iter().enumerate();
+    if nulls.null_count() == 0 {
+        for (r, x) in cells {
+            f(r, wrap(x));
+        }
+    } else {
+        for (r, x) in cells {
+            let v = if nulls.is_null(r) { null() } else { wrap(x) };
+            f(r, v);
         }
     }
 }
@@ -592,59 +570,9 @@ impl ColumnBatch {
         let width = self.cols.len();
         let mut rows: Vec<Vec<Value>> = (0..self.rows).map(|_| vec![Value::Null; width]).collect();
         for (c, col) in self.cols.into_iter().enumerate() {
-            match col {
-                Column::Null { .. } => {}
-                Column::Bool { data, nulls } => {
-                    for (r, b) in data.into_iter().enumerate() {
-                        if !nulls.is_null(r) {
-                            rows[r][c] = Value::Bool(b);
-                        }
-                    }
-                }
-                Column::Int { data, nulls } => {
-                    if nulls.null_count() == 0 {
-                        for (r, i) in data.into_iter().enumerate() {
-                            rows[r][c] = Value::Int(i);
-                        }
-                    } else {
-                        for (r, i) in data.into_iter().enumerate() {
-                            if !nulls.is_null(r) {
-                                rows[r][c] = Value::Int(i);
-                            }
-                        }
-                    }
-                }
-                Column::Float { data, nulls } => {
-                    if nulls.null_count() == 0 {
-                        for (r, f) in data.into_iter().enumerate() {
-                            rows[r][c] = Value::Float(f);
-                        }
-                    } else {
-                        for (r, f) in data.into_iter().enumerate() {
-                            if !nulls.is_null(r) {
-                                rows[r][c] = Value::Float(f);
-                            }
-                        }
-                    }
-                }
-                Column::Str { data, nulls } => {
-                    if nulls.null_count() == 0 {
-                        for (r, s) in data.into_iter().enumerate() {
-                            rows[r][c] = Value::Str(s);
-                        }
-                    } else {
-                        for (r, s) in data.into_iter().enumerate() {
-                            if !nulls.is_null(r) {
-                                rows[r][c] = Value::Str(s);
-                            }
-                        }
-                    }
-                }
-                Column::Mixed(data) => {
-                    for (r, v) in data.into_iter().enumerate() {
-                        rows[r][c] = v;
-                    }
-                }
+            // Rows start null, so an all-null column has nothing to write.
+            if !matches!(col, Column::Null { .. }) {
+                col.into_each_value(|r, v| rows[r][c] = v);
             }
         }
         rows.into_iter().map(Record::new).collect()
@@ -661,71 +589,7 @@ impl ColumnBatch {
         debug_assert_eq!(dests.len(), self.rows);
         debug_assert!(builders.iter().all(|b| b.width() == self.cols.len()));
         for (c, col) in self.cols.into_iter().enumerate() {
-            match col {
-                Column::Null { rows } => {
-                    debug_assert_eq!(rows, dests.len());
-                    for &d in dests {
-                        builders[d as usize].cols[c].push_value(Value::Null);
-                    }
-                }
-                Column::Bool { data, nulls } => {
-                    for (r, (b, &d)) in data.into_iter().zip(dests).enumerate() {
-                        let v = if nulls.is_null(r) {
-                            Value::Null
-                        } else {
-                            Value::Bool(b)
-                        };
-                        builders[d as usize].cols[c].push_value(v);
-                    }
-                }
-                Column::Int { data, nulls } => {
-                    if nulls.null_count() == 0 {
-                        for (i, &d) in data.into_iter().zip(dests) {
-                            builders[d as usize].cols[c].push_value(Value::Int(i));
-                        }
-                    } else {
-                        for (r, (i, &d)) in data.into_iter().zip(dests).enumerate() {
-                            let v = if nulls.is_null(r) {
-                                Value::Null
-                            } else {
-                                Value::Int(i)
-                            };
-                            builders[d as usize].cols[c].push_value(v);
-                        }
-                    }
-                }
-                Column::Float { data, nulls } => {
-                    for (r, (f, &d)) in data.into_iter().zip(dests).enumerate() {
-                        let v = if nulls.is_null(r) {
-                            Value::Null
-                        } else {
-                            Value::Float(f)
-                        };
-                        builders[d as usize].cols[c].push_value(v);
-                    }
-                }
-                Column::Str { data, nulls } => {
-                    if nulls.null_count() == 0 {
-                        for (s, &d) in data.into_iter().zip(dests) {
-                            builders[d as usize].cols[c].push_value(Value::Str(s));
-                        }
-                    } else {
-                        for (r, (s, &d)) in data.into_iter().zip(dests).enumerate() {
-                            let v = if nulls.is_null(r) {
-                                Value::Null
-                            } else {
-                                Value::Str(s)
-                            };
-                            builders[d as usize].cols[c].push_value(v);
-                        }
-                    }
-                }
-                Column::Mixed(data) => {
-                    for (v, &d) in data.into_iter().zip(dests) {
-                        builders[d as usize].cols[c].push_value(v);
-                    }
-                }
-            }
+            col.into_each_value(|r, v| builders[dests[r] as usize].cols[c].push_value(v));
         }
         for &d in dests {
             builders[d as usize].rows += 1;
@@ -764,65 +628,9 @@ impl ColumnBatch {
         out.resize(self.rows, 0);
         for &k in key {
             match self.cols.get(k) {
-                // Out-of-range and all-null columns hash as null cells.
-                None | Some(Column::Null { .. }) => {
-                    for h in out.iter_mut() {
-                        *h = fx_add(*h, 0);
-                    }
-                }
-                Some(Column::Int { data, nulls }) => {
-                    if nulls.null_count() == 0 {
-                        for (h, &x) in out.iter_mut().zip(data) {
-                            *h = fx_add(fx_add(*h, 2), x as u64);
-                        }
-                    } else {
-                        for (row, (h, &x)) in out.iter_mut().zip(data).enumerate() {
-                            *h = if nulls.is_null(row) {
-                                fx_add(*h, 0)
-                            } else {
-                                fx_add(fx_add(*h, 2), x as u64)
-                            };
-                        }
-                    }
-                }
-                Some(Column::Float { data, nulls }) => {
-                    if nulls.null_count() == 0 {
-                        for (h, &x) in out.iter_mut().zip(data) {
-                            *h = fx_add(fx_add(*h, 3), x.to_bits());
-                        }
-                    } else {
-                        for (row, (h, &x)) in out.iter_mut().zip(data).enumerate() {
-                            *h = if nulls.is_null(row) {
-                                fx_add(*h, 0)
-                            } else {
-                                fx_add(fx_add(*h, 3), x.to_bits())
-                            };
-                        }
-                    }
-                }
-                Some(Column::Bool { data, nulls }) => {
-                    for (row, (h, &x)) in out.iter_mut().zip(data).enumerate() {
-                        *h = if nulls.is_null(row) {
-                            fx_add(*h, 0)
-                        } else {
-                            fx_add(fx_add(*h, 1), x as u64)
-                        };
-                    }
-                }
-                Some(Column::Str { data, nulls }) => {
-                    for (row, (h, s)) in out.iter_mut().zip(data).enumerate() {
-                        *h = if nulls.is_null(row) {
-                            fx_add(*h, 0)
-                        } else {
-                            fx_add_bytes(fx_add(*h, 4), s.as_bytes())
-                        };
-                    }
-                }
-                Some(col @ Column::Mixed(_)) => {
-                    for (row, h) in out.iter_mut().enumerate() {
-                        *h = col.cell(row).fold_hash(*h);
-                    }
-                }
+                Some(col) => col.for_each_cell(|r, cell| out[r] = cell.fold_hash(out[r])),
+                // Out-of-range columns hash as null cells.
+                None => out.iter_mut().for_each(|h| *h = Cell::Null.fold_hash(*h)),
             }
         }
     }
@@ -892,10 +700,7 @@ impl BatchBuilder {
     pub fn push_widened(&mut self, r: &Record, map: &[Option<usize>]) {
         debug_assert_eq!(map.len(), self.cols.len());
         for (col, m) in self.cols.iter_mut().zip(map) {
-            match m {
-                Some(i) => col.push(r.field(*i)),
-                None => col.push(&Value::Null),
-            }
+            col.push_value(m.map_or(Value::Null, |i| r.field(i).clone()));
         }
         self.rows += 1;
     }
@@ -906,7 +711,7 @@ impl BatchBuilder {
     pub fn append_row(&mut self, src: &ColumnBatch, row: usize) {
         debug_assert_eq!(src.width(), self.width());
         for (col, s) in self.cols.iter_mut().zip(&src.cols) {
-            col.push_cell(s, row);
+            col.push_value(s.value(row));
         }
         self.rows += 1;
     }

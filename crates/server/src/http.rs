@@ -151,12 +151,17 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     })
 }
 
+/// Reads one header-section line, reading at most one byte past the
+/// section's remaining budget, so a line that never ends is refused once
+/// it outgrows [`MAX_HEADER_BYTES`] instead of being buffered without
+/// limit.
 fn read_line(
     reader: &mut BufReader<&mut TcpStream>,
     line: &mut String,
     total: &mut usize,
 ) -> Result<usize, HttpError> {
-    let n = reader.read_line(line)?;
+    let budget = (MAX_HEADER_BYTES - *total + 1) as u64;
+    let n = reader.by_ref().take(budget).read_line(line)?;
     *total += n;
     if *total > MAX_HEADER_BYTES {
         return Err(HttpError::Bad("header section too large".into()));
@@ -360,6 +365,35 @@ mod tests {
                 c.shutdown(std::net::Shutdown::Write).unwrap();
                 let mut out = Vec::new();
                 let _ = c.read_to_end(&mut out);
+            },
+        );
+    }
+
+    #[test]
+    fn endless_header_line_is_refused_while_the_client_keeps_sending() {
+        pair(
+            |s| match read_request(s).unwrap_err() {
+                HttpError::Bad(m) => assert!(m.contains("header section too large"), "{m}"),
+                other => panic!("expected Bad, got {other}"),
+            },
+            |c| {
+                // Four header budgets with no newline, write side left
+                // open: only a bounded line read lets the server give up.
+                // The server may close mid-write, so write errors are fine.
+                let _ = c.write_all(b"GET /");
+                let _ = c.write_all(&vec![b'a'; 4 * MAX_HEADER_BYTES]);
+                c.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                    .unwrap();
+                let mut out = Vec::new();
+                if let Err(e) = c.read_to_end(&mut out) {
+                    assert!(
+                        !matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ),
+                        "server still reading after the read timeout: {e}"
+                    );
+                }
             },
         );
     }

@@ -18,8 +18,8 @@
 //! * [`workloads`] — the four evaluation workloads of the paper.
 //!
 //! See the repository `README.md` for a quickstart, `ARCHITECTURE.md` for
-//! how the crates fit together, and `DESIGN.md` for the full system
-//! inventory.
+//! how the crates fit together, and `PAPER.md` for the source paper's
+//! abstract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -186,23 +186,56 @@ proptest! {
     }
 
     #[test]
-    fn batches_are_logically_equal_across_layouts((width, rows) in arb_rows()) {
+    fn batches_are_logically_equal_across_layouts(
+        (width, rows) in arb_rows(),
+        fanout in 1usize..5,
+        raw_dests in prop::collection::vec(0usize..4, 24),
+    ) {
+        // Three more columns on every row next to the drawn ones (mostly
+        // `Mixed`): an all-null one, a null-masked Int one and a Str one
+        // without nulls.
+        let rows: Vec<Record> = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let masked = if i % 3 == 0 { Value::Null } else { Value::Int(i as i64) };
+                let extra = [Value::Null, masked, Value::str(format!("s{i}"))];
+                Record::new(r.fields().iter().cloned().chain(extra).collect())
+            })
+            .collect();
+        let width = width + 3;
         // One batch built by each builder path: record by record, gathered
         // row by row from a shared batch, and scattered column-wise into
-        // one destination. Equality is row by row, so NaN cells equal
-        // themselves.
+        // `fanout` destinations, row `r` to `dests[r]`. Equality is row by
+        // row, so NaN cells equal themselves.
         let pushed = build(width, &rows);
         let mut gathered = BatchBuilder::new(width);
         for row in 0..pushed.len() {
             gathered.append_row(&pushed, row);
         }
-        let mut scattered = BatchBuilder::new(width);
-        pushed.clone().scatter_into(&vec![0; rows.len()], &mut [&mut scattered]);
-        let (gathered, scattered) = (gathered.finish(), scattered.finish());
         prop_assert_eq!(&pushed, &pushed.clone());
-        prop_assert_eq!(&gathered, &pushed);
-        prop_assert_eq!(&scattered, &pushed);
-        prop_assert_eq!(scattered.to_records(), rows.clone());
+        prop_assert_eq!(&gathered.finish(), &pushed);
+        let dests: Vec<u32> = raw_dests[..rows.len()]
+            .iter()
+            .map(|&d| (d % fanout) as u32)
+            .collect();
+        let mut scattered: Vec<BatchBuilder> =
+            (0..fanout).map(|_| BatchBuilder::new(width)).collect();
+        pushed
+            .clone()
+            .scatter_into(&dests, &mut scattered.iter_mut().collect::<Vec<_>>());
+        for (d, got) in scattered.into_iter().enumerate() {
+            // Each destination holds the rows routed to it, in order.
+            let routed: Vec<usize> = (0..rows.len()).filter(|&r| dests[r] as usize == d).collect();
+            let mut want = BatchBuilder::new(width);
+            for &row in &routed {
+                want.append_row(&pushed, row);
+            }
+            let got = got.finish();
+            prop_assert_eq!(&got, &want.finish());
+            let want_rows: Vec<Record> = routed.iter().map(|&r| rows[r].clone()).collect();
+            prop_assert_eq!(got.to_records(), want_rows);
+        }
         if let Some((_, fewer)) = rows.split_last() {
             prop_assert!(build(width, fewer) != pushed);
         }

@@ -1,6 +1,6 @@
 //! Exact UDF call counters: pins `udf_calls`, `interp_steps`,
 //! `records_emitted` and every operator's `(calls, emits)` slot for one
-//! flow — a Match, a fused chain of two Maps over its output, and a
+//! flow — a Match, two Maps in a row over its output, and a
 //! Reduce — across degrees of parallelism and batch sizes.
 //!
 //! Operators tally their calls locally and flush them to `ExecStats` at
@@ -18,15 +18,15 @@ use strato::record::{DataSet, Record, Value};
 const TOTALS: (u64, u64, u64) = (6478, 58220, 5746);
 
 /// `(calls, emits)` per operator, in plan order (`OPS`). The join makes
-/// more than 1 024 calls in one finish, and so does the fused chain in
-/// one push at the largest batch size.
+/// more than 1 024 calls in one finish, and each Map up to 1 024 in one
+/// push at the largest batch size.
 const PER_OP: [(u64, u64); 4] = [(2155, 2155), (2155, 2155), (2155, 1423), (13, 13)];
 
 const OPS: [&str; 4] = ["join", "m1", "m2", "sum"];
 
 /// `l(k, v) ⋈ r(k2, w)` on `k = k2`, then `v += w` and a `v % 3 != 0`
 /// filter (both read the two sides, so neither moves below the join and
-/// the pair stays a fused Forward chain), then a per-key sum of `v`.
+/// the pair stays on Forward edges after it), then a per-key sum of `v`.
 fn flow() -> (Plan, Inputs) {
     let mut b = FuncBuilder::new("m1", UdfKind::Map, vec![4]);
     let v = b.get_input(0, 1);
@@ -132,7 +132,7 @@ fn udf_counters_match_the_pinned_values_at_every_dop_and_batch_size() {
     }
 }
 
-/// A query whose fused Map chain hits the step limit part-way through a
+/// A query whose first Map hits the step limit part-way through a
 /// push fails with the UDF error — the flush on that exit path must not
 /// panic — and the runtime stays usable for the next query.
 #[test]
