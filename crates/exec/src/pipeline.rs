@@ -52,9 +52,12 @@
 //! runs — its input data sets, the plan's operators, its stats and its
 //! memory governor — so the runtime holds it as an `Arc`, and its workers
 //! take one task step per pick, round-robin across in-flight queries,
-//! each through its own clone of that `Arc`. The standalone entry points
-//! ([`crate::execute_with`] and friends) build a runtime private to the
-//! call (`private_runtime`), sized by the task graph the run built.
+//! each through its own clone of that `Arc`. A run whose every source
+//! fits in one batch is driven by its submitter instead, through the same
+//! loop that drives a runtime without workers (see the runtime's "Fair
+//! scheduling" docs). The standalone entry points ([`crate::execute_with`]
+//! and friends) build a runtime private to the call (`private_runtime`),
+//! sized by the task graph the run built.
 
 use crate::engine::{ExecError, Inputs};
 use crate::operators::{self, OpCtx, Operator};
@@ -664,11 +667,12 @@ impl ExecState {
 
 /// The runtime private to one standalone call: an unbounded memory pool
 /// (so [`ExecOptions::mem_budget`] is the grant) and, at `dop > 1`, one
-/// thread per core up to the number of tasks. At `dop = 1` it has no
-/// threads and the calling thread drives the run — the logical oracle
-/// stays inline and deterministic.
-fn private_runtime(dop: usize, n_tasks: usize) -> EngineRuntime {
-    if dop <= 1 {
+/// thread per core up to the number of tasks. At `dop = 1`, and for a
+/// query whose every source fits in one batch (`one_batch`), it has no
+/// threads and the calling thread drives the run: the logical oracle
+/// stays inline and deterministic, and a small query spawns nothing.
+fn private_runtime(dop: usize, n_tasks: usize, one_batch: bool) -> EngineRuntime {
+    if dop <= 1 || one_batch {
         return EngineRuntime::private(0);
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -703,11 +707,20 @@ pub(crate) fn run_streaming(
     let dop = dop.max(1);
     let graph = TaskGraph::build(root, dop);
     let n_tasks = graph.stages.len() * dop;
+    // Every source fits in one batch, so each scan partition emits at
+    // most one batch and no stage can overlap another: the submitter
+    // drives the run, because a pool hand-off costs more than it saves.
+    let one_batch = graph.stages.iter().all(|s| match s.kind {
+        FlatKind::Scan(src) => !inputs
+            .get(&plan.ctx.sources[src].name)
+            .is_some_and(|ds| ds.len() > opts.batch_size.max(1)),
+        FlatKind::Apply { .. } => true,
+    });
     let private;
     let runtime = match runtime {
         Some(shared) => shared,
         None => {
-            private = private_runtime(dop, n_tasks);
+            private = private_runtime(dop, n_tasks, one_batch);
             &private
         }
     };
@@ -844,9 +857,9 @@ pub(crate) fn run_streaming(
     }
 
     // Register with every task ready, let the runtime's workers interleave
-    // this query's steps with every other in-flight query, wait for the
-    // drain.
-    let state = runtime.run_query(n_tasks, |slot| ExecState {
+    // this query's steps with every other in-flight query (or drive them
+    // here), wait for the drain.
+    let state = runtime.run_query(n_tasks, one_batch, |slot| ExecState {
         sched: Sched {
             core: Mutex::new(Core {
                 chans,

@@ -21,6 +21,16 @@
 //! moves on to the next query with work, so it can never starve a light
 //! neighbor. Within a query, tasks run in the order they became ready.
 //!
+//! A query is driven either by the pool or by the thread that submitted
+//! it. A query whose every source fits in one batch cannot pipeline — each
+//! scan partition emits at most one batch — so handing its steps to the
+//! pool costs more than it saves: its submitter drives it alone, through
+//! the same loop that drives a runtime without workers. Its slot stays
+//! registered (ids, grant, snapshot and `/metrics` all see it) but is
+//! flagged so that no worker picks it and its steps wake no worker. A
+//! light query therefore never waits for the pool, even while a heavy
+//! neighbor holds every worker.
+//!
 //! ## Hierarchical memory
 //!
 //! The runtime owns a [`GlobalMemory`] pool
@@ -102,12 +112,16 @@ pub struct RuntimeSnapshot {
     pub active_queries: usize,
     /// Ready (runnable) task steps across all registered queries.
     pub queued_tasks: usize,
-    /// Task steps executed since the runtime started.
+    /// Task steps executed by the pool's workers since the runtime
+    /// started. Steps a submitter ran itself are not counted.
     pub tasks_executed: u64,
     /// Queries ever submitted.
     pub queries_started: u64,
     /// Queries that finished (successfully or not).
     pub queries_finished: u64,
+    /// Queries driven entirely by the thread that submitted them, not by
+    /// the pool (see the module docs).
+    pub queries_on_submitter: u64,
     /// The pool budget (`None` = unbounded).
     pub mem_budget: Option<u64>,
     /// Bytes currently promised to in-flight queries' grants.
@@ -141,6 +155,10 @@ struct SlotEntry {
     running: usize,
     /// The run drained or failed: nothing is queued any more.
     over: bool,
+    /// The submitter drives this query itself: no worker picks it and its
+    /// steps wake none. The single-driver loop relies on being the only
+    /// driver, and `run_query` needs every handle back.
+    on_submitter: bool,
 }
 
 /// The pool's scheduling state: the slot table plus the fairness cursor.
@@ -162,7 +180,7 @@ impl RtSched {
         let n = self.slots.len();
         for k in 0..n {
             let i = (self.cursor + k) % n;
-            if let Some(s) = &mut self.slots[i] {
+            if let Some(s) = self.slots[i].as_mut().filter(|s| !s.on_submitter) {
                 if let Some(t) = s.ready.pop_front() {
                     s.running += 1;
                     self.cursor = (i + 1) % n;
@@ -187,6 +205,7 @@ pub(crate) struct RtShared {
     tasks_run: AtomicU64,
     queries_started: AtomicU64,
     queries_finished: AtomicU64,
+    queries_on_submitter: AtomicU64,
     /// Memory-grant carve wait times (see
     /// [`RuntimeSnapshot::grant_wait`]).
     grant_wait: LatencyHisto,
@@ -194,10 +213,11 @@ pub(crate) struct RtShared {
 
 impl RtShared {
     /// Called from a step of the query registered in `slot`: queues the
-    /// tasks it `woke` and wakes the workers, or — `over` — ends the slot's
-    /// run by dropping whatever is still queued. Ending wakes no one: a
-    /// pool worker calling this is still counted in the slot's `running`,
-    /// and the release that brings that count to zero wakes the submitter.
+    /// tasks it `woke` and wakes the workers (unless the submitter drives
+    /// the query), or — `over` — ends the slot's run by dropping whatever
+    /// is still queued. Ending wakes no one: a pool worker calling this is
+    /// still counted in the slot's `running`, and the release that brings
+    /// that count to zero wakes the submitter.
     pub(crate) fn publish(&self, slot: usize, woke: &[usize], over: bool) {
         let mut sched = self.sched.lock().unwrap();
         let s = sched.slots[slot]
@@ -208,7 +228,9 @@ impl RtShared {
             s.ready.clear();
         } else {
             s.ready.extend(woke);
-            self.cv.notify_all();
+            if !s.on_submitter {
+                self.cv.notify_all();
+            }
         }
     }
 }
@@ -273,6 +295,7 @@ impl EngineRuntime {
             tasks_run: AtomicU64::new(0),
             queries_started: AtomicU64::new(0),
             queries_finished: AtomicU64::new(0),
+            queries_on_submitter: AtomicU64::new(0),
             grant_wait: LatencyHisto::new(),
         });
         let handles = (0..workers)
@@ -317,6 +340,7 @@ impl EngineRuntime {
             tasks_executed: self.shared.tasks_run.load(Ordering::Relaxed),
             queries_started: self.shared.queries_started.load(Ordering::Relaxed),
             queries_finished: self.shared.queries_finished.load(Ordering::Relaxed),
+            queries_on_submitter: self.shared.queries_on_submitter.load(Ordering::Relaxed),
             mem_budget: self.shared.memory.budget(),
             mem_granted: self.shared.memory.granted(),
             mem_resident: self.shared.memory.resident(),
@@ -354,13 +378,17 @@ impl EngineRuntime {
     /// Registers the query `build` assembles around its slot index, with
     /// tasks `0..n_tasks` ready; blocks until its run is over and no
     /// worker is inside one of its steps; deregisters it and hands it
-    /// back. Errors surface through the query's own state; this only
-    /// choreographs scheduling.
+    /// back. With `on_submitter` (or without workers) the calling thread
+    /// drives every step itself and the pool never sees one. Errors
+    /// surface through the query's own state; this only choreographs
+    /// scheduling.
     pub(crate) fn run_query(
         &self,
         n_tasks: usize,
+        on_submitter: bool,
         build: impl FnOnce(usize) -> ExecState,
     ) -> ExecState {
+        let on_submitter = on_submitter || self.handles.is_empty();
         let query_id = self.shared.queries_started.fetch_add(1, Ordering::Relaxed) + 1;
         // `build` runs under the lock, so the free slot stays reserved.
         let mut sched = self.shared.sched.lock().unwrap();
@@ -378,11 +406,15 @@ impl EngineRuntime {
             ready: (0..n_tasks).collect(),
             running: 0,
             over: false,
+            on_submitter,
         });
-        if self.handles.is_empty() {
-            // No pool: the calling thread drives the query. With a single
-            // driver a task that yields has always made its producer or
-            // consumer ready, so the queue runs dry only once it is over.
+        if on_submitter {
+            // The calling thread drives the query. With a single driver a
+            // task that yields has always made its producer or consumer
+            // ready, so the queue runs dry only once it is over.
+            self.shared
+                .queries_on_submitter
+                .fetch_add(1, Ordering::Relaxed);
             while let Some(t) = sched.slots[slot].as_mut().and_then(|s| s.ready.pop_front()) {
                 drop(sched);
                 query.run(&self.shared, t);
@@ -540,8 +572,12 @@ mod tests {
     #[test]
     fn runtime_execution_matches_standalone_and_reuses_the_pool() {
         let (plan, phys, inputs) = sum_plan(200);
-        let (reference, ref_stats) =
-            execute_with(&plan, &phys, &inputs, 4, &ExecOptions::default()).unwrap();
+        // Below the source's 200 rows, so the pool drives every query.
+        let opts = ExecOptions {
+            batch_size: 64,
+            ..ExecOptions::default()
+        };
+        let (reference, ref_stats) = execute_with(&plan, &phys, &inputs, 4, &opts).unwrap();
 
         let rt = EngineRuntime::new(RuntimeOptions {
             workers: Some(2),
@@ -549,13 +585,11 @@ mod tests {
         });
         // Sequential reuse: the pool survives across queries.
         for _ in 0..3 {
-            let (out, stats) = rt
-                .execute_with(&plan, &phys, &inputs, 4, &ExecOptions::default())
-                .unwrap();
+            let (out, stats) = rt.execute_with(&plan, &phys, &inputs, 4, &opts).unwrap();
             assert_eq!(out, reference, "shared pool must be byte-identical");
             assert_eq!(stats.totals(), ref_stats.totals());
         }
-        let (logical, _) = rt.execute_logical(&plan, &inputs).unwrap();
+        let (logical, _) = rt.execute_logical_with(&plan, &inputs, &opts).unwrap();
         assert_eq!(logical, execute_logical(&plan, &inputs).unwrap().0);
 
         let snap = rt.snapshot();
@@ -564,6 +598,7 @@ mod tests {
         assert_eq!(snap.queries_finished, 4);
         assert_eq!(snap.active_queries, 0, "all slots freed");
         assert!(snap.tasks_executed > 0, "the pool really ran the tasks");
+        assert_eq!(snap.queries_on_submitter, 0);
         assert_eq!(snap.mem_resident, 0, "all operator state released");
         assert_eq!(snap.mem_granted, 0, "all grants returned");
     }

@@ -84,7 +84,6 @@ mod tests {
         assert_eq!(col, batch(&recs));
         assert_ne!(col, batch(&recs[1..]));
         assert_eq!(col.clone().into_records(), recs);
-        assert_eq!(col.to_records(), recs);
         assert_eq!(col.row(2).to_record(), recs[2]);
     }
 }

@@ -555,12 +555,6 @@ impl ColumnBatch {
         Record::from_values(self.cols.iter().map(|c| c.value(row)))
     }
 
-    /// Materializes every row, in order (clones payloads; see
-    /// [`ColumnBatch::into_records`] for the move-based variant).
-    pub fn to_records(&self) -> Vec<Record> {
-        self.clone().into_records()
-    }
-
     /// Consumes the batch, materializing every row in order. Runs
     /// column-wise: rows start as all-null value vectors and each
     /// column fills its slot in one tight pass, **moving** string
@@ -783,7 +777,7 @@ mod tests {
         let cb = build(&recs, 4);
         assert_eq!(cb.len(), 4);
         assert_eq!(cb.width(), 4);
-        assert_eq!(cb.to_records(), recs);
+        assert_eq!(cb.clone().into_records(), recs);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(cb.row_record(i), *r);
             assert_eq!(cb.row(i), RowRef::from(r));
@@ -806,7 +800,7 @@ mod tests {
         ];
         let cb = build(&recs, 1);
         assert!(matches!(cb.columns()[0], Column::Mixed(_)));
-        assert_eq!(cb.to_records(), recs);
+        assert_eq!(cb.into_records(), recs);
     }
 
     #[test]
@@ -870,11 +864,11 @@ mod tests {
             }
         }
         assert_eq!(
-            even.finish().to_records(),
+            even.finish().into_records(),
             vec![recs[0].clone(), recs[2].clone()]
         );
         assert_eq!(
-            odd.finish().to_records(),
+            odd.finish().into_records(),
             vec![recs[1].clone(), recs[3].clone()]
         );
     }
@@ -902,7 +896,7 @@ mod tests {
         assert!(b.is_empty());
         b.push(Record::from_values([Value::Int(2)]));
         assert_eq!(
-            b.finish().to_records(),
+            b.finish().into_records(),
             vec![Record::from_values([Value::Int(2)])]
         );
     }

@@ -351,7 +351,7 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
     )
 }
 
-/// Streams `{"rows": [...], "stats": {...}, "query_id": N}` as a chunked
+/// Writes `{"rows": [...], "stats": {...}, "query_id": N}` as a chunked
 /// body, one chunk per [`ROWS_PER_CHUNK`] rows, appending `"trace"`
 /// (Chrome trace-event document) and `"explain"` (estimate-vs-actual
 /// report) members for traced queries. Rows are emitted in canonical
@@ -359,9 +359,10 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
 /// written straight from its record into one reused chunk buffer.
 ///
 /// A traced query's `result-sort` and `result-encode` spans (the latter
-/// covers encoding and writing the row chunks) end before its trace is
-/// rendered, so the response carries them; the rendered trace is also
-/// kept in `traces`.
+/// covers encoding the row chunks into the response's write buffer, and
+/// the writes a full buffer makes) end before its trace is rendered, so
+/// the response carries them; the rendered trace is also kept in
+/// `traces`.
 fn stream_result(
     stream: &mut TcpStream,
     traces: &TraceStore,

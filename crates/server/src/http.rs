@@ -9,13 +9,19 @@
 //!   rejected cleanly),
 //! * fixed-length responses,
 //! * **chunked** responses via [`ChunkedWriter`], which is how query
-//!   results stream back batch by batch.
+//!   results go back.
+//!
+//! Every response is written through one 64 KiB buffer that is flushed
+//! when the response ends: a small response reaches the socket in one
+//! `write`, and a large one streams out as the buffer fills. Only the
+//! writes are coalesced; the bytes on the wire, chunk framing included,
+//! are the same as unbuffered writes.
 //!
 //! Every connection is handled as `Connection: close` — one request per
 //! connection keeps the protocol state machine trivial and is what the
 //! admission gate (per-query, not per-connection) expects.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on accepted request bodies (64 MiB). Inline datasets are
@@ -25,6 +31,9 @@ pub const MAX_BODY_BYTES: u64 = 64 << 20;
 
 /// Upper bound on the total header section (64 KiB).
 const MAX_HEADER_BYTES: usize = 64 << 10;
+
+/// Capacity of the buffer every response is written through (64 KiB).
+const RESPONSE_BUF_BYTES: usize = 64 << 10;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -207,8 +216,9 @@ pub fn write_response_with(
     body: &[u8],
     extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
+    let mut out = BufWriter::with_capacity(RESPONSE_BUF_BYTES, stream);
     write!(
-        stream,
+        out,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
         status,
         reason(status),
@@ -216,55 +226,57 @@ pub fn write_response_with(
         body.len()
     )?;
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        write!(out, "{name}: {value}\r\n")?;
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
-    stream.flush()
+    out.write_all(b"\r\n")?;
+    out.write_all(body)?;
+    out.flush()
 }
 
 /// A `Transfer-Encoding: chunked` response body in progress.
 ///
-/// [`ChunkedWriter::begin`] sends the header section; each [`chunk`]
-/// becomes one HTTP chunk on the wire (so a consumer observes result
-/// batches as they are produced); [`finish`] sends the terminating
-/// zero-length chunk.
+/// [`ChunkedWriter::begin`] writes the header section; each [`chunk`]
+/// becomes one HTTP chunk of the body; [`finish`] writes the terminating
+/// zero-length chunk and flushes. Everything goes through one 64 KiB
+/// buffer, so a small response leaves in one `write` at [`finish`] and a
+/// large one streams as the buffer fills.
 ///
 /// [`chunk`]: ChunkedWriter::chunk
 /// [`finish`]: ChunkedWriter::finish
 #[derive(Debug)]
 pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+    out: BufWriter<&'a mut TcpStream>,
 }
 
 impl<'a> ChunkedWriter<'a> {
-    /// Sends the status line and headers of a chunked response.
+    /// Writes the status line and headers of a chunked response.
     pub fn begin(stream: &'a mut TcpStream, status: u16, content_type: &str) -> io::Result<Self> {
+        let mut out = BufWriter::with_capacity(RESPONSE_BUF_BYTES, stream);
         write!(
-            stream,
+            out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n",
             status,
             reason(status),
             content_type,
         )?;
-        Ok(ChunkedWriter { stream })
+        Ok(ChunkedWriter { out })
     }
 
-    /// Sends one chunk (empty slices are skipped: an empty chunk would
+    /// Writes one chunk (empty slices are skipped: an empty chunk would
     /// terminate the body).
     pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")
+        write!(self.out, "{:x}\r\n", data.len())?;
+        self.out.write_all(data)?;
+        self.out.write_all(b"\r\n")
     }
 
     /// Terminates the body and flushes.
-    pub fn finish(self) -> io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+    pub fn finish(mut self) -> io::Result<()> {
+        self.out.write_all(b"0\r\n\r\n")?;
+        self.out.flush()
     }
 }
 
@@ -449,6 +461,44 @@ mod tests {
                 c.read_to_string(&mut out).unwrap();
                 assert!(out.contains("transfer-encoding: chunked"), "{out}");
                 assert!(out.ends_with("3\r\n[1,\r\n2\r\n2]\r\n0\r\n\r\n"), "{out}");
+            },
+        );
+    }
+
+    #[test]
+    fn chunked_response_larger_than_the_buffer_keeps_its_framing() {
+        // Many small chunks, then one chunk larger than the whole buffer:
+        // the buffer fills and spills several times mid-response.
+        let small: Vec<Vec<u8>> = (0..3000u32)
+            .map(|i| format!("[{i},{}]", i * 7).into_bytes())
+            .collect();
+        let big = vec![b'x'; 3 * RESPONSE_BUF_BYTES + 5];
+        let mut want = Vec::new();
+        for c in small.iter().chain([&big]) {
+            want.extend(format!("{:x}\r\n", c.len()).into_bytes());
+            want.extend(c);
+            want.extend(b"\r\n");
+        }
+        want.extend(b"0\r\n\r\n");
+        pair(
+            move |s| {
+                let _ = read_request(s).unwrap();
+                let mut w = ChunkedWriter::begin(s, 200, "application/json").unwrap();
+                for c in small.iter().chain([&big]) {
+                    w.chunk(c).unwrap();
+                }
+                w.finish().unwrap();
+            },
+            |c| {
+                c.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+                let mut out = Vec::new();
+                c.read_to_end(&mut out).unwrap();
+                let head = b"\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n";
+                let at = out
+                    .windows(head.len())
+                    .position(|w| w == head)
+                    .expect("header section");
+                assert_eq!(out[at + head.len()..], want[..]);
             },
         );
     }

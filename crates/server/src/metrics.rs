@@ -244,9 +244,14 @@ impl Metrics {
             }
         }
         out.push_str(&format!(
-            "# HELP strato_pool_tasks_total Task steps executed by the shared pool.\n\
-             # TYPE strato_pool_tasks_total counter\nstrato_pool_tasks_total {}\n",
-            rt.tasks_executed
+            "# HELP strato_pool_tasks_total Task steps executed by the shared pool's workers \
+             (steps a query's submitter ran itself are not counted).\n\
+             # TYPE strato_pool_tasks_total counter\nstrato_pool_tasks_total {}\n\
+             # HELP strato_queries_on_submitter_total Queries driven entirely by the thread \
+             that submitted them, not by the pool (every source fit in one batch).\n\
+             # TYPE strato_queries_on_submitter_total counter\n\
+             strato_queries_on_submitter_total {}\n",
+            rt.tasks_executed, rt.queries_on_submitter
         ));
 
         let counters: [(&str, &str, u64); 14] = [
@@ -461,6 +466,7 @@ mod tests {
             active_queries: 2,
             queued_tasks: 7,
             tasks_executed: 99,
+            queries_on_submitter: 6,
             mem_budget: Some(1024),
             mem_granted: 256,
             mem_resident: 128,
@@ -476,6 +482,10 @@ mod tests {
         assert!(text.contains("strato_pool_active_queries 2\n"), "{text}");
         assert!(text.contains("strato_pool_queued_tasks 7\n"), "{text}");
         assert!(text.contains("strato_pool_tasks_total 99\n"), "{text}");
+        assert!(
+            text.contains("strato_queries_on_submitter_total 6\n"),
+            "{text}"
+        );
         assert!(text.contains("strato_mem_budget_bytes 1024\n"), "{text}");
         assert!(text.contains("strato_mem_granted_bytes 256\n"), "{text}");
         assert!(text.contains("strato_mem_resident_bytes 128\n"), "{text}");

@@ -19,7 +19,10 @@
 //! [`EngineRuntime`] created at [`Server::bind`] — the
 //! [`ServerConfig::workers`] pool and [`ServerConfig::mem_budget`] bytes
 //! are machine-wide totals divided across concurrent queries, not
-//! per-query multipliers.
+//! per-query multipliers. A query whose every source fits in one batch is
+//! driven by its connection's handler thread instead of the pool (see
+//! [`EngineRuntime`]'s "Fair scheduling" docs), so it never waits for a
+//! worker.
 //!
 //! [`AdmissionGate`]: crate::admission::AdmissionGate
 
@@ -214,5 +217,64 @@ impl Drop for ServerHandle {
             self.stop_accepting();
             self.state.gate.drain(DEFAULT_SHUTDOWN_GRACE);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    /// The sample of an unlabelled series in a Prometheus scrape.
+    fn metric(scrape: &str, name: &str) -> u64 {
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {scrape}"))
+    }
+
+    /// A grouped sum over `rows` inline rows at batch size `batch`.
+    fn grouped_sum(rows: usize, batch: usize) -> String {
+        let data: Vec<String> = (0..rows).map(|i| format!("[{}, {i}]", i % 7)).collect();
+        format!(
+            r#"{{"flow": {{"op": {{"name": "sum", "kind": "reduce", "key": [0],
+                         "udf": {{"fn": "fold", "op": "sum", "field": 1}}}},
+                 "inputs": [{{"source": {{"name": "s", "fields": ["k", "v"],
+                              "est_rows": {rows}}}}}]}},
+               "inputs": {{"s": [{}]}},
+               "options": {{"dop": 2, "batch": {batch}}}}}"#,
+            data.join(",")
+        )
+    }
+
+    #[test]
+    fn only_a_query_larger_than_one_batch_runs_on_the_pool() {
+        let handle = Server::bind(&ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: Some(2),
+            ..ServerConfig::default()
+        })
+        .unwrap()
+        .spawn()
+        .unwrap();
+        let scrape = || client::get(handle.addr(), "/metrics").unwrap().text();
+        let query = |body: &str| {
+            let r = client::post_json(handle.addr(), "/v1/query", body).unwrap();
+            assert_eq!(r.status, 200, "{}", r.text());
+        };
+
+        // 256 rows fit in one batch of 256: the handler thread drives it.
+        query(&grouped_sum(256, 256));
+        let s = scrape();
+        assert_eq!(metric(&s, "strato_queries_on_submitter_total"), 1);
+        assert_eq!(metric(&s, "strato_pool_tasks_total"), 0, "{s}");
+
+        // 300 rows at batch 64: the pool drives it.
+        query(&grouped_sum(300, 64));
+        let s = scrape();
+        assert_eq!(metric(&s, "strato_queries_on_submitter_total"), 1);
+        assert!(metric(&s, "strato_pool_tasks_total") > 0, "{s}");
+        assert_eq!(metric(&s, "strato_queries_completed_total"), 2);
+        handle.shutdown();
     }
 }

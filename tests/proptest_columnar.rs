@@ -174,7 +174,7 @@ proptest! {
         let cb = build(width, &rows);
         prop_assert_eq!(cb.len(), rows.len());
         prop_assert_eq!(cb.width(), width);
-        prop_assert_eq!(cb.to_records(), rows.clone());
+        prop_assert_eq!(cb.clone().into_records(), rows.clone());
         // Per-row materialization and cell access agree too.
         for (i, r) in rows.iter().enumerate() {
             prop_assert_eq!(&cb.row_record(i), r);
@@ -234,7 +234,7 @@ proptest! {
             let got = got.finish();
             prop_assert_eq!(&got, &want.finish());
             let want_rows: Vec<Record> = routed.iter().map(|&r| rows[r].clone()).collect();
-            prop_assert_eq!(got.to_records(), want_rows);
+            prop_assert_eq!(got.into_records(), want_rows);
         }
         if let Some((_, fewer)) = rows.split_last() {
             prop_assert!(build(width, fewer) != pushed);

@@ -12,8 +12,11 @@
 //!   the budget plus a small per-query batch slack — starvation shows up
 //!   as *spilling*, never as oversubscription,
 //! * per-operator statistics stay attributed to the right query even
-//!   though pool workers interleave task steps from different queries.
+//!   though pool workers interleave task steps from different queries,
+//! * a query whose every source fits in one batch runs on the thread that
+//!   submitted it, so it never waits for a pool a heavy neighbor holds.
 
+use std::time::{Duration, Instant};
 use strato::core::cost::CostWeights;
 use strato::core::physical::best_physical;
 use strato::core::{PhysPlan, PropTable};
@@ -21,6 +24,7 @@ use strato::dataflow::{CostHints, Plan, ProgramBuilder, PropertyMode, SourceDef}
 use strato::exec::{
     execute_logical, execute_with, EngineRuntime, ExecOptions, Inputs, RuntimeOptions,
 };
+use strato::ir::{FuncBuilder, Intrinsic, UdfKind};
 use strato::record::{DataSet, Record, Value};
 use strato::workloads::udfs;
 
@@ -173,7 +177,11 @@ fn per_op_stats_stay_attributed_to_their_query_under_interleaving() {
         inputs.insert("s".into(), ds);
         (plan, phys, inputs)
     };
-    let opts = ExecOptions::default();
+    // Below both sources' row counts, so the pool drives both queries.
+    let opts = ExecOptions {
+        batch_size: 64,
+        ..ExecOptions::default()
+    };
 
     // Serial per-op references.
     let serial: Vec<Vec<(u64, u64)>> = [&a, &b]
@@ -221,4 +229,102 @@ fn per_op_stats_stay_attributed_to_their_query_under_interleaving() {
             );
         }
     }
+}
+
+/// A Reduce over `rows` records of one key whose group UDF calls
+/// `burn(units, v)` once, in `finish`, and emits the group's first record
+/// with `v` replaced by the checksum.
+fn burning_reduce(rows: i64, units: i64) -> (Plan, PhysPlan, Inputs) {
+    let burn = {
+        let mut b = FuncBuilder::new("burn", UdfKind::Group, vec![2]);
+        let it = b.iter_open(0);
+        let nil = b.new_label();
+        let first = b.iter_next(it, nil);
+        let units = b.konst(units);
+        let seed = b.get(first, 1);
+        let sum = b.call(Intrinsic::Burn, vec![units, seed]);
+        let or = b.copy(first);
+        b.set(or, 1, sum);
+        b.emit(or);
+        b.place(nil);
+        b.ret();
+        b.finish().unwrap()
+    };
+    let mut p = ProgramBuilder::new();
+    let s = p.source(SourceDef::new("s", &["k", "v"], rows as u64));
+    let g = p.reduce("burn", &[0], burn, CostHints::default(), s);
+    let plan = p.finish(g).unwrap().bind().unwrap();
+    let phys = PhysPlan::logical(&plan);
+    let ds: DataSet = (0..rows)
+        .map(|i| Record::from_values([Value::Int(0), Value::Int(i + 1)]))
+        .collect();
+    let mut inputs = Inputs::new();
+    inputs.insert("s".into(), ds);
+    (plan, phys, inputs)
+}
+
+#[test]
+fn a_one_batch_query_returns_while_a_long_query_holds_the_only_worker() {
+    // `burn` units that take about a second in this build.
+    let t0 = Instant::now();
+    std::hint::black_box(strato::ir::intrinsics::burn(100_000, 1));
+    let per_unit_ns = (t0.elapsed().as_nanos() / 100_000).max(1);
+    let units = (Duration::from_secs(1).as_nanos() / per_unit_ns) as i64;
+
+    // The long query's 16 rows exceed its batch size, so the pool drives
+    // it: one scan step, then one Reduce step that burns in `finish`.
+    let (lplan, lphys, linputs) = burning_reduce(16, units);
+    let long_opts = ExecOptions {
+        batch_size: 4,
+        ..ExecOptions::default()
+    };
+    // 200 rows fit in one default batch.
+    let (plan, phys, inputs) = grouped_sum(200, 9);
+    let opts = ExecOptions::default();
+    let (oracle, _) = execute_with(&plan, &phys, &inputs, 2, &opts).expect("standalone");
+
+    let rt = EngineRuntime::new(RuntimeOptions {
+        workers: Some(1),
+        ..RuntimeOptions::default()
+    });
+    std::thread::scope(|scope| {
+        let long = scope.spawn(|| {
+            let t = Instant::now();
+            rt.execute_with(&lplan, &lphys, &linputs, 1, &long_opts)
+                .expect("long query");
+            t.elapsed()
+        });
+        // Wait until the worker is inside the Reduce step: busy, with
+        // nothing of the long query left queued.
+        loop {
+            let snap = rt.snapshot();
+            if snap.active_queries == 1 && snap.busy_workers == 1 && snap.queued_tasks == 0 {
+                break;
+            }
+            assert!(!long.is_finished(), "the long query ended unobserved");
+            std::thread::yield_now();
+        }
+
+        let steps = rt.snapshot().tasks_executed;
+        let t = Instant::now();
+        let (out, _) = rt
+            .execute_with(&plan, &phys, &inputs, 2, &opts)
+            .expect("one-batch query");
+        let short = t.elapsed();
+        assert!(
+            !long.is_finished(),
+            "the one-batch query waited for the worker ({short:?})"
+        );
+        assert_eq!(out, oracle, "equal to its standalone run");
+        let snap = rt.snapshot();
+        assert_eq!(snap.tasks_executed, steps, "no worker ran one of its steps");
+        assert_eq!(snap.queries_on_submitter, 1);
+        assert_eq!(snap.recent_queries, vec![2], "its slot was registered");
+        let long = long.join().unwrap();
+        assert!(
+            short * 4 < long,
+            "the one-batch query took {short:?} beside a {long:?} query"
+        );
+    });
+    assert_eq!(rt.snapshot().mem_granted, 0);
 }
