@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
-use strato_bench::{rank_sweep, render_sweep_csv, render_sweep_table};
+use strato_bench::{rank_sweep, render_sweep_csv, render_sweep_table, timing_runtime};
 use strato_core::{enumerate_all, Optimizer, PropTable};
 use strato_dataflow::{Plan, PropertyMode};
 use strato_exec::Inputs;
@@ -273,6 +273,7 @@ fn ablation() {
         "{:<13} {:>9} {:>10} {:>12}",
         "PACT Task", "config", "cost-rank", "runtime"
     );
+    let rt = timing_runtime();
     for (name, plan, inputs, mode) in cases {
         let opt = Optimizer::new(mode).with_dop(4);
         // Ground-truth ranking under curated hints.
@@ -293,10 +294,11 @@ fn ablation() {
             // curated model (fair comparison of orders, not of physical
             // estimation).
             let rank = truth.rank_of(&chosen.canonical()).expect("same plan space");
-            let phys = &truth.ranked[rank].phys;
-            let _ = strato_exec::execute(&truth.ranked[rank].plan, phys, &inputs, 4).unwrap();
+            let (plan, phys) = (&truth.ranked[rank].plan, &truth.ranked[rank].phys);
+            let opts = strato_exec::ExecOptions::default();
+            let _ = rt.execute_with(plan, phys, &inputs, 4, &opts).unwrap();
             let t = Instant::now();
-            let _ = strato_exec::execute(&truth.ranked[rank].plan, phys, &inputs, 4).unwrap();
+            let _ = rt.execute_with(plan, phys, &inputs, 4, &opts).unwrap();
             let dt = t.elapsed();
             println!(
                 "{:<13} {:>9} {:>7}/{:<3} {:>10.1?}",

@@ -15,9 +15,9 @@
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};
-use strato_core::{Optimizer, OptimizerReport};
+use strato_core::{Optimizer, OptimizerReport, RankedPlan};
 use strato_dataflow::{Plan, PropertyMode};
-use strato_exec::{execute, Inputs};
+use strato_exec::{EngineRuntime, ExecOptions, Inputs, RuntimeOptions};
 
 /// One executed point of a rank sweep.
 #[derive(Debug, Clone)]
@@ -47,10 +47,25 @@ pub struct Sweep {
     pub report: OptimizerReport,
 }
 
+/// A runtime for timing parallel execution: one worker per core and an
+/// unbounded memory pool, so a query's grant is its own
+/// `ExecOptions::mem_budget`, as on the process-wide runtime. Standalone
+/// `strato_exec::execute` calls share that runtime's one worker, which
+/// would run the partitions being timed one after another.
+pub fn timing_runtime() -> EngineRuntime {
+    EngineRuntime::new(RuntimeOptions {
+        mem_budget: None,
+        ..RuntimeOptions::default()
+    })
+}
+
 /// Enumerates and cost-ranks all plans of `plan`, picks `picks` plans at
 /// regular rank intervals (always including rank 1 and the last rank),
 /// executes each `repeats` times on `inputs` with `dop` partitions, and
 /// returns normalized cost/runtime points.
+///
+/// The plans run on a runtime of the sweep's own with one worker per core
+/// (see [`timing_runtime`]).
 pub fn rank_sweep(
     plan: &Plan,
     inputs: &Inputs,
@@ -74,17 +89,18 @@ pub fn rank_sweep(
     };
 
     let best_cost = report.ranked[0].cost;
+    let (rt, opts) = (timing_runtime(), ExecOptions::default());
+    let execute = |r: &RankedPlan| rt.execute_with(&r.plan, &r.phys, inputs, dop, &opts);
     let mut points = Vec::new();
     for &rank in &ranks {
         let ranked = &report.ranked[rank - 1];
         let mut total = Duration::ZERO;
         let mut reference = None;
         // Untimed warmup run (allocator and cache state).
-        let _ = execute(&ranked.plan, &ranked.phys, inputs, dop).expect("warmup");
+        let _ = execute(ranked).expect("warmup");
         for _ in 0..repeats.max(1) {
             let t = Instant::now();
-            let (out, _) =
-                execute(&ranked.plan, &ranked.phys, inputs, dop).expect("plan execution");
+            let (out, _) = execute(ranked).expect("plan execution");
             total += t.elapsed();
             // All executed plans of a sweep must agree — a live safety net
             // on top of the test suite.

@@ -11,12 +11,14 @@
 //!   (default strategies, no shipping) at `dop = 1`. Deterministic; the
 //!   oracle the plan-equivalence test harness uses.
 //!
-//! Each call runs on an [`EngineRuntime`](crate::EngineRuntime) private
-//! to it; the runtime's methods of the same names share one pool between
-//! calls. The `_with` variants take [`ExecOptions`] to tune batch size,
-//! channel capacity, memory budget or tracing.
+//! Each call registers with one process-wide
+//! [`EngineRuntime`](crate::EngineRuntime), started on the first call;
+//! [`EngineRuntime::execute_with`](crate::EngineRuntime::execute_with)
+//! runs the same query on a runtime of the caller's. The `_with` variants
+//! take [`ExecOptions`] to tune batch size, channel capacity, memory
+//! budget or tracing.
 
-use crate::pipeline::{self, ExecOptions};
+use crate::pipeline::ExecOptions;
 use crate::stats::ExecStats;
 use std::collections::HashMap;
 use strato_core::PhysPlan;
@@ -74,16 +76,8 @@ impl std::error::Error for ExecError {}
 /// and no shipping. Deterministic; used as the semantics oracle by the
 /// plan-equivalence test harness.
 pub fn execute_logical(plan: &Plan, inputs: &Inputs) -> Result<(DataSet, ExecStats), ExecError> {
-    execute_logical_with(plan, inputs, &ExecOptions::default())
-}
-
-/// [`execute_logical`] with explicit execution options.
-pub fn execute_logical_with(
-    plan: &Plan,
-    inputs: &Inputs,
-    opts: &ExecOptions,
-) -> Result<(DataSet, ExecStats), ExecError> {
-    execute_with(plan, &PhysPlan::logical(plan), inputs, 1, opts)
+    let opts = ExecOptions::default();
+    execute_with(plan, &PhysPlan::logical(plan), inputs, 1, &opts)
 }
 
 /// Executes a physical plan with `dop` partitions. Every `stage ×
@@ -137,7 +131,7 @@ pub fn execute_with(
     dop: usize,
     opts: &ExecOptions,
 ) -> Result<(DataSet, ExecStats), ExecError> {
-    pipeline::run(plan, &phys.root, inputs, dop, opts, None)
+    crate::runtime::process().execute_with(plan, phys, inputs, dop, opts)
 }
 
 #[cfg(test)]
@@ -381,16 +375,23 @@ mod tests {
 
         let _guard = silence_panics();
 
-        // Inline: the private runtime of a dop = 1 call has no threads.
+        // A one-batch source: the submitter drives the query itself.
         let err = execute_logical(&plan, &inputs).unwrap_err();
-        // Pooled, parallel partitions.
+        // Parallel partitions, one row per batch: the pool's workers run
+        // the steps, so one of them catches the unwind.
         let props = PropTable::build(&plan, PropertyMode::Sca);
         let phys = best_physical(&plan, &props, &CostWeights::default(), 2);
         let rt = EngineRuntime::new(crate::runtime::RuntimeOptions {
             workers: Some(2),
             ..Default::default()
         });
-        let pooled = rt.execute(&plan, &phys, &inputs, 2).unwrap_err();
+        let opts = ExecOptions {
+            batch_size: 1,
+            ..ExecOptions::default()
+        };
+        let pooled = rt
+            .execute_with(&plan, &phys, &inputs, 2, &opts)
+            .unwrap_err();
         drop(_guard);
 
         match err {
@@ -447,18 +448,15 @@ mod tests {
 
         // Sanity half: without the panicking map, this budget really does
         // spill — so the panic run below had spill files to clean up.
-        let (_, stats) = rt
-            .execute_logical_with(&build(false), &inputs, &opts)
-            .unwrap();
+        let run = |plan: &Plan| rt.execute_with(plan, &PhysPlan::logical(plan), &inputs, 1, &opts);
+        let (_, stats) = run(&build(false)).unwrap();
         assert!(stats.totals().spill_runs > 0, "budget must force spills");
         let emptied = |base: &std::path::Path| std::fs::read_dir(base).unwrap().next().is_none();
         assert!(emptied(&base), "successful run removed its directory");
 
         // Panic half: same budget, with the aborting UDF downstream.
         let _guard = silence_panics();
-        let err = rt
-            .execute_logical_with(&build(true), &inputs, &opts)
-            .unwrap_err();
+        let err = run(&build(true)).unwrap_err();
         drop(_guard);
         assert!(matches!(err, ExecError::Panic { .. }), "{err}");
         assert!(emptied(&base), "panicked run removed its directory too");

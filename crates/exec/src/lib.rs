@@ -34,7 +34,8 @@
 //!   [`EngineRuntime`] worker pool scheduling tasks from all in-flight
 //!   queries round-robin (per-query fairness), and one [`GlobalMemory`]
 //!   budget that per-query governors carve their grants from. The
-//!   single-query entry points below build a runtime private to the call.
+//!   single-query entry points below register with one process-wide
+//!   runtime, started on their first call.
 //! * [`trace`] — opt-in end-to-end query tracing
 //!   ([`ExecOptions::trace`]): a lock-light per-worker span recorder fed
 //!   by the pipeline, ship, spill and runtime layers, rendered as Chrome
@@ -42,7 +43,9 @@
 //!   estimate-vs-actual [`trace::explain_analyze`] report; plus the
 //!   log-bucketed [`LatencyHisto`] the server exports from `/metrics`.
 //!
-//! Two entry points (plus their [`EngineRuntime`] counterparts):
+//! Two entry points, both on the process-wide runtime ([`execute_with`]
+//! takes explicit [`ExecOptions`], and [`EngineRuntime::execute_with`]
+//! runs the same call on a runtime of the caller's):
 //!
 //! * [`execute`] — execution of a [`strato_core::PhysPlan`] with `dop`
 //!   partitions streamed across the worker pool.
@@ -71,7 +74,7 @@ pub mod spill;
 pub mod stats;
 pub mod trace;
 
-pub use engine::{execute, execute_logical, execute_logical_with, execute_with, ExecError, Inputs};
+pub use engine::{execute, execute_logical, execute_with, ExecError, Inputs};
 pub use pipeline::ExecOptions;
 pub use profile::{profile, profile_hints, sample_inputs, OpProfile};
 pub use runtime::{EngineRuntime, RuntimeOptions, RuntimeSnapshot};

@@ -327,7 +327,7 @@ mod tests {
 
         // Reference: unbounded in-memory grouping.
         let ref_stats = Arc::new(ExecStats::new());
-        let ref_gov = Arc::new(MemoryGovernor::unbounded());
+        let ref_gov = Arc::new(MemoryGovernor::with_budget(None));
         let hash = LocalStrategy::HashGroup;
         let reference = apply_chunked(hash, &input, 48, ctx(&plan, &ref_stats, &ref_gov)).unwrap();
         assert_eq!(ref_stats.totals().spill_runs, 0);

@@ -53,11 +53,11 @@
 //! memory governor — so the runtime holds it as an `Arc`, and its workers
 //! take one task step per pick, round-robin across in-flight queries,
 //! each through its own clone of that `Arc`. A run whose every source
-//! fits in one batch is driven by its submitter instead, through the same
-//! loop that drives a runtime without workers (see the runtime's "Fair
-//! scheduling" docs). The standalone entry points ([`crate::execute_with`]
-//! and friends) build a runtime private to the call (`private_runtime`),
-//! sized by the task graph the run built.
+//! fits in one batch is driven by its submitter instead, which pops its
+//! own slot until the run is over (see the runtime's "Fair scheduling"
+//! docs); every other run is stepped by the pool, at any `dop`. The
+//! standalone entry points ([`crate::execute_with`] and friends) register
+//! with one process-wide runtime like any other query.
 
 use crate::engine::{ExecError, Inputs};
 use crate::operators::{self, OpCtx, Operator};
@@ -105,14 +105,13 @@ pub struct ExecOptions {
     /// this execution carves from its runtime's
     /// [`GlobalMemory`](crate::spill::GlobalMemory) pool: the grant is
     /// `min(mem_budget, pool remainder)`, and `None` claims the whole
-    /// remainder. The pool of a standalone call's private runtime is
-    /// unbounded, so there the grant is exactly `mem_budget` (`None` =
-    /// ungoverned). All blocking operators of the execution charge the
-    /// grant ([`crate::spill::MemoryGovernor`]); when buffered state
-    /// exceeds it they shed to sorted runs on disk and finish via k-way
-    /// merge — results
-    /// are byte-identical, only memory and disk traffic change. The
-    /// default equals the cost model's
+    /// remainder. The pool of the process-wide runtime that standalone
+    /// calls register with is unbounded, so there the grant is exactly
+    /// `mem_budget` (`None` = ungoverned). All blocking operators of the
+    /// execution charge the grant ([`crate::spill::MemoryGovernor`]); when
+    /// buffered state exceeds it they shed to sorted runs on disk and
+    /// finish via k-way merge — results are byte-identical, only memory
+    /// and disk traffic change. The default equals the cost model's
     /// [`strato_core::cost::CostWeights::mem_budget`], so the optimizer's
     /// spill charges describe what this engine actually does.
     pub mem_budget: Option<u64>,
@@ -665,44 +664,17 @@ impl ExecState {
 // Driver: build bodies, run the pool, gather the sink.
 // ---------------------------------------------------------------------------
 
-/// The runtime private to one standalone call: an unbounded memory pool
-/// (so [`ExecOptions::mem_budget`] is the grant) and, at `dop > 1`, one
-/// thread per core up to the number of tasks. At `dop = 1`, and for a
-/// query whose every source fits in one batch (`one_batch`), it has no
-/// threads and the calling thread drives the run: the logical oracle
-/// stays inline and deterministic, and a small query spawns nothing.
-fn private_runtime(dop: usize, n_tasks: usize, one_batch: bool) -> EngineRuntime {
-    if dop <= 1 || one_batch {
-        return EngineRuntime::private(0);
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    EngineRuntime::private(cores.min(n_tasks))
-}
-
-/// Runs a physical plan to completion and gathers the root's output — on
-/// `runtime`'s pool, or on a runtime private to the call when `None`.
+/// Runs a physical plan to completion on `runtime`'s pool, charging
+/// `stats` (the profiler passes detailed ones), and gathers the root's
+/// output.
 pub(crate) fn run(
     plan: &Plan,
     root: &PhysNode,
     inputs: &Inputs,
     dop: usize,
     opts: &ExecOptions,
-    runtime: Option<&EngineRuntime>,
-) -> Result<(DataSet, ExecStats), ExecError> {
-    let stats = ExecStats::with_ops(plan.ctx.ops.len());
-    run_streaming(plan, root, inputs, dop, opts, stats, runtime)
-}
-
-/// [`run`] charging caller-provided stats (the profiler passes detailed
-/// ones), which it hands back with the output.
-pub(crate) fn run_streaming(
-    plan: &Plan,
-    root: &PhysNode,
-    inputs: &Inputs,
-    dop: usize,
-    opts: &ExecOptions,
     stats: ExecStats,
-    runtime: Option<&EngineRuntime>,
+    runtime: &EngineRuntime,
 ) -> Result<(DataSet, ExecStats), ExecError> {
     let dop = dop.max(1);
     let graph = TaskGraph::build(root, dop);
@@ -716,14 +688,6 @@ pub(crate) fn run_streaming(
             .is_some_and(|ds| ds.len() > opts.batch_size.max(1)),
         FlatKind::Apply { .. } => true,
     });
-    let private;
-    let runtime = match runtime {
-        Some(shared) => shared,
-        None => {
-            private = private_runtime(dop, n_tasks, one_batch);
-            &private
-        }
-    };
 
     // The execution's memory grant, carved out of the runtime's pool and
     // shared by every operator. It returns to the pool, and its scoped
@@ -973,7 +937,7 @@ mod tests {
         ];
         for (dop, phys) in cases {
             let opts = ExecOptions::default();
-            let (out, stats) = run(&plan, &phys.root, &inputs, dop, &opts, None).unwrap();
+            let (out, stats) = crate::execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
             assert_eq!(out.len(), rows.len(), "dop {dop}");
             // Each Map ran every row in tasks of its own, so each has its
             // own step time.
@@ -1003,12 +967,11 @@ mod tests {
         let m = p.map("m", add_const(2, 1, 5), CostHints::default(), s);
         let r = p.reduce("sum", &[0], sum_reduce(2, 1), CostHints::default(), m);
         let plan = p.finish(r).unwrap().bind().unwrap();
-        let logical = PhysPlan::logical(&plan).root;
+        let logical = PhysPlan::logical(&plan);
         let rows: Vec<Vec<i64>> = (0..64).map(|i| vec![i % 7, i]).collect();
         let rows_ref: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
         let inputs = inputs_for(&plan, &rows_ref);
-        let (reference, ref_stats) =
-            run(&plan, &logical, &inputs, 1, &ExecOptions::default(), None).unwrap();
+        let (reference, ref_stats) = crate::execute_logical(&plan, &inputs).unwrap();
         for workers in [1usize, 2, 4] {
             let rt = EngineRuntime::new(crate::runtime::RuntimeOptions {
                 workers: Some(workers),
@@ -1021,7 +984,7 @@ mod tests {
                         channel_capacity: capacity,
                         ..ExecOptions::default()
                     };
-                    let (out, stats) = run(&plan, &logical, &inputs, 1, &opts, Some(&rt)).unwrap();
+                    let (out, stats) = rt.execute_with(&plan, &logical, &inputs, 1, &opts).unwrap();
                     assert_eq!(
                         out, reference,
                         "workers={workers} capacity={capacity} batch={batch_size}"

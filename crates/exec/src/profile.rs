@@ -103,7 +103,8 @@ pub fn profile(plan: &Plan, inputs: &Inputs) -> Result<Vec<OpProfile>, ExecError
     let logical = PhysPlan::logical(plan);
     let opts = ExecOptions::default();
     let stats = ExecStats::for_profiling(plan.ctx.ops.len());
-    let (_, stats) = pipeline::run_streaming(plan, &logical.root, inputs, 1, &opts, stats, None)?;
+    let rt = crate::runtime::process();
+    let (_, stats) = pipeline::run(plan, &logical.root, inputs, 1, &opts, stats, rt)?;
     Ok(stats
         .op_snapshots()
         .into_iter()

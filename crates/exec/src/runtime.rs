@@ -2,9 +2,10 @@
 //! all concurrent executions of a process.
 //!
 //! The pool is created **once**, queries *register* with it, and the
-//! same fixed set of workers drives every in-flight execution. (A
-//! standalone [`crate::execute_with`] call builds a runtime private to
-//! the call — N concurrent ones oversubscribe the machine N-fold.)
+//! same fixed set of workers drives every in-flight execution. Standalone
+//! calls ([`crate::execute_with`] and friends, [`crate::profile()`])
+//! register with one process-wide runtime of one worker, started on
+//! their first use, so N concurrent ones share it like any other queries.
 //!
 //! ## Fair scheduling
 //!
@@ -24,8 +25,8 @@
 //! A query is driven either by the pool or by the thread that submitted
 //! it. A query whose every source fits in one batch cannot pipeline — each
 //! scan partition emits at most one batch — so handing its steps to the
-//! pool costs more than it saves: its submitter drives it alone, through
-//! the same loop that drives a runtime without workers. Its slot stays
+//! pool costs more than it saves: its submitter drives it alone, popping
+//! its own slot until the run is over. Its slot stays
 //! registered (ids, grant, snapshot and `/metrics` all see it) but is
 //! flagged so that no worker picks it and its steps wake no worker. A
 //! light query therefore never waits for the pool, even while a heavy
@@ -64,7 +65,7 @@ use crate::trace::{HistoSnapshot, LatencyHisto};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use strato_core::PhysPlan;
@@ -269,17 +270,6 @@ impl EngineRuntime {
                     .unwrap_or(1)
             })
             .max(1);
-        Self::start(workers, opts.mem_budget, opts.spill_dir)
-    }
-
-    /// The runtime of one standalone call: `workers` threads (zero =
-    /// [`EngineRuntime::run_query`] drives the query on the calling
-    /// thread) and an unbounded memory pool.
-    pub(crate) fn private(workers: usize) -> EngineRuntime {
-        Self::start(workers, None, None)
-    }
-
-    fn start(workers: usize, mem_budget: Option<u64>, spill_dir: Option<PathBuf>) -> EngineRuntime {
         let shared = Arc::new(RtShared {
             sched: Mutex::new(RtSched {
                 slots: Vec::new(),
@@ -289,7 +279,7 @@ impl EngineRuntime {
             }),
             cv: Condvar::new(),
             done: Condvar::new(),
-            memory: GlobalMemory::new(mem_budget),
+            memory: GlobalMemory::new(opts.mem_budget),
             workers,
             busy: AtomicUsize::new(0),
             tasks_run: AtomicU64::new(0),
@@ -309,7 +299,7 @@ impl EngineRuntime {
             .collect();
         EngineRuntime {
             shared,
-            spill_dir,
+            spill_dir: opts.spill_dir,
             handles,
         }
     }
@@ -378,17 +368,15 @@ impl EngineRuntime {
     /// Registers the query `build` assembles around its slot index, with
     /// tasks `0..n_tasks` ready; blocks until its run is over and no
     /// worker is inside one of its steps; deregisters it and hands it
-    /// back. With `on_submitter` (or without workers) the calling thread
-    /// drives every step itself and the pool never sees one. Errors
-    /// surface through the query's own state; this only choreographs
-    /// scheduling.
+    /// back. With `on_submitter` the calling thread drives every step
+    /// itself and the pool never sees one. Errors surface through the
+    /// query's own state; this only choreographs scheduling.
     pub(crate) fn run_query(
         &self,
         n_tasks: usize,
         on_submitter: bool,
         build: impl FnOnce(usize) -> ExecState,
     ) -> ExecState {
-        let on_submitter = on_submitter || self.handles.is_empty();
         let query_id = self.shared.queries_started.fetch_add(1, Ordering::Relaxed) + 1;
         // `build` runs under the lock, so the free slot stays reserved.
         let mut sched = self.shared.sched.lock().unwrap();
@@ -444,20 +432,9 @@ impl EngineRuntime {
         Arc::try_unwrap(query).unwrap_or_else(|_| unreachable!("no worker is inside the query"))
     }
 
-    /// [`crate::execute`] on the shared pool.
-    pub fn execute(
-        &self,
-        plan: &Plan,
-        phys: &PhysPlan,
-        inputs: &Inputs,
-        dop: usize,
-    ) -> Result<(DataSet, ExecStats), ExecError> {
-        self.execute_with(plan, phys, inputs, dop, &ExecOptions::default())
-    }
-
-    /// [`crate::execute_with`] on the shared pool: same lowering, same
+    /// [`crate::execute_with`] on this runtime: same lowering, same
     /// scheduler, same results — only the workers and the memory budget
-    /// are shared with every other in-flight query.
+    /// are this runtime's, shared with every query registered with it.
     pub fn execute_with(
         &self,
         plan: &Plan,
@@ -466,27 +443,38 @@ impl EngineRuntime {
         dop: usize,
         opts: &ExecOptions,
     ) -> Result<(DataSet, ExecStats), ExecError> {
-        pipeline::run(plan, &phys.root, inputs, dop, opts, Some(self))
+        let stats = ExecStats::with_ops(plan.ctx.ops.len());
+        pipeline::run(plan, &phys.root, inputs, dop, opts, stats, self)
     }
+}
 
-    /// [`crate::execute_logical`] on the shared pool.
-    pub fn execute_logical(
-        &self,
-        plan: &Plan,
-        inputs: &Inputs,
-    ) -> Result<(DataSet, ExecStats), ExecError> {
-        self.execute_logical_with(plan, inputs, &ExecOptions::default())
-    }
-
-    /// [`crate::execute_logical_with`] on the shared pool.
-    pub fn execute_logical_with(
-        &self,
-        plan: &Plan,
-        inputs: &Inputs,
-        opts: &ExecOptions,
-    ) -> Result<(DataSet, ExecStats), ExecError> {
-        self.execute_with(plan, &PhysPlan::logical(plan), inputs, 1, opts)
-    }
+/// The runtime every standalone call ([`crate::execute_with`] and
+/// friends, [`crate::profile()`]) registers with, started on the first such
+/// call: one worker, the OS temp directory for spills and an unbounded
+/// memory pool, so [`ExecOptions::mem_budget`] is exactly a standalone
+/// query's grant. A process that never makes a standalone call starts no
+/// thread for it.
+///
+/// One worker, because each pool worker allocates from an allocator arena
+/// of its own, which keeps what a run frees there: with one worker per
+/// core, every worker that stepped stratobench's large dop-1 set-up oracle
+/// kept its own copy of that run's peak, and `udf_flows` read 1.27× the
+/// peak RSS of the oracle run inline (2-core host). Standalone calls are
+/// oracles, tests, examples and profiling; a caller that times parallel
+/// execution holds a runtime of its own (`strato_bench::timing_runtime`).
+///
+/// A standalone call must not be made from inside a pool worker (from a
+/// task step): the worker would wait for steps that only workers run, and
+/// once every worker waits so the pool stalls. No caller does.
+pub(crate) fn process() -> &'static EngineRuntime {
+    static PROCESS: OnceLock<EngineRuntime> = OnceLock::new();
+    PROCESS.get_or_init(|| {
+        EngineRuntime::new(RuntimeOptions {
+            workers: Some(1),
+            mem_budget: None,
+            spill_dir: None,
+        })
+    })
 }
 
 impl Drop for EngineRuntime {
@@ -589,7 +577,10 @@ mod tests {
             assert_eq!(out, reference, "shared pool must be byte-identical");
             assert_eq!(stats.totals(), ref_stats.totals());
         }
-        let (logical, _) = rt.execute_logical_with(&plan, &inputs, &opts).unwrap();
+        let logical_plan = PhysPlan::logical(&plan);
+        let (logical, _) = rt
+            .execute_with(&plan, &logical_plan, &inputs, 1, &opts)
+            .unwrap();
         assert_eq!(logical, execute_logical(&plan, &inputs).unwrap().0);
 
         let snap = rt.snapshot();
@@ -634,17 +625,26 @@ mod tests {
             workers: Some(2),
             ..RuntimeOptions::default()
         });
+        // One row per batch: every source spans several, so the pool's
+        // workers run the steps and one of them catches the unwind.
+        let opts = ExecOptions {
+            batch_size: 1,
+            ..ExecOptions::default()
+        };
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let err = rt.execute_logical(&plan, &inputs).unwrap_err();
+        let err = rt
+            .execute_with(&plan, &PhysPlan::logical(&plan), &inputs, 1, &opts)
+            .unwrap_err();
         std::panic::set_hook(prev);
         assert!(matches!(err, ExecError::Panic { .. }), "{err}");
 
         // The pool is still alive: a healthy query runs fine after.
         let (plan2, phys2, inputs2) = sum_plan(50);
-        let (out, _) = rt.execute(&plan2, &phys2, &inputs2, 2).unwrap();
+        let (out, _) = rt.execute_with(&plan2, &phys2, &inputs2, 2, &opts).unwrap();
         let (reference, _) = crate::engine::execute(&plan2, &phys2, &inputs2, 2).unwrap();
         assert_eq!(out, reference);
+        assert_eq!(rt.snapshot().queries_on_submitter, 0);
     }
 
     #[test]

@@ -212,11 +212,6 @@ pub struct MemoryGovernor {
 }
 
 impl MemoryGovernor {
-    /// A governor that never reports pressure (no budget, no spilling).
-    pub fn unbounded() -> Self {
-        Self::with_budget(None)
-    }
-
     /// A governor enforcing `budget` bytes (`None` = unbounded) against a
     /// pool of its own, spilling into the OS temp directory.
     pub fn with_budget(budget: Option<u64>) -> Self {
@@ -395,7 +390,7 @@ mod tests {
 
     #[test]
     fn unbounded_never_reports_pressure() {
-        let g = MemoryGovernor::unbounded();
+        let g = MemoryGovernor::with_budget(None);
         assert!(!g.bounded());
         g.grant(u64::MAX);
         assert!(!g.over_budget());

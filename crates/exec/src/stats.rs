@@ -72,6 +72,36 @@ pub struct OpSnapshot {
     pub shipped_bytes: u64,
 }
 
+/// Field-wise sum: the counters of several runs of an operator, such as
+/// the `/metrics` per-operator series accumulate across queries.
+impl std::ops::AddAssign for OpSnapshot {
+    fn add_assign(&mut self, rhs: OpSnapshot) {
+        // Destructured, so a new counter cannot be left out of the sum.
+        let OpSnapshot {
+            calls,
+            emits,
+            nanos,
+            out_bytes,
+            distinct_keys,
+            records_spilled,
+            spilled_bytes,
+            spill_runs,
+            shipped_records,
+            shipped_bytes,
+        } = rhs;
+        self.calls += calls;
+        self.emits += emits;
+        self.nanos += nanos;
+        self.out_bytes += out_bytes;
+        self.distinct_keys += distinct_keys;
+        self.records_spilled += records_spilled;
+        self.spilled_bytes += spilled_bytes;
+        self.spill_runs += spill_runs;
+        self.shipped_records += shipped_records;
+        self.shipped_bytes += shipped_bytes;
+    }
+}
+
 /// Plain-integer snapshot of every global counter of an execution — the
 /// stable read surface monitoring systems consume (the `strato-server`
 /// `/metrics` endpoint renders exactly these fields).
@@ -111,6 +141,42 @@ pub struct StatsSnapshot {
     /// Total cells observed while building scanned batches (`null_cells /
     /// total_cells` is the null-mask density of the scanned data).
     pub total_cells: u64,
+}
+
+/// Field-wise sum: the totals of several executions, such as the
+/// `/metrics` execution counters accumulate across queries.
+impl std::ops::AddAssign for StatsSnapshot {
+    fn add_assign(&mut self, rhs: StatsSnapshot) {
+        // Destructured, so a new counter cannot be left out of the sum.
+        let StatsSnapshot {
+            udf_calls,
+            records_emitted,
+            records_shipped,
+            bytes_shipped,
+            records_preagg_in,
+            records_preagg_out,
+            records_spilled,
+            spilled_bytes,
+            spill_runs,
+            interp_steps,
+            rows_scattered,
+            null_cells,
+            total_cells,
+        } = rhs;
+        self.udf_calls += udf_calls;
+        self.records_emitted += records_emitted;
+        self.records_shipped += records_shipped;
+        self.bytes_shipped += bytes_shipped;
+        self.records_preagg_in += records_preagg_in;
+        self.records_preagg_out += records_preagg_out;
+        self.records_spilled += records_spilled;
+        self.spilled_bytes += spilled_bytes;
+        self.spill_runs += spill_runs;
+        self.interp_steps += interp_steps;
+        self.rows_scattered += rows_scattered;
+        self.null_cells += null_cells;
+        self.total_cells += total_cells;
+    }
 }
 
 /// Counters collected during one plan execution. Thread-safe; workers

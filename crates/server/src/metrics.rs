@@ -24,18 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use strato_exec::trace::LATENCY_BUCKETS_NS;
-use strato_exec::{ExecStats, HistoSnapshot, LatencyHisto, OpSnapshot, RuntimeSnapshot};
-
-/// Per-operator accumulation across queries, keyed by operator name.
-#[derive(Debug, Default, Clone, Copy)]
-struct OpAgg {
-    calls: u64,
-    emits: u64,
-    nanos: u64,
-    records_spilled: u64,
-    spilled_bytes: u64,
-    spill_runs: u64,
-}
+use strato_exec::{
+    ExecStats, HistoSnapshot, LatencyHisto, OpSnapshot, RuntimeSnapshot, StatsSnapshot,
+};
 
 /// Cumulative server metrics. One instance per server; handlers record
 /// into it concurrently.
@@ -48,19 +39,9 @@ pub struct Metrics {
     /// Queries shed by the admission gate (429s).
     rejected: AtomicU64,
     /// Σ `ExecStats` totals over completed queries.
-    udf_calls: AtomicU64,
-    records_emitted: AtomicU64,
-    records_shipped: AtomicU64,
-    bytes_shipped: AtomicU64,
-    records_spilled: AtomicU64,
-    spilled_bytes: AtomicU64,
-    spill_runs: AtomicU64,
-    interp_steps: AtomicU64,
-    rows_scattered: AtomicU64,
-    null_cells: AtomicU64,
-    total_cells: AtomicU64,
-    /// Per-operator aggregates by operator name.
-    per_op: Mutex<BTreeMap<String, OpAgg>>,
+    totals: Mutex<StatsSnapshot>,
+    /// Σ per-operator snapshots over completed queries, by operator name.
+    per_op: Mutex<BTreeMap<String, OpSnapshot>>,
     /// End-to-end latency of completed queries (admission to response).
     query_latency: LatencyHisto,
     /// Time queries spent waiting for an admission-gate token.
@@ -94,25 +75,7 @@ impl Metrics {
     /// `op_names[i]` labels operator id `i` of the executed plan.
     pub fn record_query(&self, stats: &ExecStats, op_names: &[String]) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        let t = stats.totals();
-        self.udf_calls.fetch_add(t.udf_calls, Ordering::Relaxed);
-        self.records_emitted
-            .fetch_add(t.records_emitted, Ordering::Relaxed);
-        self.records_shipped
-            .fetch_add(t.records_shipped, Ordering::Relaxed);
-        self.bytes_shipped
-            .fetch_add(t.bytes_shipped, Ordering::Relaxed);
-        self.records_spilled
-            .fetch_add(t.records_spilled, Ordering::Relaxed);
-        self.spilled_bytes
-            .fetch_add(t.spilled_bytes, Ordering::Relaxed);
-        self.spill_runs.fetch_add(t.spill_runs, Ordering::Relaxed);
-        self.interp_steps
-            .fetch_add(t.interp_steps, Ordering::Relaxed);
-        self.rows_scattered
-            .fetch_add(t.rows_scattered, Ordering::Relaxed);
-        self.null_cells.fetch_add(t.null_cells, Ordering::Relaxed);
-        self.total_cells.fetch_add(t.total_cells, Ordering::Relaxed);
+        *self.totals.lock().unwrap() += stats.totals();
 
         let snaps: Vec<OpSnapshot> = stats.op_snapshots();
         let named: Vec<(String, OpSnapshot)> = snaps
@@ -133,13 +96,7 @@ impl Metrics {
         }
         let mut per_op = self.per_op.lock().unwrap();
         for (name, s) in named {
-            let agg = per_op.entry(name.clone()).or_default();
-            agg.calls += s.calls;
-            agg.emits += s.emits;
-            agg.nanos += s.nanos;
-            agg.records_spilled += s.records_spilled;
-            agg.spilled_bytes += s.spilled_bytes;
-            agg.spill_runs += s.spill_runs;
+            *per_op.entry(name.clone()).or_default() += *s;
         }
     }
 
@@ -254,6 +211,7 @@ impl Metrics {
             rt.tasks_executed, rt.queries_on_submitter
         ));
 
+        let t = *self.totals.lock().unwrap();
         let counters: [(&str, &str, u64); 14] = [
             (
                 "strato_queries_completed_total",
@@ -273,57 +231,57 @@ impl Metrics {
             (
                 "strato_exec_udf_calls_total",
                 "UDF invocations across completed queries.",
-                self.udf_calls.load(Ordering::Relaxed),
+                t.udf_calls,
             ),
             (
                 "strato_exec_records_emitted_total",
                 "Records emitted by UDFs.",
-                self.records_emitted.load(Ordering::Relaxed),
+                t.records_emitted,
             ),
             (
                 "strato_exec_records_shipped_total",
                 "Records moved by Partition/Broadcast shipping.",
-                self.records_shipped.load(Ordering::Relaxed),
+                t.records_shipped,
             ),
             (
                 "strato_exec_bytes_shipped_total",
                 "Serialized bytes moved by Partition/Broadcast shipping.",
-                self.bytes_shipped.load(Ordering::Relaxed),
+                t.bytes_shipped,
             ),
             (
                 "strato_exec_records_spilled_total",
                 "Records written to sorted on-disk runs under memory pressure.",
-                self.records_spilled.load(Ordering::Relaxed),
+                t.records_spilled,
             ),
             (
                 "strato_exec_spilled_bytes_total",
                 "On-disk bytes of first-generation sorted runs.",
-                self.spilled_bytes.load(Ordering::Relaxed),
+                t.spilled_bytes,
             ),
             (
                 "strato_exec_spill_runs_total",
                 "Sorted runs written under memory pressure.",
-                self.spill_runs.load(Ordering::Relaxed),
+                t.spill_runs,
             ),
             (
                 "strato_exec_interp_steps_total",
                 "IR interpreter steps executed.",
-                self.interp_steps.load(Ordering::Relaxed),
+                t.interp_steps,
             ),
             (
                 "strato_exec_rows_scattered_total",
                 "Records routed by the Partition scatter (every hash-partitioned record).",
-                self.rows_scattered.load(Ordering::Relaxed),
+                t.rows_scattered,
             ),
             (
                 "strato_exec_null_cells_total",
                 "Null cells observed while building columnar batches.",
-                self.null_cells.load(Ordering::Relaxed),
+                t.null_cells,
             ),
             (
                 "strato_exec_total_cells_total",
                 "Total cells observed while building columnar batches.",
-                self.total_cells.load(Ordering::Relaxed),
+                t.total_cells,
             ),
         ];
         for (name, help, v) in counters {
@@ -332,7 +290,7 @@ impl Metrics {
             ));
         }
 
-        type OpSeries = (&'static str, &'static str, fn(&OpAgg) -> u64);
+        type OpSeries = (&'static str, &'static str, fn(&OpSnapshot) -> u64);
         let per_op = self.per_op.lock().unwrap();
         let series: [OpSeries; 6] = [
             (

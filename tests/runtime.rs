@@ -4,8 +4,8 @@
 //! The central guarantees, pinned here:
 //!
 //! * every concurrently submitted query is **byte-identical** to the same
-//!   query run serially (a standalone call on its private runtime) and to
-//!   the logical oracle —
+//!   query run serially (a standalone call on the process-wide runtime)
+//!   and to the logical oracle —
 //!   sharing workers and memory is invisible in results,
 //! * the global pool bounds resident memory: grants are carved from one
 //!   budget, so the peak resident bytes across all queries stay within
@@ -76,8 +76,8 @@ fn concurrent_queries_on_a_starved_pool_match_serial_oracles() {
         ..ExecOptions::default()
     };
 
-    // Serial references: standalone calls (each on its private runtime)
-    // and the single-partition logical oracle.
+    // Serial references: standalone calls (one at a time on the
+    // process-wide runtime) and the single-partition logical oracle.
     let references: Vec<DataSet> = queries
         .iter()
         .map(|(plan, phys, inputs)| {

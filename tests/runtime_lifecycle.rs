@@ -73,16 +73,21 @@ fn slots_come_and_go_under_churn_while_observed() {
     const PER_SUBMITTER: usize = 50;
 
     // (query, dop, options): dop 1 and dop 2 grouping, a Match, and a
-    // grouping whose per-query cap forces spills.
+    // grouping whose per-query cap forces spills. Every source is larger
+    // than one batch, so the pool's workers drive every query.
+    let pooled = ExecOptions {
+        batch_size: 32,
+        ..ExecOptions::default()
+    };
     let spilling = ExecOptions {
         batch_size: 16,
         mem_budget: Some(0),
         ..ExecOptions::default()
     };
     let kinds = [
-        (grouped_sum(120, 1), 1, ExecOptions::default()),
-        (grouped_sum(150, 2), 2, ExecOptions::default()),
-        (join_query(3), 2, ExecOptions::default()),
+        (grouped_sum(120, 1), 1, pooled.clone()),
+        (grouped_sum(150, 2), 2, pooled.clone()),
+        (join_query(3), 2, pooled),
         (grouped_sum(300, 4), 2, spilling),
     ];
     let references: Vec<DataSet> = kinds
@@ -143,6 +148,7 @@ fn slots_come_and_go_under_churn_while_observed() {
     assert_eq!(snap.queued_tasks, 0);
     assert_eq!(snap.queries_started, total);
     assert_eq!(snap.queries_finished, total);
+    assert_eq!(snap.queries_on_submitter, 0, "the pool drove every query");
     assert_eq!(snap.mem_granted, 0, "all grants returned");
     assert_eq!(snap.mem_resident, 0, "all operator state released");
 }

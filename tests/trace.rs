@@ -9,8 +9,8 @@ use strato::core::physical::best_physical;
 use strato::core::{PhysPlan, PropTable};
 use strato::dataflow::{CostHints, Plan, ProgramBuilder, PropertyMode, SourceDef};
 use strato::exec::{
-    execute_logical_with, execute_with, explain_analyze, EngineRuntime, ExecOptions, Inputs,
-    RuntimeOptions, Span, TraceRecorder,
+    execute_with, explain_analyze, EngineRuntime, ExecOptions, Inputs, RuntimeOptions, Span,
+    TraceRecorder,
 };
 use strato::ir::{BinOp, FuncBuilder, UdfKind};
 use strato::record::{DataSet, Record, Value};
@@ -276,11 +276,14 @@ fn explain_analyze_reports_estimates_against_actuals() {
 }
 
 #[test]
-fn standalone_calls_are_the_same_executor_on_a_private_runtime() {
+fn standalone_calls_are_the_same_executor_as_a_shared_runtime() {
     let (plan, phys, inputs) = grouped_sum(600);
+    // 64-row batches: the 600-row source spans several, so the pool's
+    // workers step every run below, at dop 1 too.
     let traced = || {
         let recorder = TraceRecorder::new(1);
         let opts = ExecOptions {
+            batch_size: 64,
             trace: Some(recorder.clone()),
             ..ExecOptions::default()
         };
@@ -289,30 +292,32 @@ fn standalone_calls_are_the_same_executor_on_a_private_runtime() {
     let categories = |recorder: &TraceRecorder| -> std::collections::BTreeSet<&'static str> {
         recorder.spans().iter().map(|(_, s)| s.cat).collect()
     };
-
-    // dop = 4: a standalone call and an explicit runtime do the same work
-    // and leave the same kinds of spans (the private runtime carves a
-    // memory grant like any other).
-    let (standalone_rec, opts) = traced();
-    let (standalone, standalone_stats) = execute_with(&plan, &phys, &inputs, 4, &opts).unwrap();
-    let (shared_rec, opts) = traced();
     let rt = EngineRuntime::new(RuntimeOptions {
         workers: Some(2),
         ..RuntimeOptions::default()
     });
-    let (shared, shared_stats) = rt.execute_with(&plan, &phys, &inputs, 4, &opts).unwrap();
-    assert_eq!(standalone, shared);
-    assert_eq!(standalone_stats.totals(), shared_stats.totals());
-    assert_eq!(categories(&standalone_rec), categories(&shared_rec));
-    assert!(categories(&standalone_rec).contains("mem"));
 
-    // dop = 1: the private runtime has no threads. Every span — the
-    // caller's memory-grant carve and each task step — sits on one lane,
-    // i.e. was recorded by the calling thread.
-    let (inline_rec, opts) = traced();
-    execute_logical_with(&plan, &inputs, &opts).unwrap();
-    let spans = inline_rec.spans();
-    assert!(spans.iter().any(|(_, s)| s.cat == "task"));
-    assert!(spans.iter().any(|(_, s)| s.cat == "mem"));
-    assert!(spans.iter().all(|(lane, _)| *lane == spans[0].0));
+    // At dop 4 and on the logical plan at dop 1, a standalone call and an
+    // explicit runtime do the same work and leave the same kinds of spans
+    // (the process-wide runtime carves a memory grant like any other).
+    for (dop, phys) in [(4, phys), (1, PhysPlan::logical(&plan))] {
+        let (standalone_rec, opts) = traced();
+        let (standalone, standalone_stats) =
+            execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
+        let (shared_rec, opts) = traced();
+        let (shared, shared_stats) = rt.execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
+        assert_eq!(standalone, shared, "dop {dop}");
+        assert_eq!(
+            standalone_stats.totals(),
+            shared_stats.totals(),
+            "dop {dop}"
+        );
+        assert_eq!(
+            categories(&standalone_rec),
+            categories(&shared_rec),
+            "dop {dop}"
+        );
+        assert!(categories(&standalone_rec).contains("task"), "dop {dop}");
+        assert!(categories(&standalone_rec).contains("mem"), "dop {dop}");
+    }
 }
