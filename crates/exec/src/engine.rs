@@ -15,8 +15,7 @@
 //! [`EngineRuntime`](crate::EngineRuntime), started on the first call;
 //! [`EngineRuntime::execute_with`](crate::EngineRuntime::execute_with)
 //! runs the same query on a runtime of the caller's. The `_with` variants
-//! take [`ExecOptions`] to tune batch size, channel capacity, memory
-//! budget or tracing.
+//! take [`ExecOptions`] to tune batch size, memory budget or tracing.
 
 use crate::pipeline::ExecOptions;
 use crate::stats::ExecStats;
@@ -38,9 +37,6 @@ pub enum ExecError {
     MissingInput(String),
     /// A UDF failed to execute (step limit or binding bug).
     Udf(String, InterpError),
-    /// A record did not survive the wire-format round trip that the
-    /// Partition ship checks in debug builds.
-    Wire(String),
     /// Disk IO on the spill path failed (writing, reading or decoding a
     /// spill file of the out-of-core subsystem, see [`crate::spill`]).
     Spill(String),
@@ -61,7 +57,6 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::MissingInput(s) => write!(f, "no input data for source {s}"),
             ExecError::Udf(op, e) => write!(f, "UDF of operator {op} failed: {e}"),
-            ExecError::Wire(msg) => write!(f, "wire validation failed: {msg}"),
             ExecError::Spill(msg) => write!(f, "spill IO failed: {msg}"),
             ExecError::Panic { op, message } => {
                 write!(f, "operator {op} panicked: {message}")

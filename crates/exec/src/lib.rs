@@ -15,8 +15,8 @@
 //!   operator for co-grouping and everything that spilled);
 //! * `ship` (private) — per-batch routing between
 //!   partitions: forward, hash repartition (no serialization on the hot
-//!   path; bytes accounted via `encoded_len`, wire round trip checked in
-//!   debug builds) and `Arc`-shared broadcast;
+//!   path; bytes accounted via `encoded_len`) and `Arc`-shared
+//!   broadcast;
 //! * [`pipeline`] — flattens a [`strato_core::PhysPlan`] into one task per
 //!   `stage × partition`, one stage per operator, and schedules the
 //!   tasks cooperatively
@@ -37,7 +37,7 @@
 //!   single-query entry points below register with one process-wide
 //!   runtime, started on their first call.
 //! * [`trace`] — opt-in end-to-end query tracing
-//!   ([`ExecOptions::trace`]): a lock-light per-worker span recorder fed
+//!   ([`ExecOptions::trace`]): a bounded per-query span recorder fed
 //!   by the pipeline, ship, spill and runtime layers, rendered as Chrome
 //!   trace-event JSON ([`TraceRecorder::chrome_trace_json`]) or as an
 //!   estimate-vs-actual [`trace::explain_analyze`] report; plus the

@@ -23,11 +23,11 @@
 //! Tasks are *cooperatively* scheduled onto the worker pool of an
 //! [`EngineRuntime`] (morsel style): a task never blocks a worker. It
 //! yields when its inputs are momentarily empty (re-queued when a batch
-//! arrives) or when a downstream channel is at
-//! [`ExecOptions::channel_capacity`] (re-queued when the consumer drains —
-//! this is the backpressure that bounds in-flight memory). Because the
-//! graph is a tree whose sink never blocks, a full channel always implies
-//! a runnable consumer, so the scheduler cannot deadlock at any pool size.
+//! arrives) or when a downstream channel holds `CHANNEL_CAPACITY` batches
+//! (re-queued when the consumer drains — this is the backpressure that
+//! bounds in-flight memory). Because the graph is a tree whose sink never
+//! blocks, a full channel always implies a runnable consumer, so the
+//! scheduler cannot deadlock at any pool size.
 //!
 //! Worker panics (e.g. a buggy third-party UDF component that aborts
 //! instead of erroring) are caught at the task boundary and surfaced as
@@ -97,10 +97,6 @@ pub struct ExecOptions {
     /// routed batch brings it to `batch_size` rows, so it delivers up to
     /// `batch_size` + one routed batch − 1 rows in one batch.
     pub batch_size: usize,
-    /// Bound of each inter-task channel, in batches. Full channels park
-    /// the producer task (backpressure); capacity 1 forces strict
-    /// lock-step streaming.
-    pub channel_capacity: usize,
     /// Cap, in bytes, on the [`MemoryGrant`](crate::spill::MemoryGrant)
     /// this execution carves from its runtime's
     /// [`GlobalMemory`](crate::spill::GlobalMemory) pool: the grant is
@@ -121,7 +117,7 @@ pub struct ExecOptions {
     /// `Option` check, so the untraced hot path stays unmeasurably close
     /// to a build without the subsystem. When set, the execution records
     /// task-step, ship/scatter, spill-run, k-way-merge and memory-grant
-    /// spans into the recorder's bounded per-worker ring buffers.
+    /// spans into the recorder's one bounded ring buffer.
     pub trace: Option<std::sync::Arc<crate::trace::TraceRecorder>>,
 }
 
@@ -129,7 +125,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             batch_size: RecordBatch::DEFAULT_SIZE,
-            channel_capacity: 8,
             mem_budget: Some(strato_core::cost::DEFAULT_MEM_BUDGET_BYTES),
             trace: None,
         }
@@ -292,9 +287,12 @@ enum SendRes {
     Abort,
 }
 
+/// Bound of each inter-task channel, in batches. A full channel parks
+/// its producer task until the consumer drains it (backpressure).
+const CHANNEL_CAPACITY: usize = 8;
+
 struct Sched {
     core: Mutex<Core>,
-    capacity: usize,
     /// Root output: unbounded, so the sink task never blocks (this is what
     /// makes the whole graph deadlock-free under backpressure).
     sink: Mutex<Vec<RecordBatch>>,
@@ -332,7 +330,7 @@ impl Sched {
             return SendRes::Abort;
         }
         let c = &mut core.chans[chan];
-        if c.queue.len() >= self.capacity {
+        if c.queue.len() >= CHANNEL_CAPACITY {
             if !c.waiting.contains(&me) {
                 c.waiting.push(me);
             }
@@ -572,7 +570,7 @@ fn step(body: &mut TaskBody, sched: &Sched, rt: &RtShared) -> Result<StepOutcome
                 };
                 let routed = scratch.len() as u64;
                 for b in scratch.drain(..) {
-                    r.route(b, &mut body.pending, &sched.stats)?;
+                    r.route(b, &mut body.pending, &sched.stats);
                 }
                 if produced_final {
                     r.finish(&mut body.pending);
@@ -831,7 +829,6 @@ pub(crate) fn run(
                 live: n_tasks,
                 error: None,
             }),
-            capacity: opts.channel_capacity.max(1),
             sink: Mutex::new(Vec::new()),
             stats,
             slot,
@@ -961,7 +958,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_is_invariant_under_workers_capacity_and_batch() {
+    fn scheduler_is_invariant_under_workers_and_batch() {
         let mut p = ProgramBuilder::new();
         let s = p.source(SourceDef::new("s", &["k", "v"], 64));
         let m = p.map("m", add_const(2, 1, 5), CostHints::default(), s);
@@ -977,20 +974,14 @@ mod tests {
                 workers: Some(workers),
                 ..Default::default()
             });
-            for capacity in [1usize, 8] {
-                for batch_size in [1usize, 1024] {
-                    let opts = ExecOptions {
-                        batch_size,
-                        channel_capacity: capacity,
-                        ..ExecOptions::default()
-                    };
-                    let (out, stats) = rt.execute_with(&plan, &logical, &inputs, 1, &opts).unwrap();
-                    assert_eq!(
-                        out, reference,
-                        "workers={workers} capacity={capacity} batch={batch_size}"
-                    );
-                    assert_eq!(stats.totals(), ref_stats.totals());
-                }
+            for batch_size in [1usize, 1024] {
+                let opts = ExecOptions {
+                    batch_size,
+                    ..ExecOptions::default()
+                };
+                let (out, stats) = rt.execute_with(&plan, &logical, &inputs, 1, &opts).unwrap();
+                assert_eq!(out, reference, "workers={workers} batch={batch_size}");
+                assert_eq!(stats.totals(), ref_stats.totals());
             }
         }
     }

@@ -11,10 +11,9 @@
 //! Byte accounting uses [`RecordBatch::encoded_len`] — the sum of
 //! [`Record::encoded_len`](strato_record::Record::encoded_len), the same
 //! approximation the cost model optimizes against, computed column-wise —
-//! instead of serializing every record. Debug builds additionally
-//! round-trip each hash-partitioned row through the wire format and check
-//! the decode reproduces the original, so every debug test run exercises
-//! the serialization and release never pays for it.
+//! instead of serializing every record. No row is encoded on the way:
+//! routed batches move between tasks in memory, and the wire codec is
+//! pinned by its own tests and by the spill files that use it.
 //!
 //! Accounting rule (see [`ExecStats::add_shipped`]):
 //!
@@ -32,12 +31,10 @@
 //! exactly what the old stage-synchronous driver charged for the whole
 //! partition — the equivalence suite pins this byte-for-byte.
 
-use crate::engine::ExecError;
 use crate::stats::ExecStats;
-use bytes::BytesMut;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use strato_record::{wire, AttrId, BatchBuilder, RecordBatch, RowRef};
+use strato_record::{AttrId, BatchBuilder, RecordBatch};
 
 /// A producer task's outbound queue: batches routed to scheduler channels
 /// but not yet accepted (bounded channels apply backpressure).
@@ -53,9 +50,8 @@ pub(crate) enum Router {
     },
     /// Hash-repartition records by key; batches rebuilt per destination.
     ///
-    /// Destinations come from [`RecordBatch::key_hash_into`], bytes from
-    /// [`RecordBatch::encoded_len`] and the debug wire round trip from
-    /// [`RecordBatch::row`] views. Rows go into one [`BatchBuilder`] per
+    /// Destinations come from [`RecordBatch::key_hash_into`] and bytes
+    /// from [`RecordBatch::encoded_len`]. Rows go into one [`BatchBuilder`] per
     /// destination, built at the plan's width when the router is, without
     /// materializing a record: the routed batch is owned, so its columns
     /// are scattered ([`strato_record::ColumnBatch::scatter_into`]). A
@@ -72,8 +68,6 @@ pub(crate) enum Router {
         /// Per-destination rows accumulated up to `batch_size`.
         builders: Vec<BatchBuilder>,
         batch_size: usize,
-        /// Scratch for the debug-build wire round trip.
-        buf: BytesMut,
         /// Scratch: the per-row hash column of the batch being routed.
         hashes: Vec<u64>,
         /// Scratch: per-row destination partition of the batch being
@@ -111,7 +105,6 @@ impl Router {
             key_idx: key.iter().map(|a| a.index()).collect(),
             builders: (0..dop).map(|_| BatchBuilder::new(width)).collect(),
             batch_size: batch_size.max(1),
-            buf: BytesMut::new(),
             hashes: Vec::new(),
             dests: Vec::new(),
         }
@@ -131,12 +124,7 @@ impl Router {
     /// resulting `(channel, batch)` pairs to `out`. Every batch a task
     /// produces is its own, so this is where it is wrapped in the `Arc`
     /// its channel carries.
-    pub(crate) fn route(
-        &mut self,
-        batch: RecordBatch,
-        out: &mut Outbound,
-        stats: &ExecStats,
-    ) -> Result<(), ExecError> {
+    pub(crate) fn route(&mut self, batch: RecordBatch, out: &mut Outbound, stats: &ExecStats) {
         match self {
             Router::Forward { chan } => {
                 out.push_back((*chan, Arc::new(batch)));
@@ -148,16 +136,10 @@ impl Router {
                 key_idx,
                 builders,
                 batch_size,
-                buf,
                 hashes,
                 dests,
             } => {
                 let n = batch.len();
-                if cfg!(debug_assertions) {
-                    for row in 0..n {
-                        validate_roundtrip(batch.row(row), buf)?;
-                    }
-                }
                 stats.add_shipped(*op, n as u64, batch.encoded_len() as u64);
                 batch.key_hash_into(key_idx, hashes);
                 dests.clear();
@@ -188,7 +170,6 @@ impl Router {
                 }
             }
         }
-        Ok(())
     }
 
     /// Flushes any partially filled destination batches (end of the
@@ -206,23 +187,6 @@ impl Router {
             }
         }
     }
-}
-
-/// Encodes the row with the shared length-framing helper (the same
-/// framing the spill subsystem writes), decodes it back, and checks the
-/// round-trip is lossless.
-fn validate_roundtrip(row: RowRef<'_>, buf: &mut BytesMut) -> Result<(), ExecError> {
-    buf.clear();
-    wire::encode_framed_row(row, buf);
-    let decoded = wire::decode_framed(&mut buf.split().freeze())
-        .map_err(|e| ExecError::Wire(e.to_string()))?;
-    if RowRef::from(&decoded) != row {
-        return Err(ExecError::Wire(format!(
-            "round-trip mismatch: {} decoded as {decoded}",
-            row.to_record()
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -254,7 +218,7 @@ mod tests {
         let stats = ExecStats::new();
         let mut out = Outbound::new();
         let mut r = Router::forward(3);
-        r.route(batch(&[1, 2]), &mut out, &stats).unwrap();
+        r.route(batch(&[1, 2]), &mut out, &stats);
         r.finish(&mut out);
         assert_eq!(flat(&out), vec![(3, vec![1, 2])]);
         assert_eq!(stats.totals().records_shipped, 0);
@@ -266,8 +230,8 @@ mod tests {
         let key = [AttrId(0)];
         let mut out = Outbound::new();
         let mut r = Router::partition(10, 4, Some(0), &key, 1024, 1);
-        r.route(batch(&[1, 2, 3]), &mut out, &stats).unwrap();
-        r.route(batch(&[1, 4]), &mut out, &stats).unwrap();
+        r.route(batch(&[1, 2, 3]), &mut out, &stats);
+        r.route(batch(&[1, 4]), &mut out, &stats);
         r.finish(&mut out);
         // All 5 records accounted; equal keys land on the same channel.
         let t = stats.totals();
@@ -301,8 +265,7 @@ mod tests {
         let stats = ExecStats::with_ops(1);
         let mut out = Outbound::new();
         let mut r = Router::partition(10, 3, Some(0), &key, 4, 2);
-        r.route(testutil::batch(&recs, 2), &mut out, &stats)
-            .unwrap();
+        r.route(testutil::batch(&recs, 2), &mut out, &stats);
         r.finish(&mut out);
         let t = stats.totals();
         assert_eq!((t.records_shipped, t.bytes_shipped), (40, bytes));
@@ -332,13 +295,13 @@ mod tests {
         // Same key → same destination; batch_size 2 → a destination's
         // rows are handed on as soon as a routed batch brings them to 2.
         let mut r = Router::partition(0, 2, Some(0), &key, 2, 1);
-        r.route(batch(&[7]), &mut out, &stats).unwrap();
+        r.route(batch(&[7]), &mut out, &stats);
         assert!(out.is_empty(), "below batch_size: held");
-        r.route(batch(&[7]), &mut out, &stats).unwrap();
+        r.route(batch(&[7]), &mut out, &stats);
         assert_eq!(out.len(), 1, "a full batch flushed eagerly");
-        r.route(batch(&[7, 7, 7]), &mut out, &stats).unwrap();
+        r.route(batch(&[7, 7, 7]), &mut out, &stats);
         assert_eq!(out.len(), 2, "a batch is scattered whole, then flushed");
-        r.route(batch(&[7]), &mut out, &stats).unwrap();
+        r.route(batch(&[7]), &mut out, &stats);
         r.finish(&mut out);
         assert_eq!(out.len(), 3, "remainder flushed at finish");
         let sizes: Vec<usize> = out.iter().map(|(_, b)| b.len()).collect();
@@ -350,7 +313,7 @@ mod tests {
         let stats = ExecStats::new();
         let mut out = Outbound::new();
         let mut r = Router::broadcast(5, 3, Some(0));
-        r.route(batch(&[7, 8]), &mut out, &stats).unwrap();
+        r.route(batch(&[7, 8]), &mut out, &stats);
         r.finish(&mut out);
         assert_eq!(out.len(), 3);
         // Zero-copy: every destination sees the same allocation.
@@ -369,13 +332,13 @@ mod tests {
         let stats = ExecStats::new();
         let mut out = Outbound::new();
         let mut r = Router::broadcast(0, 1, None);
-        r.route(batch(&[1]), &mut out, &stats).unwrap();
+        r.route(batch(&[1]), &mut out, &stats);
         assert_eq!(out.len(), 1, "still delivered to the one partition");
         assert_eq!(stats.totals().records_shipped, 0);
     }
 
     #[test]
-    fn every_value_kind_survives_the_debug_wire_roundtrip() {
+    fn every_value_kind_arrives_intact_at_its_destination() {
         let stats = ExecStats::new();
         let key = [AttrId(0)];
         let mut out = Outbound::new();
@@ -387,9 +350,16 @@ mod tests {
             Value::Float(2.5),
             Value::Bool(true),
         ]);
-        r.route(testutil::batch(&[row], 5), &mut out, &stats)
-            .unwrap();
+        r.route(
+            testutil::batch(std::slice::from_ref(&row), 5),
+            &mut out,
+            &stats,
+        );
         r.finish(&mut out);
-        assert_eq!(out.iter().map(|(_, b)| b.len()).sum::<usize>(), 1);
+        assert_eq!(out.len(), 1, "one row, one destination");
+        let (chan, sent) = &out[0];
+        assert!(*chan < 2);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent.row(0).to_record(), row);
     }
 }

@@ -82,8 +82,7 @@ impl RunWriter {
     }
 
     /// Appends one row's frame, written from its view through the shared
-    /// [`wire::encode_framed_row`] — the framing the ship validation path
-    /// round-trips.
+    /// [`wire::encode_framed_row`] — the framing a [`RunReader`] decodes.
     pub(crate) fn write(&mut self, row: RowRef<'_>) -> std::io::Result<()> {
         self.buf.clear();
         let framed = wire::encode_framed_row(row, &mut self.buf);

@@ -1,16 +1,18 @@
-//! End-to-end query tracing: a lock-light per-worker span recorder, a
-//! Chrome trace-event renderer, an `EXPLAIN ANALYZE` report, and the
+//! End-to-end query tracing: a bounded span recorder, a Chrome
+//! trace-event renderer, an `EXPLAIN ANALYZE` report, and the
 //! log-bucketed latency histogram the server's `/metrics` endpoint
 //! exports.
 //!
 //! ## The recorder
 //!
-//! A [`TraceRecorder`] belongs to **one** query. It owns a fixed set of
-//! *lanes* — bounded ring buffers, one per recording thread — so workers
-//! append spans without contending on a shared lock: each thread caches
-//! its lane assignment in a thread-local and only ever locks its own
-//! lane's (uncontended) mutex. When a lane's ring fills, the oldest spans
-//! are dropped and counted ([`TraceRecorder::dropped`]) — tracing a huge
+//! A [`TraceRecorder`] belongs to **one** query. It keeps one list of
+//! spans behind one mutex: a bounded ring of `(lane, span)` pairs, where
+//! a span's *lane* is its recording thread's position among the threads
+//! that recorded into this query, in order of their first span. A query
+//! records from its submitter and the pool workers that step it — a
+//! handful of threads, each taking the lock once per span — so one list
+//! is all the recorder needs. When the ring fills, the oldest spans are
+//! dropped and counted ([`TraceRecorder::dropped`]) — tracing a huge
 //! query degrades to a bounded window, never to unbounded memory.
 //!
 //! Tracing is **opt-in per execution** through
@@ -33,28 +35,25 @@
 //!
 //! [`TraceRecorder::chrome_trace_json`] renders the spans as Chrome
 //! trace-event JSON (`{"traceEvents": [...]}`) loadable in Perfetto or
-//! `chrome://tracing`: one track per lane (≈ per worker thread), events
-//! grouped under the query's pid, every span carrying its `query_id`.
+//! `chrome://tracing`: one track per recording thread, named after it,
+//! events grouped under the query's pid, every span carrying its
+//! `query_id`.
 //! [`explain_analyze`] renders the optimizer's **estimates** next to the
 //! execution's **measurements**, per physical operator — the
 //! estimate-vs-actual deltas adaptive execution will feed back.
 
 use crate::stats::ExecStats;
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Instant;
 use strato_core::{PhysNode, PhysPlan, Ship};
 use strato_dataflow::{NodeKind, Plan};
 
-/// Lanes (≈ concurrent recording threads) per recorder. Threads beyond
-/// this share lanes round-robin; spans stay correct, tracks merge.
-pub const TRACE_LANES: usize = 32;
-
-/// Bounded span capacity of one lane's ring buffer. Overflow drops the
-/// oldest spans (counted by [`TraceRecorder::dropped`]).
-pub const LANE_CAPACITY: usize = 8192;
+/// Bound on the spans one recorder keeps. Overflow drops the oldest
+/// spans (counted by [`TraceRecorder::dropped`]).
+pub const SPAN_CAPACITY: usize = 65_536;
 
 /// One recorded span: a named, categorized `[start, start + dur)`
 /// interval relative to the recorder's epoch, plus numeric arguments.
@@ -73,39 +72,32 @@ pub struct Span {
     pub args: Vec<(&'static str, u64)>,
 }
 
-/// One thread's bounded span ring plus the thread name for the renderer's
-/// track metadata.
+/// What a recorder's mutex guards.
 #[derive(Debug, Default)]
-struct Lane {
-    spans: VecDeque<Span>,
-    thread: Option<String>,
+struct Ring {
+    /// The threads that recorded, in order of their first span: id and
+    /// name. A span's lane indexes this list.
+    threads: Vec<(ThreadId, String)>,
+    /// `(lane, span)` pairs in recording order, at most
+    /// [`SPAN_CAPACITY`].
+    spans: VecDeque<(usize, Span)>,
+    /// Spans dropped from the front of a full ring.
+    dropped: u64,
 }
 
-/// Distinguishes recorders for the thread-local lane cache (0 = unset).
-static RECORDER_SEQ: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(recorder id, lane index)` of this thread's last lane assignment.
-    static LANE_CACHE: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
-}
-
-/// Per-query span recorder. Cheap to share (`Arc`), lock-light to record
-/// into (per-thread lanes), bounded in memory (ring buffers). See the
-/// module docs for the overhead contract.
+/// Per-query span recorder. Cheap to share (`Arc`), bounded in memory
+/// (one ring buffer). See the module docs for the overhead contract.
 pub struct TraceRecorder {
     query_id: u64,
     epoch: Instant,
-    rec_id: u64,
-    lanes: Vec<Mutex<Lane>>,
-    next_lane: AtomicUsize,
-    dropped: AtomicU64,
+    ring: Mutex<Ring>,
 }
 
 impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRecorder")
             .field("query_id", &self.query_id)
-            .field("dropped", &self.dropped.load(Ordering::Relaxed))
+            .field("dropped", &self.dropped())
             .finish()
     }
 }
@@ -123,12 +115,7 @@ impl TraceRecorder {
         Arc::new(TraceRecorder {
             query_id,
             epoch,
-            rec_id: RECORDER_SEQ.fetch_add(1, Ordering::Relaxed),
-            lanes: (0..TRACE_LANES)
-                .map(|_| Mutex::new(Lane::default()))
-                .collect(),
-            next_lane: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring::default()),
         })
     }
 
@@ -161,7 +148,8 @@ impl TraceRecorder {
         self.record_span(name, cat, start_ns, dur, args);
     }
 
-    /// Records a fully specified span (explicit duration).
+    /// Records a fully specified span (explicit duration) on the calling
+    /// thread's lane.
     pub fn record_span(
         &self,
         name: &str,
@@ -170,64 +158,48 @@ impl TraceRecorder {
         dur_ns: u64,
         args: Vec<(&'static str, u64)>,
     ) {
-        let lane_idx = self.lane_for_current_thread();
-        let mut lane = self.lanes[lane_idx].lock().unwrap();
-        if lane.thread.is_none() {
-            lane.thread = Some(
-                std::thread::current()
-                    .name()
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("thread-{lane_idx}")),
-            );
-        }
-        if lane.spans.len() >= LANE_CAPACITY {
-            lane.spans.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        lane.spans.push_back(Span {
+        let span = Span {
             name: name.to_string(),
             cat,
             start_ns,
             dur_ns,
             args,
-        });
-    }
-
-    /// The calling thread's lane, assigned round-robin on first use and
-    /// cached in a thread-local keyed by recorder identity.
-    fn lane_for_current_thread(&self) -> usize {
-        LANE_CACHE.with(|c| {
-            let (rid, lane) = c.get();
-            if rid == self.rec_id {
-                lane
-            } else {
-                let lane = self.next_lane.fetch_add(1, Ordering::Relaxed) % TRACE_LANES;
-                c.set((self.rec_id, lane));
+        };
+        let thread = std::thread::current();
+        let mut ring = self.ring.lock().unwrap();
+        let lane = match ring.threads.iter().position(|(id, _)| *id == thread.id()) {
+            Some(lane) => lane,
+            None => {
+                let lane = ring.threads.len();
+                let name = thread
+                    .name()
+                    .map_or_else(|| format!("thread-{lane}"), str::to_string);
+                ring.threads.push((thread.id(), name));
                 lane
             }
-        })
+        };
+        if ring.spans.len() >= SPAN_CAPACITY {
+            ring.spans.pop_front();
+            ring.dropped += 1;
+        }
+        ring.spans.push_back((lane, span));
     }
 
     /// Spans dropped to the ring bound (0 in healthy traces).
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().unwrap().dropped
     }
 
-    /// All recorded spans as `(lane, span)` pairs, lanes in index order,
-    /// spans in recording order within a lane.
+    /// All kept spans as `(lane, span)` pairs in recording order, one lane
+    /// per recording thread.
     pub fn spans(&self) -> Vec<(usize, Span)> {
-        let mut out = Vec::new();
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let lane = lane.lock().unwrap();
-            out.extend(lane.spans.iter().map(|s| (i, s.clone())));
-        }
-        out
+        self.ring.lock().unwrap().spans.iter().cloned().collect()
     }
 
     /// Renders the trace as Chrome trace-event JSON: complete (`"ph":
-    /// "X"`) events under `pid = query_id`, one `tid` per lane with a
-    /// `thread_name` metadata record, timestamps in microseconds. Loads
-    /// in Perfetto / `chrome://tracing` as-is.
+    /// "X"`) events under `pid = query_id`, one `tid` per recording thread
+    /// with a `thread_name` metadata record, timestamps in microseconds.
+    /// Loads in Perfetto / `chrome://tracing` as-is.
     pub fn chrome_trace_json(&self) -> String {
         let mut out = String::with_capacity(16 * 1024);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -247,38 +219,36 @@ impl TraceRecorder {
                 qid = self.query_id
             ),
         );
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let lane = lane.lock().unwrap();
-            if let Some(name) = &lane.thread {
-                push_event(
-                    &mut out,
-                    format!(
-                        "{{\"ph\":\"M\",\"pid\":{},\"tid\":{i},\"name\":\"thread_name\",\
-                         \"args\":{{\"name\":{}}}}}",
-                        self.query_id,
-                        json_string(name)
-                    ),
-                );
+        let ring = self.ring.lock().unwrap();
+        for (lane, (_, name)) in ring.threads.iter().enumerate() {
+            push_event(
+                &mut out,
+                format!(
+                    "{{\"ph\":\"M\",\"pid\":{},\"tid\":{lane},\"name\":\"thread_name\",\
+                     \"args\":{{\"name\":{}}}}}",
+                    self.query_id,
+                    json_string(name)
+                ),
+            );
+        }
+        for (lane, s) in &ring.spans {
+            let mut args = format!("{{\"query_id\":{}", self.query_id);
+            for (k, v) in &s.args {
+                args.push_str(&format!(",\"{k}\":{v}"));
             }
-            for s in &lane.spans {
-                let mut args = format!("{{\"query_id\":{}", self.query_id);
-                for (k, v) in &s.args {
-                    args.push_str(&format!(",\"{k}\":{v}"));
-                }
-                args.push('}');
-                push_event(
-                    &mut out,
-                    format!(
-                        "{{\"ph\":\"X\",\"pid\":{},\"tid\":{i},\"name\":{},\"cat\":\"{}\",\
-                         \"ts\":{},\"dur\":{},\"args\":{args}}}",
-                        self.query_id,
-                        json_string(&s.name),
-                        s.cat,
-                        micros(s.start_ns),
-                        micros(s.dur_ns),
-                    ),
-                );
-            }
+            args.push('}');
+            push_event(
+                &mut out,
+                format!(
+                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":{lane},\"name\":{},\"cat\":\"{}\",\
+                     \"ts\":{},\"dur\":{},\"args\":{args}}}",
+                    self.query_id,
+                    json_string(&s.name),
+                    s.cat,
+                    micros(s.start_ns),
+                    micros(s.dur_ns),
+                ),
+            );
         }
         out.push_str("]}");
         out
@@ -539,17 +509,16 @@ mod tests {
     }
 
     #[test]
-    fn lane_ring_is_bounded_and_counts_drops() {
+    fn span_ring_is_bounded_and_counts_drops() {
         let tr = TraceRecorder::new(1);
-        for i in 0..(LANE_CAPACITY + 10) {
+        for i in 0..(SPAN_CAPACITY + 10) {
             tr.record_span("s", "task", i as u64, 1, vec![]);
         }
-        // This thread uses one lane, so the ring bound applies directly.
-        assert_eq!(tr.spans().len(), LANE_CAPACITY);
+        assert_eq!(tr.spans().len(), SPAN_CAPACITY);
         assert_eq!(tr.dropped(), 10);
         // The oldest spans were dropped, the newest kept.
         let last = tr.spans().last().unwrap().1.start_ns;
-        assert_eq!(last, (LANE_CAPACITY + 9) as u64);
+        assert_eq!(last, (SPAN_CAPACITY + 9) as u64);
     }
 
     #[test]

@@ -493,9 +493,7 @@ fn physical_plans_agree_with_logical_for_every_alternative() {
 fn physical_agrees_with_logical_across_dop_and_batch_size() {
     // The operator runtime must be invariant under the degree of
     // parallelism and the batch boundaries. Sweep dop ∈ {1, 2, 4, 8} ×
-    // batch size ∈ {1, default} over a join + filter + reduce plan (the
-    // Partition ship's wire round-trip check runs too: tests are debug
-    // builds).
+    // batch size ∈ {1, default} over a join + filter + reduce plan.
     let mut p = ProgramBuilder::new();
     let l = p.source(SourceDef::new("l", &["lk", "lv"], 50));
     let r = p.source(SourceDef::new("r", &["rk"], 20).with_unique_key(&[0]));
@@ -542,11 +540,11 @@ fn physical_agrees_with_logical_across_dop_and_batch_size() {
 }
 
 #[test]
-fn streaming_runtime_invariant_under_workers_and_channel_capacity() {
+fn streaming_runtime_invariant_under_workers_and_memory_budget() {
     // The worker-pool scheduler must be a pure transport change: for every
     // dop × batch-size point of the existing sweep, sweeping the pool size
-    // and the channel bound (runtime workers ∈ {1, 2, num_cpus} × capacity
-    // ∈ {1, 8}) must reproduce the oracle's output bag
+    // (runtime workers ∈ {1, 2, num_cpus}) and the memory budget must
+    // reproduce the oracle's output bag
     // AND the exact shipped-record/byte accounting of the reference
     // configuration — shipping charges per record, so backpressure and
     // scheduling interleavings must never change the totals.
@@ -590,38 +588,33 @@ fn streaming_runtime_invariant_under_workers_and_channel_capacity() {
         for &w in &workers {
             let rt = runtime(w);
             for batch_size in [1usize, RecordBatch::DEFAULT_SIZE] {
-                for capacity in [1usize, 8] {
-                    // Memory axis: unbounded vs a budget far below the
-                    // working set. Spilling is operator-internal, so even
-                    // the ship accounting must not move.
-                    for mem_budget in [None, Some(64u64)] {
-                        let opts = ExecOptions {
-                            batch_size,
-                            channel_capacity: capacity,
-                            mem_budget,
-                            ..ExecOptions::default()
-                        };
-                        let (out, stats) = rt
-                            .execute_with(&best.plan, &best.phys, &inputs, dop, &opts)
-                            .unwrap();
-                        let tag = format!(
-                            "dop={dop} batch={batch_size} workers={w} capacity={capacity} \
-                             budget={mem_budget:?}"
-                        );
-                        if let Err(diff) = reference.bag_diff(&out) {
-                            panic!("divergence at {tag}:\ndiff: {diff}");
+                // Memory axis: unbounded vs a budget far below the
+                // working set. Spilling is operator-internal, so even
+                // the ship accounting must not move.
+                for mem_budget in [None, Some(64u64)] {
+                    let opts = ExecOptions {
+                        batch_size,
+                        mem_budget,
+                        ..ExecOptions::default()
+                    };
+                    let (out, stats) = rt
+                        .execute_with(&best.plan, &best.phys, &inputs, dop, &opts)
+                        .unwrap();
+                    let tag =
+                        format!("dop={dop} batch={batch_size} workers={w} budget={mem_budget:?}");
+                    if let Err(diff) = reference.bag_diff(&out) {
+                        panic!("divergence at {tag}:\ndiff: {diff}");
+                    }
+                    let t = stats.totals();
+                    assert_eq!(t.records_shipped, ref_shipped, "shipped records at {tag}");
+                    assert_eq!(t.bytes_shipped, ref_bytes, "shipped bytes at {tag}");
+                    let spill_runs = t.spill_runs;
+                    match mem_budget {
+                        Some(_) => {
+                            assert!(spill_runs > 0, "tiny budget must spill at {tag}")
                         }
-                        let t = stats.totals();
-                        assert_eq!(t.records_shipped, ref_shipped, "shipped records at {tag}");
-                        assert_eq!(t.bytes_shipped, ref_bytes, "shipped bytes at {tag}");
-                        let spill_runs = t.spill_runs;
-                        match mem_budget {
-                            Some(_) => {
-                                assert!(spill_runs > 0, "tiny budget must spill at {tag}")
-                            }
-                            None => {
-                                assert_eq!(spill_runs, 0, "unbounded must not spill at {tag}")
-                            }
+                        None => {
+                            assert_eq!(spill_runs, 0, "unbounded must not spill at {tag}")
                         }
                     }
                 }
@@ -668,20 +661,16 @@ fn partition_ship_stats_are_exact_on_a_known_plan() {
         for workers in [1usize, 3] {
             let rt = runtime(workers);
             for batch_size in [1usize, RecordBatch::DEFAULT_SIZE] {
-                for capacity in [1usize, 8] {
-                    let opts = ExecOptions {
-                        batch_size,
-                        channel_capacity: capacity,
-                        ..ExecOptions::default()
-                    };
-                    let (_, stats) = rt.execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
-                    let t = stats.totals();
-                    let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
-                    let tag =
-                        format!("dop={dop} batch={batch_size} workers={workers} cap={capacity}");
-                    assert_eq!(shipped, 8, "{tag}");
-                    assert_eq!(bytes, 8 * (4 + 2 * 9), "{tag}");
-                }
+                let opts = ExecOptions {
+                    batch_size,
+                    ..ExecOptions::default()
+                };
+                let (_, stats) = rt.execute_with(&plan, &phys, &inputs, dop, &opts).unwrap();
+                let t = stats.totals();
+                let (shipped, bytes) = (t.records_shipped, t.bytes_shipped);
+                let tag = format!("dop={dop} batch={batch_size} workers={workers}");
+                assert_eq!(shipped, 8, "{tag}");
+                assert_eq!(bytes, 8 * (4 + 2 * 9), "{tag}");
             }
         }
     }

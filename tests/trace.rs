@@ -321,3 +321,75 @@ fn standalone_calls_are_the_same_executor_as_a_shared_runtime() {
         assert!(categories(&standalone_rec).contains("mem"), "dop {dop}");
     }
 }
+
+#[test]
+fn concurrent_traced_queries_record_one_lane_per_thread() {
+    // Two traced queries share one 2-worker runtime, so each worker steps
+    // both in turn. A query records from at most three threads (the two
+    // workers and its submitter), and its trace must show one lane, and
+    // one named track, per thread however the workers alternate.
+    let (plan, phys, inputs) = grouped_sum(20_000);
+    let opts = ExecOptions {
+        batch_size: 16,
+        ..ExecOptions::default()
+    };
+    let rt = EngineRuntime::new(RuntimeOptions {
+        workers: Some(2),
+        ..RuntimeOptions::default()
+    });
+    let (untraced, _) = rt.execute_with(&plan, &phys, &inputs, 2, &opts).unwrap();
+    let untraced = untraced.sorted();
+
+    let start = std::sync::Barrier::new(2);
+    let recorders: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|q| {
+                let (plan, phys, inputs, opts, rt, start) =
+                    (&plan, &phys, &inputs, &opts, &rt, &start);
+                s.spawn(move || {
+                    let recorder = TraceRecorder::new(q);
+                    let opts = ExecOptions {
+                        trace: Some(recorder.clone()),
+                        ..opts.clone()
+                    };
+                    start.wait();
+                    let (out, _) = rt.execute_with(plan, phys, inputs, 2, &opts).unwrap();
+                    (recorder, out.sorted())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (recorder, out) in &recorders {
+        let q = recorder.query_id();
+        assert_eq!(
+            out, &untraced,
+            "query {q}: tracing must not perturb results"
+        );
+        assert_eq!(recorder.dropped(), 0, "query {q}");
+        let lanes: std::collections::BTreeSet<i64> =
+            recorder.spans().iter().map(|(l, _)| *l as i64).collect();
+        assert!(
+            (1..=3).contains(&lanes.len()),
+            "query {q}: {} lanes for at most 3 recording threads",
+            lanes.len()
+        );
+        let chrome = recorder.chrome_trace_json();
+        let doc = Json::parse(&chrome).expect("chrome trace parses as JSON");
+        let mut named: Vec<i64> = doc
+            .get("traceEvents")
+            .and_then(Json::as_array)
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
+            .map(|e| e.get("tid").and_then(Json::as_i64).expect("tid"))
+            .collect();
+        named.sort_unstable();
+        assert_eq!(
+            named,
+            lanes.into_iter().collect::<Vec<_>>(),
+            "query {q}: one thread_name record per lane"
+        );
+    }
+}
