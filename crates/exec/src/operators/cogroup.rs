@@ -33,16 +33,13 @@ impl CoGroupOp {
 
     /// The finish: the lock-step walk, one call per key.
     fn cogroup(&mut self) -> Result<(), ExecError> {
-        let plan = Arc::clone(&self.ctx.plan);
-        let op = &plan.ops[self.ctx.op_id];
-        let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
         let [left, right] = &mut self.sides;
         let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
         let mut left_keys = 0u64;
         fn views(g: &Option<Vec<Record>>) -> Vec<RowRef<'_>> {
             g.iter().flatten().map(RowRef::from).collect()
         }
-        while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
+        while let Some((lg, rg)) = next_key_groups(&mut left, &mut right)? {
             left_keys += lg.is_some() as u64;
             let (lv, rv) = (views(&lg), views(&rg));
             self.ctx.call_out(Invocation::CoGroup(&lv, &rv))?;

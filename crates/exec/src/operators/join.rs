@@ -50,21 +50,16 @@ impl MatchOp {
     /// The sort-based finish: lock-step walk over both sides' key-group
     /// streams, one UDF call per pair of each matching group.
     fn merge_join(&mut self) -> Result<(), ExecError> {
-        let plan = Arc::clone(&self.ctx.plan);
-        let op = &plan.ops[self.ctx.op_id];
-        let (kl, kr) = (&op.key_attrs[0], &op.key_attrs[1]);
         let mut left_keys = 0u64;
-        {
-            let [left, right] = &mut self.bufs;
-            let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
-            while let Some((lg, rg)) = next_key_groups(&mut left, kl, &mut right, kr)? {
-                left_keys += lg.is_some() as u64;
-                if let (Some(lg), Some(rg)) = (lg, rg) {
-                    for a in &lg {
-                        for b in &rg {
-                            let pair = Invocation::Pair(RowRef::from(a), RowRef::from(b));
-                            self.ctx.call_out(pair)?;
-                        }
+        let [left, right] = &mut self.bufs;
+        let (mut left, mut right) = (left.drain_groups()?, right.drain_groups()?);
+        while let Some((lg, rg)) = next_key_groups(&mut left, &mut right)? {
+            left_keys += lg.is_some() as u64;
+            if let (Some(lg), Some(rg)) = (lg, rg) {
+                for a in &lg {
+                    for b in &rg {
+                        let pair = Invocation::Pair(RowRef::from(a), RowRef::from(b));
+                        self.ctx.call_out(pair)?;
                     }
                 }
             }

@@ -38,11 +38,15 @@
 //! ## Key handling
 //!
 //! Key extraction never clones `Value`s on the hot path: comparisons go
-//! through `key_cmp`/`key_cmp2` or their row-view forms (field-by-field,
-//! allocation-free) and hash tables are keyed by a 64-bit FxHash of the
-//! key fields (`RecordBatch::key_hash_into`, one column-wise pass per
-//! batch) with exact-equality verification per bucket entry, so hash
-//! collisions cannot merge distinct keys.
+//! through row views ([`RowRef::key_cmp`], `key_cmp2` and
+//! `canonical_cmp`: field-by-field, allocation-free) — a record the
+//! engine already holds, such as a merged spill record, is compared
+//! through `RowRef::from` — and hash tables are keyed by a 64-bit FxHash
+//! of the key fields (`RecordBatch::key_hash_into`, one column-wise pass
+//! per batch) with exact-equality verification per bucket entry, so hash
+//! collisions cannot merge distinct keys. Groups are sorted, spilled,
+//! merged and walked in one canonical `(key, row)` order,
+//! [`RowRef::canonical_cmp`].
 
 pub mod cogroup;
 pub mod cross;
@@ -53,13 +57,12 @@ pub mod reduce;
 use crate::engine::ExecError;
 use crate::spill::MemoryGovernor;
 use crate::stats::ExecStats;
-use std::cmp::Ordering;
 use std::sync::Arc;
 use strato_core::LocalStrategy;
 use strato_dataflow::{BoundOp, Pact, PlanCtx};
 use strato_ir::interp::{Frame, Interp, Invocation};
 use strato_record::hash::FxHashMap;
-use strato_record::{AttrId, BatchBuilder, Record, RecordBatch, RowRef};
+use strato_record::{BatchBuilder, Record, RecordBatch, RowRef};
 
 /// A physical operator: consumes batches on numbered input ports, emits
 /// batches. See the module docs for the push / finish contract.
@@ -247,41 +250,6 @@ impl OpCtx {
 // Key helpers — allocation-free on the hot path.
 // ---------------------------------------------------------------------------
 
-/// Compares two records on the same key attributes, field by field.
-#[inline]
-pub(crate) fn key_cmp(a: &Record, b: &Record, key: &[AttrId]) -> Ordering {
-    for &k in key {
-        match a.field(k.index()).cmp(b.field(k.index())) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-    }
-    Ordering::Equal
-}
-
-/// Compares record `a`'s key `ka` with record `b`'s key `kb` (two-input
-/// PACTs: the sides key on different global attributes).
-#[inline]
-pub(crate) fn key_cmp2(a: &Record, ka: &[AttrId], b: &Record, kb: &[AttrId]) -> Ordering {
-    debug_assert_eq!(ka.len(), kb.len());
-    for (&x, &y) in ka.iter().zip(kb) {
-        match a.field(x.index()).cmp(b.field(y.index())) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-    }
-    Ordering::Equal
-}
-
-/// Canonical ordering inside key groups: `(key, whole record)`. Sorting
-/// with this comparator makes group contents a function of the input bag,
-/// independent of partitioning and arrival order — the determinism
-/// property the paper's equivalence results assume.
-#[inline]
-pub(crate) fn canonical_cmp(a: &Record, b: &Record, key: &[AttrId]) -> Ordering {
-    key_cmp(a, b, key).then_with(|| a.cmp(b))
-}
-
 /// Calls `each(hash, row)` for every row of `batches`, hashing each
 /// batch's key in one pass (`key_hash_into`).
 pub(crate) fn for_each_hashed<'a>(
@@ -438,17 +406,29 @@ pub(crate) fn apply_chunked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
     use strato_record::Value;
 
     fn rec(vals: &[i64]) -> Record {
         Record::from_values(vals.iter().map(|&v| Value::Int(v)))
     }
 
+    /// The key order of two records, through their row views.
+    fn key_order(a: &Record, b: &Record, key: &[usize]) -> Ordering {
+        RowRef::from(a).key_cmp(&b.into(), key)
+    }
+
     #[test]
-    fn key_cmp_orders_by_key_fields_only() {
-        let key = [AttrId(1)];
-        assert_eq!(key_cmp(&rec(&[9, 1]), &rec(&[0, 2]), &key), Ordering::Less);
-        assert_eq!(key_cmp(&rec(&[9, 2]), &rec(&[0, 2]), &key), Ordering::Equal);
+    fn key_order_is_on_key_fields_only() {
+        let key = [1];
+        assert_eq!(
+            key_order(&rec(&[9, 1]), &rec(&[0, 2]), &key),
+            Ordering::Less
+        );
+        assert_eq!(
+            key_order(&rec(&[9, 2]), &rec(&[0, 2]), &key),
+            Ordering::Equal
+        );
     }
 
     /// Each record's key hash through the batch kernel.
@@ -460,24 +440,24 @@ mod tests {
 
     #[test]
     fn key_hash_agrees_with_key_equality() {
-        let key = [AttrId(0), AttrId(2)];
+        let key = [0, 2];
         let a = rec(&[5, 1, 7]);
         let b = rec(&[5, 2, 7]);
         let c = rec(&[5, 1, 8]);
-        assert_eq!(key_cmp(&a, &b, &key), Ordering::Equal);
-        let h = hashes(&[a, b, c], &[0, 2]);
+        assert_eq!(key_order(&a, &b, &key), Ordering::Equal);
+        let h = hashes(&[a, b, c], &key);
         assert_eq!(h[0], h[1]);
         assert_ne!(h[0], h[2]);
     }
 
     #[test]
     fn null_keys_hash_equal_and_group_together() {
-        let key = [AttrId(0)];
+        let key = [0];
         let a = Record::from_values([Value::Null, Value::Int(1)]);
         let b = Record::from_values([Value::Null, Value::Int(2)]);
-        assert!(RowRef::from(&a).key_has_null(&[0]));
-        assert_eq!(key_cmp(&a, &b, &key), Ordering::Equal);
-        let h = hashes(&[a, b], &[0]);
+        assert!(RowRef::from(&a).key_has_null(&key));
+        assert_eq!(key_order(&a, &b, &key), Ordering::Equal);
+        let h = hashes(&[a, b], &key);
         assert_eq!(h[0], h[1]);
     }
 

@@ -162,7 +162,7 @@ impl Operator for ReduceOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{apply_chunked, key_cmp};
+    use crate::operators::apply_chunked;
     use crate::spill::MemoryGovernor;
     use crate::stats::ExecStats;
     use crate::testutil::{batch, colliding_second_field, ctx};
@@ -235,8 +235,9 @@ mod tests {
         rows.key_hash_into(&key_idx, &mut hashes);
         assert_eq!(hashes[0], hashes[2], "A and C collide");
         assert_ne!(hashes[0], hashes[1]);
-        assert_ne!(key_cmp(&a1, &c1, &key), std::cmp::Ordering::Equal);
-        assert!(key_cmp(&a1, &b1, &key).is_lt() && key_cmp(&b1, &c1, &key).is_lt());
+        let key_cmp = |a: &Record, b: &Record| RowRef::from(a).key_cmp(&b.into(), &key_idx);
+        assert_ne!(key_cmp(&a1, &c1), std::cmp::Ordering::Equal);
+        assert!(key_cmp(&a1, &b1).is_lt() && key_cmp(&b1, &c1).is_lt());
 
         let input = [vec![c1, b1, a2, a1, c2, b2]];
         let stats = Arc::new(ExecStats::with_ops(1));

@@ -3,10 +3,10 @@
 use crate::engine::ExecError;
 use crate::operators::{key_minima, MinimaScratch, OpCtx};
 use crate::spill::file::SortedRun;
-use crate::spill::merge::{external_group_stream, GroupStream};
+use crate::spill::merge::{merge_runs, GroupStream};
 use std::cmp::Ordering;
 use std::sync::Arc;
-use strato_record::{AttrId, Record, RecordBatch};
+use strato_record::{Record, RecordBatch, RowRef};
 
 /// One keyed input of a blocking operator: the batches buffered so far,
 /// held as they were pushed, the bytes granted for them, and the sorted
@@ -32,13 +32,10 @@ use strato_record::{AttrId, Record, RecordBatch};
 /// finish. Whatever is still granted returns to the governor on drop
 /// (failed spill, aborted query, early exit from a walk).
 pub(crate) struct RunBuffer {
-    /// The owning operator's context: its governor, its stats slot and,
-    /// through `side`, the key this input is sorted and grouped on.
+    /// The owning operator's context: its governor and its stats slot.
     ctx: OpCtx,
-    /// Which input of the operator this is (`key_attrs[side]`).
-    side: usize,
-    /// `key_attrs[side]` as plain column indices (the row-view kernels'
-    /// form).
+    /// The key this input is sorted and grouped on: the operator's
+    /// `key_attrs[side]` as plain column indices.
     key: Vec<usize>,
     /// Join flavour: null-keyed rows match nothing, so they are dropped
     /// where buffered rows are selected — in `spill` and `drain_groups` —
@@ -70,7 +67,6 @@ impl RunBuffer {
         let key = ctx.op().key_attrs[side].iter().map(|k| k.index()).collect();
         RunBuffer {
             ctx,
-            side,
             key,
             drop_null_keys,
             saw_null_key: false,
@@ -146,10 +142,7 @@ impl RunBuffer {
             kept.retain(|&at| !row(at).key_has_null(key));
             self.saw_null_key |= kept.len() < all;
         }
-        kept.sort_unstable_by(|&x, &y| {
-            let (x, y) = (row(x), row(y));
-            x.key_cmp(&y, key).then_with(|| x.cmp(&y))
-        });
+        kept.sort_unstable_by(|&x, &y| row(x).canonical_cmp(&row(y), key));
     }
 
     /// Sheds every uniquely held batch to one canonically sorted on-disk
@@ -210,16 +203,7 @@ impl RunBuffer {
     /// with the runs written so far and walks the result as key groups in
     /// ascending canonical order. Leaves the buffer empty; the returned
     /// stream owns the tail and the runs.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn drain_groups(
-        &mut self,
-    ) -> Result<
-        GroupStream<
-            impl Iterator<Item = Result<Record, ExecError>> + '_,
-            impl Fn(&Record, &Record) -> bool + '_,
-        >,
-        ExecError,
-    > {
+    pub(crate) fn drain_groups(&mut self) -> Result<GroupStream, ExecError> {
         let batches = std::mem::take(&mut self.batches);
         let held: Vec<&RecordBatch> = batches.iter().map(|(b, _)| &**b).collect();
         self.select(&held);
@@ -232,8 +216,7 @@ impl RunBuffer {
         drop(batches);
         self.release();
         let runs = std::mem::take(&mut self.runs);
-        let key = &self.ctx.op().key_attrs[self.side];
-        external_group_stream(&self.ctx.gov, runs, tail, key)
+        GroupStream::new(merge_runs(&self.ctx.gov, runs, tail, &self.key)?)
     }
 }
 
@@ -247,23 +230,17 @@ impl Drop for RunBuffer {
 type KeyGroups = (Option<Vec<Record>>, Option<Vec<Record>>);
 
 /// One step of a lock-step walk over two key-sorted group streams: the
-/// groups of the smallest pending key (`left` keys on `kl`, `right` on
-/// `kr`). `Ok(None)` once both streams are exhausted.
-pub(crate) fn next_key_groups<I, G>(
-    left: &mut GroupStream<I, G>,
-    kl: &[AttrId],
-    right: &mut GroupStream<I, G>,
-    kr: &[AttrId],
-) -> Result<Option<KeyGroups>, ExecError>
-where
-    I: Iterator<Item = Result<Record, ExecError>>,
-    G: Fn(&Record, &Record) -> bool,
-{
+/// groups of the smallest pending key, each side compared on its own
+/// stream's key. `Ok(None)` once both streams are exhausted.
+pub(crate) fn next_key_groups(
+    left: &mut GroupStream,
+    right: &mut GroupStream,
+) -> Result<Option<KeyGroups>, ExecError> {
     let ord = match (left.peek(), right.peek()) {
         (None, None) => return Ok(None),
         (Some(_), None) => Ordering::Less,
         (None, Some(_)) => Ordering::Greater,
-        (Some(l), Some(r)) => crate::operators::key_cmp2(l, kl, r, kr),
+        (Some(l), Some(r)) => RowRef::from(l).key_cmp2(left.key(), &r.into(), right.key()),
     };
     let lg = if ord.is_gt() {
         None
@@ -281,15 +258,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{canonical_cmp, key_cmp};
     use crate::spill::{GlobalMemory, MemoryGovernor};
     use crate::stats::ExecStats;
     use crate::testutil::{batch, colliding_second_field, ctx, sum_inplace};
     use std::path::PathBuf;
     use strato_dataflow::{CostHints, Plan, ProgramBuilder, SourceDef};
-    use strato_record::Value;
+    use strato_record::{AttrId, Value};
 
-    const KEY: [AttrId; 1] = [AttrId(0)];
+    /// The keyed plan's key: its first global attribute.
+    const KEY: [usize; 1] = [0];
     /// The keyed plan's global width.
     const WIDTH: usize = 2;
 
@@ -308,7 +285,7 @@ mod tests {
         drop_null_keys: bool,
     ) -> RunBuffer {
         let plan = keyed_plan();
-        assert_eq!(plan.ctx.ops[0].key_attrs[0], KEY);
+        assert_eq!(plan.ctx.ops[0].key_attrs[0], [AttrId(0)]);
         assert_eq!(plan.ctx.width(), WIDTH);
         RunBuffer::new(ctx(&plan, stats, gov), 0, drop_null_keys)
     }
@@ -348,6 +325,15 @@ mod tests {
         }
     }
 
+    /// The canonical order of two records, through their row views.
+    fn canonical(a: &Record, b: &Record, key: &[usize]) -> Ordering {
+        RowRef::from(a).canonical_cmp(&b.into(), key)
+    }
+
+    fn same_key(a: &Record, b: &Record, key: &[usize]) -> bool {
+        RowRef::from(a).key_cmp(&b.into(), key).is_eq()
+    }
+
     fn drain(buf: &mut RunBuffer) -> Vec<Vec<Record>> {
         let mut groups = buf.drain_groups().unwrap();
         std::iter::from_fn(|| groups.next_group().unwrap()).collect()
@@ -356,9 +342,9 @@ mod tests {
     #[test]
     fn zero_run_walk_is_run_len_over_the_sorted_slice_and_so_is_every_spilled_one() {
         let mut sorted = input();
-        sorted.sort_unstable_by(|a, b| canonical_cmp(a, b, &KEY));
+        sorted.sort_unstable_by(|a, b| canonical(a, b, &KEY));
         let expected: Vec<Vec<Record>> = sorted
-            .chunk_by(|a, b| key_cmp(a, b, &KEY).is_eq())
+            .chunk_by(|a, b| same_key(a, b, &KEY))
             .map(<[Record]>::to_vec)
             .collect();
         assert_eq!(expected.len(), 6, "five int keys + the null group");
@@ -407,10 +393,7 @@ mod tests {
                 assert!(buf.saw_null_key(), "the profiler counts nulls once");
             } else {
                 assert_eq!((groups.len(), nulls), (6, 2));
-                assert!(
-                    key_cmp(&groups[0][0], &rec(None, 0), &KEY).is_eq(),
-                    "nulls first"
-                );
+                assert!(same_key(&groups[0][0], &rec(None, 0), &KEY), "nulls first");
                 assert!(!buf.saw_null_key());
             }
         }
@@ -494,14 +477,14 @@ mod tests {
     /// What a run holds for `rows`, computed on records: the canonical
     /// sort, null keys dropped for a join, one row per key when
     /// first-per-key.
-    fn reference(rows: &[Record], key: &[AttrId], join: bool, first: bool) -> Vec<Record> {
+    fn reference(rows: &[Record], key: &[usize], join: bool, first: bool) -> Vec<Record> {
         let mut want = rows.to_vec();
         if join {
-            want.retain(|r| key.iter().all(|k| !r.field(k.index()).is_null()));
+            want.retain(|r| key.iter().all(|&k| !r.field(k).is_null()));
         }
-        want.sort_unstable_by(|a, b| canonical_cmp(a, b, key));
+        want.sort_unstable_by(|a, b| canonical(a, b, key));
         if first {
-            want.dedup_by(|a, b| key_cmp(a, b, key).is_eq());
+            want.dedup_by(|a, b| same_key(a, b, key));
         }
         want
     }
@@ -560,7 +543,10 @@ mod tests {
         let s = p.source(SourceDef::new("s", &["k1", "k2", "v"], 4));
         let r = p.reduce("sum", &[0, 1], sum_inplace(3, 2), CostHints::default(), s);
         let plan = p.finish(r).unwrap().bind().unwrap();
-        let key = plan.ctx.ops[0].key_attrs[0].clone();
+        let key: Vec<usize> = plan.ctx.ops[0].key_attrs[0]
+            .iter()
+            .map(|k| k.index())
+            .collect();
         let rec = |k1: i64, k2: i64, v: i64| {
             Record::from_values([Value::Int(k1), Value::Int(k2), Value::Int(v)])
         };

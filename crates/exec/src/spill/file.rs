@@ -14,13 +14,13 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use strato_record::{wire, Record, RowRef};
 
-/// One on-disk run of records in ascending comparator order, produced by a
-/// spilling operator (or by an intermediate merge pass). The run only
-/// holds the path, so an unopened run costs no file handle; its file is
-/// deleted when the run is dropped (consumed by a compaction pass or a
-/// finished merge), which bounds peak spill-directory usage to ~2× the
-/// live data instead of accumulating every merge generation until the
-/// execution ends. Readers opened before the drop keep working (POSIX
+/// One on-disk run of records in ascending canonical order on its
+/// operator's key, produced by a spilling operator (or by an intermediate
+/// merge pass). The run only holds the path, so an unopened run costs no
+/// file handle; its file is deleted when the run is dropped (consumed by
+/// a compaction pass or a finished merge), which bounds peak
+/// spill-directory usage to ~2× the live data instead of accumulating
+/// every merge generation until the execution ends. Readers opened before the drop keep working (POSIX
 /// unlink semantics); where deletion of an open file is refused, the
 /// scoped directory still removes it at execution end.
 #[derive(Debug)]

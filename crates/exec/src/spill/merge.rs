@@ -3,8 +3,9 @@
 //! A [`LoserTree`] merges `k` sorted record sources in `O(log k)`
 //! comparisons per record: each internal node remembers the *loser* of the
 //! comparison played there, so replacing the winner replays exactly one
-//! leaf-to-root path. Ties break toward the lower source index, making the
-//! merge fully deterministic for any comparator.
+//! leaf-to-root path. Records compare in the canonical order on the
+//! merge's key ([`RowRef::canonical_cmp`]), and ties break toward the
+//! lower source index, making the merge fully deterministic.
 //!
 //! [`merge_runs`] is the entry point operators use: it bounds the merge
 //! fan-in (and thus open file handles) by first compacting surplus runs
@@ -16,8 +17,10 @@ use crate::engine::ExecError;
 use crate::spill::file::RunWriter;
 use crate::spill::file::{RunReader, SortedRun};
 use crate::spill::governor::{spill_err, MemoryGovernor};
+use crate::trace::TraceRecorder;
 use std::cmp::Ordering;
-use strato_record::Record;
+use std::sync::Arc;
+use strato_record::{Record, RowRef};
 
 /// Maximum sources merged at once (also the open-file-handle bound).
 pub const MERGE_FAN_IN: usize = 32;
@@ -42,30 +45,33 @@ impl Iterator for RunSource {
 /// Sentinel leaf index meaning "not yet occupied" during tree build.
 const NONE: usize = usize::MAX;
 
-/// A k-way merge iterator over sorted sources.
+/// A k-way merge iterator over sources sorted in canonical order on one
+/// key.
 ///
-/// Yields records in comparator order; a source error (e.g. a truncated
-/// spill file) is yielded once and the iterator then fuses. Sources must
-/// individually be sorted by the same comparator for the merge to be
-/// globally sorted.
-pub struct LoserTree<S, F> {
-    sources: Vec<S>,
+/// Yields records in that order; a source error (e.g. a truncated spill
+/// file) is yielded once and the iterator then fuses. The final merge of
+/// [`merge_runs`] records a `kway-merge` span over its whole lifetime
+/// when the execution is traced and a disk run participates. The merge
+/// streams interleaved with its consumer, so the span measures the drain
+/// window (creation to drop), not pure merge CPU — per-record clock reads
+/// on the merge hot path would violate the tracing overhead contract.
+pub struct LoserTree {
+    sources: Vec<RunSource>,
     /// Current head record of each source (`None` = exhausted).
     heads: Vec<Option<Record>>,
     /// `tree[0]` = overall winner; `tree[1..k]` = loser parked per node.
     tree: Vec<usize>,
-    cmp: F,
+    /// The key of the canonical order, as column indices.
+    key: Vec<usize>,
     k: usize,
     failed: bool,
+    /// `(recorder, start, source count)` of the `kway-merge` span.
+    span: Option<(Arc<TraceRecorder>, u64, usize)>,
 }
 
-impl<S, F> LoserTree<S, F>
-where
-    S: Iterator<Item = Result<Record, ExecError>>,
-    F: Fn(&Record, &Record) -> Ordering,
-{
+impl LoserTree {
     /// Builds the tree, pulling one head record per source.
-    pub fn new(mut sources: Vec<S>, cmp: F) -> Result<Self, ExecError> {
+    fn new(mut sources: Vec<RunSource>, key: &[usize]) -> Result<Self, ExecError> {
         let k = sources.len();
         let mut heads = Vec::with_capacity(k);
         for s in &mut sources {
@@ -75,9 +81,10 @@ where
             sources,
             heads,
             tree: vec![NONE; k.max(1)],
-            cmp,
+            key: key.to_vec(),
             k,
             failed: false,
+            span: None,
         };
         for leaf in 0..k {
             t.adjust(leaf);
@@ -89,7 +96,7 @@ where
     /// to the lower index (stable, deterministic merges).
     fn beats(&self, a: usize, b: usize) -> bool {
         match (&self.heads[a], &self.heads[b]) {
-            (Some(x), Some(y)) => match (self.cmp)(x, y) {
+            (Some(x), Some(y)) => match RowRef::from(x).canonical_cmp(&y.into(), &self.key) {
                 Ordering::Less => true,
                 Ordering::Greater => false,
                 Ordering::Equal => a < b,
@@ -117,11 +124,7 @@ where
     }
 }
 
-impl<S, F> Iterator for LoserTree<S, F>
-where
-    S: Iterator<Item = Result<Record, ExecError>>,
-    F: Fn(&Record, &Record) -> Ordering,
-{
+impl Iterator for LoserTree {
     type Item = Result<Record, ExecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -142,8 +145,16 @@ where
     }
 }
 
-/// Merges `runs` plus an in-memory `tail` (already sorted by `cmp`) into
-/// one globally sorted stream.
+impl Drop for LoserTree {
+    fn drop(&mut self) {
+        if let Some((tr, t0, sources)) = self.span.take() {
+            tr.record("kway-merge", "merge", t0, vec![("sources", sources as u64)]);
+        }
+    }
+}
+
+/// Merges `runs` plus an in-memory `tail`, each in canonical order on
+/// `key`, into one stream in that order.
 ///
 /// When more than [`MERGE_FAN_IN`] runs exist, surplus runs are first
 /// compacted into larger intermediate runs (written through `gov` into the
@@ -154,30 +165,24 @@ where
 /// pressure sheds (see `ExecStats::records_spilled`). Consumed source runs
 /// delete their files on drop, so a pass holds at most two generations on
 /// disk.
-pub fn merge_runs<F>(
+pub fn merge_runs(
     gov: &MemoryGovernor,
     runs: Vec<SortedRun>,
     tail: Vec<Record>,
-    cmp: F,
-) -> Result<impl Iterator<Item = Result<Record, ExecError>>, ExecError>
-where
-    F: Fn(&Record, &Record) -> Ordering + Copy,
-{
-    merge_runs_with_fan_in(gov, runs, tail, cmp, MERGE_FAN_IN)
+    key: &[usize],
+) -> Result<LoserTree, ExecError> {
+    merge_runs_with_fan_in(gov, runs, tail, key, MERGE_FAN_IN)
 }
 
 /// [`merge_runs`] with an explicit fan-in bound (tests shrink it to force
 /// multi-pass compaction on small inputs).
-pub fn merge_runs_with_fan_in<F>(
+pub fn merge_runs_with_fan_in(
     gov: &MemoryGovernor,
     mut runs: Vec<SortedRun>,
     tail: Vec<Record>,
-    cmp: F,
+    key: &[usize],
     fan_in: usize,
-) -> Result<impl Iterator<Item = Result<Record, ExecError>>, ExecError>
-where
-    F: Fn(&Record, &Record) -> Ordering + Copy,
-{
+) -> Result<LoserTree, ExecError> {
     let fan_in = fan_in.max(2);
     while runs.len() > fan_in {
         // Compact the oldest `fan_in` runs (oldest first keeps the pass
@@ -189,7 +194,7 @@ where
             sources.push(RunSource::Disk(r.open()?));
         }
         let mut w = RunWriter::create(gov.new_run_path()?).map_err(spill_err)?;
-        for rec in LoserTree::new(sources, cmp)? {
+        for rec in LoserTree::new(sources, key)? {
             w.write((&rec?).into()).map_err(spill_err)?;
         }
         let compacted = w.finish().map_err(spill_err)?;
@@ -215,90 +220,36 @@ where
         sources.push(RunSource::Mem(tail.into_iter()));
     }
     let n_sources = sources.len();
-    Ok(TracedMerge {
-        // A merge of the in-memory tail alone is a sort, not a merge: an
-        // execution that never spilled records no `merge` span.
-        span: gov
-            .trace()
-            .filter(|_| !runs.is_empty())
-            .map(|tr| (std::sync::Arc::clone(tr), tr.now_ns(), n_sources)),
-        inner: LoserTree::new(sources, cmp)?,
-    })
-}
-
-/// The final streaming k-way merge, wrapped so a `kway-merge` span covers
-/// its whole lifetime when a disk run participates. The merge streams
-/// interleaved with its consumer, so the span measures the drain window
-/// (creation to drop), not pure merge CPU — per-record clock reads on the
-/// merge hot path would violate the tracing overhead contract.
-struct TracedMerge<I> {
-    inner: I,
-    /// `(recorder, start, source count)` when the execution is traced.
-    span: Option<(std::sync::Arc<crate::trace::TraceRecorder>, u64, usize)>,
-}
-
-impl<I: Iterator<Item = Result<Record, ExecError>>> Iterator for TracedMerge<I> {
-    type Item = Result<Record, ExecError>;
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
-impl<I> Drop for TracedMerge<I> {
-    fn drop(&mut self) {
-        if let Some((tr, t0, sources)) = self.span.take() {
-            tr.record("kway-merge", "merge", t0, vec![("sources", sources as u64)]);
-        }
-    }
-}
-
-/// The merge/group plumbing behind `RunBuffer::drain_groups`: merges the
-/// unspilled in-memory `tail` — already in canonical order — with the
-/// on-disk `runs` (possibly none), and walks the merged stream as key
-/// groups.
-// The nested `impl Trait` cannot be named in a `type` alias on stable.
-#[allow(clippy::type_complexity)]
-pub(crate) fn external_group_stream<'k>(
-    gov: &MemoryGovernor,
-    runs: Vec<SortedRun>,
-    tail: Vec<Record>,
-    key: &'k [strato_record::AttrId],
-) -> Result<
-    GroupStream<
-        impl Iterator<Item = Result<Record, ExecError>> + 'k,
-        impl Fn(&Record, &Record) -> bool + 'k,
-    >,
-    ExecError,
-> {
-    use crate::operators::{canonical_cmp, key_cmp};
-    let merged = merge_runs(gov, runs, tail, move |a, b| canonical_cmp(a, b, key))?;
-    GroupStream::new(merged, move |a, b| key_cmp(a, b, key).is_eq())
+    // A merge of the in-memory tail alone is a sort, not a merge: an
+    // execution that never spilled records no `merge` span.
+    let span = gov
+        .trace()
+        .filter(|_| !runs.is_empty())
+        .map(|tr| (Arc::clone(tr), tr.now_ns(), n_sources));
+    let mut merged = LoserTree::new(sources, key)?;
+    merged.span = span;
+    Ok(merged)
 }
 
 /// Walks a merged, sorted record stream as *groups*: consecutive records
-/// for which `same_group` holds. Every sort-based finish of a blocking
-/// operator walks one of these — a group (one key's records) must fit in
-/// memory, exactly as the group-at-a-time UDF contract already requires.
-pub(crate) struct GroupStream<I, G> {
-    inner: I,
-    same_group: G,
+/// with equal keys. Every sort-based finish of a blocking operator walks
+/// one of these — a group (one key's records) must fit in memory, exactly
+/// as the group-at-a-time UDF contract already requires.
+pub(crate) struct GroupStream {
+    inner: LoserTree,
     peeked: Option<Record>,
 }
 
-impl<I, G> GroupStream<I, G>
-where
-    I: Iterator<Item = Result<Record, ExecError>>,
-    G: Fn(&Record, &Record) -> bool,
-{
-    pub(crate) fn new(mut inner: I, same_group: G) -> Result<Self, ExecError> {
+impl GroupStream {
+    /// Groups `inner`'s records on the key it merges on.
+    pub(crate) fn new(mut inner: LoserTree) -> Result<Self, ExecError> {
         let peeked = inner.next().transpose()?;
-        Ok(GroupStream {
-            inner,
-            same_group,
-            peeked,
-        })
+        Ok(GroupStream { inner, peeked })
+    }
+
+    /// The key the stream is sorted and grouped on.
+    pub(crate) fn key(&self) -> &[usize] {
+        &self.inner.key
     }
 
     /// The first record of the next group, without consuming it.
@@ -312,15 +263,17 @@ where
             return Ok(None);
         };
         let mut group = vec![first];
-        loop {
-            match self.inner.next().transpose()? {
-                Some(r) if (self.same_group)(&group[0], &r) => group.push(r),
-                next => {
-                    self.peeked = next;
-                    return Ok(Some(group));
-                }
+        while let Some(r) = self.inner.next().transpose()? {
+            if RowRef::from(&group[0])
+                .key_cmp(&(&r).into(), self.key())
+                .is_ne()
+            {
+                self.peeked = Some(r);
+                break;
             }
+            group.push(r);
         }
+        Ok(Some(group))
     }
 }
 
@@ -350,7 +303,7 @@ mod tests {
                     mem(&vals)
                 })
                 .collect();
-            let merged = collect(LoserTree::new(sources, |a, b| a.cmp(b)).unwrap());
+            let merged = collect(LoserTree::new(sources, &[]).unwrap());
             let expected: Vec<i64> = (0..(5 * k) as i64).collect();
             assert_eq!(merged, expected, "k = {k}");
         }
@@ -359,7 +312,7 @@ mod tests {
     #[test]
     fn uneven_and_empty_sources_merge() {
         let sources = vec![mem(&[1, 4, 9]), mem(&[]), mem(&[2]), mem(&[2, 3, 3, 10])];
-        let merged = collect(LoserTree::new(sources, |a, b| a.cmp(b)).unwrap());
+        let merged = collect(LoserTree::new(sources, &[]).unwrap());
         assert_eq!(merged, vec![1, 2, 2, 3, 3, 4, 9, 10]);
     }
 
@@ -373,7 +326,7 @@ mod tests {
             runs.push(g.write_sorted_run(&recs).unwrap());
         }
         let tail: Vec<Record> = vec![rec(100), rec(101)];
-        let merged = collect(merge_runs_with_fan_in(&g, runs, tail, |a, b| a.cmp(b), 2).unwrap());
+        let merged = collect(merge_runs_with_fan_in(&g, runs, tail, &[], 2).unwrap());
         let mut expected: Vec<i64> = (0..27).collect();
         expected.extend([100, 101]);
         assert_eq!(merged, expected);
@@ -381,8 +334,8 @@ mod tests {
 
     #[test]
     fn group_stream_walks_runs_of_equal_keys() {
-        let src = mem(&[1, 1, 2, 5, 5, 5]);
-        let mut gs = GroupStream::new(src, |a, b| a.field(0) == b.field(0)).unwrap();
+        let src = LoserTree::new(vec![mem(&[1, 1, 2, 5, 5, 5])], &[0]).unwrap();
+        let mut gs = GroupStream::new(src).unwrap();
         assert_eq!(gs.peek().unwrap().field(0), &Value::Int(1));
         let sizes: Vec<usize> = std::iter::from_fn(|| gs.next_group().unwrap())
             .map(|g| g.len())

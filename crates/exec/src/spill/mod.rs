@@ -32,12 +32,15 @@
 //!   query spills *its* state, never a neighbor's.
 //! * `file` — spill files: length-framed records in the existing wire
 //!   encoding ([`strato_record::wire`]), written from row views of
-//!   batches and read back as records through buffered file IO. A `file::SortedRun` is one file of records in
-//!   ascending comparator order.
-//! * [`merge`] — a [loser tree](merge::LoserTree) merging `k` sorted
-//!   sources by an arbitrary comparator, plus `merge::merge_runs`
-//!   which caps the merge fan-in by compacting surplus runs into larger
-//!   ones first (bounded open file handles at any batch size).
+//!   batches and read back as records through buffered file IO. A
+//!   `file::SortedRun` is one file of records in ascending canonical
+//!   order.
+//! * [`merge`] — a [loser tree](merge::LoserTree) merging `k` sources
+//!   sorted in the canonical `(key, row)` order on one key
+//!   ([`RowRef::canonical_cmp`], the order every spilled run is written
+//!   in and every group walk reads), plus `merge::merge_runs` which caps
+//!   the merge fan-in by compacting surplus runs into larger ones first
+//!   (bounded open file handles at any batch size).
 //! * `RunBuffer` (crate-private) — the one governed buffer every blocking
 //!   operator keeps per keyed input: the batches it was pushed + the
 //!   bytes granted for them + the sorted runs shed so far. It is the
@@ -58,6 +61,7 @@
 //! algorithm.
 //!
 //! [`CostWeights::mem_budget`]: strato_core::cost::CostWeights
+//! [`RowRef::canonical_cmp`]: strato_record::RowRef::canonical_cmp
 
 mod buffer;
 pub mod file;

@@ -16,8 +16,8 @@
 //! * an [`AttrSet`] is a compact bitset over global attributes used for read
 //!   sets, write sets and all ROC/KGP condition checks.
 //!
-//! The crate also provides a small wire format ([`wire`]) used by the
-//! execution engine to account for shipped bytes, a fast non-cryptographic
+//! The crate also provides a small wire format ([`wire`]) the execution
+//! engine writes its spill runs in, a fast non-cryptographic
 //! hasher ([`hash::FxHasher`]) used for hash partitioning and memo tables,
 //! and [`RecordBatch`] — the unit in which the execution engine moves
 //! records between physical operators. Every batch is stored

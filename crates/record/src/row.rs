@@ -5,8 +5,8 @@
 //! that handles rows one at a time — a UDF invocation, a grouping table —
 //! needs no `Record` until it keeps one. Every comparison here is
 //! bit-faithful to the materialized rows: [`RowRef::cmp`] is
-//! [`Record::cmp`], and [`sort_canonical`] is the engine's canonical
-//! `(key, record)` order.
+//! [`Record::cmp`], and [`RowRef::canonical_cmp`] is the engine's one
+//! canonical `(key, row)` order, which [`sort_canonical`] sorts by.
 
 use crate::columns::{Cell, ColumnBatch};
 use crate::record::Record;
@@ -88,6 +88,16 @@ impl<'a> RowRef<'a> {
         Ordering::Equal
     }
 
+    /// The engine's canonical `(key, row)` order:
+    /// [`key_cmp`](RowRef::key_cmp) on `key`, then the whole row
+    /// ([`RowRef::cmp`]). Groups are sorted, spilled, merged and walked in
+    /// this order, so a group's contents are a function of the input bag,
+    /// independent of partitioning, batch cuts and memory budget.
+    #[inline]
+    pub fn canonical_cmp(&self, other: &RowRef<'_>, key: &[usize]) -> Ordering {
+        self.key_cmp(other, key).then_with(|| self.cmp(other))
+    }
+
     /// Whether any `key` field is null (such rows match nothing in a
     /// join).
     #[inline]
@@ -138,9 +148,8 @@ fn cmp_cells(a: &[Cell<'_>], b: &[Cell<'_>]) -> Ordering {
         .unwrap_or_else(|| a.len().cmp(&b.len()))
 }
 
-/// Sorts `rows` in canonical order: by their `key` fields, then by the
-/// whole row ([`RowRef::key_cmp`], then [`RowRef::cmp`]) — the order of
-/// sorting the materialized records by `(key, record)`.
+/// Sorts `rows` in canonical order ([`RowRef::canonical_cmp`]): by
+/// their `key` fields, then by the whole row.
 ///
 /// Each row's cells are borrowed once, key cells first, so the sort
 /// compares flat cell slices instead of dispatching on the column type

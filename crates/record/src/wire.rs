@@ -1,10 +1,11 @@
 //! Binary wire format for records.
 //!
-//! The execution engine serializes records whenever a ship strategy moves
-//! them "across the network" (hash repartitioning or broadcast), both to
-//! account network IO in bytes — the dominant term of the paper's cost
-//! model — and to keep the simulated engine honest about serialization
-//! costs. The format is a simple length-prefixed tag-value encoding.
+//! The format is a simple length-prefixed tag-value encoding. The
+//! execution engine writes its spill runs in it, each row framed by its
+//! byte length ([`encode_framed_row`]) straight from a row view, and
+//! reads them back as records ([`decode_record`]). Shipped bytes are not
+//! counted by encoding: they are `encoded_len`, the cost model's
+//! approximation.
 
 use crate::columns::Cell;
 use crate::record::Record;
@@ -42,14 +43,9 @@ const TAG_INT: u8 = 2;
 const TAG_FLOAT: u8 = 3;
 const TAG_STR: u8 = 4;
 
-/// Encodes a record into `buf`, returning the number of bytes written.
-pub fn encode_record(r: &Record, buf: &mut BytesMut) -> usize {
-    encode_row(RowRef::from(r), buf)
-}
-
 /// Encodes a row view of either batch layout into `buf`, returning the
-/// number of bytes written: the bytes [`encode_record`] writes for the
-/// materialized row, without materializing it.
+/// number of bytes written: the bytes [`decode_record`] reads back as the
+/// materialized row, written without materializing it.
 fn encode_row(row: RowRef<'_>, buf: &mut BytesMut) -> usize {
     let start = buf.len();
     let arity = row.arity();
@@ -80,22 +76,13 @@ fn encode_row(row: RowRef<'_>, buf: &mut BytesMut) -> usize {
 }
 
 /// Length of the per-record frame header (a little-endian `u32` byte
-/// count) used wherever records are framed in a byte stream: spill run
-/// files and the opt-in wire-validation round-trip share this format.
+/// count) that precedes each record in a spill run file.
 pub const FRAME_HEADER_LEN: usize = 4;
 
-/// Encodes `r` as a length-framed record — `u32`-le body length, then
-/// the body — returning the total bytes appended (header + body).
-///
-/// This is the single framing rule shared by the spill subsystem and
-/// the shipping validation path, so `encoded_len`-style accounting is
-/// derived in exactly one place.
-pub fn encode_framed(r: &Record, buf: &mut BytesMut) -> usize {
-    encode_framed_row(RowRef::from(r), buf)
-}
-
-/// [`encode_framed`] of a row view of either batch layout: the frame of
-/// the materialized row, written straight from the view.
+/// Encodes a row view of either batch layout as a length-framed record —
+/// `u32`-le body length, then the body — returning the total bytes
+/// appended (header + body). Spill runs are written in this framing, a
+/// row straight from its view; `RunReader` in `strato-exec` reads it back.
 pub fn encode_framed_row(row: RowRef<'_>, buf: &mut BytesMut) -> usize {
     let at = buf.len();
     buf.put_u32_le(0);
@@ -104,24 +91,10 @@ pub fn encode_framed_row(row: RowRef<'_>, buf: &mut BytesMut) -> usize {
     n + FRAME_HEADER_LEN
 }
 
-/// Decodes one length-framed record (see [`encode_framed`]) from the
-/// front of `buf`.
-pub fn decode_framed(buf: &mut impl Buf) -> Result<Record, DecodeError> {
-    if buf.remaining() < FRAME_HEADER_LEN {
-        return Err(DecodeError::UnexpectedEof);
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::UnexpectedEof);
-    }
-    let mut body = buf.copy_to_bytes(len);
-    decode_record(&mut body)
-}
-
-/// Encodes a record into a standalone buffer.
+/// Encodes a record, unframed, into a standalone buffer.
 pub fn encode_to_bytes(r: &Record) -> Bytes {
     let mut buf = BytesMut::with_capacity(r.encoded_len() + 8);
-    encode_record(r, &mut buf);
+    encode_row(RowRef::from(r), &mut buf);
     buf.freeze()
 }
 
@@ -187,9 +160,16 @@ mod tests {
     use super::*;
 
     fn roundtrip(r: &Record) -> Record {
+        decode_record(&mut encode_to_bytes(r)).expect("decode")
+    }
+
+    /// The frame of `r`, split into its header's length and its body.
+    fn framed(r: &Record) -> (usize, Bytes) {
         let mut buf = BytesMut::new();
-        encode_record(r, &mut buf);
-        decode_record(&mut buf.freeze()).expect("decode")
+        let n = encode_framed_row(RowRef::from(r), &mut buf);
+        assert_eq!(n, buf.len());
+        let mut bytes = buf.freeze();
+        (bytes.get_u32_le() as usize, bytes)
     }
 
     #[test]
@@ -215,40 +195,37 @@ mod tests {
         // spends 1 byte per null tag. For null-free records both agree.
         let r = Record::from_values([Value::Int(1), Value::str("ab")]);
         let mut buf = BytesMut::new();
-        let n = encode_record(&r, &mut buf);
+        let n = encode_row(RowRef::from(&r), &mut buf);
         assert_eq!(n, r.encoded_len());
     }
 
     #[test]
     fn framed_roundtrip_and_length() {
         let r = Record::from_values([Value::Int(1), Value::Null, Value::str("ab")]);
-        let mut buf = BytesMut::new();
-        let n = encode_framed(&r, &mut buf);
-        // Header + body; the null field costs one wire tag byte even
-        // though `encoded_len` skips it.
-        assert_eq!(n, buf.len());
-        assert_eq!(n, FRAME_HEADER_LEN + 4 + 9 + 1 + (1 + 4 + 2));
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_framed(&mut bytes).unwrap(), r);
-        assert_eq!(bytes.remaining(), 0);
+        let (len, mut body) = framed(&r);
+        // The header counts the body; the null field costs one wire tag
+        // byte even though `encoded_len` skips it.
+        assert_eq!((len, body.remaining()), (4 + 9 + 1 + (1 + 4 + 2), len));
+        assert_eq!(decode_record(&mut body).unwrap(), r);
+        assert_eq!(body.remaining(), 0);
     }
 
     #[test]
     fn framed_truncation_errors() {
-        let r = Record::from_values([Value::Int(5)]);
-        let mut buf = BytesMut::new();
-        encode_framed(&r, &mut buf);
-        let bytes = buf.freeze();
-        for cut in 0..bytes.len() {
-            let mut short = bytes.slice(..cut);
-            assert!(decode_framed(&mut short).is_err(), "cut at {cut}");
+        let (len, body) = framed(&Record::from_values([Value::Int(5)]));
+        for cut in 0..len {
+            let mut short = body.slice(..cut);
+            assert!(decode_record(&mut short).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
     fn an_arity_beyond_the_buffer_errors_before_allocating() {
         let mut buf = BytesMut::new();
-        encode_record(&Record::from_values([Value::Int(5)]), &mut buf);
+        encode_row(
+            RowRef::from(&Record::from_values([Value::Int(5)])),
+            &mut buf,
+        );
         buf[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode_record(&mut buf.freeze()).unwrap_err();
         assert_eq!(err, DecodeError::UnexpectedEof);
@@ -259,8 +236,8 @@ mod tests {
         let a = Record::from_values([Value::Int(1)]);
         let b = Record::from_values([Value::str("x"), Value::Bool(false)]);
         let mut buf = BytesMut::new();
-        encode_record(&a, &mut buf);
-        encode_record(&b, &mut buf);
+        encode_row(RowRef::from(&a), &mut buf);
+        encode_row(RowRef::from(&b), &mut buf);
         let mut bytes = buf.freeze();
         assert_eq!(decode_record(&mut bytes).unwrap(), a);
         assert_eq!(decode_record(&mut bytes).unwrap(), b);

@@ -38,6 +38,7 @@ use crate::http::{
 };
 use crate::json::{push_escaped, Json};
 use crate::metrics::Metrics;
+use crate::server::ServerConfig;
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,8 +68,14 @@ struct TraceStore {
 }
 
 impl TraceStore {
-    /// Allocates the next query id (every query gets one, traced or not,
-    /// so ids in logs and metrics line up with trace ids).
+    /// Allocates the next query id. Every decoded query gets one, traced
+    /// or not, so the response's `query_id`, the slow-query log line and
+    /// the trace id agree. The per-query `/metrics` series
+    /// (`strato_query_queued_tasks{query="qN"}`) are labelled by the
+    /// runtime's own registration counter instead, a different number: it
+    /// skips a query rejected before it runs (a plan-compile 422) and
+    /// follows the order handlers register with the runtime, not the order
+    /// they were given ids.
     fn assign_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -111,37 +118,22 @@ pub struct AppState {
 }
 
 impl AppState {
-    /// State for a gate of `max_concurrent` tokens and `queue_depth`
-    /// waiting slots, executing on a default-configured shared runtime.
-    pub fn new(max_concurrent: usize, queue_depth: usize) -> Self {
-        AppState::with_runtime(
-            max_concurrent,
-            queue_depth,
-            Arc::new(EngineRuntime::new(RuntimeOptions::default())),
-        )
-    }
-
-    /// State executing on a caller-provided shared runtime (how the
-    /// server's `--workers`/`--mem-budget` flags reach the engine).
-    pub fn with_runtime(
-        max_concurrent: usize,
-        queue_depth: usize,
-        runtime: Arc<EngineRuntime>,
-    ) -> Self {
+    /// The state of a server configured by `config`: its admission gate,
+    /// an empty metrics registry, and the shared runtime its
+    /// `workers`/`mem_budget` settings size.
+    pub(crate) fn new(config: &ServerConfig) -> Self {
+        let runtime = EngineRuntime::new(RuntimeOptions {
+            workers: config.workers,
+            mem_budget: config.mem_budget.or(RuntimeOptions::default().mem_budget),
+            ..RuntimeOptions::default()
+        });
         AppState {
-            gate: AdmissionGate::new(max_concurrent, queue_depth),
+            gate: AdmissionGate::new(config.max_concurrent, config.queue_depth),
             metrics: Arc::new(Metrics::new()),
-            runtime,
-            slow_query_ms: None,
+            runtime: Arc::new(runtime),
+            slow_query_ms: config.slow_query_ms,
             traces: Arc::new(TraceStore::default()),
         }
-    }
-
-    /// Enables the slow-query log: queries slower than `threshold_ms`
-    /// print a one-line plan+stats summary to stderr.
-    pub fn with_slow_query_log(mut self, threshold_ms: Option<u64>) -> Self {
-        self.slow_query_ms = threshold_ms;
-        self
     }
 }
 
@@ -257,10 +249,12 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &AppState) -> std:
     };
     let t_decoded = Instant::now();
     drop(doc);
-    // Every query gets an id so slow-query log lines and per-query
-    // metrics line up with trace ids; the recorder itself only exists
-    // when the client opted in — untraced queries pay one `Option` check
-    // per instrumentation point and nothing else.
+    // Every query gets an id, so its slow-query log line and its trace
+    // carry the `query_id` of its response (the per-query `/metrics`
+    // series are numbered by the runtime, see `TraceStore::assign_id`);
+    // the recorder itself only exists when the client opted in —
+    // untraced queries pay one `Option` check per instrumentation point
+    // and nothing else.
     let query_id = state.traces.assign_id();
     let recorder = query
         .trace

@@ -25,16 +25,15 @@
 //! worker.
 //!
 //! [`AdmissionGate`]: crate::admission::AdmissionGate
+//! [`EngineRuntime`]: strato_exec::EngineRuntime
 
 use crate::handlers::{handle_connection, AppState};
-use crate::metrics::Metrics;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use strato_exec::{EngineRuntime, RuntimeOptions};
 
 /// Grace period [`ServerHandle::shutdown`] gives in-flight queries to
 /// finish before giving up on the drain.
@@ -82,23 +81,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen socket. The admission gate, metrics registry and
-    /// shared engine runtime are created here, so [`Server::state`] is
-    /// observable before (and during) serving.
+    /// Binds the listen socket, then creates the admission gate, metrics
+    /// registry and shared engine runtime.
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
-        let runtime = EngineRuntime::new(RuntimeOptions {
-            workers: config.workers,
-            mem_budget: config.mem_budget.or(RuntimeOptions::default().mem_budget),
-            ..RuntimeOptions::default()
-        });
         Ok(Server {
             listener: TcpListener::bind(&config.addr)?,
-            state: AppState::with_runtime(
-                config.max_concurrent,
-                config.queue_depth,
-                Arc::new(runtime),
-            )
-            .with_slow_query_log(config.slow_query_ms),
+            state: AppState::new(config),
         })
     }
 
@@ -107,23 +95,10 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The shared per-server state (gate + metrics registry).
-    pub fn state(&self) -> &AppState {
-        &self.state
-    }
-
-    /// Serves forever on the calling thread (the binary's main loop).
+    /// Serves on the calling thread (the binary's main loop) until
+    /// accepting fails; returns that error.
     pub fn run(self) -> io::Result<()> {
-        for conn in self.listener.incoming() {
-            match conn {
-                Ok(stream) => spawn_handler(stream, self.state.clone()),
-                // Per-connection accept errors (peer reset mid-handshake)
-                // must not kill the server.
-                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        serve(&self.listener, &self.state, &AtomicBool::new(false))
     }
 
     /// Serves on a background thread; returns a handle that can query the
@@ -135,13 +110,8 @@ impl Server {
         let thread = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                for conn in self.listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        spawn_handler(stream, self.state.clone());
-                    }
+                if let Err(e) = serve(&self.listener, &self.state, &stop) {
+                    eprintln!("[strato] accept loop stopped: {e}");
                 }
             })
         };
@@ -154,8 +124,27 @@ impl Server {
     }
 }
 
-fn spawn_handler(stream: TcpStream, state: AppState) {
-    std::thread::spawn(move || handle_connection(stream, &state));
+/// The accept loop: one handler thread per accepted connection, until
+/// `stop` is set (checked after each accept) or accepting fails. An
+/// aborted connection (peer reset mid-handshake) is skipped; any other
+/// accept error — a persistent one such as running out of file
+/// descriptors would fail every retry at once — ends the loop and is
+/// returned.
+fn serve(listener: &TcpListener, state: &AppState, stop: &AtomicBool) -> io::Result<()> {
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match conn {
+            Ok(stream) => {
+                let state = state.clone();
+                std::thread::spawn(move || handle_connection(stream, &state));
+            }
+            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Handle on a background server started by [`Server::spawn`].
@@ -171,11 +160,6 @@ impl ServerHandle {
     /// The address the server is listening on.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The server's metrics registry (for assertions without a scrape).
-    pub fn metrics(&self) -> &Metrics {
-        &self.state.metrics
     }
 
     /// The shared per-server state (gate, metrics, engine runtime).

@@ -3,10 +3,11 @@
 //! `BatchBuilder` path, and agreement of the vectorized key hash
 //! (`key_hash_into`) with the row-oriented reference path (`FxHasher`
 //! over `Value::hash`); and agreement of the row-view kernels
-//! (`RowRef::key_cmp`, `RowRef::cmp`, `sort_canonical`) and of the wire
-//! encoding of a row view (`wire::encode_framed_row`, which spill runs
-//! are written with) with the materialized records, over batch rows and
-//! views of ragged records alike.
+//! (`RowRef::key_cmp`, `RowRef::cmp`, `RowRef::canonical_cmp`,
+//! `sort_canonical`) and of the wire encoding of a row view
+//! (`wire::encode_framed_row`, which spill runs are written with) with
+//! the materialized records, over batch rows and views of ragged records
+//! alike.
 
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -161,7 +162,7 @@ proptest! {
         for (view, rec) in views(&cb, &ragged).into_iter().zip(wide.iter().chain(&ragged)) {
             let (mut from_view, mut from_record) = Default::default();
             let n = wire::encode_framed_row(view, &mut from_view);
-            wire::encode_framed(rec, &mut from_record);
+            wire::encode_framed_row(RowRef::from(rec), &mut from_record);
             let want = reference_frame(rec);
             prop_assert_eq!(n, want.len());
             prop_assert_eq!(from_view.as_ref(), &want[..]);
@@ -301,10 +302,18 @@ proptest! {
     ) {
         let cb = build(width, &wide);
         let mut vs = views(&cb, &ragged);
+        let mut want: Vec<Record> = wide.into_iter().chain(ragged.iter().cloned()).collect();
+        let canonical = |a: &Record, b: &Record| value_key_cmp(a, b, &keys).then_with(|| a.cmp(b));
+        // The one canonical comparison, on every pair of views.
+        for (a, va) in vs.iter().enumerate() {
+            for (b, vb) in vs.iter().enumerate() {
+                let got = va.canonical_cmp(vb, &keys);
+                prop_assert!(got == canonical(&want[a], &want[b]), "rows {} vs {}", a, b);
+            }
+        }
         sort_canonical(&mut vs, &keys);
         let got: Vec<Record> = vs.iter().map(RowRef::to_record).collect();
-        let mut want: Vec<Record> = wide.into_iter().chain(ragged.iter().cloned()).collect();
-        want.sort_by(|a, b| value_key_cmp(a, b, &keys).then_with(|| a.cmp(b)));
+        want.sort_by(canonical);
         prop_assert_eq!(got, want);
     }
 

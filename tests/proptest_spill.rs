@@ -53,7 +53,7 @@ proptest! {
 
         // A deliberately small fan-in forces multi-pass run compaction.
         let merged: Vec<Record> =
-            merge::merge_runs_with_fan_in(&gov, runs, mem, by_key, fan_in)
+            merge::merge_runs_with_fan_in(&gov, runs, mem, &[0], fan_in)
                 .unwrap()
                 .collect::<Result<_, _>>()
                 .unwrap();
